@@ -198,13 +198,13 @@ def compute_star(worker_count: int, rounds: int, *, words: int = 4000,
     """The star wired for a single-process executor: ``executor`` picks
     ``"cosim"`` (cooperative) or ``"threaded"``; extra ``kwargs`` (e.g.
     ``fault_plan``) pass through to the executor constructor."""
-    if executor == "cosim":
-        cosim = CoSimulation(batching=batching, **kwargs)
-    elif executor == "threaded":
-        cosim = ThreadedCoSimulation(batching=batching, **kwargs)
-    else:
+    try:
+        executor_class = {"cosim": CoSimulation,
+                          "threaded": ThreadedCoSimulation}[executor]
+    except KeyError:
         raise ValueError(f"unknown executor {executor!r}: "
-                         "use 'cosim' or 'threaded'")
+                         "use 'cosim' or 'threaded'") from None
+    cosim = executor_class(batching=batching, **kwargs)
     hub = cosim.add_subsystem(
         cosim.add_node("n-hub"),
         make_compute_hub("hub", workers=worker_count, rounds=rounds,

@@ -245,6 +245,27 @@ class ChannelEndpoint:
             if telemetry.enabled:
                 telemetry.count("safetime.piggybacked")
 
+    def note_reported(self, grant: float) -> tuple:
+        """Record that ``grant`` and the current consumption/production
+        counts are on their way to the peer (served, piggybacked or
+        pushed); returns the counts that travel with it."""
+        self.injected_reported = self.injected
+        self.granted_reported = grant
+        return (self.injected, self.forwarded)
+
+    def grant_message(self, grant: float) -> Message:
+        """The unsolicited grant (piggybacked on a batch frame or pushed
+        standalone) telling the peer our floor is ``grant``."""
+        if self.peer_want and grant >= self.peer_want:
+            # This grant satisfies the peer's recorded stall.
+            self.peer_want = 0.0
+        return Message(
+            kind=MessageKind.SAFE_TIME_GRANT,
+            src=self.node.name, dst=self.peer_node,
+            channel=self.channel.channel_id, time=grant,
+            payload=self.note_reported(grant),
+        )
+
     def reset_sync_state(self, *, forwarded: int = 0,
                          injected: int = 0) -> None:
         """Void all safe-time state (global rollback support)."""

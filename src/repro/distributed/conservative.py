@@ -105,52 +105,58 @@ class SafeTimeService:
     a chain never refreshes on its own, yet its stale horizons must not
     poison the grants it hands out.  The simple-cycle-only topology rule
     bounds this recursion.
+
+    Installs itself as ``node.safe_time`` and as the node's
+    ``SAFE_TIME_REQUEST`` call service.
     """
 
-    def __init__(self, node: "PiaNode", *,
-                 client_for=None,
-                 conservative_override=lambda: False) -> None:
+    def __init__(self, node: "PiaNode") -> None:
         self.node = node
-        #: Resolver from subsystem name to its :class:`SafeTimeClient`.
-        self.client_for = client_for
-        self.conservative_override = conservative_override
         self.requests_served = 0
+        node.safe_time = self
         node.call_services[MessageKind.SAFE_TIME_REQUEST] = self.serve
 
     def serve(self, message: Message) -> Message:
+        self._refresh_target(message)
+        return self._grant_reply(message)
+
+    def _refresh_target(self, message: Message) -> None:
+        """The transitive refresh: blocking calls towards the target's
+        other peers, so never made while holding the node lock."""
         requester, target, path = message.payload
+        client = self.node.clients.get(target)
+        if client is not None:
+            client.refresh(message.time, exclude=requester,
+                           path=tuple(path) + (target,))
+
+    def _grant_reply(self, message: Message) -> Message:
+        """Compute the grant, update the endpoint's ledger and build the
+        reply — the step every safe-time server shares."""
+        requester, target, __ = message.payload
         subsystem = self.node.subsystem(target)
         self.requests_served += 1
         subsystem.scheduler.telemetry.count("safetime.served")
         desired = message.time
-        if self.client_for is not None:
-            client = self.client_for(target)
-            if client is not None:
-                client.refresh(desired, exclude=requester,
-                               path=tuple(path) + (target,))
-        grant = compute_grant(subsystem, requester,
-                              conservative_override=self.conservative_override())
+        grant = compute_grant(
+            subsystem, requester,
+            conservative_override=self.node.conservative_override())
         endpoint = _endpoint_towards(subsystem, requester)
         # An unsatisfied request leaves the peer stalled; remember what it
         # wanted so a batching executor can push a grant the moment the
         # floor passes it, sparing the peer its next request round trip.
         endpoint.peer_want = desired if grant < desired else 0.0
-        endpoint.injected_reported = endpoint.injected
-        endpoint.granted_reported = grant
         # The reply carries consumption/production counts so the requester
         # can (a) release confirmed echo-ledger entries and (b) refuse the
         # grant while our messages to it are still in flight.
         return message.reply(MessageKind.SAFE_TIME_REPLY, time=grant,
-                             payload=(endpoint.injected, endpoint.forwarded))
+                             payload=endpoint.note_reported(grant))
 
 
 class SafeTimeClient:
     """Per-subsystem client side: refresh horizons, compute run bounds."""
 
-    def __init__(self, subsystem: "Subsystem", *,
-                 conservative_override=lambda: False) -> None:
+    def __init__(self, subsystem: "Subsystem") -> None:
         self.subsystem = subsystem
-        self.conservative_override = conservative_override
         self.requests_sent = 0
         # Request ids are purely diagnostic (calls are synchronous, so
         # nothing correlates by id), but they are *encoded on the wire* —
@@ -162,7 +168,7 @@ class SafeTimeClient:
     def _restricting_endpoints(self):
         for endpoint in self.subsystem.channels.values():
             if endpoint.mode is ChannelMode.CONSERVATIVE \
-                    or self.conservative_override():
+                    or self.subsystem.node.conservative_override():
                 yield endpoint
 
     def horizon(self) -> float:

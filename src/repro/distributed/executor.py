@@ -12,7 +12,6 @@ reproducible bit for bit.  The genuinely concurrent deployment lives in
 
 from __future__ import annotations
 
-import itertools
 import time as _time
 from typing import Any, Dict, Iterable, List, Optional, Union
 
@@ -29,28 +28,22 @@ from ..core.runlevel import (
     SwitchpointManager,
 )
 from ..core.subsystem import Subsystem
-from ..faults import FailureDetector, FaultInjector, FaultPlan, RetryPolicy
-from ..observability import RunReport, Telemetry, TraceKind, run_report
+from ..faults import FailureDetector, FaultPlan, RetryPolicy
+from ..observability import Telemetry, TraceKind
 from ..transport.inmemory import InMemoryTransport
 from ..transport.latency import SAME_HOST, LatencyModel
-from ..transport.message import Message, MessageKind
-from .channel import Channel, ChannelMode, StragglerError
-from .conservative import (
-    SafeTimeClient,
-    SafeTimeService,
-    UNBOUNDED,
-    compute_grant,
-)
+from ..transport.message import Message
+from .channel import ChannelMode, StragglerError
 from .node import PiaNode
 from .optimistic import RecoveryManager
-from .snapshot import SnapshotManager, SnapshotRegistry, new_snapshot_id
-from . import topology
+from .snapshot import SnapshotManager, SnapshotRegistry
+from .system import LiveSystem
 
 #: What the executor does once the failure detector confirms a node loss.
 FAILURE_POLICIES = ("recover", "raise", "drop-node")
 
 
-class CoSimulation:
+class CoSimulation(LiveSystem):
     """A complete distributed Pia system under deterministic execution."""
 
     def __init__(self, *, transport: Optional[InMemoryTransport] = None,
@@ -62,25 +55,13 @@ class CoSimulation:
                  failure_policy: str = "recover",
                  heartbeat_misses: int = 3,
                  batching: bool = False) -> None:
-        self.transport = transport if transport is not None \
-            else InMemoryTransport(default_model=default_model,
-                                   batching=batching)
-        if batching:
-            self.transport.batching = True
-        # Batched transports flush per-destination frames at safe points;
-        # the executor supplies the safe-time grants piggybacked on them.
-        set_provider = getattr(self.transport, "set_piggyback_provider", None)
-        if set_provider is not None:
-            set_provider(self._piggyback_grants)
-        #: Run telemetry shared by every layer; on by default (the
-        #: disabled path is a single attribute read per hot-path visit).
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        attach = getattr(self.transport, "attach_telemetry", None)
-        if attach is not None:
-            attach(self.telemetry)
-        self.nodes: Dict[str, PiaNode] = {}
-        self.subsystems: Dict[str, Subsystem] = {}
-        self.channels: Dict[str, Channel] = {}
+        if failure_policy not in FAILURE_POLICIES:
+            raise ConfigurationError(
+                f"failure_policy must be one of {FAILURE_POLICIES}: "
+                f"{failure_policy!r}")
+        super().__init__(transport=transport, default_model=default_model,
+                         telemetry=telemetry, fault_plan=fault_plan,
+                         retry_policy=retry_policy, batching=batching)
         self.registry = SnapshotRegistry()
         self.recovery = RecoveryManager(self.subsystems, self.transport,
                                         self.registry)
@@ -88,7 +69,6 @@ class CoSimulation:
         self.recovery.on_rollback = self._restore_switchpoint_state
         #: snapshot id -> (switchpoint fired flags, switch history).
         self._switchpoint_states: Dict[str, tuple] = {}
-        self._sync: Dict[str, SafeTimeClient] = {}
         self._managers: Dict[str, SnapshotManager] = {}
         #: Take a Chandy-Lamport snapshot every this many virtual seconds
         #: (needed whenever optimistic channels are in use).
@@ -98,28 +78,13 @@ class CoSimulation:
                                      signal=self._signal)
         self.switchpoints = SwitchpointManager(env, self.set_runlevel)
         # --- fault plane -------------------------------------------------
-        if failure_policy not in FAILURE_POLICIES:
-            raise ConfigurationError(
-                f"failure_policy must be one of {FAILURE_POLICIES}: "
-                f"{failure_policy!r}")
         self.failure_policy = failure_policy
-        self.fault_plan = fault_plan
-        self.fault_injector: Optional[FaultInjector] = None
         self.detector: Optional[FailureDetector] = None
         self._pending_crashes: List = []
         self._down_nodes: set = set()
         self._dead_nodes: set = set()
         self._dead_subsystems: set = set()
         if fault_plan is not None:
-            self.fault_injector = FaultInjector(
-                fault_plan, retry_policy=retry_policy,
-                telemetry=self.telemetry)
-            attach_faults = getattr(self.transport, "attach_faults", None)
-            if attach_faults is None:
-                raise ConfigurationError(
-                    f"transport {type(self.transport).__name__} does not "
-                    "support fault injection (no attach_faults)")
-            attach_faults(self.fault_injector)
             #: Heartbeat staleness, measured in run-loop rounds here.
             self.detector = FailureDetector(timeout=float(heartbeat_misses))
             self._pending_crashes = sorted(
@@ -136,11 +101,6 @@ class CoSimulation:
         #: subsystem name -> (desired, round of last request).
         self._refresh_throttle: Dict[str, tuple] = {}
         self._started = False
-        #: Channel-id allocator.  Instance-local, not module-global: ids
-        #: travel on the wire, so a process-global counter would make the
-        #: byte counts of otherwise identical runs depend on how many
-        #: systems the process built before this one.
-        self._channel_ids = itertools.count(1)
         #: Total rounds the run loop executed.
         self.rounds = 0
         #: Wall-clock seconds spent inside :meth:`run`.
@@ -149,68 +109,22 @@ class CoSimulation:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def add_node(self, name: str) -> PiaNode:
-        if name in self.nodes:
-            raise ConfigurationError(f"duplicate node {name!r}")
-        node = PiaNode(name, self.transport)
-        self.nodes[name] = node
-        SafeTimeService(node, client_for=self._sync.get,
-                        conservative_override=self._conservative_now)
+    def _node_added(self, node: PiaNode) -> None:
+        node.conservative_override = self._conservative_now
         manager = SnapshotManager(
             node, self.registry, expected_subsystems=lambda: set(self.subsystems))
         manager.telemetry = self.telemetry
-        self._managers[name] = manager
-        return node
+        self._managers[node.name] = manager
 
-    def node(self, name: str) -> PiaNode:
-        try:
-            return self.nodes[name]
-        except KeyError:
-            raise ConfigurationError(f"no node named {name!r}") from None
-
-    def add_subsystem(self, node: Union[str, PiaNode],
-                      subsystem: Union[str, Subsystem]) -> Subsystem:
-        if isinstance(node, str):
-            node = self.node(node)
-        if isinstance(subsystem, str):
-            subsystem = Subsystem(subsystem)
-        if subsystem.name in self.subsystems:
-            raise ConfigurationError(
-                f"duplicate subsystem {subsystem.name!r}")
-        node.add_subsystem(subsystem)
-        subsystem.attach_telemetry(self.telemetry)
-        self.subsystems[subsystem.name] = subsystem
-        self._sync[subsystem.name] = SafeTimeClient(
-            subsystem, conservative_override=self._conservative_now)
+    def _subsystem_added(self, subsystem: Subsystem) -> None:
         # Switchpoints must be evaluated after every event, not just at
         # run-slice boundaries — a slice can be the whole simulation.
         subsystem.scheduler.post_step_hooks.append(
             lambda event: self._poll_switchpoints())
-        return subsystem
-
-    def connect(self, a: Subsystem, b: Subsystem, *,
-                mode: ChannelMode = ChannelMode.CONSERVATIVE,
-                delay: float = 0.0,
-                channel_id: Optional[str] = None) -> Channel:
-        """Create the channel between two subsystems (one per pair)."""
-        if channel_id is None:
-            channel_id = f"ch{next(self._channel_ids)}-{a.name}-{b.name}"
-        if a.node is None or b.node is None:
-            raise ConfigurationError(
-                "attach both subsystems to nodes before connecting them")
-        channel = Channel(channel_id, mode, delay=delay)
-        channel.attach(a, peer_subsystem=b.name, peer_node=b.node.name)
-        channel.attach(b, peer_subsystem=a.name, peer_node=a.node.name)
-        self.channels[channel_id] = channel
-        return channel
 
     def set_link_model(self, node_a: str, node_b: str,
                        model: LatencyModel) -> None:
         self.transport.set_link(node_a, node_b, model)
-
-    def validate_topology(self):
-        """Enforce the paper's simple-cycle-only rule."""
-        return topology.validate(self.channels.values())
 
     # ------------------------------------------------------------------
     # inspection
@@ -234,7 +148,7 @@ class CoSimulation:
                 if name not in self._dead_subsystems]
 
     def global_time(self) -> float:
-        """The paper's global notion: the slowest subsystem's time."""
+        """The slowest *live* subsystem's time (dropped nodes stand still)."""
         return min((ss.now for ss in self._live_subsystems()), default=0.0)
 
     def finished(self) -> bool:
@@ -245,11 +159,8 @@ class CoSimulation:
         return sum(ss.scheduler.stalls for ss in self.subsystems.values())
 
     def safe_time_requests(self) -> int:
-        return sum(client.requests_sent for client in self._sync.values())
-
-    def report(self, *, title: Optional[str] = None) -> RunReport:
-        """Assemble the :class:`~repro.observability.RunReport` so far."""
-        return run_report(self, title=title)
+        return sum(client.requests_sent for node in self.nodes.values()
+                   for client in node.clients.values())
 
     # ------------------------------------------------------------------
     # run levels (global view, as switchpoint conditions may span hosts)
@@ -340,51 +251,10 @@ class CoSimulation:
         return any(ch.mode is ChannelMode.OPTIMISTIC
                    for ch in self.channels.values())
 
-    def _piggyback_grants(self, src: str, dst: str) -> List[Message]:
-        """Safe-time grants riding on a ``src``→``dst`` batch frame.
-
-        Called by a batching transport at flush time.  For every live
-        conservative endpoint on ``src`` whose peer lives on ``dst``, the
-        current grant (plus consumption/production counts, exactly as in
-        a served reply) is appended behind the frame's data messages —
-        so by the time the receiver applies it, everything the grant's
-        floor assumed has already been injected.  Peers then advance
-        without a synchronous safe-time round trip: O(peers) frames per
-        round instead of O(messages + requests).
-        """
+    def _grants_for(self, src: str, dst: str) -> List[Message]:
         if src in self._down_nodes or src in self._dead_nodes:
             return []
-        node = self.nodes.get(src)
-        if node is None:
-            return []
-        conservative = self._conservative_now()
-        grants: List[Message] = []
-        for ss_name in sorted(node.subsystems):
-            if ss_name in self._dead_subsystems:
-                continue
-            subsystem = node.subsystems[ss_name]
-            for channel_id in sorted(subsystem.channels):
-                endpoint = subsystem.channels[channel_id]
-                if endpoint.severed or endpoint.peer_node != dst:
-                    continue
-                if endpoint.mode is not ChannelMode.CONSERVATIVE \
-                        and not conservative:
-                    continue
-                grant = compute_grant(subsystem, endpoint.peer_subsystem,
-                                      conservative_override=conservative)
-                if endpoint.peer_want and grant >= endpoint.peer_want:
-                    # This grant satisfies the peer's recorded stall; no
-                    # standalone push needed on top of this frame.
-                    endpoint.peer_want = 0.0
-                endpoint.injected_reported = endpoint.injected
-                endpoint.granted_reported = grant
-                grants.append(Message(
-                    kind=MessageKind.SAFE_TIME_GRANT,
-                    src=src, dst=dst, channel=channel_id,
-                    time=grant,
-                    payload=(endpoint.injected, endpoint.forwarded),
-                ))
-        return grants
+        return super()._grants_for(src, dst)
 
     def _batching(self) -> bool:
         return bool(getattr(self.transport, "batching", False))
@@ -420,64 +290,9 @@ class CoSimulation:
         acted = self.transport.flush_batches() > 0
         if push is None:
             return acted
-        conservative = self._conservative_now()
+        down = self._down_nodes | self._dead_nodes
         for node in self._ordered_nodes():
-            by_dst: Dict[str, List[Message]] = {}
-            for ss_name in sorted(node.subsystems):
-                if ss_name in self._dead_subsystems:
-                    continue
-                subsystem = node.subsystems[ss_name]
-                # A subsystem that can still run will talk to its peers
-                # through ordinary data frames (whose piggybacked grants
-                # carry everything below for free); only one that cannot —
-                # stalled below its next event, or idle — has news its
-                # peers may never otherwise learn.
-                client = self._sync.get(ss_name)
-                next_time = subsystem.next_event_time()
-                runnable = (next_time != float("inf")
-                            and (client is None
-                                 or client.horizon() >= next_time))
-                for channel_id in sorted(subsystem.channels):
-                    endpoint = subsystem.channels[channel_id]
-                    if endpoint.severed:
-                        continue
-                    if endpoint.peer_node in self._down_nodes \
-                            or endpoint.peer_node in self._dead_nodes:
-                        continue
-                    if endpoint.mode is not ChannelMode.CONSERVATIVE \
-                            and not conservative:
-                        continue
-                    want = endpoint.peer_want
-                    # Unreported consumption must reach the peer so it can
-                    # release its echo ledger (it skips requests under
-                    # batching, counting on exactly this push).
-                    stale = endpoint.injected > endpoint.injected_reported
-                    if runnable and not want:
-                        # Still making local progress: the next data frame
-                        # (or a later round's push, once stalled or idle)
-                        # reports counts and grants for free.
-                        continue
-                    grant = compute_grant(
-                        subsystem, endpoint.peer_subsystem,
-                        conservative_override=conservative)
-                    if want:
-                        # The peer told us what it needs: push only once
-                        # the floor passes it (or counts must flow).
-                        if grant < want and not stale:
-                            continue
-                    elif not stale and grant <= endpoint.granted_reported:
-                        continue    # nothing the peer doesn't already know
-                    if want and grant >= want:
-                        endpoint.peer_want = 0.0
-                    endpoint.injected_reported = endpoint.injected
-                    endpoint.granted_reported = grant
-                    by_dst.setdefault(endpoint.peer_node, []).append(Message(
-                        kind=MessageKind.SAFE_TIME_GRANT,
-                        src=node.name, dst=endpoint.peer_node,
-                        channel=channel_id, time=grant,
-                        payload=(endpoint.injected, endpoint.forwarded),
-                    ))
-            for dst, grants in sorted(by_dst.items()):
+            for dst, grants in sorted(node.stalled_grants(down).items()):
                 if push(node.name, dst, grants):
                     acted = True
                     if self.telemetry.enabled:
@@ -581,26 +396,17 @@ class CoSimulation:
             progress = self._pump_all() > 0 or acted
             for subsystem in self._ordered_subsystems():
                 self._pump_all()
-                client = self._sync[subsystem.name]
-                next_time = subsystem.next_event_time()
-                if next_time == float("inf") or next_time > until:
-                    continue
-                horizon = client.horizon()
                 try:
-                    if horizon < next_time:
-                        desired = min(next_time, until)
-                        if self._should_refresh(subsystem.name, desired):
-                            horizon = client.refresh(desired)
-                    if next_time <= horizon:
-                        # The horizon is re-read before every dispatch:
-                        # sending on a channel shrinks it via the echo bound.
-                        count = subsystem.run(until, horizon=client.horizon)
-                        dispatched += count
-                        progress = progress or count > 0
-                        self._poll_switchpoints()
+                    count = subsystem.node.advance(
+                        subsystem, until, throttle=self._should_refresh)
                 except LinkDown as down:
                     self._absorb_link_down(down)
                     progress = True
+                    continue
+                if count:
+                    dispatched += count
+                    progress = True
+                    self._poll_switchpoints()
             if self._batching():
                 progress = self._round_flush() or progress
             self._maybe_periodic_snapshot()
@@ -675,12 +481,7 @@ class CoSimulation:
         if name in self._dead_nodes or name in self._down_nodes:
             return
         self._down_nodes.add(name)
-        self.fault_injector.mark_down(name)
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.count("fault.node_crashes")
-            telemetry.trace(TraceKind.NODE_CRASH, time=self.global_time(),
-                            subject=name)
+        self._mark_down(name)
 
     def _absorb_link_down(self, down: LinkDown) -> None:
         """A send or call exhausted its retry budget.  If the destination
@@ -756,7 +557,7 @@ class CoSimulation:
     def _report_deadlock(self, until: float) -> None:
         detail = []
         for subsystem in self._ordered_subsystems():
-            client = self._sync[subsystem.name]
+            client = subsystem.node.clients[subsystem.name]
             detail.append(
                 f"{subsystem.name}: t={subsystem.now:g} "
                 f"next={subsystem.next_event_time():g} "

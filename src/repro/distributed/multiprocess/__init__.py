@@ -1,0 +1,75 @@
+"""Process-per-node execution: real parallelism across OS processes.
+
+The paper's deployment is one JVM *process* per Pia node, joined by RMI —
+genuinely parallel machines.  :class:`ThreadedCoSimulation` mirrors the
+concurrency shape but executes all Python bytecode under one GIL, so
+adding nodes never adds cores.  This module completes the picture: each
+:class:`~repro.distributed.node.PiaNode` runs in its own OS process over
+the real :class:`~repro.transport.tcp.TcpTransport` (loopback), with the
+batched fast path and grant piggybacking on by default, so compute-heavy
+subsystems scale with cores.
+
+Three problems are specific to crossing a process boundary:
+
+* **Bootstrap** — live components cannot cross ``spawn``, so the system
+  is described as picklable *specs*: subsystems are named factories
+  (dotted-path or :func:`register_factory` names) the worker resolves and
+  calls in its own process.
+* **Coordination** — a pipe-based control plane starts, probes, quiesces
+  and stops the workers; a worker that dies (or a scheduled
+  :class:`~repro.faults.NodeCrash` the coordinator fires) surfaces as a
+  typed :class:`~repro.core.errors.NodeFailure`, exactly like the
+  threaded executor.  Quiescence itself is a distributed property,
+  detected by a double probe over logical wire counters
+  (``TcpTransport.wire_out``/``wire_in``): two consecutive sweeps showing
+  every worker idle, all event queues past ``until``, nothing parked, and
+  the global out/in sums balanced and unchanged.
+* **Observability** — every worker runs its own
+  :class:`~repro.observability.Telemetry`; at quiescence each serialises
+  its deterministic snapshot back to the coordinator, which merges them
+  (:mod:`repro.observability.merge`) into one
+  :class:`~repro.observability.RunReport` with the same shape as a
+  single-process report.
+
+Chaos stays reproducible: fault decisions are pure functions of the
+*plan seed* and per-link ordinals, so every worker receives
+``fault_plan.for_node(...)`` — same seed, crashes filtered — and the
+drop/duplicate/delay counters of a seeded run match the single-process
+executors bit for bit.
+
+With ``failure_policy="migrate"`` the coordinator becomes a supervisor:
+before the run starts it takes a baseline Chandy-Lamport cut (every
+worker archives portable images of its subsystems back to the
+coordinator — stable storage in the paper's terms), and the supervision
+loop feeds a heartbeat :class:`~repro.faults.FailureDetector`.  A worker
+that dies, partitions, or is killed by a scheduled
+:class:`~repro.faults.NodeCrash` is *replaced*: a fresh pool worker
+adopts the lost node, every channel endpoint is re-spliced (peer tables,
+shm rings, TCP connections), all workers roll back to the last completed
+global snapshot under a new migration epoch (stale pre-failover traffic
+is fenced at ingest), recorded in-flight messages are re-injected, and
+the run resumes — deterministically, because conservative execution from
+a consistent cut is a pure function of the virtual state.
+:meth:`MultiprocessCoSimulation.migrate` uses the same machinery to move
+a live node between workers on request: halt, drain the wire to
+quiescence, cut, re-splice, restore, resume.
+"""
+
+from .coordinator import (
+    MP_FAILURE_POLICIES,
+    MultiprocessCoSimulation,
+    status_snapshot,
+)
+from .pool import WorkerPool
+from .specs import (
+    ChannelSpec,
+    SubsystemSpec,
+    register_factory,
+    resolve_factory,
+)
+
+__all__ = [
+    "ChannelSpec", "MP_FAILURE_POLICIES", "MultiprocessCoSimulation",
+    "SubsystemSpec", "WorkerPool", "register_factory", "resolve_factory",
+    "status_snapshot",
+]

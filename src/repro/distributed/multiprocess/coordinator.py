@@ -1,63 +1,9 @@
-"""Process-per-node execution: real parallelism across OS processes.
-
-The paper's deployment is one JVM *process* per Pia node, joined by RMI —
-genuinely parallel machines.  :class:`ThreadedCoSimulation` mirrors the
-concurrency shape but executes all Python bytecode under one GIL, so
-adding nodes never adds cores.  This module completes the picture: each
-:class:`~repro.distributed.node.PiaNode` runs in its own OS process over
-the real :class:`~repro.transport.tcp.TcpTransport` (loopback), with the
-batched fast path and grant piggybacking on by default, so compute-heavy
-subsystems scale with cores.
-
-Three problems are specific to crossing a process boundary:
-
-* **Bootstrap** — live components cannot cross ``spawn``, so the system
-  is described as picklable *specs*: subsystems are named factories
-  (dotted-path or :func:`register_factory` names) the worker resolves and
-  calls in its own process.
-* **Coordination** — a pipe-based control plane starts, probes, quiesces
-  and stops the workers; a worker that dies (or a scheduled
-  :class:`~repro.faults.NodeCrash` the coordinator fires) surfaces as a
-  typed :class:`~repro.core.errors.NodeFailure`, exactly like the
-  threaded executor.  Quiescence itself is a distributed property,
-  detected by a double probe over logical wire counters
-  (``TcpTransport.wire_out``/``wire_in``): two consecutive sweeps showing
-  every worker idle, all event queues past ``until``, nothing parked, and
-  the global out/in sums balanced and unchanged.
-* **Observability** — every worker runs its own
-  :class:`~repro.observability.Telemetry`; at quiescence each serialises
-  its deterministic snapshot back to the coordinator, which merges them
-  (:mod:`repro.observability.merge`) into one
-  :class:`~repro.observability.RunReport` with the same shape as a
-  single-process report.
-
-Chaos stays reproducible: fault decisions are pure functions of the
-*plan seed* and per-link ordinals, so every worker receives
-``fault_plan.for_node(...)`` — same seed, crashes filtered — and the
-drop/duplicate/delay counters of a seeded run match the single-process
-executors bit for bit.
-
-With ``failure_policy="migrate"`` the coordinator becomes a supervisor:
-before the run starts it takes a baseline Chandy-Lamport cut (every
-worker archives portable images of its subsystems back to the
-coordinator — stable storage in the paper's terms), and the supervision
-loop feeds a heartbeat :class:`~repro.faults.FailureDetector`.  A worker
-that dies, partitions, or is killed by a scheduled
-:class:`~repro.faults.NodeCrash` is *replaced*: a fresh pool worker
-adopts the lost node, every channel endpoint is re-spliced (peer tables,
-shm rings, TCP connections), all workers roll back to the last completed
-global snapshot under a new migration epoch (stale pre-failover traffic
-is fenced at ingest), recorded in-flight messages are re-injected, and
-the run resumes — deterministically, because conservative execution from
-a consistent cut is a pure function of the virtual state.
-:meth:`MultiprocessCoSimulation.migrate` uses the same machinery to move
-a live node between workers on request: halt, drain the wire to
-quiescence, cut, re-splice, restore, resume.
-"""
+"""The coordinator: bootstraps workers over the control pipes, detects
+distributed quiescence by status probes, supervises failover and live
+migration, and merges the workers' telemetry into one report."""
 
 from __future__ import annotations
 
-import importlib
 import itertools
 import json
 import multiprocessing
@@ -65,28 +11,21 @@ import os
 import threading
 import time as _time
 import weakref
-from collections import deque
-from dataclasses import dataclass, field
 from multiprocessing import connection as _mpconn
 from typing import Callable, Dict, List, Optional, Tuple
 
 import networkx as nx
 
-from ..core.errors import (
+from ...core.errors import (
     ConfigurationError,
-    MigrationError,
     NodeFailure,
     SimulationError,
     TopologyError,
-    TransportError,
 )
-from ..core.subsystem import Subsystem
-from ..faults import FailureDetector, FaultInjector, FaultPlan, RetryPolicy
-from ..observability import (
-    LinkHealthMonitor,
+from ...faults import FailureDetector, FaultPlan, RetryPolicy
+from ...observability import (
     RunReport,
     Telemetry,
-    TimeSeriesRecorder,
     TraceKind,
     finalize_health,
     merge_counters,
@@ -98,660 +37,17 @@ from ..observability import (
     merge_timings,
     merge_trace_records,
 )
-from ..observability.export import stall_attribution, subject_nodes
-from ..observability.timeseries import DEFAULT_CAPACITY as SERIES_CAPACITY
-from ..observability.report import _link_rows, _subsystem_row
-from ..transport.codec import VERSION as CODEC_VERSION
-from ..transport.message import Message, MessageKind
-from ..transport.shm import (
-    DEFAULT_RING_CAPACITY,
-    SharedMemoryTransport,
-    create_ring_segment,
-)
-from ..transport.tcp import TcpTransport
-from .channel import Channel, ChannelMode
-from .conservative import SafeTimeClient, compute_grant
-from .migration import (
-    MigrationRecord,
-    NodeArchive,
-    archive_node,
-    resent_counts,
-    restore_node,
-)
-from .node import PiaNode
-from .snapshot import SnapshotManager, SnapshotRegistry, new_snapshot_id
-from .threaded import LockedSafeTimeService
+from ...observability.export import stall_attribution, subject_nodes
+from ...observability.timeseries import DEFAULT_CAPACITY as SERIES_CAPACITY
+from ...transport.codec import VERSION as CODEC_VERSION
+from ...transport.shm import DEFAULT_RING_CAPACITY, create_ring_segment
+from ..migration import MigrationRecord, NodeArchive, resent_counts
+from ..snapshot import new_snapshot_id
+from .pool import WorkerPool, _PoolWorker
+from .specs import ChannelSpec, SubsystemSpec, _WorkerSpec
 
 #: Failure policies the multiprocess executor understands.
 MP_FAILURE_POLICIES = ("raise", "migrate")
-
-#: Factories registered by short name (an alternative to dotted paths).
-_FACTORIES: Dict[str, Callable[..., Subsystem]] = {}
-
-
-def register_factory(name: str, factory: Callable[..., Subsystem]) -> None:
-    """Register ``factory`` under ``name`` for use in subsystem specs.
-
-    Registration is per-process: a factory registered only in the
-    coordinator is invisible to spawned workers, so registry names are
-    mainly for tests and single-process tooling — specs that must cross
-    ``spawn`` should use importable dotted paths.
-    """
-    if not callable(factory):
-        raise ConfigurationError(f"factory {name!r} is not callable")
-    _FACTORIES[name] = factory
-
-
-def resolve_factory(ref: str) -> Callable[..., Subsystem]:
-    """Resolve a factory reference: a registered name, ``pkg.mod:attr``,
-    or ``pkg.mod.attr``."""
-    found = _FACTORIES.get(ref)
-    if found is not None:
-        return found
-    if ":" in ref:
-        module_name, __, attr_path = ref.partition(":")
-    else:
-        module_name, __, attr_path = ref.rpartition(".")
-    if not module_name or not attr_path:
-        raise ConfigurationError(
-            f"cannot resolve subsystem factory {ref!r}: use a registered "
-            "name or a dotted path like 'package.module:callable'")
-    try:
-        target = importlib.import_module(module_name)
-    except ImportError as exc:
-        raise ConfigurationError(
-            f"cannot import factory module {module_name!r}: {exc}") from exc
-    for part in attr_path.split("."):
-        try:
-            target = getattr(target, part)
-        except AttributeError:
-            raise ConfigurationError(
-                f"module {module_name!r} has no attribute chain "
-                f"{attr_path!r}") from None
-    if not callable(target):
-        raise ConfigurationError(f"factory {ref!r} resolved to a "
-                                 f"non-callable {target!r}")
-    return target
-
-
-@dataclass(frozen=True)
-class SubsystemSpec:
-    """A picklable recipe for one subsystem: the factory is called as
-    ``factory(name, *args, **kwargs)`` in the worker process and must
-    return a fully built :class:`~repro.core.subsystem.Subsystem` of that
-    name (components added, nets wired)."""
-
-    name: str
-    factory: str
-    args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
-
-    def build(self) -> Subsystem:
-        subsystem = resolve_factory(self.factory)(
-            self.name, *self.args, **dict(self.kwargs))
-        if not isinstance(subsystem, Subsystem):
-            raise ConfigurationError(
-                f"factory {self.factory!r} returned "
-                f"{type(subsystem).__name__}, not a Subsystem")
-        if subsystem.name != self.name:
-            raise ConfigurationError(
-                f"factory {self.factory!r} built subsystem "
-                f"{subsystem.name!r}, expected {self.name!r}")
-        return subsystem
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """A picklable conservative channel between two subsystem specs.
-
-    ``nets`` are the names of the split nets the channel carries; each
-    side's factory must have created its half (same name) via
-    ``Subsystem.wire``.
-    """
-
-    channel_id: str
-    subsystem_a: str
-    node_a: str
-    subsystem_b: str
-    node_b: str
-    delay: float = 0.0
-    nets: Tuple[str, ...] = ()
-
-    def touches(self, node: str) -> bool:
-        return node in (self.node_a, self.node_b)
-
-
-@dataclass(frozen=True)
-class _WorkerSpec:
-    """Everything one worker process needs to bootstrap its node."""
-
-    node: str
-    subsystems: Tuple[SubsystemSpec, ...]
-    channels: Tuple[ChannelSpec, ...]
-    batching: bool = True
-    fault_plan: Optional[FaultPlan] = None
-    retry_policy: Optional[RetryPolicy] = None
-    trace_capacity: int = 4096
-    transport: str = "tcp"
-    ring_capacity: int = DEFAULT_RING_CAPACITY
-    #: True under ``failure_policy="migrate"``: a vanished peer is the
-    #: supervisor's problem, so transport failures wedge the worker
-    #: (no progress, await restore) instead of killing it.
-    supervised: bool = False
-    #: Telemetry plane: time-series cadences (either unset leaves that
-    #: cadence off), per-link health estimators, and whether ``status?``
-    #: replies carry streaming telemetry deltas.
-    series_interval: Optional[float] = None
-    series_wall_interval: Optional[float] = None
-    health: bool = False
-    stream: bool = False
-
-
-class _ControlInbox:
-    """The worker process's single wait point.
-
-    A reader thread pushes every control-pipe message here; the
-    transport's ``wakeup_hook`` kicks the same condition when network
-    traffic arrives.  The serve loop can therefore *park* — one
-    condition wait instead of a ``poll(0)``/sleep spin — and still react
-    immediately to either control or data.
-    """
-
-    def __init__(self) -> None:
-        self._messages: deque = deque()
-        self._cond = threading.Condition()
-        self._wake = False
-        self.eof = False
-
-    def push(self, message) -> None:
-        with self._cond:
-            self._messages.append(message)
-            self._cond.notify_all()
-
-    def push_eof(self) -> None:
-        with self._cond:
-            self.eof = True
-            self._cond.notify_all()
-
-    def kick(self) -> None:
-        """Transport wakeup: remembered so a kick that lands between a
-        worker's last poll and its park is not lost."""
-        with self._cond:
-            self._wake = True
-            self._cond.notify_all()
-
-    def pop(self):
-        """Next queued control message, or None without blocking."""
-        with self._cond:
-            return self._messages.popleft() if self._messages else None
-
-    def wait_control(self):
-        """Block until a control message arrives; None means EOF."""
-        with self._cond:
-            while not self._messages:
-                if self.eof:
-                    return None
-                self._cond.wait()
-            return self._messages.popleft()
-
-    def park(self, timeout: float) -> None:
-        """Sleep until control, transport activity, EOF, or ``timeout``."""
-        with self._cond:
-            if not (self._wake or self._messages or self.eof):
-                self._cond.wait(timeout)
-            self._wake = False
-
-
-class _Worker:
-    """The child-process side: one node, its subsystems, and a control
-    loop mirroring the threaded executor's per-node worker."""
-
-    def __init__(self, spec: _WorkerSpec, conn,
-                 inbox: Optional[_ControlInbox] = None) -> None:
-        self.spec = spec
-        self.conn = conn
-        self.inbox = inbox if inbox is not None else _ControlInbox()
-        self.telemetry = Telemetry(trace_capacity=spec.trace_capacity)
-        if spec.transport == "shm":
-            self.transport = SharedMemoryTransport(
-                batching=spec.batching, ring_capacity=spec.ring_capacity)
-        else:
-            self.transport = TcpTransport(batching=spec.batching)
-        self.transport.wakeup_hook = self.inbox.kick
-        self.transport.attach_telemetry(self.telemetry)
-        self.injector: Optional[FaultInjector] = None
-        if spec.fault_plan is not None:
-            self.injector = FaultInjector(spec.fault_plan,
-                                          retry_policy=spec.retry_policy,
-                                          telemetry=self.telemetry)
-            self.transport.attach_faults(self.injector)
-        elif spec.retry_policy is not None:
-            self.transport.retry_policy = spec.retry_policy
-        self.series: Optional[TimeSeriesRecorder] = None
-        if spec.series_interval is not None \
-                or spec.series_wall_interval is not None:
-            self.series = self.telemetry.attach_series(TimeSeriesRecorder(
-                virtual_interval=spec.series_interval,
-                wall_interval=spec.series_wall_interval))
-        self.health_monitor: Optional[LinkHealthMonitor] = None
-        if spec.health:
-            self.health_monitor = LinkHealthMonitor()
-            self.transport.attach_health(self.health_monitor)
-            self.telemetry.health = self.health_monitor
-        #: Counter values already shipped in streaming deltas.
-        self._streamed: Dict[str, int] = {}
-        self.lock = threading.RLock()
-        self.node = PiaNode(spec.node, self.transport)
-        self.clients: Dict[str, SafeTimeClient] = {}
-        for sspec in spec.subsystems:
-            subsystem = sspec.build()
-            self.node.add_subsystem(subsystem)
-            subsystem.attach_telemetry(self.telemetry)
-            self.clients[subsystem.name] = SafeTimeClient(subsystem)
-        LockedSafeTimeService(self.node, self.lock, self.clients.get)
-        self.transport.set_piggyback_provider(self._piggyback_grants)
-        self._attach_channels()
-        # Chandy-Lamport participation: the coordinator triggers cuts
-        # over the control pipe; marks cross between workers as ordinary
-        # channel traffic.  Completion is judged against the *local*
-        # subsystems — the coordinator assembles the global picture from
-        # the archives each worker pushes back.
-        self.registry = SnapshotRegistry()
-        self.snapshots = SnapshotManager(
-            self.node, self.registry, lambda: list(self.node.subsystems))
-        self.snapshots.telemetry = self.telemetry
-        #: Cut ids initiated here whose archive has not been pushed yet.
-        self._open_cuts: set = set()
-        self.until = float("inf")
-        self.dispatched = 0
-        self.rounds = 0
-        #: Whether the last round moved anything (reported in status).
-        self.progress = False
-
-    # ------------------------------------------------------------------
-    def _attach_channels(self) -> None:
-        name = self.node.name
-        for cs in self.spec.channels:
-            channel = Channel(cs.channel_id, ChannelMode.CONSERVATIVE,
-                              delay=cs.delay)
-            sides = (
-                (cs.subsystem_a, cs.node_a, cs.subsystem_b, cs.node_b),
-                (cs.subsystem_b, cs.node_b, cs.subsystem_a, cs.node_a),
-            )
-            for local_ss, local_node, peer_ss, peer_node in sides:
-                if local_node != name:
-                    continue
-                subsystem = self.node.subsystem(local_ss)
-                endpoint = channel.attach(subsystem, peer_subsystem=peer_ss,
-                                          peer_node=peer_node)
-                for net_name in cs.nets:
-                    net = subsystem.nets.get(net_name)
-                    if net is None:
-                        raise ConfigurationError(
-                            f"channel {cs.channel_id}: subsystem "
-                            f"{local_ss!r} has no net {net_name!r} — its "
-                            "factory must wire it")
-                    endpoint.tap(net)
-
-    def _piggyback_grants(self, src: str, dst: str) -> List[Message]:
-        """Safe-time grants for an outgoing batch frame (see the threaded
-        executor's provider — same try-acquire discipline)."""
-        if src != self.node.name or not self.lock.acquire(blocking=False):
-            return []
-        try:
-            grants: List[Message] = []
-            for ss_name in sorted(self.node.subsystems):
-                subsystem = self.node.subsystems[ss_name]
-                for channel_id in sorted(subsystem.channels):
-                    endpoint = subsystem.channels[channel_id]
-                    if endpoint.severed or endpoint.peer_node != dst:
-                        continue
-                    grants.append(Message(
-                        kind=MessageKind.SAFE_TIME_GRANT,
-                        src=src, dst=dst, channel=channel_id,
-                        time=compute_grant(subsystem,
-                                           endpoint.peer_subsystem),
-                        payload=(endpoint.injected, endpoint.forwarded),
-                    ))
-            return grants
-        finally:
-            self.lock.release()
-
-    # ------------------------------------------------------------------
-    def _one_round(self) -> bool:
-        progress = False
-        with self.lock:
-            progress |= self.node.pump() > 0
-        for name in sorted(self.node.subsystems):
-            subsystem = self.node.subsystems[name]
-            client = self.clients[name]
-            with self.lock:
-                self.node.pump()
-                next_time = subsystem.next_event_time()
-            if next_time == float("inf") or next_time > self.until:
-                continue
-            # Blocking network call: outside the lock, or two nodes
-            # refreshing towards each other deadlock.
-            if client.horizon() < next_time:
-                client.refresh(min(next_time, self.until))
-            with self.lock:
-                if subsystem.next_event_time() <= client.horizon():
-                    count = subsystem.run(self.until, horizon=client.horizon)
-                    self.dispatched += count
-                    progress = progress or count > 0
-        self.transport.flush_batches(src=self.node.name)
-        return progress
-
-    def _status(self) -> dict:
-        with self.lock:
-            rows = []
-            for name, subsystem in sorted(self.node.subsystems.items()):
-                client = self.clients[name]
-                horizon = client.horizon()
-                blocking = client.blocking_endpoint()
-                next_time = subsystem.next_event_time()
-                rows.append({
-                    "name": name,
-                    "time": subsystem.now,
-                    "next_event": next_time,
-                    "dispatched": subsystem.scheduler.dispatched,
-                    "stalls": subsystem.scheduler.stalls,
-                    "queue_depth": len(subsystem.scheduler.queue),
-                    "horizon": horizon,
-                    "stalled": next_time != float("inf")
-                        and next_time > horizon,
-                    "waiting_on": None if blocking is None else
-                        f"{blocking.peer_subsystem}@{blocking.peer_node}",
-                })
-            pending = self.transport.pending()
-            status = {
-                "node": self.node.name,
-                "idle": not self.progress,
-                "subsystems": rows,
-                "wire_out": self.transport.wire_out,
-                "wire_in": self.transport.wire_in,
-                "pending": pending,
-                "rounds": self.rounds,
-                "epoch": self.transport.epoch,
-                "stale_drops": self.transport.stale_epoch_drops,
-                "wall": _time.time(),
-            }
-            if self.spec.stream:
-                status["telemetry"] = self._stream_delta()
-            return status
-
-    def _stream_delta(self) -> dict:
-        """Incremental telemetry riding a streaming ``status?`` reply:
-        counter *deltas* since the last reply (payload proportional to
-        activity, not run length), absolute gauges, the unshipped tail of
-        every time-series, and the raw link-health rows.  Lossy by
-        design — a delta the coordinator drops as stale is simply absent
-        from the live view; the final report merges the workers'
-        absolute bundles, so accuracy is never at stake."""
-        snap = self.telemetry.registry.snapshot()
-        counters: Dict[str, int] = {}
-        for name, value in snap["counters"].items():
-            shipped = self._streamed.get(name, 0)
-            if value != shipped:
-                counters[name] = value - shipped
-                self._streamed[name] = value
-        delta = {"counters": counters, "gauges": snap["gauges"]}
-        if self.series is not None:
-            delta["series"] = self.series.take_delta()
-        if self.health_monitor is not None:
-            delta["health"] = self.health_monitor.rows()
-        return delta
-
-    def _report_bundle(self) -> dict:
-        # The serve-loop round count is wall-paced (how many control
-        # sweeps the OS scheduler let us run), so it must NOT enter the
-        # gauge registry — gauges land in the report's deterministic
-        # projection.  The bundle's own "rounds" field carries it for
-        # status views instead.
-        with self.lock:
-            subsystems = [_subsystem_row(subsystem)
-                          for __, subsystem
-                          in sorted(self.node.subsystems.items())]
-            snap = self.telemetry.registry.snapshot()
-            return {
-                "node": self.node.name,
-                "dispatched": self.dispatched,
-                "rounds": self.rounds,
-                "subsystems": subsystems,
-                "links": _link_rows(self.transport),
-                "counters": snap["counters"],
-                "gauges": snap["gauges"],
-                "histograms": snap["histograms"],
-                "trace_counts": self.telemetry.trace_buffer.counts_by_kind(),
-                "trace_dropped": self.telemetry.trace_buffer.dropped,
-                # The full per-worker trace rides home with the bundle so
-                # the coordinator can merge one causally linked timeline.
-                "trace": [dict(record.to_dict(), node=self.node.name,
-                               wall=record.wall)
-                          for record in self.telemetry.trace_buffer.records()],
-                "timings": self.telemetry.registry.timings(),
-                "faults": self.injector.summary()
-                          if self.injector is not None else {},
-                "wire_out": self.transport.wire_out,
-                "wire_in": self.transport.wire_in,
-                "series": self.series.to_dict()
-                          if self.series is not None else {},
-                "health": self.health_monitor.rows()
-                          if self.health_monitor is not None else [],
-            }
-
-    # ------------------------------------------------------------------
-    # migration plumbing (coordinator-triggered, over the control pipe)
-    # ------------------------------------------------------------------
-    def _drain_round(self) -> bool:
-        """Pump and flush without running subsystems — the halted worker's
-        round, so in-flight traffic (data, marks, fault-held deliveries)
-        keeps draining while the simulation itself is stopped."""
-        try:
-            with self.lock:
-                moved = self.node.pump() > 0
-            self.transport.flush_batches(src=self.node.name)
-        except TransportError:
-            if not self.spec.supervised:
-                raise
-            return False
-        return moved
-
-    def _initiate_cut(self, snapshot_id: str) -> None:
-        with self.lock:
-            for name in sorted(self.node.subsystems):
-                self.snapshots.initiate(self.node.subsystems[name],
-                                        snapshot_id)
-        self._open_cuts.add(snapshot_id)
-
-    def _cut_complete(self, snapshot_id: str) -> bool:
-        snap = self.registry.snapshots.get(snapshot_id)
-        if snap is None:
-            return False
-        return all(name in snap.cuts and snap.cuts[name].complete
-                   for name in self.node.subsystems)
-
-    def _announce_cuts(self) -> None:
-        """Push the archive for every locally completed cut — the paper's
-        'transmit the checkpoint to stable storage' step, so a restore
-        point survives the death of the worker that produced it."""
-        for snapshot_id in sorted(self._open_cuts):
-            if not self._cut_complete(snapshot_id):
-                continue
-            self._open_cuts.discard(snapshot_id)
-            with self.lock:
-                archive = archive_node(
-                    self.node, self.registry, snapshot_id,
-                    self.telemetry.spans.ordinals())
-            self.conn.send(("cut-data", archive))
-
-    def _restore(self, payload: dict) -> None:
-        """Roll this node back to a restore point under a new epoch."""
-        epoch = payload["epoch"]
-        # Black box first: the discarded world's last moments are exactly
-        # what a restore post-mortem needs, and the rollback wipes them.
-        flight = self.telemetry.flight
-        if flight.enabled and len(flight):
-            flight.note("restore", self.node.name, epoch=epoch)
-            flight.dump(tag=self.node.name, reason="restore")
-        with self.lock:
-            # Fence first: traffic minted in the discarded world must not
-            # leak into the restored one.  ``set_epoch`` also rebases the
-            # logical wire counters to a balanced zero on every worker.
-            self.transport.set_epoch(epoch)
-            self.transport.flush()
-            self.telemetry.spans.set_epoch(epoch)
-            minter = payload.get("minter_ordinals")
-            if minter:
-                self.telemetry.spans.load_ordinals(minter)
-            # In-progress cuts recorded state of the discarded world.
-            self.registry.snapshots.clear()
-            self._open_cuts.clear()
-            replayed = restore_node(self.node, payload["images"],
-                                    payload["resent"])
-            # run()'s contribution counter mirrors the restored schedulers
-            # so merged dispatch totals match an uninterrupted run.
-            self.dispatched = sum(ss.scheduler.dispatched
-                                  for ss in self.node.subsystems.values())
-        self.until = payload["until"]
-        if self.telemetry.enabled:
-            self.telemetry.count("migration.restores")
-            if replayed:
-                self.telemetry.count("migration.replayed_messages",
-                                     replayed)
-
-    # ------------------------------------------------------------------
-    def serve(self) -> None:
-        conn = self.conn
-        inbox = self.inbox
-        # Hello carries the wire-codec version: every process must speak
-        # the same frame layout, and a mixed deployment (a stale worker
-        # importing an old tree) must die at startup, not mid-run with a
-        # cryptic decode error.
-        conn.send(("port", (self.transport.local_port(self.node.name),
-                            CODEC_VERSION)))
-        running = False
-        crashed = False
-        halted = False
-        idle_noted = False
-        while True:
-            message = inbox.pop()
-            if message is not None:
-                tag = message[0]
-                if tag == "peers":
-                    for peer, (host, port) in sorted(message[1].items()):
-                        self.transport.set_peer(peer, port, host)
-                elif tag == "repeer":
-                    # Re-splice after a migration: drop the stale address,
-                    # cached connections and (shm) retired rings before
-                    # learning the node's new home.
-                    for peer, (host, port) in sorted(message[1].items()):
-                        self.transport.forget_peer(peer)
-                        self.transport.set_peer(peer, port, host)
-                elif tag == "rings":
-                    self._attach_rings(message[1])
-                elif tag == "detach-rings":
-                    if isinstance(self.transport, SharedMemoryTransport):
-                        self.transport.detach_node_rings(message[1])
-                elif tag == "start":
-                    self.until = message[1]
-                    with self.lock:
-                        self.node.start()
-                    running = True
-                    halted = False
-                    idle_noted = False
-                elif tag == "halt":
-                    halted = True
-                    try:
-                        self.transport.flush_batches(src=self.node.name)
-                    except TransportError:
-                        if not self.spec.supervised:
-                            raise
-                    # Echo the token: the coordinator drops acks from
-                    # coordination rounds a cascading failure aborted.
-                    conn.send(("halted", message[1]))
-                elif tag == "cut":
-                    self._initiate_cut(message[1])
-                elif tag == "restore":
-                    self._restore(message[1])
-                    # Stay parked until the coordinator's start: running
-                    # ahead of peers still restoring would only mint
-                    # traffic their epoch fence discards.
-                    halted = True
-                    conn.send(("restored", message[1]["epoch"]))
-                elif tag == "status?":
-                    conn.send(("status", self._status()))
-                elif tag == "crash":
-                    crashed = True
-                    if self.injector is not None:
-                        self.injector.mark_down(self.node.name)
-                elif tag == "report?":
-                    conn.send(("report", self._report_bundle()))
-                elif tag == "stop":
-                    return
-                continue    # drain queued control before the next round
-            if inbox.eof:
-                # Coordinator gone: exit rather than linger as an orphan.
-                return
-            if not running or crashed or halted:
-                if not crashed and (halted or self._open_cuts):
-                    # Halted (or parked with an open cut): keep the wire
-                    # draining so in-flight traffic and marks land, and
-                    # push archives as cuts complete.
-                    moved = self._drain_round()
-                    self._announce_cuts()
-                    inbox.park(0.01 if moved else 0.05)
-                else:
-                    inbox.park(60.0)
-                continue
-            try:
-                self.progress = self._one_round()
-            except TransportError:
-                if not self.spec.supervised:
-                    raise
-                # A peer vanished mid-send.  The supervisor is about to
-                # fail over and restore this worker — wedge (report no
-                # progress, keep serving control) instead of dying, so
-                # one dead node does not cascade into a dead cluster.
-                self.progress = False
-            self.rounds += 1
-            series = self.series
-            if series is not None:
-                # Sampled at the round boundary, never inside dispatch:
-                # the virtual cadence is deterministic for a given
-                # schedule, the wall cadence is a measurement.
-                with self.lock:
-                    now = min((ss.now
-                               for ss in self.node.subsystems.values()),
-                              default=0.0)
-                series.tick(now, self.telemetry.registry,
-                            wall=_time.monotonic())
-            self._announce_cuts()
-            if self.progress:
-                idle_noted = False
-                continue
-            if not idle_noted:
-                # One note per idle transition wakes the coordinator's
-                # supervision wait without a per-round status storm.
-                idle_noted = True
-                conn.send(("note", "idle"))
-            # Park until control or network traffic; the short backstop
-            # covers tick-counted fault releases that arrive without a
-            # wire-level wakeup.
-            inbox.park(0.05)
-
-    def _attach_rings(self, names: Dict[Tuple[str, str], str]) -> None:
-        if not isinstance(self.transport, SharedMemoryTransport):
-            return
-        me = self.node.name
-        for (src, dst), name in sorted(names.items()):
-            if src == me:
-                self.transport.attach_outbound_ring(src, dst, name)
-            elif dst == me:
-                self.transport.attach_inbound_ring(src, dst, name)
-
-    def close(self) -> None:
-        self.transport.close()
 
 
 def _json_safe(value):
@@ -779,17 +75,9 @@ def status_snapshot(statuses: Dict[str, dict], *,
         rows = []
         for row in st["subsystems"]:
             times.append(row["time"])
-            rows.append({
-                "name": row["name"],
-                "time": row["time"],
-                "next_event": _json_safe(row["next_event"]),
-                "dispatched": row["dispatched"],
-                "stalls": row["stalls"],
-                "queue_depth": row["queue_depth"],
-                "horizon": _json_safe(row["horizon"]),
-                "stalled": row["stalled"],
-                "waiting_on": row["waiting_on"],
-            })
+            rows.append(dict(row,
+                             next_event=_json_safe(row["next_event"]),
+                             horizon=_json_safe(row["horizon"])))
         nodes[name] = {
             "idle": st["idle"],
             "rounds": st["rounds"],
@@ -802,182 +90,6 @@ def status_snapshot(statuses: Dict[str, dict], *,
         }
     return {"phase": phase, "wall": wall, "until": _json_safe(until),
             "global_time": min(times, default=0.0), "nodes": nodes}
-
-
-def _inbox_reader(conn, inbox: _ControlInbox) -> None:
-    """Pump every control-pipe message into the inbox; EOF means the
-    coordinator closed its end (or died)."""
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            inbox.push_eof()
-            return
-        inbox.push(message)
-
-
-def _pool_main(conn) -> None:
-    """Process entry point for a warm pool worker (top-level so it
-    survives ``spawn`` pickling).
-
-    The process outlives any single job: it loops receiving ``("job",
-    spec)`` messages, runs a full :class:`_Worker` lifetime per job, and
-    acknowledges teardown with ``("job-done",)`` so the coordinator
-    knows the worker is clean to reuse.  The expensive part of
-    process-per-node execution — ``spawn`` plus importing the framework
-    — is paid once per *pool worker*, not once per ``run()``.
-    """
-    inbox = _ControlInbox()
-    threading.Thread(target=_inbox_reader, args=(conn, inbox),
-                     name="pia-pool-reader", daemon=True).start()
-    while True:
-        message = inbox.wait_control()
-        if message is None:     # coordinator gone
-            return
-        tag = message[0]
-        if tag == "exit":
-            return
-        if tag != "job":
-            # Stray control from a job that already ended (a "stop" or
-            # "status?" that raced the job-done ack): ignore.
-            continue
-        worker = None
-        try:
-            worker = _Worker(message[1], conn, inbox)
-            worker.serve()
-        except BaseException as exc:     # surface into the coordinator
-            if worker is not None:
-                # Crash post-mortem: dump the black box before the
-                # process (or the next job) loses it.
-                worker.telemetry.flight.dump(
-                    tag=worker.node.name,
-                    reason=f"{type(exc).__name__}: {exc}")
-            try:
-                conn.send(("error", f"{type(exc).__name__}: {exc}"))
-            except OSError:
-                return
-        finally:
-            if worker is not None:
-                try:
-                    worker.close()
-                except Exception:
-                    pass
-        try:
-            conn.send(("job-done",))
-        except OSError:
-            return
-
-
-class _PoolWorker:
-    """Coordinator-side handle on one warm worker process."""
-
-    def __init__(self, ctx, index: int) -> None:
-        parent_conn, child_conn = ctx.Pipe()
-        self.conn = parent_conn
-        self.proc = ctx.Process(target=_pool_main, args=(child_conn,),
-                                name=f"pia-pool-{index}", daemon=True)
-        self.proc.start()
-        child_conn.close()
-
-    def is_alive(self) -> bool:
-        return self.proc.is_alive()
-
-    def kill(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join(timeout=1.0)
-
-
-class WorkerPool:
-    """A reusable pool of warm worker processes.
-
-    Spawning a Python process and importing the framework costs far more
-    than most short co-simulation runs.  A pool spawns each process
-    once; :class:`MultiprocessCoSimulation` checks workers out per
-    ``run()`` and returns them afterwards, so repeated runs (parameter
-    sweeps, benchmarks, warm services) skip the spawn entirely.  Share
-    one pool across executors by passing it as the ``pool=`` argument.
-    """
-
-    def __init__(self, *, start_method: str = "spawn") -> None:
-        if start_method not in multiprocessing.get_all_start_methods():
-            raise ConfigurationError(
-                f"start method {start_method!r} not available on this "
-                f"platform: {multiprocessing.get_all_start_methods()}")
-        self.start_method = start_method
-        self.ctx = multiprocessing.get_context(start_method)
-        self._idle: List[_PoolWorker] = []
-        self._lock = threading.Lock()
-        self._seq = itertools.count()
-        self._closed = False
-        #: Lifetime spawn count (a warm pool keeps this flat across runs).
-        self.spawned = 0
-
-    def acquire(self, count: int) -> List[_PoolWorker]:
-        """Check out ``count`` live workers, spawning only on shortfall."""
-        with self._lock:
-            if self._closed:
-                raise ConfigurationError("worker pool is closed")
-            workers: List[_PoolWorker] = []
-            while self._idle and len(workers) < count:
-                worker = self._idle.pop()
-                if worker.is_alive():
-                    workers.append(worker)
-                else:
-                    worker.kill()
-            while len(workers) < count:
-                workers.append(_PoolWorker(self.ctx, next(self._seq)))
-                self.spawned += 1
-            return workers
-
-    def release(self, worker: _PoolWorker, *, healthy: bool = True) -> None:
-        """Return a worker; unhealthy (or post-close) workers are killed.
-
-        A worker that died (or misbehaved) mid-job must not poison its
-        pool slot: unless the pool is closed, a replacement is spawned
-        into the idle set so capacity stays constant across failures.
-        """
-        with self._lock:
-            if not self._closed:
-                if healthy and worker.is_alive():
-                    self._idle.append(worker)
-                    return
-                self._idle.append(_PoolWorker(self.ctx, next(self._seq)))
-                self.spawned += 1
-        worker.kill()
-
-    def idle_count(self) -> int:
-        with self._lock:
-            return len(self._idle)
-
-    def close(self) -> None:
-        """Shut down idle workers; in-flight workers die on release."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            idle, self._idle = self._idle, []
-        for worker in idle:
-            try:
-                worker.conn.send(("exit",))
-            except OSError:
-                pass
-        for worker in idle:
-            try:
-                worker.proc.join(timeout=1.0)
-            except Exception:
-                pass
-            worker.kill()
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 class MultiprocessCoSimulation:
@@ -1307,17 +419,8 @@ class MultiprocessCoSimulation:
                 for link in self._ring_links():
                     self._segments[link] = \
                         create_ring_segment(self.ring_capacity)
-                ring_names = {link: seg.name
-                              for link, seg in self._segments.items()}
-                for name in names:
-                    mine = {link: ring for link, ring in ring_names.items()
-                            if name in link}
-                    pipes[name].send(("rings", mine))
             for name in names:
-                peers = {peer: ("127.0.0.1", port)
-                         for peer, port in self._ports.items()
-                         if peer != name}
-                pipes[name].send(("peers", peers))
+                self._introduce(name, pipes)
             if self.failure_policy == "migrate":
                 # Baseline restore point: a pre-start Chandy-Lamport cut,
                 # archived coordinator-side before any event dispatches.
@@ -1544,6 +647,13 @@ class MultiprocessCoSimulation:
             "epoch": self._run_epoch,
         })
 
+    def _beat_all(self, names) -> None:
+        """Fresh heartbeats all round: the run (re)starts from here."""
+        if self.detector is not None:
+            now = _time.monotonic()
+            for name in names:
+                self.detector.beat(name, now)
+
     def _take_snapshot(self, pipes, procs, deadline: float) -> str:
         """Coordinate a Chandy-Lamport cut and archive it here.
 
@@ -1632,14 +742,17 @@ class MultiprocessCoSimulation:
             if touched:
                 pipes[name].send(("rings", touched))
         for name in sorted(moved_set):
-            if self.transport == "shm":
-                mine = {link: seg.name
-                        for link, seg in self._segments.items()
-                        if name in link}
-                pipes[name].send(("rings", mine))
-            peers = {peer: ("127.0.0.1", port)
-                     for peer, port in self._ports.items() if peer != name}
-            pipes[name].send(("peers", peers))
+            self._introduce(name, pipes)
+
+    def _introduce(self, name: str, pipes) -> None:
+        """Tell worker ``name`` its shm rings and every peer's address."""
+        if self.transport == "shm":
+            mine = {link: seg.name for link, seg in self._segments.items()
+                    if name in link}
+            pipes[name].send(("rings", mine))
+        peers = {peer: ("127.0.0.1", port)
+                 for peer, port in self._ports.items() if peer != name}
+        pipes[name].send(("peers", peers))
 
     def _restore_all(self, pipes, procs, until: float,
                      deadline: float) -> Tuple[int, int]:
@@ -1745,16 +858,12 @@ class MultiprocessCoSimulation:
                 if exc.node is None or attempts > 2 * len(names) + 4:
                     raise
                 dead = sorted(set(dead) | {exc.node})
-                for tracker in (adopted, ):
-                    tracker.pop(exc.node, None)
+                adopted.pop(exc.node, None)
                 for tracker in (halt_sent, halt_acked, job_sent, ported):
                     tracker.discard(exc.node)
                 continue
             break
-        if self.detector is not None:
-            now = _time.monotonic()
-            for name in names:
-                self.detector.beat(name, now)
+        self._beat_all(names)
         wall_pause = _time.perf_counter() - wall_started
         for name in dead:
             self.migrations.append(MigrationRecord(
@@ -1831,10 +940,7 @@ class MultiprocessCoSimulation:
                                                      deadline)
         for name in names:
             pipes[name].send(("start", until))
-        if self.detector is not None:
-            now = _time.monotonic()
-            for name in names:
-                self.detector.beat(name, now)
+        self._beat_all(names)
         wall_pause = _time.perf_counter() - wall_started
         for name in moved:
             self.migrations.append(MigrationRecord(
@@ -1863,10 +969,7 @@ class MultiprocessCoSimulation:
                     f"scheduled crash for unknown node {crash.node!r}")
         supervised = self.failure_policy == "migrate"
         detector = self.detector
-        if detector is not None:
-            now = _time.monotonic()
-            for name in sorted(procs):
-                detector.beat(name, now)
+        self._beat_all(sorted(procs))
         previous = None
         while True:
             if _time.monotonic() > deadline:

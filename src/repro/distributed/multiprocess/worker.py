@@ -1,0 +1,545 @@
+"""The child-process side: one node, its control loop, and the process
+entry point a warm pool worker runs."""
+
+from __future__ import annotations
+
+import threading
+import time as _time
+from collections import deque
+from typing import Dict, Optional, Tuple
+
+from ...core.errors import ConfigurationError, TransportError
+from ...faults import FaultInjector
+from ...observability import LinkHealthMonitor, Telemetry, TimeSeriesRecorder
+from ...observability.report import _link_rows, _subsystem_row
+from ...transport.codec import VERSION as CODEC_VERSION
+from ...transport.shm import SharedMemoryTransport
+from ...transport.tcp import TcpTransport
+from ..channel import Channel, ChannelMode
+from ..migration import archive_node, restore_node
+from ..node import PiaNode
+from ..snapshot import SnapshotManager, SnapshotRegistry
+from ..threaded import LockedSafeTimeService
+from .specs import _WorkerSpec
+
+
+class _ControlInbox:
+    """The worker process's single wait point.
+
+    A reader thread pushes every control-pipe message here; the
+    transport's ``wakeup_hook`` kicks the same condition when network
+    traffic arrives.  The serve loop can therefore *park* — one
+    condition wait instead of a ``poll(0)``/sleep spin — and still react
+    immediately to either control or data.
+    """
+
+    def __init__(self) -> None:
+        self._messages: deque = deque()
+        self._cond = threading.Condition()
+        self._wake = False
+        self.eof = False
+
+    def push(self, message) -> None:
+        with self._cond:
+            self._messages.append(message)
+            self._cond.notify_all()
+
+    def push_eof(self) -> None:
+        with self._cond:
+            self.eof = True
+            self._cond.notify_all()
+
+    def kick(self) -> None:
+        """Transport wakeup: remembered so a kick that lands between a
+        worker's last poll and its park is not lost."""
+        with self._cond:
+            self._wake = True
+            self._cond.notify_all()
+
+    def pop(self):
+        """Next queued control message, or None without blocking."""
+        with self._cond:
+            return self._messages.popleft() if self._messages else None
+
+    def wait_control(self):
+        """Block until a control message arrives; None means EOF."""
+        with self._cond:
+            while not self._messages:
+                if self.eof:
+                    return None
+                self._cond.wait()
+            return self._messages.popleft()
+
+    def park(self, timeout: float) -> None:
+        """Sleep until control, transport activity, EOF, or ``timeout``."""
+        with self._cond:
+            if not (self._wake or self._messages or self.eof):
+                self._cond.wait(timeout)
+            self._wake = False
+
+
+class _Worker:
+    """The child-process side: one node, its subsystems, and a control
+    loop mirroring the threaded executor's per-node worker."""
+
+    def __init__(self, spec: _WorkerSpec, conn,
+                 inbox: Optional[_ControlInbox] = None) -> None:
+        self.spec = spec
+        self.conn = conn
+        self.inbox = inbox if inbox is not None else _ControlInbox()
+        self.telemetry = Telemetry(trace_capacity=spec.trace_capacity)
+        if spec.transport == "shm":
+            self.transport = SharedMemoryTransport(
+                batching=spec.batching, ring_capacity=spec.ring_capacity)
+        else:
+            self.transport = TcpTransport(batching=spec.batching)
+        self.transport.wakeup_hook = self.inbox.kick
+        self.transport.attach_telemetry(self.telemetry)
+        self.injector: Optional[FaultInjector] = None
+        if spec.fault_plan is not None:
+            self.injector = FaultInjector(spec.fault_plan,
+                                          retry_policy=spec.retry_policy,
+                                          telemetry=self.telemetry)
+            self.transport.attach_faults(self.injector)
+        elif spec.retry_policy is not None:
+            self.transport.retry_policy = spec.retry_policy
+        self.series: Optional[TimeSeriesRecorder] = None
+        if spec.series_interval is not None \
+                or spec.series_wall_interval is not None:
+            self.series = self.telemetry.attach_series(TimeSeriesRecorder(
+                virtual_interval=spec.series_interval,
+                wall_interval=spec.series_wall_interval))
+        self.health_monitor: Optional[LinkHealthMonitor] = None
+        if spec.health:
+            self.health_monitor = LinkHealthMonitor()
+            self.transport.attach_health(self.health_monitor)
+            self.telemetry.health = self.health_monitor
+        #: Counter values already shipped in streaming deltas.
+        self._streamed: Dict[str, int] = {}
+        self.node = PiaNode(spec.node, self.transport)
+        for sspec in spec.subsystems:
+            subsystem = sspec.build()
+            self.node.add_subsystem(subsystem)
+            subsystem.attach_telemetry(self.telemetry)
+        LockedSafeTimeService(self.node)
+        self.transport.set_piggyback_provider(
+            lambda src, dst: self.node.grants_for(dst)
+            if src == self.node.name else [])
+        self._attach_channels()
+        # Chandy-Lamport participation: the coordinator triggers cuts
+        # over the control pipe; marks cross between workers as ordinary
+        # channel traffic.  Completion is judged against the *local*
+        # subsystems — the coordinator assembles the global picture from
+        # the archives each worker pushes back.
+        self.registry = SnapshotRegistry()
+        self.snapshots = SnapshotManager(
+            self.node, self.registry, lambda: list(self.node.subsystems))
+        self.snapshots.telemetry = self.telemetry
+        #: Cut ids initiated here whose archive has not been pushed yet.
+        self._open_cuts: set = set()
+        self.until = float("inf")
+        self.dispatched = 0
+        self.rounds = 0
+        #: Whether the last round moved anything (reported in status).
+        self.progress = False
+
+    # ------------------------------------------------------------------
+    def _attach_channels(self) -> None:
+        name = self.node.name
+        for cs in self.spec.channels:
+            channel = Channel(cs.channel_id, ChannelMode.CONSERVATIVE,
+                              delay=cs.delay)
+            sides = (
+                (cs.subsystem_a, cs.node_a, cs.subsystem_b, cs.node_b),
+                (cs.subsystem_b, cs.node_b, cs.subsystem_a, cs.node_a),
+            )
+            for local_ss, local_node, peer_ss, peer_node in sides:
+                if local_node != name:
+                    continue
+                subsystem = self.node.subsystem(local_ss)
+                endpoint = channel.attach(subsystem, peer_subsystem=peer_ss,
+                                          peer_node=peer_node)
+                for net_name in cs.nets:
+                    net = subsystem.nets.get(net_name)
+                    if net is None:
+                        raise ConfigurationError(
+                            f"channel {cs.channel_id}: subsystem "
+                            f"{local_ss!r} has no net {net_name!r} — its "
+                            "factory must wire it")
+                    endpoint.tap(net)
+
+    def _status(self) -> dict:
+        with self.node.lock:
+            rows = []
+            for name, subsystem in sorted(self.node.subsystems.items()):
+                client = self.node.clients[name]
+                horizon = client.horizon()
+                blocking = client.blocking_endpoint()
+                next_time = subsystem.next_event_time()
+                rows.append({
+                    "name": name,
+                    "time": subsystem.now,
+                    "next_event": next_time,
+                    "dispatched": subsystem.scheduler.dispatched,
+                    "stalls": subsystem.scheduler.stalls,
+                    "queue_depth": len(subsystem.scheduler.queue),
+                    "horizon": horizon,
+                    "stalled": next_time != float("inf")
+                        and next_time > horizon,
+                    "waiting_on": None if blocking is None else
+                        f"{blocking.peer_subsystem}@{blocking.peer_node}",
+                })
+            pending = self.transport.pending()
+            status = {
+                "node": self.node.name,
+                "idle": not self.progress,
+                "subsystems": rows,
+                "wire_out": self.transport.wire_out,
+                "wire_in": self.transport.wire_in,
+                "pending": pending,
+                "rounds": self.rounds,
+                "epoch": self.transport.epoch,
+                "stale_drops": self.transport.stale_epoch_drops,
+                "wall": _time.time(),
+            }
+            if self.spec.stream:
+                status["telemetry"] = self._stream_delta()
+            return status
+
+    def _stream_delta(self) -> dict:
+        """Incremental telemetry riding a streaming ``status?`` reply:
+        counter *deltas* since the last reply (payload proportional to
+        activity, not run length), absolute gauges, the unshipped tail of
+        every time-series, and the raw link-health rows.  Lossy by
+        design — a delta the coordinator drops as stale is simply absent
+        from the live view; the final report merges the workers'
+        absolute bundles, so accuracy is never at stake."""
+        snap = self.telemetry.registry.snapshot()
+        counters: Dict[str, int] = {}
+        for name, value in snap["counters"].items():
+            shipped = self._streamed.get(name, 0)
+            if value != shipped:
+                counters[name] = value - shipped
+                self._streamed[name] = value
+        delta = {"counters": counters, "gauges": snap["gauges"]}
+        if self.series is not None:
+            delta["series"] = self.series.take_delta()
+        if self.health_monitor is not None:
+            delta["health"] = self.health_monitor.rows()
+        return delta
+
+    def _report_bundle(self) -> dict:
+        # The serve-loop round count is wall-paced (how many control
+        # sweeps the OS scheduler let us run), so it must NOT enter the
+        # gauge registry — gauges land in the report's deterministic
+        # projection.  The bundle's own "rounds" field carries it for
+        # status views instead.
+        with self.node.lock:
+            subsystems = [_subsystem_row(subsystem)
+                          for __, subsystem
+                          in sorted(self.node.subsystems.items())]
+            snap = self.telemetry.registry.snapshot()
+            return {
+                "node": self.node.name,
+                "dispatched": self.dispatched,
+                "rounds": self.rounds,
+                "subsystems": subsystems,
+                "links": _link_rows(self.transport),
+                "counters": snap["counters"],
+                "gauges": snap["gauges"],
+                "histograms": snap["histograms"],
+                "trace_counts": self.telemetry.trace_buffer.counts_by_kind(),
+                "trace_dropped": self.telemetry.trace_buffer.dropped,
+                # The full per-worker trace rides home with the bundle so
+                # the coordinator can merge one causally linked timeline.
+                "trace": [dict(record.to_dict(), node=self.node.name,
+                               wall=record.wall)
+                          for record in self.telemetry.trace_buffer.records()],
+                "timings": self.telemetry.registry.timings(),
+                "faults": self.injector.summary()
+                          if self.injector is not None else {},
+                "wire_out": self.transport.wire_out,
+                "wire_in": self.transport.wire_in,
+                "series": self.series.to_dict()
+                          if self.series is not None else {},
+                "health": self.health_monitor.rows()
+                          if self.health_monitor is not None else [],
+            }
+
+    # ------------------------------------------------------------------
+    # migration plumbing (coordinator-triggered, over the control pipe)
+    # ------------------------------------------------------------------
+    def _drain_round(self) -> bool:
+        """Pump and flush without running subsystems — the halted worker's
+        round, so in-flight traffic (data, marks, fault-held deliveries)
+        keeps draining while the simulation itself is stopped."""
+        try:
+            with self.node.lock:
+                moved = self.node.pump() > 0
+            self.transport.flush_batches(src=self.node.name)
+        except TransportError:
+            if not self.spec.supervised:
+                raise
+            return False
+        return moved
+
+    def _initiate_cut(self, snapshot_id: str) -> None:
+        with self.node.lock:
+            for name in sorted(self.node.subsystems):
+                self.snapshots.initiate(self.node.subsystems[name],
+                                        snapshot_id)
+        self._open_cuts.add(snapshot_id)
+
+    def _cut_complete(self, snapshot_id: str) -> bool:
+        snap = self.registry.snapshots.get(snapshot_id)
+        if snap is None:
+            return False
+        return all(name in snap.cuts and snap.cuts[name].complete
+                   for name in self.node.subsystems)
+
+    def _announce_cuts(self) -> None:
+        """Push the archive for every locally completed cut — the paper's
+        'transmit the checkpoint to stable storage' step, so a restore
+        point survives the death of the worker that produced it."""
+        for snapshot_id in sorted(self._open_cuts):
+            if not self._cut_complete(snapshot_id):
+                continue
+            self._open_cuts.discard(snapshot_id)
+            with self.node.lock:
+                archive = archive_node(
+                    self.node, self.registry, snapshot_id,
+                    self.telemetry.spans.ordinals())
+            self.conn.send(("cut-data", archive))
+
+    def _restore(self, payload: dict) -> None:
+        """Roll this node back to a restore point under a new epoch."""
+        epoch = payload["epoch"]
+        # Black box first: the discarded world's last moments are exactly
+        # what a restore post-mortem needs, and the rollback wipes them.
+        flight = self.telemetry.flight
+        if flight.enabled and len(flight):
+            flight.note("restore", self.node.name, epoch=epoch)
+            flight.dump(tag=self.node.name, reason="restore")
+        with self.node.lock:
+            # Fence first: traffic minted in the discarded world must not
+            # leak into the restored one.  ``set_epoch`` also rebases the
+            # logical wire counters to a balanced zero on every worker.
+            self.transport.set_epoch(epoch)
+            self.transport.flush()
+            self.telemetry.spans.set_epoch(epoch)
+            minter = payload.get("minter_ordinals")
+            if minter:
+                self.telemetry.spans.load_ordinals(minter)
+            # In-progress cuts recorded state of the discarded world.
+            self.registry.snapshots.clear()
+            self._open_cuts.clear()
+            replayed = restore_node(self.node, payload["images"],
+                                    payload["resent"])
+            # run()'s contribution counter mirrors the restored schedulers
+            # so merged dispatch totals match an uninterrupted run.
+            self.dispatched = sum(ss.scheduler.dispatched
+                                  for ss in self.node.subsystems.values())
+        self.until = payload["until"]
+        if self.telemetry.enabled:
+            self.telemetry.count("migration.restores")
+            if replayed:
+                self.telemetry.count("migration.replayed_messages",
+                                     replayed)
+
+    # ------------------------------------------------------------------
+    def serve(self) -> None:
+        conn = self.conn
+        inbox = self.inbox
+        # Hello carries the wire-codec version: every process must speak
+        # the same frame layout, and a mixed deployment (a stale worker
+        # importing an old tree) must die at startup, not mid-run with a
+        # cryptic decode error.
+        conn.send(("port", (self.transport.local_port(self.node.name),
+                            CODEC_VERSION)))
+        running = False
+        crashed = False
+        halted = False
+        idle_noted = False
+        while True:
+            message = inbox.pop()
+            if message is not None:
+                tag = message[0]
+                if tag == "peers":
+                    for peer, (host, port) in sorted(message[1].items()):
+                        self.transport.set_peer(peer, port, host)
+                elif tag == "repeer":
+                    # Re-splice after a migration: drop the stale address,
+                    # cached connections and (shm) retired rings before
+                    # learning the node's new home.
+                    for peer, (host, port) in sorted(message[1].items()):
+                        self.transport.forget_peer(peer)
+                        self.transport.set_peer(peer, port, host)
+                elif tag == "rings":
+                    self._attach_rings(message[1])
+                elif tag == "detach-rings":
+                    if isinstance(self.transport, SharedMemoryTransport):
+                        self.transport.detach_node_rings(message[1])
+                elif tag == "start":
+                    self.until = message[1]
+                    with self.node.lock:
+                        self.node.start()
+                    running = True
+                    halted = False
+                    idle_noted = False
+                elif tag == "halt":
+                    halted = True
+                    try:
+                        self.transport.flush_batches(src=self.node.name)
+                    except TransportError:
+                        if not self.spec.supervised:
+                            raise
+                    # Echo the token: the coordinator drops acks from
+                    # coordination rounds a cascading failure aborted.
+                    conn.send(("halted", message[1]))
+                elif tag == "cut":
+                    self._initiate_cut(message[1])
+                elif tag == "restore":
+                    self._restore(message[1])
+                    # Stay parked until the coordinator's start: running
+                    # ahead of peers still restoring would only mint
+                    # traffic their epoch fence discards.
+                    halted = True
+                    conn.send(("restored", message[1]["epoch"]))
+                elif tag == "status?":
+                    conn.send(("status", self._status()))
+                elif tag == "crash":
+                    crashed = True
+                    if self.injector is not None:
+                        self.injector.mark_down(self.node.name)
+                elif tag == "report?":
+                    conn.send(("report", self._report_bundle()))
+                elif tag == "stop":
+                    return
+                continue    # drain queued control before the next round
+            if inbox.eof:
+                # Coordinator gone: exit rather than linger as an orphan.
+                return
+            if not running or crashed or halted:
+                if not crashed and (halted or self._open_cuts):
+                    # Halted (or parked with an open cut): keep the wire
+                    # draining so in-flight traffic and marks land, and
+                    # push archives as cuts complete.
+                    moved = self._drain_round()
+                    self._announce_cuts()
+                    inbox.park(0.01 if moved else 0.05)
+                else:
+                    inbox.park(60.0)
+                continue
+            try:
+                self.progress, count = self.node.step(self.until)
+                self.dispatched += count
+            except TransportError:
+                if not self.spec.supervised:
+                    raise
+                # A peer vanished mid-send.  The supervisor is about to
+                # fail over and restore this worker — wedge (report no
+                # progress, keep serving control) instead of dying, so
+                # one dead node does not cascade into a dead cluster.
+                self.progress = False
+            self.rounds += 1
+            series = self.series
+            if series is not None:
+                # Sampled at the round boundary, never inside dispatch:
+                # the virtual cadence is deterministic for a given
+                # schedule, the wall cadence is a measurement.
+                with self.node.lock:
+                    now = min((ss.now
+                               for ss in self.node.subsystems.values()),
+                              default=0.0)
+                series.tick(now, self.telemetry.registry,
+                            wall=_time.monotonic())
+            self._announce_cuts()
+            if self.progress:
+                idle_noted = False
+                continue
+            if not idle_noted:
+                # One note per idle transition wakes the coordinator's
+                # supervision wait without a per-round status storm.
+                idle_noted = True
+                conn.send(("note", "idle"))
+            # Park until control or network traffic; the short backstop
+            # covers tick-counted fault releases that arrive without a
+            # wire-level wakeup.
+            inbox.park(0.05)
+
+    def _attach_rings(self, names: Dict[Tuple[str, str], str]) -> None:
+        if not isinstance(self.transport, SharedMemoryTransport):
+            return
+        me = self.node.name
+        for (src, dst), name in sorted(names.items()):
+            if src == me:
+                self.transport.attach_outbound_ring(src, dst, name)
+            elif dst == me:
+                self.transport.attach_inbound_ring(src, dst, name)
+
+    def close(self) -> None:
+        self.transport.close()
+
+
+def _inbox_reader(conn, inbox: _ControlInbox) -> None:
+    """Pump every control-pipe message into the inbox; EOF means the
+    coordinator closed its end (or died)."""
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            inbox.push_eof()
+            return
+        inbox.push(message)
+
+
+def _pool_main(conn) -> None:
+    """Process entry point for a warm pool worker (top-level so it
+    survives ``spawn`` pickling).
+
+    The process outlives any single job: it loops receiving ``("job",
+    spec)`` messages, runs a full :class:`_Worker` lifetime per job, and
+    acknowledges teardown with ``("job-done",)`` so the coordinator
+    knows the worker is clean to reuse.  The expensive part of
+    process-per-node execution — ``spawn`` plus importing the framework
+    — is paid once per *pool worker*, not once per ``run()``.
+    """
+    inbox = _ControlInbox()
+    threading.Thread(target=_inbox_reader, args=(conn, inbox),
+                     name="pia-pool-reader", daemon=True).start()
+    while True:
+        message = inbox.wait_control()
+        if message is None:     # coordinator gone
+            return
+        tag = message[0]
+        if tag == "exit":
+            return
+        if tag != "job":
+            # Stray control from a job that already ended (a "stop" or
+            # "status?" that raced the job-done ack): ignore.
+            continue
+        worker = None
+        try:
+            worker = _Worker(message[1], conn, inbox)
+            worker.serve()
+        except BaseException as exc:     # surface into the coordinator
+            if worker is not None:
+                # Crash post-mortem: dump the black box before the
+                # process (or the next job) loses it.
+                worker.telemetry.flight.dump(
+                    tag=worker.node.name,
+                    reason=f"{type(exc).__name__}: {exc}")
+            try:
+                conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            except OSError:
+                return
+        finally:
+            if worker is not None:
+                try:
+                    worker.close()
+                except Exception:
+                    pass
+        try:
+            conn.send(("job-done",))
+        except OSError:
+            return

@@ -10,20 +10,30 @@ answers safe-time calls on behalf of its subsystems, and forwards hardware
 calls to attached hardware servers.  Each node serves as both a client and
 a server, and inter-node communication is hidden from the user
 (section 2.2.1).
+
+The node also owns its *round* — pump, refresh safe times, run each
+subsystem to its horizon, flush (section 2.2.2.1) — and the grant ledger
+that goes with it.  An executor only decides who calls :meth:`PiaNode.step`
+(or composes :meth:`PiaNode.advance` in an order of its own) and how
+global quiescence is detected.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Collection, Dict, List,
+                    Optional, Tuple)
 
 from ..core.errors import ConfigurationError, TransportError
 from ..core.subsystem import Subsystem
 from ..transport.message import Message, MessageKind
+from .channel import ChannelMode
+from .conservative import SafeTimeClient, compute_grant
 
 if TYPE_CHECKING:  # pragma: no cover
     from .channel import ChannelEndpoint
-    from .snapshot import SnapshotManager
+    from .conservative import SafeTimeService
 
 
 @dataclass
@@ -54,6 +64,19 @@ class PiaNode:
         self.call_services: Dict[MessageKind, Callable[[Message], Message]] = {}
         #: observers of incoming SIGNAL traffic (Chandy-Lamport recording).
         self.signal_observers: List[Callable[[Message], None]] = []
+        #: Serialises the node's own round against safe-time calls served
+        #: from transport receiver threads (uncontended when the executor
+        #: is single-threaded).
+        self.lock = threading.RLock()
+        #: subsystem name -> its safe-time client.
+        self.clients: Dict[str, SafeTimeClient] = {}
+        #: The safe-time server answering for this node's subsystems
+        #: (installs itself; the executor picks the class).
+        self.safe_time: "Optional[SafeTimeService]" = None
+        #: While this returns True optimistic channels restrict, and are
+        #: granted on, like conservative ones.  Only an executor that can
+        #: roll back replaces it (its post-recovery conservative window).
+        self.conservative_override: Callable[[], bool] = lambda: False
         transport.register(name, call_handler=self.handle_call)
 
     # ------------------------------------------------------------------
@@ -86,6 +109,7 @@ class PiaNode:
                 f"{subsystem.node.name}")
         subsystem.node = self
         self.subsystems[subsystem.name] = subsystem
+        self.clients[subsystem.name] = SafeTimeClient(subsystem)
         self.add_socket(f"subsystem:{subsystem.name}", "subsystem", subsystem)
         return subsystem
 
@@ -167,10 +191,159 @@ class PiaNode:
         return service(message)
 
     # ------------------------------------------------------------------
+    # the round
+    # ------------------------------------------------------------------
     def start(self) -> None:
         for subsystem in self.subsystems.values():
             subsystem.start()
 
+    def advance(self, subsystem: Subsystem, until: float = float("inf"), *,
+                throttle: Optional[Callable[[str, float], bool]] = None
+                ) -> int:
+        """Run ``subsystem`` as far as its safe-time horizon allows.
+
+        A horizon short of the next event is refreshed first — unless
+        ``throttle(name, desired)`` says to wait for a piggybacked or
+        pushed grant instead.  Returns the number of events dispatched.
+        """
+        next_time = subsystem.next_event_time()
+        if next_time == float("inf") or next_time > until:
+            return 0
+        client = self.clients[subsystem.name]
+        if client.horizon() < next_time:
+            desired = min(next_time, until)
+            # The refresh performs blocking network calls; it must happen
+            # outside the lock or two nodes refreshing each other deadlock.
+            if throttle is None or throttle(subsystem.name, desired):
+                client.refresh(desired)
+        with self.lock:
+            if subsystem.next_event_time() <= client.horizon():
+                # The horizon is re-read before every dispatch: sending
+                # on a channel shrinks it via the echo bound.
+                return subsystem.run(until, horizon=client.horizon)
+        return 0
+
+    def step(self, until: float = float("inf")) -> Tuple[bool, int]:
+        """One whole round of this node: pump, advance every subsystem
+        (pumping before each), ship what the round queued.
+
+        Returns ``(progress, dispatched)``: whether the opening pump or
+        any subsystem moved, and how many events were dispatched.
+        """
+        with self.lock:
+            progress = self.pump() > 0
+        dispatched = 0
+        for name in sorted(self.subsystems):
+            with self.lock:
+                self.pump()
+            dispatched += self.advance(self.subsystems[name], until)
+        # Round boundary: ship everything this node queued (no-op unless
+        # the transport batches).  Outside the lock — the piggyback
+        # provider try-acquires it.
+        flush = getattr(self.transport, "flush_batches", None)
+        if flush is not None:
+            flush(src=self.name)
+        return progress or dispatched > 0, dispatched
+
+    # ------------------------------------------------------------------
+    # the grant ledger
+    # ------------------------------------------------------------------
+    def _granting_endpoints(self, subsystem: Subsystem, conservative: bool):
+        """Live endpoints ``subsystem`` currently owes safe-time grants
+        on, in channel-id order."""
+        for channel_id in sorted(subsystem.channels):
+            endpoint = subsystem.channels[channel_id]
+            if endpoint.severed:
+                continue
+            if endpoint.mode is not ChannelMode.CONSERVATIVE \
+                    and not conservative:
+                continue
+            yield endpoint
+
+    def grants_for(self, dst: str) -> List[Message]:
+        """Safe-time grants riding on a batch frame from here to ``dst``.
+
+        Called by a batching transport at flush time.  For every granting
+        endpoint whose peer lives on ``dst``, the current grant (plus
+        consumption/production counts, exactly as in a served reply) is
+        appended behind the frame's data messages — so by the time the
+        receiver applies it, everything the grant's floor assumed has
+        already been injected.  Peers then advance without a synchronous
+        safe-time round trip: O(peers) frames per round instead of
+        O(messages + requests).
+
+        Flush points may sit inside or outside the node lock depending on
+        who triggers them, so the lock is *try*-acquired: failing just
+        means this frame carries no grants (the explicit safe-time call
+        path still guarantees progress), whereas blocking here could
+        deadlock two nodes flushing towards each other.
+        """
+        if not self.lock.acquire(blocking=False):
+            return []
+        try:
+            conservative = self.conservative_override()
+            grants: List[Message] = []
+            for ss_name in sorted(self.subsystems):
+                subsystem = self.subsystems[ss_name]
+                for endpoint in self._granting_endpoints(subsystem,
+                                                         conservative):
+                    if endpoint.peer_node != dst:
+                        continue
+                    grants.append(endpoint.grant_message(compute_grant(
+                        subsystem, endpoint.peer_subsystem,
+                        conservative_override=conservative)))
+            return grants
+        finally:
+            self.lock.release()
+
+    def stalled_grants(self, down: Collection[str] = ()
+                       ) -> Dict[str, List[Message]]:
+        """Standalone grants, by destination node, for peers recorded as
+        stalled whose want the local floor has now passed, or that are
+        owed consumption counts.  Each one pushed is one frame replacing
+        the two-frame request round trip the peer would otherwise issue.
+        Endpoints towards the nodes in ``down`` are skipped.
+        """
+        conservative = self.conservative_override()
+        by_dst: Dict[str, List[Message]] = {}
+        for ss_name in sorted(self.subsystems):
+            subsystem = self.subsystems[ss_name]
+            # A subsystem that can still run will talk to its peers
+            # through ordinary data frames (whose piggybacked grants
+            # carry everything below for free); only one that cannot —
+            # stalled below its next event, or idle — has news its
+            # peers may never otherwise learn.
+            next_time = subsystem.next_event_time()
+            runnable = (next_time != float("inf")
+                        and self.clients[ss_name].horizon() >= next_time)
+            for endpoint in self._granting_endpoints(subsystem,
+                                                     conservative):
+                if endpoint.peer_node in down:
+                    continue
+                want = endpoint.peer_want
+                # Unreported consumption must reach the peer so it can
+                # release its echo ledger (it skips requests under
+                # batching, counting on exactly this push).
+                stale = endpoint.injected > endpoint.injected_reported
+                if runnable and not want:
+                    # Still making local progress: the next data frame
+                    # (or a later round's push, once stalled or idle)
+                    # reports counts and grants for free.
+                    continue
+                grant = compute_grant(subsystem, endpoint.peer_subsystem,
+                                      conservative_override=conservative)
+                if want:
+                    # The peer told us what it needs: push only once
+                    # the floor passes it (or counts must flow).
+                    if grant < want and not stale:
+                        continue
+                elif not stale and grant <= endpoint.granted_reported:
+                    continue    # nothing the peer doesn't already know
+                by_dst.setdefault(endpoint.peer_node, []).append(
+                    endpoint.grant_message(grant))
+        return by_dst
+
+    # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<PiaNode {self.name} subsystems={sorted(self.subsystems)} "
                 f"sockets={len(self.sockets)}>")

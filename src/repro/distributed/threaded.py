@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 import time as _time
-from typing import Dict, Optional, Union
+from typing import Optional
 
 from ..core.errors import (
     ConfigurationError,
@@ -25,55 +25,30 @@ from ..core.errors import (
     NodeFailure,
     SimulationError,
 )
-from ..core.subsystem import Subsystem
-from ..faults import FailureDetector, FaultInjector, FaultPlan, RetryPolicy
-from ..observability import RunReport, Telemetry, TraceKind, run_report
-from ..transport.inmemory import InMemoryTransport
+from ..faults import FailureDetector, FaultPlan, RetryPolicy
+from ..observability import Telemetry
 from ..transport.latency import SAME_HOST, LatencyModel
-from ..transport.message import Message, MessageKind
-from .channel import Channel, ChannelMode
-from .conservative import SafeTimeClient, compute_grant
+from ..transport.message import Message
+from .channel import ChannelMode
+from .conservative import SafeTimeService
 from .node import PiaNode
-from . import topology
-
-import itertools
+from .system import LiveSystem
 
 
-class LockedSafeTimeService:
+class LockedSafeTimeService(SafeTimeService):
     """Safe-time server that serialises against the node's own loop.
 
-    The transitive refresh (see
-    :class:`~repro.distributed.conservative.SafeTimeService`) performs
-    blocking network calls, so it runs *outside* the node lock; holding it
-    there would deadlock two nodes refreshing towards each other.  Shared
-    with the multiprocess deployment, whose workers likewise serve
-    safe-time calls from transport receiver threads concurrently with
-    their own run loop.
+    The transitive refresh performs blocking network calls, so it runs
+    *outside* the node lock; holding it there would deadlock two nodes
+    refreshing towards each other.  Shared with the multiprocess
+    deployment, whose workers likewise serve safe-time calls from
+    transport receiver threads concurrently with their own run loop.
     """
 
-    def __init__(self, node: PiaNode, lock: threading.RLock,
-                 client_for) -> None:
-        self.node = node
-        self.lock = lock
-        self.client_for = client_for
-        self.requests_served = 0
-        node.call_services[MessageKind.SAFE_TIME_REQUEST] = self.serve
-
     def serve(self, message: Message) -> Message:
-        requester, target, path = message.payload
-        client = self.client_for(target)
-        if client is not None:
-            client.refresh(message.time, exclude=requester,
-                           path=tuple(path) + (target,))
-        with self.lock:
-            subsystem = self.node.subsystem(target)
-            self.requests_served += 1
-            grant = compute_grant(subsystem, requester)
-            endpoint = next(ep for ep in subsystem.channels.values()
-                            if ep.peer_subsystem == requester)
-            counts = (endpoint.injected, endpoint.forwarded)
-        return message.reply(MessageKind.SAFE_TIME_REPLY, time=grant,
-                             payload=counts)
+        self._refresh_target(message)
+        with self.node.lock:
+            return self._grant_reply(message)
 
 
 class _NodeWorker(threading.Thread):
@@ -83,7 +58,6 @@ class _NodeWorker(threading.Thread):
         self.runner = runner
         self.node = node
         self.until = until
-        self.lock = runner.locks[node.name]
         self.dispatched = 0
         self.error: Optional[BaseException] = None
         self.idle = threading.Event()
@@ -103,7 +77,8 @@ class _NodeWorker(threading.Thread):
                 # and nothing in flight — a stale idle flag from the last
                 # empty round would let the quiescence sweep pass mid-run.
                 self.idle.clear()
-                progress = self._one_round()
+                progress, count = self.node.step(self.until)
+                self.dispatched += count
                 if not progress:
                     self.idle.set()
                     _time.sleep(0.001)
@@ -113,38 +88,8 @@ class _NodeWorker(threading.Thread):
         finally:
             self.idle.set()
 
-    def _one_round(self) -> bool:
-        progress = False
-        with self.lock:
-            progress |= self.node.pump() > 0
-            subsystems = [self.node.subsystems[name]
-                          for name in sorted(self.node.subsystems)]
-        for subsystem in subsystems:
-            client = self.runner.clients[subsystem.name]
-            with self.lock:
-                self.node.pump()
-                next_time = subsystem.next_event_time()
-            if next_time == float("inf") or next_time > self.until:
-                continue
-            # The refresh performs a blocking network call; it must happen
-            # outside the lock or two nodes refreshing each other deadlock.
-            if client.horizon() < next_time:
-                client.refresh(min(next_time, self.until))
-            with self.lock:
-                if subsystem.next_event_time() <= client.horizon():
-                    count = subsystem.run(self.until, horizon=client.horizon)
-                    self.dispatched += count
-                    progress = progress or count > 0
-        # Round boundary: ship everything this node queued (no-op unless
-        # the transport batches).  Outside the lock — the piggyback
-        # provider try-acquires it.
-        flush = getattr(self.runner.transport, "flush_batches", None)
-        if flush is not None:
-            flush(src=self.node.name)
-        return progress
 
-
-class ThreadedCoSimulation:
+class ThreadedCoSimulation(LiveSystem):
     """Run each Pia node on its own thread (conservative channels only).
 
     With a ``fault_plan`` attached, message chaos is injected at the
@@ -155,6 +100,10 @@ class ThreadedCoSimulation:
     typed :class:`~repro.core.errors.NodeFailure`.
     """
 
+    CHANNEL_PREFIX = "tch"
+    SERVICE = LockedSafeTimeService
+    MODES = (ChannelMode.CONSERVATIVE,)
+
     def __init__(self, *, transport=None,
                  default_model: LatencyModel = SAME_HOST,
                  telemetry: Optional[Telemetry] = None,
@@ -162,93 +111,23 @@ class ThreadedCoSimulation:
                  retry_policy: Optional[RetryPolicy] = None,
                  heartbeat_timeout: float = 1.0,
                  batching: bool = False) -> None:
-        self.transport = transport if transport is not None \
-            else InMemoryTransport(default_model=default_model,
-                                   batching=batching)
-        if batching:
-            self.transport.batching = True
-        set_provider = getattr(self.transport, "set_piggyback_provider", None)
-        if set_provider is not None:
-            set_provider(self._piggyback_grants)
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        attach = getattr(self.transport, "attach_telemetry", None)
-        if attach is not None:
-            attach(self.telemetry)
-        self.nodes: Dict[str, PiaNode] = {}
-        self.subsystems: Dict[str, Subsystem] = {}
-        self.channels: Dict[str, Channel] = {}
-        self.locks: Dict[str, threading.RLock] = {}
-        self.clients: Dict[str, SafeTimeClient] = {}
+        super().__init__(transport=transport, default_model=default_model,
+                         telemetry=telemetry, fault_plan=fault_plan,
+                         retry_policy=retry_policy, batching=batching)
         self.stop_flag = threading.Event()
-        self.fault_plan = fault_plan
-        self.fault_injector: Optional[FaultInjector] = None
         self.detector: Optional[FailureDetector] = None
         if fault_plan is not None:
-            self.fault_injector = FaultInjector(
-                fault_plan, retry_policy=retry_policy,
-                telemetry=self.telemetry)
-            attach_faults = getattr(self.transport, "attach_faults", None)
-            if attach_faults is None:
-                raise ConfigurationError(
-                    f"transport {type(self.transport).__name__} does not "
-                    "support fault injection (no attach_faults)")
-            attach_faults(self.fault_injector)
             self.detector = FailureDetector(timeout=heartbeat_timeout)
-        # Instance-local for run-to-run bit identity: channel ids travel
-        # on the wire (see CoSimulation).
-        self._channel_ids = itertools.count(1)
-
-    # ------------------------------------------------------------------
-    def add_node(self, name: str) -> PiaNode:
-        if name in self.nodes:
-            raise ConfigurationError(f"duplicate node {name!r}")
-        node = PiaNode(name, self.transport)
-        self.nodes[name] = node
-        self.locks[name] = threading.RLock()
-        LockedSafeTimeService(node, self.locks[name], self.clients.get)
-        return node
-
-    def add_subsystem(self, node: Union[str, PiaNode],
-                      subsystem: Union[str, Subsystem]) -> Subsystem:
-        if isinstance(node, str):
-            node = self.nodes[node]
-        if isinstance(subsystem, str):
-            subsystem = Subsystem(subsystem)
-        if subsystem.name in self.subsystems:
-            raise ConfigurationError(f"duplicate subsystem {subsystem.name!r}")
-        node.add_subsystem(subsystem)
-        # Same wiring as CoSimulation: subsystem schedulers share the
-        # executor telemetry (cause propagation is thread-local, so node
-        # threads never cross-contaminate), which is what gives threaded
-        # runs dispatch records and causal spans at all.
-        subsystem.attach_telemetry(self.telemetry)
-        self.subsystems[subsystem.name] = subsystem
-        self.clients[subsystem.name] = SafeTimeClient(subsystem)
-        return subsystem
-
-    def connect(self, a: Subsystem, b: Subsystem, *,
-                mode: ChannelMode = ChannelMode.CONSERVATIVE,
-                delay: float = 0.0) -> Channel:
-        if mode is not ChannelMode.CONSERVATIVE:
-            raise SimulationError(
-                "the threaded executor supports conservative channels only; "
-                "use CoSimulation for optimistic channels")
-        channel_id = f"tch{next(self._channel_ids)}-{a.name}-{b.name}"
-        channel = Channel(channel_id, mode, delay=delay)
-        assert a.node is not None and b.node is not None
-        channel.attach(a, peer_subsystem=b.name, peer_node=b.node.name)
-        channel.attach(b, peer_subsystem=a.name, peer_node=a.node.name)
-        self.channels[channel_id] = channel
-        return channel
 
     # ------------------------------------------------------------------
     def run(self, until: float = float("inf"), *,
             timeout: float = 60.0) -> int:
         """Run all nodes concurrently until quiescence; returns events."""
-        topology.validate(self.channels.values())
+        self.validate_topology()
         for name in sorted(self.nodes):
-            with self.locks[name]:
-                self.nodes[name].start()
+            node = self.nodes[name]
+            with node.lock:
+                node.start()
         self.stop_flag.clear()
         workers = [_NodeWorker(self, self.nodes[name], until)
                    for name in sorted(self.nodes)]
@@ -281,7 +160,9 @@ class ThreadedCoSimulation:
                     series.tick(now, self.telemetry.registry)
                 while pending_crashes and pending_crashes[0].at_time <= now:
                     crash = pending_crashes.pop(0)
-                    self._crash_node(by_name[crash.node])
+                    # Stop the worker; its traffic is lost from here on.
+                    by_name[crash.node].down.set()
+                    self._mark_down(crash.node)
                 if self.detector is not None:
                     suspects = self.detector.suspects(_time.monotonic())
                     if suspects:
@@ -314,17 +195,6 @@ class ThreadedCoSimulation:
                 raise worker.error
         return sum(worker.dispatched for worker in workers)
 
-    def _crash_node(self, worker: _NodeWorker) -> None:
-        """Fire a scheduled crash: stop the worker, lose its traffic."""
-        worker.down.set()
-        if self.fault_injector is not None:
-            self.fault_injector.mark_down(worker.node.name)
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.count("fault.node_crashes")
-            telemetry.trace(TraceKind.NODE_CRASH, time=self.global_time(),
-                            subject=worker.node.name)
-
     def _quiescent(self, workers, until: float) -> bool:
         """All workers idle with nothing in flight, twice in a row.
 
@@ -345,49 +215,9 @@ class ThreadedCoSimulation:
                 return False
             for name in sorted(self.subsystems):
                 subsystem = self.subsystems[name]
-                assert subsystem.node is not None
-                with self.locks[subsystem.node.name]:
+                with subsystem.node.lock:
                     next_time = subsystem.next_event_time()
                     if next_time != float("inf") and next_time <= until:
                         return False
             _time.sleep(0.002)
         return True
-
-    def _piggyback_grants(self, src: str, dst: str) -> list:
-        """Safe-time grants for a ``src``→``dst`` batch frame.
-
-        Flush points may sit inside or outside the source node's lock
-        depending on who triggers them, so the lock is *try*-acquired:
-        failing just means this frame carries no grants (the explicit
-        safe-time call path still guarantees progress), whereas blocking
-        here could deadlock two nodes flushing towards each other.
-        """
-        lock = self.locks.get(src)
-        if lock is None or not lock.acquire(blocking=False):
-            return []
-        try:
-            node = self.nodes[src]
-            grants = []
-            for ss_name in sorted(node.subsystems):
-                subsystem = node.subsystems[ss_name]
-                for channel_id in sorted(subsystem.channels):
-                    endpoint = subsystem.channels[channel_id]
-                    if endpoint.severed or endpoint.peer_node != dst:
-                        continue
-                    grants.append(Message(
-                        kind=MessageKind.SAFE_TIME_GRANT,
-                        src=src, dst=dst, channel=channel_id,
-                        time=compute_grant(subsystem,
-                                           endpoint.peer_subsystem),
-                        payload=(endpoint.injected, endpoint.forwarded),
-                    ))
-            return grants
-        finally:
-            lock.release()
-
-    def global_time(self) -> float:
-        return min((ss.now for ss in self.subsystems.values()), default=0.0)
-
-    def report(self, *, title: Optional[str] = None) -> RunReport:
-        """Assemble the :class:`~repro.observability.RunReport` so far."""
-        return run_report(self, title=title)

@@ -14,7 +14,11 @@ from repro.core import (
     Transfer,
     WaitUntil,
 )
-from repro.distributed import ChannelMode, CoSimulation
+from repro.distributed import (
+    ChannelMode,
+    CoSimulation,
+    ThreadedCoSimulation,
+)
 from repro.protocols import packet_protocol
 
 
@@ -71,26 +75,54 @@ class TestRunBounds:
         assert consumer.got == [0, 1, 2, 3, 4]
 
 
-class TestConfigurationErrors:
-    def test_duplicate_node(self):
-        cosim = CoSimulation()
+@pytest.mark.parametrize("executor", [CoSimulation, ThreadedCoSimulation])
+class TestSharedBuilder:
+    """Both in-process executors build through one ``LiveSystem``: the
+    same calls, the same typed errors."""
+
+    def test_duplicate_node(self, executor):
+        cosim = executor()
         cosim.add_node("n")
         with pytest.raises(ConfigurationError):
             cosim.add_node("n")
 
-    def test_duplicate_subsystem(self):
-        cosim = CoSimulation()
+    def test_duplicate_subsystem(self, executor):
+        cosim = executor()
         node = cosim.add_node("n")
         cosim.add_subsystem(node, "ss")
         with pytest.raises(ConfigurationError):
             cosim.add_subsystem(node, "ss")
 
-    def test_connect_requires_attached_subsystems(self):
+    def test_add_subsystem_on_unknown_node(self, executor):
+        cosim = executor()
+        with pytest.raises(ConfigurationError, match="no-such-node"):
+            cosim.add_subsystem("no-such-node", "ss")
+
+    def test_connect_requires_attached_subsystems(self, executor):
         from repro.core import Subsystem
-        cosim = CoSimulation()
+        cosim = executor()
         with pytest.raises(ConfigurationError):
             cosim.connect(Subsystem("x"), Subsystem("y"))
 
+    def test_connect_takes_explicit_channel_id(self, executor):
+        cosim = executor()
+        ss_a = cosim.add_subsystem(cosim.add_node("na"), "sa")
+        ss_b = cosim.add_subsystem(cosim.add_node("nb"), "sb")
+        channel = cosim.connect(ss_a, ss_b, channel_id="link")
+        assert channel.channel_id == "link"
+        assert cosim.channels == {"link": channel}
+
+    def test_generated_channel_ids_keep_their_prefix(self, executor):
+        # Ids travel on the wire: each executor keeps its own.
+        cosim = executor()
+        ss_a = cosim.add_subsystem(cosim.add_node("na"), "sa")
+        ss_b = cosim.add_subsystem(cosim.add_node("nb"), "sb")
+        channel = cosim.connect(ss_a, ss_b)
+        prefix = {CoSimulation: "ch1-", ThreadedCoSimulation: "tch1-"}
+        assert channel.channel_id == prefix[executor] + "sa-sb"
+
+
+class TestConfigurationErrors:
     def test_unknown_lookups(self):
         cosim = CoSimulation()
         with pytest.raises(ConfigurationError):
