@@ -192,7 +192,7 @@ class SafeTimeClient:
                 f"{self.subsystem.name} is not attached to a node")
         if not path:
             path = (self.subsystem.name,)
-        passive = bool(getattr(node.transport, "batching", False))
+        passive = node.transport.batching
         for endpoint in self._restricting_endpoints():
             if endpoint.peer_subsystem == exclude:
                 continue

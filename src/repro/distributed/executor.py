@@ -256,9 +256,6 @@ class CoSimulation(LiveSystem):
             return []
         return super()._grants_for(src, dst)
 
-    def _batching(self) -> bool:
-        return bool(getattr(self.transport, "batching", False))
-
     def _should_refresh(self, name: str, desired: float) -> bool:
         """Throttle synchronous safe-time requests under batching.
 
@@ -269,7 +266,7 @@ class CoSimulation(LiveSystem):
         ``_refresh_every`` rounds falls back to the explicit request —
         the liveness backstop.  Round counts are deterministic, so the
         throttle is too."""
-        if not self._batching():
+        if not self.transport.batching:
             return True
         last = self._refresh_throttle.get(name)
         if last is None or last[0] != desired:
@@ -286,14 +283,11 @@ class CoSimulation(LiveSystem):
         the local floor has now passed.  Each push is one frame replacing
         the two-frame request round trip the peer would otherwise issue.
         Returns True if anything moved (counts as round progress)."""
-        push = getattr(self.transport, "push_grants", None)
         acted = self.transport.flush_batches() > 0
-        if push is None:
-            return acted
         down = self._down_nodes | self._dead_nodes
         for node in self._ordered_nodes():
             for dst, grants in sorted(node.stalled_grants(down).items()):
-                if push(node.name, dst, grants):
+                if self.transport.push_grants(node.name, dst, grants):
                     acted = True
                     if self.telemetry.enabled:
                         self.telemetry.count("safetime.pushed", len(grants))
@@ -407,7 +401,7 @@ class CoSimulation(LiveSystem):
                     dispatched += count
                     progress = True
                     self._poll_switchpoints()
-            if self._batching():
+            if self.transport.batching:
                 progress = self._round_flush() or progress
             self._maybe_periodic_snapshot()
             series = self.telemetry.series
@@ -425,7 +419,7 @@ class CoSimulation(LiveSystem):
                 if self.finished() or self._all_past(until):
                     break
                 idle_budget = (len(self.subsystems) + 2) * self._settle_slack
-                if self._batching():
+                if self.transport.batching:
                     # Throttled refreshes make a waiting round look idle;
                     # widen the deadlock budget by the throttle period.
                     idle_budget *= self._refresh_every
@@ -542,9 +536,7 @@ class CoSimulation(LiveSystem):
             for endpoint in subsystem.channels.values():
                 endpoint.sever()
                 endpoint.channel.other(ss_name).sever()
-        unregister = getattr(self.transport, "unregister", None)
-        if unregister is not None:
-            unregister(name)
+        self.transport.unregister(name)
         # Stray sends towards the dead node stay "lost", never errors, so
         # the node remains marked down; its parked deliveries are purged.
         self.fault_injector.purge_node(name)

@@ -240,9 +240,7 @@ class PiaNode:
         # Round boundary: ship everything this node queued (no-op unless
         # the transport batches).  Outside the lock — the piggyback
         # provider try-acquires it.
-        flush = getattr(self.transport, "flush_batches", None)
-        if flush is not None:
-            flush(src=self.name)
+        self.transport.flush_batches(src=self.name)
         return progress or dispatched > 0, dispatched
 
     # ------------------------------------------------------------------

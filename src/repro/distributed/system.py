@@ -49,15 +49,11 @@ class LiveSystem:
             self.transport.batching = True
         # Batched transports flush per-destination frames at safe points;
         # the source node supplies the safe-time grants piggybacked on them.
-        set_provider = getattr(self.transport, "set_piggyback_provider", None)
-        if set_provider is not None:
-            set_provider(self._grants_for)
+        self.transport.set_piggyback_provider(self._grants_for)
         #: Run telemetry shared by every layer; on by default (the
         #: disabled path is a single attribute read per hot-path visit).
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        attach = getattr(self.transport, "attach_telemetry", None)
-        if attach is not None:
-            attach(self.telemetry)
+        self.transport.attach_telemetry(self.telemetry)
         self.nodes: Dict[str, PiaNode] = {}
         self.subsystems: Dict[str, Subsystem] = {}
         self.channels: Dict[str, Channel] = {}
@@ -67,12 +63,7 @@ class LiveSystem:
             self.fault_injector = FaultInjector(
                 fault_plan, retry_policy=retry_policy,
                 telemetry=self.telemetry)
-            attach_faults = getattr(self.transport, "attach_faults", None)
-            if attach_faults is None:
-                raise ConfigurationError(
-                    f"transport {type(self.transport).__name__} does not "
-                    "support fault injection (no attach_faults)")
-            attach_faults(self.fault_injector)
+            self.transport.attach_faults(self.fault_injector)
         #: Channel-id allocator.  Instance-local, not module-global: ids
         #: travel on the wire, so a process-global counter would make the
         #: byte counts of otherwise identical runs depend on how many

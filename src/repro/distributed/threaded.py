@@ -210,8 +210,7 @@ class ThreadedCoSimulation(LiveSystem):
                 return False
             if self.transport.pending() != 0:
                 return False
-            balanced = getattr(self.transport, "wire_balanced", None)
-            if balanced is not None and not balanced():
+            if not self.transport.wire_balanced():
                 return False
             for name in sorted(self.subsystems):
                 subsystem = self.subsystems[name]

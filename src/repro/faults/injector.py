@@ -1,4 +1,4 @@
-"""The fault injection plane shared by both transports.
+"""The fault injection plane the send pipeline runs for every carrier.
 
 A :class:`FaultInjector` sits at the send/poll boundary of
 :class:`~repro.transport.inmemory.InMemoryTransport` and

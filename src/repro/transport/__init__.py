@@ -22,12 +22,13 @@ from .message import (
     encode_batch,
     wire_size,
 )
+from .pipeline import Transport
 from .tcp import TcpTransport
 
 __all__ = [
     "BROADBAND", "BatchFrame", "INTERNET", "InMemoryTransport", "LAN",
     "LatencyModel", "LinkStats", "Message", "MessageKind",
     "NetworkAccounting", "PRESETS", "SAME_HOST", "SendBatcher",
-    "TcpTransport", "decode", "decode_any", "encode", "encode_batch",
-    "preset", "wire_size",
+    "TcpTransport", "Transport", "decode", "decode_any", "encode",
+    "encode_batch", "preset", "wire_size",
 ]

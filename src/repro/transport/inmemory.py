@@ -10,77 +10,40 @@ if they had crossed a real wire.
 Every message is charged against :class:`NetworkAccounting`, which is how
 the "geographically distributed" experiments obtain their modelled network
 cost while the whole simulation runs deterministically in one process.
+
+This is the thinnest carrier of :class:`~repro.transport.pipeline.Transport`:
+a deque per node, delivery in the sender's own call.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.errors import TransportError
-from ..core.fastcopy import is_immutable
-from ..observability import NULL_TELEMETRY, TraceKind
-from ..observability.spans import ensure_context, span_details
-from .accounting import NetworkAccounting
-from .batch import SendBatcher
 from .codec import decode, encode, encode_batch
 from .latency import SAME_HOST, LatencyModel
-from .message import BatchFrame, Message, MessageKind
-
-#: Handles an asynchronous message.
-InboxHandler = Callable[[Message], None]
-#: Handles a synchronous call, returning the reply message.
-CallHandler = Callable[[Message], Message]
+from .message import BatchFrame, Message
+from .pipeline import CallHandler, Transport
 
 
-class InMemoryTransport:
+class InMemoryTransport(Transport):
     """FIFO message passing between registered nodes, with accounting."""
 
     def __init__(self, *, default_model: LatencyModel = SAME_HOST,
-                 simulate_wire: bool = True,
                  batching: bool = False) -> None:
-        self.accounting = NetworkAccounting(default_model)
-        #: Encode/decode every message to emulate crossing the wire.
-        self.simulate_wire = simulate_wire
-        #: Coalesce per-destination sends into batch frames (opt-in).
-        self.batching = batching
-        self.batcher = SendBatcher()
-        #: ``(src, dst) -> [Message]`` hook filled by an executor: extra
-        #: safe-time grants to piggyback on an outgoing batch frame.
-        self.piggyback_provider = None
-        #: Per-transport-instance message id stream (stamped at the send
-        #: boundary).  Instance-local rather than module-global so a
-        #: forked child — which inherits a *copy* of this transport —
-        #: cannot interleave with the parent's stream, matching the PID
-        #: guard discipline of the TCP transport.
-        self._msg_ids = itertools.count(1)
+        super().__init__(default_model=default_model, batching=batching)
         self._inboxes: Dict[str, deque] = {}
-        self._call_handlers: Dict[str, CallHandler] = {}
-        #: Telemetry sink (attach via :meth:`attach_telemetry`).
-        self.telemetry = NULL_TELEMETRY
-        #: Fault plane (attach via :meth:`attach_faults`).
-        self.fault_injector = None
 
-    def set_piggyback_provider(self, provider) -> None:
-        """Install the executor's grant source for batch flushes."""
-        self.piggyback_provider = provider
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Feed message traces and per-link counters to ``telemetry``."""
-        self.telemetry = telemetry
-        self.accounting.telemetry = telemetry
-        if self.fault_injector is not None:
-            self.fault_injector.telemetry = telemetry
-
-    def attach_faults(self, injector) -> None:
-        """Route every send/poll through ``injector``'s fault plane."""
-        self.fault_injector = injector
-        injector.telemetry = self.telemetry
-
-    def attach_health(self, monitor) -> None:
-        """Feed per-link health estimators from the send/poll boundary."""
-        self.accounting.health = monitor
+    # benchmarks/ledger/tracer.py (and probes.py) bind these five with
+    # ``vars(InMemoryTransport)[name]`` to time and tap the in-memory
+    # layer from outside: they must be *in this class body*, so the
+    # shared pipeline functions are rebound here, not wrapped.
+    send = Transport.send
+    poll = Transport.poll
+    call = Transport.call
+    flush_batches = Transport.flush_batches
+    push_grants = Transport.push_grants
 
     # ------------------------------------------------------------------
     # registration
@@ -101,253 +64,48 @@ class InMemoryTransport:
     def nodes(self) -> list:
         return sorted(self._inboxes)
 
-    def set_link(self, a: str, b: str, model: LatencyModel) -> None:
-        """Configure the latency model between two nodes (both ways)."""
-        self.accounting.set_model(a, b, model)
+    # ------------------------------------------------------------------
+    # carrier hooks (the codec names are this module's own globals: the
+    # ledger tracer patches them here to count the in-memory codec work)
+    # ------------------------------------------------------------------
+    def _route(self, dst: str) -> Optional[bool]:
+        return False if dst in self._inboxes else None
 
-    # ------------------------------------------------------------------
-    # data plane
-    # ------------------------------------------------------------------
-    def _through_wire(self, message: Message) -> Tuple[Message, int]:
+    def _pack(self, message: Message) -> Tuple[Message, int]:
+        """The parcel is the delivered copy itself: the codec round trip
+        is what isolates the receiver from the sender's object."""
         blob = encode(message)
-        if self.simulate_wire:
-            return decode(blob), len(blob)
-        return message, len(blob)
+        return decode(blob), len(blob)
 
-    def send(self, message: Message) -> float:
-        """Queue ``message`` for its destination; returns the wire delay.
+    def _pack_frame(self, frame: BatchFrame) -> Tuple[BatchFrame, int]:
+        """Members were isolated at enqueue; the frame is serialised only
+        to weigh it."""
+        return frame, len(encode_batch(frame))
 
-        With a fault plane attached, the injector decides the message's
-        fate first: injected drops are retried internally (raising
-        :class:`~repro.core.errors.LinkDown` once the budget is spent),
-        delayed/reordered messages are parked with the injector and
-        released at :meth:`poll`, duplicates are queued twice and
-        deduplicated at the poll boundary, and traffic touching a
-        crashed node is swallowed (``lost``).
-        """
-        if message.msg_id == 0:
-            message.msg_id = next(self._msg_ids)
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            # Mint before the fault plane decides the message's fate, so
-            # every copy (duplicate, delayed, retried) shares one span
-            # and the ordinal stream is identical across transports.
-            ensure_context(telemetry, message)
-        injector = self.fault_injector
-        action, ticks = "deliver", 0
-        if injector is not None:
-            action, ticks = injector.on_send(message)
-            if action == "lost":
-                return 0.0
-        if message.dst not in self._inboxes:
-            raise TransportError(f"unknown destination node {message.dst!r}")
-        if self.batching and action in ("deliver", "duplicate"):
-            return self._enqueue_batched(message, action, injector)
-        delivered, size = self._through_wire(message)
-        delay = self.accounting.record(message.src, message.dst, size)
-        if telemetry.enabled:
-            telemetry.trace(TraceKind.MSG_SEND, time=message.time,
-                            subject=f"{message.src}->{message.dst}",
-                            message_kind=message.kind.value, bytes=size,
-                            **span_details(message.trace))
-        if action == "delay":
-            injector.hold(message.dst, delivered, ticks)
-            return delay
-        if action == "reorder":
-            injector.hold_swap(message.src, message.dst, delivered)
-            return delay
-        inbox = self._inboxes[message.dst]
-        inbox.append(delivered)
-        if action == "duplicate":
-            extra, extra_size = self._through_wire(message)
-            self.accounting.record(message.src, message.dst, extra_size)
-            inbox.append(extra)
-            injector.expect_duplicate(message.dst, delivered.msg_id,
-                                      src=delivered.src)
-        if injector is not None:
-            for late in injector.take_swaps(message.src, message.dst):
-                inbox.append(late)
-        return delay
+    def _open(self, parcel: Message) -> Message:
+        return parcel
 
-    def _enqueue_batched(self, message: Message, action: str,
-                         injector) -> float:
-        """Queue a deliver/duplicate-fated message for the next flush.
-
-        Immutable payloads skip the simulated encode/decode round trip —
-        sharing an immutable object is indistinguishable from copying it —
-        which is the transport half of the copy-elision fast path.  The
-        whole frame is pickled once at flush time either way, so byte
-        accounting stays honest.
-        """
-        if self.simulate_wire and not is_immutable(message.payload):
-            member = decode(encode(message))
+    def _ship(self, src: str, dst: str, parcel, time: float,
+              count: int) -> None:
+        inbox = self._inboxes[dst]
+        if type(parcel) is BatchFrame:
+            inbox.extend(parcel.messages)
+            inbox.extend(parcel.grants)
         else:
-            member = message
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.trace(TraceKind.MSG_SEND, time=message.time,
-                            subject=f"{message.src}->{message.dst}",
-                            message_kind=message.kind.value, batched=True,
-                            **span_details(message.trace))
-        self.batcher.enqueue(message.src, message.dst, member)
-        if action == "duplicate":
-            self.batcher.enqueue(message.src, message.dst, member)
-            injector.expect_duplicate(message.dst, member.msg_id,
-                                       src=member.src)
-        if injector is not None:
-            late = injector.take_swaps(message.src, message.dst)
-            if late:
-                self.batcher.extend(message.src, message.dst, late)
-        return 0.0
+            inbox.append(parcel)
 
-    def flush_batches(self, *, src: Optional[str] = None,
-                      dst: Optional[str] = None) -> int:
-        """Ship matching queued batches: one frame (and one latency
-        charge) per non-empty link, members delivered in send order,
-        piggybacked grants strictly after them.  Returns the number of
-        logical messages flushed."""
-        if not self.batching:
-            return 0
-        flushed = 0
-        provider = self.piggyback_provider
-        telemetry = self.telemetry
-        for (s, d), members in self.batcher.take(src=src, dst=dst):
-            inbox = self._inboxes.get(d)
-            if inbox is None:
-                continue    # destination unregistered after enqueue
-            grants = provider(s, d) if provider is not None else []
-            blob = encode_batch(BatchFrame(s, d, members, grants))
-            self.accounting.record_frame(s, d, len(blob), len(members))
-            if telemetry.enabled and grants:
-                telemetry.count("safetime.piggyback_sent", len(grants))
-            inbox.extend(members)
-            inbox.extend(grants)
-            flushed += len(members)
-        return flushed
+    def _inbox(self, name: str):
+        try:
+            return self._inboxes[name], None    # one thread: no lock
+        except KeyError:
+            raise TransportError(f"unknown node {name!r}") from None
 
-    def push_grants(self, src: str, dst: str,
-                    grants: List[Message]) -> bool:
-        """Ship a standalone grant-only frame ``src``→``dst``.
-
-        One frame unblocks a peer known to be stalled, replacing the
-        two-frame request/reply round trip it would otherwise issue.
-        Grants bypass the fault plane (like call traffic: sync-protocol
-        messages are not subject to data-plane faults).
-        """
-        if not self.batching or not grants:
-            return False
-        inbox = self._inboxes.get(dst)
-        if inbox is None:
-            return False
-        blob = encode_batch(BatchFrame(src, dst, [], list(grants)))
-        self.accounting.record_frame(src, dst, len(blob), 0)
-        inbox.extend(grants)
-        return True
-
-    def call(self, message: Message) -> Message:
-        """Synchronous request/response (the RMI analogue).
-
-        The destination's call handler runs inline; both directions are
-        charged to accounting.  Calls cannot reach a crashed node.
-        """
-        if message.msg_id == 0:
-            message.msg_id = next(self._msg_ids)
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            ensure_context(telemetry, message)
-        if self.fault_injector is not None:
-            self.fault_injector.check_call(message)
-        if self.batching:
-            # A call is a synchronisation point on this link: anything
-            # queued either way must land first so in-flight counts match
-            # the unbatched run exactly.
-            self.flush_batches(src=message.src, dst=message.dst)
-            self.flush_batches(src=message.dst, dst=message.src)
-        handler = self._call_handlers.get(message.dst)
-        if handler is None:
-            raise TransportError(
-                f"node {message.dst!r} accepts no calls "
-                f"(registered: {sorted(self._call_handlers)})")
-        request, req_size = self._through_wire(message)
-        self.accounting.record(message.src, message.dst, req_size)
-        if telemetry.enabled:
-            telemetry.trace(TraceKind.MSG_SEND, time=message.time,
-                            subject=f"{message.src}->{message.dst}",
-                            message_kind=message.kind.value, bytes=req_size,
-                            call=True, **span_details(message.trace))
-        reply = handler(request)
+    def _round_trip(self, message: Message,
+                    parcel: Message) -> Tuple[Message, int]:
+        """The destination's call handler runs inline."""
+        reply = self._call_handlers[message.dst](parcel)
         if not isinstance(reply, Message):
             raise TransportError(
                 f"call handler of {message.dst!r} returned "
                 f"{type(reply).__name__}, not Message")
-        response, resp_size = self._through_wire(reply)
-        self.accounting.record(message.dst, message.src, resp_size)
-        if telemetry.enabled:
-            telemetry.trace(TraceKind.MSG_RECV, time=reply.time,
-                            subject=f"{message.dst}->{message.src}",
-                            message_kind=reply.kind.value, bytes=resp_size,
-                            call=True, **span_details(reply.trace))
-        return response
-
-    def poll(self, name: str, *, limit: Optional[int] = None) -> List[Message]:
-        """Drain (up to ``limit``) queued messages for node ``name``."""
-        try:
-            inbox = self._inboxes[name]
-        except KeyError:
-            raise TransportError(f"unknown node {name!r}") from None
-        if self.batching:
-            # Poll is the flush point: every queue bound for this node
-            # ships now, so delivery lands at the same pump points as the
-            # unbatched per-message path.
-            self.flush_batches(dst=name)
-        injector = self.fault_injector
-        if injector is not None:
-            inbox.extend(injector.release_due(name))
-        drained: List[Message] = []
-        while inbox and (limit is None or len(drained) < limit):
-            message = inbox.popleft()
-            if injector is not None and \
-                    injector.suppress_duplicate(name, message):
-                continue
-            drained.append(message)
-        health = self.accounting.health
-        if health is not None:
-            health.on_poll(name, len(drained))
-        telemetry = self.telemetry
-        if telemetry.enabled and drained:
-            for message in drained:
-                telemetry.trace(TraceKind.MSG_RECV, time=message.time,
-                                subject=f"{message.src}->{message.dst}",
-                                message_kind=message.kind.value,
-                                **span_details(message.trace))
-        return drained
-
-    def pending(self, name: Optional[str] = None) -> int:
-        """Messages queued for ``name`` (or for every node), the fault
-        plane's parked deliveries included."""
-        held = self.batcher.pending(name)
-        if self.fault_injector is not None:
-            held += self.fault_injector.held_pending(name)
-        if name is not None:
-            return len(self._inboxes.get(name, ())) + held
-        return sum(len(q) for q in self._inboxes.values()) + held
-
-    def flush(self) -> int:
-        """Drop every undelivered message (optimistic rollback support)."""
-        dropped = sum(len(q) for q in self._inboxes.values())
-        for inbox in self._inboxes.values():
-            inbox.clear()
-        dropped += self.batcher.clear()
-        if self.fault_injector is not None:
-            dropped += self.fault_injector.flush()
-        return dropped
-
-    def drop_if(self, predicate: Callable[[Message], bool]) -> int:
-        """Drop queued messages matching ``predicate``; returns the count."""
-        dropped = 0
-        for name, inbox in self._inboxes.items():
-            kept = [m for m in inbox if not predicate(m)]
-            dropped += len(inbox) - len(kept)
-            inbox.clear()
-            inbox.extend(kept)
-        return dropped
+        return self._pack(reply)

@@ -3,8 +3,8 @@
 The paper interconnects nodes through Java RMI (section 2.2.1); the
 properties Pia actually relies on are FIFO ordering per channel,
 request/response calls (the safe-time protocol) and serialisation.  These
-message types are the protocol-neutral representation both transports
-(in-memory and TCP) carry.
+message types are the protocol-neutral representation every carrier
+(in-memory, TCP, shared memory) moves.
 
 Serialisation itself lives in :mod:`repro.transport.codec` (a compact
 binary format; see that module for the frame layout).  The ``encode`` /

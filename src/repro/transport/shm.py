@@ -41,6 +41,7 @@ from typing import Dict, Optional, Tuple
 from ..core.errors import LinkDown, TransportError
 from ..transport.codec import decode_any, encode
 from ..transport.message import Message, MessageKind
+from .pipeline import open_envelope
 from .tcp import TcpTransport, _Connection  # noqa: F401  (re-export shape)
 
 try:
@@ -189,13 +190,8 @@ def spill_envelope(src: str, dst: str, seq: int, blob: bytes) -> Message:
 
 def open_spill_envelope(message: Message):
     """Return ``(seq, blob)`` for a spill envelope, else ``None``."""
-    if message.kind is not MessageKind.CONTROL:
-        return None
-    payload = message.payload
-    if (isinstance(payload, tuple) and len(payload) == 3
-            and payload[0] == _SPILL_TAG):
-        return payload[1], payload[2]
-    return None
+    opened = open_envelope(message, (_SPILL_TAG,))
+    return None if opened is None else opened[1:]
 
 
 class SharedMemoryTransport(TcpTransport):
@@ -203,9 +199,10 @@ class SharedMemoryTransport(TcpTransport):
     frames on links that have a ring attached.
 
     Everything above the frame write — batching, fault envelopes, span
-    minting, byte accounting, wire counters — is inherited unchanged, so
-    a run is bit-identical in its telemetry whichever data plane carried
-    the bytes (minus the ``transport.shm_*`` counters themselves).
+    minting, byte accounting — is the shared pipeline's, and the wire
+    counters and ingest path are the TCP carrier's, so a run is
+    bit-identical in its telemetry whichever data plane carried the
+    bytes (minus the ``transport.shm_*`` counters themselves).
     """
 
     #: How long a producer waits for a full ring to drain before
@@ -414,16 +411,14 @@ class SharedMemoryTransport(TcpTransport):
             _time.sleep(0.0002 if idle < 20 else 0.002)
 
     # ------------------------------------------------------------------
-    def pending(self, name: Optional[str] = None) -> int:
-        held = super().pending(name)
+    def _in_flight(self, name: Optional[str]) -> int:
+        """Inbound rings still holding bytes — a "not yet quiet" signal
+        for ``pending()``, never an exact count; the wire counters are
+        the authoritative balance check."""
         with self._ring_lock:
-            for (__, dst), ring in self._in_rings.items():
-                if name is None or dst == name:
-                    # Bytes, not messages — only used as a "not yet
-                    # quiet" signal, never as an exact count; the wire
-                    # counters are the authoritative balance check.
-                    held += 1 if ring.pending_bytes() else 0
-        return held
+            return sum(1 for (__, dst), ring in self._in_rings.items()
+                       if (name is None or dst == name)
+                       and ring.pending_bytes())
 
     def close(self) -> None:
         self._pump_running = False

@@ -4,9 +4,15 @@ The paper's Pia nodes are separate JVM processes joined by RMI over the
 Internet; this transport mirrors that deployment shape inside one machine:
 each registered node owns a listening socket and a receiver thread, frames
 are length-prefixed binary codec frames (:mod:`repro.transport.codec`),
-and synchronous calls block on a correlation table.  An optional ``delay_scale`` injects a real ``sleep`` proportional
-to the link's modelled latency so wall-clock behaviour can be observed,
-scaled down to keep experiments tractable.
+and synchronous calls block on a cached per-link connection.  An optional
+``delay_scale`` injects a real ``sleep`` proportional to the link's
+modelled latency so wall-clock behaviour can be observed, scaled down to
+keep experiments tractable.
+
+What is sent, and in which order, is the shared pipeline's business
+(:class:`~repro.transport.pipeline.Transport`); this carrier adds the
+sockets, retry/evict, receiver threads and — frames arrive asynchronously
+here — wire counters, the epoch fence and fault-envelope filing at ingest.
 
 Failure handling: outbound connections are cached per directed link and
 guarded by a per-connection lock, so concurrent senders to different
@@ -23,75 +29,30 @@ exists to exercise the genuinely concurrent, multi-threaded deployment.
 
 from __future__ import annotations
 
-import itertools
 import os
 import socket
 import struct
 import threading
 import time as _time
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..core.errors import LinkDown, RemoteCallError, TransportError
-from ..core.fastcopy import is_immutable
 from ..faults.retry import RetryPolicy
-from ..observability import NULL_TELEMETRY, TraceKind
-from ..observability.spans import ensure_context, span_details
-from .accounting import NetworkAccounting
-from .batch import SendBatcher
+from ..observability import TraceKind
 from .codec import decode, decode_any, encode, encode_batch
 from .latency import SAME_HOST, LatencyModel
 from .message import BatchFrame, Message, MessageKind
+from .pipeline import (FAULT_FATES, CallHandler, Transport, file_fate,
+                       open_envelope)
 
 _LENGTH = struct.Struct("!I")
-
-#: Cross-process fault envelopes.  In a multiprocess deployment the fault
-#: injector's *decision* (drop/duplicate/delay/reorder, counted) happens in
-#: the sender's process, but the queues those decisions require (parked
-#: deliveries, swap slots, duplicate suppression) must live where the
-#: releasing poll happens — the destination's process.  The sender wraps
-#: the affected message in a CONTROL envelope telling the receiving
-#: transport's injector what to do with it on arrival.
-_FAULT_HOLD = "fault-hold"
-_FAULT_SWAP = "fault-swap"
-_FAULT_DUP = "fault-dup"
-_FAULT_TAGS = (_FAULT_HOLD, _FAULT_SWAP, _FAULT_DUP)
-
 
 #: Reply envelope for a synchronous call whose handler raised: the
 #: payload carries ``(_CALL_ERROR, exception type name, str(exc))`` and
 #: ``call()`` re-raises it as a typed :class:`RemoteCallError` instead of
 #: letting the connection die and the caller burn its retry budget.
 _CALL_ERROR = "call-error"
-
-
-def _open_call_error(message: Message):
-    """Return ``(type_name, text)`` for a call-error envelope, else None."""
-    if message.kind is not MessageKind.CONTROL:
-        return None
-    payload = message.payload
-    if (isinstance(payload, tuple) and len(payload) == 3
-            and payload[0] == _CALL_ERROR):
-        return payload[1], payload[2]
-    return None
-
-
-def _fault_envelope(tag: str, message: Message, ticks: int = 0) -> Message:
-    return Message(kind=MessageKind.CONTROL, src=message.src,
-                   dst=message.dst, channel=message.channel,
-                   time=message.time, payload=(tag, ticks, message),
-                   epoch=message.epoch)
-
-
-def _open_fault_envelope(message: Message):
-    """Return ``(tag, ticks, inner)`` for a fault envelope, else ``None``."""
-    if message.kind is not MessageKind.CONTROL:
-        return None
-    payload = message.payload
-    if (isinstance(payload, tuple) and len(payload) == 3
-            and payload[0] in _FAULT_TAGS):
-        return payload
-    return None
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -204,7 +165,7 @@ class _NodeEndpoint:
             # its ordering marker comes up.
             return
         injector = transport.fault_injector
-        opened = _open_fault_envelope(message)
+        opened = open_envelope(message, FAULT_FATES)
         with self.lock:
             # Epoch check, filing and wire-count happen under one lock so
             # a concurrent ``set_epoch`` (which takes every endpoint lock)
@@ -215,17 +176,10 @@ class _NodeEndpoint:
                 return
             if opened is not None:
                 tag, ticks, inner = opened
-                if injector is None:
-                    # No fault plane on this side: deliver the inner
-                    # message plainly rather than losing it.
-                    self.inbox.append(inner)
-                elif tag == _FAULT_HOLD:
-                    injector.hold(self.name, inner, ticks)
-                elif tag == _FAULT_SWAP:
-                    injector.hold_swap(inner.src, self.name, inner)
-                else:   # _FAULT_DUP: redundant copy of a duplicated send
-                    injector.expect_duplicate(self.name, inner.msg_id,
-                                              src=inner.src)
+                # No fault plane on this side: deliver the inner message
+                # plainly rather than losing it.
+                if injector is None or file_fate(injector, FAULT_FATES[tag],
+                                                 ticks, inner):
                     self.inbox.append(inner)
                 # Counted only after the message is filed somewhere
                 # visible (inbox or injector queue): the quiescence
@@ -264,33 +218,23 @@ class _Connection:
         self.lock = threading.Lock()
 
 
-class TcpTransport:
-    """Message passing between in-process nodes over real TCP sockets."""
+class TcpTransport(Transport):
+    """Message passing between in-process nodes over real TCP sockets.
+
+    Telemetry counter updates from receiver threads are advisory — a lost
+    tick under contention skews a statistic, never the simulation."""
 
     def __init__(self, *, default_model: LatencyModel = SAME_HOST,
                  delay_scale: float = 0.0,
                  retry_policy: Optional[RetryPolicy] = None,
                  batching: bool = False) -> None:
-        self.accounting = NetworkAccounting(default_model)
-        #: Multiply modelled link delay by this and really sleep (0 = off).
+        super().__init__(default_model=default_model, batching=batching)
         self.delay_scale = delay_scale
-        #: Coalesce per-destination sends into batch frames (opt-in).
-        self.batching = batching
-        self.batcher = SendBatcher()
-        #: ``(src, dst) -> [Message]`` hook filled by an executor: extra
-        #: safe-time grants to piggyback on an outgoing batch frame.
-        self.piggyback_provider = None
-        #: Per-transport-instance message id stream (stamped at the send
-        #: boundary).  Instance-local so two transports in one process —
-        #: or a forked child's inherited copy — never interleave one
-        #: global stream; ids only need to be unique per ``(src, id)``
-        #: within the duplicate-suppression window, which this gives.
-        self._msg_ids = itertools.count(1)
         #: Governs reconnect attempts for dead sockets *and* retries of
         #: injected drops when a fault plane is attached.
-        self.retry_policy = retry_policy or RetryPolicy()
+        if retry_policy is not None:
+            self.retry_policy = retry_policy
         self._endpoints: Dict[str, _NodeEndpoint] = {}
-        self._call_handlers: Dict[str, Callable[[Message], Message]] = {}
         self._conns: Dict[Tuple[str, str], _Connection] = {}
         #: Cached per-directed-link connections for synchronous calls,
         #: separate from the one-way data connections: a call holds its
@@ -317,12 +261,9 @@ class TcpTransport:
         #: bumps can lose updates and the quiescence balance check would
         #: then spin until its timeout.
         self.wire_lock = threading.Lock()
-        #: Migration epoch (see :meth:`set_epoch`).  Outgoing traffic is
-        #: stamped with it; arrivals stamped with an older epoch are
-        #: dropped at ingest so a rolled-back run never sees ghosts from
+        #: Frames dropped by the epoch fence at ingest (see
+        #: :meth:`set_epoch`): a rolled-back run never sees ghosts from
         #: the world it left.
-        self.epoch = 0
-        #: Frames dropped by the epoch fence (diagnostic).
         self.stale_epoch_drops = 0
         #: The process that owns the live sockets.  A transport that
         #: crosses a ``fork``/``spawn`` must not reuse inherited FDs —
@@ -332,16 +273,6 @@ class TcpTransport:
         #: Guards the connection *cache* only; frame writes serialise on
         #: each connection's own lock so independent links never contend.
         self._conn_lock = threading.Lock()
-        #: Telemetry sink (attach via :meth:`attach_telemetry`).  Counter
-        #: updates from receiver threads are advisory — a lost tick under
-        #: contention skews a statistic, never the simulation.
-        self.telemetry = NULL_TELEMETRY
-        #: Fault plane (attach via :meth:`attach_faults`).
-        self.fault_injector = None
-
-    def set_piggyback_provider(self, provider) -> None:
-        """Install the executor's grant source for batch flushes."""
-        self.piggyback_provider = provider
 
     def _wake(self) -> None:
         """Nudge a parked executor after an arrival (see wakeup_hook)."""
@@ -379,23 +310,6 @@ class TcpTransport:
             for endpoint in reversed(endpoints):
                 endpoint.lock.release()
 
-    def attach_telemetry(self, telemetry) -> None:
-        """Feed message traces and per-link counters to ``telemetry``."""
-        self.telemetry = telemetry
-        self.accounting.telemetry = telemetry
-        if self.fault_injector is not None:
-            self.fault_injector.telemetry = telemetry
-
-    def attach_faults(self, injector) -> None:
-        """Route every send/poll through ``injector``'s fault plane."""
-        self.fault_injector = injector
-        injector.telemetry = self.telemetry
-        self.retry_policy = injector.retry_policy
-
-    def attach_health(self, monitor) -> None:
-        """Feed per-link health estimators from the send/poll boundary."""
-        self.accounting.health = monitor
-
     # ------------------------------------------------------------------
     # child-process safety
     # ------------------------------------------------------------------
@@ -415,13 +329,7 @@ class TcpTransport:
         self._pid = os.getpid()
         # Only the calling thread survives a fork, so no other thread can
         # be mid-send; closing our dups never disturbs the parent's FDs.
-        conns, self._conns = self._conns, {}
-        call_conns, self._call_conns = self._call_conns, {}
-        for entry in list(conns.values()) + list(call_conns.values()):
-            try:
-                entry.sock.close()
-            except OSError:
-                pass
+        self._close_links()
         stale, self._endpoints = self._endpoints, {}
         for name, old in stale.items():
             old.running = False
@@ -450,14 +358,7 @@ class TcpTransport:
         be re-declared at its new home via :meth:`set_peer`)."""
         self._peers.pop(name, None)
         self.batcher.clear(name)
-        with self._conn_lock:
-            for cache in (self._conns, self._call_conns):
-                for key in [k for k in cache if name in k]:
-                    entry = cache.pop(key)
-                    try:
-                        entry.sock.close()
-                    except OSError:
-                        pass
+        self._close_links(name)
 
     def local_port(self, name: str) -> int:
         """The TCP port node ``name``'s local endpoint listens on."""
@@ -475,13 +376,14 @@ class TcpTransport:
             return peer
         raise TransportError(f"unknown destination node {dst!r}")
 
-    def _known(self, dst: str) -> bool:
-        return dst in self._endpoints or dst in self._peers
+    def _route(self, dst: str) -> Optional[bool]:
+        if dst in self._peers:
+            return True
+        return False if dst in self._endpoints else None
 
     # ------------------------------------------------------------------
     def register(self, name: str,
-                 call_handler: Optional[Callable[[Message], Message]] = None
-                 ) -> int:
+                 call_handler: Optional[CallHandler] = None) -> int:
         """Create the node's endpoint; returns its TCP port."""
         self._guard_process()
         if name in self._endpoints:
@@ -499,20 +401,10 @@ class TcpTransport:
             endpoint.close()
         self._call_handlers.pop(name, None)
         self.batcher.clear(name)
-        with self._conn_lock:
-            for cache in (self._conns, self._call_conns):
-                for key in [k for k in cache if name in k]:
-                    entry = cache.pop(key)
-                    try:
-                        entry.sock.close()
-                    except OSError:
-                        pass
+        self._close_links(name)
 
     def nodes(self) -> list:
         return sorted(self._endpoints)
-
-    def set_link(self, a: str, b: str, model: LatencyModel) -> None:
-        self.accounting.set_model(a, b, model)
 
     def close(self) -> None:
         """Tear down endpoints and connections and reset link state.
@@ -524,14 +416,7 @@ class TcpTransport:
         """
         for endpoint in self._endpoints.values():
             endpoint.close()
-        with self._conn_lock:
-            for cache in (self._conns, self._call_conns):
-                for entry in cache.values():
-                    try:
-                        entry.sock.close()
-                    except OSError:
-                        pass
-                cache.clear()
+        self._close_links()
         self._endpoints.clear()
         self._peers.clear()
         self.batcher.clear()
@@ -542,58 +427,42 @@ class TcpTransport:
         self.stale_epoch_drops = 0
 
     # ------------------------------------------------------------------
-    def _connection(self, src: str, dst: str) -> _Connection:
-        key = (src, dst)
+    def _close_links(self, name: Optional[str] = None) -> None:
+        """Close and forget the cached connections of every link touching
+        node ``name`` (default: all of them)."""
         with self._conn_lock:
-            entry = self._conns.get(key)
+            for cache in (self._conns, self._call_conns):
+                for key in [k for k in cache if name is None or name in k]:
+                    try:
+                        cache.pop(key).sock.close()
+                    except OSError:
+                        pass
+
+    def _connection(self, cache: dict, src: str, dst: str) -> _Connection:
+        """The cached connection of one directed link in ``cache`` (the
+        one-way or the request/response table), dialled on first use."""
+        with self._conn_lock:
+            entry = cache.get((src, dst))
             if entry is None:
                 sock = socket.create_connection(self._address_of(dst),
                                                 timeout=10.0)
-                entry = _Connection(sock)
-                self._conns[key] = entry
-            return entry
-
-    def _evict(self, src: str, dst: str, entry: _Connection) -> None:
-        """Drop a dead cached connection so the next attempt reconnects."""
-        with self._conn_lock:
-            if self._conns.get((src, dst)) is entry:
-                del self._conns[(src, dst)]
-        try:
-            entry.sock.close()
-        except OSError:
-            pass
-        if self.telemetry.enabled:
-            self.telemetry.count("transport.evictions")
-
-    def _call_connection(self, src: str, dst: str) -> _Connection:
-        """The cached request/response connection for one directed link."""
-        key = (src, dst)
-        with self._conn_lock:
-            entry = self._call_conns.get(key)
-            if entry is None:
-                sock = socket.create_connection(self._address_of(dst),
-                                                timeout=10.0)
-                entry = _Connection(sock)
-                self._call_conns[key] = entry
-                if self.telemetry.enabled:
+                entry = cache[(src, dst)] = _Connection(sock)
+                if cache is self._call_conns and self.telemetry.enabled:
                     self.telemetry.count("transport.call_connects")
             return entry
 
-    def _evict_call(self, src: str, dst: str, entry: _Connection) -> None:
+    def _evict(self, cache: dict, src: str, dst: str,
+               entry: _Connection) -> None:
+        """Drop a dead cached connection so the next attempt reconnects."""
         with self._conn_lock:
-            if self._call_conns.get((src, dst)) is entry:
-                del self._call_conns[(src, dst)]
+            if cache.get((src, dst)) is entry:
+                del cache[(src, dst)]
         try:
             entry.sock.close()
         except OSError:
             pass
         if self.telemetry.enabled:
             self.telemetry.count("transport.evictions")
-
-    def _charge(self, src: str, dst: str, size: int) -> None:
-        delay = self.accounting.record(src, dst, size)
-        if self.delay_scale > 0:
-            _time.sleep(delay * self.delay_scale)
 
     def _dispatch_call(self, name: str, message: Message) -> Message:
         handler = self._call_handlers.get(name)
@@ -615,297 +484,98 @@ class TcpTransport:
                             attempt=retry_index + 1, seq=seq)
         _time.sleep(self.retry_policy.backoff(retry_index, u))
 
-    def _send_reliable(self, src: str, dst: str, blob: bytes,
-                       time: float) -> None:
-        """Write one frame, reconnecting through dead cached sockets."""
-        policy = self.retry_policy
-        attempt = 0
-        start = _time.monotonic()
-        while True:
-            entry = None
-            try:
-                entry = self._connection(src, dst)
-                with entry.lock:
-                    _send_frame(entry.sock, blob)
-                return
-            except (ConnectionError, OSError) as exc:
-                if entry is not None:
-                    self._evict(src, dst, entry)
-                attempt += 1
-                exhausted = (attempt >= policy.max_attempts
-                             or _time.monotonic() - start >= policy.deadline)
-                if exhausted:
-                    raise LinkDown(
-                        f"link {src}->{dst}: send failed after {attempt} "
-                        f"attempt(s): {exc}", src=src, dst=dst,
-                        attempts=attempt) from exc
-                self._retry_sleep(src, dst, attempt - 1, time, None)
-
-    # ------------------------------------------------------------------
-    def send(self, message: Message) -> float:
-        self._guard_process()
-        if message.msg_id == 0:
-            message.msg_id = next(self._msg_ids)
-        message.epoch = self.epoch
-        if self.telemetry.enabled:
-            # Mint before the fault plane decides the fate: duplicates,
-            # delays and retries all re-encode this message, so every
-            # copy crossing the wire carries the original send's span.
-            ensure_context(self.telemetry, message)
-        injector = self.fault_injector
-        remote = message.dst in self._peers
-        action, ticks = "deliver", 0
-        if injector is not None:
-            action, ticks = injector.on_send(message)
-            if action == "lost":
-                return 0.0
-        if self.batching and action in ("deliver", "duplicate"):
-            # Queue for the next flush.  Mutable payloads are isolated
-            # through a pickle round trip now so a sender mutating its
-            # object between enqueue and flush cannot change what ships;
-            # immutable payloads are enqueued as-is (copy elision).
-            if is_immutable(message.payload):
-                member = message
-            else:
-                member = decode(encode(message))
-            if not self._known(message.dst):
-                raise TransportError(
-                    f"unknown destination node {message.dst!r}")
-            telemetry = self.telemetry
-            if telemetry.enabled:
-                telemetry.trace(TraceKind.MSG_SEND, time=message.time,
-                                subject=f"{message.src}->{message.dst}",
-                                message_kind=message.kind.value, batched=True,
-                                **span_details(message.trace))
-            self.batcher.enqueue(message.src, message.dst, member)
-            if action == "duplicate":
-                if remote:
-                    # Redundant copy rides behind the original; the
-                    # receiver marks the msg_id for exactly-once delivery.
-                    self.batcher.enqueue(message.src, message.dst,
-                                         _fault_envelope(_FAULT_DUP, member))
-                else:
-                    self.batcher.enqueue(message.src, message.dst, member)
-                    injector.expect_duplicate(message.dst, member.msg_id,
-                                               src=member.src)
-            if injector is not None:
-                late = injector.take_swaps(message.src, message.dst)
-                if late:
-                    self.batcher.extend(message.src, message.dst, late)
-            return 0.0
-        blob = encode(message)
-        self._charge(message.src, message.dst, len(blob))
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.trace(TraceKind.MSG_SEND, time=message.time,
-                            subject=f"{message.src}->{message.dst}",
-                            message_kind=message.kind.value, bytes=len(blob),
-                            **span_details(message.trace))
-        if action == "delay":
-            if remote:
-                self._send_reliable(
-                    message.src, message.dst,
-                    encode(_fault_envelope(_FAULT_HOLD, decode(blob), ticks)),
-                    message.time)
-                with self.wire_lock:
-                    self.wire_out += 1
-            else:
-                injector.hold(message.dst, decode(blob), ticks)
-            return 0.0
-        if action == "reorder":
-            if remote:
-                self._send_reliable(
-                    message.src, message.dst,
-                    encode(_fault_envelope(_FAULT_SWAP, decode(blob))),
-                    message.time)
-                with self.wire_lock:
-                    self.wire_out += 1
-            else:
-                injector.hold_swap(message.src, message.dst, decode(blob))
-            return 0.0
-        self._send_reliable(message.src, message.dst, blob, message.time)
-        with self.wire_lock:
-            self.wire_out += 1
-        if action == "duplicate":
-            self._charge(message.src, message.dst, len(blob))
-            if remote:
-                self._send_reliable(
-                    message.src, message.dst,
-                    encode(_fault_envelope(_FAULT_DUP, decode(blob))),
-                    message.time)
-            else:
-                self._send_reliable(message.src, message.dst, blob,
-                                    message.time)
-                injector.expect_duplicate(message.dst, message.msg_id,
-                                           src=message.src)
-            with self.wire_lock:
-                self.wire_out += 1
-        if injector is not None:
-            for late in injector.take_swaps(message.src, message.dst):
-                self._send_reliable(message.src, message.dst, encode(late),
-                                    message.time)
-                with self.wire_lock:
-                    self.wire_out += 1
-        return 0.0
-
-    def flush_batches(self, *, src: Optional[str] = None,
-                      dst: Optional[str] = None) -> int:
-        """Ship matching queued batches: one frame, one ``sendall``, one
-        latency charge per non-empty link.  Returns the number of logical
-        messages flushed."""
-        if not self.batching:
-            return 0
-        self._guard_process()
-        flushed = 0
-        provider = self.piggyback_provider
-        telemetry = self.telemetry
-        for (s, d), members in self.batcher.take(src=src, dst=dst):
-            if not self._known(d):
-                continue    # destination unregistered after enqueue
-            grants = provider(s, d) if provider is not None else []
-            blob = encode_batch(BatchFrame(s, d, members, grants,
-                                           epoch=self.epoch))
-            delay = self.accounting.record_frame(s, d, len(blob),
-                                                 len(members))
-            if self.delay_scale > 0:
-                _time.sleep(delay * self.delay_scale)
-            if telemetry.enabled and grants:
-                telemetry.count("safetime.piggyback_sent", len(grants))
-            self._send_reliable(s, d, blob, members[-1].time)
-            with self.wire_lock:
-                self.wire_out += len(members) + len(grants)
-            flushed += len(members)
-        return flushed
-
-    def push_grants(self, src: str, dst: str,
-                    grants: List[Message]) -> bool:
-        """Ship a standalone grant-only frame ``src``→``dst`` — one frame
-        instead of the stalled peer's two-frame request round trip."""
-        if not self.batching or not grants:
-            return False
-        if not self._known(dst):
-            return False
-        blob = encode_batch(BatchFrame(src, dst, [], list(grants),
-                                       epoch=self.epoch))
-        delay = self.accounting.record_frame(src, dst, len(blob), 0)
-        if self.delay_scale > 0:
-            _time.sleep(delay * self.delay_scale)
-        self._send_reliable(src, dst, blob, grants[-1].time)
-        with self.wire_lock:
-            self.wire_out += len(grants)
-        return True
-
-    def call(self, message: Message) -> Message:
-        """Blocking request/response over a cached per-link connection.
+    def _reliably(self, cache: dict, src: str, dst: str, time: float,
+                  seq: Optional[str],
+                  exchange: Callable[[socket.socket], object]):
+        """Run ``exchange(sock)`` under the link's connection lock
+        (``seq`` labels the retry traces: ``"call"`` or None for a send).
 
         Connection failures (refused, reset, peer gone) evict the cached
         connection and are retried per the retry policy; exhaustion
         raises :class:`LinkDown` so callers never see a raw socket error
-        for a dead peer.  A reply reporting that the *handler* raised is
-        re-raised as :class:`RemoteCallError` — the link is fine, so no
-        retries are burned on it.
+        for a dead peer.
         """
-        self._guard_process()
-        if message.msg_id == 0:
-            message.msg_id = next(self._msg_ids)
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            ensure_context(telemetry, message)
-        if self.fault_injector is not None:
-            self.fault_injector.check_call(message)
-        if self.batching:
-            # A call is a synchronisation point on this link: queued
-            # traffic either way lands first, as in the unbatched run.
-            self.flush_batches(src=message.src, dst=message.dst)
-            self.flush_batches(src=message.dst, dst=message.src)
-        blob = encode(message)
-        self._charge(message.src, message.dst, len(blob))
-        if telemetry.enabled and message.trace is not None:
-            telemetry.trace(TraceKind.MSG_SEND, time=message.time,
-                            subject=f"{message.src}->{message.dst}",
-                            message_kind=message.kind.value, bytes=len(blob),
-                            call=True, **span_details(message.trace))
         policy = self.retry_policy
         attempt = 0
         start = _time.monotonic()
         while True:
             entry = None
             try:
-                entry = self._call_connection(message.src, message.dst)
+                entry = self._connection(cache, src, dst)
                 with entry.lock:
-                    _send_frame(entry.sock, blob)
-                    reply = decode(_recv_frame(entry.sock))
-                break
+                    return exchange(entry.sock)
             except (ConnectionError, OSError) as exc:
                 if entry is not None:
-                    self._evict_call(message.src, message.dst, entry)
+                    self._evict(cache, src, dst, entry)
                 attempt += 1
                 exhausted = (attempt >= policy.max_attempts
                              or _time.monotonic() - start >= policy.deadline)
                 if exhausted:
                     raise LinkDown(
-                        f"call {message.src}->{message.dst} failed after "
-                        f"{attempt} attempt(s): {exc}", src=message.src,
-                        dst=message.dst, attempts=attempt) from exc
-                self._retry_sleep(message.src, message.dst, attempt - 1,
-                                  message.time, "call")
-        error = _open_call_error(reply)
-        if error is not None:
-            remote_type, text = error
-            raise RemoteCallError(
-                f"call {message.src}->{message.dst} "
-                f"({message.kind.value}) failed in the remote handler: "
-                f"{remote_type}: {text}", src=message.src, dst=message.dst,
-                remote_type=remote_type)
-        self._charge(message.dst, message.src, len(encode(reply)))
-        if telemetry.enabled:
-            telemetry.trace(TraceKind.MSG_RECV, time=reply.time,
-                            subject=f"{message.dst}->{message.src}",
-                            message_kind=reply.kind.value, call=True,
-                            **span_details(reply.trace))
-        return reply
+                        f"link {src}->{dst}: {seq or 'send'} failed after "
+                        f"{attempt} attempt(s): {exc}", src=src, dst=dst,
+                        attempts=attempt) from exc
+                self._retry_sleep(src, dst, attempt - 1, time, seq)
 
-    def poll(self, name: str, *, limit: Optional[int] = None) -> List[Message]:
+    def _send_reliable(self, src: str, dst: str, blob: bytes,
+                       time: float) -> None:
+        """Write one frame, reconnecting through dead cached sockets."""
+        self._reliably(self._conns, src, dst, time, None,
+                       lambda sock: _send_frame(sock, blob))
+
+    # ------------------------------------------------------------------
+    # carrier hooks
+    # ------------------------------------------------------------------
+    def _pack(self, message: Message) -> Tuple[bytes, int]:
+        blob = encode(message)
+        return blob, len(blob)
+
+    def _pack_frame(self, frame: BatchFrame) -> Tuple[bytes, int]:
+        blob = encode_batch(frame)
+        return blob, len(blob)
+
+    def _open(self, parcel: bytes) -> Message:
+        return decode(parcel)
+
+    def _ship(self, src: str, dst: str, parcel: bytes, time: float,
+              count: int) -> None:
+        self._guard_process()
+        self._send_reliable(src, dst, parcel, time)
+        with self.wire_lock:
+            self.wire_out += count
+
+    def _inbox(self, name: str):
         self._guard_process()
         endpoint = self._endpoints.get(name)
         if endpoint is None:
             raise TransportError(f"unknown node {name!r}")
-        if self.batching:
-            # Flush traffic bound for this node; frames arrive via the
-            # receiver thread, so they may only be drained by a later
-            # poll — the polling loops already spin until quiescent.
-            self.flush_batches(dst=name)
-        injector = self.fault_injector
-        drained: List[Message] = []
-        with endpoint.lock:
-            if injector is not None:
-                endpoint.inbox.extend(injector.release_due(name))
-            while endpoint.inbox and (limit is None or len(drained) < limit):
-                message = endpoint.inbox.popleft()
-                if injector is not None and \
-                        injector.suppress_duplicate(name, message):
-                    continue
-                drained.append(message)
-        health = self.accounting.health
-        if health is not None:
-            health.on_poll(name, len(drained))
-        telemetry = self.telemetry
-        if telemetry.enabled and drained:
-            for message in drained:
-                telemetry.trace(TraceKind.MSG_RECV, time=message.time,
-                                subject=f"{message.src}->{message.dst}",
-                                message_kind=message.kind.value,
-                                **span_details(message.trace))
-        return drained
+        return endpoint.inbox, endpoint.lock
 
-    def pending(self, name: Optional[str] = None) -> int:
-        held = self.batcher.pending(name)
-        if self.fault_injector is not None:
-            held += self.fault_injector.held_pending(name)
-        if name is not None:
-            endpoint = self._endpoints.get(name)
-            return (len(endpoint.inbox) if endpoint else 0) + held
-        return sum(len(e.inbox) for e in self._endpoints.values()) + held
+    def _round_trip(self, message: Message,
+                    parcel: bytes) -> Tuple[Message, int]:
+        """Blocking request/response over the link's cached call
+        connection.  A reply reporting that the *handler* raised is
+        re-raised as :class:`RemoteCallError` — the link is fine, so no
+        retries are burned on it."""
+        self._guard_process()
+        src, dst = message.src, message.dst
+
+        def exchange(sock: socket.socket) -> bytes:
+            _send_frame(sock, parcel)
+            return _recv_frame(sock)
+
+        blob = self._reliably(self._call_conns, src, dst, message.time,
+                              "call", exchange)
+        reply = decode(blob)
+        error = open_envelope(reply, (_CALL_ERROR,))
+        if error is not None:
+            __, remote_type, text = error
+            raise RemoteCallError(
+                f"call {src}->{dst} "
+                f"({message.kind.value}) failed in the remote handler: "
+                f"{remote_type}: {text}", src=src, dst=dst,
+                remote_type=remote_type)
+        return reply, len(blob)
 
     def wire_balanced(self) -> bool:
         """True when every counted send has been ingested at some endpoint.
@@ -920,18 +590,6 @@ class TcpTransport:
         """
         with self.wire_lock:
             return self.wire_out == self.wire_in
-
-    def flush(self) -> int:
-        """Drop every undelivered message (rollback support)."""
-        dropped = 0
-        for endpoint in self._endpoints.values():
-            with endpoint.lock:
-                dropped += len(endpoint.inbox)
-                endpoint.inbox.clear()
-        dropped += self.batcher.clear()
-        if self.fault_injector is not None:
-            dropped += self.fault_injector.flush()
-        return dropped
 
     def __enter__(self) -> "TcpTransport":
         return self

@@ -1,15 +1,14 @@
-"""Binary wire codec: round-trips, hostile input, cross-transport parity.
+"""Binary wire codec: round-trips and hostile input.
 
-Three layers of assurance:
+Two layers of assurance (the cross-carrier one — the same traffic decodes
+identically off all three data planes — lives in ``test_pipeline.py``):
 
 * every :class:`MessageKind` and every payload shape the protocol
   actually sends round-trips bit-faithfully (including the pickle
   fallback for payloads the codec has no schema for),
 * hostile bytes — truncations, random corruption, stale pickle frames,
   future codec versions, absurd container counts — always surface as
-  :class:`TransportError`, never as a hang or a foreign exception,
-* the same traffic decoded off the in-memory, TCP and shared-memory
-  transports is identical message-for-message.
+  :class:`TransportError`, never as a hang or a foreign exception.
 """
 
 import math
@@ -326,91 +325,3 @@ class TestHostileInput:
                 except TransportError:
                     continue
                 assert isinstance(decoded, (Message, BatchFrame))
-
-
-class TestCrossTransportEquivalence:
-    """The same traffic crosses the in-memory, TCP and shared-memory
-    data planes and decodes identically on the far side."""
-
-    TRAFFIC = [
-        ("engine", "clk", 1),
-        ("engine", "clk", 2.5),
-        ("engine", "bus", "väl-υε"),
-        ("engine", "bus", b"\x00\x80\xff"),
-        ("engine", "bus", ("nested", [1, None], {"k": True})),
-        ("engine", "bus", complex(2, 3)),          # pickle fallback
-    ]
-
-    def _sends(self):
-        return [Message(MessageKind.SIGNAL, "a", "b", channel="ch",
-                        time=float(index), payload=payload)
-                for index, payload in enumerate(self.TRAFFIC)]
-
-    @staticmethod
-    def _comparable(message):
-        return (message.kind, message.src, message.dst, message.channel,
-                message.time, message.payload, message.msg_id,
-                message.epoch)
-
-    def _via_inmemory(self):
-        from repro.transport import InMemoryTransport
-        transport = InMemoryTransport()
-        transport.register("a")
-        transport.register("b")
-        for message in self._sends():
-            transport.send(message)
-        return transport.poll("b")
-
-    def _via_tcp(self):
-        from repro.transport import TcpTransport
-        with TcpTransport() as transport:
-            transport.register("a")
-            transport.register("b")
-            for message in self._sends():
-                transport.send(message)
-            return _poll_until(transport, "b", len(self.TRAFFIC))
-
-    def _via_shm(self):
-        from repro.transport.shm import (SharedMemoryTransport,
-                                         create_ring_segment)
-        t_a = SharedMemoryTransport()
-        t_b = SharedMemoryTransport()
-        segment = create_ring_segment(64 * 1024)
-        try:
-            t_a.register("a")
-            t_b.register("b")
-            t_a.set_peer("b", t_b.local_port("b"))
-            t_b.set_peer("a", t_a.local_port("a"))
-            t_a.attach_outbound_ring("a", "b", segment.name)
-            t_b.attach_inbound_ring("a", "b", segment.name)
-            for message in self._sends():
-                t_a.send(message)
-            return _poll_until(t_b, "b", len(self.TRAFFIC))
-        finally:
-            t_a.close()
-            t_b.close()
-            segment.close()
-            segment.unlink()
-
-    def test_all_three_data_planes_decode_identically(self):
-        inmemory = [self._comparable(m) for m in self._via_inmemory()]
-        tcp = [self._comparable(m) for m in self._via_tcp()]
-        shm = [self._comparable(m) for m in self._via_shm()]
-        assert len(inmemory) == len(self.TRAFFIC)
-        assert inmemory == tcp == shm
-        # The wire really deep-copied: payload values *and* exact types
-        # survive intact (time doubles as the send index).
-        for row in tcp:
-            sent = self.TRAFFIC[int(row[4])]
-            assert row[5] == sent
-            assert type(row[5][2]) is type(sent[2])
-
-
-def _poll_until(transport, name, count, timeout=5.0):
-    collected = []
-    deadline = _time.monotonic() + timeout
-    while len(collected) < count and _time.monotonic() < deadline:
-        collected.extend(transport.poll(name))
-        _time.sleep(0.002)
-    assert len(collected) >= count, f"only {len(collected)}/{count} arrived"
-    return collected
