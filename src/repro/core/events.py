@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from heapq import heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterator, Optional
 
 from .errors import CausalityError
@@ -64,7 +64,7 @@ class Event:
     mutates a constructed event.
     """
 
-    __slots__ = ("ts", "kind", "target", "payload", "token", "cause")
+    __slots__ = ("ts", "kind", "code", "target", "payload", "token", "cause")
 
     def __init__(self, ts: Timestamp, kind: EventKind, target: Any,
                  payload: Any = None, token: Optional[int] = None,
@@ -75,6 +75,9 @@ class Event:
             ts = Timestamp(float(ts))
         self.ts = ts
         self.kind = kind
+        #: Dense :class:`EventKind` index the dispatch table is keyed by —
+        #: stored, so the run loop reads it as on the native type.
+        self.code = kind.code
         self.target = target
         self.payload = payload
         #: An opaque token a blocked component uses to recognise its
@@ -100,11 +103,6 @@ class Event:
     def seq(self) -> int:
         """Queue sequence number of this event (``ts.seq``)."""
         return self.ts.seq
-
-    @property
-    def code(self) -> int:
-        """Dense :class:`EventKind` index used by the dispatch table."""
-        return self.kind.code
 
     def at(self, ts: Timestamp) -> "Event":
         """Return a copy of this event rescheduled to ``ts``."""
@@ -140,12 +138,14 @@ class Event:
         return f"Event({', '.join(parts)})"
 
     def __getstate__(self):
+        # ``code`` is derived from ``kind`` and stays out of the pickle.
         return (self.ts, self.kind, self.target, self.payload,
                 self.token, self.cause)
 
     def __setstate__(self, state) -> None:
         (self.ts, self.kind, self.target, self.payload,
          self.token, self.cause) = state
+        self.code = self.kind.code
 
 
 class EventQueue:
@@ -191,6 +191,20 @@ class EventQueue:
             raise IndexError("pop from an empty event queue")
         return heapq.heappop(self._heap)[1]
 
+    def pop_ready(self, bound: float) -> Optional[Event]:
+        """Remove and return the earliest event iff its time is ``<= bound``.
+
+        ``None`` when the head lies past ``bound`` or the queue is empty:
+        the scheduler's one question — "which event is next and may it
+        run" — answered in one call, without exposing the heap.
+        """
+        heap = self._heap
+        # ``not >`` rather than ``<=``: a NaN bound holds nothing back,
+        # as on the C queue.
+        if heap and not heap[0][0].time > bound:
+            return heappop(heap)[1]
+        return None
+
     def peek(self) -> Optional[Event]:
         """Return the earliest event without removing it, or ``None``."""
         return self._heap[0][1] if self._heap else None
@@ -203,16 +217,12 @@ class EventQueue:
         """Drop every queued event matching ``predicate``; return the count.
 
         Used by rollback recovery to cancel events scheduled after a
-        restored checkpoint.  Mutates the heap in place: the scheduler's
-        run loop holds a direct reference to it, and a rollback fired
-        from a CONTROL dispatch must edit the very list that loop is
-        draining.
+        restored checkpoint.
         """
-        heap = self._heap
-        kept = [entry for entry in heap if not predicate(entry[1])]
-        removed = len(heap) - len(kept)
-        heap[:] = kept
-        heapq.heapify(heap)
+        kept = [entry for entry in self._heap if not predicate(entry[1])]
+        removed = len(self._heap) - len(kept)
+        heapq.heapify(kept)
+        self._heap = kept
         return removed
 
     def snapshot(self) -> list[Event]:
@@ -220,13 +230,10 @@ class EventQueue:
         return [entry[1] for entry in sorted(self._heap)]
 
     def restore(self, events: list[Event]) -> None:
-        """Replace the queue contents with ``events`` (stamps preserved).
-
-        In place, for the same reason as :meth:`remove_if`.
-        """
-        heap = self._heap
-        heap[:] = [(event.ts, event) for event in events]
+        """Replace the queue contents with ``events`` (stamps preserved)."""
+        heap = [(event.ts, event) for event in events]
         heapq.heapify(heap)
+        self._heap = heap
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.snapshot())
@@ -241,10 +248,6 @@ PythonEventQueue = EventQueue
 from .. import _native  # noqa: E402  (after the pure definitions — the
 #                         C module's init imports this package's siblings)
 
-#: True when the module-level ``Event``/``EventQueue`` are the compiled
-#: types; the scheduler selects its run loop on this flag.
-NATIVE_EVENTS = _native.core is not None
-
-if NATIVE_EVENTS:
+if _native.core is not None:
     Event = _native.core.Event          # type: ignore[misc, assignment]
     EventQueue = _native.core.EventQueue  # type: ignore[misc, assignment]

@@ -13,24 +13,23 @@ effect — total control over execution order — falls out of running
 component generators inline from a single dispatch loop.
 
 The dispatch loop is the hottest code in the tree (every signal, wake
-and control callback in every subsystem flows through it), so it is
-written flat: a precomputed per-kind handler table instead of an
-``if``/``elif`` chain, loop-invariant attribute lookups hoisted into
-locals, the heap drained directly (the queue mutates it in place, so
-the local binding stays valid across mid-run rollbacks), and the traced
-path split out so a telemetry-off run touches no telemetry state at
-all.
+and control callback in every subsystem flows through it), so it exists
+once (:meth:`Scheduler.run`) and is written flat: a precomputed per-kind
+handler table instead of an ``if``/``elif`` chain, loop-invariant
+attribute lookups hoisted into locals, one ``pop_ready(bound)`` queue
+call per event for "is the head due, and if so hand it over", and the
+traced path split out so a telemetry-off run touches no telemetry state
+at all.
 """
 
 from __future__ import annotations
 
-from heapq import heappop
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..observability import NULL_TELEMETRY, TraceKind
 from ..observability.flight import STRIDE_MASK as _FLIGHT_MASK
 from .errors import CausalityError, SimulationError
-from .events import NATIVE_EVENTS, Event, EventKind, EventQueue
+from .events import Event, EventKind, EventQueue
 
 if TYPE_CHECKING:  # pragma: no cover
     from .component import Component
@@ -59,7 +58,7 @@ class Scheduler:
         #: Telemetry sink; the owning Simulator/CoSimulation attaches a
         #: live one via Subsystem.attach_telemetry.
         self.telemetry = NULL_TELEMETRY
-        #: Per-kind dispatch table, indexed by ``EventKind.code``: one
+        #: Per-kind dispatch table, indexed by ``Event.code``: one
         #: tuple index replaces the old ``if``/``elif`` kind chain (and
         #: avoids hashing an enum member) on every event.
         table = {
@@ -92,27 +91,8 @@ class Scheduler:
     # ------------------------------------------------------------------
     def step(self) -> Optional[Event]:
         """Dispatch the earliest event; returns it, or ``None`` when idle."""
-        queue = self.queue
-        if not queue:
-            return None
-        event = queue.pop()
-        time = event.time
-        if time < self.now:
-            raise CausalityError(
-                f"{self.subsystem.name}: event at {time:g} popped "
-                f"after subsystem time reached {self.now:g}")
-        self.now = time
-        if self.telemetry.enabled:
-            self._dispatch_traced(event)
-        else:
-            self._handlers[event.kind.code](event)
-            self.dispatched += 1
-        flight = self.telemetry.flight
-        if flight.enabled:
-            flight.tick_dispatch(self.subsystem.name, time)
-        for hook in self.post_step_hooks:
-            hook(event)
-        return event
+        event = self.queue.peek()
+        return event if self.run(max_events=1) else None
 
     def _dispatch_traced(self, event: Event) -> None:
         """The telemetry-on dispatch path (split out of the hot loop)."""
@@ -121,7 +101,7 @@ class Scheduler:
         # event's cause; cleared even on a straggler abort.
         telemetry.cause = event.cause
         try:
-            self._handlers[event.kind.code](event)
+            self._handlers[event.code](event)
         finally:
             telemetry.cause = None
         self.dispatched += 1
@@ -137,7 +117,7 @@ class Scheduler:
                             event=event.kind.value)
 
     def _record_stall(self, next_time: float, limit: float) -> None:
-        """Account one horizon stall (shared by both run-loop backends)."""
+        """Account one horizon stall (the run loop's cold exit)."""
         self.stalls += 1
         telemetry = self.telemetry
         flight = telemetry.flight
@@ -163,9 +143,9 @@ class Scheduler:
                     horizon=limit,
                     next_event=next_time)
 
-    def _run_pure(self, until: float = float("inf"), *,
-                  horizon=float("inf"),
-                  max_events: Optional[int] = None) -> int:
+    def run(self, until: float = float("inf"), *,
+            horizon=float("inf"),
+            max_events: Optional[int] = None) -> int:
         """Dispatch events while they fall at or before ``min(until, horizon)``.
 
         ``until`` is the caller's end-of-simulation bound; ``horizon`` is a
@@ -173,159 +153,66 @@ class Scheduler:
         2.2.2.1) — either a number or a zero-argument callable re-evaluated
         before every dispatch, because sending on a channel can *shrink*
         the safe horizon mid-run (the echo bound).  Stopping at the horizon
-        while work remains counts as a stall.  Returns the number of events
-        dispatched.
+        while work remains counts as a stall: the queue is non-empty and
+        its head lies past the horizon but within ``until``.  ``max_events``
+        caps the dispatches of this call (``<= 0`` dispatches nothing); the
+        bound is checked ahead of the cap, so a capped run parked at its
+        horizon still counts the stall, and an empty queue never does.
+        Returns the number of events dispatched.
+
+        This is the only dispatch loop — :meth:`step`, both event-queue
+        backends and every argument shape run it.  The queue answers
+        "next ready event" through ``pop_ready(bound)``; nothing here
+        knows what data structure is behind that.
         """
-        horizon_fn = horizon if callable(horizon) else None
+        if callable(horizon):
+            horizon_fn = horizon
+            limit = bound = until       # both re-read before every dispatch
+        else:
+            horizon_fn = None
+            limit = horizon
+            bound = until if until < horizon else horizon
+        # -1 is a cap no dispatch count reaches; ``!=`` against a small
+        # int is the cheapest per-event test CPython offers.
+        cap = -1 if max_events is None else max(max_events, 0)
         count = 0
         # Hot loop: every loop-invariant attribute access is hoisted.
-        # ``heap`` is the queue's own list — EventQueue mutates it in
-        # place, so the binding survives a rollback triggered from a
-        # CONTROL dispatch mid-run.  ``hooks`` is likewise the live list.
-        heap = self.queue._heap
-        handlers = self._handlers
-        hooks = self.post_step_hooks
-        telemetry = self.telemetry
-        traced = telemetry.enabled
-        # The flight recorder (always-on black box) samples every
-        # STRIDE-th dispatch: the hot loop only ticks a *local* counter
-        # and masks it — written back once, in the finally, so a
-        # CausalityError still leaves the count consistent.
-        flight = telemetry.flight
-        flight_on = flight.enabled
-        fseq = flight.dispatch_seq
-        static_bound = (until if horizon_fn is not None
-                        else until if until < horizon else horizon)
-        try:
-            while heap:
-                if horizon_fn is not None:
-                    limit = horizon_fn()
-                    bound = until if until < limit else limit
-                else:
-                    limit = horizon
-                    bound = static_bound
-                next_time = heap[0][0].time
-                if next_time > bound:
-                    if next_time <= until and limit < until:
-                        self._record_stall(next_time, limit)
-                    break
-                if max_events is not None and count >= max_events:
-                    break
-                # Inlined step(): pop, advance time, dispatch.
-                event = heappop(heap)[1]
-                if next_time < self.now:
-                    raise CausalityError(
-                        f"{self.subsystem.name}: event at {next_time:g} "
-                        f"popped after subsystem time reached {self.now:g}")
-                self.now = next_time
-                if traced:
-                    self._dispatch_traced(event)
-                else:
-                    handlers[event.kind.code](event)
-                    self.dispatched += 1
-                if hooks:
-                    for hook in hooks:
-                        hook(event)
-                count += 1
-                if flight_on:
-                    fseq += 1
-                    if not (fseq & _FLIGHT_MASK):
-                        flight.note("dispatch", self.subsystem.name,
-                                    time=next_time, seq=fseq)
-        finally:
-            if flight_on:
-                flight.dispatch_seq = fseq
-        return count
-
-    def _run_native(self, until: float = float("inf"), *,
-                    horizon=float("inf"),
-                    max_events: Optional[int] = None) -> int:
-        """The run loop over the native :class:`EventQueue`.
-
-        Same contract and same observable behaviour as :meth:`_run_pure`
-        (stall accounting included), but built around the queue's
-        combined ``pop_ready(bound)`` C call — one native call per event
-        replaces the peek/compare/pop triple.  The pure loop's direct
-        ``_heap`` access does not exist on the C type, hence the split;
-        which implementation backs :meth:`run` is decided once, at
-        import time, by ``NATIVE_EVENTS``.
-        """
-        horizon_fn = horizon if callable(horizon) else None
-        count = 0
+        # ``hooks`` is the live list, so a hook added mid-run takes part.
         queue = self.queue
         pop_ready = queue.pop_ready
         handlers = self._handlers
         hooks = self.post_step_hooks
         telemetry = self.telemetry
         traced = telemetry.enabled
-        # Flight recorder: same local-counter stride sampling as the
-        # pure loop — a masked integer test per event, one write-back.
+        # The flight recorder (always-on black box) samples every
+        # STRIDE-th dispatch: the loop only ticks a *local* counter and
+        # masks it — written back once, in the finally, so a
+        # CausalityError still leaves the count consistent.
         flight = telemetry.flight
         flight_on = flight.enabled
         fseq = flight.dispatch_seq
-        name = self.subsystem.name
-        if max_events is None and horizon_fn is None:
-            # Hot path: static bound, no event cap — one C call decides
-            # "done or next event" per iteration.
-            bound = until if until < horizon else horizon
-            try:
-                while True:
-                    event = pop_ready(bound)
-                    if event is None:
-                        if queue:
-                            next_time = queue.next_time()
-                            if next_time <= until and horizon < until:
-                                self._record_stall(next_time, horizon)
-                        break
-                    time = event.time
-                    if time < self.now:
-                        raise CausalityError(
-                            f"{name}: event at {time:g} popped after "
-                            f"subsystem time reached {self.now:g}")
-                    self.now = time
-                    if traced:
-                        self._dispatch_traced(event)
-                    else:
-                        handlers[event.code](event)
-                        self.dispatched += 1
-                    if hooks:
-                        for hook in hooks:
-                            hook(event)
-                    count += 1
-                    if flight_on:
-                        fseq += 1
-                        if not (fseq & _FLIGHT_MASK):
-                            flight.note("dispatch", name, time=time,
-                                        seq=fseq)
-            finally:
-                if flight_on:
-                    flight.dispatch_seq = fseq
-            return count
-        # General path: a callable horizon is re-evaluated before every
-        # dispatch, and the bound check must stay *ahead* of the
-        # max_events cut (a capped run parked at its horizon still
-        # counts the stall) — the exact ordering of the pure loop.
         try:
-            while queue:
+            while True:
                 if horizon_fn is not None:
                     limit = horizon_fn()
                     bound = until if until < limit else limit
-                else:
-                    limit = horizon
-                    bound = until if until < horizon else horizon
-                next_time = queue.next_time()
-                if next_time > bound:
-                    if next_time <= until and limit < until:
-                        self._record_stall(next_time, limit)
+                # The cap is tested before the pop (a popped event must be
+                # dispatched), the stall after it: whichever of bound, cap
+                # or empty queue stopped the run, the head decides alone
+                # whether this stop was a stall.
+                event = pop_ready(bound) if count != cap else None
+                if event is None:
+                    if queue:
+                        next_time = queue.next_time()
+                        if bound < next_time <= until and limit < until:
+                            self._record_stall(next_time, limit)
                     break
-                if max_events is not None and count >= max_events:
-                    break
-                event = queue.pop()
-                if next_time < self.now:
+                time = event.time
+                if time < self.now:
                     raise CausalityError(
-                        f"{name}: event at {next_time:g} popped after "
-                        f"subsystem time reached {self.now:g}")
-                self.now = next_time
+                        f"{self.subsystem.name}: event at {time:g} popped "
+                        f"after subsystem time reached {self.now:g}")
+                self.now = time
                 if traced:
                     self._dispatch_traced(event)
                 else:
@@ -338,16 +225,12 @@ class Scheduler:
                 if flight_on:
                     fseq += 1
                     if not (fseq & _FLIGHT_MASK):
-                        flight.note("dispatch", name, time=next_time,
-                                    seq=fseq)
+                        flight.note("dispatch", self.subsystem.name,
+                                    time=time, seq=fseq)
         finally:
             if flight_on:
                 flight.dispatch_seq = fseq
         return count
-
-    #: The public run loop — bound once at class-definition time to the
-    #: implementation matching the active event-queue backend.
-    run = _run_native if NATIVE_EVENTS else _run_pure
 
     # ------------------------------------------------------------------
     def _dispatch_signal(self, event: Event) -> None:
@@ -356,7 +239,6 @@ class Scheduler:
         if owner is None:
             raise SimulationError(
                 f"signal delivered to orphan port {port.name!r}")
-        self._check_local_time(owner, event)
         owner.deliver(event)
 
     def _dispatch_wake(self, event: Event) -> None:
@@ -365,24 +247,3 @@ class Scheduler:
 
     def _dispatch_control(self, event: Event) -> None:
         event.target(event)
-
-    def _dispatch(self, event: Event) -> None:
-        """Route one event to its per-kind handler (kept for callers and
-        tests that dispatch outside the run loop)."""
-        try:
-            handler = self._handlers[event.kind.code]
-        except (AttributeError, IndexError):  # pragma: no cover
-            raise SimulationError(
-                f"unknown event kind {event.kind!r}") from None
-        handler(event)
-
-    def _check_local_time(self, component: "Component", event: Event) -> None:
-        """Invariant check: delivery never outruns the receiver's receive point.
-
-        A component blocked at a receive has, conceptually, a local time
-        equal to its pause point; deliveries earlier than that are legal
-        (they queue), so the only real constraint is that subsystem time is
-        monotone — already enforced in :meth:`step`.  This hook exists for
-        the optimistic machinery, which overrides subsystems to detect
-        reads that ran ahead of late-arriving messages.
-        """

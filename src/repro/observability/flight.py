@@ -9,10 +9,11 @@ dumped automatically (as JSONL, one file per process) when something goes
 wrong: a worker crash, a failover, a live migration, or a run that fails
 to quiesce before its timeout.
 
-Overhead discipline: the dispatch hot loops (see
-:mod:`repro.core.scheduler`) do not call into this module per event.
-They hoist ``flight.enabled`` once, tick a *local* counter, and only on
-every :data:`STRIDE`-th event pay for a :meth:`FlightRecorder.note` —
+Overhead discipline: the run loop (see
+:meth:`repro.core.scheduler.Scheduler.run`) does not call into this
+module per event.  It hoists ``flight.enabled`` once, ticks a *local*
+counter, and only on every :data:`STRIDE`-th event pays for a
+:meth:`FlightRecorder.note` —
 a few integer ops per dispatch, amortising the append to noise.  The
 shared :data:`~repro.observability.telemetry.NULL_TELEMETRY` carries a
 disabled recorder, so code never attached to a real telemetry pays one
@@ -38,9 +39,9 @@ ENV_DIR = "PIA_FLIGHT_DIR"
 #: holding a run's whole history.
 DEFAULT_CAPACITY = 512
 
-#: Dispatch sampling stride (power of two): the run loops record every
+#: Dispatch sampling stride (power of two): the run loop records every
 #: STRIDE-th dispatched event.  ``seq & STRIDE_MASK == 0`` is the test
-#: the hot loops inline.
+#: it inlines.
 STRIDE = 1024
 STRIDE_MASK = STRIDE - 1
 
@@ -57,8 +58,8 @@ class FlightRecorder:
         self.capacity = capacity
         #: Events ever noted (the ring may have evicted older ones).
         self.recorded = 0
-        #: Dispatches ticked by the run loops (they own this counter in a
-        #: local and write it back once per run call).
+        #: Dispatches ticked by the run loop (it owns this counter in a
+        #: local and writes it back once per run call).
         self.dispatch_seq = 0
         self._events: deque = deque(maxlen=capacity)
 
@@ -71,17 +72,6 @@ class FlightRecorder:
         self.recorded += 1
         self._events.append(
             (_time.time(), code, subject, time, details or None))
-
-    def tick_dispatch(self, subject: str, time: float) -> None:
-        """Stride-sampled dispatch tick for non-hot dispatch sites.
-
-        The hot run loops inline this logic with a local counter; single
-        :meth:`~repro.core.scheduler.Scheduler.step` calls go through
-        here."""
-        seq = self.dispatch_seq + 1
-        self.dispatch_seq = seq
-        if not (seq & STRIDE_MASK):
-            self.note("dispatch", subject, time=time, seq=seq)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

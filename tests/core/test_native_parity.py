@@ -12,6 +12,7 @@ compiled artefact that the rest of the process is refusing.
 Skips cleanly (rather than failing) when the extension was never built.
 """
 
+import inspect
 import pickle
 
 import pytest
@@ -23,6 +24,7 @@ _core = pytest.importorskip(
     reason="native hot core not built "
            "(python setup.py build_ext --inplace)")
 
+import repro.core.scheduler as scheduler_module
 from repro.core.errors import CausalityError
 from repro.core.events import EventKind, PythonEvent, PythonEventQueue
 from repro.core.timestamp import Timestamp
@@ -102,6 +104,61 @@ class TestPopOrderingParity:
             pure.pop()
         assert native.next_time() == pure.next_time() == float("inf")
         assert native.peek() is None and pure.peek() is None
+
+
+#: ``pop_ready`` bounds: finite floats, both infinities, NaN, Python
+#: ints, and ``None`` standing for "exactly the head's time" (the bound
+#: is inclusive).
+_BOUNDS = st.one_of(
+    st.floats(min_value=-1.0, max_value=9.0, allow_nan=False),
+    st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+    st.integers(min_value=-1, max_value=9),
+    st.none())
+
+_POP_READY_SCRIPT = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"),
+                  st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
+                  st.integers(min_value=0, max_value=3)),
+        st.tuples(st.just("pop_ready"), _BOUNDS)),
+    min_size=0, max_size=60)
+
+
+class TestPopReadyParity:
+    @given(_POP_READY_SCRIPT)
+    @settings(max_examples=300, deadline=None)
+    def test_interleaved_push_pop_ready(self, script):
+        """The scheduler's one queue question gets one answer: the same
+        marker-or-``None`` per call, the same events left behind."""
+        native, pure = _core.EventQueue(), PythonEventQueue()
+        answers_n, answers_p = [], []
+        for marker, (op, *args) in enumerate(script):
+            if op == "push":
+                n_ev, p_ev = _pair(*args, marker)
+                native.push(n_ev)
+                pure.push(p_ev)
+                continue
+            bound = pure.next_time() if args[0] is None else args[0]
+            for queue, answers in ((native, answers_n), (pure, answers_p)):
+                event = queue.pop_ready(bound)
+                answers.append(None if event is None else _key(event))
+        assert answers_n == answers_p
+        assert _drain(native) == _drain(pure)
+
+    def test_empty_queue_has_nothing_ready(self):
+        for bound in (float("inf"), 0.0, 3):
+            assert _core.EventQueue().pop_ready(bound) is None
+            assert PythonEventQueue().pop_ready(bound) is None
+
+    def test_scheduler_has_one_run_loop_behind_the_queue_interface(self):
+        """``run`` is one plain function for both backends, and the
+        scheduler module never reaches past the queue's methods."""
+        scheduler = scheduler_module.Scheduler
+        assert inspect.isfunction(vars(scheduler)["run"])
+        assert not hasattr(scheduler, "_run_pure")
+        assert not hasattr(scheduler, "_run_native")
+        source = inspect.getsource(scheduler_module)
+        assert "_heap" not in source and "heappop" not in source
 
 
 class TestRemoveIfParity:

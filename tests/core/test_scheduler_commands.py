@@ -18,6 +18,10 @@ from repro.core import (
     SwitchLevel,
     Timestamp,
 )
+from repro.observability import Telemetry
+from repro.observability.flight import STRIDE
+
+INF = float("inf")
 
 
 def idle(comp):
@@ -87,6 +91,116 @@ class TestSchedulerMechanics:
             lambda event: seen.append(event.ts.time))
         subsystem.run()
         assert seen == [1.0, 2.0, 3.0]
+
+
+def _reference_run(times, until, horizon, max_events):
+    """The run contract over a plain sorted list (a constant horizon):
+    ``(count, now, stalls, events left, fired tags)``."""
+    pending = sorted(enumerate(times), key=lambda item: item[1])
+    bound = min(until, horizon)
+    cap = len(pending) if max_events is None else max_events
+    now, fired = 0.0, []
+    while pending and pending[0][1] <= bound and len(fired) < cap:
+        tag, now = pending.pop(0)
+        fired.append(tag)
+    # Whatever stopped the run — bound, cap or an empty queue — it is a
+    # stall iff the head is parked behind the horizon with ``until`` open.
+    stalled = (bool(pending) and bound < pending[0][1] <= until
+               and horizon < until)
+    return len(fired), now, int(stalled), len(pending), fired
+
+
+def _tagged_subsystem(times, telemetry=None):
+    """A subsystem with one CONTROL event per entry of ``times``, each
+    appending its index to the returned ``fired`` list."""
+    subsystem = Subsystem("ss")
+    if telemetry is not None:
+        subsystem.attach_telemetry(telemetry)
+    fired = []
+    for tag, time in enumerate(times):
+        subsystem.scheduler.schedule(Event(
+            Timestamp(time), EventKind.CONTROL,
+            target=lambda event, tag=tag: fired.append(tag)))
+    return subsystem, fired
+
+
+class TestRunContract:
+    """Every argument shape of ``run`` against the reference interpreter,
+    on whichever event-queue backend is live."""
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("max_events", [None, 0, 1, 2, 5, -1])
+    @pytest.mark.parametrize("as_callable", [False, True])
+    @pytest.mark.parametrize("horizon", [INF, 2.0, 0.5, 2.5])
+    @pytest.mark.parametrize("until", [INF, 2.0, 0.5])
+    @pytest.mark.parametrize("times", [[], [1.0, 2.0, 3.0], [1.0, 1.0, 5.0]])
+    def test_run_matches_reference(self, times, until, horizon,
+                                   as_callable, max_events, traced):
+        # The metrics gate picks the traced / untraced dispatch branch;
+        # the flight recorder stays on either way.
+        telemetry = Telemetry(enabled=traced)
+        subsystem, fired = _tagged_subsystem(times, telemetry)
+        scheduler = subsystem.scheduler
+        count = scheduler.run(
+            until, horizon=(lambda: horizon) if as_callable else horizon,
+            max_events=max_events)
+        want_count, want_now, want_stalls, want_left, want_fired = \
+            _reference_run(times, until, horizon, max_events)
+        assert (count, scheduler.now, scheduler.stalls,
+                scheduler.dispatched, len(scheduler.queue), fired,
+                telemetry.flight.dispatch_seq) == (
+            want_count, want_now, want_stalls,
+            want_count, want_left, want_fired, want_count)
+
+    def test_control_handler_restores_checkpoint_mid_run(self):
+        """A rollback fired from inside a dispatch swaps the queue's
+        contents under the running loop, which carries on from the
+        restored queue."""
+        subsystem, fired = _tagged_subsystem([1.0, 2.0, 3.0])
+        rolled_back = []
+
+        def rollback(event):
+            if not rolled_back:
+                rolled_back.append(event.time)
+                subsystem.restore_checkpoint(cid)
+
+        subsystem.scheduler.schedule(
+            Event(Timestamp(2.5), EventKind.CONTROL, target=rollback))
+        cid = subsystem.request_checkpoint()
+        count = subsystem.run()
+        assert fired == [0, 1, 0, 1, 2]
+        assert count == 7                       # 3 before the rollback + 4
+        # Rewound to 0 with the image; then the rollback event itself + 4.
+        assert subsystem.scheduler.dispatched == 5
+        assert subsystem.scheduler.now == 3.0
+        assert not subsystem.scheduler.queue
+
+
+class TestStep:
+    def test_returns_the_dispatched_event_then_none(self):
+        subsystem, fired = _tagged_subsystem([2.0, 1.0])
+        scheduler = subsystem.scheduler
+        seen = []
+        scheduler.post_step_hooks.append(seen.append)
+        first, second = scheduler.step(), scheduler.step()
+        assert (first.time, second.time) == (1.0, 2.0)
+        assert fired == [1, 0]
+        assert seen == [first, second]
+        assert (scheduler.now, scheduler.dispatched) == (2.0, 2)
+        assert scheduler.step() is None
+        assert (scheduler.dispatched, scheduler.stalls) == (2, 0)
+
+    def test_steps_tick_the_flight_recorder(self):
+        telemetry = Telemetry()
+        steps = 2 * STRIDE + 5
+        subsystem, __ = _tagged_subsystem(
+            [float(n) for n in range(steps)], telemetry)
+        for __ in range(steps):
+            assert subsystem.scheduler.step() is not None
+        flight = telemetry.flight
+        assert flight.dispatch_seq == steps
+        assert [r["details"]["seq"] for r in flight.records()
+                if r["code"] == "dispatch"] == [STRIDE, 2 * STRIDE]
 
 
 class TestSaveCheckpointCommand:

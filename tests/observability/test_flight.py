@@ -41,18 +41,10 @@ class TestRecorder:
         assert [r["subject"] for r in flight.records()] \
             == ["s6", "s7", "s8", "s9"]
 
-    def test_tick_dispatch_samples_every_stride(self):
-        flight = FlightRecorder()
-        for n in range(2 * STRIDE + 5):
-            flight.tick_dispatch("ss", float(n))
-        assert flight.dispatch_seq == 2 * STRIDE + 5
-        seqs = [r["details"]["seq"] for r in flight.records()]
-        assert seqs == [STRIDE, 2 * STRIDE]
-
     def test_clear_resets_everything(self):
         flight = FlightRecorder()
         flight.note("x")
-        flight.tick_dispatch("ss", 0.0)
+        flight.dispatch_seq = 1
         flight.clear()
         assert len(flight) == 0
         assert flight.recorded == 0
