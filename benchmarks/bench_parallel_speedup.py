@@ -29,7 +29,7 @@ Three claims are checked; the first two are asserted on *any* machine:
   physically impossible, so the numbers are recorded and that one gate
   is skipped with an honest note.
 
-All coordinator wall-clock numbers land in ``BENCH_pr6.json``
+All coordinator wall-clock numbers land in ``BENCH_pr10.json``
 (``repro.bench.record``), keyed ``<mode>_w<workers>``, with the observed
 core count so readers can judge the scaling numbers in context.
 

@@ -33,6 +33,11 @@ sys.path.insert(0, os.path.join(_HERE, os.pardir, "src"))
 
 from repro.bench import record_bench                      # noqa: E402
 from repro.bench.workloads import compute_star_multiprocess  # noqa: E402
+from repro.observability import (                         # noqa: E402
+    LinkHealthMonitor,
+    Telemetry,
+    TimeSeriesRecorder,
+)
 from repro.observability.serve import serve_status_file   # noqa: E402
 
 #: The run must stay alive long enough for mid-flight fetches.
@@ -68,9 +73,14 @@ def main():
             failures.append(f"pre-run /status.json returned {status}, "
                             "expected 503")
 
+        # The workers mirror the plane configured on this Telemetry.
+        telemetry = Telemetry()
+        telemetry.attach_series(TimeSeriesRecorder(virtual_interval=5.0,
+                                                   wall_interval=0.05))
+        telemetry.health = LinkHealthMonitor()
         sim = compute_star_multiprocess(
-            2, ROUNDS, words=WORDS, series_interval=5.0,
-            series_wall_interval=0.05, health=True, stream_telemetry=True)
+            2, ROUNDS, words=WORDS, telemetry=telemetry,
+            stream_telemetry=True)
         run_error = []
 
         def drive():

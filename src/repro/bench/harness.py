@@ -102,7 +102,7 @@ class Table:
     def save(self, name: str, directory: Optional[str] = None) -> str:
         """Persist under ``benchmarks/results`` (or ``directory``), and
         mirror the rows into the machine-readable results file
-        (``BENCH_pr4.json``) so every benchmark emits diffable JSON."""
+        (``BENCH_pr10.json``) so every benchmark emits diffable JSON."""
         if directory is None:
             directory = os.environ.get("PIA_BENCH_RESULTS",
                                        os.path.join("benchmarks", "results"))

@@ -120,28 +120,19 @@ class Scheduler:
         """Account one horizon stall (the run loop's cold exit)."""
         self.stalls += 1
         telemetry = self.telemetry
-        flight = telemetry.flight
-        if flight.enabled:
-            flight.note("stall", self.subsystem.name, time=self.now,
-                        horizon=limit, next_event=next_time)
+        details = {"horizon": limit, "next_event": next_time}
         if telemetry.enabled:
             telemetry.count("scheduler.stalls")
             head = self.queue.peek()
-            cause = head.cause if head is not None else None
-            if cause is not None:
+            if head is not None and head.cause is not None:
                 # Link the stall to the chain of the event it is parked
                 # behind.
-                telemetry.trace(
-                    TraceKind.STALL, time=self.now,
-                    subject=self.subsystem.name,
-                    horizon=limit, next_event=next_time,
-                    cause=cause[1], hop=cause[3])
-            else:
-                telemetry.trace(
-                    TraceKind.STALL, time=self.now,
-                    subject=self.subsystem.name,
-                    horizon=limit,
-                    next_event=next_time)
+                details["cause"] = head.cause[1]
+                details["hop"] = head.cause[3]
+        elif not telemetry.flight.enabled:
+            return      # dark: the stall is counted, nothing records it
+        telemetry.note(TraceKind.STALL, time=self.now,
+                       subject=self.subsystem.name, **details)
 
     def run(self, until: float = float("inf"), *,
             horizon=float("inf"),
@@ -225,7 +216,7 @@ class Scheduler:
                 if flight_on:
                     fseq += 1
                     if not (fseq & _FLIGHT_MASK):
-                        flight.note("dispatch", self.subsystem.name,
+                        flight.note(TraceKind.DISPATCH, self.subsystem.name,
                                     time=time, seq=fseq)
         finally:
             if flight_on:

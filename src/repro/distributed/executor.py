@@ -554,6 +554,9 @@ class CoSimulation(LiveSystem):
                 f"{subsystem.name}: t={subsystem.now:g} "
                 f"next={subsystem.next_event_time():g} "
                 f"horizon={client.horizon():g}")
+        self.telemetry.flight.note(TraceKind.ABORT, "cosim",
+                                   time=self.global_time(), reason="deadlock")
+        self.telemetry.flight.dump(tag="cosim", reason="deadlock")
         raise DeadlockError(
             "no subsystem can advance and no messages are in flight:\n  "
             + "\n  ".join(detail))

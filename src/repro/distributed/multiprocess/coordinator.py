@@ -28,23 +28,14 @@ from ...observability import (
     Telemetry,
     TraceKind,
     finalize_health,
-    merge_counters,
-    merge_gauges,
-    merge_health_rows,
-    merge_histograms,
-    merge_link_rows,
-    merge_series,
-    merge_timings,
-    merge_trace_records,
 )
-from ...observability.export import stall_attribution, subject_nodes
-from ...observability.timeseries import DEFAULT_CAPACITY as SERIES_CAPACITY
+from ...observability.report import bundle, fold
 from ...transport.codec import VERSION as CODEC_VERSION
 from ...transport.shm import DEFAULT_RING_CAPACITY, create_ring_segment
 from ..migration import MigrationRecord, NodeArchive, resent_counts
 from ..snapshot import new_snapshot_id
 from .pool import WorkerPool, _PoolWorker
-from .specs import ChannelSpec, SubsystemSpec, _WorkerSpec
+from .specs import ChannelSpec, SubsystemSpec, TelemetrySpec, _WorkerSpec
 
 #: Failure policies the multiprocess executor understands.
 MP_FAILURE_POLICIES = ("raise", "migrate")
@@ -117,15 +108,11 @@ class MultiprocessCoSimulation:
                  retry_policy: Optional[RetryPolicy] = None,
                  batching: bool = True,
                  start_method: str = "spawn",
-                 trace_capacity: int = 4096,
                  transport: str = "tcp",
                  ring_capacity: int = DEFAULT_RING_CAPACITY,
                  pool: Optional[WorkerPool] = None,
                  failure_policy: str = "raise",
                  heartbeat_timeout: float = 5.0,
-                 series_interval: Optional[float] = None,
-                 series_wall_interval: Optional[float] = None,
-                 health: bool = False,
                  stream_telemetry: bool = False) -> None:
         if start_method not in multiprocessing.get_all_start_methods():
             raise ConfigurationError(
@@ -142,18 +129,11 @@ class MultiprocessCoSimulation:
         if heartbeat_timeout <= 0:
             raise ConfigurationError(
                 f"heartbeat timeout must be positive: {heartbeat_timeout}")
-        for label, interval in (("series_interval", series_interval),
-                                ("series_wall_interval",
-                                 series_wall_interval)):
-            if interval is not None and interval <= 0:
-                raise ConfigurationError(
-                    f"{label} must be positive: {interval}")
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
         self.batching = batching
         self.start_method = start_method
-        self.trace_capacity = trace_capacity
         self.transport = transport
         self.ring_capacity = ring_capacity
         self._pool = pool
@@ -173,11 +153,6 @@ class MultiprocessCoSimulation:
         self._status_published = 0.0
         self._last_statuses: Dict[str, dict] = {}
         # --- continuous telemetry plane ---------------------------------
-        #: Per-worker time-series cadences and link-health switch,
-        #: forwarded verbatim in every :meth:`worker_spec`.
-        self.series_interval = series_interval
-        self.series_wall_interval = series_wall_interval
-        self.health = health
         #: When on, workers attach streaming deltas to ``status?``
         #: replies and the coordinator folds them into its live status
         #: snapshots (the data :mod:`repro.observability.serve` exposes).
@@ -199,7 +174,7 @@ class MultiprocessCoSimulation:
         self._archives: Dict[str, NodeArchive] = {}
         self._restore_point: Optional[str] = None
         self._run_epoch = 0
-        self._carryover: List[Tuple[str, dict]] = []
+        self._carryover: List[dict] = []
         #: Tokens for coordination acks (see ``_expect``'s ``match``).
         self._ctl_seq = itertools.count(1)
         # Live per-run control-plane context (set by run(), mutated by
@@ -252,6 +227,8 @@ class MultiprocessCoSimulation:
             raise ConfigurationError(f"no node named {node!r}")
         plan = self.fault_plan.for_node(node) \
             if self.fault_plan is not None else None
+        # Workers mirror the telemetry plane this executor was handed.
+        telemetry, series = self.telemetry, self.telemetry.series
         return _WorkerSpec(
             node=node,
             subsystems=tuple(self._nodes[node]),
@@ -259,13 +236,16 @@ class MultiprocessCoSimulation:
             batching=self.batching,
             fault_plan=plan,
             retry_policy=self.retry_policy,
-            trace_capacity=self.trace_capacity,
             transport=self.transport,
             ring_capacity=self.ring_capacity,
             supervised=self.failure_policy == "migrate",
-            series_interval=self.series_interval,
-            series_wall_interval=self.series_wall_interval,
-            health=self.health,
+            telemetry=TelemetrySpec(
+                telemetry.trace_buffer.capacity,
+                None if series is None else dict(
+                    virtual_interval=series.virtual_interval,
+                    wall_interval=series.wall_interval,
+                    capacity=series.capacity, names=series.names),
+                telemetry.health is not None),
             stream=self.stream_telemetry,
         )
 
@@ -569,7 +549,7 @@ class MultiprocessCoSimulation:
                 points = series.setdefault(f"{name}/{sname}",
                                            {"points": []})["points"]
                 points.extend(fresh)
-                del points[:-SERIES_CAPACITY]
+                del points[:-self.telemetry.series.capacity]
             health = self._stream.setdefault("health", {})
             for row in delta.get("health", []):
                 health[(row["src"], row["dst"])] = row
@@ -672,8 +652,7 @@ class MultiprocessCoSimulation:
                 match=lambda a: a.snapshot_id == snapshot_id)
         self._archives = archives
         self._restore_point = snapshot_id
-        if self.telemetry.enabled:
-            self.telemetry.count("migration.snapshots")
+        self.telemetry.count("migration.snapshots")
         return snapshot_id
 
     def _drain_wire(self, pipes, procs, deadline: float) -> None:
@@ -789,18 +768,13 @@ class MultiprocessCoSimulation:
                 "existed — cannot fail over", node=dead_nodes[0])
         names = sorted(self._nodes)
         wall_started = _time.perf_counter()
-        flight = self.telemetry.flight
-        if flight.enabled:
-            flight.note("failover", ",".join(sorted(dead_nodes)),
-                        time=global_now, reason=reason,
-                        epoch=self._run_epoch + 1)
-            flight.dump(tag="coordinator", reason=f"failover: {reason}")
-        if self.telemetry.enabled:
-            for name in dead_nodes:
-                self.telemetry.count("migration.failovers")
-                self.telemetry.trace(TraceKind.MIGRATION, time=global_now,
-                                     subject=name, reason=reason,
-                                     epoch=self._run_epoch + 1)
+        for name in dead_nodes:
+            self.telemetry.count("migration.failovers")
+            self.telemetry.note(TraceKind.MIGRATION, time=global_now,
+                                subject=name, reason=reason,
+                                epoch=self._run_epoch + 1)
+        self.telemetry.flight.dump(tag="coordinator",
+                                   reason=f"failover: {reason}")
         pool = self._acquire_pool()
         dead = sorted(set(dead_nodes))
         token = f"halt-{next(self._ctl_seq)}"
@@ -882,17 +856,12 @@ class MultiprocessCoSimulation:
         if not moved:
             return
         wall_started = _time.perf_counter()
-        flight = self.telemetry.flight
-        if flight.enabled:
-            flight.note("migrate", ",".join(moved), time=global_now,
-                        epoch=self._run_epoch + 1)
-            flight.dump(tag="coordinator", reason="migrate")
-        if self.telemetry.enabled:
-            for name in moved:
-                self.telemetry.count("migration.migrations")
-                self.telemetry.trace(TraceKind.MIGRATION, time=global_now,
-                                     subject=name, reason="requested",
-                                     epoch=self._run_epoch + 1)
+        for name in moved:
+            self.telemetry.count("migration.migrations")
+            self.telemetry.note(TraceKind.MIGRATION, time=global_now,
+                                subject=name, reason="requested",
+                                epoch=self._run_epoch + 1)
+        self.telemetry.flight.dump(tag="coordinator", reason="migrate")
         # 1. Stop the world; halted workers keep pumping the wire dry.
         token = f"halt-{next(self._ctl_seq)}"
         for name in names:
@@ -918,7 +887,7 @@ class MultiprocessCoSimulation:
             #    post-migrate receives still chain to their sends.
             pipes[name].send(("report?",))
             self._carryover.append(
-                (name, self._expect(pipes, procs, name, "report", deadline)))
+                self._expect(pipes, procs, name, "report", deadline))
             old = procs[name]
             try:
                 pipes[name].send(("stop",))
@@ -973,7 +942,8 @@ class MultiprocessCoSimulation:
         previous = None
         while True:
             if _time.monotonic() > deadline:
-                self.telemetry.flight.note("timeout", "supervise")
+                self.telemetry.flight.note(TraceKind.ABORT, "supervise",
+                                           reason="quiesce-timeout")
                 self.telemetry.flight.dump(tag="coordinator",
                                            reason="quiesce-timeout")
                 raise SimulationError(
@@ -1038,10 +1008,9 @@ class MultiprocessCoSimulation:
             fired = False
             while pending_crashes and pending_crashes[0].at_time <= global_now:
                 crash = pending_crashes.pop(0)
-                if self.telemetry.enabled:
-                    self.telemetry.count("fault.node_crashes")
-                    self.telemetry.trace(TraceKind.NODE_CRASH,
-                                         time=global_now, subject=crash.node)
+                self.telemetry.count("fault.node_crashes")
+                self.telemetry.trace(TraceKind.NODE_CRASH, time=global_now,
+                                     subject=crash.node)
                 if not supervised:
                     pipes[crash.node].send(("crash",))
                     raise NodeFailure(
@@ -1134,88 +1103,16 @@ class MultiprocessCoSimulation:
                     for row in bundle["subsystems"]), default=0.0)
 
     def report(self, *, title: Optional[str] = None) -> RunReport:
-        """Merge every worker's telemetry into one
+        """Fold the coordinator's own bundle and every worker's into one
         :class:`~repro.observability.RunReport` (single-process shape)."""
         if self._bundles is None:
             raise SimulationError(
                 "no completed multiprocess run to report on — call run() "
                 "first")
-        report = RunReport(title or "multiprocess co-simulation")
-        snap = self.telemetry.registry.snapshot()
-        counters = dict(snap["counters"])
-        gauges = dict(snap["gauges"])
-        histograms = {name: dict(row, buckets=dict(row["buckets"]))
-                      for name, row in snap["histograms"].items()}
-        faults: Dict[str, int] = {}
-        trace_counts: Dict[str, int] = {}
-        timings = {name: dict(row)
-                   for name, row in self.telemetry.registry.timings().items()}
-        link_rows: List[dict] = []
-        subsystem_rows: List[dict] = []
-        trace_dropped = 0
-        dropped_by_node: Dict[str, int] = {}
-        trace_by_node: Dict[str, List[dict]] = {}
-        for name in sorted(self._bundles):
-            bundle = self._bundles[name]
-            subsystem_rows.extend(bundle["subsystems"])
-            link_rows.extend(bundle["links"])
-            merge_counters(counters, bundle["counters"])
-            merge_gauges(gauges, bundle["gauges"])
-            merge_histograms(histograms, bundle["histograms"])
-            merge_counters(faults, bundle["faults"])
-            merge_counters(trace_counts, bundle["trace_counts"])
-            merge_timings(timings, bundle["timings"])
-            trace_dropped += bundle["trace_dropped"]
-            dropped_by_node[name] = bundle["trace_dropped"]
-            trace_by_node[name] = bundle.get("trace", [])
-        for name, bundle in self._carryover:
-            # A migrated-away worker's parting telemetry: the activity it
-            # hosted before the move.  Its placement rows (subsystems,
-            # links, gauges, dispatched) are superseded by the adopting
-            # worker's final bundle, but its counters and — critically —
-            # its trace records are not: post-migrate receives chain to
-            # spans only this bundle recorded.
-            merge_counters(counters, bundle["counters"])
-            merge_histograms(histograms, bundle["histograms"])
-            merge_counters(faults, bundle["faults"])
-            merge_counters(trace_counts, bundle["trace_counts"])
-            merge_timings(timings, bundle["timings"])
-            trace_dropped += bundle["trace_dropped"]
-            dropped_by_node[name] = dropped_by_node.get(name, 0) \
-                + bundle["trace_dropped"]
-            trace_by_node[name] = bundle.get("trace", []) \
-                + trace_by_node.get(name, [])
+        own = bundle(self.telemetry, migrations=self.migrations)
         if self.detector is not None:
-            gauges["mp.suspicions"] = self.detector.suspicions
-        report.subsystems = sorted(subsystem_rows, key=lambda r: r["name"])
-        report.links = merge_link_rows(link_rows)
-        report.counters = dict(sorted(counters.items()))
-        report.gauges = dict(sorted(gauges.items()))
-        report.histograms = dict(sorted(histograms.items()))
-        report.faults = dict(sorted(faults.items()))
-        report.trace_counts = dict(sorted(trace_counts.items()))
-        report.trace_dropped = trace_dropped
-        report.trace_dropped_by_node = dropped_by_node
-        report.trace_records = merge_trace_records(trace_by_node)
-        report.stall_attribution = stall_attribution(
-            report.trace_records, nodes=subject_nodes(report))
-        # Telemetry plane: per-node series keep their identity under a
-        # ``node/metric`` key (points at unaligned times cannot sum);
-        # health rows merge per directed link, then the finalize pass
-        # derives stall fractions and advisory scores from the merged
-        # stall attribution — same shape as a single-process report.
-        per_node_series = {name: self._bundles[name].get("series") or {}
-                           for name in sorted(self._bundles)}
-        if any(per_node_series.values()):
-            report.timeseries = merge_series(per_node_series)
-        health_rows: List[dict] = []
-        for name in sorted(self._bundles):
-            health_rows.extend(self._bundles[name].get("health") or [])
-        if health_rows:
-            report.link_health = finalize_health(
-                merge_health_rows(health_rows),
-                stall_attribution=report.stall_attribution,
-                subsystems=report.subsystems)
-        report.timings = dict(sorted(timings.items()))
-        report.migrations = [record.to_dict() for record in self.migrations]
-        return report
+            own["gauges"]["mp.suspicions"] = self.detector.suspicions
+        return fold(title or "multiprocess co-simulation",
+                    [own, *(self._bundles[name]
+                            for name in sorted(self._bundles))],
+                    superseded=self._carryover)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from ...core.errors import ConfigurationError
 from ...core.subsystem import Subsystem
@@ -113,6 +113,16 @@ class ChannelSpec:
         return node in (self.node_a, self.node_b)
 
 
+class TelemetrySpec(NamedTuple):
+    """The coordinator's telemetry plane, as a worker mirrors it."""
+
+    trace_capacity: int
+    #: ``TimeSeriesRecorder`` keyword arguments; None for no recorder.
+    series: Optional[dict]
+    #: Whether links are health-monitored.
+    health: bool
+
+
 @dataclass(frozen=True)
 class _WorkerSpec:
     """Everything one worker process needs to bootstrap its node."""
@@ -120,20 +130,15 @@ class _WorkerSpec:
     node: str
     subsystems: Tuple[SubsystemSpec, ...]
     channels: Tuple[ChannelSpec, ...]
+    telemetry: TelemetrySpec
     batching: bool = True
     fault_plan: Optional[FaultPlan] = None
     retry_policy: Optional[RetryPolicy] = None
-    trace_capacity: int = 4096
     transport: str = "tcp"
     ring_capacity: int = DEFAULT_RING_CAPACITY
     #: True under ``failure_policy="migrate"``: a vanished peer is the
     #: supervisor's problem, so transport failures wedge the worker
     #: (no progress, await restore) instead of killing it.
     supervised: bool = False
-    #: Telemetry plane: time-series cadences (either unset leaves that
-    #: cadence off), per-link health estimators, and whether ``status?``
-    #: replies carry streaming telemetry deltas.
-    series_interval: Optional[float] = None
-    series_wall_interval: Optional[float] = None
-    health: bool = False
+    #: Whether ``status?`` replies carry streaming telemetry deltas.
     stream: bool = False

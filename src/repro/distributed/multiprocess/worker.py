@@ -10,8 +10,13 @@ from typing import Dict, Optional, Tuple
 
 from ...core.errors import ConfigurationError, TransportError
 from ...faults import FaultInjector
-from ...observability import LinkHealthMonitor, Telemetry, TimeSeriesRecorder
-from ...observability.report import _link_rows, _subsystem_row
+from ...observability import (
+    Telemetry,
+    TimeSeriesRecorder,
+    TraceKind,
+    attach_health,
+)
+from ...observability.report import bundle
 from ...transport.codec import VERSION as CODEC_VERSION
 from ...transport.shm import SharedMemoryTransport
 from ...transport.tcp import TcpTransport
@@ -87,7 +92,8 @@ class _Worker:
         self.spec = spec
         self.conn = conn
         self.inbox = inbox if inbox is not None else _ControlInbox()
-        self.telemetry = Telemetry(trace_capacity=spec.trace_capacity)
+        mirror = spec.telemetry
+        self.telemetry = Telemetry(trace_capacity=mirror.trace_capacity)
         if spec.transport == "shm":
             self.transport = SharedMemoryTransport(
                 batching=spec.batching, ring_capacity=spec.ring_capacity)
@@ -103,17 +109,10 @@ class _Worker:
             self.transport.attach_faults(self.injector)
         elif spec.retry_policy is not None:
             self.transport.retry_policy = spec.retry_policy
-        self.series: Optional[TimeSeriesRecorder] = None
-        if spec.series_interval is not None \
-                or spec.series_wall_interval is not None:
-            self.series = self.telemetry.attach_series(TimeSeriesRecorder(
-                virtual_interval=spec.series_interval,
-                wall_interval=spec.series_wall_interval))
-        self.health_monitor: Optional[LinkHealthMonitor] = None
-        if spec.health:
-            self.health_monitor = LinkHealthMonitor()
-            self.transport.attach_health(self.health_monitor)
-            self.telemetry.health = self.health_monitor
+        if mirror.series is not None:
+            self.telemetry.attach_series(TimeSeriesRecorder(**mirror.series))
+        if mirror.health:
+            attach_health(self.transport, self.telemetry)
         #: Counter values already shipped in streaming deltas.
         self._streamed: Dict[str, int] = {}
         self.node = PiaNode(spec.node, self.transport)
@@ -139,6 +138,9 @@ class _Worker:
         self._open_cuts: set = set()
         self.until = float("inf")
         self.dispatched = 0
+        #: Serve-loop sweeps: wall-paced (how many the OS scheduler let us
+        #: run), so status replies carry it and it must NOT become a gauge
+        #: — gauges land in the report's deterministic projection.
         self.rounds = 0
         #: Whether the last round moved anything (reported in status).
         self.progress = False
@@ -222,49 +224,19 @@ class _Worker:
                 counters[name] = value - shipped
                 self._streamed[name] = value
         delta = {"counters": counters, "gauges": snap["gauges"]}
-        if self.series is not None:
-            delta["series"] = self.series.take_delta()
-        if self.health_monitor is not None:
-            delta["health"] = self.health_monitor.rows()
+        if self.telemetry.series is not None:
+            delta["series"] = self.telemetry.series.take_delta()
+        if self.telemetry.health is not None:
+            delta["health"] = self.telemetry.health.rows()
         return delta
 
     def _report_bundle(self) -> dict:
-        # The serve-loop round count is wall-paced (how many control
-        # sweeps the OS scheduler let us run), so it must NOT enter the
-        # gauge registry — gauges land in the report's deterministic
-        # projection.  The bundle's own "rounds" field carries it for
-        # status views instead.
         with self.node.lock:
-            subsystems = [_subsystem_row(subsystem)
-                          for __, subsystem
-                          in sorted(self.node.subsystems.items())]
-            snap = self.telemetry.registry.snapshot()
-            return {
-                "node": self.node.name,
-                "dispatched": self.dispatched,
-                "rounds": self.rounds,
-                "subsystems": subsystems,
-                "links": _link_rows(self.transport),
-                "counters": snap["counters"],
-                "gauges": snap["gauges"],
-                "histograms": snap["histograms"],
-                "trace_counts": self.telemetry.trace_buffer.counts_by_kind(),
-                "trace_dropped": self.telemetry.trace_buffer.dropped,
-                # The full per-worker trace rides home with the bundle so
-                # the coordinator can merge one causally linked timeline.
-                "trace": [dict(record.to_dict(), node=self.node.name,
-                               wall=record.wall)
-                          for record in self.telemetry.trace_buffer.records()],
-                "timings": self.telemetry.registry.timings(),
-                "faults": self.injector.summary()
-                          if self.injector is not None else {},
-                "wire_out": self.transport.wire_out,
-                "wire_in": self.transport.wire_in,
-                "series": self.series.to_dict()
-                          if self.series is not None else {},
-                "health": self.health_monitor.rows()
-                          if self.health_monitor is not None else [],
-            }
+            return dict(
+                bundle(self.telemetry, self.node.subsystems.values(),
+                       node=self.node.name, transport=self.transport,
+                       injector=self.injector),
+                dispatched=self.dispatched)
 
     # ------------------------------------------------------------------
     # migration plumbing (coordinator-triggered, over the control pipe)
@@ -317,8 +289,9 @@ class _Worker:
         # Black box first: the discarded world's last moments are exactly
         # what a restore post-mortem needs, and the rollback wipes them.
         flight = self.telemetry.flight
-        if flight.enabled and len(flight):
-            flight.note("restore", self.node.name, epoch=epoch)
+        if len(flight):
+            flight.note(TraceKind.CHECKPOINT_RESTORE, self.node.name,
+                        epoch=epoch)
             flight.dump(tag=self.node.name, reason="restore")
         with self.node.lock:
             # Fence first: traffic minted in the discarded world must not
@@ -340,11 +313,9 @@ class _Worker:
             self.dispatched = sum(ss.scheduler.dispatched
                                   for ss in self.node.subsystems.values())
         self.until = payload["until"]
-        if self.telemetry.enabled:
-            self.telemetry.count("migration.restores")
-            if replayed:
-                self.telemetry.count("migration.replayed_messages",
-                                     replayed)
+        self.telemetry.count("migration.restores")
+        if replayed:
+            self.telemetry.count("migration.replayed_messages", replayed)
 
     # ------------------------------------------------------------------
     def serve(self) -> None:
@@ -442,7 +413,7 @@ class _Worker:
                 # one dead node does not cascade into a dead cluster.
                 self.progress = False
             self.rounds += 1
-            series = self.series
+            series = self.telemetry.series
             if series is not None:
                 # Sampled at the round boundary, never inside dispatch:
                 # the virtual cadence is deterministic for a given

@@ -26,7 +26,7 @@ from ..core.errors import (
     SimulationError,
 )
 from ..faults import FailureDetector, FaultPlan, RetryPolicy
-from ..observability import Telemetry
+from ..observability import Telemetry, TraceKind
 from ..transport.latency import SAME_HOST, LatencyModel
 from ..transport.message import Message
 from .channel import ChannelMode
@@ -174,6 +174,11 @@ class ThreadedCoSimulation(LiveSystem):
                 _time.sleep(0.002)
             else:
                 self.stop_flag.set()
+                self.telemetry.flight.note(
+                    TraceKind.ABORT, "threaded", time=self.global_time(),
+                    reason="quiesce-timeout")
+                self.telemetry.flight.dump(tag="threaded",
+                                           reason="quiesce-timeout")
                 raise SimulationError(
                     f"threaded run did not quiesce within {timeout}s")
         finally:

@@ -33,7 +33,6 @@ from .merge import (
     merge_health_rows,
     merge_histograms,
     merge_link_rows,
-    merge_series,
     merge_timings,
     merge_trace_records,
 )
@@ -56,13 +55,13 @@ from .spans import (
     span_origin,
 )
 from .telemetry import NULL_TELEMETRY, Telemetry
-from .trace import TraceBuffer, TraceKind, TraceRecord
+from .trace import Ring, TraceBuffer, TraceKind, TraceRecord
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricError", "MetricsRegistry",
     "Timer", "snapshot_quantile",
     "NULL_TELEMETRY", "Telemetry",
-    "TraceBuffer", "TraceKind", "TraceRecord",
+    "Ring", "TraceBuffer", "TraceKind", "TraceRecord",
     "RunReport", "run_report",
     "FlightRecorder", "flight_path",
     "LinkHealthMonitor", "attach_health", "finalize_health",
@@ -72,6 +71,6 @@ __all__ = [
     "chrome_trace", "stall_attribution", "validate_chrome_trace",
     "write_chrome_trace",
     "merge_counters", "merge_gauges", "merge_health_rows",
-    "merge_histograms", "merge_link_rows", "merge_series",
-    "merge_timings", "merge_trace_records",
+    "merge_histograms", "merge_link_rows", "merge_timings",
+    "merge_trace_records",
 ]

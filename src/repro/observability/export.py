@@ -27,7 +27,7 @@ import json
 from typing import Dict, List, Optional
 
 from .spans import span_origin
-from .trace import TraceKind
+from .trace import TraceKind, record_dicts
 
 #: Virtual/wall seconds are exported as Chrome-trace microseconds.
 _US = 1_000_000.0
@@ -37,23 +37,15 @@ def trace_records(source) -> List[dict]:
     """Normalise ``source`` into a list of trace-record dicts.
 
     Accepts a :class:`~.report.RunReport` (its ``trace_records``), a
-    :class:`~.telemetry.Telemetry`, a :class:`~.trace.TraceBuffer`, or an
-    iterable of :class:`~.trace.TraceRecord`/dicts.
+    :class:`~.telemetry.Telemetry`, a :class:`~.trace.TraceBuffer` (a
+    :class:`~.flight.FlightRecorder` is one), or an iterable of
+    :class:`~.trace.TraceRecord`/dicts — e.g. the parsed lines of a
+    flight dump after its header.
     """
     report_records = getattr(source, "trace_records", None)
     if report_records is not None:
         return list(report_records)
-    buffer = getattr(source, "trace_buffer", None)
-    if buffer is not None:
-        source = buffer
-    records = source.records() if hasattr(source, "records") else source
-    out = []
-    for record in records:
-        if isinstance(record, dict):
-            out.append(record)
-        else:
-            out.append(dict(record.to_dict(), wall=record.wall))
-    return out
+    return record_dicts(getattr(source, "trace_buffer", source))
 
 
 def subject_nodes(source) -> Dict[str, str]:
@@ -104,8 +96,7 @@ def stall_attribution(records, *, nodes: Optional[Dict[str, str]] = None
         {"subsystem", "node", "peer_node", "waits", "waited", "critical"}
     """
     nodes = nodes or {}
-    dicts = [record if isinstance(record, dict) else record.to_dict()
-             for record in records]
+    dicts = record_dicts(records)
     #: Virtual stamp of each span's message (first send wins; retried and
     #: duplicated copies share both the span and the stamp).
     stamps: Dict[str, float] = {}

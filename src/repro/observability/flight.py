@@ -1,4 +1,4 @@
-"""The flight recorder: an always-on bounded black box.
+r"""The flight recorder: an always-on bounded black box.
 
 Full tracing answers "what happened" only when it was switched on before
 the interesting run; production post-mortems rarely get that luxury.  The
@@ -7,7 +7,10 @@ events — stride-sampled dispatches, horizon stalls, wire frames, control
 and migration decisions — cheap enough to leave on for every run, and
 dumped automatically (as JSONL, one file per process) when something goes
 wrong: a worker crash, a failover, a live migration, or a run that fails
-to quiesce before its timeout.
+to quiesce before its timeout.  The black box *is* a trace: its ring is
+the trace buffer's and its records are :class:`~.trace.TraceRecord`\ s, so
+a dump's lines load straight into :func:`~.export.trace_records`,
+:func:`~.export.chrome_trace` and :func:`~.spans.causal_chains`.
 
 Overhead discipline: the run loop (see
 :meth:`repro.core.scheduler.Scheduler.run`) does not call into this
@@ -29,8 +32,9 @@ import json
 import os
 import tempfile
 import time as _time
-from collections import deque
-from typing import List, Optional
+from typing import Optional
+
+from .trace import TraceBuffer, TraceRecord, record_dicts
 
 #: Environment override for where automatic dumps land.
 ENV_DIR = "PIA_FLIGHT_DIR"
@@ -46,63 +50,49 @@ STRIDE = 1024
 STRIDE_MASK = STRIDE - 1
 
 
-class FlightRecorder:
-    """A bounded ring of recent notable events, cheap enough to leave on."""
+class FlightRecorder(TraceBuffer):
+    """A small trace buffer of recent notable events, cheap enough to
+    leave on — same ring, same :class:`~.trace.TraceRecord` shape, plus
+    an on/off switch of its own and the dump."""
 
-    __slots__ = ("enabled", "capacity", "recorded", "dispatch_seq",
-                 "_events")
+    __slots__ = ("enabled", "dispatch_seq")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY, *,
                  enabled: bool = True) -> None:
+        super().__init__(capacity)
         self.enabled = enabled
-        self.capacity = capacity
-        #: Events ever noted (the ring may have evicted older ones).
-        self.recorded = 0
         #: Dispatches ticked by the run loop (it owns this counter in a
         #: local and writes it back once per run call).
         self.dispatch_seq = 0
-        self._events: deque = deque(maxlen=capacity)
 
     # ------------------------------------------------------------------
-    def note(self, code: str, subject: str = "", *, time: float = 0.0,
-             **details) -> None:
-        """Append one event (no-op while disabled)."""
-        if not self.enabled:
-            return
-        self.recorded += 1
-        self._events.append(
-            (_time.time(), code, subject, time, details or None))
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def records(self) -> List[dict]:
-        """The ring's contents, oldest first, as dicts."""
-        out = []
-        for wall, code, subject, time, details in self._events:
-            record = {"wall": wall, "code": code, "subject": subject,
-                      "time": time}
-            if details:
-                record["details"] = details
-            out.append(record)
-        return out
+    def note(self, kind: str, subject: str = "", *, time: float = 0.0,
+             seq: int = 0, **details) -> None:
+        """Record one event in this ring only (no-op while disabled):
+        what the full trace does not carry — the stride-sampled dispatch
+        (``seq`` is its ordinal), the moment before a dump.  Events for
+        both rings go through :meth:`~.telemetry.Telemetry.note`."""
+        if self.enabled:
+            self.append(TraceRecord(seq, kind, time, subject, details,
+                                    wall=_time.time()))
 
     def clear(self) -> None:
-        self._events.clear()
-        self.recorded = 0
+        super().clear()
         self.dispatch_seq = 0
 
     # ------------------------------------------------------------------
     def dumps(self, *, tag: str = "run", reason: str = "") -> str:
-        """The black box as JSONL: a header line, then one line per event."""
+        """The black box as JSONL: a header line, then one record dict
+        per line (:func:`~.trace.record_dicts` — what
+        :func:`~.export.trace_records` and everything downstream of it
+        read back)."""
         header = {"flight": tag, "reason": reason, "wall": _time.time(),
-                  "pid": os.getpid(), "recorded": self.recorded,
+                  "pid": os.getpid(), "recorded": self.appended,
                   "capacity": self.capacity,
                   "dispatches": self.dispatch_seq}
         lines = [json.dumps(header, sort_keys=True, default=str)]
         lines.extend(json.dumps(record, sort_keys=True, default=str)
-                     for record in self.records())
+                     for record in record_dicts(self))
         return "\n".join(lines) + "\n"
 
     def dump(self, path: Optional[str] = None, *, tag: str = "run",
@@ -125,8 +115,8 @@ class FlightRecorder:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "on" if self.enabled else "off"
-        return (f"<FlightRecorder {state} {len(self._events)}/"
-                f"{self.capacity} recorded={self.recorded}>")
+        return (f"<FlightRecorder {state} {len(self)}/"
+                f"{self.capacity} recorded={self.appended}>")
 
 
 def flight_path(tag: str) -> str:

@@ -16,7 +16,7 @@ level-style gauges this repo records, e.g. ``executor.rounds``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional
 
 
 def merge_counters(into: Dict[str, int], add: Dict[str, int]) -> Dict[str, int]:
@@ -86,25 +86,6 @@ def merge_link_rows(rows: Iterable[dict]) -> List[dict]:
     return [merged[key] for key in sorted(merged)]
 
 
-def merge_series(per_node: Dict[str, dict]) -> Dict[str, dict]:
-    """Fold per-node time-series dumps into one map keyed ``node/name``.
-
-    ``per_node`` maps node name to that worker's
-    :meth:`~.timeseries.TimeSeriesRecorder.to_dict` output.  Series from
-    different workers sample the same metric names at *their own* round
-    boundaries, so points cannot be summed at aligned times; instead
-    each series keeps its identity under a ``node/metric`` key — sorted,
-    so the merged map is deterministic given the inputs.
-    """
-    merged: Dict[str, dict] = {}
-    for node in sorted(per_node):
-        for name in sorted(per_node[node]):
-            series = per_node[node][name]
-            merged[f"{node}/{name}"] = {
-                "points": [list(point) for point in series["points"]]}
-    return merged
-
-
 def merge_health_rows(rows: Iterable[dict]) -> List[dict]:
     """Combine raw link-health rows from several monitors.
 
@@ -146,7 +127,8 @@ def merge_timings(into: Dict[str, dict], add: Dict[str, dict]) -> Dict[str, dict
     return into
 
 
-def merge_trace_records(per_node: Dict[str, Iterable[dict]]) -> List[dict]:
+def merge_trace_records(per_node: Dict[Optional[str], Iterable[dict]]
+                        ) -> List[dict]:
     """Interleave per-node trace buffers into one stable stream.
 
     ``per_node`` maps node name to that worker's trace records (the
@@ -154,14 +136,17 @@ def merge_trace_records(per_node: Dict[str, Iterable[dict]]) -> List[dict]:
     tagged with its node and the streams are merged in ``(time, node,
     seq)`` order — deterministic across runs, and preserving each node's
     own record order (``seq`` is per-telemetry monotone), so per-subject
-    subsequences match what a single-process run would record.
+    subsequences match what a single-process run would record.  A stream
+    under the key ``None`` belongs to no node (the coordinator's own):
+    its records stay untagged and sort ahead of any node's at equal
+    times.
     """
     merged: List[dict] = []
-    for node in sorted(per_node):
-        for record in per_node[node]:
-            if record.get("node") != node:
+    for node, records in per_node.items():
+        for record in records:
+            if node is not None and record.get("node") != node:
                 record = dict(record, node=node)
             merged.append(record)
-    merged.sort(key=lambda r: (r.get("time", 0.0), r["node"],
+    merged.sort(key=lambda r: (r.get("time", 0.0), r.get("node", ""),
                                r.get("seq", 0)))
     return merged

@@ -12,12 +12,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from . import export as _export
 from . import metrics as _metrics
 from .health import finalize_health
+from .merge import (
+    merge_counters,
+    merge_gauges,
+    merge_health_rows,
+    merge_histograms,
+    merge_link_rows,
+    merge_timings,
+    merge_trace_records,
+)
 from .telemetry import NULL_TELEMETRY, Telemetry
+from .trace import record_dicts
 
 
 @dataclass
@@ -106,12 +116,14 @@ class RunReport:
                 for record in self.trace_records]
         return data
 
-    def to_json(self, *, include_timings: bool = False,
-                indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(include_timings=include_timings),
-                          indent=indent, sort_keys=True)
+    def to_json(self, *, indent: Optional[int] = 2, **include) -> str:
+        """:meth:`to_dict` as JSON; ``include`` are its ``include_*``
+        switches."""
+        return json.dumps(self.to_dict(**include), indent=indent,
+                          sort_keys=True)
 
     def save_json(self, path: str, **kwargs) -> None:
+        """Write :meth:`to_json` (same keyword arguments) to ``path``."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json(**kwargs) + "\n")
 
@@ -131,87 +143,67 @@ class RunReport:
     # ------------------------------------------------------------------
     def render(self) -> str:
         out: List[str] = [f"== RunReport: {self.title} =="]
-        if self.subsystems:
-            out.append("")
-            out.append(_table(
-                ["subsystem", "node", "time", "events", "stalls",
+
+        def section(headers: List[str], rows: List[List[str]]) -> None:
+            """One table after a blank line; nothing for no rows."""
+            if rows:
+                out.extend(("", _table(headers, rows)))
+
+        def _q(row, q):
+            value = _metrics.snapshot_quantile(row, q)
+            return "-" if value is None else f"{value:g}"
+
+        section(["subsystem", "node", "time", "events", "stalls",
                  "ckpts", "st-reqs"],
                 [[row["name"], row["node"], f"{row['time']:g}",
                   str(row["dispatched"]), str(row["stalls"]),
                   str(row["checkpoints"]), str(row["safe_time_requests"])]
-                 for row in self.subsystems]))
-        if self.links:
-            out.append("")
-            out.append(_table(
-                ["link", "model", "msgs", "frames", "bytes", "delay"],
+                 for row in self.subsystems])
+        section(["link", "model", "msgs", "frames", "bytes", "delay"],
                 [[f"{row['src']}->{row['dst']}", row["model"],
                   str(row["messages"]),
                   str(row.get("frames", row["messages"])),
                   str(row["bytes"]), f"{row['delay']:.6g}s"]
-                 for row in self.links]))
-        if self.rollbacks:
-            out.append("")
-            out.append(_table(
-                ["rollback", "straggler t", "snapshot", "restored to"],
+                 for row in self.links])
+        section(["rollback", "straggler t", "snapshot", "restored to"],
                 [[str(i + 1), f"{row['straggler_time']:g}",
                   row["snapshot_id"], f"{row['restored_time']:g}"]
-                 for i, row in enumerate(self.rollbacks)]))
-        if self.migrations:
-            out.append("")
-            out.append(_table(
-                ["move", "node", "reason", "t", "epoch", "pause",
+                 for i, row in enumerate(self.rollbacks)])
+        section(["move", "node", "reason", "t", "epoch", "pause",
                  "bytes", "replayed"],
                 [[row["kind"], row["node"], row["reason"],
                   f"{row['at_global_time']:g}", str(row["epoch"]),
                   f"{row['wall_pause']:.3f}s", str(row["snapshot_bytes"]),
                   str(row["replayed_messages"])]
-                 for row in self.migrations]))
-        if self.faults:
-            out.append("")
-            out.append(_table(
-                ["fault/retry", "count"],
+                 for row in self.migrations])
+        section(["fault/retry", "count"],
                 [[name, str(value)]
-                 for name, value in sorted(self.faults.items())]))
-        if self.counters:
-            out.append("")
-            out.append(_table(
-                ["counter", "value"],
+                 for name, value in sorted(self.faults.items())])
+        section(["counter", "value"],
                 [[name, str(value)]
-                 for name, value in sorted(self.counters.items())]))
-        if self.histograms:
-            def _q(row, q):
-                value = _metrics.snapshot_quantile(row, q)
-                return "-" if value is None else f"{value:g}"
-            out.append("")
-            out.append(_table(
-                ["histogram", "n", "mean", "p50", "p95", "p99", "min",
+                 for name, value in sorted(self.counters.items())])
+        section(["histogram", "n", "mean", "p50", "p95", "p99", "min",
                  "max"],
                 [[name, str(row["count"]),
                   "-" if row["mean"] is None else f"{row['mean']:.4g}",
                   _q(row, 0.50), _q(row, 0.95), _q(row, 0.99),
                   "-" if row["min"] is None else f"{row['min']:g}",
                   "-" if row["max"] is None else f"{row['max']:g}"]
-                 for name, row in sorted(self.histograms.items())]))
-        if self.stall_attribution:
-            out.append("")
-            out.append(_table(
-                ["waiting subsystem", "node", "on peer node", "waits",
+                 for name, row in sorted(self.histograms.items())])
+        section(["waiting subsystem", "node", "on peer node", "waits",
                  "waited", "critical"],
                 [[row["subsystem"], row["node"], row["peer_node"],
                   str(row["waits"]), f"{row['waited']:g}",
                   "*" if row["critical"] else ""]
-                 for row in self.stall_attribution]))
-        if self.link_health:
-            out.append("")
-            out.append(_table(
-                ["link health", "msgs", "ewma delay", "rate", "queue",
+                 for row in self.stall_attribution])
+        section(["link health", "msgs", "ewma delay", "rate", "queue",
                  "stall%", "score", "advice"],
                 [[f"{row['src']}->{row['dst']}", str(row["messages"]),
                   f"{row['ewma_delay']:.3g}s", f"{row['rate']:.4g}/s",
                   f"{row['queue_depth']:.3g}",
                   f"{100.0 * row['stall_fraction']:.1f}",
                   f"{row['score']:.2f}", row["recommendation"]]
-                 for row in self.link_health]))
+                 for row in self.link_health])
         if self.timeseries:
             points = sum(len(series["points"])
                          for series in self.timeseries.values())
@@ -231,12 +223,9 @@ class RunReport:
             out.append("trace records" + dropped + ": " + ", ".join(
                 f"{kind}={count}"
                 for kind, count in sorted(self.trace_counts.items())))
-        if self.timings:
-            out.append("")
-            out.append(_table(
-                ["timer", "total", "blocks"],
+        section(["timer", "total", "blocks"],
                 [[name, f"{row['total_seconds']:.4f}s", str(row["count"])]
-                 for name, row in sorted(self.timings.items())]))
+                 for name, row in sorted(self.timings.items())])
         return "\n".join(out)
 
     def __str__(self) -> str:  # pragma: no cover - convenience
@@ -256,7 +245,7 @@ def _table(headers: List[str], rows: List[List[str]]) -> str:
 
 
 # ----------------------------------------------------------------------
-# builders
+# assembly: process bundles in, one report out
 # ----------------------------------------------------------------------
 def _subsystem_row(subsystem) -> dict:
     node = subsystem.node.name if subsystem.node is not None else "-"
@@ -282,58 +271,128 @@ def _link_rows(transport) -> List[dict]:
             in accounting.report()]
 
 
+def bundle(telemetry: Telemetry, subsystems=(), *, node: Optional[str] = None,
+           transport=None, injector=None, recovery=None,
+           migrations=()) -> dict:
+    """What one process contributes to a report, as plain picklable data.
+
+    ``node`` names the node this process *is* (a multiprocess worker);
+    ``None`` when the bundle is a whole in-process run, or the
+    coordinator's own.  :func:`fold` reads the *placement* keys —
+    ``subsystems``, ``links``, ``gauges``, ``series``, ``health`` — of
+    live bundles only; every other key is *activity*, which stays counted
+    after the process has handed its node to another (DESIGN.md §5).
+    """
+    snapshot = telemetry.registry.snapshot()
+    series, health = telemetry.series, telemetry.health
+    return {
+        "node": node,
+        "subsystems": [_subsystem_row(each) for each in subsystems],
+        "links": _link_rows(transport),
+        "gauges": snapshot["gauges"],
+        "series": series.to_dict() if series is not None else {},
+        "health": health.rows() if health is not None else [],
+        "counters": snapshot["counters"],
+        "histograms": snapshot["histograms"],
+        "faults": injector.summary() if injector is not None else {},
+        "trace_counts": telemetry.trace_buffer.counts_by_kind(),
+        "trace_dropped": telemetry.trace_buffer.dropped,
+        "trace": record_dicts(telemetry.trace_buffer),
+        "timings": telemetry.registry.timings(),
+        "rollbacks": [
+            {"straggler_time": straggler_time, "snapshot_id": snapshot_id,
+             "restored_time": restored_time}
+            for straggler_time, snapshot_id, restored_time
+            in (recovery.rollbacks if recovery is not None else ())],
+        "migrations": [record.to_dict() for record in migrations],
+    }
+
+
+def fold(title: str, bundles: List[dict],
+         superseded: Iterable[dict] = ()) -> RunReport:
+    """Fold process bundles into one :class:`RunReport`.
+
+    ``bundles`` are the live processes' (one, for an in-process run);
+    ``superseded`` the parting bundles of workers a migration retired,
+    oldest first: their activity is summed in, their placement is not.
+
+    Several bundles fold differently from one in two places, both because
+    processes share no clock or namespace: a named bundle's series stay
+    apart under ``node/metric`` keys (points sampled at unaligned times
+    cannot be summed), and several trace streams are interleaved by
+    ``(time, node, seq)`` where a lone buffer keeps its recording order.
+    """
+    report = RunReport(title)
+    streams: Dict[Optional[str], List[dict]] = {}
+    links: List[dict] = []
+    health: List[dict] = []
+    for part in (*superseded, *bundles):
+        node = part["node"]
+        merge_counters(report.counters, part["counters"])
+        merge_histograms(report.histograms, part["histograms"])
+        merge_counters(report.faults, part["faults"])
+        merge_counters(report.trace_counts, part["trace_counts"])
+        merge_timings(report.timings, part["timings"])
+        report.trace_dropped += part["trace_dropped"]
+        if node is not None:
+            report.trace_dropped_by_node[node] = part["trace_dropped"] \
+                + report.trace_dropped_by_node.get(node, 0)
+        # Superseded first, so a node's stream reads oldest to newest:
+        # post-migrate receives chain to spans only the parting bundle
+        # recorded.
+        streams.setdefault(node, []).extend(part["trace"])
+        report.rollbacks.extend(part["rollbacks"])
+        report.migrations.extend(part["migrations"])
+    for part in bundles:
+        prefix = "" if part["node"] is None else f"{part['node']}/"
+        report.subsystems.extend(part["subsystems"])
+        links.extend(part["links"])
+        merge_gauges(report.gauges, part["gauges"])
+        health.extend(part["health"])
+        for name, series in part["series"].items():
+            report.timeseries[prefix + name] = series
+    report.subsystems.sort(key=lambda row: row["name"])
+    report.links = merge_link_rows(links)
+    for section in ("counters", "gauges", "histograms", "faults", "timings",
+                    "trace_counts", "timeseries"):
+        setattr(report, section,
+                dict(sorted(getattr(report, section).items())))
+    if len(streams) == 1:
+        report.trace_records, = streams.values()
+    else:
+        report.trace_records = merge_trace_records(streams)
+    report.stall_attribution = _export.stall_attribution(
+        report.trace_records, nodes=_export.subject_nodes(report))
+    if health:
+        report.link_health = finalize_health(
+            merge_health_rows(health),
+            stall_attribution=report.stall_attribution,
+            subsystems=report.subsystems)
+    return report
+
+
 def run_report(target, *, title: Optional[str] = None) -> RunReport:
     """Build a :class:`RunReport` for a Simulator or CoSimulation.
 
     ``target`` is duck-typed: anything with a ``subsystems`` mapping (and
     optionally ``transport``/``recovery``) reports as a co-simulation;
     anything with a single ``subsystem`` reports as a single-host run.
+    Either way the report is the :func:`fold` of the one :func:`bundle`
+    this process contributes.
     """
     telemetry: Telemetry = getattr(target, "telemetry", NULL_TELEMETRY)
     subsystems = getattr(target, "subsystems", None)
-    if subsystems is not None:
-        report = RunReport(title or "co-simulation")
-        for name in sorted(subsystems):
-            report.subsystems.append(_subsystem_row(subsystems[name]))
-        transport = getattr(target, "transport", None)
-        if transport is not None:
-            report.links = _link_rows(transport)
-        recovery = getattr(target, "recovery", None)
-        if recovery is not None:
-            report.rollbacks = [
-                {"straggler_time": straggler_time, "snapshot_id": snapshot_id,
-                 "restored_time": restored_time}
-                for straggler_time, snapshot_id, restored_time
-                in recovery.rollbacks]
-        injector = getattr(target, "fault_injector", None)
-        if injector is None and transport is not None:
-            injector = getattr(transport, "fault_injector", None)
-        if injector is not None:
-            report.faults = injector.summary()
-    else:
+    if subsystems is None:
         subsystem = getattr(target, "subsystem", None)
         if subsystem is None:
             raise TypeError(
                 f"cannot report on {type(target).__name__}: expected a "
                 "Simulator-like or CoSimulation-like object")
-        report = RunReport(title or subsystem.name)
-        report.subsystems.append(_subsystem_row(subsystem))
-    snapshot = telemetry.registry.snapshot()
-    report.counters = snapshot["counters"]
-    report.gauges = snapshot["gauges"]
-    report.histograms = snapshot.get("histograms", {})
-    report.trace_counts = telemetry.trace_buffer.counts_by_kind()
-    report.trace_dropped = telemetry.trace_buffer.dropped
-    report.trace_records = _export.trace_records(telemetry)
-    report.stall_attribution = _export.stall_attribution(
-        report.trace_records, nodes=_export.subject_nodes(report))
-    report.timings = telemetry.registry.timings()
-    health = getattr(telemetry, "health", None)
-    if health is not None:
-        report.link_health = finalize_health(
-            health.rows(), stall_attribution=report.stall_attribution,
-            subsystems=report.subsystems)
-    series = getattr(telemetry, "series", None)
-    if series is not None:
-        report.timeseries = series.to_dict()
-    return report
+        return fold(title or subsystem.name, [bundle(telemetry, [subsystem])])
+    transport = getattr(target, "transport", None)
+    injector = getattr(target, "fault_injector", None)
+    if injector is None:
+        injector = getattr(transport, "fault_injector", None)
+    return fold(title or "co-simulation", [bundle(
+        telemetry, subsystems.values(), transport=transport,
+        injector=injector, recovery=getattr(target, "recovery", None))])

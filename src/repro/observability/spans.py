@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .trace import TraceKind
+from .trace import TraceKind, record_dicts
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..transport.message import Message
@@ -127,10 +127,6 @@ def span_origin(span: str) -> str:
     return stem.rsplit("@e", 1)[0]
 
 
-def _as_dict(record) -> dict:
-    return record if isinstance(record, dict) else record.to_dict()
-
-
 def causal_chains(records) -> dict:
     """Link a trace's message records into causal chains.
 
@@ -154,7 +150,7 @@ def causal_chains(records) -> dict:
     orphans: List[dict] = []
     broken: List[dict] = []
     max_hop = 0
-    dicts = [_as_dict(r) for r in records]
+    dicts = record_dicts(records)
     for rec in dicts:
         if rec.get("kind") == TraceKind.MSG_SEND and "span" in rec:
             sends.setdefault(rec["span"], rec)

@@ -113,6 +113,23 @@ class Telemetry:
             TraceRecord(next(self._seq), kind, time, subject, details,
                         wall=_time.time()))
 
+    def note(self, kind: str, *, time: float = 0.0, subject: str = "",
+             **details) -> None:
+        """Record one *notable* event — a stall, a migration, a failover:
+        one :class:`TraceRecord`, filed in the trace buffer when the gate
+        is on and in the flight ring when the black box is on.  Only a
+        record entering the trace buffer draws a ``seq`` (else 0): what
+        the black box sees never shifts a lit report's ordinals."""
+        lit, flight = self.enabled, self.flight
+        if not (lit or flight.enabled):
+            return
+        record = TraceRecord(next(self._seq) if lit else 0, kind, time,
+                             subject, details, wall=_time.time())
+        if lit:
+            self.trace_buffer.append(record)
+        if flight.enabled:
+            flight.append(record)
+
     # ------------------------------------------------------------------
     def attach_series(self, recorder) -> "object":
         """Attach a :class:`~.timeseries.TimeSeriesRecorder`; returns it."""

@@ -14,9 +14,9 @@ samples (and any sampling under the parallel executors, whose round
 pacing is OS-dependent) are measurements; like timers, they stay out of
 the deterministic report projection.
 
-Multiprocess runs keep one recorder per worker; the coordinator merges
-the per-node dumps with :func:`~.merge.merge_series` (series keyed
-``node/metric``) and, when streaming is enabled, folds incremental
+Multiprocess runs keep one recorder per worker; :func:`~.report.fold`
+keeps each worker's series under a ``node/metric`` key and, when
+streaming is enabled, the coordinator folds incremental
 :meth:`~TimeSeriesRecorder.take_delta` shipments into the live status
 snapshots.
 """
@@ -24,38 +24,34 @@ snapshots.
 from __future__ import annotations
 
 import time as _time
-from collections import deque
 from typing import Dict, Iterable, List, Optional
+
+from .trace import Ring, check_capacity
 
 #: Ring capacity per series: enough for a long run at a sane cadence
 #: without unbounded growth.
 DEFAULT_CAPACITY = 1024
 
 
-class TimeSeries:
-    """One metric's bounded ``(time, value)`` ring, oldest first."""
+class TimeSeries(Ring):
+    """One metric's bounded ring of ``(time, value)`` points."""
 
-    __slots__ = ("name", "points", "appended")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, capacity: int = DEFAULT_CAPACITY) -> None:
+        super().__init__(capacity)
         self.name = name
-        self.points: deque = deque(maxlen=capacity)
-        #: Points ever appended (the ring may have evicted older ones);
-        #: lets streaming consumers find "new since last shipment".
-        self.appended = 0
 
     def append(self, t: float, value: float) -> None:
-        self.points.append((t, value))
-        self.appended += 1
+        super().append((t, value))
 
-    def as_list(self) -> List[list]:
-        return [[t, v] for t, v in self.points]
-
-    def __len__(self) -> int:
-        return len(self.points)
+    def as_list(self, since: int = 0) -> List[list]:
+        """``[[t, value], ...]`` of the points :meth:`~.trace.Ring.tail`
+        answers for ``since`` (default: every point held)."""
+        return [[t, v] for t, v in self.tail(since)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<TimeSeries {self.name} n={len(self.points)}>"
+        return f"<TimeSeries {self.name} n={len(self)}>"
 
 
 class TimeSeriesRecorder:
@@ -84,7 +80,9 @@ class TimeSeriesRecorder:
                 f"wall_interval must be positive: {wall_interval!r}")
         self.virtual_interval = virtual_interval
         self.wall_interval = wall_interval
-        self.capacity = capacity
+        # Series are created at the first sample; a bad capacity must
+        # fail here, not there.
+        self.capacity = check_capacity(capacity)
         self.names = frozenset(names) if names is not None else None
         self.series: Dict[str, TimeSeries] = {}
         #: Samples taken (each covers every selected metric).
@@ -154,12 +152,10 @@ class TimeSeriesRecorder:
         out: Dict[str, List[list]] = {}
         for name in sorted(self.series):
             series = self.series[name]
-            fresh = series.appended - self._shipped.get(name, 0)
-            if fresh <= 0:
-                continue
-            points = series.as_list()
-            out[name] = points[-fresh:] if fresh < len(points) else points
-            self._shipped[name] = series.appended
+            fresh = series.as_list(self._shipped.get(name, 0))
+            if fresh:
+                out[name] = fresh
+                self._shipped[name] = series.appended
         return out
 
     def clear(self) -> None:

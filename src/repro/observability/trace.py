@@ -3,8 +3,10 @@
 Where metrics answer "how many", the trace answers "what happened, in
 order": every record carries the virtual time it describes, the subject
 (usually a subsystem or a directed link) and kind-specific detail fields.
-The buffer is a ring — old records are dropped, never the run — so
-tracing is safe to leave on for arbitrarily long simulations.
+The buffer is a :class:`Ring` — old records are dropped, never the run —
+so tracing is safe to leave on for arbitrarily long simulations.  The
+same ring (the only one in the package) is what the flight recorder and
+every time-series sit on.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ class TraceKind:
     NODE_DROP = "node-drop"
     #: A node moved to a fresh worker (live migration or failover).
     MIGRATION = "migration"
+    #: An executor gave up on the run (deadlock, quiesce timeout).
+    ABORT = "abort"
 
 
 #: Core field names details must never shadow (see TraceRecord.to_dict).
@@ -77,40 +81,83 @@ class TraceRecord:
         return data
 
 
-class TraceBuffer:
-    """A ring buffer of :class:`TraceRecord`; bounded, never blocking."""
+def check_capacity(capacity: int) -> int:
+    """The one ring-capacity rule: at least one item, or ``ValueError``."""
+    if capacity < 1:
+        raise ValueError(f"ring capacity must be >= 1: {capacity}")
+    return capacity
 
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError(f"trace capacity must be >= 1: {capacity}")
-        self.capacity = capacity
-        self._records: "deque[TraceRecord]" = deque(maxlen=capacity)
-        #: Records ever appended (dropped ones included).
+
+class Ring:
+    """The bounded ring every recorder here sits on: the newest
+    ``capacity`` items, oldest first, plus how many were ever appended —
+    old items are dropped, never the run, so recording is safe to leave
+    on for arbitrarily long simulations."""
+
+    __slots__ = ("capacity", "appended", "_items")
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = check_capacity(capacity)
+        self._items: deque = deque(maxlen=capacity)
+        #: Items ever appended (evicted ones included).
         self.appended = 0
 
-    def append(self, record: TraceRecord) -> None:
-        self._records.append(record)
+    def append(self, item) -> None:
+        self._items.append(item)
         self.appended += 1
 
     @property
     def dropped(self) -> int:
-        """Records evicted by the ring bound."""
-        return self.appended - len(self._records)
+        """Items evicted by the ring bound."""
+        return self.appended - len(self._items)
+
+    def tail(self, since: int = 0) -> list:
+        """The items appended after the first ``since`` that the ring
+        still holds — "new since a consumer last saw :attr:`appended`
+        equal ``since``"; whatever was evicted in between is lost."""
+        fresh = self.appended - since
+        if fresh <= 0:
+            return []
+        items = list(self._items)
+        return items[-fresh:] if fresh < len(items) else items
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._items)
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def clear(self) -> None:
+        self._items.clear()
+        self.appended = 0
+
+
+class TraceBuffer(Ring):
+    """A ring of :class:`TraceRecord`; bounded, never blocking."""
+
+    __slots__ = ()
+
+    def __init__(self, capacity: int = 4096) -> None:
+        super().__init__(capacity)
 
     def records(self, kind: Optional[str] = None) -> List[TraceRecord]:
         if kind is None:
-            return list(self._records)
-        return [r for r in self._records if r.kind == kind]
+            return list(self._items)
+        return [r for r in self._items if r.kind == kind]
 
     def counts_by_kind(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
-        for record in self._records:
+        for record in self._items:
             counts[record.kind] = counts.get(record.kind, 0) + 1
         return dict(sorted(counts.items()))
 
-    def clear(self) -> None:
-        self._records.clear()
-        self.appended = 0
+
+def record_dicts(records) -> List[dict]:
+    """The one normaliser: ``records`` (:class:`TraceRecord` objects or
+    already-flattened dicts) as the record dicts every reader takes —
+    :meth:`TraceRecord.to_dict` plus the ``wall`` stamp.  Report bundles,
+    flight dumps, the timeline export and the causal linker all speak
+    this shape."""
+    return [record if isinstance(record, dict)
+            else dict(record.to_dict(), wall=record.wall)
+            for record in records]

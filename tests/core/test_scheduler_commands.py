@@ -18,7 +18,7 @@ from repro.core import (
     SwitchLevel,
     Timestamp,
 )
-from repro.observability import Telemetry
+from repro.observability import Telemetry, TraceKind
 from repro.observability.flight import STRIDE
 
 INF = float("inf")
@@ -199,8 +199,8 @@ class TestStep:
             assert subsystem.scheduler.step() is not None
         flight = telemetry.flight
         assert flight.dispatch_seq == steps
-        assert [r["details"]["seq"] for r in flight.records()
-                if r["code"] == "dispatch"] == [STRIDE, 2 * STRIDE]
+        assert [r.seq for r in flight.records(TraceKind.DISPATCH)] \
+            == [STRIDE, 2 * STRIDE]
 
 
 class TestSaveCheckpointCommand:

@@ -1,6 +1,8 @@
 """Distributed co-simulation: conservative discipline, parity with the
 single-host simulator, stalls, safe-time traffic."""
 
+import json
+
 import pytest
 
 from repro.core import (
@@ -13,6 +15,13 @@ from repro.core import (
     WaitUntil,
 )
 from repro.distributed import ChannelMode, CoSimulation
+from repro.observability import (
+    TraceKind,
+    chrome_trace,
+    validate_chrome_trace,
+)
+from repro.observability.export import trace_records
+from repro.observability.flight import ENV_DIR
 from repro.transport import LAN
 
 
@@ -92,6 +101,26 @@ class TestConservativePipeline:
         assert cosim.finished()
         assert cosim.component("consumer").local_time == 3.0
         assert cosim.global_time() >= 3.0
+
+    def test_deadlock_report_dumps_the_black_box(self, tmp_path,
+                                                 monkeypatch):
+        """The wrong run explains itself: the deadlock report leaves the
+        flight ring on disk — the stalls that led up to it, then the
+        abort — readable by the trace tooling."""
+        monkeypatch.setenv(ENV_DIR, str(tmp_path))
+        cosim = build_two_subsystems(list(range(6)), [])
+        cosim.run(until=3.0)
+        with pytest.raises(DeadlockError, match="no subsystem can advance"):
+            cosim._report_deadlock(float("inf"))
+        path, = tmp_path.glob("pia-flight-cosim-*.jsonl")
+        header, *lines = [json.loads(line)
+                          for line in path.read_text().splitlines()]
+        assert header["reason"] == "deadlock"
+        records = trace_records(lines)
+        assert records[-1]["kind"] == TraceKind.ABORT
+        assert records[-1]["time"] == cosim.global_time()
+        assert TraceKind.STALL in {r["kind"] for r in records[:-1]}
+        assert validate_chrome_trace(chrome_trace(records)) == []
 
     def test_safe_time_requests_happen(self):
         sink = []

@@ -4,6 +4,7 @@ finish with simulation state bit-identical to a fault-free same-seed
 run — across both transports, batching on and off.  Also unit-tests the
 portable-image plumbing those moves ride on."""
 
+import json
 import pickle
 
 import pytest
@@ -27,6 +28,13 @@ from repro.distributed.migration import (
     resent_counts,
 )
 from repro.faults import FaultPlan, NodeCrash
+from repro.observability import (
+    TraceKind,
+    chrome_trace,
+    validate_chrome_trace,
+)
+from repro.observability.export import trace_records
+from repro.observability.flight import ENV_DIR
 from repro.observability.spans import causal_chains
 from repro.transport.message import Message, MessageKind
 
@@ -42,6 +50,19 @@ def star(**kwargs):
 def progress_rows(report):
     return sorted((row["name"], row["time"], row["dispatched"])
                   for row in report.subsystems)
+
+
+def flight_dumps(directory):
+    """``{tag: (header, records)}`` for every black-box dump under
+    ``directory`` — each must read back through the trace tooling."""
+    dumps = {}
+    for path in sorted(directory.glob("pia-flight-*.jsonl")):
+        header, *lines = [json.loads(line) for line
+                          in path.read_text().splitlines()]
+        records = trace_records(lines)
+        assert validate_chrome_trace(chrome_trace(records)) == []
+        dumps[header["flight"]] = (header, records)
+    return dumps
 
 
 # ----------------------------------------------------------------------
@@ -91,6 +112,27 @@ class TestFailoverBitIdentity:
         # Survivors keep their original placement.
         assert ("n-hub", "lost") not in events
 
+    def test_failover_leaves_the_black_boxes_behind(self, tmp_path,
+                                                    monkeypatch):
+        """The coordinator dumps its ring when it decides to fail over,
+        and every surviving worker dumps its own just before the
+        rollback wipes the world it describes.  (Unbatched, so the
+        workers stall and have something in their rings.)"""
+        monkeypatch.setenv(ENV_DIR, str(tmp_path))
+        crash = star(batching=False, fault_plan=FaultPlan(
+            seed=3, crashes=[NodeCrash("n-w0", at_time=2.0)]))
+        crash.run(timeout=120.0)
+        dumps = flight_dumps(tmp_path)
+        header, records = dumps["coordinator"]
+        assert header["reason"] == "failover: scheduled-crash"
+        assert [(r["kind"], r["subject"], r["reason"]) for r in records] \
+            == [(TraceKind.MIGRATION, "n-w0", "scheduled-crash")]
+        header, records = dumps["n-hub"]
+        assert header["reason"] == "restore"
+        assert records[-1]["kind"] == TraceKind.CHECKPOINT_RESTORE
+        assert TraceKind.STALL in {r["kind"] for r in records}
+        assert "n-w0" not in dumps      # killed: it never got to dump
+
     def test_detector_suspicions_reported(self):
         """The heartbeat detector's verdicts surface as a report gauge
         whether or not anything died."""
@@ -105,11 +147,15 @@ class TestFailoverBitIdentity:
 
 class TestLiveMigration:
     @pytest.mark.parametrize("transport", ["tcp", "shm"])
-    def test_migrate_mid_run_is_lossless(self, transport):
+    def test_migrate_mid_run_is_lossless(self, transport, tmp_path,
+                                         monkeypatch):
         """migrate_at() must re-splice every channel without dropping or
         duplicating in-flight messages: progress rows stay bit-identical
         and the causal trace graph has no orphan receives (a dropped or
-        doubled message breaks a span chain)."""
+        doubled message breaks a span chain).  The coordinator's own
+        trace — the migration decision — reaches the report, and the
+        move leaves its black boxes behind."""
+        monkeypatch.setenv(ENV_DIR, str(tmp_path))
         ref = star(transport=transport)
         ref.run(timeout=120.0)
         rows_ref = progress_rows(ref.report())
@@ -134,6 +180,24 @@ class TestLiveMigration:
         # A migration must land on a genuinely different process.
         assert placements[("n-w1", "adopted")] != \
             placements[("n-w1", "assigned")]
+        # One coordinator MIGRATION record per move, and nothing else
+        # distinguishes the projection from the unmoved run's.
+        assert report.trace_counts[TraceKind.MIGRATION] \
+            == len(report.migrations)
+        assert ref.report().trace_counts.get(TraceKind.MIGRATION) is None
+        decided = [r for r in report.trace_records
+                   if r["kind"] == TraceKind.MIGRATION]
+        assert [(r["subject"], r["reason"], r["epoch"]) for r in decided] \
+            == [("n-w1", "requested", 1)]
+        timeline = chrome_trace(report)
+        assert validate_chrome_trace(timeline) == []
+        assert [e["args"]["reason"] for e in timeline["traceEvents"]
+                if e.get("name") == TraceKind.MIGRATION] == ["requested"]
+        dumps = flight_dumps(tmp_path)
+        header, records = dumps["coordinator"]
+        assert header["reason"] == "migrate"
+        assert records == [{k: v for k, v in r.items() if k != "node"}
+                           for r in decided]
 
     def test_migrate_requires_migrate_policy(self):
         plain = compute_star_multiprocess(2, 3, words=20)

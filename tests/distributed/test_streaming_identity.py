@@ -13,12 +13,22 @@ from repro.bench.workloads import (
     compute_star_multiprocess,
     streaming_pair,
 )
-from repro.observability import TimeSeriesRecorder, attach_health
+from repro.observability import (
+    LinkHealthMonitor,
+    Telemetry,
+    TimeSeriesRecorder,
+    attach_health,
+)
 
 
 def telemetry_kwargs():
-    return dict(series_interval=1.0, series_wall_interval=0.5,
-                health=True, stream_telemetry=True)
+    """The plane is configured on the ``Telemetry`` handed in; every
+    worker mirrors it."""
+    telemetry = Telemetry()
+    telemetry.attach_series(TimeSeriesRecorder(virtual_interval=1.0,
+                                               wall_interval=0.5))
+    telemetry.health = LinkHealthMonitor()
+    return dict(telemetry=telemetry, stream_telemetry=True)
 
 
 class TestMultiprocess:

@@ -1,5 +1,7 @@
 """The thread-per-node executor: parity with the cooperative one."""
 
+import json
+
 import pytest
 
 from repro.core import (
@@ -10,6 +12,9 @@ from repro.core import (
     SimulationError,
 )
 from repro.distributed import ChannelMode, ThreadedCoSimulation
+from repro.observability import TraceKind
+from repro.observability.export import trace_records
+from repro.observability.flight import ENV_DIR
 from repro.transport import TcpTransport
 
 
@@ -50,6 +55,23 @@ class TestThreadedExecutor:
         cons = build(runner, list(range(8)))
         runner.run(timeout=30.0)
         assert cons.got == [(float(i + 1), i) for i in range(8)]
+
+    def test_quiesce_timeout_dumps_the_black_box(self, tmp_path,
+                                                 monkeypatch):
+        """A run that fails to quiesce raises — and leaves its flight
+        ring on disk, ending in the abort note."""
+        monkeypatch.setenv(ENV_DIR, str(tmp_path))
+        runner = ThreadedCoSimulation()
+        build(runner, list(range(8)))
+        with pytest.raises(SimulationError, match="did not quiesce"):
+            runner.run(timeout=0.0)
+        path, = tmp_path.glob("pia-flight-threaded-*.jsonl")
+        header, *lines = [json.loads(line)
+                          for line in path.read_text().splitlines()]
+        assert header["reason"] == "quiesce-timeout"
+        records = trace_records(lines)
+        assert (records[-1]["kind"], records[-1]["reason"]) \
+            == (TraceKind.ABORT, "quiesce-timeout")
 
     def test_pipeline_over_tcp(self):
         with TcpTransport() as transport:

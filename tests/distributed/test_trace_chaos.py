@@ -36,8 +36,9 @@ def run_star(executor, *, batching=False, chaos=True, rounds=6):
     if executor in ("multiprocess", "multiprocess_shm"):
         if executor == "multiprocess_shm":
             kwargs["transport"] = "shm"
-        cosim = compute_star_multiprocess(2, rounds, words=50,
-                                          trace_capacity=CAPACITY, **kwargs)
+        cosim = compute_star_multiprocess(
+            2, rounds, words=50,
+            telemetry=Telemetry(trace_capacity=CAPACITY), **kwargs)
         cosim.run(until=100.0, timeout=90.0)
         cosim.close()
     else:

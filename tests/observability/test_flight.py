@@ -1,12 +1,27 @@
 """The flight recorder: ring semantics, stride sampling, dumps, and the
-always-on hook in the scheduler run loops."""
+always-on hook in the scheduler run loops.  The black box is a trace: its
+records are ``TraceRecord``s and its dump reads back through the trace
+tooling."""
 
 import json
+
+import pytest
 
 from repro.core.events import Event, EventKind
 from repro.core.subsystem import Subsystem
 from repro.core.timestamp import Timestamp
-from repro.observability import NULL_TELEMETRY, Telemetry
+from repro.observability import (
+    NULL_TELEMETRY,
+    Telemetry,
+    TimeSeries,
+    TimeSeriesRecorder,
+    TraceBuffer,
+    TraceKind,
+    TraceRecord,
+    chrome_trace,
+    validate_chrome_trace,
+)
+from repro.observability.export import trace_records
 from repro.observability.flight import (
     ENV_DIR,
     STRIDE,
@@ -18,54 +33,82 @@ from repro.observability.flight import (
 class TestRecorder:
     def test_note_round_trips(self):
         flight = FlightRecorder()
-        flight.note("stall", "engine", time=4.5, horizon=4.0)
+        flight.note(TraceKind.STALL, "engine", time=4.5, horizon=4.0)
         record, = flight.records()
-        assert record["code"] == "stall"
-        assert record["subject"] == "engine"
-        assert record["time"] == 4.5
-        assert record["details"] == {"horizon": 4.0}
-        assert record["wall"] > 0
+        assert isinstance(record, TraceRecord)
+        assert record.kind == TraceKind.STALL
+        assert record.subject == "engine"
+        assert record.time == 4.5
+        assert record.details == {"horizon": 4.0}
+        assert record.wall > 0
 
     def test_disabled_recorder_is_a_noop(self):
         flight = FlightRecorder(enabled=False)
-        flight.note("stall", "engine")
+        flight.note(TraceKind.STALL, "engine")
         assert len(flight) == 0
-        assert flight.recorded == 0
+        assert flight.appended == 0
         assert flight.dump(tag="t") is None
 
     def test_ring_keeps_only_the_tail(self):
         flight = FlightRecorder(capacity=4)
         for n in range(10):
-            flight.note("dispatch", f"s{n}")
-        assert flight.recorded == 10
-        assert [r["subject"] for r in flight.records()] \
+            flight.note(TraceKind.DISPATCH, f"s{n}")
+        assert flight.appended == 10
+        assert flight.dropped == 6
+        assert [r.subject for r in flight.records()] \
             == ["s6", "s7", "s8", "s9"]
+        assert [r.subject for r in flight.tail(8)] == ["s8", "s9"]
 
     def test_clear_resets_everything(self):
         flight = FlightRecorder()
-        flight.note("x")
+        flight.note(TraceKind.STALL)
         flight.dispatch_seq = 1
         flight.clear()
         assert len(flight) == 0
-        assert flight.recorded == 0
+        assert flight.appended == 0
         assert flight.dispatch_seq == 0
+
+    @pytest.mark.parametrize("ring", [
+        TraceBuffer, FlightRecorder,
+        lambda capacity: TimeSeries("s", capacity),
+        lambda capacity: TimeSeriesRecorder(capacity=capacity),
+    ], ids=["trace", "flight", "series", "series-recorder"])
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_one_capacity_rule(self, ring, capacity):
+        """Every ring (and the recorder that will build rings later)
+        rejects a capacity below 1 at construction time."""
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            ring(capacity)
 
 
 class TestDump:
     def test_dumps_is_jsonl_with_header(self):
         flight = FlightRecorder()
-        flight.note("stall", "engine", time=1.0)
+        flight.note(TraceKind.STALL, "engine", time=1.0, next_event=3.0)
         lines = flight.dumps(tag="worker", reason="test").splitlines()
         header = json.loads(lines[0])
         assert header["flight"] == "worker"
         assert header["reason"] == "test"
         assert header["recorded"] == 1
-        assert json.loads(lines[1])["code"] == "stall"
+        record, = flight.records()
+        assert json.loads(lines[1]) == dict(record.to_dict(),
+                                            wall=record.wall)
+
+    def test_dump_lines_read_back_as_a_trace(self):
+        telemetry = Telemetry()
+        telemetry.note(TraceKind.STALL, time=1.0, subject="engine",
+                       horizon=1.0, next_event=3.0)
+        telemetry.note(TraceKind.MIGRATION, time=2.0, subject="n1",
+                       reason="requested", epoch=1)
+        lines = telemetry.flight.dumps().splitlines()[1:]
+        records = trace_records([json.loads(line) for line in lines])
+        assert records == trace_records(telemetry)
+        assert validate_chrome_trace(chrome_trace(records)) == []
 
     def test_dump_writes_to_env_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_DIR, str(tmp_path))
         flight = FlightRecorder()
-        flight.note("crash", "n-w0")
+        flight.note(TraceKind.NODE_CRASH, "n-w0")
         path = flight.dump(tag="n-w0", reason="boom")
         assert path is not None
         assert path.startswith(str(tmp_path))
@@ -74,7 +117,7 @@ class TestDump:
 
     def test_dump_failure_returns_none(self, tmp_path):
         flight = FlightRecorder()
-        flight.note("x")
+        flight.note(TraceKind.STALL)
         assert flight.dump(str(tmp_path / "no" / "such" / "dir" / "f")) \
             is None
 
@@ -110,9 +153,12 @@ class TestSchedulerHook:
         self._run(telemetry)
         flight = telemetry.flight
         assert flight.dispatch_seq == 2 * STRIDE + 100
-        seqs = [r["details"]["seq"] for r in flight.records()
-                if r["code"] == "dispatch"]
-        assert seqs == [STRIDE, 2 * STRIDE]
+        assert [r.seq for r in flight.records(TraceKind.DISPATCH)] \
+            == [STRIDE, 2 * STRIDE]
+        # The sampled dispatches live in the black box only and drew no
+        # ordinal from the full trace's stream.
+        assert [r.seq for r in telemetry.trace_buffer.records()] \
+            == list(range(1, 2 * STRIDE + 101))
 
     def test_flight_stays_on_with_metrics_gate_disabled(self):
         telemetry = Telemetry()

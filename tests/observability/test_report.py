@@ -2,8 +2,11 @@
 end-to-end wiring through kernel, distributed layer and transport."""
 
 import json
+import os
 
 import pytest
+
+from repro.bench.workloads import compute_star
 
 from repro.core import (
     Advance,
@@ -20,9 +23,12 @@ from repro.observability import (
     NULL_TELEMETRY,
     RunReport,
     Telemetry,
+    TimeSeriesRecorder,
     TraceKind,
+    attach_health,
     run_report,
 )
+from repro.observability.report import bundle, fold
 
 
 class Ticker(ProcessComponent):
@@ -212,3 +218,75 @@ class TestRender:
         path = tmp_path / "report.json"
         report.save_json(str(path))
         assert json.loads(path.read_text())["counters"]
+        # Every to_dict switch passes through (include_trace used to
+        # raise TypeError in to_json).
+        report.save_json(str(path), include_trace=True, include_health=True,
+                         include_series=True, include_timings=True)
+        assert json.loads(path.read_text()) == json.loads(json.dumps(
+            report.to_dict(include_trace=True, include_health=True,
+                           include_series=True, include_timings=True)))
+
+
+class TestBundleFold:
+    """One assembler: a report is the fold of process bundles."""
+
+    ALL = dict(include_trace=True, include_series=True, include_health=True,
+               include_timings=True)
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        path = os.path.join(os.path.dirname(__file__),
+                            "golden_two_node_batched.json")
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+
+    def test_fold_of_one_bundle_is_the_parents_run_report(self, golden):
+        """Inputs and output recorded at the commit before the shared
+        assembler existed: the fold must reproduce ``run_report``."""
+        report = fold("co-simulation", [golden["bundle"]])
+        assert report.to_dict(**self.ALL) == golden["report"]
+
+    def test_live_bundle_matches_the_recorded_one(self, golden):
+        """The same scenario today, through ``bundle()``: everything the
+        cooperative executor makes deterministic is unchanged."""
+        cosim = compute_star(1, 3, words=10, batching=True)
+        cosim.telemetry.attach_series(
+            TimeSeriesRecorder(virtual_interval=1.0))
+        attach_health(cosim.transport, cosim.telemetry)
+        cosim.run(until=100.0)
+        document = cosim.report().to_dict(include_trace=True,
+                                          include_series=True)
+        expected = {key: value for key, value in golden["report"].items()
+                    if key not in ("link_health", "timings")}
+        assert document == expected
+
+    def test_superseded_bundle_adds_activity_not_placement(self, golden):
+        part = golden["bundle"]
+        once = fold("t", [part])
+        twice = fold("t", [part], superseded=[part])
+        assert twice.counters == {name: 2 * value for name, value
+                                  in once.counters.items()}
+        assert twice.trace_counts == {kind: 2 * count for kind, count
+                                      in once.trace_counts.items()}
+        assert twice.histograms["transport.batch_size"]["count"] \
+            == 2 * once.histograms["transport.batch_size"]["count"]
+        assert len(twice.trace_records) == 2 * len(once.trace_records)
+        for placement in ("subsystems", "links", "gauges", "timeseries"):
+            assert getattr(twice, placement) == getattr(once, placement)
+        assert [(row["src"], row["dst"], row["messages"])
+                for row in twice.link_health] \
+            == [(row["src"], row["dst"], row["messages"])
+                for row in once.link_health]
+
+    def test_named_bundles_are_keyed_and_interleaved(self, golden):
+        """The two places a many-process fold differs from a one-process
+        one: ``node/metric`` series keys and (time, node, seq) order."""
+        hub = dict(golden["bundle"], node="n-hub")
+        own = bundle(Telemetry())
+        report = fold("t", [own, hub])
+        assert set(report.timeseries) \
+            == {f"n-hub/{name}" for name in golden["report"]["timeseries"]}
+        assert report.trace_dropped_by_node == {"n-hub": 0}
+        assert all(rec["node"] == "n-hub" for rec in report.trace_records)
+        keys = [(rec["time"], rec["seq"]) for rec in report.trace_records]
+        assert keys == sorted(keys)

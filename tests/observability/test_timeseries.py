@@ -125,3 +125,30 @@ class TestCooperativeSampling:
         recorder.sample(0.0, registry_with(counters=[("c", 1)]))
         telemetry.reset()
         assert recorder.series == {}
+
+
+class TestMultiprocessMirror:
+    def test_worker_spec_carries_the_whole_recorder(self):
+        """A multiprocess executor ships the recorder it was handed —
+        cadences, ring capacity and metric names — so every worker's
+        recorder is built with the same arguments."""
+        from repro.distributed import MultiprocessCoSimulation
+        from repro.observability import LinkHealthMonitor
+
+        telemetry = Telemetry(trace_capacity=64)
+        telemetry.attach_series(TimeSeriesRecorder(
+            virtual_interval=2.0, wall_interval=0.5, capacity=8,
+            names=["scheduler.stalls"]))
+        cosim = MultiprocessCoSimulation(telemetry=telemetry)
+        cosim.add_node("n0")
+        mirror = cosim.worker_spec("n0").telemetry
+        assert (mirror.trace_capacity, mirror.health) == (64, False)
+        twin = TimeSeriesRecorder(**mirror.series)
+        assert (twin.virtual_interval, twin.wall_interval, twin.capacity,
+                twin.names) == (2.0, 0.5, 8, {"scheduler.stalls"})
+        telemetry.health = LinkHealthMonitor()
+        assert cosim.worker_spec("n0").telemetry.health is True
+        plain = MultiprocessCoSimulation()
+        plain.add_node("n0")
+        assert plain.worker_spec("n0").telemetry \
+            == (Telemetry().trace_buffer.capacity, None, False)
