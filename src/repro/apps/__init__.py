@@ -28,6 +28,7 @@ from .wubbleu import (
     build_split,
     page_load,
     run_page_load,
+    wubbleu_spec,
 )
 
 __all__ = [
@@ -39,5 +40,5 @@ __all__ = [
     "WubbleUConfig", "build_design", "build_local", "build_page",
     "build_split", "encode_request", "encode_response",
     "fetch_like_hotjava", "page_load", "parse_request", "parse_response",
-    "run_page_load",
+    "run_page_load", "wubbleu_spec",
 ]

@@ -26,7 +26,8 @@ from typing import Dict, Optional, Tuple
 from ..core.errors import SimulationError
 from ..distributed.channel import ChannelMode
 from ..distributed.executor import CoSimulation
-from ..distributed.partition import Deployment, Design, deploy
+from ..distributed.partition import Deployment, Design, deploy, spec_of
+from ..distributed.spec import SystemSpec
 from ..protocols.base import Protocol
 from ..protocols.bus import TransactionCodec
 from ..protocols.packetized import packet_protocol
@@ -54,6 +55,8 @@ ASSIGN_SPLIT = {
     "Stack": HANDHELD,
     "NetIf": CELLSITE, "Server": CELLSITE, "Origin": CELLSITE,
 }
+#: Subsystem-to-node map of both placements.
+PLACEMENT = {HANDHELD: "host-a", CELLSITE: "host-b"}
 
 
 @dataclass
@@ -168,8 +171,7 @@ def build_local(config: Optional[WubbleUConfig] = None, *,
     config = config or WubbleUConfig()
     design, page = build_design(config)
     cosim = CoSimulation(batching=batching)
-    deployment = deploy(design, ASSIGN_LOCAL, cosim,
-                        placement={HANDHELD: "host-a"})
+    deployment = deploy(design, ASSIGN_LOCAL, cosim, placement=PLACEMENT)
     return cosim, deployment, page
 
 
@@ -184,11 +186,27 @@ def build_split(config: Optional[WubbleUConfig] = None, *,
     cosim = CoSimulation(snapshot_interval=(
         0.2 if mode is ChannelMode.OPTIMISTIC else None),
         batching=batching)
-    deployment = deploy(design, ASSIGN_SPLIT, cosim,
-                        placement={HANDHELD: "host-a", CELLSITE: "host-b"},
+    deployment = deploy(design, ASSIGN_SPLIT, cosim, placement=PLACEMENT,
                         mode=mode)
     cosim.set_link_model("host-a", "host-b", network)
     return cosim, deployment, page
+
+
+def wubbleu_design(config: WubbleUConfig) -> Design:
+    """:func:`build_design` as a design factory (the design alone)."""
+    return build_design(config)[0]
+
+
+def wubbleu_spec(config: Optional[WubbleUConfig] = None, *,
+                 network: LatencyModel = INTERNET) -> SystemSpec:
+    """The placement of :func:`build_split` as a picklable spec, for
+    ``build(spec, executor)`` under any executor; ``build_split`` returns
+    the live ``Deployment`` instead, which cannot cross ``spawn``."""
+    spec = spec_of("repro.apps.wubbleu:wubbleu_design",
+                   config or WubbleUConfig(),
+                   assignment=ASSIGN_SPLIT, placement=PLACEMENT)
+    spec.set_link_model("host-a", "host-b", network)
+    return spec
 
 
 # ---------------------------------------------------------------------------

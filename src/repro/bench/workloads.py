@@ -1,40 +1,48 @@
-"""Reusable synthetic workloads for the ablation benchmarks."""
+"""Reusable synthetic workloads for the ablation benchmarks.
+
+Each topology is written once, as a ``*_spec`` over name-first subsystem
+factories importable by dotted path (the shape that can bootstrap a
+spawned worker), so ``build(spec, executor)`` runs it under any executor;
+``streaming_pair``, ``ring_of_pairs`` and ``compute_star`` are that call.
+"""
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Optional
 
 from ..core.component import FunctionComponent
 from ..core.process import Advance, Receive, Send, WaitUntil
 from ..core.subsystem import Subsystem
+from ..distributed import SystemSpec, build
 from ..distributed.channel import ChannelMode
 from ..distributed.executor import CoSimulation
 from ..distributed.multiprocess import MultiprocessCoSimulation
-from ..distributed.threaded import ThreadedCoSimulation
 from ..transport.latency import SAME_HOST, LatencyModel
 
+_HERE = "repro.bench.workloads:"
 
-def streaming_pair(message_count: int, period: float, *,
-                   mode: ChannelMode = ChannelMode.CONSERVATIVE,
-                   consumer_work: float = 0.0,
-                   snapshot_interval: Optional[float] = None,
-                   network: LatencyModel = SAME_HOST,
-                   channel_delay: float = 0.0) -> CoSimulation:
-    """A producer streaming to a consumer across two nodes.
 
-    ``consumer_work`` gives the consumer's subsystem private busy-work so
-    that, under optimism, it runs ahead and stragglers occur (the consumer
-    subsystem is named to be scheduled first).
-    """
-    cosim = CoSimulation(snapshot_interval=snapshot_interval)
-    ss_cons = cosim.add_subsystem(cosim.add_node("n-cons"), "a-consumer")
-    ss_prod = cosim.add_subsystem(cosim.add_node("n-prod"), "z-producer")
-    cosim.set_link_model("n-cons", "n-prod", network)
+def make_stream_producer(name: str, *, message_count: int,
+                         period: float) -> Subsystem:
+    """Send ``message_count`` indices, one per ``period``, on ``stream``."""
 
     def produce(comp):
         for index in range(message_count):
             yield Advance(period)
             yield Send("out", index)
+
+    producer = FunctionComponent("producer", produce, ports={"out": "out"})
+    subsystem = Subsystem(name)
+    subsystem.add(producer)
+    subsystem.wire("stream", producer.port("out"))
+    return subsystem
+
+
+def make_stream_consumer(name: str, *, message_count: int, period: float,
+                         consumer_work: float = 0.0) -> Subsystem:
+    """Collect ``message_count`` values from ``stream`` (as
+    ``consumer.received``), next to ``consumer_work`` virtual seconds of
+    private busy-work ticking every ``period``."""
 
     def consume(comp):
         comp.received = []
@@ -42,10 +50,9 @@ def streaming_pair(message_count: int, period: float, *,
             t, value = yield Receive("in")
             comp.received.append((t, value))
 
-    producer = FunctionComponent("producer", produce, ports={"out": "out"})
     consumer = FunctionComponent("consumer", consume, ports={"in": "in"})
-    ss_prod.add(producer)
-    ss_cons.add(consumer)
+    subsystem = Subsystem(name)
+    subsystem.add(consumer)
 
     if consumer_work > 0:
         def busy(comp):
@@ -59,59 +66,109 @@ def streaming_pair(message_count: int, period: float, *,
 
         ticker = FunctionComponent("busy", busy, ports={"tick": "out"})
         sink = FunctionComponent("busysink", busy_sink, ports={"in": "in"})
-        ss_cons.add(ticker)
-        ss_cons.add(sink)
-        ss_cons.wire("busyline", ticker.port("tick"), sink.port("in"))
+        subsystem.add(ticker)
+        subsystem.add(sink)
+        subsystem.wire("busyline", ticker.port("tick"), sink.port("in"))
 
-    channel = cosim.connect(ss_prod, ss_cons, mode=mode, delay=channel_delay)
-    channel.split_net(ss_prod.wire("stream", producer.port("out")),
-                      ss_cons.wire("stream", consumer.port("in")))
-    return cosim
+    subsystem.wire("stream", consumer.port("in"))
+    return subsystem
+
+
+def streaming_pair_spec(message_count: int, period: float, *,
+                        mode: ChannelMode = ChannelMode.CONSERVATIVE,
+                        consumer_work: float = 0.0,
+                        network: LatencyModel = SAME_HOST,
+                        channel_delay: float = 0.0) -> SystemSpec:
+    """A producer streaming to a consumer across two nodes.
+
+    ``consumer_work`` gives the consumer's subsystem private busy-work so
+    that, under optimism, it runs ahead and stragglers occur (the consumer
+    subsystem is named to be scheduled first).
+    """
+    spec = SystemSpec()
+    spec.add_subsystem(spec.add_node("n-cons"), "a-consumer",
+                       _HERE + "make_stream_consumer",
+                       message_count=message_count, period=period,
+                       consumer_work=consumer_work)
+    spec.add_subsystem(spec.add_node("n-prod"), "z-producer",
+                       _HERE + "make_stream_producer",
+                       message_count=message_count, period=period)
+    spec.set_link_model("n-cons", "n-prod", network)
+    spec.connect("z-producer", "a-consumer", mode=mode, delay=channel_delay,
+                 nets=("stream",))
+    return spec
+
+
+def streaming_pair(message_count: int, period: float, *,
+                   mode: ChannelMode = ChannelMode.CONSERVATIVE,
+                   consumer_work: float = 0.0,
+                   snapshot_interval: Optional[float] = None,
+                   network: LatencyModel = SAME_HOST,
+                   channel_delay: float = 0.0) -> CoSimulation:
+    """:func:`streaming_pair_spec` under the cooperative executor."""
+    return build(streaming_pair_spec(
+        message_count, period, mode=mode, consumer_work=consumer_work,
+        network=network, channel_delay=channel_delay),
+        snapshot_interval=snapshot_interval)
+
+
+def make_ring_stage(name: str, *, index: int, count: int,
+                    messages_each: int, period: float) -> Subsystem:
+    """Stage ``index`` of ``count``: stage 0 sources ``messages_each``
+    values on ``w1``; every later stage counts what arrives on
+    ``w{index}`` (``seen``) and, unless last, relays it on
+    ``w{index + 1}`` a tenth of a period later."""
+    last = index == count - 1
+
+    def source(comp):
+        for value in range(messages_each):
+            yield Advance(period)
+            yield Send("out", value)
+
+    def relay(comp):
+        comp.seen = 0
+        while True:
+            t, value = yield Receive("in")
+            comp.seen += 1
+            if not last:
+                yield Advance(period / 10)
+                yield Send("out", value)
+
+    ports = {} if index == 0 else {"in": "in"}
+    if not last:
+        ports["out"] = "out"
+    comp = FunctionComponent(f"c{index}", relay if index else source,
+                             ports=ports)
+    subsystem = Subsystem(name)
+    subsystem.add(comp)
+    if index:
+        subsystem.wire(f"w{index}", comp.port("in"))
+    if not last:
+        subsystem.wire(f"w{index + 1}", comp.port("out"))
+    return subsystem
+
+
+def ring_of_pairs_spec(subsystem_count: int, messages_each: int,
+                       *, period: float = 1.0) -> SystemSpec:
+    """A chain of subsystems, each streaming to the next (no long cycles,
+    honouring the simple-cycle topology rule)."""
+    spec = SystemSpec()
+    for index in range(subsystem_count):
+        spec.add_subsystem(spec.add_node(f"n{index}"), f"ss{index:02d}",
+                           _HERE + "make_ring_stage", index=index,
+                           count=subsystem_count,
+                           messages_each=messages_each, period=period)
+        if index:
+            spec.connect(f"ss{index - 1:02d}", f"ss{index:02d}",
+                         nets=(f"w{index}",))
+    return spec
 
 
 def ring_of_pairs(subsystem_count: int, messages_each: int,
                   *, period: float = 1.0) -> CoSimulation:
-    """A chain of subsystems, each streaming to the next (no long cycles,
-    honouring the simple-cycle topology rule)."""
-    cosim = CoSimulation()
-    subsystems = []
-    for index in range(subsystem_count):
-        node = cosim.add_node(f"n{index}")
-        subsystems.append(cosim.add_subsystem(node, f"ss{index:02d}"))
-
-    def relay(last: bool):
-        def behave(comp):
-            comp.seen = 0
-            while True:
-                t, value = yield Receive("in")
-                comp.seen += 1
-                if not last:
-                    yield Advance(period / 10)
-                    yield Send("out", value)
-        return behave
-
-    def source(comp):
-        for index in range(messages_each):
-            yield Advance(period)
-            yield Send("out", index)
-
-    head = FunctionComponent("c0", source, ports={"out": "out"})
-    subsystems[0].add(head)
-    previous_port = head.port("out")
-    previous_ss = subsystems[0]
-    for index in range(1, subsystem_count):
-        last = index == subsystem_count - 1
-        ports = {"in": "in"} if last else {"in": "in", "out": "out"}
-        comp = FunctionComponent(f"c{index}", relay(last), ports=ports)
-        subsystems[index].add(comp)
-        channel = cosim.connect(previous_ss, subsystems[index])
-        channel.split_net(
-            previous_ss.wire(f"w{index}", previous_port),
-            subsystems[index].wire(f"w{index}", comp.port("in")))
-        if not last:
-            previous_port = comp.port("out")
-        previous_ss = subsystems[index]
-    return cosim
+    """:func:`ring_of_pairs_spec` under the cooperative executor."""
+    return build(ring_of_pairs_spec(subsystem_count, messages_each,
+                                    period=period))
 
 
 # ----------------------------------------------------------------------
@@ -126,10 +183,6 @@ def ring_of_pairs(subsystem_count: int, messages_each: int,
 # counts, while wall-clock scales with how many checksum loops truly run
 # in parallel.  Threads cannot parallelise the loops (one GIL);
 # processes can.
-#
-# The factories take ``name`` first and are importable by dotted path,
-# which is exactly the shape `MultiprocessCoSimulation` subsystem specs
-# need to bootstrap a spawned worker process.
 # ----------------------------------------------------------------------
 
 def word_checksum(seed: int, words: int) -> int:
@@ -192,51 +245,38 @@ def make_compute_worker(name: str, *, index: int, rounds: int, words: int,
     return subsystem
 
 
+def compute_star_spec(worker_count: int, rounds: int, *, words: int = 4000,
+                      period: float = 1.0) -> SystemSpec:
+    """A hub on ``n-hub`` and one spoke per worker on ``n-w{k}``, each
+    joined to the hub by a channel carrying ``go{k}``/``done{k}``."""
+    spec = SystemSpec()
+    spec.add_subsystem(spec.add_node("n-hub"), "hub",
+                       _HERE + "make_compute_hub",
+                       workers=worker_count, rounds=rounds, period=period)
+    for k in range(worker_count):
+        spec.add_subsystem(spec.add_node(f"n-w{k}"), f"w{k}",
+                           _HERE + "make_compute_worker",
+                           index=k, rounds=rounds, words=words,
+                           period=period)
+        spec.connect("hub", f"w{k}", delay=period / 4,
+                     nets=(f"go{k}", f"done{k}"))
+    return spec
+
+
 def compute_star(worker_count: int, rounds: int, *, words: int = 4000,
                  period: float = 1.0, executor: str = "cosim",
                  batching: bool = True, **kwargs):
-    """The star wired for a single-process executor: ``executor`` picks
-    ``"cosim"`` (cooperative) or ``"threaded"``; extra ``kwargs`` (e.g.
+    """:func:`compute_star_spec` under ``executor`` (``"cosim"``,
+    ``"threaded"`` or ``"multiprocess"``); extra ``kwargs`` (e.g.
     ``fault_plan``) pass through to the executor constructor."""
-    try:
-        executor_class = {"cosim": CoSimulation,
-                          "threaded": ThreadedCoSimulation}[executor]
-    except KeyError:
-        raise ValueError(f"unknown executor {executor!r}: "
-                         "use 'cosim' or 'threaded'") from None
-    cosim = executor_class(batching=batching, **kwargs)
-    hub = cosim.add_subsystem(
-        cosim.add_node("n-hub"),
-        make_compute_hub("hub", workers=worker_count, rounds=rounds,
-                         period=period))
-    for k in range(worker_count):
-        spoke = cosim.add_subsystem(
-            cosim.add_node(f"n-w{k}"),
-            make_compute_worker(f"w{k}", index=k, rounds=rounds,
-                                words=words, period=period))
-        channel = cosim.connect(hub, spoke, delay=period / 4)
-        channel.split_net(hub.nets[f"go{k}"], spoke.nets[f"go{k}"])
-        channel.split_net(hub.nets[f"done{k}"], spoke.nets[f"done{k}"])
-    return cosim
+    return build(compute_star_spec(worker_count, rounds, words=words,
+                                   period=period),
+                 executor, batching=batching, **kwargs)
 
 
 def compute_star_multiprocess(worker_count: int, rounds: int, *,
                               words: int = 4000, period: float = 1.0,
                               **kwargs) -> MultiprocessCoSimulation:
-    """The same star as :func:`compute_star`, declared as picklable specs
-    for the process-per-node deployment (extra ``kwargs`` pass through to
-    :class:`MultiprocessCoSimulation`)."""
-    cosim = MultiprocessCoSimulation(**kwargs)
-    cosim.add_node("n-hub")
-    cosim.add_subsystem("n-hub", "hub",
-                        "repro.bench.workloads:make_compute_hub",
-                        workers=worker_count, rounds=rounds, period=period)
-    for k in range(worker_count):
-        cosim.add_node(f"n-w{k}")
-        cosim.add_subsystem(f"n-w{k}", f"w{k}",
-                            "repro.bench.workloads:make_compute_worker",
-                            index=k, rounds=rounds, words=words,
-                            period=period)
-        cosim.connect("hub", f"w{k}", delay=period / 4,
-                      nets=(f"go{k}", f"done{k}"))
-    return cosim
+    """:func:`compute_star` with ``executor="multiprocess"``."""
+    return compute_star(worker_count, rounds, words=words, period=period,
+                        executor="multiprocess", **kwargs)

@@ -24,12 +24,8 @@ from .migration import (
 )
 from .multiprocess import (
     MP_FAILURE_POLICIES,
-    ChannelSpec,
     MultiprocessCoSimulation,
-    SubsystemSpec,
     WorkerPool,
-    register_factory,
-    resolve_factory,
 )
 from .node import PiaNode, Socket
 from .optimistic import RecoveryManager
@@ -41,21 +37,45 @@ from .snapshot import (
     SubsystemCut,
     new_snapshot_id,
 )
+from .spec import (
+    ChannelSpec,
+    SubsystemSpec,
+    SystemSpec,
+    register_factory,
+    resolve_factory,
+)
+from .system import LiveSystem
 from .threaded import LockedSafeTimeService, ThreadedCoSimulation
 from .topology import communication_digraph, offending_cycles, validate
 
 __all__ = [
     "Channel", "ChannelComponent", "ChannelEndpoint", "ChannelMode",
-    "ChannelSpec", "CoSimulation", "Deployment", "Design",
-    "FAILURE_POLICIES", "GlobalSnapshot", "LockedSafeTimeService",
+    "ChannelSpec", "CoSimulation", "Deployment", "Design", "EXECUTORS",
+    "FAILURE_POLICIES", "GlobalSnapshot", "LiveSystem",
+    "LockedSafeTimeService",
     "MP_FAILURE_POLICIES", "MigrationRecord",
     "MultiprocessCoSimulation", "NetSpec", "NodeArchive",
     "PiaNode", "PortableImage", "RecoveryManager", "SafeTimeClient",
     "SafeTimeService",
     "SnapshotManager", "SnapshotRegistry", "Socket", "StragglerError",
-    "SubsystemCut", "SubsystemSpec", "ThreadedCoSimulation", "UNBOUNDED",
-    "WorkerPool", "archive_node",
+    "SubsystemCut", "SubsystemSpec", "SystemSpec", "ThreadedCoSimulation",
+    "UNBOUNDED", "WorkerPool", "archive_node", "build",
     "communication_digraph", "compute_grant", "deploy", "local_floor",
     "new_snapshot_id", "offending_cycles", "register_factory",
     "resolve_factory", "restore_node", "suggest_partition", "validate",
 ]
+
+#: Executor name -> class.  Here, not in ``spec.py``: this is the one
+#: module that sees all three executors, each of which imports the spec.
+EXECUTORS = {"cosim": CoSimulation, "threaded": ThreadedCoSimulation,
+             "multiprocess": MultiprocessCoSimulation}
+
+
+def build(spec: SystemSpec, executor: str = "cosim", **executor_kwargs):
+    """``spec`` loaded into a fresh executor of the named kind, un-run;
+    ``executor_kwargs`` (fault plan, telemetry, batching, transport, …)
+    go to its constructor."""
+    if executor not in EXECUTORS:
+        raise ValueError(f"unknown executor {executor!r}: "
+                         f"use one of {sorted(EXECUTORS)}")
+    return EXECUTORS[executor](**executor_kwargs).load(spec)

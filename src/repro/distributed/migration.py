@@ -252,26 +252,6 @@ def restore_node(node, images: Dict[str, PortableImage],
 
 
 # ----------------------------------------------------------------------
-# factory resolution (explicit ComponentLoader routing)
-# ----------------------------------------------------------------------
-def rebuild_factory(ref: str):
-    """Resolve a subsystem factory reference on the adopting worker.
-
-    Dotted module paths go through the spec machinery's
-    ``resolve_factory``; file-backed references (``file://…`` or a
-    ``…/thing.py:Name`` path) go through the
-    :class:`~repro.loader.ComponentLoader`, which is how a worker that
-    never imported the defining module can still reconstruct the moved
-    subsystem.
-    """
-    if "file://" in ref or ".py" in ref.split(":", 1)[0]:
-        from ..loader import ComponentLoader
-        return ComponentLoader(require_component=False).load(ref)
-    from .multiprocess import resolve_factory
-    return resolve_factory(ref)
-
-
-# ----------------------------------------------------------------------
 # run-report records
 # ----------------------------------------------------------------------
 @dataclass

@@ -55,18 +55,18 @@ a live node between workers on request: halt, drain the wire to
 quiescence, cut, re-splice, restore, resume.
 """
 
+from ..spec import (
+    ChannelSpec,
+    SubsystemSpec,
+    register_factory,
+    resolve_factory,
+)
 from .coordinator import (
     MP_FAILURE_POLICIES,
     MultiprocessCoSimulation,
     status_snapshot,
 )
 from .pool import WorkerPool
-from .specs import (
-    ChannelSpec,
-    SubsystemSpec,
-    register_factory,
-    resolve_factory,
-)
 
 __all__ = [
     "ChannelSpec", "MP_FAILURE_POLICIES", "MultiprocessCoSimulation",

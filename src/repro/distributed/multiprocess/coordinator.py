@@ -35,7 +35,9 @@ from ...transport.shm import DEFAULT_RING_CAPACITY, create_ring_segment
 from ..migration import MigrationRecord, NodeArchive, resent_counts
 from ..snapshot import new_snapshot_id
 from .pool import WorkerPool, _PoolWorker
-from .specs import ChannelSpec, SubsystemSpec, TelemetrySpec, _WorkerSpec
+from ..spec import ChannelSpec, SubsystemSpec, SystemSpec
+from .specs import TelemetrySpec, _WorkerSpec
+from .worker import WorkerSystem
 
 #: Failure policies the multiprocess executor understands.
 MP_FAILURE_POLICIES = ("raise", "migrate")
@@ -86,8 +88,10 @@ def status_snapshot(statuses: Dict[str, dict], *,
 class MultiprocessCoSimulation:
     """Run each Pia node in its own OS process (conservative channels).
 
-    The construction API parallels :class:`CoSimulation` but takes *specs*
-    instead of live objects: subsystems are named factories resolved in
+    The system is a :class:`~repro.distributed.spec.SystemSpec` — handed
+    over whole (:meth:`load`) or declared through this class's
+    ``add_node``/``add_subsystem``/``connect`` — because live components
+    cannot cross ``spawn``: subsystems are named factories resolved in
     the worker process, channels are declared by subsystem and net names.
     Batching and grant piggybacking are on by default — synchronous
     safe-time traffic is what process-parallel deployments can least
@@ -139,10 +143,8 @@ class MultiprocessCoSimulation:
         self._pool = pool
         self._own_pool: Optional[WorkerPool] = None
         self._pool_finalizer = None
-        self._nodes: Dict[str, List[SubsystemSpec]] = {}
-        self._subsystem_node: Dict[str, str] = {}
-        self._channels: List[ChannelSpec] = []
-        self._channel_seq = 0
+        #: The system under test; each worker realises its node's slice.
+        self.spec = SystemSpec()
         #: Per-worker report bundles from the last completed run.
         self._bundles: Optional[Dict[str, dict]] = None
         self.dispatched = 0
@@ -185,45 +187,30 @@ class MultiprocessCoSimulation:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+    def load(self, spec: SystemSpec) -> "MultiprocessCoSimulation":
+        """Adopt ``spec`` as the system to run; returns ``self``."""
+        self.spec = spec
+        return self
+
     def add_node(self, name: str) -> str:
-        if name in self._nodes:
-            raise ConfigurationError(f"duplicate node {name!r}")
-        self._nodes[name] = []
-        return name
+        return self.spec.add_node(name)
 
     def add_subsystem(self, node: str, name: str, factory: str,
                       *args, **kwargs) -> SubsystemSpec:
         """Declare subsystem ``name`` on ``node``, built in the worker by
         ``factory(name, *args, **kwargs)`` (see :func:`resolve_factory`).
         Positional and keyword arguments must be picklable."""
-        if node not in self._nodes:
-            raise ConfigurationError(f"no node named {node!r}")
-        if name in self._subsystem_node:
-            raise ConfigurationError(f"duplicate subsystem {name!r}")
-        spec = SubsystemSpec(name, factory, tuple(args), dict(kwargs))
-        self._nodes[node].append(spec)
-        self._subsystem_node[name] = node
-        return spec
+        return self.spec.add_subsystem(node, name, factory, *args, **kwargs)
 
     def connect(self, a: str, b: str, *, delay: float = 0.0,
                 nets: Tuple[str, ...] = ()) -> ChannelSpec:
         """Declare a conservative channel between subsystems ``a`` and
         ``b`` carrying the named split nets."""
-        for name in (a, b):
-            if name not in self._subsystem_node:
-                raise ConfigurationError(f"no subsystem named {name!r}")
-        self._channel_seq += 1
-        spec = ChannelSpec(
-            channel_id=f"mch{self._channel_seq}-{a}-{b}",
-            subsystem_a=a, node_a=self._subsystem_node[a],
-            subsystem_b=b, node_b=self._subsystem_node[b],
-            delay=delay, nets=tuple(nets))
-        self._channels.append(spec)
-        return spec
+        return self.spec.connect(a, b, delay=delay, nets=nets)
 
     def worker_spec(self, node: str) -> _WorkerSpec:
         """The picklable bootstrap spec worker ``node`` receives."""
-        if node not in self._nodes:
+        if node not in self.spec.nodes:
             raise ConfigurationError(f"no node named {node!r}")
         plan = self.fault_plan.for_node(node) \
             if self.fault_plan is not None else None
@@ -231,8 +218,10 @@ class MultiprocessCoSimulation:
         telemetry, series = self.telemetry, self.telemetry.series
         return _WorkerSpec(
             node=node,
-            subsystems=tuple(self._nodes[node]),
-            channels=tuple(cs for cs in self._channels if cs.touches(node)),
+            subsystems=tuple(self.spec.nodes[node]),
+            channels=tuple(cs for cs in self.spec.channels
+                           if cs.touches(node)),
+            links=tuple(self.spec.links),
             batching=self.batching,
             fault_plan=plan,
             retry_policy=self.retry_policy,
@@ -252,7 +241,7 @@ class MultiprocessCoSimulation:
     def _ring_links(self) -> List[Tuple[str, str]]:
         """Every directed node pair a channel crosses — one shm ring each."""
         links = set()
-        for cs in self._channels:
+        for cs in self.spec.channels:
             if cs.node_a != cs.node_b:
                 links.add((cs.node_a, cs.node_b))
                 links.add((cs.node_b, cs.node_a))
@@ -292,8 +281,9 @@ class MultiprocessCoSimulation:
         forest (any undirected cycle of length >= 3 *could* be a
         non-simple directed cycle)."""
         graph = nx.Graph()
-        graph.add_nodes_from(self._subsystem_node)
-        for cs in self._channels:
+        for cs in self.spec.channels:
+            # Refused here rather than by a worker, after the spawn.
+            WorkerSystem.check_mode(cs.mode)
             graph.add_edge(cs.subsystem_a, cs.subsystem_b)
         cycles = nx.cycle_basis(graph)
         if cycles:
@@ -319,7 +309,7 @@ class MultiprocessCoSimulation:
     def migrate_at(self, node: str, at_time: float) -> None:
         """Request a migration of ``node`` once global virtual time
         reaches ``at_time`` (deterministic trigger point)."""
-        if node not in self._nodes:
+        if node not in self.spec.nodes:
             raise ConfigurationError(f"no node named {node!r}")
         if self.failure_policy != "migrate":
             raise ConfigurationError(
@@ -358,7 +348,7 @@ class MultiprocessCoSimulation:
         repro.observability.live <path>`` tails as a console view.
         ``status_listener`` receives the same snapshots in-process.
         """
-        if not self._nodes:
+        if not self.spec.nodes:
             return 0
         self._check_topology()
         self._status_path = status_path
@@ -377,7 +367,7 @@ class MultiprocessCoSimulation:
             if self.failure_policy == "migrate" else None
         started_at = _time.perf_counter()
         pool = self._acquire_pool()
-        names = sorted(self._nodes)
+        names = sorted(self.spec.nodes)
         workers = pool.acquire(len(names))
         assigned: Dict[str, _PoolWorker] = dict(zip(names, workers))
         procs: Dict[str, _PoolWorker] = assigned
@@ -401,6 +391,11 @@ class MultiprocessCoSimulation:
                         create_ring_segment(self.ring_capacity)
             for name in names:
                 self._introduce(name, pipes)
+            # Barrier: a worker handles control in order, so its status
+            # reply proves it knows its peers.  Without it a fast starter's
+            # safe-time call can reach a worker that cannot yet route the
+            # transitive refresh towards its own other peers.
+            self._poll_statuses(pipes, procs, deadline)
             if self.failure_policy == "migrate":
                 # Baseline restore point: a pre-start Chandy-Lamport cut,
                 # archived coordinator-side before any event dispatches.
@@ -641,7 +636,7 @@ class MultiprocessCoSimulation:
         and pushes a :class:`NodeArchive` back — the coordinator is the
         run's stable storage, so the restore point survives any worker.
         """
-        names = sorted(self._nodes)
+        names = sorted(self.spec.nodes)
         snapshot_id = new_snapshot_id()
         for name in names:
             pipes[name].send(("cut", snapshot_id))
@@ -655,6 +650,21 @@ class MultiprocessCoSimulation:
         self.telemetry.count("migration.snapshots")
         return snapshot_id
 
+    def _poll_statuses(self, pipes, procs, deadline: float
+                       ) -> Dict[str, dict]:
+        """One ``status?`` round trip to every worker, outside the
+        supervision loop."""
+        for name in sorted(procs):
+            pipes[name].send(("status?",))
+        statuses = {name: self._expect(pipes, procs, name, "status",
+                                       deadline)
+                    for name in sorted(procs)}
+        if self.stream_telemetry:
+            # Workers already consumed these deltas replying; fold them
+            # or this window goes dark in the live view.
+            self._fold_stream(statuses)
+        return statuses
+
     def _drain_wire(self, pipes, procs, deadline: float) -> None:
         """Wait until nothing is in flight anywhere: all queued batches
         flushed, inboxes pumped dry, fault-held deliveries released, and
@@ -666,15 +676,7 @@ class MultiprocessCoSimulation:
                 raise SimulationError(
                     "migration drain did not reach wire quiescence "
                     "within the timeout")
-            for name in sorted(procs):
-                pipes[name].send(("status?",))
-            statuses = {name: self._expect(pipes, procs, name, "status",
-                                           deadline)
-                        for name in sorted(procs)}
-            if self.stream_telemetry:
-                # Workers already consumed these deltas replying; fold
-                # them or the drain window goes dark in the live view.
-                self._fold_stream(statuses)
+            statuses = self._poll_statuses(pipes, procs, deadline)
             wire_out = sum(st["wire_out"] for st in statuses.values())
             wire_in = sum(st["wire_in"] for st in statuses.values())
             pending = sum(st["pending"] for st in statuses.values())
@@ -690,7 +692,7 @@ class MultiprocessCoSimulation:
         shm rings are recreated (a killed producer can leave a torn
         frame), survivors drop cached connections and stale peer
         addresses, and the moved nodes learn the full peer map."""
-        names = sorted(self._nodes)
+        names = sorted(self.spec.nodes)
         moved_set = set(moved)
         fresh: Dict[Tuple[str, str], str] = {}
         if self.transport == "shm":
@@ -737,7 +739,7 @@ class MultiprocessCoSimulation:
                      deadline: float) -> Tuple[int, int]:
         """Roll every worker back to the current restore point under a
         new migration epoch.  Returns (archived bytes, replayed count)."""
-        names = sorted(self._nodes)
+        names = sorted(self.spec.nodes)
         self._run_epoch += 1
         resent = resent_counts(self._archives.values())
         snapshot_bytes = 0
@@ -766,7 +768,7 @@ class MultiprocessCoSimulation:
             raise NodeFailure(
                 f"node {dead_nodes[0]!r} failed before a restore point "
                 "existed — cannot fail over", node=dead_nodes[0])
-        names = sorted(self._nodes)
+        names = sorted(self.spec.nodes)
         wall_started = _time.perf_counter()
         for name in dead_nodes:
             self.telemetry.count("migration.failovers")
@@ -851,7 +853,7 @@ class MultiprocessCoSimulation:
                     deadline: float, global_now: float) -> None:
         """Move live nodes to fresh workers: halt, drain the wire, cut,
         re-splice, restore under a new epoch, resume."""
-        names = sorted(self._nodes)
+        names = sorted(self.spec.nodes)
         moved = sorted(set(name for name in nodes if name in procs))
         if not moved:
             return

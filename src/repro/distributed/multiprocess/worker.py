@@ -8,8 +8,7 @@ import time as _time
 from collections import deque
 from typing import Dict, Optional, Tuple
 
-from ...core.errors import ConfigurationError, TransportError
-from ...faults import FaultInjector
+from ...core.errors import TransportError
 from ...observability import (
     Telemetry,
     TimeSeriesRecorder,
@@ -18,14 +17,25 @@ from ...observability import (
 )
 from ...observability.report import bundle
 from ...transport.codec import VERSION as CODEC_VERSION
+from ...transport.latency import SAME_HOST
 from ...transport.shm import SharedMemoryTransport
 from ...transport.tcp import TcpTransport
-from ..channel import Channel, ChannelMode
+from ..channel import ChannelMode
 from ..migration import archive_node, restore_node
-from ..node import PiaNode
 from ..snapshot import SnapshotManager, SnapshotRegistry
+from ..spec import SystemSpec
+from ..system import LiveSystem
 from ..threaded import LockedSafeTimeService
 from .specs import _WorkerSpec
+
+
+class WorkerSystem(LiveSystem):
+    """The live system of one worker process: its own node, wired by the
+    same realiser as the in-process executors."""
+
+    CHANNEL_PREFIX = "mch"
+    SERVICE = LockedSafeTimeService
+    MODES = (ChannelMode.CONSERVATIVE,)
 
 
 class _ControlInbox:
@@ -100,31 +110,22 @@ class _Worker:
         else:
             self.transport = TcpTransport(batching=spec.batching)
         self.transport.wakeup_hook = self.inbox.kick
-        self.transport.attach_telemetry(self.telemetry)
-        self.injector: Optional[FaultInjector] = None
-        if spec.fault_plan is not None:
-            self.injector = FaultInjector(spec.fault_plan,
-                                          retry_policy=spec.retry_policy,
-                                          telemetry=self.telemetry)
-            self.transport.attach_faults(self.injector)
-        elif spec.retry_policy is not None:
-            self.transport.retry_policy = spec.retry_policy
+        self.system = WorkerSystem(
+            transport=self.transport, default_model=SAME_HOST,
+            telemetry=self.telemetry, fault_plan=spec.fault_plan,
+            retry_policy=spec.retry_policy, batching=spec.batching)
+        self.injector = self.system.fault_injector
         if mirror.series is not None:
             self.telemetry.attach_series(TimeSeriesRecorder(**mirror.series))
         if mirror.health:
             attach_health(self.transport, self.telemetry)
         #: Counter values already shipped in streaming deltas.
         self._streamed: Dict[str, int] = {}
-        self.node = PiaNode(spec.node, self.transport)
-        for sspec in spec.subsystems:
-            subsystem = sspec.build()
-            self.node.add_subsystem(subsystem)
-            subsystem.attach_telemetry(self.telemetry)
-        LockedSafeTimeService(self.node)
-        self.transport.set_piggyback_provider(
-            lambda src, dst: self.node.grants_for(dst)
-            if src == self.node.name else [])
-        self._attach_channels()
+        self.system.load(
+            SystemSpec({spec.node: list(spec.subsystems)},
+                       list(spec.channels), list(spec.links)),
+            only=spec.node)
+        self.node = self.system.nodes[spec.node]
         # Chandy-Lamport participation: the coordinator triggers cuts
         # over the control pipe; marks cross between workers as ordinary
         # channel traffic.  Completion is judged against the *local*
@@ -146,30 +147,6 @@ class _Worker:
         self.progress = False
 
     # ------------------------------------------------------------------
-    def _attach_channels(self) -> None:
-        name = self.node.name
-        for cs in self.spec.channels:
-            channel = Channel(cs.channel_id, ChannelMode.CONSERVATIVE,
-                              delay=cs.delay)
-            sides = (
-                (cs.subsystem_a, cs.node_a, cs.subsystem_b, cs.node_b),
-                (cs.subsystem_b, cs.node_b, cs.subsystem_a, cs.node_a),
-            )
-            for local_ss, local_node, peer_ss, peer_node in sides:
-                if local_node != name:
-                    continue
-                subsystem = self.node.subsystem(local_ss)
-                endpoint = channel.attach(subsystem, peer_subsystem=peer_ss,
-                                          peer_node=peer_node)
-                for net_name in cs.nets:
-                    net = subsystem.nets.get(net_name)
-                    if net is None:
-                        raise ConfigurationError(
-                            f"channel {cs.channel_id}: subsystem "
-                            f"{local_ss!r} has no net {net_name!r} — its "
-                            "factory must wire it")
-                    endpoint.tap(net)
-
     def _status(self) -> dict:
         with self.node.lock:
             rows = []
@@ -419,9 +396,7 @@ class _Worker:
                 # the virtual cadence is deterministic for a given
                 # schedule, the wall cadence is a measurement.
                 with self.node.lock:
-                    now = min((ss.now
-                               for ss in self.node.subsystems.values()),
-                              default=0.0)
+                    now = self.system.global_time()
                 series.tick(now, self.telemetry.registry,
                             wall=_time.monotonic())
             self._announce_cuts()

@@ -9,13 +9,18 @@ contain no components relevant to the net, so a global view of the system
 must be consulted when performing each split."
 
 This module *is* that global view: a :class:`Design` holds the whole
-component/net graph independent of any placement, and :func:`deploy`
-realises a placement from scratch — every split is computed from the
-global graph, so no net ever passes through an unrelated subsystem.
+component/net graph independent of any placement, and a placement is
+realised from scratch — every split is computed from the global graph,
+so no net ever passes through an unrelated subsystem.  :func:`realise`
+builds one subsystem of a placement and :func:`plan` its nodes and
+channels; :func:`deploy` (a live design into a live system) and
+:func:`spec_of` (a design factory into a picklable
+:class:`~repro.distributed.spec.SystemSpec`) are the two front ends.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
@@ -23,12 +28,12 @@ import networkx as nx
 
 from ..core.component import Component
 from ..core.errors import ConfigurationError
-from ..core.net import Net
 from ..core.subsystem import Subsystem
 from .channel import Channel, ChannelMode
+from .spec import SystemSpec, resolve_factory
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .executor import CoSimulation
+    from .system import LiveSystem
 
 
 @dataclass
@@ -142,83 +147,117 @@ class Deployment:
     splits: Dict[str, List[str]] = field(default_factory=dict)
 
 
+def realise(design: Design, assignment: Dict[str, str],
+            name: str) -> Subsystem:
+    """Subsystem ``name`` of the placement, no executor involved: its
+    components, the nets local to it, and its half of every split net."""
+    subsystem = Subsystem(name)
+    for comp_name, ss_name in sorted(assignment.items()):
+        if ss_name == name:
+            subsystem.add(design.components[comp_name])
+    for net in sorted(design.nets.values(), key=lambda n: n.name):
+        ports = [design.components[comp_name].port(port_name)
+                 for comp_name, port_name in net.endpoints
+                 if assignment[comp_name] == name]
+        if ports:
+            subsystem.wire(net.name, *ports, delay=net.delay)
+    return subsystem
+
+
+def realise_from(name: str, design_factory: str, args: tuple, kwargs: dict,
+                 assignment: Dict[str, str]) -> Subsystem:
+    """:func:`realise` behind a design-factory reference — the subsystem
+    factory :func:`spec_of` names, so each hosting process builds its
+    own copy of the design (live components cannot cross ``spawn``)."""
+    design = resolve_factory(design_factory)(*args, **kwargs)
+    return realise(design, assignment, name)
+
+
+def plan(design: Design, assignment: Dict[str, str],
+         placement: Optional[Dict[str, str]] = None) -> tuple:
+    """Where everything goes: ``(homes, splits, channels)``.
+
+    ``homes`` maps subsystem -> node (``placement``, default one node per
+    subsystem); ``splits`` maps each cut net to the subsystems it spans;
+    ``channels`` maps each communicating pair, in creation order, to its
+    ``(root, other)`` orientation and the split nets it carries.  A net
+    spanning three or more subsystems is relayed along a star rooted at
+    the subsystem holding most of its endpoints, as channel components
+    forward injected values onwards.
+    """
+    unknown = sorted(set(assignment) - set(design.components))
+    if unknown:
+        raise ConfigurationError(
+            f"assignment references unknown component {unknown[0]!r}")
+    missing = set(design.components) - set(assignment)
+    if missing:
+        raise ConfigurationError(
+            f"components without assignment: {sorted(missing)}")
+    homes = {ss_name: (placement or {}).get(ss_name, f"node-{ss_name}")
+             for __, ss_name in sorted(assignment.items())}
+    splits: Dict[str, List[str]] = {}
+    channels: Dict[Tuple[str, str], tuple] = {}
+    for net in sorted(design.nets.values(), key=lambda n: n.name):
+        endpoints = Counter(assignment[comp_name]
+                            for comp_name, __ in net.endpoints)
+        if len(endpoints) == 1:
+            continue
+        spans = splits[net.name] = sorted(endpoints)
+        # Star rooted at the subsystem with the most endpoints (global
+        # view: no pass-through subsystems are ever introduced).
+        root = max(spans, key=lambda name: (endpoints[name], name))
+        for other in spans:
+            if other != root:
+                channels.setdefault(
+                    (min(root, other), max(root, other)),
+                    ((root, other), []))[1].append(net.name)
+    return homes, splits, channels
+
+
 def deploy(design: Design, assignment: Dict[str, str],
-           cosim: "CoSimulation", *,
+           cosim: "LiveSystem", *,
            placement: Optional[Dict[str, str]] = None,
            mode: ChannelMode = ChannelMode.CONSERVATIVE,
            channel_delay: float = 0.0) -> Deployment:
     """Realise ``design`` under ``assignment`` inside ``cosim``.
 
     ``assignment`` maps component name -> subsystem name; ``placement``
-    maps subsystem name -> node name (default: one node per subsystem).
-    Channels are created per communicating subsystem pair; a net spanning
-    three or more subsystems is relayed along a star rooted at the
-    subsystem holding most of its endpoints, as channel components forward
-    injected values onwards.
+    maps subsystem name -> node name (see :func:`plan`).  Channels are
+    created per communicating subsystem pair.
     """
-    placement = placement or {}
-    deployment = Deployment()
-
-    # 1. Subsystems and their components.
-    for comp_name, ss_name in sorted(assignment.items()):
-        if comp_name not in design.components:
-            raise ConfigurationError(
-                f"assignment references unknown component {comp_name!r}")
-        subsystem = deployment.subsystems.get(ss_name)
-        if subsystem is None:
-            node_name = placement.get(ss_name, f"node-{ss_name}")
-            node = cosim.node(node_name) if node_name in cosim.nodes \
-                else cosim.add_node(node_name)
-            subsystem = cosim.add_subsystem(node, ss_name)
-            deployment.subsystems[ss_name] = subsystem
-        subsystem.add(design.components[comp_name])
-    missing = set(design.components) - set(assignment)
-    if missing:
-        raise ConfigurationError(
-            f"components without assignment: {sorted(missing)}")
-
-    # 2. Nets: local where possible, split along the cut otherwise.
-    for spec in sorted(design.nets.values(), key=lambda s: s.name):
-        by_subsystem: Dict[str, List] = {}
-        for comp_name, port_name in spec.endpoints:
-            ss_name = assignment[comp_name]
-            port = design.components[comp_name].port(port_name)
-            by_subsystem.setdefault(ss_name, []).append(port)
-        homes = sorted(by_subsystem)
-        if len(homes) == 1:
-            net = Net(spec.name, delay=spec.delay)
-            deployment.subsystems[homes[0]].add_net(net)
-            net.connect(*by_subsystem[homes[0]])
-            continue
-
-        # Split: one half-net per participating subsystem.
-        deployment.splits[spec.name] = homes
-        halves: Dict[str, Net] = {}
-        for ss_name in homes:
-            half = Net(spec.name, delay=spec.delay)
-            deployment.subsystems[ss_name].add_net(half)
-            half.connect(*by_subsystem[ss_name])
-            halves[ss_name] = half
-        # Star rooted at the subsystem with the most endpoints (global
-        # view: no pass-through subsystems are ever introduced).
-        root = max(homes, key=lambda name: (len(by_subsystem[name]), name))
-        for ss_name in homes:
-            if ss_name == root:
-                continue
-            channel = _channel_for(cosim, deployment, root, ss_name,
-                                   mode=mode, delay=channel_delay)
-            channel.split_net(halves[root], halves[ss_name])
+    homes, splits, channels = plan(design, assignment, placement)
+    deployment = Deployment(splits=splits)
+    for ss_name, node in homes.items():
+        if node not in cosim.nodes:
+            cosim.add_node(node)
+        deployment.subsystems[ss_name] = cosim.add_subsystem(
+            node, realise(design, assignment, ss_name))
+    for key, ((root, other), nets) in channels.items():
+        deployment.channels[key] = cosim.connect(
+            deployment.subsystems[root], deployment.subsystems[other],
+            mode=mode, delay=channel_delay, nets=nets)
     return deployment
 
 
-def _channel_for(cosim: "CoSimulation", deployment: Deployment,
-                 a: str, b: str, *, mode: ChannelMode,
-                 delay: float) -> Channel:
-    key = (min(a, b), max(a, b))
-    channel = deployment.channels.get(key)
-    if channel is None:
-        channel = cosim.connect(deployment.subsystems[a],
-                                deployment.subsystems[b],
-                                mode=mode, delay=delay)
-        deployment.channels[key] = channel
-    return channel
+def spec_of(design_factory: str, *args,
+            assignment: Dict[str, str],
+            placement: Optional[Dict[str, str]] = None,
+            **kwargs) -> SystemSpec:
+    """The placement :func:`deploy` would realise (conservative,
+    zero-delay channels), as a picklable spec any executor loads:
+    ``design_factory(*args, **kwargs)`` (a
+    :func:`~repro.distributed.spec.resolve_factory` reference returning
+    a :class:`Design`) is planned here and realised per subsystem by
+    :func:`realise_from` wherever that subsystem runs."""
+    design = resolve_factory(design_factory)(*args, **kwargs)
+    homes, __, channels = plan(design, assignment, placement)
+    spec = SystemSpec()
+    for ss_name, node in homes.items():
+        if node not in spec.nodes:
+            spec.add_node(node)
+        spec.add_subsystem(node, ss_name,
+                           "repro.distributed.partition:realise_from",
+                           design_factory, args, kwargs, assignment)
+    for (root, other), nets in channels.values():
+        spec.connect(root, other, nets=nets)
+    return spec

@@ -1,17 +1,20 @@
-"""What the in-process executors share: the live objects of one
-distributed system and the builder that wires them.
+"""What every executor shares: the live objects of one distributed
+system and the one realiser that wires them.
 
-:class:`~repro.distributed.executor.CoSimulation` and
-:class:`~repro.distributed.threaded.ThreadedCoSimulation` run the same
-nodes, subsystems and channels over the same transport/telemetry/fault
-plumbing; they differ only in who calls each node's round and how global
-quiescence is decided.  Everything but that lives here.
+:class:`~repro.distributed.executor.CoSimulation`,
+:class:`~repro.distributed.threaded.ThreadedCoSimulation` and each worker
+process of the multiprocess executor run the same nodes, subsystems and
+channels over the same transport/telemetry/fault plumbing; they differ
+only in who calls each node's round and how global quiescence is
+decided.  Everything but that lives here — built call by call from live
+objects, or in one go from a :class:`~repro.distributed.spec.SystemSpec`
+(:meth:`LiveSystem.load`).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.errors import ConfigurationError, SimulationError
 from ..core.subsystem import Subsystem
@@ -24,6 +27,7 @@ from .channel import Channel, ChannelMode
 from .conservative import SafeTimeService
 from .node import PiaNode
 from . import topology
+from .spec import SystemSpec
 
 
 class LiveSystem:
@@ -64,6 +68,10 @@ class LiveSystem:
                 fault_plan, retry_policy=retry_policy,
                 telemetry=self.telemetry)
             self.transport.attach_faults(self.fault_injector)
+        elif retry_policy is not None:
+            # No injected drops to retry, but a carrier with real links
+            # spends the same budget on reconnects.
+            self.transport.retry_policy = retry_policy
         #: Channel-id allocator.  Instance-local, not module-global: ids
         #: travel on the wire, so a process-global counter would make the
         #: byte counts of otherwise identical runs depend on how many
@@ -113,27 +121,80 @@ class LiveSystem:
         """Executor-specific wiring of a fresh subsystem (none by
         default)."""
 
-    def connect(self, a: Subsystem, b: Subsystem, *,
+    @classmethod
+    def check_mode(cls, mode: ChannelMode) -> None:
+        """Raise unless this executor can run channels of ``mode``."""
+        if mode not in cls.MODES:
+            raise SimulationError(
+                f"{cls.__name__} supports "
+                f"{'/'.join(m.value for m in cls.MODES)} channels only; "
+                "use CoSimulation for optimistic channels")
+
+    def connect(self, a: Union[Subsystem, Tuple[str, str]],
+                b: Union[Subsystem, Tuple[str, str]], *,
                 mode: ChannelMode = ChannelMode.CONSERVATIVE,
                 delay: float = 0.0,
-                channel_id: Optional[str] = None) -> Channel:
-        """Create the channel between two subsystems (one per pair)."""
-        if mode not in self.MODES:
-            raise SimulationError(
-                f"{type(self).__name__} supports "
-                f"{'/'.join(m.value for m in self.MODES)} channels only; "
-                "use CoSimulation for optimistic channels")
-        if channel_id is None:
-            channel_id = (f"{self.CHANNEL_PREFIX}{next(self._channel_ids)}"
-                          f"-{a.name}-{b.name}")
-        if a.node is None or b.node is None:
+                channel_id: Optional[str] = None,
+                nets: Sequence[str] = ()) -> Channel:
+        """Create the channel between two subsystems (one per pair).
+
+        A side another process hosts is named as ``(subsystem, node)``
+        and gets no endpoint here.  ``nets`` are split nets whose halves
+        (same name on either side) each local endpoint taps — what
+        :meth:`Channel.split_net` does per pair of halves.
+        """
+        self.check_mode(mode)
+        if any(isinstance(side, Subsystem) and side.node is None
+               for side in (a, b)):
             raise ConfigurationError(
                 "attach both subsystems to nodes before connecting them")
+        end_a, end_b = ((side.name, side.node.name)
+                        if isinstance(side, Subsystem) else tuple(side)
+                        for side in (a, b))
+        if end_a[0] == end_b[0]:
+            raise ConfigurationError(
+                f"cannot connect subsystem {end_a[0]!r} to itself")
+        if channel_id is None:
+            channel_id = self._channel_id(next(self._channel_ids),
+                                          end_a[0], end_b[0])
+        if channel_id in self.channels:
+            raise ConfigurationError(f"duplicate channel {channel_id!r}")
         channel = Channel(channel_id, mode, delay=delay)
-        channel.attach(a, peer_subsystem=b.name, peer_node=b.node.name)
-        channel.attach(b, peer_subsystem=a.name, peer_node=a.node.name)
+        for local, (peer, peer_node) in ((a, end_b), (b, end_a)):
+            if isinstance(local, Subsystem):
+                endpoint = channel.attach(local, peer_subsystem=peer,
+                                          peer_node=peer_node)
+                for net_name in nets:
+                    endpoint.tap(local.net(net_name))
         self.channels[channel_id] = channel
         return channel
+
+    def _channel_id(self, seq: int, a: str, b: str) -> str:
+        return f"{self.CHANNEL_PREFIX}{seq}-{a}-{b}"
+
+    def load(self, spec: SystemSpec, only: Optional[str] = None
+             ) -> "LiveSystem":
+        """Realise ``spec`` here — all of it, or (``only``) one node with
+        its subsystems, its ends of the channels touching it and the
+        link models; returns ``self``."""
+        for node, hosted in spec.nodes.items():
+            if only in (None, node):
+                self.add_node(node)
+                for sspec in hosted:
+                    self.add_subsystem(node, sspec.build())
+        for cs in spec.channels:
+            if only is None or cs.touches(only):
+                self.connect(
+                    self.subsystems.get(cs.subsystem_a,
+                                        (cs.subsystem_a, cs.node_a)),
+                    self.subsystems.get(cs.subsystem_b,
+                                        (cs.subsystem_b, cs.node_b)),
+                    mode=cs.mode, delay=cs.delay, nets=cs.nets,
+                    channel_id=self._channel_id(cs.seq, cs.subsystem_a,
+                                                cs.subsystem_b))
+        for node_a, node_b, model in spec.links:
+            self.transport.set_link(node_a, node_b, model)
+        return self
 
     def validate_topology(self):
         """Enforce the paper's simple-cycle-only rule."""

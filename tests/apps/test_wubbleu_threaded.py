@@ -15,33 +15,10 @@ SMALL = dict(total_bytes=8_000, image_count=1, image_size=48)
 
 
 def _deploy_threaded(config):
-    """Hand-roll the split deployment on the threaded runner (deploy()
-    targets the cooperative executor's node factory)."""
     design, page = build_design(config)
     runner = ThreadedCoSimulation()
-    handheld = runner.add_subsystem(runner.add_node("host-a"), "handheld")
-    cellsite = runner.add_subsystem(runner.add_node("host-b"), "cellsite")
-    homes = {"handheld": handheld, "cellsite": cellsite}
-    for name, component in design.components.items():
-        homes[ASSIGN_SPLIT[name]].add(component)
-    channel = None
-    for spec in sorted(design.nets.values(), key=lambda s: s.name):
-        sides = {}
-        for comp_name, port_name in spec.endpoints:
-            home = ASSIGN_SPLIT[comp_name]
-            sides.setdefault(home, []).append(
-                design.components[comp_name].port(port_name))
-        if len(sides) == 1:
-            home = next(iter(sides))
-            homes[home].wire(spec.name, *sides[home], delay=spec.delay)
-            continue
-        if channel is None:
-            channel = runner.connect(handheld, cellsite)
-        halves = {}
-        for home, ports in sides.items():
-            halves[home] = homes[home].wire(spec.name, *ports,
-                                            delay=spec.delay)
-        channel.split_net(halves["handheld"], halves["cellsite"])
+    coop_deploy(design, ASSIGN_SPLIT, runner,
+                placement={"handheld": "host-a", "cellsite": "host-b"})
     return runner, design, page
 
 

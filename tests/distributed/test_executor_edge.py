@@ -19,7 +19,10 @@ from repro.distributed import (
     CoSimulation,
     ThreadedCoSimulation,
 )
+from repro.distributed.multiprocess.worker import WorkerSystem
+from repro.faults import RetryPolicy
 from repro.protocols import packet_protocol
+from repro.transport.latency import SAME_HOST
 
 
 def simple_pair():
@@ -75,10 +78,19 @@ class TestRunBounds:
         assert consumer.got == [0, 1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("executor", [CoSimulation, ThreadedCoSimulation])
+def worker_system(*, retry_policy=None):
+    """The ``LiveSystem`` a multiprocess worker boots through (there
+    every argument comes from the worker's bootstrap spec)."""
+    return WorkerSystem(transport=None, default_model=SAME_HOST,
+                        telemetry=None, fault_plan=None,
+                        retry_policy=retry_policy, batching=False)
+
+
+@pytest.mark.parametrize("executor", [CoSimulation, ThreadedCoSimulation,
+                                      worker_system])
 class TestSharedBuilder:
-    """Both in-process executors build through one ``LiveSystem``: the
-    same calls, the same typed errors."""
+    """Both in-process executors and every multiprocess worker build
+    through one ``LiveSystem``: the same calls, the same typed errors."""
 
     def test_duplicate_node(self, executor):
         cosim = executor()
@@ -118,8 +130,36 @@ class TestSharedBuilder:
         ss_a = cosim.add_subsystem(cosim.add_node("na"), "sa")
         ss_b = cosim.add_subsystem(cosim.add_node("nb"), "sb")
         channel = cosim.connect(ss_a, ss_b)
-        prefix = {CoSimulation: "ch1-", ThreadedCoSimulation: "tch1-"}
-        assert channel.channel_id == prefix[executor] + "sa-sb"
+        prefix = {CoSimulation: "ch1-", ThreadedCoSimulation: "tch1-",
+                  WorkerSystem: "mch1-"}
+        assert channel.channel_id == prefix[type(cosim)] + "sa-sb"
+
+    def test_duplicate_channel_id(self, executor):
+        cosim = executor()
+        ss_a = cosim.add_subsystem(cosim.add_node("na"), "sa")
+        ss_b = cosim.add_subsystem(cosim.add_node("nb"), "sb")
+        ss_c = cosim.add_subsystem(cosim.add_node("nc"), "sc")
+        first = cosim.connect(ss_a, ss_b, channel_id="link")
+        with pytest.raises(ConfigurationError, match="duplicate channel"):
+            cosim.connect(ss_a, ss_c, channel_id="link")
+        assert cosim.channels == {"link": first}
+        assert ss_a.channels == {"link": first.endpoint("sa")}
+
+    def test_self_channel(self, executor):
+        cosim = executor()
+        ss = cosim.add_subsystem(cosim.add_node("n"), "ss")
+        with pytest.raises(ConfigurationError, match="to itself"):
+            cosim.connect(ss, ss)
+        assert not ss.channels
+
+    def test_retry_policy_without_a_fault_plan_reaches_the_transport(
+            self, executor):
+        # A carrier with real links spends the budget on reconnects, so
+        # the policy matters even when no fault is ever injected.
+        policy = RetryPolicy(max_attempts=1)
+        cosim = executor(retry_policy=policy)
+        assert cosim.fault_injector is None
+        assert cosim.transport.retry_policy is policy
 
 
 class TestConfigurationErrors:

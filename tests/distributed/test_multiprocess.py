@@ -100,6 +100,10 @@ class TestSpecs:
         with pytest.raises(ConfigurationError):
             cosim.add_subsystem("missing", "other",
                                 "repro.bench.workloads:make_compute_hub")
+        # A channel from a subsystem to itself could only fail inside the
+        # worker, as a NodeFailure: refused at declaration.
+        with pytest.raises(ConfigurationError, match="to itself"):
+            cosim.connect("ss", "ss")
 
     def test_cyclic_channel_graph_rejected_before_spawning(self):
         cosim = MultiprocessCoSimulation()
