@@ -11,11 +11,9 @@ subsystem-time advance, verify the grants observe self-restriction removal
 advances past an ungranted horizon.
 """
 
-import time
-
 import pytest
 
-from repro.bench import Table, format_count, record_bench
+from repro.bench import Table, format_count
 from repro.core import Advance, FunctionComponent, Receive, Send, WaitUntil
 from repro.distributed import CoSimulation, compute_grant
 from repro.distributed.conservative import UNBOUNDED
@@ -134,14 +132,6 @@ def test_echoes_happened(fig4):
     assert ss3.components["e3"].seen == 10
 
 
-def _timed_run(batching):
-    start = time.perf_counter()
-    cosim, *_ = _build(batching=batching)
-    cosim.run()
-    wall = time.perf_counter() - start
-    return cosim.report(title=f"fig4 batching={batching}"), wall
-
-
 def test_batching_comparison(fig4_batching):
     """ISSUE 3's acceptance bar on this figure: batching on must send at
     least 2x fewer transport frames and no more safe-time requests, while
@@ -161,19 +151,15 @@ def test_batching_comparison(fig4_batching):
 def fig4_batching():
     class Run:
         def __init__(self, batching):
-            self.report, self.wall = _timed_run(batching)
+            cosim, *_ = _build(batching=batching)
+            cosim.run()
+            self.report = cosim.report(title=f"fig4 batching={batching}")
             totals = self.report.link_totals()
             self.frames = totals["frames"]
             self.bytes = totals["bytes"]
             self.requests = self.report.counter("safetime.requests")
 
-    base, batched = Run(False), Run(True)
-    record_bench("fig4_safe_time", "batching_off", report=base.report,
-                 wall_seconds=base.wall)
-    record_bench("fig4_safe_time", "batching_on", report=batched.report,
-                 wall_seconds=batched.wall,
-                 extra={"frame_ratio": base.frames / batched.frames})
-    return base, batched
+    return Run(False), Run(True)
 
 
 def test_batching_comparison_report(fig4_batching):

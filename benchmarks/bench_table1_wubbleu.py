@@ -37,7 +37,6 @@ from repro.bench import (
     assert_order,
     format_count,
     format_seconds,
-    record_bench,
 )
 from repro.transport import INTERNET
 
@@ -154,23 +153,10 @@ def table1_batching():
     ``simulation_time`` here is CPU plus *modelled* network wall time (one
     latency charge per wire frame at the Internet preset's 35 ms), so the
     batching win on it is deterministic, unlike raw wall clock."""
-    runs = {}
-    for batching in (False, True):
-        outcome = page_load("packet", remote=True, network=INTERNET,
-                            config=WubbleUConfig(level="packet"),
-                            batching=batching)
-        case = "batching_on" if batching else "batching_off"
-        runs[case] = outcome
-        record_bench("table1_wubbleu", case, extra={
-            "frames": outcome.frames,
-            "messages": outcome.messages,
-            "wire_bytes": outcome.wire_bytes,
-            "events": outcome.events,
-            "virtual_time": outcome.virtual_time,
-            "network_delay": outcome.network_delay,
-            "simulation_time": outcome.simulation_time,
-        })
-    return runs["batching_off"], runs["batching_on"]
+    return tuple(page_load("packet", remote=True, network=INTERNET,
+                           config=WubbleUConfig(level="packet"),
+                           batching=batching)
+                 for batching in (False, True))
 
 
 def test_batching_halves_remote_frames(table1_batching):

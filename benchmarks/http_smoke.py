@@ -31,7 +31,6 @@ import urllib.request
 _HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(_HERE, os.pardir, "src"))
 
-from repro.bench import record_bench                      # noqa: E402
 from repro.bench.workloads import compute_star_multiprocess  # noqa: E402
 from repro.observability import (                         # noqa: E402
     LinkHealthMonitor,
@@ -154,12 +153,6 @@ def main():
         server.server_close()
 
     wall = time.perf_counter() - started
-    record_bench("http_smoke", "endpoint",
-                 wall_seconds=wall,
-                 extra={"rounds": ROUNDS,
-                        "series": len(series),
-                        "health_rows": len(health),
-                        "ok": not failures})
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if failures:

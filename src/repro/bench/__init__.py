@@ -10,13 +10,12 @@ from .harness import (
     format_seconds,
     ratio,
 )
-from .record import bench_json_path, record_bench
 from .report import ActivityReport, activity_report
 from .workloads import ring_of_pairs, streaming_pair
 
 __all__ = [
-    "ActivityReport", "activity_report", "bench_json_path",
+    "ActivityReport", "activity_report",
     "PAPER_TABLE1", "Table", "assert_factor", "assert_order",
     "format_bytes", "format_count", "format_seconds", "ratio",
-    "record_bench", "ring_of_pairs", "streaming_pair",
+    "ring_of_pairs", "streaming_pair",
 ]

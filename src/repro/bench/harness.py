@@ -100,9 +100,9 @@ class Table:
         return text
 
     def save(self, name: str, directory: Optional[str] = None) -> str:
-        """Persist under ``benchmarks/results`` (or ``directory``), and
-        mirror the rows into the machine-readable results file
-        (``BENCH_pr10.json``) so every benchmark emits diffable JSON."""
+        """Write the rendered table to ``<name>.txt`` under
+        ``$PIA_BENCH_RESULTS`` (default ``benchmarks/results``), or
+        ``directory``; returns the path."""
         if directory is None:
             directory = os.environ.get("PIA_BENCH_RESULTS",
                                        os.path.join("benchmarks", "results"))
@@ -110,13 +110,6 @@ class Table:
         path = os.path.join(directory, f"{name}.txt")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.render() + "\n")
-        from .record import record_bench
-        record_bench(name, "table", extra={
-            "title": self.title,
-            "columns": list(self.columns),
-            "rows": [list(row) for row in self.rows],
-            "notes": list(self.notes),
-        })
         return path
 
 

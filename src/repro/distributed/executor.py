@@ -87,8 +87,6 @@ class CoSimulation(LiveSystem):
         if fault_plan is not None:
             #: Heartbeat staleness, measured in run-loop rounds here.
             self.detector = FailureDetector(timeout=float(heartbeat_misses))
-            self._pending_crashes = sorted(
-                fault_plan.crashes, key=lambda c: (c.at_time, c.node))
         #: Extra settle budget: a held (delayed) message is in flight even
         #: when a pump round moves nothing.
         self._settle_slack = 1 + (fault_plan.max_delay_ticks()
@@ -304,6 +302,9 @@ class CoSimulation(LiveSystem):
             return
         self._started = True
         self.validate_topology()
+        if self.fault_plan is not None:
+            self._pending_crashes = self.fault_plan.scheduled_crashes(
+                self.nodes)
         for node in self._ordered_nodes():
             node.start()
         if self._has_optimism() or self._wants_crash_recovery():
@@ -469,9 +470,6 @@ class CoSimulation(LiveSystem):
     def _crash_node(self, name: str) -> None:
         """Take ``name`` down: its traffic is lost until the failure
         detector notices and the failure policy responds."""
-        if name not in self.nodes:
-            raise ConfigurationError(
-                f"scheduled crash for unknown node {name!r}")
         if name in self._dead_nodes or name in self._down_nodes:
             return
         self._down_nodes.add(name)

@@ -29,6 +29,7 @@ from ...observability import (
     TraceKind,
     finalize_health,
 )
+from ...observability.merge import merge_counters, series_key
 from ...observability.report import bundle, fold
 from ...transport.codec import VERSION as CODEC_VERSION
 from ...transport.shm import DEFAULT_RING_CAPACITY, create_ring_segment
@@ -527,26 +528,28 @@ class MultiprocessCoSimulation:
             return message[1]
 
     def _fold_stream(self, statuses: Dict[str, dict]) -> None:
-        """Fold workers' streaming telemetry deltas into the live view:
-        counters accumulate, gauges and health rows replace, series grow
-        bounded tails keyed ``node/metric``."""
+        """Fold workers' streaming deltas (partial bundles) into the live
+        view.  Counter summing and series naming are :func:`fold`'s
+        rules; the live view's own are that a gauge, or a link's health
+        row, replaces the previous one and a series keeps a bounded
+        tail."""
+        stream = self._stream
         for name in sorted(statuses):
             delta = statuses[name].get("telemetry")
-            if not delta:
+            if delta is None:
                 continue
-            counters = self._stream.setdefault("counters", {})
-            for key, value in delta.get("counters", {}).items():
-                counters[key] = counters.get(key, 0) + value
-            self._stream.setdefault("gauges", {}).update(
-                delta.get("gauges", {}))
-            series = self._stream.setdefault("series", {})
-            for sname, fresh in delta.get("series", {}).items():
-                points = series.setdefault(f"{name}/{sname}",
-                                           {"points": []})["points"]
+            merge_counters(stream.setdefault("counters", {}),
+                           delta["counters"])
+            stream.setdefault("gauges", {}).update(delta["gauges"])
+            series = stream.setdefault("series", {})
+            for metric, fresh in delta["series"].items():
+                points = series.setdefault(
+                    series_key(delta["node"], metric),
+                    {"points": []})["points"]
                 points.extend(fresh)
                 del points[:-self.telemetry.series.capacity]
-            health = self._stream.setdefault("health", {})
-            for row in delta.get("health", []):
+            health = stream.setdefault("health", {})
+            for row in delta["health"]:
                 health[(row["src"], row["dst"])] = row
 
     def _stream_sections(self, snapshot: dict) -> None:
@@ -931,13 +934,8 @@ class MultiprocessCoSimulation:
         status reply feeds the heartbeat detector, and a dead, silent or
         crashed worker triggers :meth:`_failover` instead of a raised
         :class:`NodeFailure`."""
-        pending_crashes = sorted(
-            self.fault_plan.crashes, key=lambda c: (c.at_time, c.node)) \
+        pending_crashes = self.fault_plan.scheduled_crashes(procs) \
             if self.fault_plan is not None else []
-        for crash in pending_crashes:
-            if crash.node not in procs:
-                raise ConfigurationError(
-                    f"scheduled crash for unknown node {crash.node!r}")
         supervised = self.failure_policy == "migrate"
         detector = self.detector
         self._beat_all(sorted(procs))

@@ -186,13 +186,14 @@ class _Worker:
             return status
 
     def _stream_delta(self) -> dict:
-        """Incremental telemetry riding a streaming ``status?`` reply:
-        counter *deltas* since the last reply (payload proportional to
-        activity, not run length), absolute gauges, the unshipped tail of
-        every time-series, and the raw link-health rows.  Lossy by
-        design — a delta the coordinator drops as stale is simply absent
-        from the live view; the final report merges the workers'
-        absolute bundles, so accuracy is never at stake."""
+        """Incremental telemetry riding a streaming ``status?`` reply, as
+        a partial :func:`~repro.observability.report.bundle`: counter
+        *deltas* since the last reply (payload proportional to activity,
+        not run length), absolute gauges, the unshipped tail of every
+        time-series, and the raw link-health rows.  Lossy by design — a
+        delta the coordinator drops as stale is simply absent from the
+        live view; the final report merges the workers' absolute
+        bundles, so accuracy is never at stake."""
         snap = self.telemetry.registry.snapshot()
         counters: Dict[str, int] = {}
         for name, value in snap["counters"].items():
@@ -200,12 +201,14 @@ class _Worker:
             if value != shipped:
                 counters[name] = value - shipped
                 self._streamed[name] = value
-        delta = {"counters": counters, "gauges": snap["gauges"]}
-        if self.telemetry.series is not None:
-            delta["series"] = self.telemetry.series.take_delta()
-        if self.telemetry.health is not None:
-            delta["health"] = self.telemetry.health.rows()
-        return delta
+        series, health = self.telemetry.series, self.telemetry.health
+        return {
+            "node": self.node.name,
+            "counters": counters,
+            "gauges": snap["gauges"],
+            "series": series.take_delta() if series is not None else {},
+            "health": health.rows() if health is not None else [],
+        }
 
     def _report_bundle(self) -> dict:
         with self.node.lock:

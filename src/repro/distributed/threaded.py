@@ -19,12 +19,7 @@ import threading
 import time as _time
 from typing import Optional
 
-from ..core.errors import (
-    ConfigurationError,
-    LinkDown,
-    NodeFailure,
-    SimulationError,
-)
+from ..core.errors import LinkDown, NodeFailure, SimulationError
 from ..faults import FailureDetector, FaultPlan, RetryPolicy
 from ..observability import Telemetry, TraceKind
 from ..transport.latency import SAME_HOST, LatencyModel
@@ -132,13 +127,8 @@ class ThreadedCoSimulation(LiveSystem):
         workers = [_NodeWorker(self, self.nodes[name], until)
                    for name in sorted(self.nodes)]
         by_name = {worker.node.name: worker for worker in workers}
-        pending_crashes = sorted(
-            self.fault_plan.crashes, key=lambda c: (c.at_time, c.node)) \
+        pending_crashes = self.fault_plan.scheduled_crashes(by_name) \
             if self.fault_plan is not None else []
-        for crash in pending_crashes:
-            if crash.node not in by_name:
-                raise ConfigurationError(
-                    f"scheduled crash for unknown node {crash.node!r}")
         if self.detector is not None:
             now = _time.monotonic()
             for name in by_name:

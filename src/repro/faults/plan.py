@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import ConfigurationError
 
@@ -150,6 +150,16 @@ class FaultPlan:
             if faults.delay:
                 ticks = max(ticks, faults.delay_ticks)
         return ticks
+
+    def scheduled_crashes(self, nodes) -> List[NodeCrash]:
+        """The crashes in firing order.  One naming a node outside
+        ``nodes`` is refused here, before anything runs — left to the
+        moment it fires, a typo past the end of the run goes unnoticed."""
+        for crash in self.crashes:
+            if crash.node not in nodes:
+                raise ConfigurationError(
+                    f"scheduled crash for unknown node {crash.node!r}")
+        return sorted(self.crashes, key=lambda c: (c.at_time, c.node))
 
     # ------------------------------------------------------------------
     def for_node(self, node: str) -> "FaultPlan":

@@ -27,15 +27,7 @@ from .export import (
 )
 from .flight import FlightRecorder, flight_path
 from .health import LinkHealthMonitor, attach_health, finalize_health
-from .merge import (
-    merge_counters,
-    merge_gauges,
-    merge_health_rows,
-    merge_histograms,
-    merge_link_rows,
-    merge_timings,
-    merge_trace_records,
-)
+from .merge import merge_counters
 from .metrics import (
     Counter,
     Gauge,
@@ -70,7 +62,5 @@ __all__ = [
     "span_origin",
     "chrome_trace", "stall_attribution", "validate_chrome_trace",
     "write_chrome_trace",
-    "merge_counters", "merge_gauges", "merge_health_rows",
-    "merge_histograms", "merge_link_rows", "merge_timings",
-    "merge_trace_records",
+    "merge_counters",
 ]

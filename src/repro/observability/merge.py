@@ -34,6 +34,12 @@ def merge_gauges(into: Dict[str, float], add: Dict[str, float]) -> Dict[str, flo
     return into
 
 
+def series_key(node: Optional[str], name: str) -> str:
+    """A named process's series stay apart under ``node/metric``: points
+    sampled on unaligned clocks cannot be summed."""
+    return name if node is None else f"{node}/{name}"
+
+
 def merge_histograms(into: Dict[str, dict], add: Dict[str, dict]) -> Dict[str, dict]:
     """Fold histogram snapshots ``add`` into ``into``.
 

@@ -25,6 +25,7 @@ from .merge import (
     merge_link_rows,
     merge_timings,
     merge_trace_records,
+    series_key,
 )
 from .telemetry import NULL_TELEMETRY, Telemetry
 from .trace import record_dicts
@@ -344,13 +345,12 @@ def fold(title: str, bundles: List[dict],
         report.rollbacks.extend(part["rollbacks"])
         report.migrations.extend(part["migrations"])
     for part in bundles:
-        prefix = "" if part["node"] is None else f"{part['node']}/"
         report.subsystems.extend(part["subsystems"])
         links.extend(part["links"])
         merge_gauges(report.gauges, part["gauges"])
         health.extend(part["health"])
         for name, series in part["series"].items():
-            report.timeseries[prefix + name] = series
+            report.timeseries[series_key(part["node"], name)] = series
     report.subsystems.sort(key=lambda row: row["name"])
     report.links = merge_link_rows(links)
     for section in ("counters", "gauges", "histograms", "faults", "timings",

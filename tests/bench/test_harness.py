@@ -75,6 +75,8 @@ class TestTable:
         path = table.save("demo_table")
         assert os.path.exists(path)
         assert "== demo ==" in open(path).read()
+        # The table is the only artefact: no JSON mirror beside it.
+        assert os.listdir(tmp_path) == ["demo_table.txt"]
 
 
 class TestShapeAssertions:

@@ -5,16 +5,11 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def _isolate_bench_files(tmp_path, monkeypatch):
-    """Keep test runs out of the checked-in bench trajectory files.
+    """Keep test runs out of the checked-in ``benchmarks/results``.
 
-    ``repro.bench.record`` merges results into a JSON file at the repo
-    root (the measured-curves trajectory committed per PR) and
-    ``Table.save`` mirrors every saved table through it — so any test
-    that exercises the bench harness would silently edit the committed
-    history.  Both env overrides are read at call time, so pointing them
-    at ``tmp_path`` redirects every recording a test triggers.
+    ``Table.save`` reads ``$PIA_BENCH_RESULTS`` at call time, so pointing
+    it at ``tmp_path`` redirects every table a test saves.
     """
-    monkeypatch.setenv("PIA_BENCH_JSON", str(tmp_path / "bench.json"))
     monkeypatch.setenv("PIA_BENCH_RESULTS", str(tmp_path / "results"))
 
 

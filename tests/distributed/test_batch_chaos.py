@@ -15,7 +15,8 @@ are rolled at send time against per-link ordinals and are cadence-free.
 
 import pytest
 
-from repro.distributed import ThreadedCoSimulation
+from repro.bench.workloads import ring_of_pairs_spec
+from repro.distributed import ThreadedCoSimulation, build as build_spec
 from repro.faults import FaultPlan, LinkFaults
 from repro.transport import TcpTransport
 
@@ -33,6 +34,11 @@ def _run(batching, *, seed=42, faults=CHAOS_NO_DELAY):
     cosim.run()
     report = cosim.report(title="batch-chaos")
     return sink, cosim.fault_injector.summary(), report
+
+
+def _progress(report):
+    return sorted((row["name"], row["time"], row["dispatched"])
+                  for row in report.subsystems)
 
 
 class TestBatchedChaosEquivalence:
@@ -62,12 +68,7 @@ class TestBatchedChaosEquivalence:
         every subsystem must be bit-identical between the two modes."""
         __, __, base_report = _run(False)
         __, __, batch_report = _run(True)
-
-        def progress(report):
-            return sorted((row["name"], row["time"], row["dispatched"])
-                          for row in report.subsystems)
-
-        assert progress(batch_report) == progress(base_report)
+        assert _progress(batch_report) == _progress(base_report)
 
     def test_batching_sends_fewer_frames_under_chaos(self):
         __, __, base_report = _run(False)
@@ -75,12 +76,49 @@ class TestBatchedChaosEquivalence:
         assert batch_report.link_totals()["frames"] \
             < base_report.link_totals()["frames"]
 
+    def test_batching_sends_no_more_safe_time_requests_under_chaos(self):
+        __, __, base_report = _run(False)
+        __, __, batch_report = _run(True)
+        assert 0 < base_report.counter("safetime.requests")
+        assert batch_report.counter("safetime.requests") \
+            <= base_report.counter("safetime.requests")
+
     def test_duplicates_still_deduplicated_when_coalesced(self):
         """A duplicate-heavy plan queues the copy in the same frame; the
         poll-side suppressor must still drop it."""
         sink, faults, __ = _run(True, faults=LinkFaults(duplicate=0.4))
         assert sink == fault_free_reference()
         assert faults["fault.duplicates"] > 0
+
+
+class TestBatchedRingFaultFree:
+    """The same three legs without faults on the Fig. 4 shape: a chain of
+    three-plus subsystems, the inner ones consulting two peers each.  The
+    (frames, bytes, safe-time requests) triples are recorded constants,
+    so the native and the ``PIA_PURE=1`` suite runs are held to the same
+    wire behaviour in both batching modes."""
+
+    @pytest.mark.parametrize("subsystems,messages,unbatched,batched", [
+        (3, 20, (236, 10988, 98), (104, 5925, 0)),
+        (4, 25, (421, 20141, 173), (231, 12854, 0)),
+    ], ids=["chain-of-3", "chain-of-4"])
+    def test_same_rows_fewer_frames_no_more_requests(
+            self, subsystems, messages, unbatched, batched):
+        def run(batching):
+            cosim = build_spec(ring_of_pairs_spec(subsystems, messages),
+                               batching=batching)
+            cosim.run()
+            report = cosim.report(title="batch-ring")
+            totals = report.link_totals()
+            return _progress(report), (totals["frames"], totals["bytes"],
+                                       report.counter("safetime.requests"))
+
+        base_rows, base_wire = run(False)
+        batch_rows, batch_wire = run(True)
+        assert batch_rows == base_rows and len(base_rows) == subsystems
+        assert (base_wire, batch_wire) == (unbatched, batched)
+        assert batch_wire[0] < base_wire[0]        # strictly fewer frames
+        assert batch_wire[2] <= base_wire[2]       # no more requests
 
 
 class TestBatchedChaosOverTcp:

@@ -169,11 +169,15 @@ class TestNodeCrashRecovery:
         assert cosim.report().counter("fault.node_recoveries") == 1
 
     def test_crash_of_unknown_node_rejected(self):
-        sink = []
-        cosim = build(sink, fault_plan=FaultPlan(
-            seed=0, crashes=(NodeCrash("ghost", at_time=1.0),)))
-        with pytest.raises(ConfigurationError):
-            cosim.run()
+        """Refused before anything runs — also when the crash would only
+        fire after the run has ended, where it used to be ignored."""
+        for at_time in (1.0, 1e9):
+            sink = []
+            cosim = build(sink, fault_plan=FaultPlan(
+                seed=0, crashes=(NodeCrash("ghost", at_time=at_time),)))
+            with pytest.raises(ConfigurationError, match="ghost"):
+                cosim.run()
+            assert cosim.report().counter("scheduler.dispatched") == 0
 
     def test_drop_node_lets_survivors_finish(self):
         """Graceful degradation: the producer node dies and is cut out;

@@ -1,6 +1,6 @@
 """Cross-process telemetry merging: the rules each metric kind follows."""
 
-from repro.observability import (
+from repro.observability.merge import (
     merge_counters,
     merge_gauges,
     merge_histograms,

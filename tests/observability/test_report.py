@@ -10,12 +10,16 @@ from repro.bench.workloads import compute_star
 
 from repro.core import (
     Advance,
+    Event,
+    EventKind,
     FunctionComponent,
     PortDirection,
     ProcessComponent,
     Receive,
     Send,
     Simulator,
+    Subsystem,
+    Timestamp,
     WaitUntil,
 )
 from repro.distributed import ChannelMode, CoSimulation
@@ -97,6 +101,25 @@ def _cosim(telemetry=None):
                                .components["sender"].port("out")))
     cosim.run()
     return cosim
+
+
+def _scheduler_run(telemetry, events=50_000):
+    """A bare subsystem dispatching one self-rescheduling CONTROL event
+    ``events`` times: the scheduler hot loop and nothing else."""
+    subsystem = Subsystem("silent")
+    subsystem.attach_telemetry(telemetry)
+    scheduler = subsystem.scheduler
+    remaining = events
+
+    def tick(event):
+        nonlocal remaining
+        remaining -= 1
+        if remaining > 0:
+            scheduler.schedule(Event(event.time + 1.0,
+                                     EventKind.CONTROL, tick))
+
+    scheduler.schedule(Event(Timestamp(0.0), EventKind.CONTROL, tick))
+    assert scheduler.run() == events
 
 
 class TestSingleHostWiring:
@@ -184,6 +207,16 @@ class TestDisabledFastPath:
         assert report.trace_counts == {}
         # the simulation itself is unaffected
         assert cosim.subsystems["ss1"].components["listener"].got[1] == "ping"
+        # Second input: the bare dispatch loop, long enough that a
+        # per-event touch of any instrument could not go unnoticed.
+        dark = Telemetry(enabled=False)
+        _scheduler_run(dark)
+        for telemetry in (cosim.telemetry, dark):
+            snapshot = telemetry.registry.snapshot()
+            assert snapshot["counters"] == {}
+            assert snapshot["gauges"] == {}
+            assert snapshot["histograms"] == {}
+            assert telemetry.trace_buffer.records() == []
 
     def test_behaviour_identical_with_and_without_telemetry(self):
         enabled = _cosim()
