@@ -8,11 +8,19 @@ checkpoints and, when communication does arrive unexpectedly, rollbacks.
 The sweep varies how far the receiving subsystem can run ahead (its
 private busy-work) for a fixed message stream, and reports stalls,
 safe-time requests, rollbacks and events for both modes.
+
+The pair declares a return path (the consumer's port is ``INOUT``; it
+never drives it), so the conservative rows pay the per-message protocol
+the trade is about.  On a strictly one-way stream there is nothing to
+trade: the consumer's end cannot send, the producer runs in one window,
+and conservative reads 0 stalls / 2 requests (DESIGN.md section 5,
+"Directed safe time"; ``bench_ablation_lookahead.py`` has that row).
 """
 
 import pytest
 
 from repro.bench import Table, assert_order, format_count, streaming_pair
+from repro.core.port import PortDirection
 from repro.distributed import ChannelMode
 
 MESSAGES = 30
@@ -24,8 +32,9 @@ def _run(mode, work):
     cosim = streaming_pair(
         MESSAGES, PERIOD, mode=mode, consumer_work=work,
         snapshot_interval=5.0 if mode is ChannelMode.OPTIMISTIC else None)
-    cosim.run()
     consumer = cosim.component("consumer")
+    consumer.port("in").direction = PortDirection.INOUT    # return path
+    cosim.run()
     assert len(consumer.received) == MESSAGES
     return {
         "stalls": cosim.stalls(),
@@ -59,6 +68,8 @@ def test_ablation_report(ablation):
                   format_count(row["events"]))
     table.note("optimism trades safe-time chatter for rollbacks once the "
                "receiver can actually run ahead")
+    table.note("the pair has a return path; strictly one-way, conservative "
+               "reads 0 stalls / 2 requests and there is nothing to trade")
     table.show()
     table.save("ablation_channels")
 

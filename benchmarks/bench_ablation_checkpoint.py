@@ -8,12 +8,16 @@ snapshots cost marks and storage, sparse snapshots make every rollback
 rewind further.
 
 The sweep holds the workload fixed (a consumer running far ahead of a
-producer) and varies ``snapshot_interval``.
+producer) and varies ``snapshot_interval``.  The pair declares a return
+path (an ``INOUT`` consumer port, never driven): the conservative window
+that follows a rollback then proceeds message by message, which is where
+the cadence shows; a strictly one-way stream crosses it in one window.
 """
 
 import pytest
 
 from repro.bench import Table, format_bytes, format_count, streaming_pair
+from repro.core.port import PortDirection
 from repro.distributed import ChannelMode
 
 INTERVALS = [2.0, 5.0, 10.0, 25.0]
@@ -23,8 +27,9 @@ MESSAGES = 25
 def _run(interval):
     cosim = streaming_pair(MESSAGES, 1.0, mode=ChannelMode.OPTIMISTIC,
                            consumer_work=80.0, snapshot_interval=interval)
-    cosim.run()
     consumer = cosim.component("consumer")
+    consumer.port("in").direction = PortDirection.INOUT    # return path
+    cosim.run()
     assert len(consumer.received) == MESSAGES
     snapshots = len(cosim.registry.snapshots)
     storage = sum(ss.checkpoints.storage_bytes()

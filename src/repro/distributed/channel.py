@@ -93,7 +93,8 @@ class ChannelEndpoint:
                  "component", "_nets", "peer_grant", "granted",
                  "pending_echoes", "forwarded", "injected",
                  "injected_reported", "granted_reported", "passive_skips",
-                 "stragglers", "safe_time_requests", "peer_want", "severed")
+                 "stragglers", "safe_time_requests", "peer_want", "severed",
+                 "peer_silent", "declared_silent", "silence_served")
 
     def __init__(self, channel: "Channel", subsystem: "Subsystem",
                  peer_subsystem: str, peer_node: str) -> None:
@@ -139,6 +140,22 @@ class ChannelEndpoint:
         self.peer_want = 0.0
         #: True once the peer is gone for good (``drop-node`` policy).
         self.severed = False
+        # --- directed safe time ---
+        #: The peer said, on a grant, that its end cannot send.  Until it
+        #: does, "unknown" means "sends": only this flag lifts the echo
+        #: ledger, and only a grant we accepted sets it.
+        self.peer_silent = False
+        #: Whether our grants tell the peer this end cannot send.  Read
+        #: off :attr:`sends` when the first grant is computed (``None``
+        #: until then) and binding from there: a :meth:`forward` after a
+        #: declaration would reach a peer that no longer bounds our
+        #: echoes, so it raises.
+        self.declared_silent: Optional[bool] = None
+        #: The declaration went out on a *served* reply — the one grant
+        #: the peer cannot have missed (it blocks until a reply arrives),
+        #: so it has dropped its echo ledger and needs no more
+        #: consumption reports.
+        self.silence_served = False
 
     # ------------------------------------------------------------------
     @property
@@ -175,6 +192,34 @@ class ChannelEndpoint:
     def taps(self) -> list:
         return sorted(self._nets)
 
+    def _foreign_ports(self):
+        """Every port on a tapped net except this end's own hidden one —
+        visible ports and other channels' hidden ports alike."""
+        own = self.component.ports
+        for name, net in self._nets.items():
+            hidden = own[name]
+            for port in net.ports:
+                if port is not hidden:
+                    yield port
+
+    @property
+    def sends(self) -> bool:
+        """Can anything ever be forwarded from this end?
+
+        True when some foreign port on a tapped net can drive it.
+        Another channel's hidden port counts (it injects remote values,
+        which bounce to ours), so a relay sends.  Read from the ports as
+        they are now; this is the one definition of direction, shared
+        with :func:`~repro.distributed.topology.communication_digraph`.
+        """
+        return any(port.direction.can_drive for port in self._foreign_ports())
+
+    @property
+    def listens(self) -> bool:
+        """Does anything on this side see what the peer sends?"""
+        return any(port.direction.can_receive
+                   for port in self._foreign_ports())
+
     # ------------------------------------------------------------------
     # outgoing
     # ------------------------------------------------------------------
@@ -183,6 +228,12 @@ class ChannelEndpoint:
         if self.severed:
             return
         channel = self.channel
+        if self.declared_silent:
+            raise SimulationError(
+                f"channel {channel.channel_id}: {self.subsystem.name} "
+                f"forwards {net_name!r} at {time:g} after declaring this "
+                "end silent — a driver was wired onto a tapped net after "
+                "the run started, and the peer no longer bounds its echoes")
         node = self.node
         stamp = time + channel.delay
         self.forwarded += 1
@@ -198,9 +249,11 @@ class ChannelEndpoint:
         # can come back no earlier than stamp + return delay.  The entry
         # is released only when a grant reply confirms the peer consumed
         # the message — at which point echoes are reflected in the peer's
-        # own floor (its queue and its own echo ledgers).
-        self.pending_echoes.append((self.forwarded,
-                                    stamp + channel.delay))
+        # own floor (its queue and its own echo ledgers).  A peer that
+        # cannot send cannot echo: no entry.
+        if not self.peer_silent:
+            self.pending_echoes.append((self.forwarded,
+                                        stamp + channel.delay))
 
     def echo_floor(self) -> float:
         """Earliest possible arrival of an unconfirmed echo."""
@@ -222,25 +275,38 @@ class ChannelEndpoint:
             # Passive confirmation is flowing; re-arm the skip budget.
             self.passive_skips = 0
 
-    def apply_grant(self, grant: float, peer_injected: int,
-                    peer_forwarded: int) -> None:
-        """Apply a *piggybacked* safe-time grant (batched fast path).
+    def accept_grant(self, grant: float, counts: tuple) -> bool:
+        """The acceptance rule for a grant, however it arrived (served
+        reply, piggybacked or pushed); returns whether it was taken.
 
-        Same acceptance rule as a served grant reply
-        (:meth:`~repro.distributed.conservative.SafeTimeClient.refresh`):
-        release confirmed echo entries, then accept the grant only if
-        nothing of the peer's is still in flight towards us.  Grants ride
-        behind the data messages of their batch frame, so the injected
-        count already reflects everything the grant's floor assumed.  A
-        stale (lower) grant is always safe; a grant the in-flight check
-        rejects is simply dropped — the explicit request path remains the
-        fallback, so this is a liveness optimisation, never a safety one.
+        ``counts`` is what the peer's :meth:`note_reported` built: its
+        consumed and produced message counts, then a third element only
+        if its end cannot send.  Echo entries the peer confirms consuming
+        are released (their reactions now show in its floor), then the
+        grant is accepted only if nothing of the peer's is still in
+        flight towards us — a stale (lower) grant is always safe, a
+        refused one is simply dropped.  An accepted grant from a silent
+        peer also ends the echo ledger: nothing can come back.
         """
+        self.confirm_consumed(counts[0])
+        if self.injected < counts[1]:
+            return False
+        self.peer_grant = grant
+        if len(counts) > 2:
+            self.peer_silent = True
+            self.pending_echoes.clear()
+        return True
+
+    def apply_grant(self, grant: float, counts: tuple) -> None:
+        """Apply a *piggybacked or pushed* safe-time grant (batched fast
+        path).  Grants ride behind the data messages of their batch
+        frame, so the injected count already reflects everything the
+        grant's floor assumed.  The explicit request path remains the
+        fallback, so this is a liveness optimisation, never a safety
+        one."""
         if self.severed:
             return
-        self.confirm_consumed(peer_injected)
-        if self.injected >= peer_forwarded:
-            self.peer_grant = grant
+        if self.accept_grant(grant, counts):
             telemetry = self.subsystem.scheduler.telemetry
             if telemetry.enabled:
                 telemetry.count("safetime.piggybacked")
@@ -248,9 +314,13 @@ class ChannelEndpoint:
     def note_reported(self, grant: float) -> tuple:
         """Record that ``grant`` and the current consumption/production
         counts are on their way to the peer (served, piggybacked or
-        pushed); returns the counts that travel with it."""
+        pushed); returns the payload that travels with it — the counts,
+        plus a marker only when this end has declared itself silent (so
+        a two-way link's bytes are what they always were)."""
         self.injected_reported = self.injected
         self.granted_reported = grant
+        if self.declared_silent:
+            return (self.injected, self.forwarded, True)
         return (self.injected, self.forwarded)
 
     def grant_message(self, grant: float) -> Message:

@@ -21,6 +21,17 @@ released only once a grant reply confirms the peer consumed the message
 (at which point any reaction is visible in the peer's own floor).  Grant
 replies also carry the peer's sent-message count so a requester never
 accepts a grant while peer traffic is still in flight towards it.
+
+The rule is stated over a *directed* graph, and the protocol honours the
+direction: an end of a channel that no port can drive
+(:attr:`ChannelEndpoint.sends` is false — a consumer's end of a one-way
+stream) will never send, so what it grants is ``UNBOUNDED`` and the
+grant says so.  The peer that hears it keeps no echo ledger for that
+channel and is never restricted by it again; it runs in windows bounded
+only by its other channels, the executor's service instants and the
+slice cap (:meth:`PiaNode.advance`).  Until it has heard, it assumes the
+peer sends — a process that holds only its own end learns the fact from
+its first reply, exactly as an in-process executor does.
 """
 
 from __future__ import annotations
@@ -81,9 +92,18 @@ def compute_grant(subsystem: "Subsystem", requester: str,
     are what make accepting a grant safe.
     """
     endpoint = _endpoint_towards(subsystem, requester)
-    grant = local_floor(subsystem, excluding=requester,
-                        conservative_override=conservative_override) \
-        + endpoint.channel.delay
+    if endpoint.declared_silent is None:
+        endpoint.declared_silent = not endpoint.sends
+    if endpoint.declared_silent:
+        # Nothing can ever be forwarded from this end — infinite
+        # lookahead read off the port directions.  The grant says so
+        # (see ``ChannelEndpoint.note_reported``), and having said so is
+        # binding: ``forward`` raises from here on.
+        grant = UNBOUNDED
+    else:
+        grant = local_floor(subsystem, excluding=requester,
+                            conservative_override=conservative_override) \
+            + endpoint.channel.delay
     endpoint.granted = grant
     return grant
 
@@ -145,6 +165,9 @@ class SafeTimeService:
         # wanted so a batching executor can push a grant the moment the
         # floor passes it, sparing the peer its next request round trip.
         endpoint.peer_want = desired if grant < desired else 0.0
+        # The requester blocks until a reply reaches it, so a declaration
+        # on this one is known to have been heard.
+        endpoint.silence_served = endpoint.declared_silent
         # The reply carries consumption/production counts so the requester
         # can (a) release confirmed echo-ledger entries and (b) refuse the
         # grant while our messages to it are still in flight.
@@ -170,6 +193,13 @@ class SafeTimeClient:
             if endpoint.mode is ChannelMode.CONSERVATIVE \
                     or self.subsystem.node.conservative_override():
                 yield endpoint
+
+    def restricted(self) -> bool:
+        """Is this subsystem on a conservative channel at all, whatever
+        its horizon happens to be right now?  (By construction, not by
+        a passing recovery window: that one ends mid-run.)"""
+        return any(endpoint.mode is ChannelMode.CONSERVATIVE
+                   for endpoint in self.subsystem.channels.values())
 
     def horizon(self) -> float:
         """How far this subsystem may currently run."""
@@ -225,16 +255,11 @@ class SafeTimeClient:
                 payload=(self.subsystem.name, endpoint.peer_subsystem, path),
                 request_id=next(self._request_ids),
             ))
-            peer_injected, peer_forwarded = reply.payload
-            # Echoes of sends the peer has consumed are now reflected in
-            # the grant itself; release their ledger entries.
-            endpoint.confirm_consumed(peer_injected)
-            if endpoint.injected >= peer_forwarded:
-                # Nothing of the peer's is in flight towards us: the grant
-                # fully describes its floor.  (Otherwise keep the old
-                # grant; the in-flight message will be pumped before the
-                # next refresh.)
-                endpoint.peer_grant = reply.time
+            # Taken only when nothing of the peer's is in flight towards
+            # us, so the grant fully describes its floor.  (Otherwise keep
+            # the old grant; the in-flight message will be pumped before
+            # the next refresh.)
+            if endpoint.accept_grant(reply.time, reply.payload):
                 if telemetry.enabled:
                     telemetry.count("safetime.grants_accepted")
                     telemetry.trace(TraceKind.GRANT, time=reply.time,

@@ -98,6 +98,12 @@ class CoSimulation(LiveSystem):
         self._refresh_every = 4
         #: subsystem name -> (desired, round of last request).
         self._refresh_throttle: Dict[str, tuple] = {}
+        #: Visit orders, rebuilt only after membership changes
+        #: (:meth:`_membership_changed`); never mutated in place, so a
+        #: loop over one survives a crash absorbed mid-sweep.
+        self._node_order: Optional[List[PiaNode]] = None
+        self._live_order: Optional[List[Subsystem]] = None
+        self._subsystem_order: Optional[List[Subsystem]] = None
         self._started = False
         #: Total rounds the run loop executed.
         self.rounds = 0
@@ -107,14 +113,22 @@ class CoSimulation(LiveSystem):
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+    def _membership_changed(self) -> None:
+        """A node or subsystem joined, went down, came back or was
+        dropped: the cached visit orders are stale."""
+        self._node_order = self._live_order = self._subsystem_order = None
+
     def _node_added(self, node: PiaNode) -> None:
+        self._membership_changed()
         node.conservative_override = self._conservative_now
+        node.service_bound = self._next_service
         manager = SnapshotManager(
             node, self.registry, expected_subsystems=lambda: set(self.subsystems))
         manager.telemetry = self.telemetry
         self._managers[node.name] = manager
 
     def _subsystem_added(self, subsystem: Subsystem) -> None:
+        self._membership_changed()
         # Switchpoints must be evaluated after every event, not just at
         # run-slice boundaries — a slice can be the whole simulation.
         subsystem.scheduler.post_step_hooks.append(
@@ -141,13 +155,13 @@ class CoSimulation(LiveSystem):
 
     def _live_subsystems(self) -> List[Subsystem]:
         """Subsystems still part of the computation (``drop-node`` policy
-        permanently removes a failed node's subsystems)."""
-        return [ss for name, ss in sorted(self.subsystems.items())
+        permanently removes a failed node's subsystems, which then stand
+        still)."""
+        if self._live_order is None:
+            self._live_order = [
+                ss for name, ss in sorted(self.subsystems.items())
                 if name not in self._dead_subsystems]
-
-    def global_time(self) -> float:
-        """The slowest *live* subsystem's time (dropped nodes stand still)."""
-        return min((ss.now for ss in self._live_subsystems()), default=0.0)
+        return self._live_order
 
     def finished(self) -> bool:
         return (all(ss.idle() for ss in self._live_subsystems())
@@ -237,13 +251,35 @@ class CoSimulation(LiveSystem):
             sp.fired = fired
         self.switchpoints.history = list(history)
 
+    def _snapshot_due(self) -> float:
+        """When the next periodic snapshot is due (``inf``: not now —
+        marks to a down node are lost, so wait for recovery)."""
+        if self.snapshot_interval is None or self._down_nodes:
+            return float("inf")
+        return self._last_snapshot_time + self.snapshot_interval
+
     def _maybe_periodic_snapshot(self) -> None:
-        if self.snapshot_interval is None:
-            return
-        if self._down_nodes:
-            return    # marks to a down node are lost; wait for recovery
-        if self.global_time() - self._last_snapshot_time >= self.snapshot_interval:
+        due = self._snapshot_due()
+        if self._reached(due):
+            # No clock there (the next events lie beyond the instant)?
+            # The cadence still moves on from it.
+            between_events = self.global_time() < due
             self.snapshot()
+            if between_events:
+                self._last_snapshot_time = due
+
+    def _next_service(self) -> float:
+        """Every node's :attr:`~PiaNode.service_bound`: the earliest
+        instant a round-boundary service is owed — periodic snapshot or
+        scheduled crash.  Rounds are not lockstep (a one-way window can
+        span the whole run), so the services cannot count on a round
+        ending near their instant; windows stop at it and
+        :meth:`_reached` fires them there.  (The series recorder is not
+        one of them: attaching an observer must not change the run.)"""
+        bound = self._snapshot_due()
+        if self._pending_crashes:      # kept in firing order
+            bound = min(bound, self._pending_crashes[0].at_time)
+        return bound
 
     def _has_optimism(self) -> bool:
         return any(ch.mode is ChannelMode.OPTIMISTIC
@@ -319,18 +355,19 @@ class CoSimulation(LiveSystem):
                 and self.failure_policy == "recover")
 
     def _ordered_nodes(self) -> List[PiaNode]:
-        return [self.nodes[name] for name in sorted(self.nodes)
+        if self._node_order is None:
+            self._node_order = [
+                self.nodes[name] for name in sorted(self.nodes)
                 if name not in self._down_nodes
                 and name not in self._dead_nodes]
+        return self._node_order
 
     def _ordered_subsystems(self) -> List[Subsystem]:
-        out = []
-        for subsystem in self._live_subsystems():
-            node = subsystem.node
-            if node is not None and node.name in self._down_nodes:
-                continue
-            out.append(subsystem)
-        return out
+        if self._subsystem_order is None:
+            self._subsystem_order = [
+                ss for ss in self._live_subsystems()
+                if ss.node is None or ss.node.name not in self._down_nodes]
+        return self._subsystem_order
 
     def _pump_all(self) -> int:
         """Route all in-flight messages; recover from stragglers."""
@@ -456,10 +493,9 @@ class CoSimulation(LiveSystem):
             if name not in self._down_nodes and name not in self._dead_nodes:
                 detector.beat(name, now_round)
         acted = False
-        now = self.global_time()
-        for crash in [c for c in self._pending_crashes if c.at_time <= now]:
-            self._pending_crashes.remove(crash)
-            self._crash_node(crash.node)
+        pending = self._pending_crashes        # kept in firing order
+        while pending and self._reached(pending[0].at_time):
+            self._crash_node(pending.pop(0).node)
             acted = True
         for node in detector.suspects(now_round):
             if node in self._down_nodes:
@@ -473,6 +509,7 @@ class CoSimulation(LiveSystem):
         if name in self._dead_nodes or name in self._down_nodes:
             return
         self._down_nodes.add(name)
+        self._membership_changed()
         self._mark_down(name)
 
     def _absorb_link_down(self, down: LinkDown) -> None:
@@ -511,6 +548,7 @@ class CoSimulation(LiveSystem):
         # The node is back before the rollback runs, so the re-injected
         # channel state is not swallowed as lost traffic.
         self._down_nodes.discard(node)
+        self._membership_changed()
         self.fault_injector.mark_up(node)
         self.recovery.rollback_to(snap)
         self._last_snapshot_time = self.global_time()
@@ -529,6 +567,7 @@ class CoSimulation(LiveSystem):
         self._dead_nodes.add(name)
         self.detector.forget(name)
         node = self.nodes[name]
+        self._membership_changed()
         for ss_name, subsystem in sorted(node.subsystems.items()):
             self._dead_subsystems.add(ss_name)
             for endpoint in subsystem.channels.values():

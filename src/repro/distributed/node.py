@@ -35,6 +35,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from .channel import ChannelEndpoint
     from .conservative import SafeTimeService
 
+#: Most events one :meth:`PiaNode.advance` dispatches for a subsystem on
+#: conservative channels.  A source whose peers cannot send has an
+#: unbounded horizon; the cap makes it yield to its node's round (pump,
+#: flush, the executor's quiescence and fault checks) and bounds the
+#: traffic it can queue in between.  Large enough that a slice amortises
+#: the round, which is all it has to be — hence a constant, not a knob.
+WINDOW_EVENTS = 1024
+
 
 @dataclass
 class Socket:
@@ -77,6 +85,12 @@ class PiaNode:
         #: granted on, like conservative ones.  Only an executor that can
         #: roll back replaces it (its post-recovery conservative window).
         self.conservative_override: Callable[[], bool] = lambda: False
+        #: The next virtual instant the executor owes a round-boundary
+        #: service (periodic snapshot, scheduled crash).  A
+        #: conservatively granted window never crosses it: the executor
+        #: fires the service once everything at or before the instant
+        #: has run, then moves the bound on.
+        self.service_bound: Callable[[], float] = lambda: float("inf")
         transport.register(name, call_handler=self.handle_call)
 
     # ------------------------------------------------------------------
@@ -159,9 +173,8 @@ class PiaNode:
                 hook(message)
                 return
         if kind is MessageKind.SAFE_TIME_GRANT:
-            peer_injected, peer_forwarded = message.payload
             self._endpoint_for(message.channel).apply_grant(
-                message.time, peer_injected, peer_forwarded)
+                message.time, message.payload)
             return
         if kind is MessageKind.SIGNAL:
             endpoint = self._endpoint_for(message.channel)
@@ -204,12 +217,21 @@ class PiaNode:
 
         A horizon short of the next event is refreshed first — unless
         ``throttle(name, desired)`` says to wait for a piggybacked or
-        pushed grant instead.  Returns the number of events dispatched.
+        pushed grant instead.  A subsystem on conservative channels runs
+        one window: within the horizon, never across
+        :attr:`service_bound`, at most :data:`WINDOW_EVENTS` events.
+        (One with only optimistic channels, or none, runs ahead
+        unclamped — that is what those are for.)  Returns the number of
+        events dispatched.
         """
+        client = self.clients[subsystem.name]
+        window = None
+        if client.restricted():
+            until = min(until, self.service_bound())
+            window = WINDOW_EVENTS
         next_time = subsystem.next_event_time()
         if next_time == float("inf") or next_time > until:
             return 0
-        client = self.clients[subsystem.name]
         if client.horizon() < next_time:
             desired = min(next_time, until)
             # The refresh performs blocking network calls; it must happen
@@ -220,7 +242,8 @@ class PiaNode:
             if subsystem.next_event_time() <= client.horizon():
                 # The horizon is re-read before every dispatch: sending
                 # on a channel shrinks it via the echo bound.
-                return subsystem.run(until, horizon=client.horizon)
+                return subsystem.run(until, horizon=client.horizon,
+                                     max_events=window)
         return 0
 
     def step(self, until: float = float("inf")) -> Tuple[bool, int]:
@@ -321,8 +344,10 @@ class PiaNode:
                 want = endpoint.peer_want
                 # Unreported consumption must reach the peer so it can
                 # release its echo ledger (it skips requests under
-                # batching, counting on exactly this push).
-                stale = endpoint.injected > endpoint.injected_reported
+                # batching, counting on exactly this push) — unless it
+                # is known to have dropped the ledger for a silent end.
+                stale = (endpoint.injected > endpoint.injected_reported
+                         and not endpoint.silence_served)
                 if runnable and not want:
                     # Still making local progress: the next data frame
                     # (or a later round's push, once stalled or idle)

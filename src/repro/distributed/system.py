@@ -14,7 +14,8 @@ objects, or in one go from a :class:`~repro.distributed.spec.SystemSpec`
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from ..core.errors import ConfigurationError, SimulationError
 from ..core.subsystem import Subsystem
@@ -201,9 +202,37 @@ class LiveSystem:
         return topology.validate(self.channels.values())
 
     # ------------------------------------------------------------------
+    def _live_subsystems(self) -> Iterable[Subsystem]:
+        """Subsystems still part of the computation (all of them, unless
+        the executor can drop a node)."""
+        return self.subsystems.values()
+
     def global_time(self) -> float:
-        """The paper's global notion: the slowest subsystem's time."""
-        return min((ss.now for ss in self.subsystems.values()), default=0.0)
+        """The paper's global notion: the slowest live subsystem's time."""
+        return min((ss.now for ss in self._live_subsystems()), default=0.0)
+
+    def _reached(self, instant: float) -> bool:
+        """Has the run got to virtual ``instant``?
+
+        Either every live subsystem's clock is there, or — no event need
+        land on the instant — nothing is in flight and all the work left
+        lies beyond it, so nothing at or before it can still appear.
+        This is when a service due at ``instant`` fires (see
+        :attr:`PiaNode.service_bound`, which holds conservative windows
+        back until it has).  A run with no work left never gets to an
+        instant its clocks did not.
+        """
+        if instant == float("inf"):
+            return False        # nothing due: the per-round common case
+        if self.global_time() >= instant:
+            return True
+        if self.transport.pending():
+            return False
+        earliest = float("inf")
+        for subsystem in self._live_subsystems():
+            with subsystem.node.lock:
+                earliest = min(earliest, subsystem.next_event_time())
+        return instant < earliest < float("inf")
 
     def _mark_down(self, name: str) -> None:
         """Node ``name`` crashes: from here on its traffic is lost."""

@@ -113,6 +113,13 @@ class ThreadedCoSimulation(LiveSystem):
         self.detector: Optional[FailureDetector] = None
         if fault_plan is not None:
             self.detector = FailureDetector(timeout=heartbeat_timeout)
+        #: Virtual instant of the earliest scheduled crash not yet fired
+        #: — every node's ``service_bound``, so no worker's window runs
+        #: past it before the coordinator has taken the node down.
+        self._next_crash = float("inf")
+
+    def _node_added(self, node: PiaNode) -> None:
+        node.service_bound = lambda: self._next_crash
 
     # ------------------------------------------------------------------
     def run(self, until: float = float("inf"), *,
@@ -129,6 +136,11 @@ class ThreadedCoSimulation(LiveSystem):
         by_name = {worker.node.name: worker for worker in workers}
         pending_crashes = self.fault_plan.scheduled_crashes(by_name) \
             if self.fault_plan is not None else []
+
+        def hold_at_next_crash():
+            self._next_crash = pending_crashes[0].at_time \
+                if pending_crashes else float("inf")
+        hold_at_next_crash()
         if self.detector is not None:
             now = _time.monotonic()
             for name in by_name:
@@ -141,25 +153,32 @@ class ThreadedCoSimulation(LiveSystem):
             while _time.monotonic() < deadline:
                 if self.stop_flag.is_set():
                     break
-                now = self.global_time()
                 series = self.telemetry.series
                 if series is not None:
                     # Sampled from the coordinator sweep: node threads
                     # advance concurrently, so the points are a
                     # measurement, not part of the deterministic report.
-                    series.tick(now, self.telemetry.registry)
-                while pending_crashes and pending_crashes[0].at_time <= now:
+                    series.tick(self.global_time(), self.telemetry.registry)
+                # The workers are held at the crash's instant (their
+                # service bound), so it fires there — once nothing at or
+                # before it is left — not whenever this sweep looks.
+                while pending_crashes and \
+                        self._reached(pending_crashes[0].at_time):
                     crash = pending_crashes.pop(0)
                     # Stop the worker; its traffic is lost from here on.
                     by_name[crash.node].down.set()
                     self._mark_down(crash.node)
+                    hold_at_next_crash()
                 if self.detector is not None:
                     suspects = self.detector.suspects(_time.monotonic())
                     if suspects:
                         failed = suspects[0]
                         self.stop_flag.set()
                         break
-                if self._quiescent(workers, until):
+                # Quiescence is an illusion while a node is down: its
+                # one-way peers finish without it.  Wait for the detector.
+                if not any(worker.down.is_set() for worker in workers) \
+                        and self._quiescent(workers, until):
                     break
                 _time.sleep(0.002)
             else:

@@ -19,13 +19,18 @@ from typing import Dict, Iterable, List, Tuple
 import networkx as nx
 
 from ..core.errors import TopologyError
-from ..core.port import PortDirection
 from .channel import Channel
 
 
 def communication_digraph(channels: Iterable[Channel]) -> "nx.DiGraph":
-    """Directed subsystem graph: an edge A->B when A can drive a value
-    that B listens to over some channel between them."""
+    """Directed subsystem graph: an edge A->B when A's end of some
+    channel between them can send and B's listens.
+
+    Direction is :attr:`ChannelEndpoint.sends` / ``listens`` — the same
+    fact the safe-time protocol grants on — so a relay (a half-net with
+    no visible port, tapped by two channels) is both a listener and a
+    sender.
+    """
     graph = nx.DiGraph()
     for channel in channels:
         endpoints = list(channel.endpoints.values())
@@ -35,28 +40,9 @@ def communication_digraph(channels: Iterable[Channel]) -> "nx.DiGraph":
         graph.add_node(a.subsystem.name)
         graph.add_node(b.subsystem.name)
         for src, dst in ((a, b), (b, a)):
-            if _can_drive(src) and _can_listen(dst):
+            if src.sends and dst.listens:
                 graph.add_edge(src.subsystem.name, dst.subsystem.name)
     return graph
-
-
-def _can_drive(endpoint) -> bool:
-    """Does any non-hidden port on a tapped net drive it from this side?"""
-    for net_name in endpoint.taps():
-        net = endpoint._nets[net_name]
-        for port in net.visible_ports():
-            if port.direction.can_drive:
-                return True
-    return False
-
-
-def _can_listen(endpoint) -> bool:
-    for net_name in endpoint.taps():
-        net = endpoint._nets[net_name]
-        for port in net.visible_ports():
-            if port.direction.can_receive:
-                return True
-    return False
 
 
 def offending_cycles(graph: "nx.DiGraph") -> List[List[str]]:

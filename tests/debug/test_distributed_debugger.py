@@ -48,7 +48,9 @@ class TestGlobalBreakpoints:
         reason = debugger.run()
         assert not reason.finished
         assert reason.event.payload == 3
-        assert consumer.got[-1] <= 3
+        # The producer runs in a window of its own: it may break before
+        # the consumer has consumed anything, never after it passed 3.
+        assert all(v <= 3 for v in consumer.got)
         resumed = debugger.run()
         assert resumed.finished
         assert consumer.got == list(range(8))
@@ -107,8 +109,9 @@ class TestGlobalInspection:
         debugger.run()
         # The break fires on the first delivery of value 2 anywhere on the
         # split net — possibly on the sender-side hidden port, before the
-        # consumer itself has received it.
-        assert debugger.inspect("c")["got"] in ([0, 1], [0, 1, 2])
+        # consumer itself has received it (or, the pipeline being one-way,
+        # anything at all: the producer's window does not wait for it).
+        assert all(v <= 2 for v in debugger.inspect("c")["got"])
 
     def test_watch_both_halves(self):
         cosim, consumer = build()

@@ -42,7 +42,10 @@ def collector_behaviour(sink, count):
 
 
 def build_two_subsystems(values, sink, *, mode=ChannelMode.CONSERVATIVE,
-                         delay=0.0, model=None):
+                         delay=0.0, model=None, consumer_port="in"):
+    """``consumer_port="inout"`` (never driven) makes the consumer's end
+    one that could send, so the pair runs the per-message safe-time
+    protocol instead of one-way windows."""
     cosim = CoSimulation()
     node_a = cosim.add_node("alpha")
     node_b = cosim.add_node("beta")
@@ -54,7 +57,7 @@ def build_two_subsystems(values, sink, *, mode=ChannelMode.CONSERVATIVE,
                                  ports={"out": "out"})
     consumer = FunctionComponent("consumer",
                                  collector_behaviour(sink, len(values)),
-                                 ports={"in": "in"})
+                                 ports={"in": consumer_port})
     ss_a.add(producer)
     ss_b.add(consumer)
     channel = cosim.connect(ss_a, ss_b, mode=mode, delay=delay)
@@ -108,7 +111,10 @@ class TestConservativePipeline:
         flight ring on disk — the stalls that led up to it, then the
         abort — readable by the trace tooling."""
         monkeypatch.setenv(ENV_DIR, str(tmp_path))
-        cosim = build_two_subsystems(list(range(6)), [])
+        # A one-way pipeline runs in windows and never stalls; an end
+        # that could send restores the stalls this report is about.
+        cosim = build_two_subsystems(list(range(6)), [],
+                                     consumer_port="inout")
         cosim.run(until=3.0)
         with pytest.raises(DeadlockError, match="no subsystem can advance"):
             cosim._report_deadlock(float("inf"))

@@ -126,9 +126,11 @@ class TestGrantLedger:
         assert grant.time == float("inf")
         assert consumer.stalled_grants() == {}
         # Unreported consumption is pushed, and the watermark advances.
+        # (The consumer's end cannot send: its grants say so in a third
+        # payload element until a served reply has delivered the news.)
         back.injected = 2
         (grant,) = consumer.stalled_grants()["n-prod"]
-        assert grant.payload == (2, 0)
+        assert grant.payload == (2, 0, True)
         assert back.injected_reported == 2
         assert consumer.stalled_grants() == {}
         # A runnable subsystem stays quiet (its data frames carry the
