@@ -42,9 +42,12 @@ class EventKind(enum.Enum):
 
 # Dense per-member index used by the scheduler's dispatch table: tuple
 # indexing via ``kind.code`` skips ``Enum.__hash__`` — a Python-level
-# function call — on every single dispatch.
+# function call — on every single dispatch.  ``label`` is the member's
+# value as a plain attribute: ``Enum.value`` is a Python-level descriptor,
+# and the traced dispatch path writes the label into every record.
 for _index, _kind in enumerate(EventKind):
     _kind.code = _index
+    _kind.label = _kind.value
 del _index, _kind
 
 

@@ -31,6 +31,8 @@ from ..observability.flight import STRIDE_MASK as _FLIGHT_MASK
 from .errors import CausalityError, SimulationError
 from .events import Event, EventKind, EventQueue
 
+_DISPATCH = TraceKind.DISPATCH
+
 if TYPE_CHECKING:  # pragma: no cover
     from .component import Component
     from .port import Port
@@ -75,11 +77,14 @@ class Scheduler:
 
         With tracing on, an event scheduled while a caused event is being
         dispatched inherits that dispatch's trace context, so causal
-        chains survive local event hops between message edges.
+        chains survive local event hops between message edges.  (A site
+        that already knows the context builds its event with it —
+        :meth:`~repro.distributed.channel.ChannelEndpoint.inject` — and
+        pays no copy here.)
         """
         telemetry = self.telemetry
         if telemetry.enabled and event.cause is None:
-            cause = telemetry.cause
+            cause = telemetry.cause_cell.value
             if cause is not None:
                 event = event.with_cause(cause)
         return self.queue.push(event, now=self.now)
@@ -95,26 +100,29 @@ class Scheduler:
         return event if self.run(max_events=1) else None
 
     def _dispatch_traced(self, event: Event) -> None:
-        """The telemetry-on dispatch path (split out of the hot loop)."""
+        """The telemetry-on dispatch path (split out of the hot loop).
+        The ``scheduler.dispatched`` counter is not touched here: the run
+        loop adds its whole count once, on the way out."""
         telemetry = self.telemetry
+        cause = event.cause
+        if cause is None:
+            self._handlers[event.code](event)
+            self.dispatched += 1
+            telemetry.emit(_DISPATCH, event.time, self.subsystem.name,
+                           {"event": event.kind.label})
+            return
         # Sends triggered by this dispatch mint child spans of the
         # event's cause; cleared even on a straggler abort.
-        telemetry.cause = event.cause
+        cell = telemetry.cause_cell
+        cell.value = cause
         try:
             self._handlers[event.code](event)
         finally:
-            telemetry.cause = None
+            cell.value = None
         self.dispatched += 1
-        telemetry.count("scheduler.dispatched")
-        if event.cause is not None:
-            telemetry.trace(TraceKind.DISPATCH, time=event.time,
-                            subject=self.subsystem.name,
-                            event=event.kind.value,
-                            cause=event.cause[1], hop=event.cause[3])
-        else:
-            telemetry.trace(TraceKind.DISPATCH, time=event.time,
-                            subject=self.subsystem.name,
-                            event=event.kind.value)
+        telemetry.emit(_DISPATCH, event.time, self.subsystem.name,
+                       {"event": event.kind.label,
+                        "cause": cause[1], "hop": cause[3]})
 
     def _record_stall(self, next_time: float, limit: float) -> None:
         """Account one horizon stall (the run loop's cold exit)."""
@@ -178,7 +186,9 @@ class Scheduler:
         # The flight recorder (always-on black box) samples every
         # STRIDE-th dispatch: the loop only ticks a *local* counter and
         # masks it — written back once, in the finally, so a
-        # CausalityError still leaves the count consistent.
+        # CausalityError still leaves the count consistent.  A lit run's
+        # ``scheduler.dispatched`` counter is settled there too: one
+        # registry look-up per run call, not per event.
         flight = telemetry.flight
         flight_on = flight.enabled
         fseq = flight.dispatch_seq
@@ -209,10 +219,10 @@ class Scheduler:
                 else:
                     handlers[event.code](event)
                     self.dispatched += 1
+                count += 1
                 if hooks:
                     for hook in hooks:
                         hook(event)
-                count += 1
                 if flight_on:
                     fseq += 1
                     if not (fseq & _FLIGHT_MASK):
@@ -221,6 +231,8 @@ class Scheduler:
         finally:
             if flight_on:
                 flight.dispatch_seq = fseq
+            if traced and count:
+                telemetry.count("scheduler.dispatched", count)
         return count
 
     # ------------------------------------------------------------------

@@ -393,7 +393,12 @@ class ChannelEndpoint:
         net.last_change = time
         for observer in net.observers:
             observer(net, time, value)
-        schedule = self.subsystem.scheduler.schedule
+        scheduler = self.subsystem.scheduler
+        schedule = scheduler.schedule
+        # Built with the trace context of the message being injected
+        # (set by PiaNode.dispatch), so schedule() has nothing to copy.
+        telemetry = scheduler.telemetry
+        cause = telemetry.cause_cell.value if telemetry.enabled else None
         hidden = self.component.ports.get(net.name)
         ts = Timestamp(time, PRIORITY_SIGNAL)
         signal = EventKind.SIGNAL
@@ -402,7 +407,7 @@ class ChannelEndpoint:
                 continue
             if not port.direction.can_receive and not port.hidden:
                 continue
-            schedule(Event(ts, signal, port, value))
+            schedule(Event(ts, signal, port, value, None, cause))
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -183,14 +183,15 @@ class PiaNode:
             if traced:
                 # Events this signal injects inherit its trace context,
                 # linking the local dispatch chain to the remote send.
-                telemetry.cause = message.trace
+                cell = telemetry.cause_cell
+                cell.value = message.trace
             try:
                 for observer in self.signal_observers:
                     observer(message)
                 endpoint.receive_signal(message)
             finally:
                 if traced:
-                    telemetry.cause = None
+                    cell.value = None
             return
         raise TransportError(
             f"{self.name}: no handler for {message.kind} message")

@@ -193,6 +193,10 @@ class MetricsRegistry:
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.timers: Dict[str, Timer] = {}
+        #: Bumped by :meth:`reset`.  A per-frame site may keep the
+        #: :class:`Counter` objects it increments instead of looking them
+        #: up by name each time; it re-resolves them when this moves.
+        self.generation = 0
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -242,3 +246,4 @@ class MetricsRegistry:
         self.gauges.clear()
         self.histograms.clear()
         self.timers.clear()
+        self.generation += 1

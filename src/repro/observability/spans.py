@@ -108,7 +108,8 @@ def ensure_context(telemetry, message: Message) -> Optional[TraceContext]:
     # the Python-level ``Enum.value`` descriptor plus a set probe on
     # every send.
     if message.trace is None and not message.kind.untraced:
-        message.trace = telemetry.spans.mint(message.src, telemetry.cause)
+        message.trace = telemetry.spans.mint(message.src,
+                                             telemetry.cause_cell.value)
     return message.trace
 
 

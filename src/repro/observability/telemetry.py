@@ -11,19 +11,27 @@ Instrumentation sites follow one discipline::
 
     t = self.telemetry
     if t.enabled:
-        t.count("scheduler.dispatched")
-        t.trace(TraceKind.DISPATCH, time=..., subject=...)
+        t.count("scheduler.stalls")
+        t.trace(TraceKind.STALL, time=..., subject=..., horizon=...)
 
 The ``enabled`` check is the no-op fast path: objects never attached to a
 real telemetry hold the shared :data:`NULL_TELEMETRY`, whose ``enabled``
 is permanently ``False`` — one attribute read per hot-path visit.
+
+A lit run is the everyday run, so the sites it visits per event and per
+message (dispatch, transport send/poll, link accounting) go one step
+further and skip the conveniences: they hand :meth:`Telemetry.emit` a
+ready details dict instead of keywords, read :attr:`Telemetry.cause_cell`
+as a plain attribute, and hold bound :class:`~.metrics.Counter` handles
+(re-resolved when :attr:`MetricsRegistry.generation
+<.metrics.MetricsRegistry.generation>` moves) instead of looking a name
+up per increment.  What gets recorded is the same either way.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-import time as _time
 from contextlib import nullcontext
 from typing import Optional
 
@@ -33,6 +41,13 @@ from .spans import SpanMinter
 from .trace import TraceBuffer, TraceRecord
 
 _NULL_TIMER = nullcontext()
+
+
+class _CauseCell(threading.local):
+    """Per-thread ``value``: the trace context being dispatched.  The
+    class default makes a thread that never wrote one read ``None``."""
+
+    value = None
 
 
 class Telemetry:
@@ -57,20 +72,23 @@ class Telemetry:
         #: Optional :class:`~.health.LinkHealthMonitor`, fed by the
         #: transport send/poll boundary when attached.
         self.health = None
-        #: The trace context currently being dispatched, thread-local:
-        #: under the threaded executor several node threads share one
-        #: Telemetry, and each must see only its own dispatch's cause.
-        self._cause = threading.local()
+        #: The trace context currently being dispatched (``.value``),
+        #: thread-local: under the threaded executor several node threads
+        #: share one Telemetry, and each must see only its own dispatch's
+        #: cause.  Hot sites read and write ``cause_cell.value`` directly.
+        self.cause_cell = _CauseCell()
+        #: ``itertools.count``: drawing an ordinal is one atomic C call,
+        #: which keeps ``seq`` unique under the threaded executor.
         self._seq = itertools.count(1)
 
     @property
     def cause(self):
         """Trace context of the in-flight dispatch (``None`` outside one)."""
-        return getattr(self._cause, "value", None)
+        return self.cause_cell.value
 
     @cause.setter
     def cause(self, context) -> None:
-        self._cause.value = context
+        self.cause_cell.value = context
 
     # ------------------------------------------------------------------
     def enable(self) -> None:
@@ -84,7 +102,10 @@ class Telemetry:
         """Increment counter ``name`` (no-op while disabled)."""
         if not self.enabled:
             return
-        self.registry.counter(name).inc(n)
+        try:
+            self.registry.counters[name].inc(n)
+        except KeyError:
+            self.registry.counter(name).inc(n)
 
     def gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` (no-op while disabled)."""
@@ -104,14 +125,22 @@ class Telemetry:
             return _NULL_TIMER
         return self.registry.timer(name)
 
+    def emit(self, kind: str, time: float, subject: str,
+             details: dict) -> Optional[TraceRecord]:
+        """Append one structured record around a ready ``details`` dict
+        (no-op while disabled); returns it.  The positional form of
+        :meth:`trace` for per-event sites — and the only form that can
+        carry a detail named ``kind``, ``time`` or ``subject`` (emitted
+        as ``detail.<key>`` by :meth:`TraceRecord.to_dict`)."""
+        if self.enabled:
+            return self.trace_buffer.record(next(self._seq), kind, time,
+                                            subject, details)
+        return None
+
     def trace(self, kind: str, *, time: float = 0.0, subject: str = "",
               **details) -> None:
         """Append one structured record (no-op while disabled)."""
-        if not self.enabled:
-            return
-        self.trace_buffer.append(
-            TraceRecord(next(self._seq), kind, time, subject, details,
-                        wall=_time.time()))
+        self.emit(kind, time, subject, details)
 
     def note(self, kind: str, *, time: float = 0.0, subject: str = "",
              **details) -> None:
@@ -120,14 +149,13 @@ class Telemetry:
         is on and in the flight ring when the black box is on.  Only a
         record entering the trace buffer draws a ``seq`` (else 0): what
         the black box sees never shifts a lit report's ordinals."""
-        lit, flight = self.enabled, self.flight
-        if not (lit or flight.enabled):
+        flight = self.flight
+        record = self.emit(kind, time, subject, details)
+        if not flight.enabled:
             return
-        record = TraceRecord(next(self._seq) if lit else 0, kind, time,
-                             subject, details, wall=_time.time())
-        if lit:
-            self.trace_buffer.append(record)
-        if flight.enabled:
+        if record is None:
+            flight.record(0, kind, time, subject, details)
+        else:
             flight.append(record)
 
     # ------------------------------------------------------------------

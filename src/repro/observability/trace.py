@@ -11,8 +11,8 @@ every time-series sit on.
 
 from __future__ import annotations
 
+import time as _time
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 
@@ -57,19 +57,42 @@ class TraceKind:
 _CORE_FIELDS = frozenset(("seq", "kind", "time", "subject"))
 
 
-@dataclass(frozen=True)
 class TraceRecord:
-    """One structured observation."""
+    """One structured observation.
 
-    seq: int              # per-telemetry monotone ordinal
-    kind: str             # a :class:`TraceKind` value
-    time: float           # virtual time the record describes
-    subject: str          # subsystem, component or "src->dst" link
-    details: dict = field(default_factory=dict)
-    #: Wall clock at record time — nondeterministic, so excluded from
-    #: equality and :meth:`to_dict` (the wall-clock timeline view reads
-    #: it straight off the record).
-    wall: float = field(default=0.0, compare=False)
+    A handwritten slotted class, like :class:`~repro.core.events.Event`
+    and for the same reason: a lit run builds one per dispatch and per
+    message, and a frozen-dataclass ``__init__`` pays six
+    ``object.__setattr__`` calls for it.  Instances are immutable by
+    convention; nothing mutates a record once it is in a ring.
+    """
+
+    __slots__ = ("seq", "kind", "time", "subject", "details", "wall")
+
+    def __init__(self, seq: int, kind: str, time: float, subject: str,
+                 details: Optional[dict] = None, wall: float = 0.0) -> None:
+        self.seq = seq              # per-telemetry monotone ordinal
+        self.kind = kind            # a :class:`TraceKind` value
+        self.time = time            # virtual time the record describes
+        self.subject = subject      # subsystem, component or "src->dst" link
+        self.details = {} if details is None else details
+        #: Wall clock at record time — nondeterministic, so excluded from
+        #: equality and :meth:`to_dict` (the wall-clock timeline view reads
+        #: it straight off the record).
+        self.wall = wall
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TraceRecord:
+            return NotImplemented
+        return (self.seq == other.seq and self.kind == other.kind
+                and self.time == other.time
+                and self.subject == other.subject
+                and self.details == other.details)
+
+    def __repr__(self) -> str:
+        return (f"TraceRecord(seq={self.seq!r}, kind={self.kind!r}, "
+                f"time={self.time!r}, subject={self.subject!r}, "
+                f"details={self.details!r}, wall={self.wall!r})")
 
     def to_dict(self) -> dict:
         """Flatten into one dict; detail keys that would shadow a core
@@ -139,6 +162,19 @@ class TraceBuffer(Ring):
 
     def __init__(self, capacity: int = 4096) -> None:
         super().__init__(capacity)
+
+    def record(self, seq: int, kind: str, time: float, subject: str,
+               details: dict) -> TraceRecord:
+        """The one append body: build a record around a ready ``details``
+        dict, stamp the wall clock, file it; returns it.  Every way of
+        recording (:meth:`~.telemetry.Telemetry.emit`, ``trace``, ``note``
+        and the flight recorder's own ``note``) ends here.  Positional
+        and flat — :meth:`Ring.append` is inlined — because a lit run
+        pays this once per dispatch and per message."""
+        record = TraceRecord(seq, kind, time, subject, details, _time.time())
+        self._items.append(record)
+        self.appended += 1
+        return record
 
     def records(self, kind: Optional[str] = None) -> List[TraceRecord]:
         if kind is None:

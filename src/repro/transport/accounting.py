@@ -69,6 +69,13 @@ class NetworkAccounting:
         #: hook here feeds the per-link estimators in every mode.  Pay
         #: for use: ``None`` costs one attribute read per frame.
         self.health = None
+        #: Bound registry metrics (see :meth:`_count`): per directed link
+        #: the six counters a frame increments, plus the batch histogram,
+        #: valid for one registry at one generation.
+        self._bound: Dict[Tuple[str, str], tuple] = {}
+        self._batch_size = None
+        self._bound_to = None
+        self._bound_generation = 0
 
     def set_model(self, src: str, dst: str, model: LatencyModel,
                   *, both_ways: bool = True) -> None:
@@ -86,17 +93,45 @@ class NetworkAccounting:
             stats = self.links[key] = LinkStats(self.model_for(src, dst))
         return stats
 
+    def _count(self, src: str, dst: str, messages: int, size: int) -> None:
+        """Feed one frame to the registry: the four global counters, the
+        link's two, and — for a frame that carries data messages — the
+        coalescing histogram.  The metric objects are looked up by name
+        once per link and held; a registry that was reset (or swapped by
+        attaching another telemetry) is noticed here, so counting starts
+        from zero exactly as a by-name increment would."""
+        registry = self.telemetry.registry
+        if registry is not self._bound_to or \
+                registry.generation != self._bound_generation:
+            self._bound.clear()
+            self._batch_size = None
+            self._bound_to = registry
+            self._bound_generation = registry.generation
+        key = (src, dst)
+        bound = self._bound.get(key)
+        if bound is None:
+            counter = registry.counter
+            bound = self._bound[key] = (
+                counter("transport.messages"),
+                counter("transport.bytes"),
+                counter("transport.frames_sent"),
+                counter("transport.bytes_on_wire"),
+                counter(f"link.{src}->{dst}.messages"),
+                counter(f"link.{src}->{dst}.bytes"))
+        all_messages, all_bytes, frames, on_wire, link_messages, link_bytes \
+            = bound
+        all_messages.value += messages
+        all_bytes.value += size
+        frames.value += 1
+        on_wire.value += size
+        link_messages.value += messages
+        link_bytes.value += size
+
     def record(self, src: str, dst: str, size: int) -> float:
         """Charge one message (its own wire frame); returns its delay."""
         stats = self._stats(src, dst)
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.count("transport.messages")
-            telemetry.count("transport.bytes", size)
-            telemetry.count("transport.frames_sent")
-            telemetry.count("transport.bytes_on_wire", size)
-            telemetry.count(f"link.{src}->{dst}.messages")
-            telemetry.count(f"link.{src}->{dst}.bytes", size)
+        if self.telemetry.enabled:
+            self._count(src, dst, 1, size)
         delay = stats.record(size)
         health = self.health
         if health is not None:
@@ -107,18 +142,17 @@ class NetworkAccounting:
                      messages: int) -> float:
         """Charge one batch frame of ``messages`` coalesced messages."""
         stats = self._stats(src, dst)
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.count("transport.messages", messages)
-            telemetry.count("transport.bytes", size)
-            telemetry.count("transport.frames_sent")
-            telemetry.count("transport.bytes_on_wire", size)
+        if self.telemetry.enabled:
+            self._count(src, dst, messages, size)
             if messages:
                 # Grant-only push frames carry no data messages and would
                 # only dilute the coalescing histogram.
-                telemetry.observe("transport.batch_size", messages)
-            telemetry.count(f"link.{src}->{dst}.messages", messages)
-            telemetry.count(f"link.{src}->{dst}.bytes", size)
+                histogram = self._batch_size
+                if histogram is None:
+                    histogram = self._batch_size = \
+                        self.telemetry.registry.histogram(
+                            "transport.batch_size")
+                histogram.observe(messages)
         delay = stats.record_frame(size, messages)
         health = self.health
         if health is not None:

@@ -403,6 +403,8 @@ class _PyReader:
             try:
                 s = data.decode("utf-8", "surrogatepass")
             except Exception:
+                # Report where the string starts, as the C reader does.
+                self.pos -= len(data)
                 raise self.fail("undecodable string") from None
             self.strings.append(s)
             return s

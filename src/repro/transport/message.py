@@ -56,12 +56,15 @@ class MessageKind(enum.Enum):
 # ``untraced`` is likewise precomputed here because the span minter sits
 # on the send hot path and ``Enum.value`` is a Python-level descriptor —
 # the observability package defines the *set* (it cannot import the
-# transports) and reads the flag back through the member.
+# transports) and reads the flag back through the member.  ``label`` is
+# that value itself as a plain attribute, for the ``message_kind`` detail
+# of every send and receive record.
 from ..observability.spans import UNTRACED_KINDS as _UNTRACED_KINDS
 
 for _index, _kind in enumerate(MessageKind):
     _kind.code = _index
-    _kind.untraced = _kind.value in _UNTRACED_KINDS
+    _kind.label = _kind.value
+    _kind.untraced = _kind.label in _UNTRACED_KINDS
 del _index, _kind
 
 

@@ -48,7 +48,7 @@ from ..core.errors import TransportError
 from ..core.fastcopy import is_immutable
 from ..faults.retry import RetryPolicy
 from ..observability import NULL_TELEMETRY, TraceKind
-from ..observability.spans import ensure_context, span_details
+from ..observability.spans import ensure_context
 from .accounting import NetworkAccounting
 from .batch import SendBatcher
 from .latency import SAME_HOST, LatencyModel
@@ -56,6 +56,10 @@ from .message import BatchFrame, Message, MessageKind
 
 #: Handles a synchronous call, returning the reply message.
 CallHandler = Callable[[Message], Message]
+
+_MSG_SEND = TraceKind.MSG_SEND
+_MSG_RECV = TraceKind.MSG_RECV
+
 
 def open_envelope(message: Message, tags):
     """Return the ``(tag, a, b)`` payload of a CONTROL envelope tagged
@@ -137,6 +141,9 @@ class Transport:
         self.telemetry = NULL_TELEMETRY
         #: Fault plane (attach via :meth:`attach_faults`).
         self.fault_injector = None
+        #: ``src -> dst -> "src->dst"``: one record subject per directed
+        #: link, built on first use (see :meth:`_trace`).
+        self._subjects: Dict[str, Dict[str, str]] = {}
 
     def set_piggyback_provider(self, provider) -> None:
         """Install the executor's grant source for batch flushes."""
@@ -165,6 +172,21 @@ class Transport:
 
     def _in_flight(self, name: Optional[str]) -> int:
         return 0
+
+    def _trace(self, kind: str, message: Message, details: dict) -> None:
+        """File one ``MSG_SEND``/``MSG_RECV`` record for ``message``:
+        ``details`` (``message_kind`` first) plus its span fields."""
+        context = message.trace
+        if context is not None:
+            (details["trace_id"], details["span"], details["parent"],
+             details["hop"]) = context
+        src, dst = message.src, message.dst
+        try:
+            subject = self._subjects[src][dst]
+        except KeyError:
+            subject = self._subjects.setdefault(src, {})[dst] = \
+                f"{src}->{dst}"
+        self.telemetry.emit(kind, message.time, subject, details)
 
     def wire_balanced(self) -> bool:
         """True when nothing is between a sender and an inbox; a carrier
@@ -222,10 +244,8 @@ class Transport:
             member = message if is_immutable(message.payload) \
                 else self._open(self._pack(message)[0])
             if telemetry.enabled:
-                telemetry.trace(TraceKind.MSG_SEND, time=message.time,
-                                subject=f"{src}->{dst}",
-                                message_kind=message.kind.value,
-                                batched=True, **span_details(message.trace))
+                self._trace(_MSG_SEND, message, {
+                    "message_kind": message.kind.label, "batched": True})
             self.batcher.enqueue(src, dst, member)
             if fate == "duplicate":
                 # The redundant copy rides right behind the original.
@@ -242,10 +262,8 @@ class Transport:
         parcel, size = self._pack(message)
         delay = self._charge(src, dst, size)
         if telemetry.enabled:
-            telemetry.trace(TraceKind.MSG_SEND, time=message.time,
-                            subject=f"{src}->{dst}",
-                            message_kind=message.kind.value, bytes=size,
-                            **span_details(message.trace))
+            self._trace(_MSG_SEND, message, {
+                "message_kind": message.kind.label, "bytes": size})
         if fate in ("deliver", "duplicate"):
             self._ship(src, dst, parcel, message.time, 1)
         if fate == "duplicate":
@@ -336,17 +354,15 @@ class Transport:
         parcel, size = self._pack(message)
         self._charge(src, dst, size)
         if telemetry.enabled:
-            telemetry.trace(TraceKind.MSG_SEND, time=message.time,
-                            subject=f"{src}->{dst}",
-                            message_kind=message.kind.value, bytes=size,
-                            call=True, **span_details(message.trace))
+            self._trace(_MSG_SEND, message, {
+                "message_kind": message.kind.label, "bytes": size,
+                "call": True})
         reply, size = self._round_trip(message, parcel)
         self._charge(dst, src, size)
         if telemetry.enabled:
-            telemetry.trace(TraceKind.MSG_RECV, time=reply.time,
-                            subject=f"{dst}->{src}",
-                            message_kind=reply.kind.value, bytes=size,
-                            call=True, **span_details(reply.trace))
+            self._trace(_MSG_RECV, reply, {
+                "message_kind": reply.kind.label, "bytes": size,
+                "call": True})
         return reply
 
     def poll(self, name: str, *, limit: Optional[int] = None) -> List[Message]:
@@ -379,13 +395,10 @@ class Transport:
         health = self.accounting.health
         if health is not None:
             health.on_poll(name, len(drained))
-        telemetry = self.telemetry
-        if telemetry.enabled and drained:
+        if drained and self.telemetry.enabled:
             for message in drained:
-                telemetry.trace(TraceKind.MSG_RECV, time=message.time,
-                                subject=f"{message.src}->{message.dst}",
-                                message_kind=message.kind.value,
-                                **span_details(message.trace))
+                self._trace(_MSG_RECV, message,
+                            {"message_kind": message.kind.label})
         return drained
 
     def pending(self, name: Optional[str] = None) -> int:

@@ -291,3 +291,54 @@ class TestSwitchLevelCommand:
         assert switcher.interface("bus").level == "word"
         sim.run()
         assert switcher.finished
+
+
+class TestDispatchedCounter:
+    """A lit run settles ``scheduler.dispatched`` once per ``run()``
+    call, on the way out — the figure must still be the events that
+    ran, whatever ended the call."""
+
+    def _lit(self, times, handler=lambda event: None):
+        subsystem = Subsystem("ss")
+        telemetry = Telemetry()
+        subsystem.attach_telemetry(telemetry)
+        for time in times:
+            subsystem.scheduler.schedule(
+                Event(Timestamp(time), EventKind.CONTROL, target=handler))
+        return subsystem, telemetry.registry.counters
+
+    def test_counts_every_call_and_matches_the_scheduler(self):
+        subsystem, counters = self._lit([1.0, 2.0, 3.0])
+        subsystem.run(max_events=2)
+        assert counters["scheduler.dispatched"].value == 2
+        subsystem.run()
+        assert counters["scheduler.dispatched"].value == 3 \
+            == subsystem.scheduler.dispatched
+
+    def test_a_call_that_dispatches_nothing_creates_no_counter(self):
+        subsystem, counters = self._lit([5.0])
+        subsystem.run(until=1.0)
+        assert "scheduler.dispatched" not in counters
+
+    def test_a_raising_handler_is_not_counted_but_its_predecessors_are(self):
+        def handler(event):
+            if event.time == 2.0:
+                raise RuntimeError("boom")
+
+        subsystem, counters = self._lit([1.0, 2.0, 3.0], handler)
+        with pytest.raises(RuntimeError):
+            subsystem.run()
+        assert counters["scheduler.dispatched"].value == 1 \
+            == subsystem.scheduler.dispatched
+
+    def test_a_raising_hook_leaves_its_event_counted(self):
+        subsystem, counters = self._lit([1.0, 2.0])
+
+        def hook(event):
+            raise RuntimeError("boom")
+
+        subsystem.scheduler.post_step_hooks.append(hook)
+        with pytest.raises(RuntimeError):
+            subsystem.run()
+        assert counters["scheduler.dispatched"].value == 1 \
+            == subsystem.scheduler.dispatched

@@ -1,0 +1,124 @@
+"""The lit path's price, as an exact count.
+
+A default ``Telemetry()`` run is the everyday run, so what it adds to a
+``telemetry.disable()``d one is budgeted here — not in seconds (no test
+on a shared host can hold a wall-clock threshold) but in Python-visible
+calls: ``sys.setprofile`` ``call`` + ``c_call`` events of one lit run
+minus one dark run of the same model, per dispatched event.  The count
+is a pure function of the code, so it is the same on every host and a
+regression names the model it hit.
+
+Budgets sit 25% above what the tree measured when they were set
+(native / ``PIA_PURE=1``; the figures are beside ``BUDGETS`` below).  If a
+change moves a count on purpose, re-measure with
+``python tests/observability/test_lit_budget.py`` and move the budget
+with it; ``observability.telemetry.overhead_ratio`` in the perf ledger is
+the wall-clock view of the same cost.
+"""
+
+import gc
+import sys
+
+import pytest
+
+from repro.apps.wubbleu import WubbleUConfig, build_local
+from repro.bench.workloads import streaming_pair, streaming_pair_spec
+from repro.core import events
+from repro.core.port import PortDirection
+from repro.distributed import build
+
+PURE = events.Event is events.PythonEvent
+
+
+def local_word():
+    """One subsystem, no channel: the dispatch record is all there is."""
+    return build_local(WubbleUConfig(
+        level="word", seed=1, page_loads=1, total_bytes=800,
+        image_count=1, image_size=8))[0]
+
+
+def one_way_pair():
+    """Unbatched producer -> consumer: dispatch + send + receive records,
+    span context, six link counters per frame."""
+    return streaming_pair(100, 1.0)
+
+
+def two_way_batched_pair():
+    """The same pair with a consumer end that could drive, batched: the
+    safe-time protocol runs, so stalls, piggybacked grants and the
+    batch-frame accounting are on the path too."""
+    cosim = build(streaming_pair_spec(100, 1.0), batching=True)
+    cosim.component("consumer").port("in").direction = PortDirection.INOUT
+    return cosim
+
+
+#: model -> (budget native, budget pure), in extra calls per dispatched
+#: event: 1.25x what the tree measured when they were set —
+#: 7.05 / 20.10 / 37.42 native, 8.05 / 29.10 / 43.42 pure.  The parent of
+#: that change read 17.0 / 45.9 / 80.5 and 18.0 / 55.4 / 87.0 on the same
+#: three models (17.0 / 45.4 / 78.9 on the ledger's three fenced workloads
+#: at full size, which then read 7.0 / 19.7 / 37.1).
+BUDGETS = {
+    local_word: (8.8, 10.1),
+    one_way_pair: (25.2, 36.4),
+    two_way_batched_pair: (46.8, 54.3),
+}
+
+
+def profiled_calls(cosim, *, lit):
+    """``(call + c_call events, events dispatched)`` of one run."""
+    if not lit:
+        cosim.telemetry.disable()
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    # A collection inside the profiled run would add whatever finalizers
+    # the rest of the suite left behind to the count.
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        cosim.run()
+    finally:
+        sys.setprofile(previous)
+        if collecting:
+            gc.enable()
+    dispatched = sum(subsystem.scheduler.dispatched
+                     for subsystem in cosim.subsystems.values())
+    return calls, dispatched
+
+
+def lit_cost(model):
+    """Extra calls per dispatched event of a lit run of ``model``."""
+    model().run()       # first-use work (lazy imports, caches) is neither's
+    lit_calls, lit_events = profiled_calls(model(), lit=True)
+    dark_calls, dark_events = profiled_calls(model(), lit=False)
+    assert lit_events == dark_events > 0
+    return (lit_calls - dark_calls) / lit_events
+
+
+@pytest.mark.parametrize("model", list(BUDGETS), ids=lambda m: m.__name__)
+def test_lit_run_stays_inside_its_call_budget(model):
+    budget = BUDGETS[model][PURE]
+    cost = lit_cost(model)
+    assert cost <= budget, (
+        f"{model.__name__}: a lit run makes {cost:.1f} more calls per "
+        f"event than a dark one (budget {budget}) — something on the "
+        "per-event or per-message telemetry path got more expensive")
+
+
+def test_the_count_repeats_exactly():
+    """What makes a call count a usable gate: it does not vary."""
+    assert lit_cost(one_way_pair) == lit_cost(one_way_pair)
+
+
+if __name__ == "__main__":
+    for model in BUDGETS:
+        print(f"{model.__name__:22s} {'pure' if PURE else 'native'} "
+              f"{lit_cost(model):6.2f} calls/event")

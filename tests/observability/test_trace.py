@@ -102,3 +102,111 @@ class TestTelemetryTraceIntegration:
                         message_kind="event", bytes=42)
         record = telemetry.trace_buffer.records()[0]
         assert record.details == {"message_kind": "event", "bytes": 42}
+
+
+class TestRecordContract:
+    """What the hand-written slotted class owes its readers — the frozen
+    dataclass it replaced set these terms."""
+
+    def _record(self, **overrides):
+        fields = dict(seq=3, kind=TraceKind.MSG_SEND, time=1.5,
+                      subject="a->b",
+                      details={"message_kind": "signal", "bytes": 9},
+                      wall=12.5)
+        fields.update(overrides)
+        return TraceRecord(**fields)
+
+    def test_equality_reads_every_field_but_wall(self):
+        base = self._record()
+        assert base == self._record(wall=99.0)
+        for change in (dict(seq=4), dict(kind=TraceKind.MSG_RECV),
+                       dict(time=2.0), dict(subject="b->a"),
+                       dict(details={"message_kind": "signal"})):
+            assert base != self._record(**change)
+        assert base != base.to_dict()
+
+    def test_repr_shows_every_field_wall_included(self):
+        assert repr(self._record()) == (
+            "TraceRecord(seq=3, kind='msg-send', time=1.5, subject='a->b', "
+            "details={'message_kind': 'signal', 'bytes': 9}, wall=12.5)")
+
+    def test_holds_a_dict_so_it_is_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(self._record())
+
+    def test_defaults_are_empty_details_and_no_wall_stamp(self):
+        record = TraceRecord(1, TraceKind.DISPATCH, 0.0, "ss")
+        other = TraceRecord(2, TraceKind.DISPATCH, 0.0, "ss")
+        assert record.details == {} and record.wall == 0.0
+        assert record.details is not other.details
+
+    def test_to_dict_key_order_is_core_fields_then_details_as_given(self):
+        assert list(self._record().to_dict()) == [
+            "seq", "kind", "time", "subject", "message_kind", "bytes"]
+
+    def test_record_dicts_adds_the_wall_stamp_and_passes_dicts_through(self):
+        from repro.observability.trace import record_dicts
+        record = self._record()
+        flat = dict(record.to_dict(), wall=12.5)
+        assert record_dicts([record, flat]) == [flat, flat]
+
+    def test_pickle_round_trip_keeps_every_field(self):
+        import pickle
+        record = self._record()
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and copy.wall == record.wall
+        assert copy.details is not record.details
+
+    def test_keyword_and_positional_forms_build_equal_records(self):
+        by_keyword, by_position = Telemetry(), Telemetry()
+        by_keyword.trace(TraceKind.GRANT, time=2.0, subject="ss",
+                         peer="other", desired=3.0)
+        made = by_position.emit(TraceKind.GRANT, 2.0, "ss",
+                                {"peer": "other", "desired": 3.0})
+        assert by_position.trace_buffer.records() == [made]
+        assert by_keyword.trace_buffer.records() == [made]
+        assert made.seq == 1 and made.wall > 0.0
+
+    def test_emit_while_disabled_records_nothing_and_draws_no_seq(self):
+        telemetry = Telemetry(enabled=False)
+        assert telemetry.emit(TraceKind.GRANT, 0.0, "ss", {}) is None
+        telemetry.enable()
+        assert telemetry.emit(TraceKind.GRANT, 0.0, "ss", {}).seq == 1
+
+    def test_every_core_field_name_is_usable_as_a_detail(self):
+        """``trace(kind, time=..., subject=...)`` can never carry a detail
+        called kind, time or subject — the keywords are taken — so only
+        ``seq`` ever reached the ``detail.<key>`` rule.  The positional
+        form takes a ready dict and reaches it for all four."""
+        telemetry = Telemetry()
+        with pytest.raises(TypeError):
+            telemetry.trace(TraceKind.FAULT_INJECT, kind="drop")
+        record = telemetry.emit(
+            TraceKind.FAULT_INJECT, 2.5, "a->b",
+            {"kind": "drop", "time": -1.0, "subject": "x", "seq": 99})
+        assert record.to_dict() == {
+            "seq": 1, "kind": "fault-inject", "time": 2.5, "subject": "a->b",
+            "detail.kind": "drop", "detail.time": -1.0,
+            "detail.subject": "x", "detail.seq": 99}
+
+    def test_a_lit_note_draws_a_seq_and_a_black_box_only_one_gets_zero(self):
+        telemetry = Telemetry()
+        telemetry.note(TraceKind.STALL, time=1.0, subject="ss", horizon=2.0)
+        lit, = telemetry.trace_buffer.records()
+        assert lit.seq == 1
+        assert list(telemetry.flight) == [lit]      # one record, two rings
+        telemetry.disable()
+        telemetry.note(TraceKind.STALL, time=3.0, subject="ss", horizon=4.0)
+        assert len(telemetry.trace_buffer) == 1
+        dark = list(telemetry.flight)[-1]
+        assert (dark.seq, dark.time, dark.details) == (0, 3.0,
+                                                       {"horizon": 4.0})
+        telemetry.enable()
+        telemetry.trace(TraceKind.DISPATCH)
+        assert telemetry.trace_buffer.records()[-1].seq == 2
+
+    def test_note_with_both_rings_off_records_nothing(self):
+        telemetry = Telemetry(enabled=False)
+        telemetry.flight.enabled = False
+        telemetry.note(TraceKind.STALL, time=1.0, subject="ss")
+        assert len(telemetry.flight) == 0 == len(telemetry.trace_buffer)

@@ -204,6 +204,18 @@ class TestReaderErrorParity:
         assert results[0] == results[1]
         assert results[0][0] == "err"
 
+    def test_undecodable_string_is_reported_at_its_start_by_both(self):
+        """Found by ``test_fuzzed_blobs_never_diverge``: the pure reader
+        had already stepped over the string when it reported it."""
+        blob = b"\x05\x0b\x00\x00\x00\x00\x80"
+        messages = []
+        for reader_cls in (_core.Reader, codec._PyReader):
+            with pytest.raises(TransportError) as err:
+                reader_cls(blob).value()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].endswith("undecodable string at offset 2")
+
     def test_trailing_bytes_message_matches(self):
         blob = _native_bytes(_core.put_value, None, {}) + b"\x00\x00"
         results = []
