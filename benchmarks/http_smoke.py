@@ -102,8 +102,13 @@ def main():
             __, body = fetch(base, "/status.json")
             document = json.loads(body)
             # Keep polling until the streamed sections show up — the
-            # first snapshots can precede the first folded delta.
-            if "pia_counter_total" in metrics and "telemetry" in document \
+            # first snapshots can precede the first folded delta, and a
+            # delta can carry counters before any link exists (a worker
+            # that has only *served* a safe-time request has counted
+            # ``safetime.served`` and sent nothing yet), so wait for a
+            # health row on both routes, not merely for any counter.
+            if "pia_link_health_score" in metrics \
+                    and "telemetry" in document and document.get("health") \
                     and document.get("phase") == "running":
                 live_metrics, live_status = metrics, document
                 break
@@ -114,7 +119,7 @@ def main():
 
         if live_metrics is None:
             failures.append(
-                "never saw a mid-run snapshot with streamed telemetry — "
+                "never saw a mid-run snapshot with streamed health rows — "
                 "the run finished before the endpoint showed one (raise "
                 "PIA_HTTP_SMOKE_ROUNDS) or streaming is broken")
         else:

@@ -33,15 +33,20 @@ _MAX_DEPTH = 4
 
 def is_immutable(obj: Any, _depth: int = _MAX_DEPTH) -> bool:
     """True when ``obj`` is provably immutable (safe to share, not copy)."""
-    if type(obj) in _ATOMIC:
+    kind = type(obj)
+    if kind in _ATOMIC:
         return True
-    if isinstance(obj, enum.Enum):
-        return True
-    if type(obj) in _CONTAINERS:
+    if kind in _CONTAINERS:
         if _depth <= 0:
             return False
-        return all(is_immutable(item, _depth - 1) for item in obj)
-    return False
+        for item in obj:
+            # Most items are scalars: settle those here, recurse only
+            # into what needs a second look.
+            if type(item) not in _ATOMIC \
+                    and not is_immutable(item, _depth - 1):
+                return False
+        return True
+    return isinstance(obj, enum.Enum)
 
 
 def smart_copy(obj: Any) -> Any:

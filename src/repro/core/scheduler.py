@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from ..observability import NULL_TELEMETRY, TraceKind
+from ..observability import NULL_TELEMETRY, BoundCounter, TraceKind
 from ..observability.flight import STRIDE_MASK as _FLIGHT_MASK
 from .errors import CausalityError, SimulationError
 from .events import Event, EventKind, EventQueue
@@ -43,7 +43,8 @@ class Scheduler:
     """Dispatches events for one subsystem in deterministic time order."""
 
     __slots__ = ("subsystem", "queue", "now", "dispatched", "stalls",
-                 "post_step_hooks", "telemetry", "_handlers")
+                 "post_step_hooks", "telemetry", "_handlers",
+                 "_stall_counter")
 
     def __init__(self, subsystem: "Subsystem") -> None:
         self.subsystem = subsystem
@@ -60,6 +61,7 @@ class Scheduler:
         #: Telemetry sink; the owning Simulator/CoSimulation attaches a
         #: live one via Subsystem.attach_telemetry.
         self.telemetry = NULL_TELEMETRY
+        self._stall_counter = BoundCounter("scheduler.stalls")
         #: Per-kind dispatch table, indexed by ``Event.code``: one
         #: tuple index replaces the old ``if``/``elif`` kind chain (and
         #: avoids hashing an enum member) on every event.
@@ -130,7 +132,7 @@ class Scheduler:
         telemetry = self.telemetry
         details = {"horizon": limit, "next_event": next_time}
         if telemetry.enabled:
-            telemetry.count("scheduler.stalls")
+            self._stall_counter.inc(telemetry)
             head = self.queue.peek()
             if head is not None and head.cause is not None:
                 # Link the stall to the chain of the event it is parked

@@ -31,6 +31,7 @@ from ..core.events import Event, EventKind
 from ..core.net import Net
 from ..core.port import Port, PortDirection
 from ..core.timestamp import PRIORITY_SIGNAL, Timestamp
+from ..observability import BoundCounter
 from ..transport.message import Message, MessageKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -94,7 +95,8 @@ class ChannelEndpoint:
                  "pending_echoes", "forwarded", "injected",
                  "injected_reported", "granted_reported", "passive_skips",
                  "stragglers", "safe_time_requests", "peer_want", "severed",
-                 "peer_silent", "declared_silent", "silence_served")
+                 "peer_silent", "declared_silent", "silence_served",
+                 "_piggybacked")
 
     def __init__(self, channel: "Channel", subsystem: "Subsystem",
                  peer_subsystem: str, peer_node: str) -> None:
@@ -106,6 +108,8 @@ class ChannelEndpoint:
             f"__channel_{channel.channel_id}_{subsystem.name}", self)
         subsystem.add(self.component)
         subsystem.channels[channel.channel_id] = self
+        if subsystem.node is not None:
+            subsystem.node.membership_changed()
         #: hidden-port name -> local half-net it taps.
         self._nets: dict[str, Net] = {}
         # --- safe-time state (conservative protocol) ---
@@ -156,6 +160,7 @@ class ChannelEndpoint:
         #: so it has dropped its echo ledger and needs no more
         #: consumption reports.
         self.silence_served = False
+        self._piggybacked = BoundCounter("safetime.piggybacked")
 
     # ------------------------------------------------------------------
     @property
@@ -261,8 +266,13 @@ class ChannelEndpoint:
             else float("inf")
 
     def effective_horizon(self) -> float:
-        """How far this endpoint lets its subsystem run."""
-        return min(self.peer_grant, self.echo_floor())
+        """How far this endpoint lets its subsystem run: the peer's
+        grant, capped by :meth:`echo_floor`."""
+        grant = self.peer_grant
+        echoes = self.pending_echoes
+        if echoes and echoes[0][1] < grant:
+            return echoes[0][1]
+        return grant
 
     def confirm_consumed(self, peer_injected: int) -> None:
         """Release echo entries the peer has confirmed consuming."""
@@ -307,9 +317,7 @@ class ChannelEndpoint:
         if self.severed:
             return
         if self.accept_grant(grant, counts):
-            telemetry = self.subsystem.scheduler.telemetry
-            if telemetry.enabled:
-                telemetry.count("safetime.piggybacked")
+            self._piggybacked.inc(self.subsystem.scheduler.telemetry)
 
     def note_reported(self, grant: float) -> tuple:
         """Record that ``grant`` and the current consumption/production

@@ -40,7 +40,7 @@ import itertools
 from typing import TYPE_CHECKING, Optional
 
 from ..core.errors import ConfigurationError
-from ..observability import TraceKind
+from ..observability import BoundCounter, TraceKind
 from ..transport.message import Message, MessageKind
 from .channel import ChannelEndpoint, ChannelMode
 
@@ -50,6 +50,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Grants at or beyond this are treated as "unrestricted".
 UNBOUNDED = float("inf")
+
+_CONSERVATIVE = ChannelMode.CONSERVATIVE
 
 #: Batched fast path: consecutive refreshes a client may skip for an
 #: endpoint whose grant already covers the desired time (only its own
@@ -76,8 +78,10 @@ def local_floor(subsystem: "Subsystem", *, excluding: Optional[str] = None,
     for endpoint in subsystem.channels.values():
         if endpoint.peer_subsystem == excluding:
             continue
-        if endpoint.mode is ChannelMode.CONSERVATIVE or conservative_override:
-            floor = min(floor, endpoint.effective_horizon())
+        if conservative_override or endpoint.channel.mode is _CONSERVATIVE:
+            limit = endpoint.effective_horizon()
+            if limit < floor:
+                floor = limit
     return floor
 
 
@@ -133,6 +137,7 @@ class SafeTimeService:
     def __init__(self, node: "PiaNode") -> None:
         self.node = node
         self.requests_served = 0
+        self._served = BoundCounter("safetime.served")
         node.safe_time = self
         node.call_services[MessageKind.SAFE_TIME_REQUEST] = self.serve
 
@@ -155,7 +160,7 @@ class SafeTimeService:
         requester, target, __ = message.payload
         subsystem = self.node.subsystem(target)
         self.requests_served += 1
-        subsystem.scheduler.telemetry.count("safetime.served")
+        self._served.inc(subsystem.scheduler.telemetry)
         desired = message.time
         grant = compute_grant(
             subsystem, requester,
@@ -187,6 +192,8 @@ class SafeTimeClient:
         # identical runs identical regardless of what the process ran
         # before.
         self._request_ids = itertools.count(1)
+        self._requests = BoundCounter("safetime.requests")
+        self._accepted = BoundCounter("safetime.grants_accepted")
 
     def _restricting_endpoints(self):
         for endpoint in self.subsystem.channels.values():
@@ -198,14 +205,28 @@ class SafeTimeClient:
         """Is this subsystem on a conservative channel at all, whatever
         its horizon happens to be right now?  (By construction, not by
         a passing recovery window: that one ends mid-run.)"""
-        return any(endpoint.mode is ChannelMode.CONSERVATIVE
-                   for endpoint in self.subsystem.channels.values())
+        for endpoint in self.subsystem.channels.values():
+            if endpoint.channel.mode is _CONSERVATIVE:
+                return True
+        return False
 
     def horizon(self) -> float:
-        """How far this subsystem may currently run."""
-        return min((ep.effective_horizon()
-                    for ep in self._restricting_endpoints()),
-                   default=UNBOUNDED)
+        """How far this subsystem may currently run: the lowest
+        effective horizon among :meth:`_restricting_endpoints`.  Read
+        before every dispatched event, so it is that rule as a plain
+        loop, asking the node about a recovery window at most once."""
+        horizon = UNBOUNDED
+        override = None
+        for endpoint in self.subsystem.channels.values():
+            if endpoint.channel.mode is not _CONSERVATIVE:
+                if override is None:
+                    override = self.subsystem.node.conservative_override()
+                if not override:
+                    continue
+            limit = endpoint.effective_horizon()
+            if limit < horizon:
+                horizon = limit
+        return horizon
 
     def refresh(self, desired: float, *, exclude: Optional[str] = None,
                 path: tuple = ()) -> float:
@@ -245,7 +266,7 @@ class SafeTimeClient:
             endpoint.safe_time_requests += 1
             self.requests_sent += 1
             telemetry = self.subsystem.scheduler.telemetry
-            telemetry.count("safetime.requests")
+            self._requests.inc(telemetry)
             reply = node.transport.call(Message(
                 kind=MessageKind.SAFE_TIME_REQUEST,
                 src=node.name,
@@ -261,7 +282,7 @@ class SafeTimeClient:
             # the next refresh.)
             if endpoint.accept_grant(reply.time, reply.payload):
                 if telemetry.enabled:
-                    telemetry.count("safetime.grants_accepted")
+                    self._accepted.inc(telemetry)
                     telemetry.trace(TraceKind.GRANT, time=reply.time,
                                     subject=self.subsystem.name,
                                     peer=endpoint.peer_subsystem,

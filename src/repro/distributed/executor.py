@@ -29,7 +29,7 @@ from ..core.runlevel import (
 )
 from ..core.subsystem import Subsystem
 from ..faults import FailureDetector, FaultPlan, RetryPolicy
-from ..observability import Telemetry, TraceKind
+from ..observability import BoundCounter, Telemetry, TraceKind
 from ..transport.inmemory import InMemoryTransport
 from ..transport.latency import SAME_HOST, LatencyModel
 from ..transport.message import Message
@@ -98,6 +98,7 @@ class CoSimulation(LiveSystem):
         self._refresh_every = 4
         #: subsystem name -> (desired, round of last request).
         self._refresh_throttle: Dict[str, tuple] = {}
+        self._pushed = BoundCounter("safetime.pushed")
         #: Visit orders, rebuilt only after membership changes
         #: (:meth:`_membership_changed`); never mutated in place, so a
         #: loop over one survives a crash absorbed mid-sweep.
@@ -224,8 +225,10 @@ class CoSimulation(LiveSystem):
         # ticks, so the settle budget widens and an idle pump round is not
         # final while the injector still holds traffic.
         injector = self.fault_injector
+        ready = self.transport.ready
         for __ in range((2 * len(self.subsystems) + 2) * self._settle_slack):
-            pumped = sum(node.pump() for node in self._ordered_nodes())
+            pumped = sum(node.pump() for node in self._ordered_nodes()
+                         if ready(node.name))
             if self.registry.snapshots[snapshot_id].complete:
                 break
             if pumped == 0 and \
@@ -317,18 +320,22 @@ class CoSimulation(LiveSystem):
         the local floor has now passed.  Each push is one frame replacing
         the two-frame request round trip the peer would otherwise issue.
         Returns True if anything moved (counts as round progress)."""
-        acted = self.transport.flush_batches() > 0
+        transport = self.transport
+        acted = transport.batcher.queued() and transport.flush_batches() > 0
         down = self._down_nodes | self._dead_nodes
         for node in self._ordered_nodes():
             for dst, grants in sorted(node.stalled_grants(down).items()):
-                if self.transport.push_grants(node.name, dst, grants):
+                if transport.push_grants(node.name, dst, grants):
                     acted = True
-                    if self.telemetry.enabled:
-                        self.telemetry.count("safetime.pushed", len(grants))
+                    self._pushed.inc(self.telemetry, len(grants))
         return acted
 
     def _conservative_now(self) -> bool:
-        return self.recovery.in_conservative_window(self.global_time())
+        recovery = self.recovery
+        # Asked for every grant; until a rollback opens a window there
+        # is no global time worth computing.
+        return recovery.conservative_until != float("-inf") \
+            and recovery.in_conservative_window(self.global_time())
 
     # ------------------------------------------------------------------
     # execution
@@ -370,11 +377,17 @@ class CoSimulation(LiveSystem):
         return self._subsystem_order
 
     def _pump_all(self) -> int:
-        """Route all in-flight messages; recover from stragglers."""
+        """Route all in-flight messages; recover from stragglers.  Only
+        nodes the transport names ready are pumped, in the usual order
+        — a node made ready by an earlier node's pump is visited in the
+        same sweep, as it always was."""
         total = 0
+        ready = self.transport.ready
         while True:
             pumped = 0
             for node in self._ordered_nodes():
+                if not ready(node.name):
+                    continue
                 try:
                     pumped += node.pump()
                 except LinkDown as down:

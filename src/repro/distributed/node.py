@@ -91,6 +91,9 @@ class PiaNode:
         #: fires the service once everything at or before the instant
         #: has run, then moves the bound on.
         self.service_bound: Callable[[], float] = lambda: float("inf")
+        #: Visit order of the round and the grant ledger — see
+        #: :meth:`_visit_order`; dropped by :meth:`membership_changed`.
+        self._order: Optional[List[tuple]] = None
         transport.register(name, call_handler=self.handle_call)
 
     # ------------------------------------------------------------------
@@ -125,7 +128,27 @@ class PiaNode:
         self.subsystems[subsystem.name] = subsystem
         self.clients[subsystem.name] = SafeTimeClient(subsystem)
         self.add_socket(f"subsystem:{subsystem.name}", "subsystem", subsystem)
+        self.membership_changed()
         return subsystem
+
+    def membership_changed(self) -> None:
+        """A subsystem joined, or one of them gained a channel end: the
+        cached visit order is stale."""
+        self._order = None
+
+    def _visit_order(self) -> List[tuple]:
+        """``(subsystem, its safe-time client, its endpoints in
+        channel-id order)`` in subsystem-name order: the one order the
+        round and the grant ledger walk, sorted once per membership
+        rather than on every call."""
+        order = self._order
+        if order is None:
+            order = self._order = [
+                (subsystem, self.clients[name],
+                 [subsystem.channels[channel_id]
+                  for channel_id in sorted(subsystem.channels)])
+                for name, subsystem in sorted(self.subsystems.items())]
+        return order
 
     def subsystem(self, name: str) -> Subsystem:
         try:
@@ -254,13 +277,17 @@ class PiaNode:
         Returns ``(progress, dispatched)``: whether the opening pump or
         any subsystem moved, and how many events were dispatched.
         """
-        with self.lock:
-            progress = self.pump() > 0
-        dispatched = 0
-        for name in sorted(self.subsystems):
+        ready = self.transport.ready
+        progress = False
+        if ready(self.name):
             with self.lock:
-                self.pump()
-            dispatched += self.advance(self.subsystems[name], until)
+                progress = self.pump() > 0
+        dispatched = 0
+        for subsystem, __, __ in self._visit_order():
+            if ready(self.name):
+                with self.lock:
+                    self.pump()
+            dispatched += self.advance(subsystem, until)
         # Round boundary: ship everything this node queued (no-op unless
         # the transport batches).  Outside the lock — the piggyback
         # provider try-acquires it.
@@ -270,11 +297,11 @@ class PiaNode:
     # ------------------------------------------------------------------
     # the grant ledger
     # ------------------------------------------------------------------
-    def _granting_endpoints(self, subsystem: Subsystem, conservative: bool):
-        """Live endpoints ``subsystem`` currently owes safe-time grants
-        on, in channel-id order."""
-        for channel_id in sorted(subsystem.channels):
-            endpoint = subsystem.channels[channel_id]
+    @staticmethod
+    def _granting_endpoints(endpoints, conservative: bool):
+        """The live ones among a subsystem's ``endpoints`` it currently
+        owes safe-time grants on, in the order given."""
+        for endpoint in endpoints:
             if endpoint.severed:
                 continue
             if endpoint.mode is not ChannelMode.CONSERVATIVE \
@@ -305,9 +332,8 @@ class PiaNode:
         try:
             conservative = self.conservative_override()
             grants: List[Message] = []
-            for ss_name in sorted(self.subsystems):
-                subsystem = self.subsystems[ss_name]
-                for endpoint in self._granting_endpoints(subsystem,
+            for subsystem, __, endpoints in self._visit_order():
+                for endpoint in self._granting_endpoints(endpoints,
                                                          conservative):
                     if endpoint.peer_node != dst:
                         continue
@@ -328,8 +354,7 @@ class PiaNode:
         """
         conservative = self.conservative_override()
         by_dst: Dict[str, List[Message]] = {}
-        for ss_name in sorted(self.subsystems):
-            subsystem = self.subsystems[ss_name]
+        for subsystem, client, endpoints in self._visit_order():
             # A subsystem that can still run will talk to its peers
             # through ordinary data frames (whose piggybacked grants
             # carry everything below for free); only one that cannot —
@@ -337,8 +362,8 @@ class PiaNode:
             # peers may never otherwise learn.
             next_time = subsystem.next_event_time()
             runnable = (next_time != float("inf")
-                        and self.clients[ss_name].horizon() >= next_time)
-            for endpoint in self._granting_endpoints(subsystem,
+                        and client.horizon() >= next_time)
+            for endpoint in self._granting_endpoints(endpoints,
                                                      conservative):
                 if endpoint.peer_node in down:
                     continue

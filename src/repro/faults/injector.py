@@ -60,8 +60,11 @@ class FaultInjector:
         self._held: Dict[str, List[Tuple[int, Any]]] = {}
         #: dst -> poll tick counter.
         self._ticks: Dict[str, int] = {}
-        #: (src, dst) -> item awaiting a swap with the link's next send.
-        self._swaps: Dict[Tuple[str, str], Any] = {}
+        #: dst -> src -> item awaiting a swap with the link's next send.
+        #: By destination first, like ``_held``, and like it never keeps
+        #: an empty entry: a key in either is a delivery ``dst``'s polls
+        #: are counting down to (:meth:`holds`).
+        self._swaps: Dict[str, Dict[str, Any]] = {}
         #: dst -> {(src, msg_id): extra copies in flight} (dedup at poll).
         #: Keyed by sender because each process numbers its messages
         #: independently — two nodes can emit the same msg_id — and kept
@@ -179,17 +182,22 @@ class FaultInjector:
         before the first is released just queues behind it as a delay.
         """
         with self._lock:
-            if (src, dst) in self._swaps:
+            if src in self._swaps.get(dst, ()):
                 due = self._ticks.get(dst, 0) + 1
                 self._held.setdefault(dst, []).append((due, item))
             else:
-                self._swaps[(src, dst)] = item
+                self._swaps.setdefault(dst, {})[src] = item
 
     def take_swaps(self, src: str, dst: str) -> List[Any]:
         """Items parked on this link, now due behind the current send."""
         with self._lock:
-            item = self._swaps.pop((src, dst), None)
-            return [] if item is None else [item]
+            parked = self._swaps.get(dst)
+            if not parked or src not in parked:
+                return []
+            item = parked.pop(src)
+            if not parked:
+                del self._swaps[dst]
+            return [item]
 
     def release_due(self, dst: str) -> List[Any]:
         """Advance ``dst``'s poll tick; return deliveries now due.
@@ -214,8 +222,7 @@ class FaultInjector:
                     self._held[dst] = keep
                 else:
                     del self._held[dst]
-            for key in [k for k in self._swaps if k[1] == dst]:
-                due.append(self._swaps.pop(key))
+            due.extend(self._swaps.pop(dst, {}).values())
             return due
 
     # ------------------------------------------------------------------
@@ -261,22 +268,33 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # transport integration
     # ------------------------------------------------------------------
+    def holds(self, dst: str) -> bool:
+        """Is a delivery parked for ``dst``?  Then ``dst``'s polls are
+        its release clock and the node must keep being polled.  Two key
+        lookups, lock-free: a delivery parked right after is the next
+        look's."""
+        return dst in self._held or dst in self._swaps
+
     def held_pending(self, name: Optional[str] = None) -> int:
         """Deliveries parked here (counted into ``transport.pending``)."""
         with self._lock:
             if name is not None:
                 return (len(self._held.get(name, ()))
-                        + sum(1 for k in self._swaps if k[1] == name))
-            return (sum(len(v) for v in self._held.values())
-                    + len(self._swaps))
+                        + len(self._swaps.get(name, ())))
+            return sum(len(v) for parked in (self._held, self._swaps)
+                       for v in parked.values())
 
     def purge_node(self, node: str) -> int:
         """Discard everything parked for (or swapped towards) ``node`` —
         it left the system for good."""
         with self._lock:
-            purged = len(self._held.pop(node, ()))
-            for key in [k for k in self._swaps if node in k]:
-                del self._swaps[key]
+            purged = len(self._held.pop(node, ())) \
+                + len(self._swaps.pop(node, ()))
+            for dst in [d for d, parked in self._swaps.items()
+                        if node in parked]:
+                del self._swaps[dst][node]
+                if not self._swaps[dst]:
+                    del self._swaps[dst]
                 purged += 1
             self._dup_ids.pop(node, None)
             return purged
@@ -284,8 +302,8 @@ class FaultInjector:
     def flush(self) -> int:
         """Drop everything parked (global rollback support)."""
         with self._lock:
-            dropped = (sum(len(v) for v in self._held.values())
-                       + len(self._swaps))
+            dropped = sum(len(v) for parked in (self._held, self._swaps)
+                          for v in parked.values())
             self._held.clear()
             self._swaps.clear()
             self._dup_ids.clear()

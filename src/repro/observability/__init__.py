@@ -29,6 +29,7 @@ from .flight import FlightRecorder, flight_path
 from .health import LinkHealthMonitor, attach_health, finalize_health
 from .merge import merge_counters
 from .metrics import (
+    BoundCounter,
     Counter,
     Gauge,
     Histogram,
@@ -50,7 +51,8 @@ from .telemetry import NULL_TELEMETRY, Telemetry
 from .trace import Ring, TraceBuffer, TraceKind, TraceRecord
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricError", "MetricsRegistry",
+    "BoundCounter", "Counter", "Gauge", "Histogram", "MetricError",
+    "MetricsRegistry",
     "Timer", "snapshot_quantile",
     "NULL_TELEMETRY", "Telemetry",
     "Ring", "TraceBuffer", "TraceKind", "TraceRecord",

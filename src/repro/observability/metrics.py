@@ -43,6 +43,35 @@ class Counter:
         return f"<Counter {self.name}={self.value}>"
 
 
+class BoundCounter:
+    """``telemetry.count(name, n)`` for a site that runs per message: the
+    :class:`Counter` is looked up by name once and held by the site's
+    owner.  Indistinguishable from the by-name increment otherwise — the
+    counter is created by the first increment, not before; a registry
+    that was reset (:attr:`MetricsRegistry.generation` moved) or swapped
+    with its telemetry is noticed at the next increment and counting
+    starts from zero there; a disabled telemetry counts nothing."""
+
+    __slots__ = ("name", "_counter", "_registry", "_generation")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._counter: Optional[Counter] = None
+        self._registry: Optional["MetricsRegistry"] = None
+        self._generation = 0
+
+    def inc(self, telemetry, n: int = 1) -> None:
+        if not telemetry.enabled:
+            return
+        registry = telemetry.registry
+        if registry is not self._registry or \
+                registry.generation != self._generation:
+            self._registry = registry
+            self._generation = registry.generation
+            self._counter = registry.counter(self.name)
+        self._counter.value += n
+
+
 class Gauge:
     """A value that can move both ways (queue depths, horizons, times)."""
 

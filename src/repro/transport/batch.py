@@ -29,46 +29,62 @@ from .message import Message
 
 
 class SendBatcher:
-    """Per-(src, dst) FIFO queues of messages awaiting a batch flush."""
+    """Per-(src, dst) FIFO queues of messages awaiting a batch flush.
+
+    Stored by destination first — ``dst -> src -> queue`` — because the
+    destination is what every flush point asks about: its poll ships the
+    queues bound for it, and "is anything bound for this node" is one of
+    the four things that make a node worth visiting
+    (:meth:`~repro.transport.pipeline.Transport.ready`).  No empty queue
+    or empty destination entry is ever kept, so a key *is* queued work.
+    """
 
     def __init__(self) -> None:
-        self._queues: Dict[Tuple[str, str], List[Message]] = {}
+        self._queues: Dict[str, Dict[str, List[Message]]] = {}
         self._lock = threading.Lock()
 
     def enqueue(self, src: str, dst: str, message: Message) -> None:
         with self._lock:
-            queue = self._queues.get((src, dst))
-            if queue is None:
-                queue = self._queues[(src, dst)] = []
-            queue.append(message)
+            self._queues.setdefault(dst, {}).setdefault(src, []) \
+                .append(message)
 
     def extend(self, src: str, dst: str, messages) -> None:
-        with self._lock:
-            queue = self._queues.get((src, dst))
-            if queue is None:
-                queue = self._queues[(src, dst)] = []
-            queue.extend(messages)
+        for message in messages:
+            self.enqueue(src, dst, message)
 
     # ------------------------------------------------------------------
+    def queued(self, dst: Optional[str] = None) -> bool:
+        """Is anything queued for ``dst`` (or for anyone)?  A key lookup,
+        lock-free: a queue that appears right after is the next look's."""
+        return bool(self._queues) if dst is None else dst in self._queues
+
     def pending(self, name: Optional[str] = None) -> int:
         """Queued messages destined for ``name`` (or for anyone)."""
         with self._lock:
-            if name is None:
-                return sum(len(q) for q in self._queues.values())
-            return sum(len(q) for (src, dst), q in self._queues.items()
-                       if dst == name)
+            groups = self._queues.values() if name is None \
+                else (self._queues.get(name, {}),)
+            return sum(len(queue) for by_src in groups
+                       for queue in by_src.values())
 
     def take(self, *, src: Optional[str] = None, dst: Optional[str] = None
              ) -> List[Tuple[Tuple[str, str], List[Message]]]:
-        """Remove and return matching non-empty queues, sorted by link key
+        """Remove and return matching queues, sorted by link key
         (deterministic flush order)."""
         with self._lock:
-            keys = [key for key, queue in self._queues.items()
-                    if queue
-                    and (src is None or key[0] == src)
-                    and (dst is None or key[1] == dst)]
-            keys.sort()
-            return [(key, self._queues.pop(key)) for key in keys]
+            queues = self._queues
+            keys = sorted((s, d)
+                          for d in (queues if dst is None else (dst,))
+                          for s in queues.get(d, ())
+                          if src is None or s == src)
+            return [(key, self._pop(*key)) for key in keys]
+
+    def _pop(self, src: str, dst: str) -> List[Message]:
+        # Callers hold self._lock.
+        by_src = self._queues[dst]
+        queue = by_src.pop(src)
+        if not by_src:
+            del self._queues[dst]
+        return queue
 
     def clear(self, name: Optional[str] = None) -> int:
         """Drop queued messages (rollback / node-removal support).
@@ -76,11 +92,7 @@ class SendBatcher:
         With ``name``, drops only queues touching that node; returns the
         number of messages dropped."""
         with self._lock:
-            if name is None:
-                dropped = sum(len(q) for q in self._queues.values())
-                self._queues.clear()
-                return dropped
-            dropped = 0
-            for key in [k for k in self._queues if name in k]:
-                dropped += len(self._queues.pop(key))
-            return dropped
+            queues = self._queues
+            keys = [(s, d) for d, by_src in queues.items() for s in by_src
+                    if name is None or name == s or name == d]
+            return sum(len(self._pop(*key)) for key in keys)

@@ -19,6 +19,12 @@ reuse them:
 8. hand the parcel to the carrier;
 9. release what the fate owes: the duplicate copy, a swap-parked message.
 
+The pipeline also knows who has work: ``ready(name)`` is true while
+anything undelivered is bound for a node — in its inbox, in a batch queue
+(its poll is the flush point), parked by the fault plane (its polls are
+the release clock) or still in flight — and a sweep over nodes polls only
+those.
+
 A carrier subclass moves bytes and nothing else.  It keeps its own node
 table (``register``/``unregister``/``nodes``) and supplies:
 
@@ -47,7 +53,7 @@ from typing import Callable, Dict, List, Optional
 from ..core.errors import TransportError
 from ..core.fastcopy import is_immutable
 from ..faults.retry import RetryPolicy
-from ..observability import NULL_TELEMETRY, TraceKind
+from ..observability import NULL_TELEMETRY, BoundCounter, TraceKind
 from ..observability.spans import ensure_context
 from .accounting import NetworkAccounting
 from .batch import SendBatcher
@@ -144,6 +150,7 @@ class Transport:
         #: ``src -> dst -> "src->dst"``: one record subject per directed
         #: link, built on first use (see :meth:`_trace`).
         self._subjects: Dict[str, Dict[str, str]] = {}
+        self._piggyback_sent = BoundCounter("safetime.piggyback_sent")
 
     def set_piggyback_provider(self, provider) -> None:
         """Install the executor's grant source for batch flushes."""
@@ -300,8 +307,8 @@ class Transport:
             frame = BatchFrame(s, d, members, grants, epoch=self.epoch)
             parcel, size = self._pack_frame(frame)
             self._charge(s, d, size, len(members))
-            if telemetry.enabled and grants:
-                telemetry.count("safetime.piggyback_sent", len(grants))
+            if grants:
+                self._piggyback_sent.inc(telemetry, len(grants))
             self._ship(s, d, parcel, members[-1].time, len(frame))
             flushed += len(members)
         return flushed
@@ -368,7 +375,7 @@ class Transport:
     def poll(self, name: str, *, limit: Optional[int] = None) -> List[Message]:
         """Drain (up to ``limit``) queued messages for node ``name``."""
         inbox, lock = self._inbox(name)
-        if self.batching:
+        if self.batching and self.batcher.queued(name):
             # Poll is the flush point: every queue bound for this node
             # ships now, so delivery lands at the same pump points as the
             # unbatched per-message path.  (A carrier with receiver
@@ -400,6 +407,25 @@ class Transport:
                 self._trace(_MSG_RECV, message,
                             {"message_kind": message.kind.label})
         return drained
+
+    def ready(self, name: str) -> bool:
+        """Would a poll of node ``name`` move anything, or bring a parked
+        delivery one tick closer?  ``pending(name) > 0`` without the
+        counting: a message in the inbox, a batch queue bound for the
+        node, a delivery the fault plane holds for it (its polls are the
+        release clock), or a frame its carrier still has in flight.
+        Every sweep over nodes asks this first and visits only those it
+        names; the three keyed structures it reads drop their empty
+        entries, so nothing here can go stale."""
+        inbox, lock = self._inbox(name)
+        if inbox or self.batcher.queued(name):
+            return True
+        injector = self.fault_injector
+        if injector is not None and injector.holds(name):
+            return True
+        # No inbox lock means delivery in the sender's own call: such a
+        # carrier has nothing in flight to ask about.
+        return lock is not None and self._in_flight(name) > 0
 
     def pending(self, name: Optional[str] = None) -> int:
         """Messages queued for ``name`` (or for every node): inboxes,

@@ -416,9 +416,10 @@ class SharedMemoryTransport(TcpTransport):
         for ``pending()``, never an exact count; the wire counters are
         the authoritative balance check."""
         with self._ring_lock:
-            return sum(1 for (__, dst), ring in self._in_rings.items()
-                       if (name is None or dst == name)
-                       and ring.pending_bytes())
+            unread = sum(1 for (__, dst), ring in self._in_rings.items()
+                         if (name is None or dst == name)
+                         and ring.pending_bytes())
+        return unread + super()._in_flight(name)
 
     def close(self) -> None:
         self._pump_running = False

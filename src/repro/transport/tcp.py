@@ -577,6 +577,18 @@ class TcpTransport(Transport):
                 remote_type=remote_type)
         return reply, len(blob)
 
+    def _in_flight(self, name: Optional[str]) -> int:
+        """Deliveries written to a socket that no receiver thread has
+        filed yet — knowable only while every peer lives in this process
+        (the threaded deployment), where the wire counters balance
+        locally.  Like the ring's, a "not yet quiet" signal for the whole
+        transport rather than a count for ``name``.  (A receiver can file
+        a frame before its sender has counted it: never negative.)"""
+        if self._peers:
+            return 0
+        with self.wire_lock:
+            return max(self.wire_out - self.wire_in, 0)
+
     def wire_balanced(self) -> bool:
         """True when every counted send has been ingested at some endpoint.
 

@@ -95,6 +95,31 @@ def test_cell_matches_the_cooperative_run(workload, cell, batching, pool,
     assert behaviour(cosim) == reference[workload]
 
 
+#: (workload, batching) -> (rounds, stalls, frames, bytes, safe-time
+#: requests) of the cooperative cell, as recorded before the round became
+#: work-driven.  All five follow from *who is pumped when*: a node
+#: visited earlier or later than it used to be moves at least one.
+COOPERATIVE = {
+    ("stream", False): (3, 0, 44, 3796, 2),
+    ("stream", True): (5, 0, 4, 1549, 0),
+    ("ring", False): (2, 0, 48, 2652, 6),
+    ("ring", True): (4, 0, 10, 1636, 0),
+    ("star", False): (11, 4, 90, 4822, 30),
+    ("star", True): (9, 0, 39, 3247, 0),
+    ("wubbleu", False): (18, 14, 63, 13059, 23),
+    ("wubbleu", True): (19, 11, 29, 11174, 0),
+}
+
+
+@pytest.mark.parametrize("workload, batching", COOPERATIVE)
+def test_cooperative_cell_keeps_its_visit_order(workload, batching):
+    cosim = build(SPECS[workload](), batching=batching)
+    cosim.run()
+    totals = cosim.report().link_totals()
+    assert (cosim.rounds, cosim.stalls(), totals["frames"], totals["bytes"],
+            cosim.safe_time_requests()) == COOPERATIVE[workload, batching]
+
+
 def make_slow_to_meet_peers(name, **kwargs):
     """A ring stage whose worker dawdles over the coordinator's ``peers``
     introduction (factories run in the worker process, so the patch stays

@@ -307,7 +307,7 @@ def test_call_traces_and_charges_alike_on_every_carrier(plane, kind):
 
 
 ENTRY_POINTS = ("send", "poll", "call", "flush_batches", "push_grants",
-                "pending", "flush")
+                "pending", "flush", "ready")
 
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)
@@ -320,3 +320,105 @@ def test_every_carrier_runs_the_one_pipeline_function(name):
 def test_ledger_bound_names_live_in_the_inmemory_class_body():
     """``benchmarks/ledger/tracer.py`` binds ``vars(InMemoryTransport)``."""
     assert set(ENTRY_POINTS[:5]) <= set(vars(InMemoryTransport))
+
+
+# ----------------------------------------------------------------------
+# the ready set: who a sweep over nodes has to visit
+# ----------------------------------------------------------------------
+def test_a_queued_batch_makes_its_destination_ready(plane):
+    """Nothing is in ``b``'s inbox yet — the frame ships at its poll —
+    but a sweep that skipped ``b`` would never ship it."""
+    host = plane("inmemory", True).home["a"]
+    assert not host.ready("a") and not host.ready("b")
+    host.send(_signal(0))
+    assert host.ready("b") and not host.ready("a")
+    assert not host._inbox("b")[0]
+    assert [m.time for m in host.poll("b")
+            if m.kind is MessageKind.SIGNAL] == [0.0]
+    assert not host.ready("b")
+
+
+@pytest.mark.parametrize("batching", BATCHING)
+def test_a_message_in_the_inbox_makes_its_node_ready(plane, batching):
+    host = plane("inmemory", batching).home["a"]
+    host.send(_signal(0))
+    host.flush_batches()
+    assert host._inbox("b")[0] and host.ready("b")
+    host.poll("b")
+    assert not host.ready("b")
+
+
+@pytest.mark.parametrize("fate, polls", [("delay", 3), ("reorder", 1)])
+def test_a_held_delivery_keeps_its_destination_ready(plane, fate, polls):
+    """The destination's polls are the fault plane's release clock: a
+    node with parked traffic stays ready through empty polls and the
+    delivery lands after exactly the polls the plan asked for (a swap
+    whose follow-up send never comes goes at the next one)."""
+    plan = ScriptedPlan({("a", "b", 1, 0): (fate, polls)})
+    host = plane("inmemory", False, plan).home["a"]
+    host.send(_signal(0))
+    assert host.ready("b") and not host._inbox("b")[0]
+    for __ in range(polls - 1):
+        assert host.poll("b") == []
+        assert host.ready("b")
+    assert [m.time for m in host.poll("b")] == [0.0]
+    assert not host.ready("b")
+    assert host.pending() == 0
+
+
+def test_flush_unregister_and_clear_leave_nobody_ready(plane):
+    plan = ScriptedPlan({("a", "b", 2, 0): ("delay", 5),
+                         ("b", "a", 1, 0): ("reorder", 0)})
+
+    def loaded():
+        host = plane("inmemory", True, plan).home["a"]
+        host.send(_signal(0))                   # queued a->b
+        host.send(_signal(1))                   # held for b
+        host.send(_signal(2, src="b", dst="a"))     # swap-parked for a
+        host.send(_signal(3, src="b", dst="a"))     # released behind: queued
+        assert host.ready("a") and host.ready("b")
+        return host
+
+    host = loaded()
+    assert host.flush() == 4
+    assert not host.ready("a") and not host.ready("b")
+
+    host = loaded()
+    host.batcher.clear("b")                     # both queues touch b
+    assert not host.batcher.queued() and host.batcher.pending() == 0
+    assert not host.ready("a")                  # its swap was taken at #3
+    assert host.ready("b")                      # ... b's delay is still held
+    host.fault_injector.purge_node("b")
+    assert not host.ready("b")
+
+    host = loaded()
+    host.fault_injector.flush()
+    host.unregister("b")
+    assert not host.batcher.queued()
+    assert not host.ready("a")
+
+
+def test_tcp_reports_a_frame_no_receiver_has_filed_yet(plane):
+    one = plane("tcp", False)
+    host = one.home["a"]
+    inbox, lock = host._inbox("b")
+    with lock:                                  # the receiver blocks here
+        host.send(_signal(0))
+        assert not inbox and host.ready("b")
+        assert host.pending("b") == 1
+    one.settle()
+    assert inbox and host.ready("b")
+    assert len(host.poll("b")) == 1
+    assert not host.ready("b") and host.pending() == 0
+
+
+def test_shm_reports_a_frame_still_in_the_ring(plane, monkeypatch):
+    # No pump: what is written stays in the ring.
+    monkeypatch.setattr(SharedMemoryTransport, "_pump",
+                        lambda self, node: None)
+    one = plane("shm", False)
+    sender, receiver = one.home["a"], one.home["b"]
+    assert not receiver.ready("b")
+    sender.send(_signal(0))
+    assert not receiver._inbox("b")[0]
+    assert receiver.ready("b") and receiver.pending("b") == 1
