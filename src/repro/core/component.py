@@ -485,15 +485,6 @@ class ProcessComponent(Component):
         """Consume the next replay entry (must be ``expected``)."""
         return self._replay_next(expected, allow_end=allow_end)
 
-    def replay_peek_kind(self) -> Optional[str]:
-        """Kind of the next replay entry without consuming it, or ``None``."""
-        assert self._replay is not None
-        peeked = next(self._replay, None)
-        if peeked is None:
-            return None
-        self._replay = _chain_front(peeked, self._replay)
-        return peeked[0]
-
     def block_on_wait(self, at_time: float) -> Any:
         """Block like ``WaitUntil`` from an extension command."""
         return self._do_wait(max(at_time, self.local_time))
@@ -648,12 +639,6 @@ class ProcessComponent(Component):
             raise CheckpointError(
                 f"{self.name}: replay reproduced local time {self.local_time!r}"
                 f" but snapshot recorded {snap.local_time!r}")
-
-
-def _chain_front(item: Any, rest: Iterator) -> Iterator:
-    """An iterator yielding ``item`` then everything from ``rest``."""
-    yield item
-    yield from rest
 
 
 class _BlockedSentinel:

@@ -20,10 +20,11 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 from .errors import ConfigurationError, RunLevelError
 from .fastcopy import smart_copy
 from .port import Port, PortDirection
+# No cycle either way round: protocols/* import only core.errors.
+from ..protocols.base import INCOMPLETE, Protocol, reassemble_step
 
 if TYPE_CHECKING:  # pragma: no cover
     from .component import Component
-    from ..protocols.base import Protocol
 
 
 class Interface:
@@ -119,7 +120,6 @@ class Interface:
     # ------------------------------------------------------------------
     def absorb(self, time: float, wire: Any) -> Optional[Any]:
         """Feed one incoming wire value; returns a payload when complete."""
-        from ..protocols.base import INCOMPLETE, reassemble_step  # import cycle
         payload = reassemble_step(self._partial, wire)
         if payload is INCOMPLETE:
             return None

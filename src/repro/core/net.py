@@ -55,10 +55,6 @@ class Net:
             self.ports.remove(port)
             port.detach()
 
-    def visible_ports(self) -> list[Port]:
-        """The user-facing (non-hidden) ports on this net."""
-        return [port for port in self.ports if not port.hidden]
-
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------

@@ -93,9 +93,6 @@ class Port:
         """Consume the earliest buffered value as ``(time, value)``."""
         return self.buffer.popleft()
 
-    def peek_earliest(self) -> Optional[tuple[float, Any]]:
-        return self.buffer[0] if self.buffer else None
-
     def drive(self, value: Any, at_time: float) -> None:
         """Place ``value`` on the attached net at virtual time ``at_time``."""
         if not self.direction.can_drive and not self.hidden:

@@ -46,7 +46,7 @@ from .spec import (
 )
 from .system import LiveSystem
 from .threaded import LockedSafeTimeService, ThreadedCoSimulation
-from .topology import communication_digraph, offending_cycles, validate
+from .topology import communication_edges, offending_cycles, validate
 
 __all__ = [
     "Channel", "ChannelComponent", "ChannelEndpoint", "ChannelMode",
@@ -60,7 +60,7 @@ __all__ = [
     "SnapshotManager", "SnapshotRegistry", "Socket", "StragglerError",
     "SubsystemCut", "SubsystemSpec", "SystemSpec", "ThreadedCoSimulation",
     "UNBOUNDED", "WorkerPool", "archive_node", "build",
-    "communication_digraph", "compute_grant", "deploy", "local_floor",
+    "communication_edges", "compute_grant", "deploy", "local_floor",
     "new_snapshot_id", "offending_cycles", "register_factory",
     "resolve_factory", "restore_node", "suggest_partition", "validate",
 ]

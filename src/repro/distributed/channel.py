@@ -175,11 +175,6 @@ class ChannelEndpoint:
                 f"subsystem {self.subsystem.name} is not attached to a node")
         return node
 
-    @property
-    def delay_out(self) -> float:
-        """Virtual-time delay this channel adds in the outgoing direction."""
-        return self.channel.delay
-
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
@@ -215,7 +210,7 @@ class ChannelEndpoint:
         Another channel's hidden port counts (it injects remote values,
         which bounce to ours), so a relay sends.  Read from the ports as
         they are now; this is the one definition of direction, shared
-        with :func:`~repro.distributed.topology.communication_digraph`.
+        with :func:`~repro.distributed.topology.communication_edges`.
         """
         return any(port.direction.can_drive for port in self._foreign_ports())
 

@@ -14,13 +14,10 @@ import weakref
 from multiprocessing import connection as _mpconn
 from typing import Callable, Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from ...core.errors import (
     ConfigurationError,
     NodeFailure,
     SimulationError,
-    TopologyError,
 )
 from ...faults import FailureDetector, FaultPlan, RetryPolicy
 from ...observability import (
@@ -33,6 +30,7 @@ from ...observability.merge import merge_counters, series_key
 from ...observability.report import bundle, fold
 from ...transport.codec import VERSION as CODEC_VERSION
 from ...transport.shm import DEFAULT_RING_CAPACITY, create_ring_segment
+from .. import topology
 from ..migration import MigrationRecord, NodeArchive, resent_counts
 from ..snapshot import new_snapshot_id
 from .pool import WorkerPool, _PoolWorker
@@ -277,22 +275,16 @@ class MultiprocessCoSimulation:
 
     def _check_topology(self) -> None:
         """Specs cannot see port directions, so the check is the safe
-        over-approximation of the paper's simple-cycle rule: treating
-        every channel as bidirectional, the subsystem graph must be a
-        forest (any undirected cycle of length >= 3 *could* be a
-        non-simple directed cycle)."""
-        graph = nx.Graph()
+        over-approximation of the paper's simple-cycle rule: every
+        channel counts as sending both ways, where an undirected cycle of
+        length >= 3 is exactly a non-simple directed one."""
         for cs in self.spec.channels:
             # Refused here rather than by a worker, after the spawn.
             WorkerSystem.check_mode(cs.mode)
-            graph.add_edge(cs.subsystem_a, cs.subsystem_b)
-        cycles = nx.cycle_basis(graph)
-        if cycles:
-            rendered = "; ".join(" - ".join(cycle) for cycle in cycles)
-            raise TopologyError(
-                f"multiprocess channel graph contains cycles: {rendered}. "
-                "The process-per-node deployment requires an acyclic "
-                "(tree-shaped) channel graph.")
+        topology.validate(
+            pair for cs in self.spec.channels
+            for pair in ((cs.subsystem_a, cs.subsystem_b),
+                         (cs.subsystem_b, cs.subsystem_a)))
 
     # ------------------------------------------------------------------
     # live migration requests

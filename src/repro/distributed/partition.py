@@ -20,11 +20,10 @@ channels; :func:`deploy` (a live design into a live system) and
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
 
 from ..core.component import Component
 from ..core.errors import ConfigurationError
@@ -79,25 +78,23 @@ class Design:
 
     # ------------------------------------------------------------------
     def component_graph(self, *, weights: Optional[Dict[str, float]] = None
-                        ) -> "nx.Graph":
-        """Undirected component graph; edge weight approximates traffic.
+                        ) -> Dict[str, Dict[str, float]]:
+        """Undirected component graph as a symmetric adjacency
+        ``{a: {b: weight}}``; edge weight approximates traffic.
 
         ``weights`` optionally maps net names to expected traffic; the
         default weight is 1 per net between each endpoint pair.
         """
-        graph = nx.Graph()
-        graph.add_nodes_from(self.components)
+        graph: Dict[str, Dict[str, float]] = {
+            name: {} for name in self.components}
         for spec in self.nets.values():
             weight = (weights or {}).get(spec.name, 1.0)
             members = [name for name, __ in spec.endpoints]
             for i, a in enumerate(members):
                 for b in members[i + 1:]:
-                    if a == b:
-                        continue
-                    if graph.has_edge(a, b):
-                        graph[a][b]["weight"] += weight
-                    else:
-                        graph.add_edge(a, b, weight=weight)
+                    if a != b:
+                        graph[a][b] = graph[b][a] = (
+                            graph[a].get(b, 0.0) + weight)
         return graph
 
     def cut_nets(self, assignment: Dict[str, str]) -> List[str]:
@@ -125,16 +122,44 @@ def suggest_partition(design: Design, *,
     """A balanced two-way cut minimising crossing traffic (Kernighan-Lin).
 
     This automates what the paper leaves to the designer: choosing which
-    components to move to the second host.
+    components to move to the second host.  The halves differ in size by
+    at most one and ``ss0`` is the one holding the alphabetically first
+    component.
+
+    A pass tentatively swaps the best free pair until the smaller half
+    runs out, then keeps the prefix of swaps that gained most; passes
+    repeat from a seeded start until none gains, one per component at
+    most (a bound only float noise could reach).  Names are walked in
+    sorted order and ties go to the smallest pair, so the answer depends
+    on the design and ``seed`` alone, never on set or hash order.
     """
     graph = design.component_graph(weights=weights)
-    if graph.number_of_nodes() < 2:
-        return {name: "ss0" for name in design.components}
-    left, right = nx.algorithms.community.kernighan_lin_bisection(
-        graph, weight="weight", seed=seed)
-    assignment = {name: "ss0" for name in left}
-    assignment.update({name: "ss1" for name in right})
-    return assignment
+    names = sorted(graph)
+    random.Random(seed).shuffle(names)
+    half = len(names) // 2
+    on_left = {name: i < half for i, name in enumerate(names)}
+    names.sort()
+    for __ in names:
+        trial, free = dict(on_left), list(names)
+        total = best = 0.0
+        for __ in range(half):
+            # What moving each free vertex across would save on its own.
+            saving = {a: sum(w if trial[a] != trial[b] else -w
+                             for b, w in graph[a].items()) for a in free}
+            loss, a, b = min(
+                (2 * graph[a].get(b, 0.0) - saving[a] - saving[b], a, b)
+                for a in free if trial[a] for b in free if not trial[b])
+            trial[a], trial[b] = False, True
+            free.remove(a)
+            free.remove(b)
+            total -= loss
+            if total > best:
+                best, kept = total, dict(trial)
+        if not best:
+            break
+        on_left = kept
+    return {name: "ss0" if on_left[name] == on_left[names[0]] else "ss1"
+            for name in names}
 
 
 @dataclass

@@ -198,8 +198,11 @@ class LiveSystem:
         return self
 
     def validate_topology(self):
-        """Enforce the paper's simple-cycle-only rule."""
-        return topology.validate(self.channels.values())
+        """Enforce the paper's simple-cycle-only rule; returns the
+        directed subsystem edges it held on."""
+        edges = topology.communication_edges(self.channels.values())
+        topology.validate(edges)
+        return edges
 
     # ------------------------------------------------------------------
     def _live_subsystems(self) -> Iterable[Subsystem]:

@@ -101,9 +101,6 @@ class FaultInjector:
         with self._lock:
             self._down.discard(node)
 
-    def node_down(self, node: str) -> bool:
-        return node in self._down
-
     # ------------------------------------------------------------------
     # send boundary
     # ------------------------------------------------------------------

@@ -18,9 +18,8 @@ designated signals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from ..core.errors import ConfigurationError, HardwareStubError
 from .stub import HardwareStub, InterruptRecord
@@ -158,22 +157,22 @@ class SimulatedPamette(HardwareStub):
     # ------------------------------------------------------------------
     def _levelise(self) -> List[Lut]:
         """Topologically order the combinational network (no comb loops)."""
-        graph = nx.DiGraph()
         by_out = {lut.out: lut for lut in self.bitstream.luts}
-        graph.add_nodes_from(by_out)
         sequential = {dff.q for dff in self.bitstream.dffs}
         known = set(self.bitstream.inputs) | sequential
+        sorter = TopologicalSorter()
         for lut in self.bitstream.luts:
+            sorter.add(lut.out)
             for name in lut.inputs:
                 if name in by_out:
-                    graph.add_edge(name, lut.out)
+                    sorter.add(lut.out, name)
                 elif name not in known:
                     raise ConfigurationError(
                         f"{self.bitstream.name}: LUT {lut.out} reads "
                         f"undriven signal {name!r}")
         try:
-            order = list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible:
+            order = list(sorter.static_order())
+        except CycleError:
             raise ConfigurationError(
                 f"{self.bitstream.name}: combinational loop detected"
             ) from None

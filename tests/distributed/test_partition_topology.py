@@ -1,5 +1,9 @@
 """Net splitting by graph cut, partition suggestion, topology rules."""
 
+import json
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import (
@@ -19,6 +23,7 @@ from repro.distributed import (
     suggest_partition,
 )
 from repro.distributed import topology
+from tests.examples.test_examples_run import _example_env
 
 
 def _source(values):
@@ -72,7 +77,7 @@ class TestDesign:
     def test_component_graph_weights(self):
         design = simple_design()
         graph = design.component_graph(weights={"wire": 5.0})
-        assert graph["src"]["dst"]["weight"] == 5.0
+        assert graph["src"]["dst"] == 5.0
 
 
 class TestDeploy:
@@ -173,6 +178,79 @@ class TestSuggestPartition:
         design.add(FunctionComponent("only", _source([])))
         assert suggest_partition(design) == {"only": "ss0"}
 
+    @pytest.mark.parametrize("fixture", ["clusters", "weighted_ring"])
+    def test_cut_is_no_heavier_than_the_networkx_oracle(self, fixture):
+        nx = pytest.importorskip("networkx")
+        design, weights = ring_design(fixture == "clusters")
+        graph = design.component_graph(weights=weights)
+        oracle = nx.Graph()
+        oracle.add_nodes_from(graph)
+        for a, row in graph.items():
+            for b, weight in row.items():
+                oracle.add_edge(a, b, weight=weight)
+        for seed in range(5):
+            assignment = suggest_partition(design, weights=weights, seed=seed)
+            ours = [a for a in graph if assignment[a] == "ss0"]
+            theirs, __ = nx.algorithms.community.kernighan_lin_bisection(
+                oracle, weight="weight", seed=seed)
+            assert len(ours) == 3 and assignment[min(graph)] == "ss0"
+            assert _cut(graph, ours) <= _cut(graph, theirs)
+            assert _cut(graph, ours) == 2.0
+
+    def test_same_answer_whatever_the_hash_seed(self):
+        """Component names are strings, so anything walked in set order
+        would move with ``PYTHONHASHSEED``."""
+        answers = []
+        for hash_seed in ("0", "1", "random"):
+            env = dict(_example_env(), PYTHONHASHSEED=hash_seed)
+            done = subprocess.run([sys.executable, "-c", _WUBBLEU_CUT],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=60, check=True)
+            answers.append(json.loads(done.stdout))
+        assert answers[0] == answers[1] == answers[2]
+        homes = list(answers[0].values())
+        assert abs(homes.count("ss0") - homes.count("ss1")) <= 1
+        assert answers[0]["Browser"] == "ss0"
+
+
+#: The auto-cut of ``examples/distributed_codesign.py`` (seven components).
+_WUBBLEU_CUT = """
+import json
+from repro.apps import WubbleUConfig, build_design
+from repro.distributed import suggest_partition
+design, __ = build_design(WubbleUConfig(total_bytes=12_000, image_count=2,
+                                        image_size=48))
+print(json.dumps(suggest_partition(design, weights={
+    "bus_fwd": 0.5, "bus_bwd": 0.5, "air_fwd": 5.0, "air_bwd": 5.0})))
+"""
+
+
+def ring_design(clusters):
+    """Six components in a ring of nets ``n0``..``n5`` (``n{i}`` joins
+    ``c{i}`` to its successor).  As ``clusters`` every net weighs 1 and
+    two chords make ``c0 c1 c2`` and ``c3 c4 c5`` triangles; otherwise
+    the weights alone say where to cut (``n1`` and ``n4``)."""
+    design = Design()
+    for index in range(6):
+        comp = FunctionComponent(f"c{index}", _source([]))
+        for port in "pqr":
+            comp.add_port(port, PortDirection.INOUT)
+        design.add(comp)
+    for index in range(6):
+        design.connect(f"n{index}", (f"c{index}", "p"),
+                       (f"c{(index + 1) % 6}", "q"))
+    if clusters:
+        design.connect("chord-l", ("c0", "r"), ("c2", "r"))
+        design.connect("chord-r", ("c3", "r"), ("c5", "r"))
+        return design, None
+    return design, {"n0": 5.0, "n1": 1.0, "n2": 5.0,
+                    "n3": 5.0, "n4": 1.0, "n5": 5.0}
+
+
+def _cut(graph, half):
+    return sum(weight for a in half for b, weight in graph[a].items()
+               if b not in half)
+
 
 class TestTopologyRules:
     def _chain(self, edges, directed_pairs):
@@ -213,8 +291,9 @@ class TestTopologyRules:
 
     def test_tree_is_legal(self):
         cosim = self._chain([("a", "b"), ("a", "c"), ("c", "d")], {})
-        graph = cosim.validate_topology()
-        assert set(graph.nodes) == {"a", "b", "c", "d"}
+        edges = cosim.validate_topology()
+        assert {name for edge in edges for name in edge} == {
+            "a", "b", "c", "d"}
 
     def test_run_validates_topology(self):
         cosim = self._chain([("a", "b"), ("b", "c"), ("c", "a")], {})
