@@ -163,7 +163,8 @@ event_set_ts(EventObject *self, PyObject *ts)
         Py_XSETREF(self->ts_cache, ts);
         return 0;
     }
-    if (PyFloat_CheckExact(ts) || PyLong_CheckExact(ts)) {
+    /* Subclasses too (numpy scalars): the pure constructor's isinstance. */
+    if (PyFloat_Check(ts) || PyLong_Check(ts)) {
         double time = PyFloat_AsDouble(ts);
         if (time == -1.0 && PyErr_Occurred())
             return -1;

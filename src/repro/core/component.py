@@ -47,6 +47,8 @@ from .process import (
     WaitUntil,
 )
 from .timestamp import PRIORITY_CONTROL, PRIORITY_WAKE, Timestamp
+# Already loaded by .interface; protocols/* import only core.errors.
+from ..protocols.base import INCOMPLETE, reassemble_step
 
 if TYPE_CHECKING:  # pragma: no cover
     from .interface import Interface
@@ -147,6 +149,12 @@ class Component:
             return 0.0
         return self.subsystem.scheduler.now
 
+    def advance(self, dt: float) -> None:
+        """Consume ``dt`` seconds of local virtual time."""
+        if dt < 0:
+            raise SimulationError(f"{self.name}: negative advance {dt}")
+        self.local_time += dt
+
     # ------------------------------------------------------------------
     # scheduler entry points
     # ------------------------------------------------------------------
@@ -170,6 +178,33 @@ class Component:
             Event(Timestamp(at_time, PRIORITY_WAKE), EventKind.WAKE,
                   target=self, payload=payload, token=token))
         return token
+
+    def _consume(self, port: Port, iface: "Optional[Interface]",
+                 log: Optional[list]) -> Any:
+        """The one consume body behind every receive shape.
+
+        Takes buffered values off ``port``, earliest first, moving local
+        time up to each arrival; with ``iface`` they are reassembled until
+        a transfer completes (``None`` is a payload — only ``INCOMPLETE``
+        means "not yet").  Returns ``(local_time, value)``, also appended
+        to the replay ``log`` if given, or ``_BLOCKED`` on a dry buffer.
+        """
+        buffer = port.buffer
+        while buffer:
+            time, value = buffer.popleft()
+            if time > self.local_time:
+                self.local_time = time
+            if iface is not None:
+                value = reassemble_step(iface._partial, value)
+                if value is INCOMPLETE:
+                    continue
+                iface.received_transfers += 1
+            result = (self.local_time, value)
+            if log is not None:
+                log.append(("receive" if iface is None else "transfer",
+                            result))
+            return result
+        return _BLOCKED
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -230,10 +265,6 @@ class ReactiveComponent(Component):
     schedule wake-ups.
     """
 
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self._seal_infra()
-
     # -- hooks ---------------------------------------------------------
     def on_start(self) -> None:
         """Called once at simulation start."""
@@ -252,12 +283,6 @@ class ReactiveComponent(Component):
         """Called when a complete protocol transfer has been reassembled."""
 
     # -- actions usable from hooks --------------------------------------
-    def advance(self, dt: float) -> None:
-        """Consume ``dt`` seconds of local virtual time."""
-        if dt < 0:
-            raise SimulationError(f"{self.name}: negative advance {dt}")
-        self.local_time += dt
-
     def send(self, port: str, value: Any, delay: float = 0.0) -> None:
         """Drive ``value`` on ``port`` at ``local_time + delay``."""
         self.port(port).drive(value, self.local_time + delay)
@@ -284,15 +309,16 @@ class ReactiveComponent(Component):
             self.local_time = max(self.local_time, time)
             self.on_wake(time, event.payload)
             return
+        # Consumed the moment it lands; the hook is told the event's time
+        # (local time may already be past it).
         port: Port = event.target
-        self.local_time = max(self.local_time, time)
         iface = self._interface_for(port)
+        port.buffer.append((time, event.payload))
+        result = self._consume(port, iface, None)
         if iface is not None:
-            done = iface.absorb(time, event.payload)
-            if done is not None:
-                self.on_transfer(iface.name, time, done)
-            return
-        if event.kind is EventKind.INTERRUPT:
+            if result is not _BLOCKED:
+                self.on_transfer(iface.name, time, result[1])
+        elif event.kind is EventKind.INTERRUPT:
             self.on_interrupt(port.name, time, event.payload)
         else:
             self.on_event(port.name, time, event.payload)
@@ -312,9 +338,6 @@ class ProcessComponent(Component):
     :class:`~repro.core.process.Advance` commands, exactly as the paper
     embeds estimates in the Java source (section 2.1).
     """
-
-    #: Log-entry kinds recorded for replay-based checkpointing.
-    _LOG_KINDS = ("receive", "transfer", "wake", "transfer_out")
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
@@ -362,34 +385,24 @@ class ProcessComponent(Component):
         port.deliver(time, event.payload)
         if event.kind is EventKind.INTERRUPT:
             self.on_interrupt(port.name, time, event.payload)
-        self._try_resume(port)
-
-    def _try_resume(self, port: Port) -> None:
-        """Resume the generator if the delivery satisfied its block."""
+        # Resume the generator if this delivery is what it is blocked on.
         block = self._block
         if block is None:
             return
-        if block.kind == "receive" and block.port == port.name:
-            if port.has_data():
-                time, value = port.pop_earliest()
-                self.local_time = max(self.local_time, time)
-                result = (self.local_time, value)
-                self._log.append(("receive", result))
-                self._block = None
-                self._engine(result)
+        if block.kind == "receive":
+            if block.port != port.name:
+                return
+            iface = None
         elif block.kind == "transfer":
             iface = self.interfaces[block.interface]
-            if iface.in_port is port and port.has_data():
-                while port.has_data():
-                    time, chunk = port.pop_earliest()
-                    self.local_time = max(self.local_time, time)
-                    payload = iface.absorb(time, chunk)
-                    if payload is not None:
-                        result = (self.local_time, payload)
-                        self._log.append(("transfer", result))
-                        self._block = None
-                        self._engine(result)
-                        return
+            if iface.in_port is not port:
+                return
+        else:
+            return
+        result = self._consume(port, iface, self._log)
+        if result is not _BLOCKED:
+            self._block = None
+            self._engine(result)
 
     # -- the command engine -------------------------------------------------
     def _engine(self, resume_value: Any) -> None:
@@ -415,9 +428,7 @@ class ProcessComponent(Component):
         """Execute one command; returns the resume value or ``_BLOCKED``."""
         replaying = self._replay is not None
         if isinstance(cmd, Advance):
-            if cmd.dt < 0:
-                raise SimulationError(f"{self.name}: negative advance {cmd.dt}")
-            self.local_time += cmd.dt
+            self.advance(cmd.dt)
             return None
         if isinstance(cmd, Send):
             if not replaying:
@@ -430,7 +441,7 @@ class ProcessComponent(Component):
             else:
                 iface = self.interface(cmd.interface)
                 before = self.local_time
-                iface.emit(cmd.payload, self.local_time, advance=self._advance_raw)
+                iface.emit(cmd.payload, self.local_time, advance=self.advance)
                 self._log.append(("transfer_out", self.local_time - before))
             return None
         if isinstance(cmd, SwitchLevel):
@@ -453,11 +464,11 @@ class ProcessComponent(Component):
                         label=label)))
             return None
         if isinstance(cmd, Receive):
-            return self._do_receive(cmd.port)
+            return self._do_receive("receive", cmd.port)
         if isinstance(cmd, TryReceive):
             return self._do_try_receive(cmd.port)
         if isinstance(cmd, ReceiveTransfer):
-            return self._do_receive_transfer(cmd.interface)
+            return self._do_receive("transfer", cmd.interface)
         if isinstance(cmd, WaitUntil):
             return self._do_wait(max(cmd.time, self.local_time))
         if isinstance(cmd, Sync):
@@ -489,26 +500,30 @@ class ProcessComponent(Component):
         """Block like ``WaitUntil`` from an extension command."""
         return self._do_wait(max(at_time, self.local_time))
 
-    def _advance_raw(self, dt: float) -> None:
-        self.local_time += dt
-
-    def _do_receive(self, port_name: str) -> Any:
+    def _do_receive(self, kind: str, name: str) -> Any:
+        """``Receive`` (``kind`` ``"receive"``, ``name`` a port) or
+        ``ReceiveTransfer`` (``"transfer"``, an interface): the resume
+        value if it is already here, else block until it is."""
         if self._replay is not None:
-            entry = self._replay_next("receive", allow_end=True)
-            if entry is _REPLAY_END:
-                self._block = BlockInfo("receive", port=port_name)
-                return _BLOCKED
-            __, result = entry
-            self.local_time = result[0]
-            return result
-        port = self.port(port_name)
-        if port.has_data():
-            time, value = port.pop_earliest()
-            self.local_time = max(self.local_time, time)
-            result = (self.local_time, value)
-            self._log.append(("receive", result))
-            return result
-        self._block = BlockInfo("receive", port=port_name)
+            entry = self._replay_next(kind, allow_end=True)
+            if entry is not _REPLAY_END:
+                __, result = entry
+                self.local_time = result[0]
+                return result
+        else:
+            if kind == "receive":
+                port, iface = self.port(name), None
+            else:
+                iface = self.interface(name)
+                port = iface.in_port
+                if port is None:
+                    raise ConfigurationError(
+                        f"{self.name}.{name}: interface has no input port")
+            result = self._consume(port, iface, self._log)
+            if result is not _BLOCKED:
+                return result
+        self._block = BlockInfo(kind, port=name) if kind == "receive" \
+            else BlockInfo(kind, interface=name)
         return _BLOCKED
 
     def _do_try_receive(self, port_name: str) -> Any:
@@ -517,40 +532,11 @@ class ProcessComponent(Component):
             if result is not None:
                 self.local_time = max(self.local_time, result[0])
             return result
-        port = self.port(port_name)
-        if port.has_data():
-            time, value = port.pop_earliest()
-            self.local_time = max(self.local_time, time)
-            result = (self.local_time, value)
-        else:
+        result = self._consume(self.port(port_name), None, None)
+        if result is _BLOCKED:
             result = None
         self._log.append(("tryreceive", result))
         return result
-
-    def _do_receive_transfer(self, iface_name: str) -> Any:
-        if self._replay is not None:
-            entry = self._replay_next("transfer", allow_end=True)
-            if entry is _REPLAY_END:
-                self._block = BlockInfo("transfer", interface=iface_name)
-                return _BLOCKED
-            __, result = entry
-            self.local_time = result[0]
-            return result
-        iface = self.interface(iface_name)
-        port = iface.in_port
-        if port is None:
-            raise ConfigurationError(
-                f"{self.name}.{iface_name}: interface has no input port")
-        while port.has_data():
-            time, chunk = port.pop_earliest()
-            self.local_time = max(self.local_time, time)
-            payload = iface.absorb(time, chunk)
-            if payload is not None:
-                result = (self.local_time, payload)
-                self._log.append(("transfer", result))
-                return result
-        self._block = BlockInfo("transfer", interface=iface_name)
-        return _BLOCKED
 
     def _do_wait(self, at_time: float) -> Any:
         if self._replay is not None:

@@ -94,21 +94,25 @@ class Interface:
 
         ``advance`` consumes the owning component's local time chunk by
         chunk; each wire value is posted at the component's local time after
-        its chunk delay.  Returns the total transfer duration.
+        its chunk delay.  Returns the total transfer duration.  The port
+        is checked once per transfer; the chunks go straight onto its net.
         """
-        if self.out_port is None:
+        out_port = self.out_port
+        component = self.component
+        if out_port is None:
             raise ConfigurationError(f"{self.full_name}: no output port")
-        if self.component is None:
+        if component is None:
             raise ConfigurationError(f"{self.full_name}: unbound interface")
+        post = out_port.driven_net().post
         codec = self.protocol.codec(self.level)
-        transfer_id = (self.component.name, self.name, self._xfer_seq)
+        transfer_id = (component.name, self.name, self._xfer_seq)
         self._xfer_seq += 1
         total = 0.0
         chunks = 0
         for dt, wire in codec.expand(payload, transfer_id):
             advance(dt)
             total += dt
-            self.out_port.drive(wire, self.component.local_time)
+            post(wire, component.local_time, driver=out_port)
             chunks += 1
         self.sent_transfers += 1
         self.sent_chunks += chunks
@@ -119,7 +123,11 @@ class Interface:
     # receiving
     # ------------------------------------------------------------------
     def absorb(self, time: float, wire: Any) -> Optional[Any]:
-        """Feed one incoming wire value; returns a payload when complete."""
+        """Feed one incoming wire value; returns a payload when complete.
+
+        For callers outside the kernel: ``None`` also means "not yet"
+        here.  ``Component._consume`` tests ``INCOMPLETE`` instead.
+        """
         payload = reassemble_step(self._partial, wire)
         if payload is INCOMPLETE:
             return None

@@ -14,7 +14,8 @@ from typing import TYPE_CHECKING, Any, Optional
 from .errors import ConfigurationError
 from .events import Event, EventKind
 from .port import Port
-from .timestamp import PRIORITY_SIGNAL, Timestamp
+
+_SIGNAL = EventKind.SIGNAL
 
 if TYPE_CHECKING:  # pragma: no cover
     from .subsystem import Subsystem
@@ -64,7 +65,8 @@ class Net:
         Deliveries land at ``at_time + self.delay`` as ``SIGNAL`` events on
         the owning subsystem's queue.
         """
-        if self.subsystem is None:
+        subsystem = self.subsystem
+        if subsystem is None:
             raise ConfigurationError(
                 f"net {self.name} is not registered with any subsystem"
             )
@@ -73,18 +75,16 @@ class Net:
         self.last_change = at_time
         for observer in self.observers:
             observer(self, at_time, value)
+        # A bare time is "at PRIORITY_SIGNAL" to both Event backends; the
+        # queue stamps the sequence number either way.
         arrival = at_time + self.delay
+        schedule = subsystem.scheduler.schedule
         for port in self.ports:
-            if port is driver:
-                continue
             # Multi-driver nets: other pure drivers see the value on the
             # wire but have no receive path — skip them.
-            if not port.direction.can_receive and not port.hidden:
-                continue
-            self.subsystem.scheduler.schedule(
-                Event(Timestamp(arrival, PRIORITY_SIGNAL), EventKind.SIGNAL,
-                      target=port, payload=value)
-            )
+            if port is not driver and (port.direction.can_receive
+                                       or port.hidden):
+                schedule(Event(arrival, _SIGNAL, port, value))
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -26,13 +26,13 @@ class PortDirection(enum.Enum):
     OUT = "out"
     INOUT = "inout"
 
-    @property
-    def can_receive(self) -> bool:
-        return self in (PortDirection.IN, PortDirection.INOUT)
 
-    @property
-    def can_drive(self) -> bool:
-        return self in (PortDirection.OUT, PortDirection.INOUT)
+# ``can_receive`` / ``can_drive`` as plain attributes of each member: a
+# property here is a Python-level call on every word delivered and posted.
+for _direction in PortDirection:
+    _direction.can_receive = _direction is not PortDirection.OUT
+    _direction.can_drive = _direction is not PortDirection.IN
+del _direction
 
 
 class Port:
@@ -95,13 +95,17 @@ class Port:
 
     def drive(self, value: Any, at_time: float) -> None:
         """Place ``value`` on the attached net at virtual time ``at_time``."""
+        self.driven_net().post(value, at_time, driver=self)
+
+    def driven_net(self) -> "Net":
+        """The attached net, if this port may drive one (else raises)."""
         if not self.direction.can_drive and not self.hidden:
             raise ConfigurationError(
                 f"input port {self.full_name} cannot drive its net"
             )
         if self.net is None:
             raise ConfigurationError(f"port {self.full_name} is not on any net")
-        self.net.post(value, at_time, driver=self)
+        return self.net
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

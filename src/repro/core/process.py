@@ -14,7 +14,7 @@ its local time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 
@@ -146,4 +146,3 @@ class BlockInfo:
     port: Optional[str] = None      # for "receive"
     interface: Optional[str] = None  # for "transfer"
     token: Optional[int] = None     # for "wake"
-    chunks: tuple = field(default=())  # partial transfer state

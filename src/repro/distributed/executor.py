@@ -132,8 +132,7 @@ class CoSimulation(LiveSystem):
         self._membership_changed()
         # Switchpoints must be evaluated after every event, not just at
         # run-slice boundaries — a slice can be the whole simulation.
-        subsystem.scheduler.post_step_hooks.append(
-            lambda event: self._poll_switchpoints())
+        subsystem.scheduler.post_step_hooks.append(self._poll_switchpoints)
 
     def set_link_model(self, node_a: str, node_b: str,
                        model: LatencyModel) -> None:
@@ -202,7 +201,8 @@ class CoSimulation(LiveSystem):
                 return subsystem.nets[net].value
         raise ConfigurationError(f"no net named {net!r}")
 
-    def _poll_switchpoints(self) -> None:
+    def _poll_switchpoints(self, event=None) -> None:
+        """Every subsystem's post-step hook, and the run loop's own poll."""
         if self.switchpoints.switchpoints:
             self.switchpoints.poll(self.global_time())
 

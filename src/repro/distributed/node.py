@@ -29,7 +29,7 @@ from ..core.errors import ConfigurationError, TransportError
 from ..core.subsystem import Subsystem
 from ..transport.message import Message, MessageKind
 from .channel import ChannelMode
-from .conservative import SafeTimeClient, compute_grant
+from .conservative import UNBOUNDED, SafeTimeClient, compute_grant
 
 if TYPE_CHECKING:  # pragma: no cover
     from .channel import ChannelEndpoint
@@ -264,9 +264,11 @@ class PiaNode:
                 client.refresh(desired)
         with self.lock:
             if subsystem.next_event_time() <= client.horizon():
-                # The horizon is re-read before every dispatch: sending
-                # on a channel shrinks it via the echo bound.
-                return subsystem.run(until, horizon=client.horizon,
+                # The horizon is re-read before every dispatch (sending on
+                # a channel shrinks it via the echo bound) unless there is
+                # no channel to shrink it.
+                horizon = client.horizon if subsystem.channels else UNBOUNDED
+                return subsystem.run(until, horizon=horizon,
                                      max_events=window)
         return 0
 
