@@ -80,7 +80,6 @@ class CoSimulation(LiveSystem):
         # --- fault plane -------------------------------------------------
         self.failure_policy = failure_policy
         self.detector: Optional[FailureDetector] = None
-        self._pending_crashes: List = []
         self._down_nodes: set = set()
         self._dead_nodes: set = set()
         self._dead_subsystems: set = set()
@@ -164,8 +163,8 @@ class CoSimulation(LiveSystem):
         return self._live_order
 
     def finished(self) -> bool:
-        return (all(ss.idle() for ss in self._live_subsystems())
-                and self.transport.pending() == 0)
+        """No work left anywhere (the finish line with no ``until``)."""
+        return self._reached(float("inf"), finish=True)
 
     def stalls(self) -> int:
         return sum(ss.scheduler.stalls for ss in self.subsystems.values())
@@ -280,8 +279,8 @@ class CoSimulation(LiveSystem):
         :meth:`_reached` fires them there.  (The series recorder is not
         one of them: attaching an observer must not change the run.)"""
         bound = self._snapshot_due()
-        if self._pending_crashes:      # kept in firing order
-            bound = min(bound, self._pending_crashes[0].at_time)
+        if self._pending_crashes:       # rare; asked on every advance
+            bound = min(bound, self._next_crash())
         return bound
 
     def _has_optimism(self) -> bool:
@@ -345,9 +344,7 @@ class CoSimulation(LiveSystem):
             return
         self._started = True
         self.validate_topology()
-        if self.fault_plan is not None:
-            self._pending_crashes = self.fault_plan.scheduled_crashes(
-                self.nodes)
+        self._arm_crashes()
         for node in self._ordered_nodes():
             node.start()
         if self._has_optimism() or self._wants_crash_recovery():
@@ -467,7 +464,7 @@ class CoSimulation(LiveSystem):
                     # Quiescence is an illusion while a node is down; keep
                     # ticking so the failure detector can confirm the loss.
                     continue
-                if self.finished() or self._all_past(until):
+                if self._reached(until, finish=True):
                     break
                 idle_budget = (len(self.subsystems) + 2) * self._settle_slack
                 if self.transport.batching:
@@ -486,13 +483,6 @@ class CoSimulation(LiveSystem):
             telemetry.gauge("executor.rounds", self.rounds)
         return dispatched
 
-    def _all_past(self, until: float) -> bool:
-        """Every pending event lies beyond the requested end time."""
-        if self.transport.pending():
-            return False
-        return all(ss.next_event_time() > until
-                   for ss in self._live_subsystems())
-
     # ------------------------------------------------------------------
     # fault plane (crash, detect, recover/raise/drop)
     # ------------------------------------------------------------------
@@ -506,9 +496,8 @@ class CoSimulation(LiveSystem):
             if name not in self._down_nodes and name not in self._dead_nodes:
                 detector.beat(name, now_round)
         acted = False
-        pending = self._pending_crashes        # kept in firing order
-        while pending and self._reached(pending[0].at_time):
-            self._crash_node(pending.pop(0).node)
+        for crash in self._due_crashes():
+            self._crash_node(crash.node)
             acted = True
         for node in detector.suspects(now_round):
             if node in self._down_nodes:

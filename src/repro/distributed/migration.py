@@ -21,7 +21,7 @@ subsystem with a queued ``CONTROL`` event cannot be moved — that is a
 
 Recorded in-flight channel messages ride alongside the images.  Restore
 mirrors the proven single-process rollback recipe
-(:meth:`OptimisticRecovery.rollback_to`): flush the transport, reinstate
+(:meth:`RecoveryManager.rollback_to`): flush the transport, reinstate
 the images, void every endpoint's safe-time ledger via
 ``reset_sync_state`` with ``forwarded`` pre-seeded to the number of
 recorded messages the peer will re-deliver, then re-inject the recorded
@@ -204,7 +204,7 @@ def resent_counts(archives) -> Dict[Tuple[str, str], int]:
     """``(channel_id, dst_node) -> count`` of recorded in-flight messages.
 
     The counts pre-seed every endpoint's ``forwarded`` ledger on restore
-    (mirroring ``OptimisticRecovery.rollback_to``): the sender's counter
+    (mirroring ``RecoveryManager.rollback_to``): the sender's counter
     must equal the number of copies the receiver will re-inject, so the
     first post-restore safe-time exchange balances.
     """

@@ -17,13 +17,14 @@ Three problems are specific to crossing a process boundary:
   calls in its own process.
 * **Coordination** — a pipe-based control plane starts, probes, quiesces
   and stops the workers; a worker that dies (or a scheduled
-  :class:`~repro.faults.NodeCrash` the coordinator fires) surfaces as a
-  typed :class:`~repro.core.errors.NodeFailure`, exactly like the
-  threaded executor.  Quiescence itself is a distributed property,
-  detected by a double probe over logical wire counters
-  (``TcpTransport.wire_out``/``wire_in``): two consecutive sweeps showing
-  every worker idle, all event queues past ``until``, nothing parked, and
-  the global out/in sums balanced and unchanged.
+  :class:`~repro.faults.NodeCrash`, fired at its virtual instant)
+  surfaces as a typed :class:`~repro.core.errors.NodeFailure`, exactly
+  like the threaded executor.  "Has the run got to T?" — the finish
+  line, or the instant the workers hold at for a service — is a
+  distributed property, answered by the executors' one rule
+  (:func:`~repro.distributed.system.reached`) over a double probe: two
+  consecutive sweeps showing every worker idle, nothing parked, the
+  global ``wire_out``/``wire_in`` sums balanced, and no progress between.
 * **Observability** — every worker runs its own
   :class:`~repro.observability.Telemetry`; at quiescence each serialises
   its deterministic snapshot back to the coordinator, which merges them
@@ -43,16 +44,16 @@ worker archives portable images of its subsystems back to the
 coordinator — stable storage in the paper's terms), and the supervision
 loop feeds a heartbeat :class:`~repro.faults.FailureDetector`.  A worker
 that dies, partitions, or is killed by a scheduled
-:class:`~repro.faults.NodeCrash` is *replaced*: a fresh pool worker
+:class:`~repro.faults.NodeCrash` is *relocated*: a fresh pool worker
 adopts the lost node, every channel endpoint is re-spliced (peer tables,
 shm rings, TCP connections), all workers roll back to the last completed
 global snapshot under a new migration epoch (stale pre-failover traffic
 is fenced at ingest), recorded in-flight messages are re-injected, and
 the run resumes — deterministically, because conservative execution from
 a consistent cut is a pure function of the virtual state.
-:meth:`MultiprocessCoSimulation.migrate` uses the same machinery to move
-a live node between workers on request: halt, drain the wire to
-quiescence, cut, re-splice, restore, resume.
+:meth:`MultiprocessCoSimulation.migrate` is the same procedure with a
+live source: the wire is drained and a fresh cut taken first, so nothing
+rolls back.
 """
 
 from ..spec import (

@@ -1,6 +1,6 @@
-"""The coordinator: bootstraps workers over the control pipes, detects
-distributed quiescence by status probes, supervises failover and live
-migration, and merges the workers' telemetry into one report."""
+"""The coordinator: bootstraps workers over the control pipes, judges by
+status probes when the run has got to a service instant or to its end,
+relocates nodes (failover, migration) and merges everyone's telemetry."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from ...core.errors import (
     NodeFailure,
     SimulationError,
 )
-from ...faults import FailureDetector, FaultPlan, RetryPolicy
+from ...faults import FailureDetector, FaultPlan, NodeCrash, RetryPolicy
 from ...observability import (
     RunReport,
     Telemetry,
@@ -33,6 +33,7 @@ from ...transport.shm import DEFAULT_RING_CAPACITY, create_ring_segment
 from .. import topology
 from ..migration import MigrationRecord, NodeArchive, resent_counts
 from ..snapshot import new_snapshot_id
+from ..system import reached
 from .pool import WorkerPool, _PoolWorker
 from ..spec import ChannelSpec, SubsystemSpec, SystemSpec
 from .specs import TelemetrySpec, _WorkerSpec
@@ -100,10 +101,11 @@ class MultiprocessCoSimulation:
     derivation (:meth:`~repro.faults.FaultPlan.for_node` — same seed, own
     crashes): message-fault decisions stay pure functions of the seed and
     per-link ordinals, so seeded chaos counters match the single-process
-    executors.  A scheduled crash (fired by the coordinator once global
-    virtual time reaches it) or a worker process dying raises a typed
-    :class:`~repro.core.errors.NodeFailure` — this executor, like the
-    threaded one, cannot roll back.
+    executors.  A scheduled crash fires at its virtual instant, as under
+    the other two: every worker holds its windows there until a settled
+    probe says the run has got to it.  That, or a worker process dying,
+    raises a typed :class:`~repro.core.errors.NodeFailure` — unless
+    ``failure_policy="migrate"`` relocates the node instead.
     """
 
     def __init__(self, *, telemetry: Optional[Telemetry] = None,
@@ -172,6 +174,10 @@ class MultiprocessCoSimulation:
         self.placement_log: List[dict] = []
         self._migrate_lock = threading.Lock()
         self._migrate_requests: List[Tuple[str, float]] = []
+        #: Scheduled crashes not yet fired, in firing order.
+        self._pending_crashes: List[NodeCrash] = []
+        #: The service instant the workers currently hold at.
+        self._shipped = float("inf")
         self._archives: Dict[str, NodeArchive] = {}
         self._restore_point: Optional[str] = None
         self._run_epoch = 0
@@ -300,8 +306,9 @@ class MultiprocessCoSimulation:
         self.migrate_at(node, float("-inf"))
 
     def migrate_at(self, node: str, at_time: float) -> None:
-        """Request a migration of ``node`` once global virtual time
-        reaches ``at_time`` (deterministic trigger point)."""
+        """Request a migration of ``node`` once the run has got to
+        virtual ``at_time`` (deterministic trigger point; at once, if
+        asked mid-run for an instant already passed)."""
         if node not in self.spec.nodes:
             raise ConfigurationError(f"no node named {node!r}")
         if self.failure_policy != "migrate":
@@ -310,18 +317,31 @@ class MultiprocessCoSimulation:
         with self._migrate_lock:
             self._migrate_requests.append((node, at_time))
 
-    def _due_migrations(self, global_now: float) -> List[str]:
-        due: List[str] = []
+    def _next_service(self) -> float:
+        """The earliest virtual instant a service is owed — scheduled
+        crash or requested migration.  Shipped with every ``start``:
+        each worker's :attr:`~repro.distributed.node.PiaNode.service_bound`."""
         with self._migrate_lock:
-            keep = []
-            for node, at_time in self._migrate_requests:
-                if at_time <= global_now:
-                    if node not in due:
-                        due.append(node)
-                else:
-                    keep.append((node, at_time))
-            self._migrate_requests = keep
-        return due
+            instants = [at_time for __, at_time in self._migrate_requests]
+        instants += [crash.at_time for crash in self._pending_crashes]
+        return min(instants, default=float("inf"))
+
+    def _take_due(self, instant: float) -> Tuple[List[str], str]:
+        """Pop what is owed at ``instant``: the nodes to relocate and
+        why.  Scheduled crashes go first; a migration owed at the same
+        instant waits for the rolled-back run to get there again."""
+        crashed = [crash.node for crash in self._pending_crashes
+                   if crash.at_time <= instant]
+        if crashed:
+            del self._pending_crashes[:len(crashed)]    # firing order
+            return crashed, "scheduled-crash"
+        with self._migrate_lock:
+            due = [node for node, at_time in self._migrate_requests
+                   if at_time <= instant]
+            self._migrate_requests = [
+                request for request in self._migrate_requests
+                if request[1] > instant]
+        return due, "requested"
 
     # ------------------------------------------------------------------
     # execution
@@ -344,6 +364,9 @@ class MultiprocessCoSimulation:
         if not self.spec.nodes:
             return 0
         self._check_topology()
+        self._pending_crashes = \
+            self.fault_plan.scheduled_crashes(self.spec.nodes) \
+            if self.fault_plan is not None else []
         self._status_path = status_path
         self._status_interval = status_interval
         self._status_listener = status_listener
@@ -362,17 +385,17 @@ class MultiprocessCoSimulation:
         pool = self._acquire_pool()
         names = sorted(self.spec.nodes)
         workers = pool.acquire(len(names))
-        assigned: Dict[str, _PoolWorker] = dict(zip(names, workers))
-        procs: Dict[str, _PoolWorker] = assigned
+        #: node -> its worker; a relocation swaps entries in place.
+        procs: Dict[str, _PoolWorker] = dict(zip(names, workers))
         pipes: Dict[str, object] = {name: worker.conn
-                                    for name, worker in assigned.items()}
+                                    for name, worker in procs.items()}
         self._segments = {}
         deadline = _time.monotonic() + timeout
         for name in names:
-            self._log_placement(name, assigned[name], "assigned")
+            self._log_placement(name, procs[name], "assigned")
         try:
             for name in names:
-                pipes[name].send(("job", self.worker_spec(name)))
+                self._send(pipes, name, "job", self.worker_spec(name))
             self._ports = {name: self._hello_port(pipes, procs, name,
                                                   deadline)
                            for name in names}
@@ -393,12 +416,11 @@ class MultiprocessCoSimulation:
                 # Baseline restore point: a pre-start Chandy-Lamport cut,
                 # archived coordinator-side before any event dispatches.
                 self._take_snapshot(pipes, procs, deadline)
-            for name in names:
-                pipes[name].send(("start", until))
+            self._start(pipes, until)
             self._supervise(pipes, procs, until, deadline)
             bundles: Dict[str, dict] = {}
             for name in names:
-                pipes[name].send(("report?",))
+                self._send(pipes, name, "report?")
                 bundles[name] = self._expect(pipes, procs, name, "report",
                                              deadline)
             self._bundles = bundles
@@ -409,13 +431,12 @@ class MultiprocessCoSimulation:
         finally:
             for name in names:
                 try:
-                    pipes[name].send(("stop",))
-                except OSError:
-                    pass
+                    self._send(pipes, name, "stop")
+                except NodeFailure:
+                    pass    # already gone: nobody to say goodbye to
             for name in names:
-                worker = assigned[name]
-                clean = self._drain_job_done(worker, timeout=2.5)
-                pool.release(worker, healthy=clean)
+                clean = self._drain_job_done(procs[name], timeout=2.5)
+                pool.release(procs[name], healthy=clean)
             # Workers have detached from their ring segments (job-done
             # comes after transport close), so unlink retires them.
             for segment in self._segments.values():
@@ -475,6 +496,23 @@ class MultiprocessCoSimulation:
                 "must run the same build")
         return port
 
+    @staticmethod
+    def _send(pipes, name: str, *message) -> None:
+        """One control message to worker ``name``.  A dead pipe is that
+        node's death, typed like one noticed on a receive."""
+        try:
+            pipes[name].send(message)
+        except OSError:
+            raise NodeFailure(
+                f"node {name!r}: control pipe closed mid-run",
+                node=name) from None
+
+    def _start(self, pipes, until: float) -> None:
+        """(Re)start every worker, to hold at the next service instant."""
+        self._shipped = self._next_service()
+        for name in sorted(self.spec.nodes):
+            self._send(pipes, name, "start", until, self._shipped)
+
     def _expect(self, pipes, procs, name: str, tag: str, deadline: float,
                 *, match=None):
         """Wait for one ``tag`` message from worker ``name``.
@@ -500,7 +538,7 @@ class MultiprocessCoSimulation:
                     "the run timeout)")
             try:
                 message = conn.recv()
-            except EOFError:
+            except (EOFError, OSError):     # a killed worker's pipe resets
                 raise NodeFailure(
                     f"node {name!r}: worker process died mid-run",
                     node=name) from None
@@ -624,7 +662,7 @@ class MultiprocessCoSimulation:
             for name in names:
                 self.detector.beat(name, now)
 
-    def _take_snapshot(self, pipes, procs, deadline: float) -> str:
+    def _take_snapshot(self, pipes, procs, deadline: float) -> None:
         """Coordinate a Chandy-Lamport cut and archive it here.
 
         Every worker cuts its local subsystems, lets the marks cross,
@@ -634,7 +672,7 @@ class MultiprocessCoSimulation:
         names = sorted(self.spec.nodes)
         snapshot_id = new_snapshot_id()
         for name in names:
-            pipes[name].send(("cut", snapshot_id))
+            self._send(pipes, name, "cut", snapshot_id)
         archives: Dict[str, NodeArchive] = {}
         for name in names:
             archives[name] = self._expect(
@@ -643,14 +681,13 @@ class MultiprocessCoSimulation:
         self._archives = archives
         self._restore_point = snapshot_id
         self.telemetry.count("migration.snapshots")
-        return snapshot_id
 
     def _poll_statuses(self, pipes, procs, deadline: float
                        ) -> Dict[str, dict]:
         """One ``status?`` round trip to every worker, outside the
         supervision loop."""
         for name in sorted(procs):
-            pipes[name].send(("status?",))
+            self._send(pipes, name, "status?")
         statuses = {name: self._expect(pipes, procs, name, "status",
                                        deadline)
                     for name in sorted(procs)}
@@ -712,11 +749,11 @@ class MultiprocessCoSimulation:
             # ``repeer`` first: it retires the survivor's rings to the
             # moved nodes (shm) and closes cached connections, so the
             # fresh ring attach below cannot be clobbered.
-            pipes[name].send(("repeer", repeer))
+            self._send(pipes, name, "repeer", repeer)
             touched = {link: ring for link, ring in fresh.items()
                        if name in link}
             if touched:
-                pipes[name].send(("rings", touched))
+                self._send(pipes, name, "rings", touched)
         for name in sorted(moved_set):
             self._introduce(name, pipes)
 
@@ -725,10 +762,10 @@ class MultiprocessCoSimulation:
         if self.transport == "shm":
             mine = {link: seg.name for link, seg in self._segments.items()
                     if name in link}
-            pipes[name].send(("rings", mine))
+            self._send(pipes, name, "rings", mine)
         peers = {peer: ("127.0.0.1", port)
                  for peer, port in self._ports.items() if peer != name}
-        pipes[name].send(("peers", peers))
+        self._send(pipes, name, "peers", peers)
 
     def _restore_all(self, pipes, procs, until: float,
                      deadline: float) -> Tuple[int, int]:
@@ -741,198 +778,141 @@ class MultiprocessCoSimulation:
         for name in names:
             archive = self._archives[name]
             snapshot_bytes += archive.storage_bytes()
-            pipes[name].send(("restore", {
+            self._send(pipes, name, "restore", {
                 "epoch": self._run_epoch,
                 "until": until,
                 "images": archive.images,
                 "resent": resent,
                 "minter_ordinals": archive.minter_ordinals,
-            }))
+            })
         epoch = self._run_epoch
         for name in names:
             self._expect(pipes, procs, name, "restored", deadline,
                          match=lambda e: e == epoch)
         return snapshot_bytes, sum(resent.values())
 
-    def _failover(self, dead_nodes, pipes, procs, until: float,
-                  deadline: float, global_now: float, *,
-                  reason: str) -> None:
-        """Replace dead workers and roll the run back to the last
-        completed global snapshot (tolerating cascading deaths)."""
-        if self._restore_point is None:
-            raise NodeFailure(
-                f"node {dead_nodes[0]!r} failed before a restore point "
-                "existed — cannot fail over", node=dead_nodes[0])
+    def _relocate(self, nodes, pipes, procs, until: float, deadline: float,
+                  global_now: float, *, reason: str) -> None:
+        """Move ``nodes`` to fresh pool workers and resume the run — the
+        one relocation body, whatever the cause (DESIGN.md §5).
+
+        A *live* source (``reason="requested"``) loses nothing: halt,
+        drain, cut, carry its report home, retire it cleanly.  A *dead*
+        one is killed and the run rolls back to the last restore point.
+        From the adoption on the two are one.  A worker dying at any
+        step (a :class:`NodeFailure` naming it) joins the dead and the
+        round restarts; a live move it interrupts is abandoned, its
+        nodes failing over too so that none is left half-adopted.
+        """
         names = sorted(self.spec.nodes)
+        moved = sorted(set(nodes))
+        live = reason == "requested"
         wall_started = _time.perf_counter()
-        for name in dead_nodes:
-            self.telemetry.count("migration.failovers")
-            self.telemetry.note(TraceKind.MIGRATION, time=global_now,
-                                subject=name, reason=reason,
-                                epoch=self._run_epoch + 1)
-        self.telemetry.flight.dump(tag="coordinator",
-                                   reason=f"failover: {reason}")
         pool = self._acquire_pool()
-        dead = sorted(set(dead_nodes))
-        token = f"halt-{next(self._ctl_seq)}"
-        halt_sent: set = set()
-        halt_acked: set = set()
-        job_sent: set = set()
-        ported: set = set()
-        adopted: Dict[str, _PoolWorker] = {}
         attempts = 0
         while True:
-            fresh = sorted(name for name in dead if name not in adopted)
-            for name in fresh:
-                old = procs[name]
-                old.kill()
-                pool.release(old, healthy=False)   # respawns the slot
-                self._log_placement(name, old, "lost")
-                if self.detector is not None:
-                    self.detector.forget(name)
-            replacements = pool.acquire(len(fresh))
-            for name, worker in zip(fresh, replacements):
-                procs[name] = worker
-                pipes[name] = worker.conn
-                adopted[name] = worker
-                self._log_placement(name, worker, "adopted")
+            for name in moved:
+                self.telemetry.note(TraceKind.MIGRATION, time=global_now,
+                                    subject=name, reason=reason,
+                                    epoch=self._run_epoch + 1)
+            self.telemetry.flight.dump(
+                tag="coordinator",
+                reason="migrate" if live else f"failover: {reason}")
             try:
-                for name in names:
-                    if name not in dead and name not in halt_sent:
-                        pipes[name].send(("halt", token))
-                        halt_sent.add(name)
-                for name in names:
-                    if name not in dead and name not in halt_acked:
-                        self._expect(pipes, procs, name, "halted", deadline,
-                                     match=lambda t: t == token)
-                        halt_acked.add(name)
-                for name in sorted(dead):
-                    if name not in job_sent:
-                        pipes[name].send(("job", self.worker_spec(name)))
-                        job_sent.add(name)
-                for name in sorted(dead):
-                    if name not in ported:
-                        self._ports[name] = self._hello_port(
-                            pipes, procs, name, deadline)
-                        ported.add(name)
-                self._resplice(dead, pipes, procs)
+                if not live:
+                    # First, so that no survivor stays blocked on a call
+                    # into a worker that is hung rather than gone.
+                    for name in moved:
+                        procs[name].kill()
+                        self.detector.forget(name)
+                        # Unhealthy: the pool respawns the slot.
+                        pool.release(procs[name], healthy=False)
+                        self._log_placement(name, procs[name], "lost")
+                # Stop the world; halted workers keep pumping the wire.
+                # The token is echoed: acks an aborted round left queued
+                # cannot be misread by the retry.
+                token = f"halt-{next(self._ctl_seq)}"
+                halting = [name for name in names if live or name not in moved]
+                for name in halting:
+                    self._send(pipes, name, "halt", token)
+                for name in halting:
+                    self._expect(pipes, procs, name, "halted", deadline,
+                                 match=lambda t: t == token)
+                if live:
+                    # Nothing in flight may be dropped (or duplicated) by
+                    # the re-splice, so the cut happens on a provably
+                    # empty wire — and *advances* the restore point (a
+                    # later failover resumes from here, not from t=0).
+                    self._drain_wire(pipes, procs, deadline)
+                    self._take_snapshot(pipes, procs, deadline)
+                # Acquired *before* a live source is released: a released
+                # worker goes straight back into the idle set, and a
+                # "migration" that re-adopts the process it just left
+                # would move nothing.
+                replacements = pool.acquire(len(moved))
+                for name, worker in zip(moved, replacements):
+                    if live:
+                        # Carry the old worker's telemetry home before
+                        # releasing it: pre-migrate spans must stay in
+                        # the merged trace so post-migrate receives
+                        # still chain to their sends.
+                        self._send(pipes, name, "report?")
+                        self._carryover.append(self._expect(
+                            pipes, procs, name, "report", deadline))
+                        self._send(pipes, name, "stop")
+                        clean = self._drain_job_done(procs[name], timeout=2.5)
+                        pool.release(procs[name], healthy=clean)
+                        self._log_placement(name, procs[name], "released")
+                    procs[name] = worker
+                    pipes[name] = worker.conn
+                    self._log_placement(name, worker, "adopted")
+                    self._send(pipes, name, "job", self.worker_spec(name))
+                for name in moved:
+                    self._ports[name] = self._hello_port(pipes, procs, name,
+                                                         deadline)
+                self._resplice(moved, pipes, procs)
                 snapshot_bytes, replayed = self._restore_all(
                     pipes, procs, until, deadline)
-                for name in names:
-                    pipes[name].send(("start", until))
+                self._start(pipes, until)
             except NodeFailure as exc:
-                # Another worker (survivor or replacement) died during
-                # the splice: fold it in and restart the round.  Stale
-                # acks the aborted round left queued are token-vetted,
-                # so the retry cannot misread them.
                 attempts += 1
                 if exc.node is None or attempts > 2 * len(names) + 4:
                     raise
-                dead = sorted(set(dead) | {exc.node})
-                adopted.pop(exc.node, None)
-                for tracker in (halt_sent, halt_acked, job_sent, ported):
-                    tracker.discard(exc.node)
+                moved = sorted(set(moved) | {exc.node})
+                live, reason = False, "worker-death"
                 continue
             break
         self._beat_all(names)
         wall_pause = _time.perf_counter() - wall_started
-        for name in dead:
+        for name in moved:
+            self.telemetry.count("migration.migrations" if live
+                                 else "migration.failovers")
             self.migrations.append(MigrationRecord(
-                kind="failover", node=name, reason=reason,
-                epoch=self._run_epoch, snapshot_id=self._restore_point,
-                at_global_time=global_now, wall_pause=wall_pause,
-                snapshot_bytes=snapshot_bytes,
-                replayed_messages=replayed))
-
-    def _do_migrate(self, nodes, pipes, procs, until: float,
-                    deadline: float, global_now: float) -> None:
-        """Move live nodes to fresh workers: halt, drain the wire, cut,
-        re-splice, restore under a new epoch, resume."""
-        names = sorted(self.spec.nodes)
-        moved = sorted(set(name for name in nodes if name in procs))
-        if not moved:
-            return
-        wall_started = _time.perf_counter()
-        for name in moved:
-            self.telemetry.count("migration.migrations")
-            self.telemetry.note(TraceKind.MIGRATION, time=global_now,
-                                subject=name, reason="requested",
-                                epoch=self._run_epoch + 1)
-        self.telemetry.flight.dump(tag="coordinator", reason="migrate")
-        # 1. Stop the world; halted workers keep pumping the wire dry.
-        token = f"halt-{next(self._ctl_seq)}"
-        for name in names:
-            pipes[name].send(("halt", token))
-        for name in names:
-            self._expect(pipes, procs, name, "halted", deadline,
-                         match=lambda t: t == token)
-        # 2. Nothing in flight may be dropped (or duplicated) by the
-        #    re-splice, so the cut happens on a provably empty wire.
-        self._drain_wire(pipes, procs, deadline)
-        # 3. Cut at the drained state: this *advances* the restore point
-        #    (a later failover resumes from here, not from t=0).
-        snapshot_id = self._take_snapshot(pipes, procs, deadline)
-        pool = self._acquire_pool()
-        # Acquire every replacement *before* releasing the old workers:
-        # a released worker goes straight back into the idle set, and a
-        # "migration" that re-adopts the process it just left would move
-        # nothing.
-        replacements = dict(zip(moved, pool.acquire(len(moved))))
-        for name in moved:
-            # 4. Carry the old worker's telemetry home before releasing
-            #    it: pre-migrate spans must stay in the merged trace so
-            #    post-migrate receives still chain to their sends.
-            pipes[name].send(("report?",))
-            self._carryover.append(
-                self._expect(pipes, procs, name, "report", deadline))
-            old = procs[name]
-            try:
-                pipes[name].send(("stop",))
-            except OSError:
-                pass
-            clean = self._drain_job_done(old, timeout=2.5)
-            pool.release(old, healthy=clean)
-            self._log_placement(name, old, "released")
-            replacement = replacements[name]
-            procs[name] = replacement
-            pipes[name] = replacement.conn
-            self._log_placement(name, replacement, "adopted")
-            pipes[name].send(("job", self.worker_spec(name)))
-            self._ports[name] = self._hello_port(pipes, procs, name,
-                                                 deadline)
-        # 5. Re-splice every affected endpoint, restore, resume.
-        self._resplice(moved, pipes, procs)
-        snapshot_bytes, replayed = self._restore_all(pipes, procs, until,
-                                                     deadline)
-        for name in names:
-            pipes[name].send(("start", until))
-        self._beat_all(names)
-        wall_pause = _time.perf_counter() - wall_started
-        for name in moved:
-            self.migrations.append(MigrationRecord(
-                kind="migrate", node=name, reason="requested",
-                epoch=self._run_epoch, snapshot_id=snapshot_id,
+                kind="migrate" if live else "failover", node=name,
+                reason=reason, epoch=self._run_epoch,
+                snapshot_id=self._restore_point,
                 at_global_time=global_now, wall_pause=wall_pause,
                 snapshot_bytes=snapshot_bytes,
                 replayed_messages=replayed))
 
     def _supervise(self, pipes, procs, until: float,
                    deadline: float) -> None:
-        """Probe workers until distributed quiescence (double probe over
-        idle flags, event horizons and wire-counter sums), firing
-        scheduled crashes when global virtual time reaches them.
+        """Probe workers until the run settles — a double probe over
+        idle flags, next events and wire-counter sums, judged by
+        :func:`reached` at ``min(until, the instant the workers hold
+        at)`` — then fire what is owed there, or return: the run is over.
 
         Under ``failure_policy="migrate"`` this is the supervisor: every
         status reply feeds the heartbeat detector, and a dead, silent or
-        crashed worker triggers :meth:`_failover` instead of a raised
-        :class:`NodeFailure`."""
-        pending_crashes = self.fault_plan.scheduled_crashes(procs) \
-            if self.fault_plan is not None else []
+        crashed worker is relocated (:meth:`_relocate`) instead of
+        raising :class:`NodeFailure`."""
         supervised = self.failure_policy == "migrate"
-        detector = self.detector
         self._beat_all(sorted(procs))
-        previous = None
+        confirming = None
+        global_now = 0.0    # as of the last sweep that heard from everyone
         while True:
+            # What a settled sweep saw lives for exactly one more sweep.
+            previous, confirming = confirming, None
             if _time.monotonic() > deadline:
                 self.telemetry.flight.note(TraceKind.ABORT, "supervise",
                                            reason="quiesce-timeout")
@@ -940,149 +920,116 @@ class MultiprocessCoSimulation:
                                            reason="quiesce-timeout")
                 raise SimulationError(
                     "multiprocess run did not quiesce within the timeout")
-            dead: List[str] = []
-            for name in sorted(procs):
-                if not procs[name].is_alive():
-                    if supervised:
-                        dead.append(name)
-                        continue
-                    # Give a parting "error" message precedence over the
-                    # bare death, if one is queued.  A dead worker's pipe
-                    # never blocks (EOF is readable), so the real run
-                    # deadline is safe — and unlike a zero deadline it
-                    # cannot race past a queued error into the generic
-                    # "unresponsive" path.
-                    self._expect(pipes, procs, name, "status", deadline)
-                try:
-                    pipes[name].send(("status?",))
-                except OSError:
-                    if not supervised:
-                        raise NodeFailure(
-                            f"node {name!r}: control pipe closed mid-run",
-                            node=name)
-                    dead.append(name)
             statuses: Dict[str, dict] = {}
-            for name in sorted(procs):
-                if name in dead:
-                    continue
-                probe_deadline = deadline if not supervised else min(
-                    deadline, _time.monotonic() + self.heartbeat_timeout)
-                try:
-                    statuses[name] = self._expect(pipes, procs, name,
-                                                  "status", probe_deadline)
-                except NodeFailure:
-                    if not supervised:
-                        raise
-                    dead.append(name)
-                    continue
-                except SimulationError:
-                    if not supervised:
-                        raise
-                    # Silent within the heartbeat window: no beat this
-                    # sweep — the detector decides when silence becomes
-                    # a confirmed failure.
-                    continue
-                if detector is not None:
-                    detector.beat(name, _time.monotonic())
-            if detector is not None:
-                for name in detector.suspects(_time.monotonic()):
-                    if name not in dead:
-                        dead.append(name)
-            times = [row["time"] for st in statuses.values()
-                     for row in st["subsystems"]]
-            global_now = min(times, default=0.0)
-            if dead:
-                self._failover(sorted(set(dead)), pipes, procs, until,
-                               deadline, global_now, reason="worker-death")
-                previous = None
-                continue
-            self._publish_status(statuses, until, phase="running")
-            fired = False
-            while pending_crashes and pending_crashes[0].at_time <= global_now:
-                crash = pending_crashes.pop(0)
-                self.telemetry.count("fault.node_crashes")
-                self.telemetry.trace(TraceKind.NODE_CRASH, time=global_now,
-                                     subject=crash.node)
+            try:
+                for name in sorted(procs):
+                    if not procs[name].is_alive():
+                        # Give a parting "error" message precedence over
+                        # the bare death, if one is queued.  A dead
+                        # worker's pipe never blocks (EOF is readable),
+                        # so the real run deadline is safe — and unlike
+                        # a zero deadline it cannot race past a queued
+                        # error into the generic "unresponsive" path.
+                        self._expect(pipes, procs, name, "status", deadline)
+                    self._send(pipes, name, "status?")
+                for name in sorted(procs):
+                    probe_deadline = deadline if not supervised else min(
+                        deadline, _time.monotonic() + self.heartbeat_timeout)
+                    try:
+                        statuses[name] = self._expect(
+                            pipes, procs, name, "status", probe_deadline)
+                    except SimulationError:
+                        if not supervised:
+                            raise
+                        # Silent within the heartbeat window: no beat
+                        # this sweep — the detector decides when silence
+                        # becomes a confirmed failure.
+                        continue
+                    if supervised:
+                        self.detector.beat(name, _time.monotonic())
+                dead = self.detector.suspects(_time.monotonic()) \
+                    if supervised else []
+            except NodeFailure as exc:
+                # A death, noticed on a send or on a receive.  Others
+                # that died with it join the relocation as it trips over
+                # them; replies this sweep leaves queued are stale there.
                 if not supervised:
-                    pipes[crash.node].send(("crash",))
+                    raise
+                dead = [exc.node]
+            if dead:
+                self._relocate(dead, pipes, procs, until, deadline,
+                               global_now, reason="worker-death")
+                continue
+            rows = [row for name in sorted(statuses)
+                    for row in statuses[name]["subsystems"]]
+            clocks = [row["time"] for row in rows]
+            global_now = min(clocks, default=0.0)
+            self._publish_status(statuses, until, phase="running")
+            if self._next_service() != self._shipped:
+                # A migration asked for mid-run: move the workers' hold
+                # to it (at once, if its instant has already passed).
+                self._start(pipes, until)
+                continue
+            instant = self._shipped
+            next_events = [row["next_event"] for row in rows]
+            adrift = any(st["pending"] for st in statuses.values()) \
+                or sum(st["wire_out"] for st in statuses.values()) \
+                != sum(st["wire_in"] for st in statuses.values())
+            # Settled: every worker idle and nothing at or before the
+            # hold (or the finish line, if that comes first) left.
+            if not (len(statuses) == len(procs)
+                    and all(st["idle"] for st in statuses.values())
+                    and reached(min(until, instant), clocks, next_events,
+                                lambda: adrift, finish=True)):
+                # Busy sweep: park until a worker speaks (an idle note,
+                # a queued error) instead of polling on a fixed cadence.
+                # The backstop keeps status publishing and mid-run
+                # migration requests on time even if every pipe stays
+                # silent.
+                backstop = 0.25
+                if self._status_path is not None \
+                        or self._status_listener is not None:
+                    backstop = min(0.25, max(0.05,
+                                             self._status_interval / 2))
+                _mpconn.wait([pipes[name] for name in sorted(procs)],
+                             timeout=min(backstop,
+                                         max(0.0,
+                                             deadline - _time.monotonic())))
+                continue
+            signature = tuple(
+                [(row["name"], row["time"], row["dispatched"])
+                 for row in rows]
+                + [(name, st["wire_out"], st["wire_in"])
+                   for name, st in sorted(statuses.items())])
+            if signature != previous:
+                # First settled sweep: confirm immediately.  The double
+                # probe only needs two observations with no progress in
+                # between; waiting would just delay the decision.
+                confirming = signature
+                continue
+            if instant > until or \
+                    not reached(instant, clocks, next_events, lambda: adrift):
+                return      # finished: no instant left the run will get to
+            due, reason = self._take_due(instant)
+            if reason == "scheduled-crash":
+                for node in due:
+                    self.telemetry.count("fault.node_crashes")
+                    self.telemetry.trace(TraceKind.NODE_CRASH,
+                                         time=global_now, subject=node)
+                if not supervised:
+                    self._send(pipes, due[0], "crash")
                     raise NodeFailure(
-                        f"node {crash.node!r} crashed at global time "
+                        f"node {due[0]!r} crashed at global time "
                         f"{global_now:g} — the multiprocess executor cannot "
                         "roll back; rerun under CoSimulation with "
                         "failure_policy='recover' for crash recovery, or "
                         "use failure_policy='migrate' here for supervised "
                         "failover",
-                        node=crash.node)
-                # Supervised: a scheduled NodeCrash models the whole
-                # machine dying — kill the worker process and fail over.
-                procs[crash.node].kill()
-                self._failover([crash.node], pipes, procs, until, deadline,
-                               global_now, reason="scheduled-crash")
-                fired = True
-            if fired:
-                previous = None
-                continue
-            if supervised:
-                requested = self._due_migrations(global_now)
-                if requested:
-                    try:
-                        self._do_migrate(requested, pipes, procs, until,
-                                         deadline, global_now)
-                    except NodeFailure as exc:
-                        # A worker died mid-migration.  The migration is
-                        # abandoned; every node it had in flight (plus
-                        # the dead one) fails over to a fresh worker so
-                        # none is left half-adopted.
-                        if exc.node is None:
-                            raise
-                        self._failover(sorted(set(requested) | {exc.node}),
-                                       pipes, procs, until, deadline,
-                                       global_now, reason="worker-death")
-                    previous = None
-                    continue
-            quiet = len(statuses) == len(procs)
-            signature = []
-            wire_out = wire_in = 0
-            for name in sorted(statuses):
-                st = statuses[name]
-                if not st["idle"] or st["pending"]:
-                    quiet = False
-                for row in st["subsystems"]:
-                    next_time = row["next_event"]
-                    if next_time != float("inf") and next_time <= until:
-                        quiet = False
-                    signature.append((row["name"], row["time"],
-                                      row["dispatched"]))
-                wire_out += st["wire_out"]
-                wire_in += st["wire_in"]
-                signature.append((name, st["wire_out"], st["wire_in"]))
-            if wire_out != wire_in:
-                quiet = False
-            signature = tuple(signature)
-            if quiet and signature == previous:
-                return
-            if quiet:
-                # First quiet sweep: confirm immediately.  The double
-                # probe only needs two observations with no progress in
-                # between; waiting would just delay the finish line.
-                previous = signature
-                continue
-            previous = None
-            # Busy sweep: park until a worker speaks (an idle note, a
-            # queued error) instead of polling on a fixed 5 ms cadence.
-            # The backstop keeps scheduled crashes and status publishing
-            # on time even if every pipe stays silent.
-            if pending_crashes:
-                backstop = 0.05
-            elif self._status_path is not None \
-                    or self._status_listener is not None:
-                backstop = min(0.25, max(0.05, self._status_interval / 2))
-            else:
-                backstop = 0.25
-            _mpconn.wait([pipes[name] for name in sorted(procs)],
-                         timeout=min(backstop,
-                                     max(0.0,
-                                         deadline - _time.monotonic())))
+                        node=due[0])
+            # Supervised: a scheduled NodeCrash models the whole machine
+            # dying — its worker is killed and the node fails over.
+            self._relocate(due, pipes, procs, until, deadline, global_now,
+                           reason=reason)
 
     # ------------------------------------------------------------------
     # results

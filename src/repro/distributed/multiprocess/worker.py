@@ -327,11 +327,10 @@ class _Worker:
                         self.transport.set_peer(peer, port, host)
                 elif tag == "rings":
                     self._attach_rings(message[1])
-                elif tag == "detach-rings":
-                    if isinstance(self.transport, SharedMemoryTransport):
-                        self.transport.detach_node_rings(message[1])
                 elif tag == "start":
-                    self.until = message[1]
+                    # Windows stop at ``bound``: a service is owed there.
+                    __, self.until, bound = message
+                    self.node.service_bound = lambda: bound
                     with self.node.lock:
                         self.node.start()
                     running = True

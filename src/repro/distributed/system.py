@@ -14,12 +14,12 @@ objects, or in one go from a :class:`~repro.distributed.spec.SystemSpec`
 from __future__ import annotations
 
 import itertools
-from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from ..core.errors import ConfigurationError, SimulationError
 from ..core.subsystem import Subsystem
-from ..faults import FaultInjector, FaultPlan, RetryPolicy
+from ..faults import FaultInjector, FaultPlan, NodeCrash, RetryPolicy
 from ..observability import RunReport, Telemetry, TraceKind, run_report
 from ..transport.inmemory import InMemoryTransport
 from ..transport.latency import LatencyModel
@@ -29,6 +29,32 @@ from .conservative import SafeTimeService
 from .node import PiaNode
 from . import topology
 from .spec import SystemSpec
+
+
+def reached(instant: float, clocks: Iterable[float],
+            next_events: Iterable[float], in_flight: Callable[[], bool],
+            *, finish: bool = False) -> bool:
+    """Has the run got to virtual ``instant`` — is nothing at or before
+    it left anywhere?  The one answer, for every executor, over the live
+    subsystems' ``clocks``, their ``next_events`` (``inf``: none) and
+    whether anything is ``in_flight()`` between them.
+
+    A service owed at ``instant`` fires once every clock is there, or —
+    no event need land on the instant — once nothing is in flight and
+    all the work left lies beyond it, so nothing at or before it can
+    still appear.  A run with no work left never gets to an instant its
+    clocks did not.  The finish line (``finish``) is the same rule less
+    the clocks' say-so: events may still be queued *on* it, and a run
+    with no work left has finished.
+    """
+    if not finish and min(clocks, default=0.0) >= instant:
+        return True
+    if in_flight():
+        return False
+    earliest = min(next_events, default=float("inf"))
+    if earliest == float("inf"):
+        return finish
+    return earliest > instant
 
 
 class LiveSystem:
@@ -64,6 +90,8 @@ class LiveSystem:
         self.channels: Dict[str, Channel] = {}
         self.fault_plan = fault_plan
         self.fault_injector: Optional[FaultInjector] = None
+        #: Scheduled crashes not yet fired, in firing order.
+        self._pending_crashes: List[NodeCrash] = []
         if fault_plan is not None:
             self.fault_injector = FaultInjector(
                 fault_plan, retry_policy=retry_policy,
@@ -214,28 +242,49 @@ class LiveSystem:
         """The paper's global notion: the slowest live subsystem's time."""
         return min((ss.now for ss in self._live_subsystems()), default=0.0)
 
-    def _reached(self, instant: float) -> bool:
-        """Has the run got to virtual ``instant``?
+    def _in_flight(self) -> bool:
+        """Is anything between two subsystems: queued, parked by the
+        fault plane, or sent and not yet filed by its receiver?"""
+        transport = self.transport
+        return transport.pending() != 0 or not transport.wire_balanced()
 
-        Either every live subsystem's clock is there, or — no event need
-        land on the instant — nothing is in flight and all the work left
-        lies beyond it, so nothing at or before it can still appear.
-        This is when a service due at ``instant`` fires (see
+    def _reached(self, instant: float, *, finish: bool = False) -> bool:
+        """:func:`reached`, fed from the live subsystems.  This is when
+        a service due at ``instant`` fires (see
         :attr:`PiaNode.service_bound`, which holds conservative windows
-        back until it has).  A run with no work left never gets to an
-        instant its clocks did not.
-        """
-        if instant == float("inf"):
+        back until it has) and, with ``finish``, when the run is over."""
+        if instant == float("inf") and not finish:
             return False        # nothing due: the per-round common case
-        if self.global_time() >= instant:
-            return True
-        if self.transport.pending():
-            return False
-        earliest = float("inf")
-        for subsystem in self._live_subsystems():
+        live = self._live_subsystems()
+        return reached(instant, (subsystem.now for subsystem in live),
+                       self._next_events(live), self._in_flight,
+                       finish=finish)
+
+    @staticmethod
+    def _next_events(subsystems: Iterable[Subsystem]) -> Iterable[float]:
+        for subsystem in subsystems:
             with subsystem.node.lock:
-                earliest = min(earliest, subsystem.next_event_time())
-        return instant < earliest < float("inf")
+                yield subsystem.next_event_time()
+
+    def _arm_crashes(self) -> None:
+        """Put the plan's crashes in firing order (unknown node: refused)."""
+        if self.fault_plan is not None:
+            self._pending_crashes = self.fault_plan.scheduled_crashes(
+                self.nodes)
+
+    def _next_crash(self) -> float:
+        """Virtual instant of the earliest scheduled crash not yet
+        fired — a :attr:`PiaNode.service_bound`, so no window runs past
+        it before the executor has taken the node down."""
+        pending = self._pending_crashes
+        return pending[0].at_time if pending else float("inf")
+
+    def _due_crashes(self) -> Iterator[NodeCrash]:
+        """Each scheduled crash the run has got to, in firing order;
+        the caller takes the node down before the next one is judged."""
+        pending = self._pending_crashes
+        while pending and self._reached(pending[0].at_time):
+            yield pending.pop(0)
 
     def _mark_down(self, name: str) -> None:
         """Node ``name`` crashes: from here on its traffic is lost."""

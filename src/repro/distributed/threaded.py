@@ -113,13 +113,9 @@ class ThreadedCoSimulation(LiveSystem):
         self.detector: Optional[FailureDetector] = None
         if fault_plan is not None:
             self.detector = FailureDetector(timeout=heartbeat_timeout)
-        #: Virtual instant of the earliest scheduled crash not yet fired
-        #: — every node's ``service_bound``, so no worker's window runs
-        #: past it before the coordinator has taken the node down.
-        self._next_crash = float("inf")
 
     def _node_added(self, node: PiaNode) -> None:
-        node.service_bound = lambda: self._next_crash
+        node.service_bound = self._next_crash
 
     # ------------------------------------------------------------------
     def run(self, until: float = float("inf"), *,
@@ -134,13 +130,7 @@ class ThreadedCoSimulation(LiveSystem):
         workers = [_NodeWorker(self, self.nodes[name], until)
                    for name in sorted(self.nodes)]
         by_name = {worker.node.name: worker for worker in workers}
-        pending_crashes = self.fault_plan.scheduled_crashes(by_name) \
-            if self.fault_plan is not None else []
-
-        def hold_at_next_crash():
-            self._next_crash = pending_crashes[0].at_time \
-                if pending_crashes else float("inf")
-        hold_at_next_crash()
+        self._arm_crashes()
         if self.detector is not None:
             now = _time.monotonic()
             for name in by_name:
@@ -162,13 +152,10 @@ class ThreadedCoSimulation(LiveSystem):
                 # The workers are held at the crash's instant (their
                 # service bound), so it fires there — once nothing at or
                 # before it is left — not whenever this sweep looks.
-                while pending_crashes and \
-                        self._reached(pending_crashes[0].at_time):
-                    crash = pending_crashes.pop(0)
+                for crash in self._due_crashes():
                     # Stop the worker; its traffic is lost from here on.
                     by_name[crash.node].down.set()
                     self._mark_down(crash.node)
-                    hold_at_next_crash()
                 if self.detector is not None:
                     suspects = self.detector.suspects(_time.monotonic())
                     if suspects:
@@ -210,27 +197,19 @@ class ThreadedCoSimulation(LiveSystem):
         return sum(worker.dispatched for worker in workers)
 
     def _quiescent(self, workers, until: float) -> bool:
-        """All workers idle with nothing in flight, twice in a row.
+        """All workers idle and the run at its finish line, twice in a row.
 
-        Three conditions, each closing a distinct hiding place: the idle
-        flags (cleared for the whole duration of a round, so a worker
-        mid-event can never look done), ``pending()`` (inboxes, batcher,
-        injector parking), and the wire counter balance (frames that left
-        a sender's socket but have not been filed by a receiver thread
-        yet).  Two sweeps guard against a worker waking between checks.
+        The idle flags are cleared for the whole duration of a round, so
+        a worker mid-event can never look done; the finish line is
+        :meth:`_reached`'s — nothing in ``pending()`` (inboxes, batcher,
+        injector parking), the wire counters balanced (no frame sent and
+        not yet filed by a receiver thread), no event left at or before
+        ``until``.  Two sweeps guard against a worker waking between checks.
         """
         for __ in range(2):
             if not all(worker.idle.is_set() for worker in workers):
                 return False
-            if self.transport.pending() != 0:
+            if not self._reached(until, finish=True):
                 return False
-            if not self.transport.wire_balanced():
-                return False
-            for name in sorted(self.subsystems):
-                subsystem = self.subsystems[name]
-                with subsystem.node.lock:
-                    next_time = subsystem.next_event_time()
-                    if next_time != float("inf") and next_time <= until:
-                        return False
             _time.sleep(0.002)
         return True

@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 
 from repro.bench.workloads import (
+    compute_star_spec,
     make_stream_consumer,
     streaming_pair,
     streaming_pair_spec,
@@ -32,6 +33,7 @@ from repro.distributed import CoSimulation, WorkerPool, build
 from repro.distributed.node import WINDOW_EVENTS
 from repro.distributed.topology import communication_edges
 from repro.faults import FaultPlan, NodeCrash
+from repro.observability import TraceKind
 from repro.transport.message import Message, MessageKind
 
 MESSAGES = 250
@@ -247,9 +249,56 @@ class TestSilentEnd:
             consumer.run()
 
 
+# --- one instant under every executor ---------------------------------
+#: In-process ``build`` cells a scheduled crash must read the same
+#: under — executor and a policy that stops at the crash, so the crashed
+#: node's clock can be read — and the multiprocess deployment matrix.
+IN_PROCESS = [("cosim", dict(failure_policy="raise")),
+              ("threaded", dict(heartbeat_timeout=0.3))]
+MP_MATRIX = [("tcp", True), ("tcp", False), ("shm", True), ("shm", False)]
+REPEATS = 5
+
+
+def star_spec():
+    """``w0`` has events at 1.25 and 2.25 and nothing on 2.0."""
+    return compute_star_spec(2, 6, words=50)
+
+
+def w0_crash(at_time=2.0):
+    return FaultPlan(seed=3, crashes=(NodeCrash("n-w0", at_time=at_time),))
+
+
+def rows(report):
+    return sorted((row["name"], row["time"], row["dispatched"])
+                  for row in report.subsystems)
+
+
+def crashes_recorded(report):
+    return [(r["subject"], r["time"]) for r in report.trace_records
+            if r["kind"] == TraceKind.NODE_CRASH]
+
+
+class Snapshots(list):
+    """A ``status_listener`` keeping every snapshot of a multiprocess
+    run (pass ``status_interval=0.0`` to get every sweep)."""
+
+    def __call__(self, snapshot):
+        self.append(snapshot)
+
+    def clock(self, node, *, epoch=None):
+        """``node``'s subsystem clock in the last snapshot (of migration
+        epoch ``epoch``)."""
+        last = [snap for snap in self
+                if epoch is None or snap["epoch"] == epoch][-1]
+        return last["nodes"][node]["subsystems"][0]["time"]
+
+
 class TestServiceInstants:
     """No window crosses an instant at which the executor owes a
-    service; the service fires there."""
+    service; the service fires there — when the run has got to it,
+    under all three executors, whatever the deployment, and the same on
+    every repeat (the multiprocess coordinator used to fire whenever a
+    wall-clock probe happened to see global time past the instant)."""
 
     def test_periodic_snapshots_keep_their_cadence(self, run_calls):
         cosim = streaming_pair(12, 1.0, snapshot_interval=3.0)
@@ -319,6 +368,86 @@ class TestServiceInstants:
         assert 0 < dispatched <= 2 * 2 * WINDOW_EVENTS
         assert cosim.transport.pending() <= WINDOW_EVENTS
 
+    @pytest.mark.parametrize("batching", [True, False])
+    @pytest.mark.parametrize("executor,kwargs", IN_PROCESS)
+    def test_in_process_crash_instant(self, executor, kwargs, batching):
+        for __ in range(REPEATS):
+            run = build(star_spec(), executor, fault_plan=w0_crash(),
+                        batching=batching, **kwargs)
+            with pytest.raises(NodeFailure) as err:
+                run.run()
+            assert err.value.node == "n-w0"
+            assert crashes_recorded(run.report()) == [("n-w0", 1.25)]
+            assert run.subsystems["w0"].now == 1.25
+
+    @pytest.mark.parametrize("transport,batching", MP_MATRIX)
+    def test_multiprocess_crash_raises_at_the_instant(self, pool, transport,
+                                                      batching):
+        for __ in range(REPEATS):
+            seen = Snapshots()
+            run = build(star_spec(), "multiprocess", fault_plan=w0_crash(),
+                        pool=pool, transport=transport, batching=batching)
+            with pytest.raises(NodeFailure, match="global time 1.25 ") as err:
+                run.run(timeout=60.0, status_listener=seen,
+                        status_interval=0.0)
+            assert err.value.node == "n-w0"
+            assert seen[-1]["global_time"] == 1.25
+            assert [seen.clock(node) for node in ("n-hub", "n-w0", "n-w1")] \
+                == [1.5, 1.25, 1.25]
+
+    @pytest.mark.parametrize("transport,batching", MP_MATRIX)
+    def test_multiprocess_relocations_at_the_instant(self, pool, transport,
+                                                     batching):
+        reference = build(star_spec(), "multiprocess", pool=pool,
+                          transport=transport, batching=batching)
+        reference.run(timeout=60.0)
+        for __ in range(REPEATS):
+            seen = Snapshots()
+            crashed = build(star_spec(), "multiprocess", pool=pool,
+                            fault_plan=w0_crash(), failure_policy="migrate",
+                            transport=transport, batching=batching)
+            crashed.run(timeout=60.0, status_listener=seen,
+                        status_interval=0.0)
+            assert [(m.kind, m.node, m.reason, m.at_global_time)
+                    for m in crashed.migrations] \
+                == [("failover", "n-w0", "scheduled-crash", 1.25)]
+            assert seen.clock("n-w0", epoch=0) == 1.25
+            assert crashes_recorded(crashed.report()) == [("n-w0", 1.25)]
+            assert rows(crashed.report()) == rows(reference.report())
+
+            moved = build(star_spec(), "multiprocess", pool=pool,
+                          failure_policy="migrate", transport=transport,
+                          batching=batching)
+            moved.migrate_at("n-w1", 2.0)
+            moved.run(timeout=60.0)
+            assert [(m.kind, m.node, m.reason, m.at_global_time)
+                    for m in moved.migrations] \
+                == [("migrate", "n-w1", "requested", 1.25)]
+            assert rows(moved.report()) == rows(reference.report())
+
+    @pytest.mark.parametrize("at_time,until", [(100.0, float("inf")),
+                                               (5.0, 3.0)],
+                             ids=["after-the-last-event", "beyond-until"])
+    @pytest.mark.parametrize("executor,kwargs", [
+        ("cosim", {}), ("threaded", {}), ("multiprocess", {}),
+        ("multiprocess", dict(failure_policy="migrate"))],
+        ids=["cosim", "threaded", "mp-raise", "mp-migrate"])
+    def test_a_crash_the_run_never_gets_to_never_fires(
+            self, pool, executor, kwargs, at_time, until):
+        """No work left is not "got there": the run returns, unharmed."""
+        if executor == "multiprocess":
+            kwargs = dict(kwargs, pool=pool)
+        reference = build(star_spec(), executor, **kwargs)
+        reference.run(until)
+        run = build(star_spec(), executor, fault_plan=w0_crash(at_time),
+                    **kwargs)
+        run.run(until)
+        report = run.report()
+        assert crashes_recorded(report) == []
+        assert report.counter("fault.node_crashes") == 0
+        assert report.migrations == []
+        assert rows(report) == rows(reference.report())
+
 
 def relay(*, ring):
     """``sa --> sb --> sc`` where ``sb`` is a pure relay: its half-net
@@ -375,3 +504,36 @@ class TestRelayTopology:
         from_sb = cosim.subsystems["sc"].channels["ch2-sb-sc"]
         assert towards_sc.sends and not towards_sc.declared_silent
         assert from_sb.declared_silent and towards_sc.peer_silent
+
+
+if __name__ == "__main__":
+    # The five-repeat probe: where does each executor record the crash
+    # of ``w0_crash()``, and where a ``migrate_at("n-w1", 2.0)``?
+    def in_process(executor, kwargs):
+        run = build(star_spec(), executor, fault_plan=w0_crash(), **kwargs)
+        with pytest.raises(NodeFailure):
+            run.run()
+        return crashes_recorded(run.report())[0][1]
+
+    def multiprocess(pool, **kwargs):
+        run = build(star_spec(), "multiprocess", pool=pool, **kwargs)
+        if "fault_plan" not in kwargs:
+            run.migrate_at("n-w1", 2.0)
+        try:
+            run.run(timeout=60.0)
+        except NodeFailure as failure:
+            return float(str(failure).split("global time ")[1].split()[0])
+        return run.migrations[0].at_global_time
+
+    for executor, kwargs in IN_PROCESS:
+        print(f"{executor:32}",
+              [in_process(executor, kwargs) for __ in range(REPEATS)])
+    with WorkerPool() as shared:
+        for label, kwargs in [
+                ("multiprocess raise", dict(fault_plan=w0_crash())),
+                ("multiprocess migrate, crash",
+                 dict(fault_plan=w0_crash(), failure_policy="migrate")),
+                ("multiprocess migrate, migrate_at",
+                 dict(failure_policy="migrate"))]:
+            print(f"{label:32}", [multiprocess(shared, **kwargs)
+                                  for __ in range(REPEATS)])

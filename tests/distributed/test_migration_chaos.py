@@ -5,11 +5,13 @@ run — across both transports, batching on and off.  Also unit-tests the
 portable-image plumbing those moves ride on."""
 
 import json
+import os
 import pickle
+import signal
 
 import pytest
 
-from repro.bench.workloads import compute_star_multiprocess
+from repro.bench.workloads import compute_star_multiprocess, compute_star_spec
 from repro.core import (
     Advance,
     PortDirection,
@@ -20,6 +22,7 @@ from repro.core import (
 )
 from repro.core.checkpoint import capture
 from repro.core.errors import ConfigurationError, MigrationError
+from repro.distributed import MultiprocessCoSimulation, WorkerPool
 from repro.distributed.migration import (
     NodeArchive,
     PortableImage,
@@ -45,6 +48,30 @@ MATRIX = [("tcp", False), ("tcp", True), ("shm", False), ("shm", True)]
 def star(**kwargs):
     return compute_star_multiprocess(2, 6, words=50,
                                      failure_policy="migrate", **kwargs)
+
+
+def long_star(**kwargs):
+    """A star that takes long enough on the wall to be meddled with."""
+    return compute_star_multiprocess(2, 30, words=2000,
+                                     failure_policy="migrate", **kwargs)
+
+
+class MidRun:
+    """A ``status_listener`` that calls each ``action(snapshot)`` once,
+    on the first snapshot whose global time has reached its mark."""
+
+    def __init__(self, *marks):
+        self.marks = list(marks)
+
+    def __call__(self, snapshot):
+        while self.marks and snapshot["global_time"] >= self.marks[0][0]:
+            self.marks.pop(0)[1](snapshot)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with WorkerPool() as shared:
+        yield shared
 
 
 def progress_rows(report):
@@ -120,7 +147,7 @@ class TestFailoverBitIdentity:
         workers stall and have something in their rings.)"""
         monkeypatch.setenv(ENV_DIR, str(tmp_path))
         crash = star(batching=False, fault_plan=FaultPlan(
-            seed=3, crashes=[NodeCrash("n-w0", at_time=2.0)]))
+            seed=3, crashes=[NodeCrash("n-w0", at_time=4.0)]))
         crash.run(timeout=120.0)
         dumps = flight_dumps(tmp_path)
         header, records = dumps["coordinator"]
@@ -208,6 +235,127 @@ class TestLiveMigration:
         cosim = star()
         with pytest.raises(ConfigurationError):
             cosim.migrate("n-missing")
+
+
+    def test_migrate_called_mid_run_is_lossless(self, pool):
+        """``migrate()`` from a status listener while the run is in
+        flight: every worker is held where it stands, the node moves,
+        nothing is lost."""
+        ref = long_star(pool=pool)
+        ref.run(timeout=120.0)
+        moved = long_star(pool=pool)
+        moved.run(timeout=120.0, status_interval=0.0, status_listener=MidRun(
+            (3.0, lambda __: moved.migrate("n-w1"))))
+        assert [(m.kind, m.node, m.reason) for m in moved.migrations] \
+            == [("migrate", "n-w1", "requested")]
+        assert 3.0 <= moved.migrations[0].at_global_time < 30.0
+        assert progress_rows(moved.report()) == progress_rows(ref.report())
+
+    def test_a_request_for_an_earlier_instant_arrives_mid_run(self, pool):
+        """The workers already hold at 20.0 when a migration is asked
+        for at 10.0, and later one for 5.0 — long passed.  The first
+        happens at its instant (where it would have, asked before the
+        run), the second at once."""
+        ahead = long_star(pool=pool)
+        ahead.migrate_at("n-w1", 10.0)
+        ahead.migrate_at("n-w0", 20.0)
+        ahead.run(timeout=120.0)
+        at_10, at_20 = [m.at_global_time for m in ahead.migrations]
+        assert at_10 <= 10.0 < at_20 <= 20.0
+
+        late = long_star(pool=pool)
+        late.migrate_at("n-w0", 20.0)
+        late.run(timeout=120.0, status_interval=0.0, status_listener=MidRun(
+            (2.0, lambda __: late.migrate_at("n-w1", 10.0)),
+            (14.0, lambda __: late.migrate_at("n-w1", 5.0))))
+        moves = [(m.node, m.at_global_time) for m in late.migrations]
+        assert [node for node, __ in moves] == ["n-w1", "n-w1", "n-w0"]
+        assert moves[0] == ("n-w1", at_10) and moves[2] == ("n-w0", at_20)
+        assert 14.0 <= moves[1][1] < at_20
+        assert progress_rows(late.report()) == progress_rows(ahead.report())
+
+    def test_crash_and_migration_owed_at_one_instant(self, pool):
+        """Both happen, once each, the crash first; the migration waits
+        for the rolled-back run to get to the instant again."""
+        ref = star(pool=pool)
+        ref.run(timeout=120.0)
+        both = star(pool=pool, fault_plan=FaultPlan(
+            seed=3, crashes=[NodeCrash("n-w0", at_time=2.0)]))
+        both.migrate_at("n-w1", 2.0)
+        both.run(timeout=120.0)
+        assert [(m.kind, m.node, m.at_global_time) for m in both.migrations] \
+            == [("failover", "n-w0", 1.25), ("migrate", "n-w1", 1.25)]
+        assert progress_rows(both.report()) == progress_rows(ref.report())
+
+
+# ----------------------------------------------------------------------
+# workers that really die: noticed on a receive, on a send, mid-relocation
+# ----------------------------------------------------------------------
+
+def sigkill(worker):
+    """Kill a pool worker's process the hard way and wait for the OS to
+    close its end of the control pipe."""
+    os.kill(worker.proc.pid, signal.SIGKILL)
+    worker.proc.join(5.0)
+
+
+class Saboteur(MultiprocessCoSimulation):
+    """SIGKILLs ``victim``'s worker in the middle of the first
+    relocation, just as the re-splice begins."""
+
+    victim = None
+
+    def _resplice(self, moved, pipes, procs):
+        victim, self.victim = self.victim, None
+        if victim is not None:
+            sigkill(procs[victim])
+        super()._resplice(moved, pipes, procs)
+
+
+class TestWorkerDeath:
+    def test_sigkill_mid_run_fails_over(self, pool):
+        """A killed worker's pipe *resets* (it does not read EOF), on
+        the receive or on the next send: either is that node's death,
+        not a raw ``OSError`` out of ``run()``."""
+        ref = long_star(pool=pool)
+        ref.run(timeout=120.0)
+
+        def kill_w0(snapshot):
+            os.kill([entry["pid"] for entry in snapshot["placement"]
+                     if entry["node"] == "n-w0"][-1], signal.SIGKILL)
+        killed = long_star(pool=pool)
+        killed.run(timeout=120.0, status_interval=0.0,
+                   status_listener=MidRun((3.0, kill_w0)))
+        assert [(m.kind, m.node, m.reason) for m in killed.migrations] \
+            == [("failover", "n-w0", "worker-death")]
+        assert progress_rows(killed.report()) == progress_rows(ref.report())
+
+    @pytest.mark.parametrize("victim,crash,expected", [
+        ("n-hub", None, ["n-hub", "n-w1"]),
+        ("n-w1", None, ["n-w1"]),
+        ("n-hub", "n-w0", ["n-hub", "n-w0"]),
+    ], ids=["survivor-during-migration", "moved-node-during-migration",
+            "survivor-during-failover"])
+    def test_death_during_a_relocation_is_folded_in(self, pool, victim,
+                                                    crash, expected):
+        """The cascade: whoever dies while a relocation is under way —
+        noticed on a control *send* as often as on a receive — joins it
+        and the round restarts; a live move it interrupts becomes a
+        failover of everything it had in flight."""
+        ref = star(pool=pool)
+        ref.run(timeout=120.0)
+        plan = None if crash is None else FaultPlan(
+            seed=3, crashes=[NodeCrash(crash, at_time=3.0)])
+        run = Saboteur(failure_policy="migrate", pool=pool, fault_plan=plan
+                       ).load(compute_star_spec(2, 6, words=50))
+        run.victim = victim
+        if crash is None:
+            run.migrate_at("n-w1", 3.0)
+        run.run(timeout=120.0)
+        assert run.victim is None
+        assert [(m.kind, m.node, m.reason) for m in run.migrations] \
+            == [("failover", node, "worker-death") for node in expected]
+        assert progress_rows(run.report()) == progress_rows(ref.report())
 
 
 # ----------------------------------------------------------------------
