@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from ..observability import NULL_TELEMETRY, TraceKind
 from .component import ComponentSnapshot
 from .errors import CheckpointError, NoSuchCheckpointError
-from .events import Event
+from .events import Event, EventKind
 from .fastcopy import is_immutable, smart_copy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,10 +49,48 @@ def _measure_snapshot(snap: "ComponentSnapshot") -> int:
     return sum(_measure(piece) for piece in _snapshot_content(snap))
 
 
-def _event_content(event: Event) -> tuple:
-    """The persistable data content of one queued event (the target is a
-    live object a real persistence layer would encode as a name)."""
-    return (event.ts, event.kind.value, event.payload, event.token)
+def _event_content(entry: tuple) -> tuple:
+    """The data content of one queued event of an image (its target is a
+    name, and its trace context is not simulation state)."""
+    ts, kind, __, payload, token, __ = entry
+    return (ts, kind.value, payload, token)
+
+
+def _by_name(event: Event) -> tuple:
+    """One queued event as an image keeps it: all six fields, the target
+    by name — ``("port", owner, name)`` for ``SIGNAL``/``INTERRUPT``,
+    ``("component", name)`` for ``WAKE``.  A ``CONTROL`` callable or an
+    orphan port has no name and stays the live object: such an image still
+    restores in this process, and is what ``archive_node`` refuses."""
+    kind, target = event.kind, event.target
+    if kind is EventKind.WAKE:
+        target = ("component", target.name)
+    elif kind is not EventKind.CONTROL:
+        owner = getattr(target, "owner", None)
+        if owner is not None:
+            target = ("port", owner.name, target.name)
+    return (event.ts, kind, target, smart_copy(event.payload), event.token,
+            event.cause)
+
+
+def _resolve(subsystem: "Subsystem", target: Any) -> Any:
+    """The live object a by-name ``target`` means in ``subsystem``."""
+    if type(target) is not tuple:
+        return target
+    try:
+        component = subsystem.components[target[1]]
+    except KeyError:
+        raise CheckpointError(
+            f"{subsystem.name}: checkpoint references unknown component "
+            f"{target[1]!r}") from None
+    if target[0] == "component":
+        return component
+    try:
+        return component.ports[target[2]]
+    except KeyError:
+        raise CheckpointError(
+            f"{subsystem.name}: checkpoint references unknown port "
+            f"{target[1]}.{target[2]}") from None
 
 
 @dataclass
@@ -64,12 +102,19 @@ class NetState:
 
 @dataclass
 class CheckpointImage:
-    """A restorable full image of one subsystem."""
+    """A restorable full image of one subsystem.
+
+    It holds no live reference (but see :func:`_by_name`), so it pickles
+    across ``spawn`` and reinstates into a freshly built subsystem of the
+    same name exactly as into the one it was taken from, on either
+    event-queue backend.
+    """
 
     checkpoint_id: int
     label: Optional[str]
     time: float
-    events: list[Event] = field(default_factory=list)
+    #: The queue in delivery order, one :func:`_by_name` tuple per event.
+    events: list[tuple] = field(default_factory=list)
     components: dict[str, ComponentSnapshot] = field(default_factory=dict)
     nets: dict[str, NetState] = field(default_factory=dict)
     #: Whether the subsystem had started when the image was taken.
@@ -79,18 +124,28 @@ class CheckpointImage:
     #: same dispatch totals as an uninterrupted run.
     dispatched: int = 0
     stalls: int = 0
+    #: The subsystem the image was taken from; :func:`reinstate` refuses
+    #: any other.
+    subsystem: str = ""
     #: Cached :meth:`storage_bytes` result — an image never changes after
     #: capture, so its size is measured at most once.
     _storage_bytes: Optional[int] = field(
         default=None, repr=False, compare=False)
 
+    def unnamed_targets(self) -> list[tuple]:
+        """``(kind, target)`` of every queued event whose target is a live
+        object — what keeps this image from leaving the process."""
+        return [(kind, target) for __, kind, target, *__ in self.events
+                if type(target) is not tuple]
+
     def storage_bytes(self) -> int:
         """Approximate persisted size, for the incremental-checkpoint study.
 
-        Event targets and component back-references are live objects that a
-        real persistence layer would encode as names, so only the data
-        content is measured.  The whole image is pickled in one pass (not
-        once per piece) and the result cached per image.
+        Only the data content is measured: names, trace context and the
+        bookkeeping counters are left out, as they always were (the size of
+        an image *as shipped* is ``NodeArchive.storage_bytes``).  The whole
+        image is pickled in one pass (not once per piece) and the result
+        cached per image.
         """
         if self._storage_bytes is None:
             content = (self.time,
@@ -119,11 +174,10 @@ def capture(subsystem: "Subsystem", checkpoint_id: int,
     image = CheckpointImage(checkpoint_id, label, subsystem.scheduler.now,
                             started=subsystem._started,
                             dispatched=subsystem.scheduler.dispatched,
-                            stalls=subsystem.scheduler.stalls)
-    image.events = [
-        Event(evt.ts, evt.kind, evt.target, smart_copy(evt.payload), evt.token)
-        for evt in subsystem.scheduler.queue.snapshot()
-    ]
+                            stalls=subsystem.scheduler.stalls,
+                            subsystem=subsystem.name)
+    image.events = [_by_name(evt)
+                    for evt in subsystem.scheduler.queue.snapshot()]
     for name, component in subsystem.components.items():
         image.components[name] = component.snapshot()
     for name, net in subsystem.nets.items():
@@ -133,27 +187,44 @@ def capture(subsystem: "Subsystem", checkpoint_id: int,
 
 
 def reinstate(subsystem: "Subsystem", image: CheckpointImage) -> None:
-    """Roll ``subsystem`` back to ``image``."""
+    """Roll ``subsystem`` — the live one ``image`` was taken from, or a
+    freshly built one of the same name — back to ``image``."""
+    if image.subsystem != subsystem.name:
+        raise CheckpointError(
+            f"image of {image.subsystem!r} applied to {subsystem.name!r}")
+    # Resolved first: an image this subsystem cannot hold is refused
+    # before anything of it is overwritten.
+    events = [
+        Event(ts, kind, _resolve(subsystem, target), smart_copy(payload),
+              token, cause)
+        for ts, kind, target, payload, token, cause in image.events
+    ]
+    rewound_from = subsystem.scheduler.now
     subsystem.scheduler.now = image.time
     subsystem._started = image.started
     subsystem.scheduler.dispatched = image.dispatched
     subsystem.scheduler.stalls = image.stalls
-    subsystem.scheduler.queue.restore([
-        Event(evt.ts, evt.kind, evt.target, smart_copy(evt.payload), evt.token)
-        for evt in image.events
-    ])
+    subsystem.scheduler.queue.restore(events)
     for name, snap in image.components.items():
         try:
             component = subsystem.components[name]
         except KeyError:
             raise CheckpointError(
-                f"checkpoint references unknown component {name!r}") from None
+                f"{subsystem.name}: checkpoint references unknown component "
+                f"{name!r}") from None
         component.restore(snap)
     for name, state in image.nets.items():
         net = subsystem.nets[name]
         net.value = smart_copy(state.value)
         net.last_change = state.last_change
         net.posts = state.posts
+    telemetry = subsystem.telemetry
+    if telemetry.enabled:
+        telemetry.count("checkpoint.restores")
+        telemetry.trace(TraceKind.CHECKPOINT_RESTORE, time=image.time,
+                        subject=subsystem.name,
+                        checkpoint_id=image.checkpoint_id,
+                        rewound_from=rewound_from)
 
 
 class CheckpointStore:
@@ -194,15 +265,7 @@ class CheckpointStore:
 
     def restore(self, subsystem: "Subsystem", checkpoint_id: int) -> CheckpointImage:
         image = self.image(checkpoint_id)
-        rewound_from = subsystem.scheduler.now
         reinstate(subsystem, image)
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.count("checkpoint.restores")
-            telemetry.trace(TraceKind.CHECKPOINT_RESTORE, time=image.time,
-                            subject=subsystem.name,
-                            checkpoint_id=checkpoint_id,
-                            rewound_from=rewound_from)
         return image
 
     def image(self, checkpoint_id: int) -> CheckpointImage:
@@ -408,7 +471,8 @@ class IncrementalCheckpointStore(CheckpointStore):
                                 events=record.events, nets=record.nets,
                                 started=record.started,
                                 dispatched=record.dispatched,
-                                stalls=record.stalls)
+                                stalls=record.stalls,
+                                subsystem=base.subsystem)
         for name, delta in record.deltas.items():
             old = base.components.get(name)
             attrs = dict(old.attrs) if old is not None else {}

@@ -298,6 +298,18 @@ class SwitchpointManager:
                 self.history.append((now, sp.source))
         return fired
 
+    def state(self) -> tuple:
+        """The armed/fired flags and switch history, to be saved next to a
+        checkpoint: a restore must re-arm anything that fired after it, or
+        replay would diverge from the original run."""
+        return ([sp.fired for sp in self.switchpoints], list(self.history))
+
+    def load_state(self, saved: tuple) -> None:
+        fired_flags, history = saved
+        for sp, fired in zip(self.switchpoints, fired_flags):
+            sp.fired = fired
+        self.history = list(history)
+
 
 class DetailSlider:
     """The paper's "detail level slider": one knob over ordered levels.

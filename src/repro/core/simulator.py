@@ -102,9 +102,7 @@ class Simulator:
             # start, so any later image may already contain the offending
             # optimistic accesses.
             initial = self.subsystem.request_checkpoint(label="initial")
-            self._switchpoint_states[initial] = (
-                [sp.fired for sp in self.switchpoints.switchpoints],
-                list(self.switchpoints.history))
+            self._switchpoint_states[initial] = self.switchpoints.state()
         total = 0
         for __ in range(max_rollbacks + 1):
             try:
@@ -147,23 +145,15 @@ class Simulator:
     def checkpoint(self, label: Optional[str] = None) -> int:
         self.subsystem.start()
         checkpoint_id = self.subsystem.request_checkpoint(label=label)
-        # Switchpoint armed/fired state is simulation state too: a restore
-        # must re-arm anything that fired after the checkpoint, or replay
-        # would diverge from the original run.
-        self._switchpoint_states[checkpoint_id] = (
-            [sp.fired for sp in self.switchpoints.switchpoints],
-            list(self.switchpoints.history),
-        )
+        # Switchpoint armed/fired state is simulation state too.
+        self._switchpoint_states[checkpoint_id] = self.switchpoints.state()
         return checkpoint_id
 
     def restore(self, checkpoint_id: int) -> None:
         self.subsystem.restore_checkpoint(checkpoint_id)
         saved = self._switchpoint_states.get(checkpoint_id)
         if saved is not None:
-            fired_flags, history = saved
-            for sp, fired in zip(self.switchpoints.switchpoints, fired_flags):
-                sp.fired = fired
-            self.switchpoints.history = list(history)
+            self.switchpoints.load_state(saved)
 
     def auto_checkpoint(self, interval: float) -> None:
         """Take a checkpoint every ``interval`` seconds of virtual time."""

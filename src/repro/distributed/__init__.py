@@ -18,7 +18,6 @@ from .executor import FAILURE_POLICIES, CoSimulation
 from .migration import (
     MigrationRecord,
     NodeArchive,
-    PortableImage,
     archive_node,
     restore_node,
 )
@@ -55,7 +54,7 @@ __all__ = [
     "LockedSafeTimeService",
     "MP_FAILURE_POLICIES", "MigrationRecord",
     "MultiprocessCoSimulation", "NetSpec", "NodeArchive",
-    "PiaNode", "PortableImage", "RecoveryManager", "SafeTimeClient",
+    "PiaNode", "RecoveryManager", "SafeTimeClient",
     "SafeTimeService",
     "SnapshotManager", "SnapshotRegistry", "Socket", "StragglerError",
     "SubsystemCut", "SubsystemSpec", "SystemSpec", "ThreadedCoSimulation",

@@ -238,20 +238,14 @@ class CoSimulation(LiveSystem):
             raise DeadlockError(
                 f"snapshot {snapshot_id} did not complete: marks pending on "
                 f"{[c.pending for c in snap.cuts.values()]}")
-        self._switchpoint_states[snapshot_id] = (
-            [sp.fired for sp in self.switchpoints.switchpoints],
-            list(self.switchpoints.history))
+        self._switchpoint_states[snapshot_id] = self.switchpoints.state()
         self._last_snapshot_time = self.global_time()
         return snapshot_id
 
     def _restore_switchpoint_state(self, snap) -> None:
         saved = self._switchpoint_states.get(snap.snapshot_id)
-        if saved is None:
-            return
-        fired_flags, history = saved
-        for sp, fired in zip(self.switchpoints.switchpoints, fired_flags):
-            sp.fired = fired
-        self.switchpoints.history = list(history)
+        if saved is not None:
+            self.switchpoints.load_state(saved)
 
     def _snapshot_due(self) -> float:
         """When the next periodic snapshot is due (``inf``: not now —
@@ -547,8 +541,6 @@ class CoSimulation(LiveSystem):
                 f"node {node!r} failed with no completed snapshot to "
                 "recover from — set snapshot_interval", node=node)
         snap = completed[-1]
-        # The node is back before the rollback runs, so the re-injected
-        # channel state is not swallowed as lost traffic.
         self._down_nodes.discard(node)
         self._membership_changed()
         self.fault_injector.mark_up(node)

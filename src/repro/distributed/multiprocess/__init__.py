@@ -40,7 +40,7 @@ executors bit for bit.
 
 With ``failure_policy="migrate"`` the coordinator becomes a supervisor:
 before the run starts it takes a baseline Chandy-Lamport cut (every
-worker archives portable images of its subsystems back to the
+worker archives the images of its subsystems back to the
 coordinator — stable storage in the paper's terms), and the supervision
 loop feeds a heartbeat :class:`~repro.faults.FailureDetector`.  A worker
 that dies, partitions, or is killed by a scheduled

@@ -767,21 +767,21 @@ class MultiprocessCoSimulation:
                  for peer, port in self._ports.items() if peer != name}
         self._send(pipes, name, "peers", peers)
 
-    def _restore_all(self, pipes, procs, until: float,
+    def _restore_all(self, pipes, procs,
                      deadline: float) -> Tuple[int, int]:
         """Roll every worker back to the current restore point under a
         new migration epoch.  Returns (archived bytes, replayed count)."""
         names = sorted(self.spec.nodes)
         self._run_epoch += 1
-        resent = resent_counts(self._archives.values())
+        resent = resent_counts(cut for archive in self._archives.values()
+                               for cut in archive.cuts.values())
         snapshot_bytes = 0
         for name in names:
             archive = self._archives[name]
             snapshot_bytes += archive.storage_bytes()
             self._send(pipes, name, "restore", {
                 "epoch": self._run_epoch,
-                "until": until,
-                "images": archive.images,
+                "cuts": archive.cuts,
                 "resent": resent,
                 "minter_ordinals": archive.minter_ordinals,
             })
@@ -872,7 +872,7 @@ class MultiprocessCoSimulation:
                                                          deadline)
                 self._resplice(moved, pipes, procs)
                 snapshot_bytes, replayed = self._restore_all(
-                    pipes, procs, until, deadline)
+                    pipes, procs, deadline)
                 self._start(pipes, until)
             except NodeFailure as exc:
                 attempts += 1
@@ -1017,7 +1017,6 @@ class MultiprocessCoSimulation:
                     self.telemetry.trace(TraceKind.NODE_CRASH,
                                          time=global_now, subject=node)
                 if not supervised:
-                    self._send(pipes, due[0], "crash")
                     raise NodeFailure(
                         f"node {due[0]!r} crashed at global time "
                         f"{global_now:g} — the multiprocess executor cannot "

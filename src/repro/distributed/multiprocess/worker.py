@@ -286,13 +286,12 @@ class _Worker:
             # In-progress cuts recorded state of the discarded world.
             self.registry.snapshots.clear()
             self._open_cuts.clear()
-            replayed = restore_node(self.node, payload["images"],
+            replayed = restore_node(self.node, payload["cuts"],
                                     payload["resent"])
             # run()'s contribution counter mirrors the restored schedulers
             # so merged dispatch totals match an uninterrupted run.
             self.dispatched = sum(ss.scheduler.dispatched
                                   for ss in self.node.subsystems.values())
-        self.until = payload["until"]
         self.telemetry.count("migration.restores")
         if replayed:
             self.telemetry.count("migration.replayed_messages", replayed)
@@ -308,7 +307,6 @@ class _Worker:
         conn.send(("port", (self.transport.local_port(self.node.name),
                             CODEC_VERSION)))
         running = False
-        crashed = False
         halted = False
         idle_noted = False
         while True:
@@ -357,10 +355,6 @@ class _Worker:
                     conn.send(("restored", message[1]["epoch"]))
                 elif tag == "status?":
                     conn.send(("status", self._status()))
-                elif tag == "crash":
-                    crashed = True
-                    if self.injector is not None:
-                        self.injector.mark_down(self.node.name)
                 elif tag == "report?":
                     conn.send(("report", self._report_bundle()))
                 elif tag == "stop":
@@ -369,8 +363,8 @@ class _Worker:
             if inbox.eof:
                 # Coordinator gone: exit rather than linger as an orphan.
                 return
-            if not running or crashed or halted:
-                if not crashed and (halted or self._open_cuts):
+            if not running or halted:
+                if halted or self._open_cuts:
                     # Halted (or parked with an open cut): keep the wire
                     # draining so in-flight traffic and marks land, and
                     # push archives as cuts complete.

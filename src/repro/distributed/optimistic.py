@@ -12,7 +12,9 @@ messages — the paper recovers through its checkpoint machinery):
    by channel FIFO, that everything in flight was sent *after* its
    sender's cut, so re-execution will regenerate it;
 2. every subsystem restores its local checkpoint for the snapshot;
-3. the messages recorded as channel state are re-injected;
+3. the messages recorded as channel state are re-injected, each at the
+   node it was recorded on (steps 2–3 are
+   :func:`~repro.distributed.migration.restore_node`, per node);
 4. the system runs *conservatively* until it passes the straggler's time,
    which guarantees the same straggler cannot recur, then optimism
    resumes.
@@ -30,10 +32,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from ..core.errors import CheckpointError, SimulationError
 from ..observability import NULL_TELEMETRY, TraceKind
 from .channel import StragglerError
+from .migration import LocalCut, resent_counts, restore_node
 from .snapshot import GlobalSnapshot, SnapshotRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.subsystem import Subsystem
+    from .node import PiaNode
 
 
 class RecoveryManager:
@@ -114,40 +118,29 @@ class RecoveryManager:
         if not snap.complete:
             raise CheckpointError(
                 f"snapshot {snap.snapshot_id} is incomplete; cannot restore")
-        # 1. Everything in flight postdates the cut: drop it.
-        dropped = self.transport.flush()
-        self.telemetry.count("rollback.messages_dropped", dropped)
-        # 2. Restore every subsystem's local image.
+        # Each node's share of the cut: its subsystems' images and the
+        # channel state recorded at them.
+        per_node: Dict["PiaNode", Dict[str, LocalCut]] = {}
         for name, cut in snap.cuts.items():
             subsystem = self.subsystems.get(name)
             if subsystem is None:
                 raise CheckpointError(
                     f"snapshot references unknown subsystem {name!r}")
-            subsystem.restore_checkpoint(cut.checkpoint_id)
-        # All safe-time state is void after a global rewind.  The message
-        # counters restart aligned with the re-injected channel states:
-        # the sender's count covers exactly the re-injected messages, the
-        # receiver's count returns to zero and climbs as they re-arrive.
-        recorded = snap.recorded_messages()
-        resent: Dict[tuple, int] = {}
-        for message in recorded:
-            resent[(message.channel, message.dst)] = \
-                resent.get((message.channel, message.dst), 0) + 1
-        for subsystem in self.subsystems.values():
-            for channel_id, endpoint in subsystem.channels.items():
-                # This endpoint's sends being re-injected at the peer count
-                # as already forwarded; its own receive counter climbs back
-                # up as the peer's recorded messages re-arrive.
-                outgoing = resent.get((channel_id, endpoint.peer_node), 0)
-                endpoint.reset_sync_state(forwarded=outgoing, injected=0)
-        # 3. Re-inject the recorded channel states.
-        for message in recorded:
-            self.transport.send(message)
-        # 4. Later snapshots now describe abandoned futures.
+            per_node.setdefault(subsystem.node, {})[name] = (
+                subsystem.checkpoints.image(cut.checkpoint_id), cut.recorded)
+        # 1. Everything in flight postdates the cut: drop it.
+        dropped = self.transport.flush()
+        self.telemetry.count("rollback.messages_dropped", dropped)
+        # 2. Later snapshots now describe abandoned futures.
         for other_id in list(self.registry.snapshots):
             other = self.registry.snapshots[other_id]
             if other is not snap and other.max_time() > snap.max_time():
                 self.registry.drop(other_id)
+        # 3. Every node restores its images and re-injects its channel state.
+        resent = resent_counts(local for cuts in per_node.values()
+                               for local in cuts.values())
+        for node, cuts in per_node.items():
+            restore_node(node, cuts, resent)
         if self.on_rollback is not None:
             self.on_rollback(snap)
 

@@ -1,10 +1,14 @@
 """Checkpoint/restore: full images, replay, incremental stores."""
 
+import pickle
+
 import pytest
 
 from repro.core import (
     Advance,
     CheckpointError,
+    Event,
+    EventKind,
     FunctionComponent,
     IncrementalCheckpointStore,
     NoSuchCheckpointError,
@@ -14,7 +18,9 @@ from repro.core import (
     Receive,
     Send,
     Simulator,
+    Timestamp,
 )
+from repro.core.checkpoint import capture, reinstate
 
 
 class Accumulator(ProcessComponent):
@@ -243,3 +249,148 @@ class TestAutoCheckpointAndStores:
     def test_incremental_rejects_pruning(self):
         with pytest.raises(CheckpointError):
             IncrementalCheckpointStore(keep_last=3)
+
+
+class TestOneImage:
+    """The image a store holds is the image that travels (ISSUE 24): queued
+    events by name with all six fields, no live reference unless the
+    target has no name.  Rows marked *fails on the parent* did so at
+    6c33e8e, natively and under ``PIA_PURE=1``."""
+
+    CAUSE = ("t", 1, 0, 2)
+
+    def _queued_with_cause(self):
+        sim, ticker, acc = build()
+        sim.run(until=3.0)
+        sim.subsystem.scheduler.schedule(
+            Event(Timestamp(7.5), EventKind.SIGNAL, acc.port("in"),
+                  payload="late", cause=self.CAUSE))
+        return sim, acc
+
+    def test_cause_survives_capture_and_reinstate(self):
+        """*Fails on the parent*: both rebuilt the event from five of its
+        six fields, so a restore forgot why its events were queued."""
+        sim, acc = self._queued_with_cause()
+        before = [(e.ts, e.kind, e.target, e.payload, e.token, e.cause)
+                  for e in sim.subsystem.scheduler.queue.snapshot()]
+        assert self.CAUSE in [row[5] for row in before]
+        image = capture(sim.subsystem, 1)
+        assert [entry[5] for entry in image.events] == \
+            [row[5] for row in before]
+        sim.run()
+        reinstate(sim.subsystem, image)
+        after = [(e.ts, e.kind, e.target, e.payload, e.token, e.cause)
+                 for e in sim.subsystem.scheduler.queue.snapshot()]
+        assert after == before
+
+    def test_targets_are_kept_by_name(self):
+        sim, acc = self._queued_with_cause()
+        sim.subsystem.scheduler.schedule(
+            Event(Timestamp(30.0), EventKind.WAKE,
+                  sim.subsystem.component("ticker"), token=99))
+        image = capture(sim.subsystem, 1)
+        assert image.subsystem == sim.subsystem.name
+        assert ("port", "acc", "in") in [entry[2] for entry in image.events]
+        assert ("component", "ticker") in [entry[2] for entry in image.events]
+        assert image.unnamed_targets() == []
+
+    def test_pickled_image_resumes_in_a_freshly_built_subsystem(self):
+        """*Fails on the parent* (an image held live ports and components,
+        and a generator-backed component does not pickle)."""
+        sim, ticker, acc = build()
+        sim.run(until=3.0)
+        clone = pickle.loads(pickle.dumps(capture(sim.subsystem, 1, "cut")))
+        fresh, __, fresh_acc = build()
+        reinstate(fresh.subsystem, clone)
+        assert fresh.now == 3.0 and fresh_acc.seen == acc.seen
+        fresh.run()
+        sim.run()
+        assert fresh_acc.seen == acc.seen and len(acc.seen) == 10
+        assert fresh.now == sim.now
+        assert fresh.subsystem.scheduler.dispatched == \
+            sim.subsystem.scheduler.dispatched
+
+    def test_control_event_stays_live_and_restores_in_process(self):
+        sim, ticker, acc = build()
+        sim.auto_checkpoint(2.0)
+        sim.run(until=3.0)
+        cid = sim.checkpoint("mid")
+        image = sim.subsystem.checkpoints.image(cid)
+        assert [kind for kind, __ in image.unnamed_targets()] == \
+            [EventKind.CONTROL]
+        sim.run()
+        final = list(acc.seen)
+        sim.restore(cid)
+        assert sim.now == 3.0
+        sim.run()
+        assert acc.seen == final
+        store = sim.subsystem.checkpoints
+        # The re-armed tick kept checkpointing after the restore.
+        assert max(store.image(c).time for c in store.ids()) == 10.0
+
+    def test_orphan_port_stays_live(self):
+        from repro.core.port import Port
+        sim, ticker, acc = build()
+        sim.run(until=3.0)
+        orphan = Port("loose", PortDirection.IN)
+        sim.subsystem.scheduler.schedule(
+            Event(Timestamp(20.0), EventKind.SIGNAL, orphan, payload=1))
+        image = capture(sim.subsystem, 1)
+        assert image.unnamed_targets() == [(EventKind.SIGNAL, orphan)]
+        reinstate(sim.subsystem, image)
+        assert sim.subsystem.scheduler.queue.snapshot()[-1].target is orphan
+
+    def test_wrong_subsystem_refused(self):
+        sim, *_ = build()
+        sim.run(until=2.0)
+        image = capture(sim.subsystem, 1)
+        other = Simulator(name="elsewhere")
+        with pytest.raises(CheckpointError, match="elsewhere"):
+            reinstate(other.subsystem, image)
+
+    def test_unknown_component_and_port_refused_before_any_overwrite(self):
+        sim, ticker, acc = build()
+        sim.run(until=2.0)
+        image = capture(sim.subsystem, 1)
+        sim.run(until=5.0)
+        seen = list(acc.seen)
+        for bad, named in [(("component", "ghost"), "ghost"),
+                           (("port", "ghost", "in"), "ghost"),
+                           (("port", "acc", "nowhere"), "acc.nowhere")]:
+            broken = pickle.loads(pickle.dumps(image))
+            ts, kind, __, payload, token, cause = broken.events[0]
+            broken.events[0] = (ts, kind, bad, payload, token, cause)
+            with pytest.raises(CheckpointError, match=named):
+                reinstate(sim.subsystem, broken)
+            assert sim.now == 5.0 and acc.seen == seen
+        broken = pickle.loads(pickle.dumps(image))
+        broken.components["ghost"] = broken.components["acc"]
+        with pytest.raises(CheckpointError, match="ghost"):
+            reinstate(sim.subsystem, broken)
+
+    @pytest.mark.parametrize("full_every", [1, 4, 1000])
+    def test_incremental_chains_restore_like_the_full_store(self, full_every):
+        def run_with(store):
+            sim = Simulator(checkpoint_store=store)
+            ticker = sim.add(Ticker("ticker"))
+            acc = sim.add(Accumulator("acc"))
+            sim.wire("n", ticker.port("out"), acc.port("in"))
+            cids = []
+            for t in [1.0, 2.5, 4.0, 5.5, 7.0, 8.5]:
+                sim.run(until=t)
+                cids.append(sim.checkpoint())
+            sim.run()
+            states = []
+            for cid in cids:
+                sim.restore(cid)
+                image = store.image(cid)
+                states.append((sim.now, list(acc.seen), image.events,
+                               image.subsystem,
+                               sim.subsystem.scheduler.dispatched))
+                sim.run()
+                states.append((sim.now, list(acc.seen)))
+            return states
+
+        from repro.core import CheckpointStore
+        assert run_with(IncrementalCheckpointStore(full_every=full_every)) \
+            == run_with(CheckpointStore())

@@ -20,16 +20,14 @@ from repro.core import (
     Send,
     Simulator,
 )
-from repro.core.checkpoint import capture
-from repro.core.errors import ConfigurationError, MigrationError
-from repro.distributed import MultiprocessCoSimulation, WorkerPool
-from repro.distributed.migration import (
-    NodeArchive,
-    PortableImage,
-    decode_image,
-    encode_image,
-    resent_counts,
+from repro.core.checkpoint import CheckpointImage, capture, reinstate
+from repro.core.errors import (
+    CheckpointError,
+    ConfigurationError,
+    MigrationError,
 )
+from repro.distributed import MultiprocessCoSimulation, WorkerPool
+from repro.distributed.migration import NodeArchive, resent_counts
 from repro.faults import FaultPlan, NodeCrash
 from repro.observability import (
     TraceKind,
@@ -396,19 +394,19 @@ def build_sim():
 
 class TestPortableImages:
     def test_pickle_round_trip_resumes_identically(self):
-        """encode -> pickle -> decode into a *freshly built* subsystem
+        """capture -> pickle -> reinstate into a *freshly built* subsystem
         (the adopting worker's situation) must resume to the same final
         state as the original."""
         sim, acc = build_sim()
         sim.run(until=3.0)
-        portable = encode_image(sim.subsystem,
-                                capture(sim.subsystem, 1, "cut"))
-        clone = pickle.loads(pickle.dumps(portable))
-        assert clone.storage_bytes() > 0
+        image = capture(sim.subsystem, 1, "cut")
+        clone = pickle.loads(pickle.dumps(image))
+        assert NodeArchive(node="n", snapshot_id="s",
+                           cuts={"main": (clone, {})}).storage_bytes() > 0
         assert clone.time == 3.0
 
         fresh, fresh_acc = build_sim()
-        decode_image(fresh.subsystem, clone)
+        reinstate(fresh.subsystem, clone)
         fresh.run()
         sim.run()
         assert fresh_acc.seen == acc.seen
@@ -417,11 +415,10 @@ class TestPortableImages:
     def test_image_for_wrong_subsystem_rejected(self):
         sim, __ = build_sim()
         sim.run(until=2.0)
-        portable = encode_image(sim.subsystem,
-                                capture(sim.subsystem, 1, "cut"))
-        portable.subsystem = "someone-else"
-        with pytest.raises(MigrationError):
-            decode_image(sim.subsystem, portable)
+        image = capture(sim.subsystem, 1, "cut")
+        image.subsystem = "someone-else"
+        with pytest.raises(CheckpointError, match="someone-else"):
+            reinstate(sim.subsystem, image)
 
     def test_resent_counts_key_by_channel_and_destination(self):
         """Recorded in-flight messages pre-seed the ``forwarded`` ledger
@@ -431,18 +428,89 @@ class TestPortableImages:
             return Message(kind=MessageKind.SIGNAL, src="n-a", dst=dst,
                            channel=channel, time=1.0, payload="x")
 
-        image_a = PortableImage(subsystem="a", checkpoint_id=1, label=None,
-                                time=1.0, started=True, dispatched=0,
-                                stalls=0,
-                                recorded={"ch-1": [signal("ch-1", "n-b"),
-                                                   signal("ch-1", "n-b")]})
-        image_b = PortableImage(subsystem="b", checkpoint_id=1, label=None,
-                                time=1.0, started=True, dispatched=0,
-                                stalls=0,
-                                recorded={"ch-2": [signal("ch-2", "n-c")]})
-        archives = [NodeArchive(node="n-b", snapshot_id="s",
-                                images={"a": image_a}),
-                    NodeArchive(node="n-c", snapshot_id="s",
-                                images={"b": image_b})]
-        assert resent_counts(archives) == {("ch-1", "n-b"): 2,
-                                           ("ch-2", "n-c"): 1}
+        def image(name):
+            return CheckpointImage(checkpoint_id=1, label=None, time=1.0,
+                                   subsystem=name)
+
+        archives = [
+            NodeArchive(node="n-b", snapshot_id="s", cuts={
+                "a": (image("a"), {"ch-1": [signal("ch-1", "n-b"),
+                                            signal("ch-1", "n-b")]})}),
+            NodeArchive(node="n-c", snapshot_id="s", cuts={
+                "b": (image("b"), {"ch-2": [signal("ch-2", "n-c")]})}),
+        ]
+        cuts = [cut for archive in archives for cut in archive.cuts.values()]
+        assert resent_counts(cuts) == {("ch-1", "n-b"): 2,
+                                       ("ch-2", "n-c"): 1}
+
+    @pytest.mark.parametrize("unnamed", ["control", "orphan-port"])
+    def test_an_unnamed_target_restores_here_and_refuses_to_travel(
+            self, unnamed):
+        """A queued ``CONTROL`` callable or orphan port has no name: the
+        cut still rolls back in process, and ``archive_node`` — the one
+        portability check — refuses it with a typed error."""
+        from repro.core import Event, EventKind, Timestamp
+        from repro.core.port import Port
+        from repro.distributed import archive_node
+
+        from .test_snapshot_optimistic import two_subsystem_system
+
+        sink = []
+        cosim = two_subsystem_system([9, 8, 7], sink)
+        fired = []
+        if unnamed == "control":
+            event = Event(Timestamp(2.5), EventKind.CONTROL,
+                          lambda evt: fired.append(evt.time))
+        else:
+            event = Event(Timestamp(50.0), EventKind.SIGNAL,
+                          Port("loose", PortDirection.IN), payload=0)
+        cosim.start()
+        cosim.subsystem("sb").scheduler.schedule(event)
+        snap_id = cosim.snapshot()
+        with pytest.raises(MigrationError, match="no name to travel by"):
+            archive_node(cosim.node("nb"), cosim.registry, snap_id)
+        assert archive_node(cosim.node("na"), cosim.registry,
+                            snap_id).storage_bytes() > 0
+        cosim.run(until=2.75)
+        cosim.recovery.rollback_to(cosim.registry.snapshots[snap_id])
+        assert cosim.subsystem("sb").now == 0.0
+        cosim.run(until=3.0)
+        assert sink == [(1.0, 9), (2.0, 8), (3.0, 7)]
+        assert fired == ([2.5, 2.5] if unnamed == "control" else [])
+
+    def test_cooperative_rollback_and_failover_end_alike(self, pool):
+        """One way back to a cut: a cooperative ``rollback_to`` and a
+        multiprocess scheduled-crash failover, both from the cut at 0.0
+        and both interrupted at the same virtual instant, finish with the
+        same rows and every subsystem receives the same sequence."""
+        from repro.bench.workloads import compute_star
+
+        def received_since_restore(report):
+            sequences = {}
+            for rec in sorted(report.trace_records, key=lambda r: r["seq"]):
+                if rec["kind"] == "checkpoint-restore":
+                    sequences[rec["subject"]] = []
+                elif rec["kind"] == "dispatch":
+                    sequences.setdefault(rec["subject"], []).append(
+                        (rec["time"], rec["event"], rec.get("hop")))
+            return sequences
+
+        coop = compute_star(2, 6, words=50)
+        snap = coop.registry.snapshots[coop.snapshot()]
+        coop.run(until=2.0)
+        interrupted_at = coop.global_time()
+        coop.recovery.rollback_to(snap)
+        coop.run()
+
+        crash = star(pool=pool, fault_plan=FaultPlan(
+            seed=3, crashes=[NodeCrash("n-w0", at_time=2.0)]))
+        crash.run(timeout=120.0)
+        report = crash.report()
+
+        assert report.migrations[0]["at_global_time"] == interrupted_at
+        assert progress_rows(report) == progress_rows(coop.report())
+        assert received_since_restore(report) == \
+            received_since_restore(coop.report())
+        # Both routes write the restore down (the worker's did not).
+        assert report.to_dict()["counters"]["checkpoint.restores"] == \
+            coop.report().to_dict()["counters"]["checkpoint.restores"] == 3

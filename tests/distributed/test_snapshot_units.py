@@ -10,6 +10,8 @@ from repro.distributed.snapshot import (
 )
 from repro.transport import Message, MessageKind
 
+from tests.distributed.test_snapshot_optimistic import two_subsystem_system
+
 
 def _cut(snapshot_id, name, time, pending=()):
     cut = SubsystemCut(snapshot_id, name, checkpoint_id=1, time=time)
@@ -83,3 +85,105 @@ class TestRegistry:
 
     def test_ids_unique(self):
         assert new_snapshot_id() != new_snapshot_id()
+
+
+class TestOneWayBackToACut:
+    """``RecoveryManager.rollback_to`` ends in the same per-node body as a
+    worker's restore (ISSUE 24).  Rows marked *fails on the parent* did
+    so at 6c33e8e, natively and under ``PIA_PURE=1``."""
+
+    @staticmethod
+    def _in_flight_word_cut():
+        """[9, 8, 7] from ``na`` to ``nb``; the first word is on the wire
+        when the receiver cuts, so the cut records it as channel state."""
+        sink = []
+        cosim = two_subsystem_system([9, 8, 7], sink)
+        cosim.start()
+        cosim.subsystem("sa").run(until=1.0)
+        assert cosim.transport.pending("nb") >= 1
+        # A fixed id: the mark carries it, and the byte column below must
+        # not depend on how many snapshots this process took before.
+        snap_id = cosim._managers["nb"].initiate(cosim.subsystem("sb"),
+                                                 "snap-1")
+        for __ in range(6):
+            for node in cosim._ordered_nodes():
+                node.pump()
+        snap = cosim.registry.snapshots[snap_id]
+        assert snap.complete and len(snap.recorded_messages()) == 1
+        return cosim, sink, snap
+
+    @classmethod
+    def _rolled_back_run(cls):
+        cosim, sink, snap = cls._in_flight_word_cut()
+        cosim.run(until=2.5)
+        cosim.recovery.rollback_to(snap)
+        cosim.run()
+        return cosim, sink, cosim.report()
+
+    def test_recorded_word_is_delivered_once_and_charged_once(self):
+        """*Fails on the parent* (10 / 444 / 10): the rollback re-sent the
+        recorded word through the transport, so a word that crossed the
+        wire once was charged — and rolled by a fault plan — twice."""
+        cosim, sink, report = self._rolled_back_run()
+        assert sink == [(1.0, 9), (2.0, 8), (3.0, 7)]
+        assert sorted((row["name"], row["time"], row["dispatched"])
+                      for row in report.subsystems) == \
+            [("sa", 3.0, 3), ("sb", 3.0, 3)]
+        (endpoint,) = cosim.subsystem("sb").channels.values()
+        assert endpoint.injected == 3
+        (row,) = [row for row in report.links
+                  if (row["src"], row["dst"]) == ("na", "nb")]
+        # The uninterrupted traffic plus one restore: the 49-byte SIGNAL
+        # recorded in the cut is not sent again.
+        assert (row["messages"], row["bytes"], row["frames"]) == (9, 395, 9)
+
+    def test_events_queued_at_the_cut_keep_their_cause(self):
+        """*Fails on the parent*: a lit run that rolls back re-dispatches
+        the events its image held without ``cause``/``hop``."""
+        sink = []
+        cosim = two_subsystem_system([9, 8, 7], sink)
+        cosim.start()
+        cosim.subsystem("sa").run(until=1.0)
+        cosim.node("nb").pump()         # the word is queued at sb, unrun
+        (queued,) = cosim.subsystem("sb").scheduler.queue.snapshot()
+        assert queued.cause is not None
+        snap = cosim.registry.snapshots[cosim.snapshot(initiator="sb")]
+        cosim.run(until=2.5)
+        cosim.recovery.rollback_to(snap)
+        (restored,) = cosim.subsystem("sb").scheduler.queue.snapshot()
+        assert restored.cause == queued.cause
+        cosim.run()
+        records = cosim.report().trace_records
+        start = max(index for index, rec in enumerate(records)
+                    if rec["kind"] == "checkpoint-restore")
+        redone = [rec for rec in records[start:]
+                  if rec["kind"] == "dispatch" and rec["subject"] == "sb"]
+        assert [rec["time"] for rec in redone] == [1.0, 2.0, 3.0]
+        assert redone[0]["cause"] == queued.cause[1]
+        assert all("cause" in rec and "hop" in rec for rec in redone)
+        assert sink == [(1.0, 9), (2.0, 8), (3.0, 7)]
+
+    def test_restore_node_is_the_only_body(self):
+        """Nothing but ``restore_node`` voids a ledger, and a rollback
+        re-injects nothing through the transport."""
+        import inspect
+        from pathlib import Path
+
+        import repro
+        from repro.distributed.optimistic import RecoveryManager
+
+        calls = [path.name for path in Path(repro.__file__).parent.rglob("*.py")
+                 for line in path.read_text().splitlines()
+                 if "reset_sync_state(" in line and "def " not in line]
+        assert calls == ["migration.py"]
+        assert "transport.send" not in inspect.getsource(
+            RecoveryManager.rollback_to)
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src:. python tests/distributed/test_snapshot_units.py
+    __, sink, report = TestOneWayBackToACut._rolled_back_run()
+    for row in report.links:
+        print(f"link {row['src']}->{row['dst']}: {row['messages']} / "
+              f"{row['bytes']} / {row['frames']} messages / bytes / frames")
+    print("sink:", sink)
