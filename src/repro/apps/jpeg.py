@@ -13,42 +13,42 @@ budget depends on — are stable across runs and platforms.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, List, Tuple
 
 from ..core.errors import SimulationError
 
-BLOCK = 8
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
-#: The standard JPEG luminance quantisation table (quality ~50).
-QUANT = np.array([
-    [16, 11, 10, 16, 24, 40, 51, 61],
-    [12, 12, 14, 19, 26, 58, 60, 55],
-    [14, 13, 16, 24, 40, 57, 69, 56],
-    [14, 17, 22, 29, 51, 87, 80, 62],
-    [18, 22, 37, 56, 68, 109, 103, 77],
-    [24, 35, 55, 64, 81, 104, 113, 92],
-    [49, 64, 78, 87, 103, 121, 120, 101],
-    [72, 92, 95, 98, 112, 100, 103, 99],
-], dtype=np.float64)
+BLOCK = 8
 
 _MAGIC = b"PJ1"
 
+@functools.cache
+def _tables():
+    """``(numpy, quant, dct, idct)``, built on first use so that importing
+    this module does not load numpy: the standard JPEG luminance
+    quantisation table (quality ~50), the 8x8 DCT matrix and its inverse."""
+    import numpy as np
 
-def _dct_matrix() -> np.ndarray:
-    n = BLOCK
-    k = np.arange(n)
-    mat = np.sqrt(2.0 / n) * np.cos(np.pi * (2 * k[None, :] + 1)
-                                    * k[:, None] / (2 * n))
-    mat[0, :] = np.sqrt(1.0 / n)
-    return mat
-
-
-_DCT = _dct_matrix()
-_IDCT = _DCT.T
+    quant = np.array([
+        [16, 11, 10, 16, 24, 40, 51, 61],
+        [12, 12, 14, 19, 26, 58, 60, 55],
+        [14, 13, 16, 24, 40, 57, 69, 56],
+        [14, 17, 22, 29, 51, 87, 80, 62],
+        [18, 22, 37, 56, 68, 109, 103, 77],
+        [24, 35, 55, 64, 81, 104, 113, 92],
+        [49, 64, 78, 87, 103, 121, 120, 101],
+        [72, 92, 95, 98, 112, 100, 103, 99],
+    ], dtype=np.float64)
+    k = np.arange(BLOCK)
+    dct = np.sqrt(2.0 / BLOCK) * np.cos(np.pi * (2 * k[None, :] + 1)
+                                        * k[:, None] / (2 * BLOCK))
+    dct[0, :] = np.sqrt(1.0 / BLOCK)
+    return np, quant, dct, dct.T
 
 
 def _zigzag_order() -> List[Tuple[int, int]]:
@@ -68,7 +68,8 @@ def _quality_scale(quality: int) -> np.ndarray:
         scale = 5000 / quality
     else:
         scale = 200 - 2 * quality
-    table = np.floor((QUANT * scale + 50) / 100)
+    np, quant, __, __ = _tables()
+    table = np.floor((quant * scale + 50) / 100)
     return np.clip(table, 1, 255)
 
 
@@ -127,6 +128,7 @@ def encode(image: np.ndarray, *, quality: int = 50) -> bytes:
             f"image dimensions must be multiples of {BLOCK}, "
             f"got {width}x{height}")
     table = _quality_scale(quality)
+    np, __, dct, idct = _tables()
     out = bytearray()
     out += _MAGIC
     out += struct.pack("<HHB", width, height, quality)
@@ -134,7 +136,7 @@ def encode(image: np.ndarray, *, quality: int = 50) -> bytes:
     for top in range(0, height, BLOCK):
         for left in range(0, width, BLOCK):
             block = pixels[top:top + BLOCK, left:left + BLOCK]
-            coeffs = _DCT @ block @ _IDCT
+            coeffs = dct @ block @ idct
             quantised = np.round(coeffs / table).astype(np.int64)
             scan = [int(quantised[r, c]) for r, c in _ZIGZAG]
             _encode_block(out, scan)
@@ -172,6 +174,7 @@ def decode(blob: bytes) -> np.ndarray:
         raise SimulationError("not a PJ1 image stream")
     width, height, quality = struct.unpack("<HHB", blob[3:8])
     table = _quality_scale(quality)
+    np, __, dct, idct = _tables()
     pos = 8
     image = np.zeros((height, width), dtype=np.float64)
     for top in range(0, height, BLOCK):
@@ -181,7 +184,7 @@ def decode(blob: bytes) -> np.ndarray:
             for value, (r, c) in zip(scan, _ZIGZAG):
                 quantised[r, c] = value
             coeffs = quantised * table
-            block = _IDCT @ coeffs @ _DCT
+            block = idct @ coeffs @ dct
             image[top:top + BLOCK, left:left + BLOCK] = block
     return np.clip(np.round(image + 128.0), 0, 255).astype(np.uint8)
 
@@ -212,6 +215,7 @@ def info(blob: bytes) -> ImageInfo:
 
 def psnr(original: np.ndarray, decoded: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB (inf for identical images)."""
+    np = _tables()[0]
     difference = original.astype(np.float64) - decoded.astype(np.float64)
     mse = float(np.mean(difference * difference))
     if mse == 0:
@@ -223,6 +227,7 @@ def synthetic_image(width: int, height: int, *, seed: int = 0) -> np.ndarray:
     """A deterministic test card: gradients, checkers and some texture."""
     if width % BLOCK or height % BLOCK:
         raise SimulationError("dimensions must be multiples of 8")
+    np = _tables()[0]
     ys, xs = np.mgrid[0:height, 0:width]
     gradient = (xs * 255.0 / max(width - 1, 1))
     checker = ((xs // 16 + ys // 16) % 2) * 60.0

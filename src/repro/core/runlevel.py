@@ -276,12 +276,17 @@ class SwitchpointManager:
         self.switchpoints: list[Switchpoint] = []
         #: (virtual_time, source) of every switch applied, for inspection.
         self.history: list[tuple[float, str]] = []
+        #: Called on the first registration: the owner's per-event poll
+        #: is installed then, not paid by runs without switchpoints.
+        self.on_first: Optional[Callable[[], None]] = None
 
     def add(self, switchpoint: Union[str, Switchpoint], *,
             once: bool = True) -> Switchpoint:
         if isinstance(switchpoint, str):
             switchpoint = parse_switchpoint(switchpoint, once=once)
         self.switchpoints.append(switchpoint)
+        if len(self.switchpoints) == 1 and self.on_first is not None:
+            self.on_first()
         return switchpoint
 
     def poll(self, now: float) -> int:

@@ -18,20 +18,25 @@ once (:meth:`Scheduler.run`) and is written flat: a precomputed per-kind
 handler table instead of an ``if``/``elif`` chain, loop-invariant
 attribute lookups hoisted into locals, one ``pop_ready(bound)`` queue
 call per event for "is the head due, and if so hand it over", and the
-traced path split out so a telemetry-off run touches no telemetry state
-at all.
+traced path a branch of its own that files its ``DISPATCH`` record
+without a Python frame, so a telemetry-off run touches no telemetry state
+per event.
 """
 
 from __future__ import annotations
 
+import time as _time
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..observability import NULL_TELEMETRY, BoundCounter, TraceKind
+from ..observability import TraceRecord as _TraceRecord
 from ..observability.flight import STRIDE_MASK as _FLIGHT_MASK
 from .errors import CausalityError, SimulationError
 from .events import Event, EventKind, EventQueue
 
 _DISPATCH = TraceKind.DISPATCH
+_new_record = tuple.__new__
+_wall = _time.time
 
 if TYPE_CHECKING:  # pragma: no cover
     from .component import Component
@@ -101,31 +106,6 @@ class Scheduler:
         event = self.queue.peek()
         return event if self.run(max_events=1) else None
 
-    def _dispatch_traced(self, event: Event) -> None:
-        """The telemetry-on dispatch path (split out of the hot loop).
-        The ``scheduler.dispatched`` counter is not touched here: the run
-        loop adds its whole count once, on the way out."""
-        telemetry = self.telemetry
-        cause = event.cause
-        if cause is None:
-            self._handlers[event.code](event)
-            self.dispatched += 1
-            telemetry.emit(_DISPATCH, event.time, self.subsystem.name,
-                           {"event": event.kind.label})
-            return
-        # Sends triggered by this dispatch mint child spans of the
-        # event's cause; cleared even on a straggler abort.
-        cell = telemetry.cause_cell
-        cell.value = cause
-        try:
-            self._handlers[event.code](event)
-        finally:
-            cell.value = None
-        self.dispatched += 1
-        telemetry.emit(_DISPATCH, event.time, self.subsystem.name,
-                       {"event": event.kind.label,
-                        "cause": cause[1], "hop": cause[3]})
-
     def _record_stall(self, next_time: float, limit: float) -> None:
         """Account one horizon stall (the run loop's cold exit)."""
         self.stalls += 1
@@ -185,6 +165,10 @@ class Scheduler:
         hooks = self.post_step_hooks
         telemetry = self.telemetry
         traced = telemetry.enabled
+        name = self.subsystem.name
+        cell = telemetry.cause_cell
+        ring = telemetry.trace_buffer
+        file = ring.items.append
         # The flight recorder (always-on black box) samples every
         # STRIDE-th dispatch: the loop only ticks a *local* counter and
         # masks it — written back once, in the finally, so a
@@ -213,14 +197,35 @@ class Scheduler:
                 time = event.time
                 if time < self.now:
                     raise CausalityError(
-                        f"{self.subsystem.name}: event at {time:g} popped "
+                        f"{name}: event at {time:g} popped "
                         f"after subsystem time reached {self.now:g}")
                 self.now = time
-                if traced:
-                    self._dispatch_traced(event)
-                else:
+                if not traced:
                     handlers[event.code](event)
                     self.dispatched += 1
+                else:
+                    cause = event.cause
+                    if cause is None:
+                        handlers[event.code](event)
+                        details = {"event": event.kind.label}
+                    else:
+                        # Sends triggered by this dispatch mint child spans
+                        # of its cause; cleared even on a straggler abort.
+                        cell.value = cause
+                        try:
+                            handlers[event.code](event)
+                        finally:
+                            cell.value = None
+                        details = {"event": event.kind.label,
+                                   "cause": cause[1], "hop": cause[3]}
+                    self.dispatched += 1
+                    # Telemetry.emit inlined (no frame); ``seq`` is read
+                    # per record, as Telemetry.reset() replaces it.
+                    if telemetry.enabled:
+                        file(_new_record(_TraceRecord, (
+                            next(telemetry.seq), _DISPATCH, time, name,
+                            details, _wall())))
+                        ring.appended += 1
                 count += 1
                 if hooks:
                     for hook in hooks:
@@ -228,8 +233,7 @@ class Scheduler:
                 if flight_on:
                     fseq += 1
                     if not (fseq & _FLIGHT_MASK):
-                        flight.note(TraceKind.DISPATCH, self.subsystem.name,
-                                    time=time, seq=fseq)
+                        flight.note(_DISPATCH, name, time=time, seq=fseq)
         finally:
             if flight_on:
                 flight.dispatch_seq = fseq

@@ -42,7 +42,7 @@ class Simulator:
         env = SwitchpointEnvironment(local_time=self._local_time,
                                      signal=self._signal)
         self.switchpoints = SwitchpointManager(env, self.set_runlevel)
-        self.subsystem.scheduler.post_step_hooks.append(self._poll_switchpoints)
+        self.switchpoints.on_first = self._arm_switchpoints
         self._auto_interval: Optional[float] = None
         #: checkpoint id -> (switchpoint fired flags, switch history).
         self._switchpoint_states: dict = {}
@@ -207,6 +207,11 @@ class Simulator:
 
     def _signal(self, net: str) -> Any:
         return self.subsystem.net(net).value
+
+    def _arm_switchpoints(self) -> None:
+        """Poll after every event from now on, ahead of any other hook."""
+        self.subsystem.scheduler.post_step_hooks.insert(
+            0, self._poll_switchpoints)
 
     def _poll_switchpoints(self, event: Event) -> None:
         if self.switchpoints.switchpoints:

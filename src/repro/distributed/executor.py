@@ -77,6 +77,7 @@ class CoSimulation(LiveSystem):
         env = SwitchpointEnvironment(local_time=self._local_time,
                                      signal=self._signal)
         self.switchpoints = SwitchpointManager(env, self.set_runlevel)
+        self.switchpoints.on_first = self._arm_switchpoints
         # --- fault plane -------------------------------------------------
         self.failure_policy = failure_policy
         self.detector: Optional[FailureDetector] = None
@@ -129,9 +130,16 @@ class CoSimulation(LiveSystem):
 
     def _subsystem_added(self, subsystem: Subsystem) -> None:
         self._membership_changed()
-        # Switchpoints must be evaluated after every event, not just at
-        # run-slice boundaries — a slice can be the whole simulation.
-        subsystem.scheduler.post_step_hooks.append(self._poll_switchpoints)
+        if self.switchpoints.switchpoints:
+            self._arm_switchpoints([subsystem])
+
+    def _arm_switchpoints(self, subsystems=None) -> None:
+        # Once a switchpoint exists it is evaluated after every event, not
+        # just at run-slice boundaries (a slice can be the whole
+        # simulation); first in line, ahead of a debugger's hook.
+        for subsystem in subsystems or self.subsystems.values():
+            subsystem.scheduler.post_step_hooks.insert(
+                0, self._poll_switchpoints)
 
     def set_link_model(self, node_a: str, node_b: str,
                        model: LatencyModel) -> None:

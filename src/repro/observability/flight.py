@@ -34,7 +34,7 @@ import tempfile
 import time as _time
 from typing import Optional
 
-from .trace import TraceBuffer, record_dicts
+from .trace import TraceBuffer, TraceRecord, record_dicts
 
 #: Environment override for where automatic dumps land.
 ENV_DIR = "PIA_FLIGHT_DIR"
@@ -73,7 +73,8 @@ class FlightRecorder(TraceBuffer):
         (``seq`` is its ordinal), the moment before a dump.  Events for
         both rings go through :meth:`~.telemetry.Telemetry.note`."""
         if self.enabled:
-            self.record(seq, kind, time, subject, details)
+            self.append(TraceRecord(seq, kind, time, subject, details,
+                                    _time.time()))
 
     def clear(self) -> None:
         super().clear()

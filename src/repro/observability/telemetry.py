@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import time as _time
 from contextlib import nullcontext
 from typing import Optional
 
@@ -41,6 +42,8 @@ from .spans import SpanMinter
 from .trace import TraceBuffer, TraceRecord
 
 _NULL_TIMER = nullcontext()
+_new_record = tuple.__new__
+_wall = _time.time
 
 
 class _CauseCell(threading.local):
@@ -77,9 +80,9 @@ class Telemetry:
         #: share one Telemetry, and each must see only its own dispatch's
         #: cause.  Hot sites read and write ``cause_cell.value`` directly.
         self.cause_cell = _CauseCell()
-        #: ``itertools.count``: drawing an ordinal is one atomic C call,
-        #: which keeps ``seq`` unique under the threaded executor.
-        self._seq = itertools.count(1)
+        #: Record ordinals (``itertools.count``: one atomic C call, unique
+        #: under the threaded executor); :meth:`reset` replaces it.
+        self.seq = itertools.count(1)
 
     @property
     def cause(self):
@@ -131,10 +134,15 @@ class Telemetry:
         (no-op while disabled); returns it.  The positional form of
         :meth:`trace` for per-event sites — and the only form that can
         carry a detail named ``kind``, ``time`` or ``subject`` (emitted
-        as ``detail.<key>`` by :meth:`TraceRecord.to_dict`)."""
+        as ``detail.<key>`` by :meth:`TraceRecord.to_dict`).  Files the
+        record itself, like the run loop for ``DISPATCH``: no frame."""
         if self.enabled:
-            return self.trace_buffer.record(next(self._seq), kind, time,
-                                            subject, details)
+            record = _new_record(TraceRecord, (next(self.seq), kind, time,
+                                               subject, details, _wall()))
+            ring = self.trace_buffer
+            ring.items.append(record)
+            ring.appended += 1
+            return record
         return None
 
     def trace(self, kind: str, *, time: float = 0.0, subject: str = "",
@@ -153,10 +161,8 @@ class Telemetry:
         record = self.emit(kind, time, subject, details)
         if not flight.enabled:
             return
-        if record is None:
-            flight.record(0, kind, time, subject, details)
-        else:
-            flight.append(record)
+        flight.append(record if record is not None else
+                      TraceRecord(0, kind, time, subject, details, _wall()))
 
     # ------------------------------------------------------------------
     def attach_series(self, recorder) -> "object":
@@ -175,7 +181,7 @@ class Telemetry:
             self.series.clear()
         if self.health is not None:
             self.health.reset()
-        self._seq = itertools.count(1)
+        self.seq = itertools.count(1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "enabled" if self.enabled else "disabled"

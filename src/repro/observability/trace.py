@@ -11,8 +11,8 @@ every time-series sit on.
 
 from __future__ import annotations
 
-import time as _time
 from collections import deque
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 
@@ -57,37 +57,48 @@ class TraceKind:
 _CORE_FIELDS = frozenset(("seq", "kind", "time", "subject"))
 
 
-class TraceRecord:
-    """One structured observation.
+class TraceRecord(tuple):
+    """One structured observation: the six-tuple ``(seq, kind, time,
+    subject, details, wall)`` with read-only named fields.
 
-    A handwritten slotted class, like :class:`~repro.core.events.Event`
-    and for the same reason: a lit run builds one per dispatch and per
-    message, and a frozen-dataclass ``__init__`` pays six
-    ``object.__setattr__`` calls for it.  Instances are immutable by
-    convention; nothing mutates a record once it is in a ring.
+    A tuple because a lit run files one per dispatch and per message, and
+    the two sites that do (:meth:`~.telemetry.Telemetry.emit` and the
+    scheduler's run loop) build it with one C call,
+    ``tuple.__new__(TraceRecord, fields)``, where any ``__init__`` would
+    be a Python frame per record.  The constructor below is for every
+    other site.  ``wall`` is the wall clock at record time —
+    nondeterministic, so excluded from equality and :meth:`to_dict` (the
+    wall-clock timeline view reads it straight off the record).  Defining
+    ``__eq__`` drops tuple's hash: a record holds a dict, so it has none.
     """
 
-    __slots__ = ("seq", "kind", "time", "subject", "details", "wall")
+    __slots__ = ()
 
-    def __init__(self, seq: int, kind: str, time: float, subject: str,
-                 details: Optional[dict] = None, wall: float = 0.0) -> None:
-        self.seq = seq              # per-telemetry monotone ordinal
-        self.kind = kind            # a :class:`TraceKind` value
-        self.time = time            # virtual time the record describes
-        self.subject = subject      # subsystem, component or "src->dst" link
-        self.details = {} if details is None else details
-        #: Wall clock at record time — nondeterministic, so excluded from
-        #: equality and :meth:`to_dict` (the wall-clock timeline view reads
-        #: it straight off the record).
-        self.wall = wall
+    def __new__(cls, seq: int, kind: str, time: float, subject: str,
+                details: Optional[dict] = None, wall: float = 0.0):
+        return tuple.__new__(cls, (seq, kind, time, subject,
+                                   {} if details is None else details, wall))
+
+    seq = property(itemgetter(0), doc="Per-telemetry monotone ordinal.")
+    kind = property(itemgetter(1), doc="A :class:`TraceKind` value.")
+    time = property(itemgetter(2), doc="Virtual time the record describes.")
+    subject = property(itemgetter(3),
+                       doc='Subsystem, component or "src->dst" link.')
+    details = property(itemgetter(4), doc="Kind-specific detail fields.")
+    wall = property(itemgetter(5), doc="Wall clock at record time.")
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)      # unpickling calls __new__ with the fields
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not TraceRecord:
             return NotImplemented
-        return (self.seq == other.seq and self.kind == other.kind
-                and self.time == other.time
-                and self.subject == other.subject
-                and self.details == other.details)
+        return self[:5] == other[:5]
+
+    def __ne__(self, other: object) -> bool:     # tuple's would read wall
+        if other.__class__ is not TraceRecord:
+            return NotImplemented
+        return self[:5] != other[:5]
 
     def __repr__(self) -> str:
         return (f"TraceRecord(seq={self.seq!r}, kind={self.kind!r}, "
@@ -117,22 +128,24 @@ class Ring:
     old items are dropped, never the run, so recording is safe to leave
     on for arbitrarily long simulations."""
 
-    __slots__ = ("capacity", "appended", "_items")
+    __slots__ = ("capacity", "appended", "items")
 
     def __init__(self, capacity: int) -> None:
         self.capacity = check_capacity(capacity)
-        self._items: deque = deque(maxlen=capacity)
+        #: The deque: a per-event site appends here and bumps
+        #: :attr:`appended` itself; :meth:`clear` empties it in place.
+        self.items: deque = deque(maxlen=capacity)
         #: Items ever appended (evicted ones included).
         self.appended = 0
 
     def append(self, item) -> None:
-        self._items.append(item)
+        self.items.append(item)
         self.appended += 1
 
     @property
     def dropped(self) -> int:
         """Items evicted by the ring bound."""
-        return self.appended - len(self._items)
+        return self.appended - len(self.items)
 
     def tail(self, since: int = 0) -> list:
         """The items appended after the first ``since`` that the ring
@@ -141,17 +154,17 @@ class Ring:
         fresh = self.appended - since
         if fresh <= 0:
             return []
-        items = list(self._items)
+        items = list(self.items)
         return items[-fresh:] if fresh < len(items) else items
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.items)
 
     def __iter__(self):
-        return iter(self._items)
+        return iter(self.items)
 
     def clear(self) -> None:
-        self._items.clear()
+        self.items.clear()
         self.appended = 0
 
 
@@ -163,27 +176,14 @@ class TraceBuffer(Ring):
     def __init__(self, capacity: int = 4096) -> None:
         super().__init__(capacity)
 
-    def record(self, seq: int, kind: str, time: float, subject: str,
-               details: dict) -> TraceRecord:
-        """The one append body: build a record around a ready ``details``
-        dict, stamp the wall clock, file it; returns it.  Every way of
-        recording (:meth:`~.telemetry.Telemetry.emit`, ``trace``, ``note``
-        and the flight recorder's own ``note``) ends here.  Positional
-        and flat — :meth:`Ring.append` is inlined — because a lit run
-        pays this once per dispatch and per message."""
-        record = TraceRecord(seq, kind, time, subject, details, _time.time())
-        self._items.append(record)
-        self.appended += 1
-        return record
-
     def records(self, kind: Optional[str] = None) -> List[TraceRecord]:
         if kind is None:
-            return list(self._items)
-        return [r for r in self._items if r.kind == kind]
+            return list(self.items)
+        return [r for r in self.items if r.kind == kind]
 
     def counts_by_kind(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
-        for record in self._items:
+        for record in self.items:
             counts[record.kind] = counts.get(record.kind, 0) + 1
         return dict(sorted(counts.items()))
 

@@ -3,9 +3,10 @@
 Carries :class:`~repro.transport.message.Message` objects between Pia
 nodes living in one process, preserving the properties Pia gets from RMI:
 FIFO ordering per directed link, synchronous request/response calls, and
-(simulated) serialisation — messages are deep-copied through an encode/
-decode cycle so nodes cannot share mutable state by accident, exactly as
-if they had crossed a real wire.
+(simulated) serialisation — a message whose payload could be mutated is
+delivered as the decode of its encode, so nodes cannot share mutable
+state by accident, exactly as if they had crossed a real wire; one with
+a provably immutable payload is handed through by reference.
 
 Every message is charged against :class:`NetworkAccounting`, which is how
 the "geographically distributed" experiments obtain their modelled network
@@ -21,6 +22,7 @@ from collections import deque
 from typing import Dict, Optional, Tuple
 
 from ..core.errors import TransportError
+from ..core.fastcopy import is_immutable
 from .codec import decode, encode, encode_batch
 from .latency import SAME_HOST, LatencyModel
 from .message import BatchFrame, Message
@@ -72,10 +74,12 @@ class InMemoryTransport(Transport):
         return False if dst in self._inboxes else None
 
     def _pack(self, message: Message) -> Tuple[Message, int]:
-        """The parcel is the delivered copy itself: the codec round trip
-        is what isolates the receiver from the sender's object."""
+        """Weighed by its encode; the parcel is the message itself when
+        its payload is provably immutable (as on the batched path), else
+        the decoded copy that isolates the receiver."""
         blob = encode(message)
-        return decode(blob), len(blob)
+        return (message if is_immutable(message.payload) else decode(blob),
+                len(blob))
 
     def _pack_frame(self, frame: BatchFrame) -> Tuple[BatchFrame, int]:
         """Members were isolated at enqueue; the frame is serialised only

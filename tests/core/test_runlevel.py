@@ -152,6 +152,59 @@ class TestSwitchpointFiring:
         assert len(fired) > 1
 
 
+def _register_directly(sim, text):
+    sim.switchpoints.add(text)
+
+
+def _register_from_run_control(sim, text):
+    from repro.core.runcontrol import parse
+    parse(f"[switchpoints]\n{text}\n").apply(sim)
+
+
+def _register_from_control_event(sim, text, at=6.5):
+    """Registered by a CONTROL event mid-run, when the condition already
+    holds: the poll must run after that very event."""
+    from repro.core import Event, EventKind
+    from repro.core.timestamp import PRIORITY_CONTROL, Timestamp
+    sim.subsystem.scheduler.schedule(Event(
+        Timestamp(at, PRIORITY_CONTROL), EventKind.CONTROL,
+        target=lambda event: sim.add_switchpoint(text)))
+
+
+class TestSwitchpointArming:
+    """The per-event poll exists only once a switchpoint does, and then
+    fires at the same ``(time, dispatched)`` whichever way it came."""
+
+    ROUTES = {
+        "add_switchpoint": (lambda sim, text: sim.add_switchpoint(text),
+                            (5.0, 9)),
+        "manager_add": (_register_directly, (5.0, 9)),
+        "run_control": (_register_from_run_control, (5.0, 9)),
+        "control_event": (_register_from_control_event, (6.5, 13)),
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_fires_at_the_same_event_by_every_route(self, route):
+        register, expected = self.ROUTES[route]
+        sim, a, b = _two_level_system()
+        hooks = sim.subsystem.scheduler.post_step_hooks
+        assert hooks == []          # no switchpoint, no per-event poll
+        fired = []
+        sim.switchpoints.apply = lambda target, level: fired.append(
+            (sim.now, sim.subsystem.scheduler.dispatched))
+        register(sim, "A.localtime >= 5: A -> fast")
+        sim.run(until=20.0)
+        assert fired == [expected]
+        assert hooks == [sim._poll_switchpoints]
+
+    def test_a_second_switchpoint_installs_nothing_more(self):
+        sim, a, b = _two_level_system()
+        sim.add_switchpoint("A.localtime >= 5: A -> fast")
+        sim.add_switchpoint("B.localtime >= 7: B -> fast")
+        assert sim.subsystem.scheduler.post_step_hooks == [
+            sim._poll_switchpoints]
+
+
 class TestSliderAndImperative:
     def test_slider_moves_levels(self):
         sim = Simulator()

@@ -25,8 +25,8 @@ from repro.protocols import packet_protocol
 from repro.transport.latency import SAME_HOST
 
 
-def simple_pair():
-    cosim = CoSimulation()
+def simple_pair(cosim=None):
+    cosim = CoSimulation() if cosim is None else cosim
     ss_a = cosim.add_subsystem(cosim.add_node("na"), "sa")
     ss_b = cosim.add_subsystem(cosim.add_node("nb"), "sb")
 
@@ -236,6 +236,67 @@ class TestGlobalSwitchpoints:
         assert tx.interface("link").level == "packet"
         assert rx.interface("link").level == "packet"
         assert len(cosim.switchpoints.history) == 1
+
+    SWITCHPOINT = "c.localtime >= 3: p -> fast"
+
+    def _recorded(self, cosim, fired):
+        cosim.switchpoints.apply = lambda target, level: fired.append(
+            (cosim.global_time(),
+             tuple(ss.scheduler.dispatched
+                   for __, ss in sorted(cosim.subsystems.items()))))
+
+    def _hooks(self, cosim):
+        return [ss.scheduler.post_step_hooks
+                for __, ss in sorted(cosim.subsystems.items())]
+
+    def test_added_before_subsystems(self):
+        cosim, fired = CoSimulation(), []
+        self._recorded(cosim, fired)
+        cosim.add_switchpoint(self.SWITCHPOINT)
+        simple_pair(cosim)
+        assert self._hooks(cosim) == [[cosim._poll_switchpoints]] * 2
+        cosim.run()
+        assert fired == [(3.0, (5, 3))]
+
+    @pytest.mark.parametrize("route", ["add_switchpoint", "manager_add",
+                                       "run_control"])
+    def test_added_after_subsystems(self, route):
+        from repro.core.runcontrol import parse
+        cosim, __ = simple_pair()
+        assert self._hooks(cosim) == [[], []]   # nothing polls per event
+        fired = []
+        self._recorded(cosim, fired)
+        if route == "add_switchpoint":
+            cosim.add_switchpoint(self.SWITCHPOINT)
+        elif route == "manager_add":
+            cosim.switchpoints.add(self.SWITCHPOINT)
+        else:
+            parse(f"[switchpoints]\n{self.SWITCHPOINT}\n").apply(cosim)
+        assert self._hooks(cosim) == [[cosim._poll_switchpoints]] * 2
+        cosim.run()
+        assert fired == [(3.0, (5, 3))]
+
+    def test_added_from_a_control_event_mid_run(self):
+        """Registered at 3.5 when the condition already holds: the poll
+        runs after that very CONTROL event."""
+        from repro.core import Event, EventKind
+        from repro.core.timestamp import PRIORITY_CONTROL, Timestamp
+        cosim, __ = simple_pair()
+        fired = []
+        self._recorded(cosim, fired)
+        cosim.subsystem("sb").scheduler.schedule(Event(
+            Timestamp(3.5, PRIORITY_CONTROL), EventKind.CONTROL,
+            target=lambda event: cosim.add_switchpoint(self.SWITCHPOINT)))
+        cosim.run()
+        assert fired == [(3.5, (5, 4))]
+
+    def test_the_poll_runs_ahead_of_a_debugger_hook(self):
+        from repro.debug import DistributedDebugger
+        cosim, __ = simple_pair()
+        debugger = DistributedDebugger(cosim)
+        cosim.add_switchpoint(self.SWITCHPOINT)
+        assert self._hooks(cosim) == [
+            [cosim._poll_switchpoints, debugger._hook]] * 2
 
     def test_slider_across_subsystems(self):
         cosim, consumer = simple_pair()

@@ -54,15 +54,16 @@ def two_way_batched_pair():
 
 #: model -> (budget native, budget pure), in extra calls per dispatched
 #: event: 1.25x what the tree measured when they were last recorded —
-#: 7.05 / 20.10 / 31.89 native, 8.05 / 29.10 / 37.89 pure (the two-way
-#: pair read 37.42 / 43.42 when the lit path was first budgeted; the
-#: ready-set round of the change after it took the rest).  Before the
-#: lit path was flattened the three models read 17.0 / 45.9 / 80.5 and
-#: 18.0 / 55.4 / 87.0.
+#: 4.05 / 14.57 / 25.89 native, 4.05 / 19.57 / 30.89 pure, once the
+#: DISPATCH record was filed by the run loop itself, every record became
+#: a tuple built by one C call and the in-process carrier stopped
+#: decoding its own encode of an immutable payload.  They read 7.05 /
+#: 20.10 / 31.89 and 8.05 / 29.10 / 37.89 before that; 17.0 / 45.9 /
+#: 80.5 and 18.0 / 55.4 / 87.0 before the lit path was first flattened.
 BUDGETS = {
-    local_word: (8.8, 10.1),
-    one_way_pair: (25.2, 36.4),
-    two_way_batched_pair: (39.9, 47.4),
+    local_word: (5.1, 5.1),
+    one_way_pair: (18.2, 24.5),
+    two_way_batched_pair: (32.4, 38.6),
 }
 
 

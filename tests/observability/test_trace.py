@@ -205,8 +205,72 @@ class TestRecordContract:
         telemetry.trace(TraceKind.DISPATCH)
         assert telemetry.trace_buffer.records()[-1].seq == 2
 
+    def test_hot_sites_build_the_same_record_with_one_c_call(self):
+        fields = (3, TraceKind.MSG_SEND, 1.5, "a->b", {"bytes": 9}, 12.5)
+        made = tuple.__new__(TraceRecord, fields)
+        assert type(made) is TraceRecord and made == TraceRecord(*fields)
+        assert repr(made) == repr(TraceRecord(*fields))
+
     def test_note_with_both_rings_off_records_nothing(self):
         telemetry = Telemetry(enabled=False)
         telemetry.flight.enabled = False
         telemetry.note(TraceKind.STALL, time=1.0, subject="ss")
         assert len(telemetry.flight) == 0 == len(telemetry.trace_buffer)
+
+
+class TestRecordShape:
+    """One record shape: the six-tuple ``(seq, kind, time, subject,
+    details, wall)`` with named, read-only fields."""
+
+    FIELDS = (3, TraceKind.MSG_SEND, 1.5, "a->b", {"bytes": 9}, 12.5)
+
+    def test_a_six_tuple_with_named_fields(self):
+        record = TraceRecord(*self.FIELDS)
+        assert isinstance(record, tuple) and tuple(record) == self.FIELDS
+        assert (record.seq, record.kind, record.time, record.subject,
+                record.details, record.wall) == self.FIELDS
+
+    def test_fields_are_read_only(self):
+        record = TraceRecord(*self.FIELDS)
+        for name in ("seq", "kind", "time", "subject", "details", "wall"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        assert tuple(record) == self.FIELDS
+
+    def test_equality_ignores_wall_and_only_wall(self):
+        a = TraceRecord(*self.FIELDS)
+        b = TraceRecord(*self.FIELDS[:5], wall=99.0)
+        assert a == b and not a != b
+        assert tuple(a) != tuple(b)
+
+    def test_a_tuple_that_is_still_unhashable(self):
+        record = TraceRecord(1, TraceKind.DISPATCH, 0.0, "ss")
+        assert isinstance(record, tuple)
+        with pytest.raises(TypeError):
+            hash(record)
+
+    def test_pickle_round_trips_all_six_fields(self):
+        import pickle
+        record = TraceRecord(*self.FIELDS)
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is TraceRecord and tuple(copy) == self.FIELDS
+
+    def test_reset_from_a_control_event_restarts_dispatch_seqs_at_one(self):
+        from repro.core import (Event, EventKind, FunctionComponent,
+                                Simulator, WaitUntil)
+        from repro.core.timestamp import PRIORITY_CONTROL, Timestamp
+
+        def ticker(comp):
+            for __ in range(6):
+                yield WaitUntil(comp.local_time + 1.0)
+
+        sim = Simulator()
+        sim.add(FunctionComponent("ticker", ticker))
+        sim.subsystem.scheduler.schedule(Event(
+            Timestamp(3.5, PRIORITY_CONTROL), EventKind.CONTROL,
+            target=lambda event: sim.telemetry.reset()))
+        sim.run()
+        records = sim.telemetry.trace_buffer.records(TraceKind.DISPATCH)
+        assert [(r.seq, r.time) for r in records] == [
+            (1, 3.5), (2, 4.0), (3, 5.0), (4, 6.0)]
+        assert all(type(r) is TraceRecord for r in records)

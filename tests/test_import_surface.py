@@ -2,7 +2,8 @@
 
 Exact, not timed: the runtime needs no graph library (the topology rule,
 the auto-cut and the Pamette levelisation are in-tree or standard
-library), and delivering a word executes no ``import`` statement.
+library), numpy arrives with the first image rather than with the
+package, and delivering a word executes no ``import`` statement.
 """
 
 import builtins
@@ -32,6 +33,23 @@ def test_no_graph_library_at_runtime():
                           timeout=60, capture_output=True, text=True,
                           check=True)
     assert json.loads(done.stdout) == []
+
+
+def test_numpy_only_when_an_image_is_made():
+    """``repro.apps.jpeg`` builds its numpy tables on first use, so the
+    WubbleU application — which every ledger workload module imports —
+    loads numpy only once a page is built."""
+    code = ("import json, sys\n"
+            "import repro.apps.wubbleu, repro.distributed, repro.bench\n"
+            "import repro.observability\n"
+            "before = 'numpy' in sys.modules\n"
+            "from repro.apps import jpeg\n"
+            "jpeg.encode(jpeg.synthetic_image(8, 8))\n"
+            "print(json.dumps([before, 'numpy' in sys.modules]))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=_example_env(),
+                          timeout=60, capture_output=True, text=True,
+                          check=True)
+    assert json.loads(done.stdout) == [False, True]
 
 
 def test_word_delivery_executes_no_import_statement(monkeypatch):

@@ -22,7 +22,7 @@ from repro.transport import (
     TcpTransport,
 )
 from repro.transport.batch import SendBatcher
-from repro.transport.message import BatchFrame, decode_any, encode_batch
+from repro.transport.message import BatchFrame, decode_any, encode, encode_batch
 
 from .test_transport import _msg, _poll_until
 
@@ -220,14 +220,43 @@ class TestCopyElision:
         delivered = t.poll("b")[0].payload
         assert delivered is payload           # elided the encode/decode
 
-    def test_elision_requires_batching(self):
-        """The per-message path always simulates the wire."""
+    def test_elision_does_not_require_batching(self):
+        """The per-message path follows the same rule: an immutable
+        payload is handed through, a mutable one is isolated — and both
+        are weighed by their encode."""
         t = InMemoryTransport()
         t.register("a")
         t.register("b")
-        payload = ("word", 17)
-        t.send(_msg(payload=payload))
-        assert t.poll("b")[0].payload is not payload
+        shared = ("word", 17)
+        t.send(_msg(payload=shared))
+        assert t.poll("b")[0].payload is shared
+        mutable = [1, [2, 3]]
+        t.send(_msg(payload=mutable))
+        mutable[1].append(4)                   # mutate after send
+        delivered = t.poll("b")[0].payload
+        assert delivered == [1, [2, 3]] and delivered is not mutable
+        link = t.accounting.links[("a", "b")]
+        assert (link.messages, link.bytes) == (2, sum(
+            len(encode(_msg(payload=p))) for p in (shared, [1, [2, 3]])))
+
+    def test_a_call_reply_follows_the_same_rule(self):
+        t = InMemoryTransport()
+        t.register("a")
+        replies = []
+
+        def handler(request):
+            payload = (3, 4) if not replies else [3, 4]
+            replies.append(request.reply(MessageKind.SAFE_TIME_REPLY,
+                                         time=2.0, payload=payload))
+            return replies[-1]
+
+        t.register("b", call_handler=handler)
+        shared = t.call(_msg(kind=MessageKind.SAFE_TIME_REQUEST))
+        assert shared is replies[0]
+        isolated = t.call(_msg(kind=MessageKind.SAFE_TIME_REQUEST))
+        assert isolated is not replies[1]
+        replies[1].payload.append(5)           # the handler's copy moves on
+        assert isolated.payload == [3, 4]
 
 
 class TestTcpBatching:
