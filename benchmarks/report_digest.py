@@ -4,7 +4,10 @@ Prints one line per fenced ledger workload and seed: the sha256 (first 16
 hex digits) of the run's full ``RunReport`` — every subsystem row, link
 row, counter, gauge, histogram, fault and stall-attribution row plus the
 whole trace, record by record in ``seq`` order, with only the wall-clock
-stamps dropped — and the number of trace records behind it.  The models
+stamps dropped — then the ``run`` digest of the same report with its
+``trace`` section removed, and the number of trace records.  A change that
+moves only what is recorded shows "the run is what it was" as equal
+``run`` digests beside different whole-report ones.  The models
 are the ledger's own (``benchmarks/ledger/workloads.py``, full size,
 read-only use), so the digests are the ones CHANGES.md and EXPERIMENTS.md
 quote.
@@ -30,12 +33,19 @@ import sys
 FENCED = ("wubbleu_local_word", "stream_pair_coop", "wubbleu_remote_word")
 
 
-def report_digest(report):
-    """``(digest, trace records)`` of one finished run's report."""
-    document = report.to_dict(include_trace=True)
+def digest(document):
     blob = json.dumps(document, sort_keys=True, default=repr)
-    return (hashlib.sha256(blob.encode()).hexdigest()[:16],
-            len(document["trace"]["records"]))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def report_digest(report):
+    """``(digest, run digest, trace records)`` of one finished run's
+    report; the run digest leaves out the ``trace`` section."""
+    document = report.to_dict(include_trace=True)
+    records = len(document["trace"]["records"])
+    whole = digest(document)
+    del document["trace"]
+    return whole, digest(document), records
 
 
 def main(argv=None):
@@ -58,8 +68,9 @@ def main(argv=None):
             inputs = workload.prepare(seed, workload.sizes["full"])
             instance = workload.build(inputs, None)
             workload.run(instance)
-            digest, records = report_digest(instance.report())
-            print(f"{name:22s} seed {seed:<3d} {digest}  {records} records")
+            whole, run, records = report_digest(instance.report())
+            print(f"{name:22s} seed {seed:<3d} {whole}  run {run}  "
+                  f"{records} records")
 
 
 if __name__ == "__main__":

@@ -124,6 +124,11 @@ class CheckpointImage:
     #: same dispatch totals as an uninterrupted run.
     dispatched: int = 0
     stalls: int = 0
+    #: ``Scheduler.reached``/``before`` at capture time; a reinstate keeps
+    #: the higher pair of the image's and the live subsystem's, so a
+    #: rollback never lowers them and a fresh subsystem inherits them.
+    reached: float = 0.0
+    before: float = 0.0
     #: The subsystem the image was taken from; :func:`reinstate` refuses
     #: any other.
     subsystem: str = ""
@@ -175,6 +180,8 @@ def capture(subsystem: "Subsystem", checkpoint_id: int,
                             started=subsystem._started,
                             dispatched=subsystem.scheduler.dispatched,
                             stalls=subsystem.scheduler.stalls,
+                            reached=subsystem.scheduler.reached,
+                            before=subsystem.scheduler.before,
                             subsystem=subsystem.name)
     image.events = [_by_name(evt)
                     for evt in subsystem.scheduler.queue.snapshot()]
@@ -199,12 +206,19 @@ def reinstate(subsystem: "Subsystem", image: CheckpointImage) -> None:
               token, cause)
         for ts, kind, target, payload, token, cause in image.events
     ]
-    rewound_from = subsystem.scheduler.now
-    subsystem.scheduler.now = image.time
+    scheduler = subsystem.scheduler
+    rewound_from = scheduler.now
+    if (image.reached, image.before) > (scheduler.reached, scheduler.before):
+        # A freshly built subsystem resumes the image's instant.
+        scheduler.reached, scheduler.before = image.reached, image.before
+    elif image.time != rewound_from:
+        # A rollback: the instants it revisits were already waited for.
+        scheduler.before = scheduler.reached
+    scheduler.now = image.time
     subsystem._started = image.started
-    subsystem.scheduler.dispatched = image.dispatched
-    subsystem.scheduler.stalls = image.stalls
-    subsystem.scheduler.queue.restore(events)
+    scheduler.dispatched = image.dispatched
+    scheduler.stalls = image.stalls
+    scheduler.queue.restore(events)
     for name, snap in image.components.items():
         try:
             component = subsystem.components[name]
@@ -356,6 +370,8 @@ class _IncrementalRecord:
     started: bool = True
     dispatched: int = 0
     stalls: int = 0
+    reached: float = 0.0
+    before: float = 0.0
     _storage_bytes: Optional[int] = field(
         default=None, repr=False, compare=False)
 
@@ -435,7 +451,9 @@ class IncrementalCheckpointStore(CheckpointStore):
                                     full=None, events=image.events,
                                     nets=image.nets, started=image.started,
                                     dispatched=image.dispatched,
-                                    stalls=image.stalls)
+                                    stalls=image.stalls,
+                                    reached=image.reached,
+                                    before=image.before)
         for name, snap in image.components.items():
             old = base.components.get(name)
             delta = _DeltaImage(local_time=snap.local_time,
@@ -472,6 +490,8 @@ class IncrementalCheckpointStore(CheckpointStore):
                                 started=record.started,
                                 dispatched=record.dispatched,
                                 stalls=record.stalls,
+                                reached=record.reached,
+                                before=record.before,
                                 subsystem=base.subsystem)
         for name, delta in record.deltas.items():
             old = base.components.get(name)

@@ -88,15 +88,14 @@ class Component:
         self.finished = False
         self.ports: dict[str, Port] = {}
         self.interfaces: dict[str, "Interface"] = {}
-        #: Deterministic per-component RNG for behaviours that need noise.
-        self.rng = random.Random(self._rng_seed())
+        #: Deterministic per-component RNG for behaviours that need noise,
+        #: seeded from the name itself (``random`` hashes a str seed with
+        #: SHA-512), not from ``hash()``, which is salted per process.
+        self.rng = random.Random(name)
         self._wake_seq = 0
         self._pending_checkpoint: Optional[object] = None
         self._infra_keys: set[str] = set()
         self._seal_infra()
-
-    def _rng_seed(self) -> int:
-        return hash(self.name) & 0x7FFFFFFF
 
     def _seal_infra(self) -> None:
         """Record the current attribute set as framework-internal."""
@@ -595,7 +594,7 @@ class ProcessComponent(Component):
         self.local_time = 0.0
         self.finished = False
         self._wake_seq = 0
-        self.rng = random.Random(self._rng_seed())
+        self.rng = random.Random(self.name)
         self._block = None
         self._log = log
         if snap.extra["started"]:

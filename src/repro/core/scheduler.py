@@ -18,9 +18,11 @@ once (:meth:`Scheduler.run`) and is written flat: a precomputed per-kind
 handler table instead of an ``if``/``elif`` chain, loop-invariant
 attribute lookups hoisted into locals, one ``pop_ready(bound)`` queue
 call per event for "is the head due, and if so hand it over", and the
-traced path a branch of its own that files its ``DISPATCH`` record
-without a Python frame, so a telemetry-off run touches no telemetry state
-per event.
+traced path a branch of its own, so a telemetry-off run touches no
+telemetry state per event.  Even lit, a dispatch files a ``DISPATCH``
+record only when it has a cause (its chain began at a channel crossing):
+that, and the instant the subsystem had reached before it, is all stall
+attribution reads; every other dispatch is counted, not recorded.
 """
 
 from __future__ import annotations
@@ -47,15 +49,21 @@ if TYPE_CHECKING:  # pragma: no cover
 class Scheduler:
     """Dispatches events for one subsystem in deterministic time order."""
 
-    __slots__ = ("subsystem", "queue", "now", "dispatched", "stalls",
-                 "post_step_hooks", "telemetry", "_handlers",
-                 "_stall_counter")
+    __slots__ = ("subsystem", "queue", "now", "reached", "before",
+                 "dispatched", "stalls", "post_step_hooks", "telemetry",
+                 "_handlers", "_stall_counter")
 
     def __init__(self, subsystem: "Subsystem") -> None:
         self.subsystem = subsystem
         self.queue = EventQueue()
         #: Subsystem virtual time (the paper's *system time*).
         self.now = 0.0
+        #: The highest instant ever dispatched, and the highest one
+        #: dispatched before the current instant began — the baseline of
+        #: the gap stall attribution may charge, carried by a caused
+        #: dispatch's record.  A rollback lowers neither; lit runs only.
+        self.reached = 0.0
+        self.before = 0.0
         #: Events dispatched since construction.
         self.dispatched = 0
         #: Number of times :meth:`run` stopped early at a horizon
@@ -195,20 +203,27 @@ class Scheduler:
                             self._record_stall(next_time, limit)
                     break
                 time = event.time
-                if time < self.now:
+                now = self.now
+                if time < now:
                     raise CausalityError(
                         f"{name}: event at {time:g} popped "
-                        f"after subsystem time reached {self.now:g}")
+                        f"after subsystem time reached {now:g}")
                 self.now = time
                 if not traced:
                     handlers[event.code](event)
                     self.dispatched += 1
                 else:
+                    if time != now:     # a new instant starts here
+                        self.before = self.reached
+                        if time > self.reached:
+                            self.reached = time
                     cause = event.cause
                     if cause is None:
                         handlers[event.code](event)
-                        details = {"event": event.kind.label}
                     else:
+                        details = {"event": event.kind.label,
+                                   "cause": cause[1], "hop": cause[3],
+                                   "before": self.before}
                         # Sends triggered by this dispatch mint child spans
                         # of its cause; cleared even on a straggler abort.
                         cell.value = cause
@@ -216,16 +231,14 @@ class Scheduler:
                             handlers[event.code](event)
                         finally:
                             cell.value = None
-                        details = {"event": event.kind.label,
-                                   "cause": cause[1], "hop": cause[3]}
+                        # Telemetry.emit inlined (no frame); ``seq`` is
+                        # read per record, as Telemetry.reset() replaces it.
+                        if telemetry.enabled:
+                            file(_new_record(_TraceRecord, (
+                                next(telemetry.seq), _DISPATCH, time, name,
+                                details, _wall())))
+                            ring.appended += 1
                     self.dispatched += 1
-                    # Telemetry.emit inlined (no frame); ``seq`` is read
-                    # per record, as Telemetry.reset() replaces it.
-                    if telemetry.enabled:
-                        file(_new_record(_TraceRecord, (
-                            next(telemetry.seq), _DISPATCH, time, name,
-                            details, _wall())))
-                        ring.appended += 1
                 count += 1
                 if hooks:
                     for hook in hooks:

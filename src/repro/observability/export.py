@@ -64,13 +64,14 @@ def stall_attribution(records, *, nodes: Optional[Dict[str, str]] = None
                       ) -> List[dict]:
     """Charge each subsystem's idle virtual-time gaps to peer nodes.
 
-    Walks every subsystem's dispatch sequence in trace order; whenever a
-    dispatched event *delivers* a message from another node, the
-    virtual-time gap since the subsystem's previous dispatch is time it
-    spent parked at a channel horizon waiting for that peer's traffic
-    (the message itself, or the grant that made it safe to pass).  Gaps
-    ending in purely local events (``WaitUntil`` delays, local wiring)
-    are never charged — including events that merely *inherited* a
+    Reads the ``DISPATCH`` records, which a run files only for caused
+    dispatches; whenever a dispatched event *delivers* a message from
+    another node, the virtual-time gap since the subsystem's previous
+    dispatch instant (the record's ``before``, which a rollback never
+    lowers) is time it spent parked at a channel horizon waiting for that
+    peer's traffic (the message itself, or the grant that made it safe to
+    pass).  Gaps ending in purely local events (``WaitUntil`` delays,
+    local wiring) are never charged — including events that merely *inherited* a
     remote cause: a dispatch whose cause span was stamped at an earlier
     virtual time is follow-on work the subsystem scheduled for itself,
     not a wait on the network, so the charge requires the cause's
@@ -80,11 +81,11 @@ def stall_attribution(records, *, nodes: Optional[Dict[str, str]] = None
     be recognised; a record whose cause originates from the subsystem's
     own node is not charged.
 
-    All dispatches sharing one virtual instant are treated as a single
-    group: the gap since the previous instant is charged to every peer
-    node whose delivery ended it — a merge point needs *all* of its
-    inputs before the instant is safe, so simultaneous arrivals share
-    the blame.  Together with the stamp rule this makes the table a pure
+    All dispatches sharing one virtual instant and one ``before`` are
+    treated as a single group (instants a rollback revisits form new
+    ones, with no gap): the gap is charged once to every peer node whose
+    delivery ended it — a merge point needs *all* of its inputs before
+    the instant is safe, so simultaneous arrivals share the blame.  Together with the stamp rule this makes the table a pure
     function of *which* remote messages reach each subsystem at each
     virtual time — a quantity the conservative protocol fixes — rather
     than of the intra-instant delivery order, which is executor-pacing-
@@ -103,15 +104,28 @@ def stall_attribution(records, *, nodes: Optional[Dict[str, str]] = None
     for rec in dicts:
         if rec.get("kind") == TraceKind.MSG_SEND and "span" in rec:
             stamps.setdefault(rec["span"], rec.get("time", 0.0))
-    last_time: Dict[str, float] = {}
-    groups: Dict[str, tuple] = {}   # subject -> (instant, remote origins)
+    #: (subject, instant, before) -> remote origins
+    groups: Dict[tuple, set] = {}
     rows: Dict[tuple, dict] = {}
-
-    def charge(subject: str, instant: float, origins: set) -> None:
-        gap = instant - last_time.get(subject, 0.0)
-        last_time[subject] = max(last_time.get(subject, 0.0), instant)
+    for rec in dicts:
+        span = rec.get("cause")
+        if rec.get("kind") != TraceKind.DISPATCH or span is None:
+            continue
+        subject = rec.get("subject", "")
+        time = rec.get("time", 0.0)
+        origins = groups.setdefault((subject, time, rec["before"]), set())
+        stamp = stamps.get(span)
+        if stamp is not None and stamp != time:
+            continue        # inherited cause: planned local follow-on work
+        origin = span_origin(span)
+        own = nodes.get(subject)
+        if own is not None and origin == own:
+            continue
+        origins.add(origin)
+    for (subject, instant, before), origins in groups.items():
+        gap = instant - before
         if gap <= 0.0:
-            return
+            continue
         for origin in origins:
             key = (subject, origin)
             row = rows.get(key)
@@ -123,31 +137,6 @@ def stall_attribution(records, *, nodes: Optional[Dict[str, str]] = None
                                    "waits": 0, "waited": 0.0}
             row["waits"] += 1
             row["waited"] += gap
-
-    for rec in dicts:
-        if rec.get("kind") != TraceKind.DISPATCH:
-            continue
-        subject = rec.get("subject", "")
-        time = rec.get("time", 0.0)
-        group = groups.get(subject)
-        if group is not None and time != group[0]:
-            charge(subject, group[0], group[1])
-            group = None
-        if group is None:
-            group = groups[subject] = (time, set())
-        span = rec.get("cause")
-        if span is None:
-            continue
-        stamp = stamps.get(span)
-        if stamp is not None and stamp != time:
-            continue        # inherited cause: planned local follow-on work
-        origin = span_origin(span)
-        own = nodes.get(subject)
-        if own is not None and origin == own:
-            continue
-        group[1].add(origin)
-    for subject, (instant, origins) in groups.items():
-        charge(subject, instant, origins)
     ordered = [rows[key] for key in sorted(rows)]
     worst: Dict[str, float] = {}
     for row in ordered:

@@ -61,7 +61,8 @@ class TraceRecord(tuple):
     """One structured observation: the six-tuple ``(seq, kind, time,
     subject, details, wall)`` with read-only named fields.
 
-    A tuple because a lit run files one per dispatch and per message, and
+    A tuple because a lit run files one per caused dispatch and per
+    message, and
     the two sites that do (:meth:`~.telemetry.Telemetry.emit` and the
     scheduler's run loop) build it with one C call,
     ``tuple.__new__(TraceRecord, fields)``, where any ``__init__`` would

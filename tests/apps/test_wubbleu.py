@@ -17,8 +17,17 @@ from repro.apps import (
     parse_response,
     run_page_load,
 )
-from repro.core import SimulationError
-from repro.distributed import ChannelMode
+from repro.core import (
+    Advance,
+    FunctionComponent,
+    Interface,
+    ReceiveTransfer,
+    Send,
+    SimulationError,
+    Transfer,
+)
+from repro.distributed import ChannelMode, CoSimulation
+from repro.observability import TraceKind
 from repro.transport import LAN
 
 #: A small page keeps unit tests fast; benchmarks use the full 66 KB.
@@ -188,3 +197,61 @@ class TestHotJavaReference:
         ref = fetch_like_hotjava(page)
         sim = page_load("word", remote=False, config=small_config("word"))
         assert sim.cpu_seconds > ref.wall_seconds
+
+
+class TestWordReactionCrossesAtItsStimulus:
+    """Why the remote word link can derive no lookahead from its
+    declarations (DESIGN.md §5): the syslink codec's header takes no time,
+    the nets and the channel have no delay, and the modem pulses ``irq``
+    with a zero-delay ``Send`` — so a word-level ``Transfer`` emitted in
+    reaction to an incoming word crosses stamped at that word's instant.
+    A promise of any lookahead above zero on this link must fail this
+    test, or come with a model change that moves the 1.4935 s page."""
+
+    @staticmethod
+    def bus(comp):
+        comp.add_interface(Interface("bus", WubbleUConfig().bus_protocol(),
+                                     level="word", out_port="bus_tx",
+                                     in_port="bus_rx"))
+        return comp
+
+    def test_a_reply_crosses_at_the_instant_of_the_word_it_answers(self):
+        def stack(comp):
+            yield Advance(1.0)
+            yield Transfer("bus", b"GET /index.html")
+            comp.reply = yield ReceiveTransfer("bus")
+
+        def modem(comp):
+            comp.stimulus, request = yield ReceiveTransfer("bus")
+            yield Transfer("bus", request[::-1])
+            comp.replied = comp.local_time
+            yield Send("irq", 1)
+
+        cosim = CoSimulation()
+        handheld = cosim.add_subsystem(cosim.add_node("host-a"), "handheld")
+        cellsite = cosim.add_subsystem(cosim.add_node("host-b"), "cellsite")
+        a = handheld.add(self.bus(FunctionComponent(
+            "Stack", stack, ports={"irq": "in"})))
+        b = cellsite.add(self.bus(FunctionComponent(
+            "NetIf", modem, ports={"irq": "out"})))
+        channel = cosim.connect(handheld, cellsite)
+        channel.split_net(handheld.wire("bus_fwd", a.port("bus_tx")),
+                          cellsite.wire("bus_fwd", b.port("bus_rx")))
+        channel.split_net(cellsite.wire("bus_bwd", b.port("bus_tx")),
+                          handheld.wire("bus_bwd", a.port("bus_rx")))
+        channel.split_net(cellsite.wire("netirq", b.port("irq")),
+                          handheld.wire("netirq", a.port("irq")))
+        cosim.run()
+
+        assert a.reply[1] == b"lmth.xedni/ TEG"
+        signals = [record for record in
+                   cosim.telemetry.trace_buffer.records(TraceKind.MSG_SEND)
+                   if record.details["message_kind"] == "signal"]
+        stamps = {record.details["span"]: record.time for record in signals}
+        back = [record for record in signals
+                if record.subject == "host-b->host-a"]
+        # The reply's header crosses at the stamp of the word it answers,
+        # and the irq at the stamp of the last reply word.
+        assert back[0].time == stamps[back[0].details["parent"]] \
+            == b.stimulus
+        assert back[-1].time == back[-2].time == b.replied

@@ -1,8 +1,13 @@
 """Checkpoint/restore: full images, replay, incremental stores."""
 
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.core import (
     Advance,
@@ -179,6 +184,20 @@ class TestReactiveCheckpoint:
         sim.restore(cid)
         sim.run()
         assert dice.rolls == original
+
+    def test_rng_draws_do_not_depend_on_the_hash_seed(self):
+        """``self.rng`` is seeded from the component's name itself, not
+        from ``hash(name)``, which every process salts differently."""
+        script = ("from repro.core.component import Component\n"
+                  "rng = Component('dice').rng\n"
+                  "print([rng.randint(1, 6) for __ in range(12)])")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        draws = {subprocess.run(
+            [sys.executable, "-c", script], check=True, text=True,
+            capture_output=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+        ).stdout for seed in ("1", "2")}
+        assert len(draws) == 1
 
 
 class TestAutoCheckpointAndStores:

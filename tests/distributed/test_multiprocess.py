@@ -12,7 +12,13 @@ from repro.bench.workloads import (
     make_compute_worker,
 )
 from repro.core.errors import ConfigurationError, NodeFailure, TopologyError
-from repro.distributed import MultiprocessCoSimulation, WorkerPool
+from repro.core.component import Component
+from repro.distributed import (
+    MultiprocessCoSimulation,
+    SystemSpec,
+    WorkerPool,
+    build,
+)
 from repro.distributed.multiprocess import register_factory, resolve_factory
 from repro.faults import FaultPlan, LinkFaults, NodeCrash, RetryPolicy
 
@@ -49,6 +55,58 @@ def make_exploding_worker(name, *, index, rounds, words, period=1.0):
     subsystem.wire(f"go{index}", worker.port("go"))
     subsystem.wire(f"done{index}", worker.port("done"))
     return subsystem
+
+
+def make_dice_hub(name, *, rounds):
+    """Sends ``go`` and waits as long as the roll it gets back, so its
+    clock is the sum of what it received (importable by dotted path, as
+    are the spokes below)."""
+    from repro.core import FunctionComponent, Receive, Send, WaitUntil
+    from repro.core.subsystem import Subsystem
+
+    def behave(comp):
+        comp.rolls = []
+        for round_index in range(rounds):
+            yield Send("go", round_index)
+            __, roll = yield Receive("done")
+            comp.rolls.append(roll)
+            yield WaitUntil(comp.local_time + roll)
+
+    hub = FunctionComponent("hub", behave, ports={"go": "out", "done": "in"})
+    subsystem = Subsystem(name)
+    subsystem.add(hub)
+    subsystem.wire("go0", hub.port("go"))
+    subsystem.wire("done0", hub.port("done"))
+    return subsystem
+
+
+def make_dice_spoke(name, *, rounds):
+    """Answers every ``go`` with a roll of its component's ``rng``."""
+    from repro.core import FunctionComponent, Receive, Send
+    from repro.core.subsystem import Subsystem
+
+    def behave(comp):
+        for __ in range(rounds):
+            yield Receive("go")
+            yield Send("done", comp.rng.randint(1, 6))
+
+    dice = FunctionComponent("dice", behave, ports={"go": "in", "done": "out"})
+    subsystem = Subsystem(name)
+    subsystem.add(dice)
+    subsystem.wire("go0", dice.port("go"))
+    subsystem.wire("done0", dice.port("done"))
+    return subsystem
+
+
+def dice_spec(rounds=8):
+    here = "tests.distributed.test_multiprocess:"
+    spec = SystemSpec()
+    spec.add_subsystem(spec.add_node("n-hub"), "hub", here + "make_dice_hub",
+                       rounds=rounds)
+    spec.add_subsystem(spec.add_node("n-w0"), "w0", here + "make_dice_spoke",
+                       rounds=rounds)
+    spec.connect("hub", "w0", delay=0.25, nets=("go0", "done0"))
+    return spec
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +215,28 @@ class TestExecution:
         # The batched fast path is on by default and its histogram
         # survives the merge.
         assert report.histograms["transport.batch_size"]["count"] > 0
-        assert report.trace_counts.get("dispatch") == events
+        # A DISPATCH record is filed for a caused dispatch only.
+        dispatches = [record for record in report.trace_records
+                      if record["kind"] == "dispatch"]
+        assert 0 < report.trace_counts["dispatch"] == len(dispatches) < events
+        assert all("cause" in record for record in dispatches)
+
+    def test_component_rng_draws_the_same_in_every_process(self):
+        """A spawned worker salts ``hash()`` differently from this
+        process; the rolls its ``rng`` draws must not notice."""
+        reference = build(dice_spec())
+        reference.run()
+        rolls = reference.subsystems["hub"].components["hub"].rolls
+        dice = Component("dice").rng
+        assert rolls == [dice.randint(1, 6) for __ in rolls]
+
+        cosim = build(dice_spec(), "multiprocess")
+        cosim.run(timeout=60.0)
+        report = cosim.report()
+        cosim.close()
+        assert progress_rows(report) == progress_rows(reference.report())
+        hub_time = {row["name"]: row["time"] for row in report.subsystems}
+        assert hub_time["hub"] == 8 * 0.5 + sum(rolls)
 
     def test_report_before_run_raises(self):
         cosim = compute_star_multiprocess(2, 3, words=10)

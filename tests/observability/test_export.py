@@ -13,17 +13,20 @@ from repro.observability import (
     write_chrome_trace,
 )
 from repro.observability.export import subject_nodes, trace_records
+from repro.observability.spans import span_origin
 from repro.observability.trace import TraceRecord
 
 NODES = {"hub": "n-hub", "w0": "n-w0"}
 
 
-def dispatch(subject, time, cause=None, hop=None, wall=0.0):
+def dispatch(subject, time, cause=None, hop=None, wall=0.0, before=None):
     rec = {"kind": TraceKind.DISPATCH, "seq": 1, "time": time,
            "subject": subject, "wall": wall}
     if cause is not None:
         rec["cause"] = cause
         rec["hop"] = hop or 0
+    if before is not None:
+        rec["before"] = before
     return rec
 
 
@@ -154,8 +157,7 @@ class TestValidate:
 class TestStallAttribution:
     def test_remote_caused_gap_charged_to_peer_origin(self):
         rows = stall_attribution([
-            dispatch("hub", 1.0),
-            dispatch("hub", 4.0, cause="n-w0:1", hop=1),
+            dispatch("hub", 4.0, cause="n-w0:1", hop=1, before=1.0),
         ], nodes=NODES)
         assert rows == [{"subsystem": "hub", "node": "n-hub",
                          "peer_node": "n-w0", "waits": 1, "waited": 3.0,
@@ -163,16 +165,16 @@ class TestStallAttribution:
 
     def test_local_and_own_node_causes_not_charged(self):
         rows = stall_attribution([
-            dispatch("hub", 1.0),
-            dispatch("hub", 4.0),                          # local event
-            dispatch("hub", 9.0, cause="n-hub:1", hop=1),  # own node
+            dispatch("hub", 1.0),                          # uncaused
+            dispatch("hub", 9.0, cause="n-hub:1", hop=1,   # own node
+                     before=4.0),
         ], nodes=NODES)
         assert rows == []
 
     def test_critical_flag_marks_worst_peer_per_subsystem(self):
         rows = stall_attribution([
-            dispatch("hub", 1.0, cause="n-w0:1", hop=1),
-            dispatch("hub", 6.0, cause="n-w1:1", hop=1),
+            dispatch("hub", 1.0, cause="n-w0:1", hop=1, before=0.0),
+            dispatch("hub", 6.0, cause="n-w1:1", hop=1, before=1.0),
         ], nodes=NODES)
         by_peer = {row["peer_node"]: row for row in rows}
         assert by_peer["n-w1"]["critical"] is True
@@ -180,11 +182,10 @@ class TestStallAttribution:
 
     def test_same_instant_arrivals_share_blame_order_invariantly(self):
         forward = [
-            dispatch("hub", 1.0),
-            dispatch("hub", 4.0, cause="n-w1:1", hop=1),
-            dispatch("hub", 4.0, cause="n-w0:1", hop=1),
+            dispatch("hub", 4.0, cause="n-w1:1", hop=1, before=1.0),
+            dispatch("hub", 4.0, cause="n-w0:1", hop=1, before=1.0),
         ]
-        swapped = [forward[0], forward[2], forward[1]]
+        swapped = forward[::-1]
         expected = [{"subsystem": "hub", "node": "n-hub",
                      "peer_node": "n-w0", "waits": 1, "waited": 3.0,
                      "critical": True},
@@ -199,8 +200,8 @@ class TestStallAttribution:
         # follow-on work the subsystem scheduled for itself, not a stall.
         rows = stall_attribution([
             send("n-w0->n-hub", 1.0, "n-w0:1"),
-            dispatch("hub", 1.0, cause="n-w0:1", hop=1),
-            dispatch("hub", 2.5, cause="n-w0:1", hop=1),
+            dispatch("hub", 1.0, cause="n-w0:1", hop=1, before=0.0),
+            dispatch("hub", 2.5, cause="n-w0:1", hop=1, before=1.0),
         ], nodes=NODES)
         assert rows == [{"subsystem": "hub", "node": "n-hub",
                          "peer_node": "n-w0", "waits": 1, "waited": 1.0,
@@ -208,14 +209,103 @@ class TestStallAttribution:
 
     def test_first_dispatch_gap_measured_from_time_zero(self):
         rows = stall_attribution(
-            [dispatch("hub", 2.0, cause="n-w0:1", hop=1)], nodes=NODES)
+            [dispatch("hub", 2.0, cause="n-w0:1", hop=1, before=0.0)],
+            nodes=NODES)
         assert rows[0]["waited"] == 2.0
 
     def test_unknown_subsystem_still_attributed(self):
         rows = stall_attribution(
-            [dispatch("mystery", 1.0, cause="n-w0:1", hop=1)], nodes={})
+            [dispatch("mystery", 1.0, cause="n-w0:1", hop=1, before=0.0)],
+            nodes={})
         assert rows[0]["node"] == "-"
         assert rows[0]["peer_node"] == "n-w0"
+
+
+def full_trail_attribution(records, nodes):
+    """Stall attribution as it read a trail holding *every* dispatch:
+    one group per run of same-instant dispatches of a subsystem in trail
+    order, its gap measured from the highest instant dispatched before
+    it.  Returns ``{(subsystem, peer_node): [waits, waited]}``."""
+    stamps = {}
+    for rec in records:
+        if rec["kind"] == TraceKind.MSG_SEND:
+            stamps.setdefault(rec["span"], rec["time"])
+    last, groups, charged = {}, {}, {}
+
+    def charge(subject, instant, origins):
+        gap = instant - last.get(subject, 0.0)
+        last[subject] = max(last.get(subject, 0.0), instant)
+        for origin in origins if gap > 0.0 else ():
+            row = charged.setdefault((subject, origin), [0, 0.0])
+            row[0] += 1
+            row[1] += gap
+
+    for rec in records:
+        if rec["kind"] != TraceKind.DISPATCH:
+            continue
+        subject, time = rec["subject"], rec["time"]
+        group = groups.get(subject)
+        if group is not None and group[0] != time:
+            charge(subject, *group)
+            group = None
+        if group is None:
+            group = groups[subject] = (time, set())
+        span = rec.get("cause")
+        if span is None or stamps.get(span, time) != time:
+            continue
+        if span_origin(span) != nodes.get(subject):
+            group[1].add(span_origin(span))
+    for subject, group in groups.items():
+        charge(subject, *group)
+    return charged
+
+
+class TestCausedRecordsOnly:
+    """A run files ``DISPATCH`` only for a caused dispatch, stamped with
+    ``before`` (the subsystem's highest earlier dispatch instant).  On
+    each full trail below, attribution over its caused records alone must
+    equal what the whole trail gave when every dispatch was recorded."""
+
+    def attribute(self, full):
+        short = [rec for rec in full
+                 if rec["kind"] != TraceKind.DISPATCH or "cause" in rec]
+        assert len(short) < len(full)
+        rows = stall_attribution(short, nodes=NODES)
+        assert {(row["subsystem"], row["peer_node"]):
+                [row["waits"], row["waited"]] for row in rows} \
+            == full_trail_attribution(full, NODES)
+        return {row["peer_node"]: (row["waits"], row["waited"])
+                for row in rows}
+
+    def test_uncaused_dispatches_between_caused_ones(self):
+        assert self.attribute([
+            dispatch("hub", 1.0, cause="n-w0:1", hop=1, before=0.0),
+            dispatch("hub", 2.0),
+            dispatch("hub", 3.0),
+            dispatch("hub", 5.0, cause="n-w0:2", hop=1, before=3.0),
+        ]) == {"n-w0": (2, 3.0)}
+
+    def test_an_instant_whose_first_dispatch_is_uncaused(self):
+        assert self.attribute([
+            dispatch("hub", 1.0),
+            dispatch("hub", 4.0),
+            dispatch("hub", 4.0, cause="n-w0:1", hop=1, before=1.0),
+            dispatch("hub", 4.0, cause="n-w1:1", hop=1, before=1.0),
+        ]) == {"n-w0": (1, 3.0), "n-w1": (1, 3.0)}
+
+    def test_a_rollback_that_revisits_an_instant(self):
+        # Restored to the cut at 2.0 after dispatching 3.0: ``before``
+        # stays at 3.0, so the revisited 3.0 is a new group with no gap
+        # and n-w1's first arrival there is not charged.
+        assert self.attribute([
+            dispatch("hub", 1.0, cause="n-w0:1", hop=1, before=0.0),
+            dispatch("hub", 2.0),
+            dispatch("hub", 3.0, cause="n-w0:2", hop=1, before=2.0),
+            dispatch("hub", 2.5, cause="n-w1:1", hop=1, before=3.0),
+            dispatch("hub", 3.0, cause="n-w1:2", hop=1, before=3.0),
+            dispatch("hub", 4.0),
+            dispatch("hub", 6.0, cause="n-w1:3", hop=1, before=4.0),
+        ]) == {"n-w0": (2, 2.0), "n-w1": (1, 2.0)}
 
 
 class TestCounterTracks:

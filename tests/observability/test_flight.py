@@ -155,10 +155,9 @@ class TestSchedulerHook:
         assert flight.dispatch_seq == 2 * STRIDE + 100
         assert [r.seq for r in flight.records(TraceKind.DISPATCH)] \
             == [STRIDE, 2 * STRIDE]
-        # The sampled dispatches live in the black box only and drew no
-        # ordinal from the full trace's stream.
-        assert [r.seq for r in telemetry.trace_buffer.records()] \
-            == list(range(1, 2 * STRIDE + 101))
+        # The sampled dispatches live in the black box only: these
+        # dispatches have no cause, so the full trace records none of them.
+        assert telemetry.trace_buffer.records() == []
 
     def test_flight_stays_on_with_metrics_gate_disabled(self):
         telemetry = Telemetry()

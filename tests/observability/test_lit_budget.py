@@ -31,7 +31,8 @@ PURE = events.Event is events.PythonEvent
 
 
 def local_word():
-    """One subsystem, no channel: the dispatch record is all there is."""
+    """One subsystem, no channel: no dispatch has a cause, so a lit run
+    files no record at all."""
     return build_local(WubbleUConfig(
         level="word", seed=1, page_loads=1, total_bytes=800,
         image_count=1, image_size=8))[0]
@@ -53,17 +54,18 @@ def two_way_batched_pair():
 
 
 #: model -> (budget native, budget pure), in extra calls per dispatched
-#: event: 1.25x what the tree measured when they were last recorded —
-#: 4.05 / 14.57 / 25.89 native, 4.05 / 19.57 / 30.89 pure, once the
-#: DISPATCH record was filed by the run loop itself, every record became
-#: a tuple built by one C call and the in-process carrier stopped
-#: decoding its own encode of an immutable payload.  They read 7.05 /
-#: 20.10 / 31.89 and 8.05 / 29.10 / 37.89 before that; 17.0 / 45.9 /
-#: 80.5 and 18.0 / 55.4 / 87.0 before the lit path was first flattened.
+#: event: 1.25x what the tree measured when they were last recorded
+#: (the local word floored at 0.25) — 0.05 / 12.57 / 23.89 native, 0.05 /
+#: 17.57 / 28.89 pure, once a dispatch filed a DISPATCH record only when
+#: it had a cause.  They read 4.05 / 14.57 / 25.89 and 4.05 / 19.57 /
+#: 30.89 before that (every record a tuple built by one C call, the
+#: in-process carrier no longer decoding its own encode); 7.05 / 20.10 /
+#: 31.89 and 8.05 / 29.10 / 37.89 before those; 17.0 / 45.9 / 80.5 and
+#: 18.0 / 55.4 / 87.0 before the lit path was first flattened.
 BUDGETS = {
-    local_word: (5.1, 5.1),
-    one_way_pair: (18.2, 24.5),
-    two_way_batched_pair: (32.4, 38.6),
+    local_word: (0.25, 0.25),
+    one_way_pair: (15.7, 22.0),
+    two_way_batched_pair: (29.9, 36.1),
 }
 
 

@@ -148,10 +148,12 @@ class TestSingleHostWiring:
         assert kinds.get(TraceKind.CHECKPOINT_RESTORE, 0) == 1
 
     def test_dispatch_traces_recorded(self):
-        sim, __, ___ = _single_host()
-        sim.run()
-        records = sim.telemetry.trace_buffer.records(kind=TraceKind.DISPATCH)
+        # Two nodes: only a dispatch caused across a channel is recorded.
+        cosim = _cosim()
+        records = cosim.telemetry.trace_buffer.records(
+            kind=TraceKind.DISPATCH)
         assert records
+        assert all(r.details["cause"] for r in records)
         # virtual times on dispatch records are monotonically nondecreasing
         times = [r.time for r in records]
         assert times == sorted(times)

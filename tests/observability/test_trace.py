@@ -256,21 +256,151 @@ class TestRecordShape:
         assert type(copy) is TraceRecord and tuple(copy) == self.FIELDS
 
     def test_reset_from_a_control_event_restarts_dispatch_seqs_at_one(self):
-        from repro.core import (Event, EventKind, FunctionComponent,
-                                Simulator, WaitUntil)
+        # Caused ticks: only a caused dispatch files a DISPATCH record.
+        from repro.core import Event, EventKind, Simulator
         from repro.core.timestamp import PRIORITY_CONTROL, Timestamp
 
-        def ticker(comp):
-            for __ in range(6):
-                yield WaitUntil(comp.local_time + 1.0)
-
         sim = Simulator()
-        sim.add(FunctionComponent("ticker", ticker))
-        sim.subsystem.scheduler.schedule(Event(
+        scheduler = sim.subsystem.scheduler
+
+        def tick(event):
+            if event.time < 6.0:    # the cause is inherited down the chain
+                scheduler.schedule(Event(Timestamp(event.time + 1.0),
+                                         EventKind.CONTROL, tick))
+
+        scheduler.schedule(Event(Timestamp(1.0), EventKind.CONTROL, tick,
+                                 cause=CAUSE))
+        scheduler.schedule(Event(
             Timestamp(3.5, PRIORITY_CONTROL), EventKind.CONTROL,
-            target=lambda event: sim.telemetry.reset()))
+            target=lambda event: sim.telemetry.reset(), cause=CAUSE))
         sim.run()
         records = sim.telemetry.trace_buffer.records(TraceKind.DISPATCH)
         assert [(r.seq, r.time) for r in records] == [
             (1, 3.5), (2, 4.0), (3, 5.0), (4, 6.0)]
         assert all(type(r) is TraceRecord for r in records)
+
+
+#: A trace context as a channel crossing stamps it on an event.
+CAUSE = ("n-peer:1", "n-peer:1", None, 1)
+
+
+def control_subsystem(steps):
+    """A lit bare subsystem with one no-op CONTROL event per ``(time,
+    caused)`` step."""
+    from repro.core import Event, EventKind, Subsystem, Timestamp
+
+    subsystem = Subsystem("ss")
+    subsystem.attach_telemetry(Telemetry())
+    for time, caused in steps:
+        subsystem.scheduler.schedule(Event(
+            Timestamp(time), EventKind.CONTROL, lambda event: None,
+            cause=CAUSE if caused else None))
+    return subsystem
+
+
+def dispatch_rows(subsystem):
+    return [(r.time, r.details["before"]) for r in
+            subsystem.telemetry.trace_buffer.records(TraceKind.DISPATCH)]
+
+
+class TestCausedDispatchRecords:
+    """A dispatch files a ``DISPATCH`` record iff it has a cause; the
+    record's ``before`` is the highest instant dispatched before its
+    own, which a restore never lowers and an image carries."""
+
+    STEPS = [(1.0, False), (2.0, True), (2.0, False), (2.0, True),
+             (3.0, False), (5.0, True)]
+
+    def test_only_caused_dispatches_are_recorded_with_before(self):
+        subsystem = control_subsystem(self.STEPS)
+        assert subsystem.scheduler.run() == 6
+        assert dispatch_rows(subsystem) == [(2.0, 1.0), (2.0, 1.0),
+                                            (5.0, 3.0)]
+        record = subsystem.telemetry.trace_buffer.records(
+            TraceKind.DISPATCH)[0]
+        assert record.details == {"event": "control", "cause": "n-peer:1",
+                                  "hop": 1, "before": 1.0}
+        assert subsystem.telemetry.registry.snapshot()["counters"][
+            "scheduler.dispatched"] == 6
+
+    def test_a_lit_single_host_run_files_no_dispatch_record(self):
+        from repro.core import FunctionComponent, Simulator, WaitUntil
+        from repro.observability.flight import STRIDE
+
+        def ticker(comp):
+            for __ in range(2 * STRIDE + 100):
+                yield WaitUntil(comp.local_time + 1.0)
+
+        lit, dark = (Simulator(telemetry=Telemetry(enabled=enabled))
+                     for enabled in (True, False))
+        for sim in (lit, dark):
+            sim.add(FunctionComponent("ticker", ticker))
+            sim.run()
+        assert lit.telemetry.trace_buffer.records(TraceKind.DISPATCH) == []
+        dispatched = lit.subsystem.scheduler.dispatched
+        assert dispatched == dark.subsystem.scheduler.dispatched > 2 * STRIDE
+        assert lit.report().counter("scheduler.dispatched") == dispatched
+        lit_samples, dark_samples = (
+            [(r.seq, r.time) for r in
+             sim.telemetry.flight.records(TraceKind.DISPATCH)]
+            for sim in (lit, dark))
+        assert lit_samples == dark_samples
+        assert [seq for seq, __ in lit_samples] == [STRIDE, 2 * STRIDE]
+
+    def test_a_rollback_never_lowers_before(self):
+        from repro.core.checkpoint import capture, reinstate
+
+        steps = [(1.0, False), (2.0, True), (3.0, True), (4.0, True)]
+        uninterrupted = control_subsystem(steps)
+        uninterrupted.scheduler.run()
+        assert dispatch_rows(uninterrupted) == [(2.0, 1.0), (3.0, 2.0),
+                                                (4.0, 3.0)]
+
+        subsystem = control_subsystem(steps)
+        subsystem.scheduler.run(until=2.0)
+        image = capture(subsystem, 1)
+        assert (image.reached, image.before) == (2.0, 1.0)
+        subsystem.scheduler.run()
+        reinstate(subsystem, image)     # rewound from 4.0 to 2.0
+        subsystem.scheduler.run()
+        # What the rollback revisits opens no gap: 3.0 - 4.0, 4.0 - 4.0.
+        assert dispatch_rows(subsystem)[3:] == [(3.0, 4.0), (4.0, 4.0)]
+
+    def test_a_restore_to_the_current_instant_continues_its_group(self):
+        from repro.core.checkpoint import capture, reinstate
+
+        subsystem = control_subsystem([(1.0, False), (2.0, True),
+                                       (2.0, True), (3.0, True)])
+        subsystem.scheduler.run(max_events=2)
+        image = capture(subsystem, 1)
+        subsystem.scheduler.run(max_events=1)
+        reinstate(subsystem, image)     # back to the middle of 2.0
+        subsystem.scheduler.run()
+        assert dispatch_rows(subsystem) == [(2.0, 1.0), (2.0, 1.0),
+                                            (2.0, 1.0), (3.0, 2.0)]
+
+    def test_a_freshly_built_subsystem_resumes_the_images_instant(self):
+        from repro.core.checkpoint import capture, reinstate
+
+        steps = [(1.0, False), (2.0, True), (2.0, True), (3.0, True)]
+        subsystem = control_subsystem(steps)
+        subsystem.scheduler.run(max_events=2)
+        image = capture(subsystem, 1)
+        fresh = control_subsystem([])
+        reinstate(fresh, image)         # a migration or a failover
+        assert (fresh.scheduler.reached, fresh.scheduler.before) \
+            == (2.0, 1.0)
+        fresh.scheduler.run()
+        assert dispatch_rows(fresh) == [(2.0, 1.0), (3.0, 2.0)]
+
+    def test_an_incremental_store_keeps_before(self):
+        from repro.core import IncrementalCheckpointStore
+
+        subsystem = control_subsystem(self.STEPS)
+        store = IncrementalCheckpointStore(full_every=4)
+        subsystem.scheduler.run(until=1.0)
+        store.take(subsystem)
+        subsystem.scheduler.run(until=3.0)
+        cid = store.take(subsystem)
+        restored = store.image(cid)
+        assert (restored.reached, restored.before) == (3.0, 2.0)
