@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""The paper's deployment shape for real: thread-per-node over TCP.
+"""Real sockets: thread-per-node over TCP, in one process.
 
-Two Pia nodes run concurrently on their own threads, joined by genuine
-localhost TCP sockets (length-prefixed frames, blocking safe-time calls) —
-the closest in-machine analogue of the two Pentium Pro workstations of the
-evaluation.  A ping-pong workload exercises the bidirectional safe-time
-discipline under true concurrency.
+Two Pia nodes run concurrently on their own threads of one process,
+joined by genuine localhost TCP sockets (length-prefixed frames, blocking
+safe-time calls).  A ping-pong workload exercises the bidirectional
+safe-time discipline under true concurrency.  The paper's own deployment —
+separate JVMs on two workstations — is a process per node: see the
+multiprocess executor (``build(spec, "multiprocess")``).
 
 Run:  python examples/real_sockets.py
 """

@@ -11,9 +11,8 @@ checkpoint footprint — for a single-host :class:`Simulator` or a whole
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import List, Optional
 
-from ..core.simulator import Simulator
 from ..core.subsystem import Subsystem
 from .harness import Table, format_bytes, format_count, format_seconds
 
@@ -139,19 +138,17 @@ def _collect_subsystem(report: ActivityReport, subsystem: Subsystem) -> None:
         })
 
 
-def activity_report(target: Union[Simulator, "object"],
-                    *, title: Optional[str] = None) -> ActivityReport:
-    """Summarise a Simulator or a CoSimulation."""
-    if isinstance(target, Simulator):
-        report = ActivityReport(title or target.subsystem.name)
-        _collect_subsystem(report, target.subsystem)
-        return report
+def activity_report(target, *, title: Optional[str] = None) -> ActivityReport:
+    """Summarise a system — a Simulator or a CoSimulation — through its
+    ``subsystems``; a system of one subsystem is titled by it."""
     subsystems = getattr(target, "subsystems", None)
     if subsystems is None:
-        raise TypeError(
-            f"cannot report on {type(target).__name__}: expected a "
-            "Simulator or CoSimulation")
-    report = ActivityReport(title or "co-simulation")
+        raise TypeError(f"cannot report on {type(target).__name__}: "
+                        "expected a system with a subsystems mapping")
+    if title is None:
+        title = next(iter(subsystems)) if len(subsystems) == 1 \
+            else "co-simulation"
+    report = ActivityReport(title)
     for name in sorted(subsystems):
         _collect_subsystem(report, subsystems[name])
     return report

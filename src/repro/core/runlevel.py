@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
-from .errors import RunLevelError, SwitchpointSyntaxError
+from .errors import ConfigurationError, RunLevelError, SwitchpointSyntaxError
 
 # ---------------------------------------------------------------------------
 # expression AST
@@ -279,6 +279,8 @@ class SwitchpointManager:
         #: Called on the first registration: the owner's per-event poll
         #: is installed then, not paid by runs without switchpoints.
         self.on_first: Optional[Callable[[], None]] = None
+        #: cut id (checkpoint or snapshot) -> :meth:`state` at that cut.
+        self._saved: dict = {}
 
     def add(self, switchpoint: Union[str, Switchpoint], *,
             once: bool = True) -> Switchpoint:
@@ -314,6 +316,82 @@ class SwitchpointManager:
         for sp, fired in zip(self.switchpoints, fired_flags):
             sp.fired = fired
         self.history = list(history)
+
+    def save(self, cut: Any) -> None:
+        """File :meth:`state` under the id of the cut just taken."""
+        self._saved[cut] = self.state()
+
+    def load(self, cut: Any) -> None:
+        """Back to the state filed under ``cut`` (if any was)."""
+        saved = self._saved.get(cut)
+        if saved is not None:
+            self.load_state(saved)
+
+
+class RunLevels:
+    """The run-level surface of a front end (paper section 2.1.3).
+
+    A :class:`~repro.core.simulator.Simulator` is a system of one
+    subsystem, a :class:`~repro.distributed.executor.CoSimulation` one of
+    many; both answer a ``subsystems`` mapping and ``global_time()``, and
+    this is the one body that reads them: component look-up, run-level
+    switches, sliders, and switchpoints polled after every event once the
+    first one is registered — ahead of any other post-step hook, at
+    global time, their state saved and restored with each cut.
+    """
+
+    subsystems: dict
+
+    def __init__(self) -> None:
+        env = SwitchpointEnvironment(local_time=self._local_time,
+                                     signal=self._signal)
+        self.switchpoints = SwitchpointManager(env, self.set_runlevel)
+        self.switchpoints.on_first = self._arm_switchpoints
+
+    def component(self, name: str):
+        for subsystem in self.subsystems.values():
+            if name in subsystem.components:
+                return subsystem.components[name]
+        raise ConfigurationError(f"no component named {name!r}")
+
+    def set_runlevel(self, target: str, level: str) -> None:
+        """Switch ``"Component"`` or ``"Component.interface"``, wherever
+        the component lives."""
+        self.component(target.split(".", 1)[0]).subsystem.set_runlevel(
+            target, level)
+
+    def add_switchpoint(self, text_or_sp: Union[str, Switchpoint], *,
+                        once: bool = True) -> Switchpoint:
+        """Register a switchpoint from the run-control file syntax."""
+        return self.switchpoints.add(text_or_sp, once=once)
+
+    def slider(self, targets: Iterable[str],
+               levels: Iterable[str]) -> "DetailSlider":
+        """Create the paper's detail-level slider over ``targets``."""
+        return DetailSlider(list(targets), list(levels), self.set_runlevel)
+
+    def _local_time(self, component: str) -> float:
+        return self.component(component).local_time
+
+    def _signal(self, net: str) -> Any:
+        for subsystem in self.subsystems.values():
+            if net in subsystem.nets:
+                return subsystem.nets[net].value
+        raise ConfigurationError(f"no net named {net!r}")
+
+    def _arm_switchpoints(self, subsystems: Optional[Iterable] = None) -> None:
+        # Once a switchpoint exists it is evaluated after every event, not
+        # just at run-slice boundaries (a slice can be the whole
+        # simulation); first in line, ahead of a debugger's hook.
+        for subsystem in subsystems or self.subsystems.values():
+            subsystem.scheduler.post_step_hooks.insert(
+                0, self._poll_switchpoints)
+
+    def _poll_switchpoints(self, event: Any = None) -> None:
+        """Every subsystem's post-step hook, and the front end's own poll
+        before the first event."""
+        if self.switchpoints.switchpoints:
+            self.switchpoints.poll(self.global_time())
 
 
 class DetailSlider:

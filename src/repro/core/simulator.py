@@ -1,51 +1,50 @@
 """The single-host simulator facade (paper section 2.1).
 
-Wraps one :class:`~repro.core.subsystem.Subsystem` with the user-facing
-conveniences: system construction, switchpoints and sliders, automatic
-periodic checkpoints, and the optimistic run-with-recovery loop that
-dynamically marks synchronous addresses and rewinds on violations.
+A system of one :class:`~repro.core.subsystem.Subsystem`: it answers the
+same ``subsystems`` mapping and ``global_time()`` as a co-simulation, so
+the run-level surface (:class:`~repro.core.runlevel.RunLevels`), the
+debugger and the run report read it as they read any system.  On top it
+adds system construction, automatic periodic checkpoints, and the
+optimistic run-with-recovery loop that dynamically marks synchronous
+addresses and rewinds on violations.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from ..observability import RunReport, Telemetry, run_report
 from .checkpoint import CheckpointStore
 from .component import Component
-from .errors import CheckpointError, ConsistencyViolation, SimulationError
+from .errors import (
+    CheckpointError,
+    ConsistencyViolation,
+    NoSuchCheckpointError,
+    SimulationError,
+)
 from .events import Event, EventKind
 from .net import Net
 from .port import Port
-from .runlevel import (
-    DetailSlider,
-    Switchpoint,
-    SwitchpointEnvironment,
-    SwitchpointManager,
-)
+from .runlevel import RunLevels
 from .subsystem import Subsystem
 from .sync import SyncTable
 from .timestamp import PRIORITY_CONTROL, Timestamp
 
 
-class Simulator:
+class Simulator(RunLevels):
     """Build and run a complete system on a single host."""
 
     def __init__(self, name: str = "system", *,
                  checkpoint_store: Optional[CheckpointStore] = None,
                  telemetry: Optional[Telemetry] = None) -> None:
         self.subsystem = Subsystem(name, checkpoint_store=checkpoint_store)
+        self.subsystems = {name: self.subsystem}
         #: Run telemetry; on by default (the disabled path is a single
         #: attribute read, see repro.observability).
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.subsystem.attach_telemetry(self.telemetry)
-        env = SwitchpointEnvironment(local_time=self._local_time,
-                                     signal=self._signal)
-        self.switchpoints = SwitchpointManager(env, self.set_runlevel)
-        self.switchpoints.on_first = self._arm_switchpoints
+        RunLevels.__init__(self)
         self._auto_interval: Optional[float] = None
-        #: checkpoint id -> (switchpoint fired flags, switch history).
-        self._switchpoint_states: dict = {}
         #: Rollback recoveries performed by :meth:`run_with_recovery`.
         self.recoveries = 0
 
@@ -58,9 +57,6 @@ class Simulator:
     def wire(self, name: str, *ports: Port, delay: float = 0.0) -> Net:
         return self.subsystem.wire(name, *ports, delay=delay)
 
-    def component(self, name: str) -> Component:
-        return self.subsystem.component(name)
-
     def net(self, name: str) -> Net:
         return self.subsystem.net(name)
 
@@ -71,13 +67,16 @@ class Simulator:
     def now(self) -> float:
         return self.subsystem.now
 
+    def global_time(self) -> float:
+        return self.subsystem.now
+
     def run(self, until: float = float("inf"), *,
             max_events: Optional[int] = None) -> int:
         """Run until the event queue drains or passes ``until``."""
         self.subsystem.start()
         # Components may have run ahead during start (they execute until
         # their first receive), so conditions can already hold.
-        self._poll_switchpoints(None)
+        self._poll_switchpoints()
         return self.subsystem.run(until, max_events=max_events)
 
     def step(self) -> Optional[Event]:
@@ -101,8 +100,8 @@ class Simulator:
             # Taken *before* start: components run ahead the moment they
             # start, so any later image may already contain the offending
             # optimistic accesses.
-            initial = self.subsystem.request_checkpoint(label="initial")
-            self._switchpoint_states[initial] = self.switchpoints.state()
+            self.switchpoints.save(
+                self.subsystem.request_checkpoint(label="initial"))
         total = 0
         for __ in range(max_rollbacks + 1):
             try:
@@ -146,14 +145,18 @@ class Simulator:
         self.subsystem.start()
         checkpoint_id = self.subsystem.request_checkpoint(label=label)
         # Switchpoint armed/fired state is simulation state too.
-        self._switchpoint_states[checkpoint_id] = self.switchpoints.state()
+        self.switchpoints.save(checkpoint_id)
         return checkpoint_id
 
-    def restore(self, checkpoint_id: int) -> None:
+    def restore(self, checkpoint_id: Optional[int] = None) -> None:
+        """Back to a checkpoint (default: the most recent one)."""
+        if checkpoint_id is None:
+            checkpoint_id = self.subsystem.checkpoints.latest()
+            if checkpoint_id is None:
+                raise NoSuchCheckpointError(
+                    "no checkpoint to restore — take one with checkpoint()")
         self.subsystem.restore_checkpoint(checkpoint_id)
-        saved = self._switchpoint_states.get(checkpoint_id)
-        if saved is not None:
-            self.switchpoints.load_state(saved)
+        self.switchpoints.load(checkpoint_id)
 
     def auto_checkpoint(self, interval: float) -> None:
         """Take a checkpoint every ``interval`` seconds of virtual time."""
@@ -182,37 +185,4 @@ class Simulator:
     # ------------------------------------------------------------------
     def report(self, *, title: Optional[str] = None) -> RunReport:
         """Assemble the :class:`~repro.observability.RunReport` so far."""
-        return run_report(self, title=title)
-
-    # ------------------------------------------------------------------
-    # run levels
-    # ------------------------------------------------------------------
-    def set_runlevel(self, target: str, level: str) -> None:
-        self.subsystem.set_runlevel(target, level)
-
-    def add_switchpoint(self, text_or_sp: Union[str, Switchpoint], *,
-                        once: bool = True) -> Switchpoint:
-        """Register a switchpoint from the run-control file syntax."""
-        return self.switchpoints.add(text_or_sp, once=once)
-
-    def slider(self, targets: Iterable[str], levels: Iterable[str]) -> DetailSlider:
-        """Create the paper's detail-level slider over ``targets``."""
-        return DetailSlider(list(targets), list(levels), self.set_runlevel)
-
-    # ------------------------------------------------------------------
-    # switchpoint environment
-    # ------------------------------------------------------------------
-    def _local_time(self, component: str) -> float:
-        return self.subsystem.component(component).local_time
-
-    def _signal(self, net: str) -> Any:
-        return self.subsystem.net(net).value
-
-    def _arm_switchpoints(self) -> None:
-        """Poll after every event from now on, ahead of any other hook."""
-        self.subsystem.scheduler.post_step_hooks.insert(
-            0, self._poll_switchpoints)
-
-    def _poll_switchpoints(self, event: Event) -> None:
-        if self.switchpoints.switchpoints:
-            self.switchpoints.poll(self.now)
+        return run_report(self, title=title or self.subsystem.name)

@@ -1,5 +1,6 @@
-"""Debugging support (paper sections 1 and 5): breakpoints, watchpoints,
-single-stepping, time travel, and VCD waveform dumping."""
+"""Debugging support (paper sections 1 and 5): one debugger for a
+single-host Simulator or a whole CoSimulation — breakpoints, watchpoints,
+single-stepping, time travel — and VCD waveform dumping."""
 
 from .debugger import (
     Breakpoint,
@@ -8,10 +9,9 @@ from .debugger import (
     DebuggerError,
     WatchRecord,
 )
-from .distributed import DistributedDebugger
 from .vcd import VcdError, VcdTracer
 
 __all__ = [
-    "BreakReason", "Breakpoint", "Debugger", "DebuggerError", "DistributedDebugger", "VcdError",
+    "BreakReason", "Breakpoint", "Debugger", "DebuggerError", "VcdError",
     "VcdTracer", "WatchRecord",
 ]

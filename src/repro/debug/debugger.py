@@ -3,33 +3,36 @@ of Pia to include a debugger").
 
 The paper asks for "debugging support for the parts of the system that are
 in hardware, the parts in software, the parts that are in simulation, as
-well as the system as a whole" (section 1).  This debugger provides the
-simulation-level half of that wish:
+well as the system as a whole" (section 1).  One :class:`Debugger` serves
+a :class:`~repro.core.simulator.Simulator` (a system of one subsystem) and
+a :class:`~repro.distributed.executor.CoSimulation` alike, through what
+both answer: ``subsystems``, ``global_time()``, ``component(name)``,
+``run(until)`` and ``restore(cut)``.
 
-* **breakpoints** on virtual time, on a component's *local* time (the
-  two-level model means these differ!), on a net taking a value, or on an
-  arbitrary event predicate;
-* **watchpoints** logging every change of chosen nets;
-* **single-stepping** event by event;
-* **inspection** of the full system state (``where``), including each
-  component's local time, block reason and user attributes;
-* **time travel**: because checkpoints are first-class, ``rewind()`` jumps
-  back to any checkpoint and re-executes — a debugger feature simulators
-  get for free and real systems never do.
+* **breakpoints** on global, subsystem or component-*local* time (the
+  two-level model means these differ!), on a signal delivered anywhere,
+  or on an arbitrary predicate;
+* **watchpoints** on every half of a net; **single-stepping**;
+* **inspection** of the whole system's state (``where``);
+* **time travel**: ``rewind()`` restores a checkpoint or a Chandy-Lamport
+  snapshot, channels included, and re-executes from it.
 
-The debugger drives a single-host :class:`~repro.core.simulator.Simulator`.
+Halting is a post-step hook, put on every subsystem when :meth:`run` or
+:meth:`step` is called, raising out of the front end's ``run``; the
+matching event has been dispatched when the halt lands, as with any
+debugger's *continue*.  The hook runs after the switchpoint poll, so a
+debugger without breakpoints leaves the run as it was.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 from ..core.component import ProcessComponent
 from ..core.errors import PiaError
 from ..core.events import Event, EventKind
-from ..core.simulator import Simulator
 
 _bp_ids = itertools.count(1)
 
@@ -44,15 +47,15 @@ class Breakpoint:
 
     bp_id: int
     description: str
-    condition: Callable[[Simulator, Optional[Event]], bool]
+    condition: Callable[[Any, Optional[Event]], bool]
     enabled: bool = True
     once: bool = False
     hits: int = 0
 
-    def check(self, sim: Simulator, event: Optional[Event]) -> bool:
+    def check(self, target: Any, event: Optional[Event]) -> bool:
         if not self.enabled:
             return False
-        if self.condition(sim, event):
+        if self.condition(target, event):
             self.hits += 1
             if self.once:
                 self.enabled = False
@@ -82,21 +85,33 @@ class BreakReason:
 @dataclass
 class WatchRecord:
     time: float
-    net: str
+    net: str        #: ``subsystem:net``, the half that changed
     value: Any
 
 
-class Debugger:
-    """Interactive control over a single-host simulation."""
+class _Halt(Exception):
+    """Internal control flow: the debugger stops the run from its hook."""
 
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
+    def __init__(self, reason: BreakReason) -> None:
+        self.reason = reason
+
+
+class Debugger:
+    """Breakpoints, stepping, inspection and time travel over a system."""
+
+    def __init__(self, target) -> None:
+        self.target = target
         self.breakpoints: Dict[int, Breakpoint] = {}
         self.watch_log: List[WatchRecord] = []
         self._watched: set = set()
         #: Ring buffer of recent events (enable with :meth:`trace`).
         self.trace_log: List[str] = []
         self._trace_limit = 0
+        #: Only a run or step of this debugger halts; between them the
+        #: hook stays installed and does nothing.
+        self._armed = False
+        #: Events left to dispatch under :meth:`step` (``None``: running).
+        self._countdown: Optional[int] = None
 
     # ------------------------------------------------------------------
     # breakpoints
@@ -107,10 +122,18 @@ class Debugger:
         return bp
 
     def break_at(self, time: float, *, once: bool = True) -> Breakpoint:
-        """Halt when subsystem (system) time reaches ``time``."""
+        """Halt when global time (the slowest subsystem's) reaches
+        ``time``."""
         return self._add(
             f"t >= {time:g}",
-            lambda sim, event: sim.now >= time,
+            lambda target, event: target.global_time() >= time, once=once)
+
+    def break_at_subsystem_time(self, subsystem: str, time: float, *,
+                                once: bool = True) -> Breakpoint:
+        """Halt when ``subsystem``'s own time reaches ``time``."""
+        return self._add(
+            f"{subsystem} t >= {time:g}",
+            lambda target, event: target.subsystems[subsystem].now >= time,
             once=once)
 
     def break_at_local_time(self, component: str, time: float, *,
@@ -119,7 +142,8 @@ class Debugger:
         can be long before system time does (run-ahead)."""
         return self._add(
             f"{component}.localtime >= {time:g}",
-            lambda sim, event: sim.component(component).local_time >= time,
+            lambda target, event:
+                target.component(component).local_time >= time,
             once=once)
 
     def break_on_signal(self, net: str, value: Any = None, *,
@@ -130,7 +154,7 @@ class Debugger:
         the driver posts; the debugger instead halts at the virtual time
         the signal reaches a listener — the observable instant.
         """
-        def condition(sim: Simulator, event: Optional[Event]) -> bool:
+        def condition(target: Any, event: Optional[Event]) -> bool:
             if event is None or event.kind not in (EventKind.SIGNAL,
                                                    EventKind.INTERRUPT):
                 return False
@@ -142,12 +166,12 @@ class Debugger:
         label = f"net {net}" + ("" if value is None else f" == {value!r}")
         return self._add(label, condition, once=once)
 
-    def break_when(self, predicate: Callable[[Simulator], bool], *,
+    def break_when(self, predicate: Callable[[Any], bool], *,
                    description: str = "<predicate>",
                    once: bool = True) -> Breakpoint:
-        """Halt on an arbitrary condition over the simulator."""
+        """Halt on an arbitrary condition over the system."""
         return self._add(description,
-                         lambda sim, event: predicate(sim), once=once)
+                         lambda target, event: predicate(target), once=once)
 
     def delete(self, bp_id: int) -> None:
         if bp_id not in self.breakpoints:
@@ -158,13 +182,18 @@ class Debugger:
     # watch & trace
     # ------------------------------------------------------------------
     def watch(self, net: str) -> None:
-        """Log every value change of ``net`` into :attr:`watch_log`."""
+        """Log every value change of ``net`` — each half of it, in every
+        subsystem — into :attr:`watch_log`."""
         if net in self._watched:
             return
-        target = self.sim.net(net)
-        target.observers.append(
-            lambda n, time, value: self.watch_log.append(
-                WatchRecord(time, n.name, value)))
+        halves = [(name, subsystem.nets[net]) for name, subsystem
+                  in self.target.subsystems.items() if net in subsystem.nets]
+        if not halves:
+            raise DebuggerError(f"no net named {net!r} in any subsystem")
+        for name, half in halves:
+            half.observers.append(
+                lambda n, time, value, ss=name: self.watch_log.append(
+                    WatchRecord(time, f"{ss}:{n.name}", value)))
         self._watched.add(net)
 
     def trace(self, limit: int = 1000) -> None:
@@ -172,8 +201,6 @@ class Debugger:
         self._trace_limit = limit
 
     def _record_trace(self, event: Event) -> None:
-        if not self._trace_limit:
-            return
         target = getattr(event.target, "full_name",
                          getattr(event.target, "name", repr(event.target)))
         self.trace_log.append(
@@ -185,69 +212,87 @@ class Debugger:
     # ------------------------------------------------------------------
     # execution control
     # ------------------------------------------------------------------
-    def step(self, count: int = 1) -> BreakReason:
-        """Dispatch up to ``count`` events, ignoring breakpoints."""
-        self.sim.subsystem.start()
-        last = None
-        for __ in range(count):
-            event = self.sim.step()
-            if event is None:
-                break
+    def _hook(self, event: Event) -> None:
+        if not self._armed:
+            return
+        if self._trace_limit:
             self._record_trace(event)
-            last = event
-        return BreakReason(None, self.sim.now, last)
+        if self._countdown is not None:
+            self._countdown -= 1
+            if self._countdown == 0:
+                raise _Halt(BreakReason(None, self.target.global_time(),
+                                        event))
+            return
+        for bp in list(self.breakpoints.values()):
+            if bp.check(self.target, event):
+                raise _Halt(BreakReason(bp, self.target.global_time(), event))
 
     def run(self, until: float = float("inf")) -> BreakReason:
         """Run until a breakpoint fires, ``until`` passes, or it drains.
 
         Like any debugger's *continue*, at least one event is dispatched
         before conditions are re-evaluated — otherwise a still-true
-        breakpoint would pin the simulation in place.
+        breakpoint would pin the system in place.
         """
-        self.sim.subsystem.start()
-        while True:
-            if self.sim.subsystem.next_event_time() > until:
-                return BreakReason(None, self.sim.now)
-            event = self.sim.step()
-            if event is None:
-                return BreakReason(None, self.sim.now)
-            self._record_trace(event)
-            for bp in list(self.breakpoints.values()):
-                if bp.check(self.sim, event):
-                    return BreakReason(bp, self.sim.now, event)
+        for subsystem in self.target.subsystems.values():
+            hooks = subsystem.scheduler.post_step_hooks
+            if self._hook not in hooks:
+                hooks.append(self._hook)
+        self._armed = True
+        try:
+            self.target.run(until)
+        except _Halt as halt:
+            return halt.reason
+        finally:
+            self._armed = False
+            self._countdown = None
+        return BreakReason(None, self.target.global_time())
+
+    def step(self, count: int = 1) -> BreakReason:
+        """Dispatch up to ``count`` events anywhere, ignoring breakpoints;
+        the reason carries the ``count``-th (none if the run drained
+        first)."""
+        if count <= 0:
+            return BreakReason(None, self.target.global_time())
+        self._countdown = count
+        return self.run()
 
     # ------------------------------------------------------------------
     # time travel
     # ------------------------------------------------------------------
-    def snapshot(self, label: Optional[str] = None) -> int:
-        return self.sim.checkpoint(label or "debugger")
-
-    def rewind(self, checkpoint_id: Optional[int] = None) -> float:
-        """Jump back to a checkpoint (default: the most recent one)."""
-        store = self.sim.subsystem.checkpoints
-        if checkpoint_id is None:
-            checkpoint_id = store.latest()
-        if checkpoint_id is None:
-            raise DebuggerError("no checkpoint to rewind to — "
-                                "call snapshot() first")
-        self.sim.restore(checkpoint_id)
-        return self.sim.now
+    def rewind(self, cut: Any = None) -> float:
+        """Restore a cut — a checkpoint id or a snapshot id, default the
+        most recent — and return the global time it put the system at.
+        Take cuts with the front end: ``sim.checkpoint()`` or
+        ``cosim.snapshot()``."""
+        self.target.restore(cut)
+        return self.target.global_time()
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
     def where(self) -> str:
         """A human-readable summary of the whole system's state."""
-        subsystem = self.sim.subsystem
-        lines = [f"subsystem {subsystem.name}: t={subsystem.now:g}, "
-                 f"{len(subsystem.scheduler.queue)} pending events, "
-                 f"next at t={subsystem.next_event_time():g}"]
-        for name in sorted(subsystem.components):
-            component = subsystem.components[name]
-            status = "finished" if component.finished else (
-                self._block_text(component) or "runnable")
-            lines.append(f"  {name}: local t={component.local_time:g} "
-                         f"[{status}] level={component.runlevel}")
+        subsystems = self.target.subsystems
+        lines = [f"global t={self.target.global_time():g} over "
+                 f"{len(subsystems)} subsystem(s)"]
+        for name in sorted(subsystems):
+            subsystem = subsystems[name]
+            node = f" @ {subsystem.node.name}" if subsystem.node else ""
+            lines.append(
+                f"  {name}{node}: t={subsystem.now:g}, "
+                f"{len(subsystem.scheduler.queue)} pending events, "
+                f"next at t={subsystem.next_event_time():g}, "
+                f"stalls={subsystem.scheduler.stalls}")
+            for comp_name in sorted(subsystem.components):
+                if comp_name.startswith("__channel"):
+                    continue
+                component = subsystem.components[comp_name]
+                status = "finished" if component.finished else (
+                    self._block_text(component) or "runnable")
+                lines.append(f"    {comp_name}: local t="
+                             f"{component.local_time:g} [{status}] "
+                             f"level={component.runlevel}")
         return "\n".join(lines)
 
     @staticmethod
@@ -260,7 +305,7 @@ class Debugger:
 
     def inspect(self, component: str) -> Dict[str, Any]:
         """A component's user-visible state (its checkpointable attrs)."""
-        target = self.sim.component(component)
+        target = self.target.component(component)
         state = dict(target._user_attrs())
         state["__local_time__"] = target.local_time
         state["__finished__"] = target.finished

@@ -13,20 +13,16 @@ reproducible bit for bit.  The genuinely concurrent deployment lives in
 from __future__ import annotations
 
 import time as _time
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..core.errors import (
     ConfigurationError,
     DeadlockError,
     LinkDown,
     NodeFailure,
+    NoSuchCheckpointError,
 )
-from ..core.runlevel import (
-    DetailSlider,
-    Switchpoint,
-    SwitchpointEnvironment,
-    SwitchpointManager,
-)
+from ..core.runlevel import RunLevels
 from ..core.subsystem import Subsystem
 from ..faults import FailureDetector, FaultPlan, RetryPolicy
 from ..observability import BoundCounter, Telemetry, TraceKind
@@ -43,7 +39,7 @@ from .system import LiveSystem
 FAILURE_POLICIES = ("recover", "raise", "drop-node")
 
 
-class CoSimulation(LiveSystem):
+class CoSimulation(LiveSystem, RunLevels):
     """A complete distributed Pia system under deterministic execution."""
 
     def __init__(self, *, transport: Optional[InMemoryTransport] = None,
@@ -66,18 +62,13 @@ class CoSimulation(LiveSystem):
         self.recovery = RecoveryManager(self.subsystems, self.transport,
                                         self.registry)
         self.recovery.telemetry = self.telemetry
-        self.recovery.on_rollback = self._restore_switchpoint_state
-        #: snapshot id -> (switchpoint fired flags, switch history).
-        self._switchpoint_states: Dict[str, tuple] = {}
+        RunLevels.__init__(self)
+        self.recovery.on_rollback = self.switchpoints.load
         self._managers: Dict[str, SnapshotManager] = {}
         #: Take a Chandy-Lamport snapshot every this many virtual seconds
         #: (needed whenever optimistic channels are in use).
         self.snapshot_interval = snapshot_interval
         self._last_snapshot_time = 0.0
-        env = SwitchpointEnvironment(local_time=self._local_time,
-                                     signal=self._signal)
-        self.switchpoints = SwitchpointManager(env, self.set_runlevel)
-        self.switchpoints.on_first = self._arm_switchpoints
         # --- fault plane -------------------------------------------------
         self.failure_policy = failure_policy
         self.detector: Optional[FailureDetector] = None
@@ -133,14 +124,6 @@ class CoSimulation(LiveSystem):
         if self.switchpoints.switchpoints:
             self._arm_switchpoints([subsystem])
 
-    def _arm_switchpoints(self, subsystems=None) -> None:
-        # Once a switchpoint exists it is evaluated after every event, not
-        # just at run-slice boundaries (a slice can be the whole
-        # simulation); first in line, ahead of a debugger's hook.
-        for subsystem in subsystems or self.subsystems.values():
-            subsystem.scheduler.post_step_hooks.insert(
-                0, self._poll_switchpoints)
-
     def set_link_model(self, node_a: str, node_b: str,
                        model: LatencyModel) -> None:
         self.transport.set_link(node_a, node_b, model)
@@ -153,12 +136,6 @@ class CoSimulation(LiveSystem):
             return self.subsystems[name]
         except KeyError:
             raise ConfigurationError(f"no subsystem named {name!r}") from None
-
-    def component(self, name: str):
-        for subsystem in self.subsystems.values():
-            if name in subsystem.components:
-                return subsystem.components[name]
-        raise ConfigurationError(f"no component named {name!r}")
 
     def _live_subsystems(self) -> List[Subsystem]:
         """Subsystems still part of the computation (``drop-node`` policy
@@ -180,38 +157,6 @@ class CoSimulation(LiveSystem):
     def safe_time_requests(self) -> int:
         return sum(client.requests_sent for node in self.nodes.values()
                    for client in node.clients.values())
-
-    # ------------------------------------------------------------------
-    # run levels (global view, as switchpoint conditions may span hosts)
-    # ------------------------------------------------------------------
-    def set_runlevel(self, target: str, level: str) -> None:
-        name = target.split(".", 1)[0]
-        for subsystem in self.subsystems.values():
-            if name in subsystem.components:
-                subsystem.set_runlevel(target, level)
-                return
-        raise ConfigurationError(f"no component named {name!r}")
-
-    def add_switchpoint(self, text_or_sp: Union[str, Switchpoint], *,
-                        once: bool = True) -> Switchpoint:
-        return self.switchpoints.add(text_or_sp, once=once)
-
-    def slider(self, targets: Iterable[str], levels: Iterable[str]) -> DetailSlider:
-        return DetailSlider(list(targets), list(levels), self.set_runlevel)
-
-    def _local_time(self, component: str) -> float:
-        return self.component(component).local_time
-
-    def _signal(self, net: str) -> Any:
-        for subsystem in self.subsystems.values():
-            if net in subsystem.nets:
-                return subsystem.nets[net].value
-        raise ConfigurationError(f"no net named {net!r}")
-
-    def _poll_switchpoints(self, event=None) -> None:
-        """Every subsystem's post-step hook, and the run loop's own poll."""
-        if self.switchpoints.switchpoints:
-            self.switchpoints.poll(self.global_time())
 
     # ------------------------------------------------------------------
     # snapshots
@@ -246,14 +191,24 @@ class CoSimulation(LiveSystem):
             raise DeadlockError(
                 f"snapshot {snapshot_id} did not complete: marks pending on "
                 f"{[c.pending for c in snap.cuts.values()]}")
-        self._switchpoint_states[snapshot_id] = self.switchpoints.state()
+        self.switchpoints.save(snapshot_id)
         self._last_snapshot_time = self.global_time()
         return snapshot_id
 
-    def _restore_switchpoint_state(self, snap) -> None:
-        saved = self._switchpoint_states.get(snap.snapshot_id)
-        if saved is not None:
-            self.switchpoints.load_state(saved)
+    def restore(self, snapshot_id: Optional[str] = None) -> None:
+        """Roll the whole system — channels included — back to a completed
+        snapshot (default: the most recent one).  An incomplete one
+        raises :class:`~repro.core.errors.CheckpointError`."""
+        if snapshot_id is None:
+            completed = self.registry.completed()
+            snap = completed[-1] if completed else None
+        else:
+            snap = self.registry.snapshots.get(snapshot_id)
+        if snap is None:
+            raise NoSuchCheckpointError(
+                f"no snapshot {snapshot_id!r} to restore — take one with "
+                "snapshot()")
+        self.recovery.rollback_to(snap)
 
     def _snapshot_due(self) -> float:
         """When the next periodic snapshot is due (``inf``: not now —

@@ -50,8 +50,8 @@ class RecoveryManager:
         self.registry = registry
         #: Completed rollbacks, as (straggler_time, snapshot_id, restored_time).
         self.rollbacks: List[tuple] = []
-        #: Called with the restored snapshot after every rollback (the
-        #: executor uses it to rewind switchpoint state).
+        #: Called with the restored snapshot's id after every rollback
+        #: (the executor uses it to rewind switchpoint state).
         self.on_rollback = None
         #: Virtual time until which every channel must act conservatively.
         self.conservative_until = float("-inf")
@@ -142,7 +142,7 @@ class RecoveryManager:
         for node, cuts in per_node.items():
             restore_node(node, cuts, resent)
         if self.on_rollback is not None:
-            self.on_rollback(snap)
+            self.on_rollback(snap.snapshot_id)
 
     # ------------------------------------------------------------------
     def in_conservative_window(self, global_time: float) -> bool:

@@ -1,11 +1,13 @@
-"""Thread-per-node execution: the paper's actual deployment shape.
+"""Thread-per-node execution over one process.
 
-The DAC'98 experiments ran two Pia nodes as separate JVM processes on two
-workstations.  This executor mirrors that: every node runs its own pump/
-refresh/run loop on its own thread, safe-time requests are served
-concurrently (guarded by a per-node lock, the moral equivalent of the
-paper's suspend-all-but-one JVM scheduler trick), and the transport may be
-real TCP sockets.
+Every node runs its own pump/refresh/run loop on its own thread, safe-time
+requests are served concurrently (guarded by a per-node lock, the moral
+equivalent of the paper's suspend-all-but-one JVM scheduler trick), and
+the transport may be real TCP sockets.  The nodes share one interpreter,
+so this is concurrency, not the paper's deployment: the DAC'98
+experiments ran two Pia nodes as separate JVM processes on two
+workstations, which is the shape of the process-per-node executor
+(:mod:`repro.distributed.multiprocess`).
 
 Only conservative channels are supported here: optimistic recovery needs
 the globally coordinated rollback of

@@ -372,23 +372,19 @@ def fold(title: str, bundles: List[dict],
 
 
 def run_report(target, *, title: Optional[str] = None) -> RunReport:
-    """Build a :class:`RunReport` for a Simulator or CoSimulation.
+    """Build a :class:`RunReport` for a system — a Simulator (one
+    subsystem) or a CoSimulation (many).
 
-    ``target`` is duck-typed: anything with a ``subsystems`` mapping (and
-    optionally ``transport``/``recovery``) reports as a co-simulation;
-    anything with a single ``subsystem`` reports as a single-host run.
-    Either way the report is the :func:`fold` of the one :func:`bundle`
-    this process contributes.
+    ``target`` is read through its ``subsystems`` mapping and, where it
+    has them, its ``telemetry``, ``transport``, fault injector and
+    ``recovery``; the report is the :func:`fold` of the one
+    :func:`bundle` this process contributes.
     """
-    telemetry: Telemetry = getattr(target, "telemetry", NULL_TELEMETRY)
     subsystems = getattr(target, "subsystems", None)
     if subsystems is None:
-        subsystem = getattr(target, "subsystem", None)
-        if subsystem is None:
-            raise TypeError(
-                f"cannot report on {type(target).__name__}: expected a "
-                "Simulator-like or CoSimulation-like object")
-        return fold(title or subsystem.name, [bundle(telemetry, [subsystem])])
+        raise TypeError(f"cannot report on {type(target).__name__}: "
+                        "expected a system with a subsystems mapping")
+    telemetry: Telemetry = getattr(target, "telemetry", NULL_TELEMETRY)
     transport = getattr(target, "transport", None)
     injector = getattr(target, "fault_injector", None)
     if injector is None:

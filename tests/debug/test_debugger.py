@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (
     Advance,
+    CheckpointError,
     FunctionComponent,
     PortDirection,
     ProcessComponent,
@@ -181,7 +182,7 @@ class TestWatchAndRewind:
         sim, __, collector = build()
         debugger = Debugger(sim)
         debugger.run(until=3.0)
-        snap = debugger.snapshot("at-3")
+        snap = sim.checkpoint("at-3")
         debugger.run()
         assert len(collector.seen) == 10
         assert debugger.rewind(snap) == 3.0
@@ -191,16 +192,16 @@ class TestWatchAndRewind:
 
     def test_rewind_without_snapshot_raises(self):
         sim, *_ = build()
-        with pytest.raises(DebuggerError):
+        with pytest.raises(CheckpointError):
             Debugger(sim).rewind()
 
     def test_rewind_defaults_to_latest(self):
         sim, __, collector = build()
         debugger = Debugger(sim)
         debugger.run(until=2.0)
-        debugger.snapshot()
+        sim.checkpoint()
         debugger.run(until=5.0)
-        debugger.snapshot()
+        sim.checkpoint()
         debugger.run()
         debugger.rewind()
         assert len(collector.seen) == 5

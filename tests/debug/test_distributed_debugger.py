@@ -1,16 +1,21 @@
-"""Debugging the system as a whole: the distributed debugger."""
+"""Debugging the system as a whole: the one debugger over a CoSimulation."""
 
 import pytest
 
-from repro.core import Advance, FunctionComponent, Receive, Send
-from repro.debug import DebuggerError
-from repro.debug.distributed import DistributedDebugger
+from repro.core import Advance, CheckpointError, FunctionComponent, Receive, Send
+from repro.debug import Debugger, DebuggerError
 from repro.distributed import CoSimulation
 
+from . import test_debugger
 
-def build():
+
+def build(between=None):
+    """The two-node producer/consumer pair; ``between(cosim)`` runs after
+    ``sa`` is added and before ``sb`` is."""
     cosim = CoSimulation()
     ss_a = cosim.add_subsystem(cosim.add_node("na"), "sa")
+    if between is not None:
+        between(cosim)
     ss_b = cosim.add_subsystem(cosim.add_node("nb"), "sb")
 
     def produce(comp):
@@ -36,14 +41,18 @@ def build():
 
 class TestGlobalBreakpoints:
     def test_break_at_global_time(self):
+        """``break_at`` is global time: the slowest subsystem's."""
         cosim, consumer = build()
-        debugger = DistributedDebugger(cosim)
-        reason = debugger.run()   # no breakpoints: runs to completion
-        assert reason.finished
+        debugger = Debugger(cosim)
+        bp = debugger.break_at(3.0)
+        reason = debugger.run()
+        assert reason.breakpoint is bp
+        assert reason.time == cosim.global_time() >= 3.0
+        assert debugger.run().finished   # no breakpoints left: completes
 
     def test_break_on_signal_across_nodes(self):
         cosim, consumer = build()
-        debugger = DistributedDebugger(cosim)
+        debugger = Debugger(cosim)
         bp = debugger.break_on_signal("w", value=3)
         reason = debugger.run()
         assert not reason.finished
@@ -57,7 +66,7 @@ class TestGlobalBreakpoints:
 
     def test_break_at_subsystem_time(self):
         cosim, consumer = build()
-        debugger = DistributedDebugger(cosim)
+        debugger = Debugger(cosim)
         debugger.break_at_subsystem_time("sb", 4.0)
         reason = debugger.run()
         assert not reason.finished
@@ -65,7 +74,7 @@ class TestGlobalBreakpoints:
 
     def test_break_at_component_local_time(self):
         cosim, consumer = build()
-        debugger = DistributedDebugger(cosim)
+        debugger = Debugger(cosim)
         debugger.break_at_local_time("c", 2.0)
         reason = debugger.run()
         assert not reason.finished
@@ -73,7 +82,7 @@ class TestGlobalBreakpoints:
 
     def test_break_when_predicate(self):
         cosim, consumer = build()
-        debugger = DistributedDebugger(cosim)
+        debugger = Debugger(cosim)
         debugger.break_when(lambda cs: len(cs.component("c").got) >= 5,
                             description="five consumed")
         reason = debugger.run()
@@ -82,7 +91,7 @@ class TestGlobalBreakpoints:
 
     def test_delete(self):
         cosim, consumer = build()
-        debugger = DistributedDebugger(cosim)
+        debugger = Debugger(cosim)
         bp = debugger.break_on_signal("w")
         debugger.delete(bp.bp_id)
         assert debugger.run().finished
@@ -93,7 +102,7 @@ class TestGlobalBreakpoints:
 class TestGlobalInspection:
     def test_where_spans_nodes(self):
         cosim, consumer = build()
-        debugger = DistributedDebugger(cosim)
+        debugger = Debugger(cosim)
         debugger.break_on_signal("w", value=2)
         debugger.run()
         text = debugger.where()
@@ -104,7 +113,7 @@ class TestGlobalInspection:
 
     def test_inspect_across_subsystems(self):
         cosim, consumer = build()
-        debugger = DistributedDebugger(cosim)
+        debugger = Debugger(cosim)
         debugger.break_on_signal("w", value=2)
         debugger.run()
         # The break fires on the first delivery of value 2 anywhere on the
@@ -115,7 +124,7 @@ class TestGlobalInspection:
 
     def test_watch_both_halves(self):
         cosim, consumer = build()
-        debugger = DistributedDebugger(cosim)
+        debugger = Debugger(cosim)
         debugger.watch("w")
         debugger.run()
         # the source half posts, the destination half injects: both logged
@@ -128,10 +137,10 @@ class TestGlobalInspection:
 class TestDistributedTimeTravel:
     def test_snapshot_and_rewind(self):
         cosim, consumer = build()
-        debugger = DistributedDebugger(cosim)
+        debugger = Debugger(cosim)
         debugger.break_on_signal("w", value=2)
         debugger.run()
-        snap = debugger.snapshot()
+        snap = cosim.snapshot()
         assert debugger.run().finished
         assert consumer.got == list(range(8))
         rewound_to = debugger.rewind(snap)
@@ -141,12 +150,96 @@ class TestDistributedTimeTravel:
 
     def test_rewind_without_snapshot(self):
         cosim, consumer = build()
-        debugger = DistributedDebugger(cosim)
-        with pytest.raises(DebuggerError):
+        debugger = Debugger(cosim)
+        with pytest.raises(CheckpointError):
             debugger.rewind()
 
     def test_rewind_unknown_id(self):
         cosim, consumer = build()
-        debugger = DistributedDebugger(cosim)
-        with pytest.raises(DebuggerError):
+        debugger = Debugger(cosim)
+        with pytest.raises(CheckpointError):
             debugger.rewind("snap-99999")
+
+    def test_rewind_defaults_to_the_latest_snapshot(self):
+        cosim, consumer = build()
+        debugger = Debugger(cosim)
+        debugger.break_at(2.0)
+        debugger.run()
+        cosim.snapshot()
+        debugger.break_at(5.0)
+        debugger.run()
+        cosim.snapshot()
+        seen = list(consumer.got)
+        assert debugger.run().finished
+        assert debugger.rewind() >= 5.0         # the later cut, not 2.0
+        assert consumer.got == seen
+        assert debugger.run().finished
+        assert consumer.got == list(range(8))
+
+
+class TestSteppingAndTrace:
+    def _dispatched(self, cosim):
+        return sum(ss.scheduler.dispatched for ss in cosim.subsystems.values())
+
+    def test_step_many(self):
+        cosim, consumer = build()
+        debugger = Debugger(cosim)
+        before = self._dispatched(cosim)
+        reason = debugger.step(3)
+        assert reason.finished and reason.event is not None
+        assert self._dispatched(cosim) == before + 3
+
+    def test_step_ignores_breakpoints(self):
+        cosim, consumer = build()
+        debugger = Debugger(cosim)
+        debugger.break_on_signal("w")
+        before = self._dispatched(cosim)
+        debugger.step(4)
+        assert self._dispatched(cosim) == before + 4
+
+    def test_trace_and_backtrace(self):
+        cosim, consumer = build()
+        debugger = Debugger(cosim)
+        debugger.trace(limit=5)
+        assert debugger.run().finished
+        trace = debugger.backtrace()
+        assert len(trace) == 5                    # ring buffer trimmed
+        assert len(debugger.trace_log) == 5
+
+
+class TestHooksInstalledAtRun:
+    def test_a_subsystem_added_after_the_debugger_still_halts(self):
+        made = []
+        cosim, consumer = build(between=lambda cosim: made.append(
+            Debugger(cosim)))
+        debugger, = made
+        debugger.break_at_local_time("c", 3.0)
+        reason = debugger.run()
+        assert not reason.finished
+        assert consumer.got == [0, 1, 2]
+
+
+def _single_host():
+    sim, *_ = test_debugger.build()
+    sim.add_switchpoint("when counter.localtime >= 9: counter -> fast")
+    return sim
+
+
+def _two_nodes():
+    cosim, __ = build()
+    cosim.add_switchpoint("when c.localtime >= 0: c -> fast")
+    return cosim
+
+
+@pytest.mark.parametrize("make", [_single_host, _two_nodes],
+                         ids=["simulator", "cosimulation"])
+def test_a_debugger_without_breakpoints_does_not_change_the_run(make):
+    """An observer must not move the run: a switchpoint true at start
+    fires at t=0 under the debugger too, and the report is the same."""
+    plain, debugged = make(), make()
+    plain.run()
+    assert Debugger(debugged).run().finished
+    assert debugged.switchpoints.history == plain.switchpoints.history
+    assert debugged.switchpoints.history[0][0] == 0.0
+    assert debugged.report().to_json(include_trace=True) == \
+        plain.report().to_json(include_trace=True)

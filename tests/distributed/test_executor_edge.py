@@ -291,10 +291,13 @@ class TestGlobalSwitchpoints:
         assert fired == [(3.5, (5, 4))]
 
     def test_the_poll_runs_ahead_of_a_debugger_hook(self):
-        from repro.debug import DistributedDebugger
+        """The debugger hooks every subsystem when it runs, not when it is
+        built, so it is checked after the first run()."""
+        from repro.debug import Debugger
         cosim, __ = simple_pair()
-        debugger = DistributedDebugger(cosim)
+        debugger = Debugger(cosim)
         cosim.add_switchpoint(self.SWITCHPOINT)
+        debugger.run()
         assert self._hooks(cosim) == [
             [cosim._poll_switchpoints, debugger._hook]] * 2
 
