@@ -1,19 +1,19 @@
 #!/usr/bin/env python
 """CI smoke for the live telemetry endpoint (ISSUE 10).
 
-Runs a real multiprocess simulation publishing status snapshots with
-streaming telemetry on, serves them over
-:mod:`repro.observability.serve`, and fetches every route *while the run
-is still in flight*:
+Runs a real multiprocess simulation publishing status snapshots, serves
+them over :mod:`repro.observability.serve`, and fetches every route
+*while the run is still in flight*:
 
 * ``/status.json`` must be valid JSON with nodes and a ``telemetry``
-  section (streamed counters folded across workers);
+  section (counters folded across workers, as the report folds them);
 * ``/metrics`` must be Prometheus text exposition carrying
-  ``pia_global_time``, per-link health rows and streamed counters;
+  ``pia_global_time``, per-link health rows and counters;
 * ``/series.json`` and ``/health.json`` must serve their sections.
 
 After the run the final ``phase: "done"`` snapshot must be visible
-through the same routes.  Exits non-zero on any failure.
+through the same routes, and its counters must be the run report's.
+Exits non-zero on any failure.
 
 Usage::
 
@@ -77,9 +77,8 @@ def main():
         telemetry.attach_series(TimeSeriesRecorder(virtual_interval=5.0,
                                                    wall_interval=0.05))
         telemetry.health = LinkHealthMonitor()
-        sim = compute_star_multiprocess(
-            2, ROUNDS, words=WORDS, telemetry=telemetry,
-            stream_telemetry=True)
+        sim = compute_star_multiprocess(2, ROUNDS, words=WORDS,
+                                        telemetry=telemetry)
         run_error = []
 
         def drive():
@@ -101,12 +100,11 @@ def main():
             __, metrics = fetch(base, "/metrics")
             __, body = fetch(base, "/status.json")
             document = json.loads(body)
-            # Keep polling until the streamed sections show up — the
-            # first snapshots can precede the first folded delta, and a
-            # delta can carry counters before any link exists (a worker
-            # that has only *served* a safe-time request has counted
-            # ``safetime.served`` and sent nothing yet), so wait for a
-            # health row on both routes, not merely for any counter.
+            # Keep polling until a health row shows up on both routes,
+            # not merely any counter: a snapshot can carry counters
+            # before any link exists (a worker that has only *served* a
+            # safe-time request has counted ``safetime.served`` and sent
+            # nothing yet).
             if "pia_link_health_score" in metrics \
                     and "telemetry" in document and document.get("health") \
                     and document.get("phase") == "running":
@@ -119,9 +117,9 @@ def main():
 
         if live_metrics is None:
             failures.append(
-                "never saw a mid-run snapshot with streamed health rows — "
+                "never saw a mid-run snapshot with health rows — "
                 "the run finished before the endpoint showed one (raise "
-                "PIA_HTTP_SMOKE_ROUNDS) or streaming is broken")
+                "PIA_HTTP_SMOKE_ROUNDS) or the live fold is broken")
         else:
             for needle in ("pia_global_time", "pia_phase",
                            "pia_node_wire_out_total", "pia_counter_total",
@@ -141,6 +139,10 @@ def main():
         if final.get("phase") != "done":
             failures.append(f"final snapshot phase is "
                             f"{final.get('phase')!r}, expected 'done'")
+        if final.get("telemetry", {}).get("counters") \
+                != sim.report().counters:
+            failures.append("final snapshot counters differ from the "
+                            "run report's")
         status, body = fetch(base, "/series.json")
         series = json.loads(body).get("series", {})
         if status != 200 or not series:

@@ -3,7 +3,7 @@
 
 The paper's geographically distributed sessions died with their weakest
 workstation; this example shows the repo's answer.  A three-node compute
-star runs three times under ``failure_policy="migrate"``:
+star runs three times under ``failure_policy="recover"``:
 
 1. **reference** — fault-free, nothing moves;
 2. **live migration** — ``migrate_at()`` moves one worker node to a
@@ -65,16 +65,16 @@ def show_placement(cosim):
 
 def main():
     print(f"compute star: {WORKERS} worker nodes x {ROUNDS} rounds, "
-          f"failure_policy='migrate'\n")
+          f"failure_policy='recover'\n")
 
     reference = compute_star_multiprocess(WORKERS, ROUNDS, words=WORDS,
-                                          failure_policy="migrate")
+                                          failure_policy="recover")
     events_ref = reference.run(timeout=120.0)
     rows_ref = progress(reference.report())
     print(f"reference run : {events_ref} events, nothing moved")
 
     moved = compute_star_multiprocess(WORKERS, ROUNDS, words=WORDS,
-                                      failure_policy="migrate")
+                                      failure_policy="recover")
     moved.migrate_at("n-w1", MOVE_AT)
     events_moved = moved.run(timeout=120.0)
     report_moved = moved.report()
@@ -83,7 +83,7 @@ def main():
     show_moves(report_moved)
 
     crashed = compute_star_multiprocess(
-        WORKERS, ROUNDS, words=WORDS, failure_policy="migrate",
+        WORKERS, ROUNDS, words=WORDS, failure_policy="recover",
         fault_plan=FaultPlan(seed=3,
                              crashes=[NodeCrash("n-w0", at_time=MOVE_AT)]))
     events_crashed = crashed.run(timeout=120.0)

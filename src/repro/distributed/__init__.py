@@ -14,18 +14,14 @@ from .conservative import (
     compute_grant,
     local_floor,
 )
-from .executor import FAILURE_POLICIES, CoSimulation
+from .executor import CoSimulation
 from .migration import (
     MigrationRecord,
     NodeArchive,
     archive_node,
     restore_node,
 )
-from .multiprocess import (
-    MP_FAILURE_POLICIES,
-    MultiprocessCoSimulation,
-    WorkerPool,
-)
+from .multiprocess import MultiprocessCoSimulation, WorkerPool
 from .node import PiaNode, Socket
 from .optimistic import RecoveryManager
 from .partition import Deployment, Design, NetSpec, deploy, suggest_partition
@@ -43,7 +39,7 @@ from .spec import (
     register_factory,
     resolve_factory,
 )
-from .system import LiveSystem
+from .system import FAILURE_POLICIES, LiveSystem
 from .threaded import LockedSafeTimeService, ThreadedCoSimulation
 from .topology import communication_edges, offending_cycles, validate
 
@@ -51,8 +47,7 @@ __all__ = [
     "Channel", "ChannelComponent", "ChannelEndpoint", "ChannelMode",
     "ChannelSpec", "CoSimulation", "Deployment", "Design", "EXECUTORS",
     "FAILURE_POLICIES", "GlobalSnapshot", "LiveSystem",
-    "LockedSafeTimeService",
-    "MP_FAILURE_POLICIES", "MigrationRecord",
+    "LockedSafeTimeService", "MigrationRecord",
     "MultiprocessCoSimulation", "NetSpec", "NodeArchive",
     "PiaNode", "RecoveryManager", "SafeTimeClient",
     "SafeTimeService",

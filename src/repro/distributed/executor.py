@@ -33,10 +33,11 @@ from .channel import ChannelMode, StragglerError
 from .node import PiaNode
 from .optimistic import RecoveryManager
 from .snapshot import SnapshotManager, SnapshotRegistry
-from .system import LiveSystem
+from .system import FAILURE_POLICIES, LiveSystem, check_failure_policy
 
-#: What the executor does once the failure detector confirms a node loss.
-FAILURE_POLICIES = ("recover", "raise", "drop-node")
+#: Rounds a node may miss its heartbeat before the failure detector
+#: confirms its loss.
+HEARTBEAT_MISSES = 3
 
 
 class CoSimulation(LiveSystem, RunLevels):
@@ -49,12 +50,8 @@ class CoSimulation(LiveSystem, RunLevels):
                  fault_plan: Optional[FaultPlan] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  failure_policy: str = "recover",
-                 heartbeat_misses: int = 3,
                  batching: bool = False) -> None:
-        if failure_policy not in FAILURE_POLICIES:
-            raise ConfigurationError(
-                f"failure_policy must be one of {FAILURE_POLICIES}: "
-                f"{failure_policy!r}")
+        check_failure_policy(failure_policy, FAILURE_POLICIES)
         super().__init__(transport=transport, default_model=default_model,
                          telemetry=telemetry, fault_plan=fault_plan,
                          retry_policy=retry_policy, batching=batching)
@@ -77,7 +74,7 @@ class CoSimulation(LiveSystem, RunLevels):
         self._dead_subsystems: set = set()
         if fault_plan is not None:
             #: Heartbeat staleness, measured in run-loop rounds here.
-            self.detector = FailureDetector(timeout=float(heartbeat_misses))
+            self.detector = FailureDetector(timeout=float(HEARTBEAT_MISSES))
         #: Extra settle budget: a held (delayed) message is in flight even
         #: when a pump round moves nothing.
         self._settle_slack = 1 + (fault_plan.max_delay_ticks()

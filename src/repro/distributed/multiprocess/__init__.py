@@ -18,8 +18,8 @@ Three problems are specific to crossing a process boundary:
 * **Coordination** — a pipe-based control plane starts, probes, quiesces
   and stops the workers; a worker that dies (or a scheduled
   :class:`~repro.faults.NodeCrash`, fired at its virtual instant)
-  surfaces as a typed :class:`~repro.core.errors.NodeFailure`, exactly
-  like the threaded executor.  "Has the run got to T?" — the finish
+  surfaces as a typed :class:`~repro.core.errors.NodeFailure` at that
+  instant, exactly like the threaded executor.  "Has the run got to T?" — the finish
   line, or the instant the workers hold at for a service — is a
   distributed property, answered by the executors' one rule
   (:func:`~repro.distributed.system.reached`) over a double probe: two
@@ -38,7 +38,7 @@ Chaos stays reproducible: fault decisions are pure functions of the
 drop/duplicate/delay counters of a seeded run match the single-process
 executors bit for bit.
 
-With ``failure_policy="migrate"`` the coordinator becomes a supervisor:
+With ``failure_policy="recover"`` the coordinator becomes a supervisor:
 before the run starts it takes a baseline Chandy-Lamport cut (every
 worker archives the images of its subsystems back to the
 coordinator — stable storage in the paper's terms), and the supervision
@@ -62,15 +62,10 @@ from ..spec import (
     register_factory,
     resolve_factory,
 )
-from .coordinator import (
-    MP_FAILURE_POLICIES,
-    MultiprocessCoSimulation,
-    status_snapshot,
-)
+from .coordinator import MultiprocessCoSimulation
 from .pool import WorkerPool
 
 __all__ = [
-    "ChannelSpec", "MP_FAILURE_POLICIES", "MultiprocessCoSimulation",
-    "SubsystemSpec", "WorkerPool", "register_factory", "resolve_factory",
-    "status_snapshot",
+    "ChannelSpec", "MultiprocessCoSimulation", "SubsystemSpec",
+    "WorkerPool", "register_factory", "resolve_factory",
 ]

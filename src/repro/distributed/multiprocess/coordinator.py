@@ -20,70 +20,19 @@ from ...core.errors import (
     SimulationError,
 )
 from ...faults import FailureDetector, FaultPlan, NodeCrash, RetryPolicy
-from ...observability import (
-    RunReport,
-    Telemetry,
-    TraceKind,
-    finalize_health,
-)
-from ...observability.merge import merge_counters, series_key
+from ...observability import RunReport, Telemetry, TraceKind
+from ...observability.live import status_snapshot
 from ...observability.report import bundle, fold
 from ...transport.codec import VERSION as CODEC_VERSION
 from ...transport.shm import DEFAULT_RING_CAPACITY, create_ring_segment
 from .. import topology
 from ..migration import MigrationRecord, NodeArchive, resent_counts
 from ..snapshot import new_snapshot_id
-from ..system import reached
+from ..system import check_failure_policy, reached
 from .pool import WorkerPool, _PoolWorker
 from ..spec import ChannelSpec, SubsystemSpec, SystemSpec
 from .specs import TelemetrySpec, _WorkerSpec
 from .worker import WorkerSystem
-
-#: Failure policies the multiprocess executor understands.
-MP_FAILURE_POLICIES = ("raise", "migrate")
-
-
-def _json_safe(value):
-    """``inf`` has no JSON encoding; status snapshots use ``null``."""
-    return None if value == float("inf") else value
-
-
-def status_snapshot(statuses: Dict[str, dict], *,
-                    until: float = float("inf"),
-                    phase: str = "running") -> dict:
-    """Fold per-worker ``status?`` replies into one JSON-safe snapshot.
-
-    The document :mod:`repro.observability.live` renders: per node the
-    idle flag, control-loop round count, parked/pending messages, wire
-    counters and heartbeat age (seconds since the worker stamped its
-    reply), and per subsystem the local virtual time, next event, event
-    count, queue depth, safe-time horizon, stall state and the peer
-    currently pinning the horizon.
-    """
-    wall = _time.time()
-    nodes = {}
-    times = []
-    for name in sorted(statuses):
-        st = statuses[name]
-        rows = []
-        for row in st["subsystems"]:
-            times.append(row["time"])
-            rows.append(dict(row,
-                             next_event=_json_safe(row["next_event"]),
-                             horizon=_json_safe(row["horizon"])))
-        nodes[name] = {
-            "idle": st["idle"],
-            "rounds": st["rounds"],
-            "pending": st["pending"],
-            "wire_out": st["wire_out"],
-            "wire_in": st["wire_in"],
-            "epoch": st.get("epoch", 0),
-            "heartbeat_age": max(0.0, wall - st.get("wall", wall)),
-            "subsystems": rows,
-        }
-    return {"phase": phase, "wall": wall, "until": _json_safe(until),
-            "global_time": min(times, default=0.0), "nodes": nodes}
-
 
 class MultiprocessCoSimulation:
     """Run each Pia node in its own OS process (conservative channels).
@@ -105,7 +54,8 @@ class MultiprocessCoSimulation:
     the other two: every worker holds its windows there until a settled
     probe says the run has got to it.  That, or a worker process dying,
     raises a typed :class:`~repro.core.errors.NodeFailure` — unless
-    ``failure_policy="migrate"`` relocates the node instead.
+    ``failure_policy="recover"`` restarts the node from the last cut on
+    a fresh worker instead.
     """
 
     def __init__(self, *, telemetry: Optional[Telemetry] = None,
@@ -117,8 +67,7 @@ class MultiprocessCoSimulation:
                  ring_capacity: int = DEFAULT_RING_CAPACITY,
                  pool: Optional[WorkerPool] = None,
                  failure_policy: str = "raise",
-                 heartbeat_timeout: float = 5.0,
-                 stream_telemetry: bool = False) -> None:
+                 heartbeat_timeout: float = 5.0) -> None:
         if start_method not in multiprocessing.get_all_start_methods():
             raise ConfigurationError(
                 f"start method {start_method!r} not available on this "
@@ -127,10 +76,7 @@ class MultiprocessCoSimulation:
             raise ConfigurationError(
                 f"unknown transport {transport!r}: expected 'tcp' (works "
                 "across machines) or 'shm' (same-host shared-memory rings)")
-        if failure_policy not in MP_FAILURE_POLICIES:
-            raise ConfigurationError(
-                f"unknown failure policy {failure_policy!r}: expected one "
-                f"of {MP_FAILURE_POLICIES}")
+        check_failure_policy(failure_policy, ("recover", "raise"))
         if heartbeat_timeout <= 0:
             raise ConfigurationError(
                 f"heartbeat timeout must be positive: {heartbeat_timeout}")
@@ -155,14 +101,6 @@ class MultiprocessCoSimulation:
         self._status_listener: Optional[Callable[[dict], None]] = None
         self._status_published = 0.0
         self._last_statuses: Dict[str, dict] = {}
-        # --- continuous telemetry plane ---------------------------------
-        #: When on, workers attach streaming deltas to ``status?``
-        #: replies and the coordinator folds them into its live status
-        #: snapshots (the data :mod:`repro.observability.serve` exposes).
-        self.stream_telemetry = stream_telemetry
-        #: Folded streaming state: cumulative counters, latest gauges,
-        #: bounded per-series point tails, latest health row per link.
-        self._stream: Dict[str, dict] = {}
         # --- supervised failover / live migration state -----------------
         self.failure_policy = failure_policy
         self.heartbeat_timeout = heartbeat_timeout
@@ -232,7 +170,7 @@ class MultiprocessCoSimulation:
             retry_policy=self.retry_policy,
             transport=self.transport,
             ring_capacity=self.ring_capacity,
-            supervised=self.failure_policy == "migrate",
+            supervised=self.failure_policy == "recover",
             telemetry=TelemetrySpec(
                 telemetry.trace_buffer.capacity,
                 None if series is None else dict(
@@ -240,7 +178,6 @@ class MultiprocessCoSimulation:
                     wall_interval=series.wall_interval,
                     capacity=series.capacity, names=series.names),
                 telemetry.health is not None),
-            stream=self.stream_telemetry,
         )
 
     def _ring_links(self) -> List[Tuple[str, str]]:
@@ -301,7 +238,7 @@ class MultiprocessCoSimulation:
         Thread-safe: callable from a ``status_listener`` (or any other
         thread) while :meth:`run` is in flight.  The supervision loop
         picks the request up on its next sweep — requires
-        ``failure_policy="migrate"``.
+        ``failure_policy="recover"``.
         """
         self.migrate_at(node, float("-inf"))
 
@@ -311,9 +248,9 @@ class MultiprocessCoSimulation:
         asked mid-run for an instant already passed)."""
         if node not in self.spec.nodes:
             raise ConfigurationError(f"no node named {node!r}")
-        if self.failure_policy != "migrate":
+        if self.failure_policy != "recover":
             raise ConfigurationError(
-                "live migration requires failure_policy='migrate'")
+                "live migration requires failure_policy='recover'")
         with self._migrate_lock:
             self._migrate_requests.append((node, at_time))
 
@@ -355,11 +292,15 @@ class MultiprocessCoSimulation:
         (or every event queue passes ``until``); returns total events.
 
         ``status_path`` enables live introspection: the coordinator's
-        supervision loop writes a JSON :func:`status_snapshot` there
+        supervision loop writes a JSON
+        :func:`~repro.observability.live.status_snapshot` there
         (atomically, every ``status_interval`` seconds, plus a final
         ``phase: "done"`` snapshot) which ``python -m
         repro.observability.live <path>`` tails as a console view.
-        ``status_listener`` receives the same snapshots in-process.
+        ``status_listener`` receives the same snapshots in-process.  A
+        snapshot's telemetry sections are the :meth:`report` of the run
+        so far: the same fold over every worker's bundle, asked for only
+        when a snapshot is published.
         """
         if not self.spec.nodes:
             return 0
@@ -372,7 +313,6 @@ class MultiprocessCoSimulation:
         self._status_listener = status_listener
         self._status_published = 0.0
         self._last_statuses: Dict[str, dict] = {}
-        self._stream = {}
         self.migrations = []
         self.placement_log = []
         self._archives = {}
@@ -380,7 +320,7 @@ class MultiprocessCoSimulation:
         self._run_epoch = 0
         self._carryover = []
         self.detector = FailureDetector(timeout=self.heartbeat_timeout) \
-            if self.failure_policy == "migrate" else None
+            if self.failure_policy == "recover" else None
         started_at = _time.perf_counter()
         pool = self._acquire_pool()
         names = sorted(self.spec.nodes)
@@ -412,7 +352,7 @@ class MultiprocessCoSimulation:
             # safe-time call can reach a worker that cannot yet route the
             # transitive refresh towards its own other peers.
             self._poll_statuses(pipes, procs, deadline)
-            if self.failure_policy == "migrate":
+            if self.failure_policy == "recover":
                 # Baseline restore point: a pre-start Chandy-Lamport cut,
                 # archived coordinator-side before any event dispatches.
                 self._take_snapshot(pipes, procs, deadline)
@@ -425,9 +365,9 @@ class MultiprocessCoSimulation:
                                              deadline)
             self._bundles = bundles
             self.dispatched = sum(b["dispatched"] for b in bundles.values())
-            if self._last_statuses:
-                self._publish_status(self._last_statuses, until,
-                                     phase="done", force=True)
+            if self._last_statuses and self._publishing():
+                self._publish_status(self._last_statuses, bundles, until,
+                                     phase="done")
         finally:
             for name in names:
                 try:
@@ -557,77 +497,30 @@ class MultiprocessCoSimulation:
                 continue
             return message[1]
 
-    def _fold_stream(self, statuses: Dict[str, dict]) -> None:
-        """Fold workers' streaming deltas (partial bundles) into the live
-        view.  Counter summing and series naming are :func:`fold`'s
-        rules; the live view's own are that a gauge, or a link's health
-        row, replaces the previous one and a series keeps a bounded
-        tail."""
-        stream = self._stream
-        for name in sorted(statuses):
-            delta = statuses[name].get("telemetry")
-            if delta is None:
-                continue
-            merge_counters(stream.setdefault("counters", {}),
-                           delta["counters"])
-            stream.setdefault("gauges", {}).update(delta["gauges"])
-            series = stream.setdefault("series", {})
-            for metric, fresh in delta["series"].items():
-                points = series.setdefault(
-                    series_key(delta["node"], metric),
-                    {"points": []})["points"]
-                points.extend(fresh)
-                del points[:-self.telemetry.series.capacity]
-            health = stream.setdefault("health", {})
-            for row in delta["health"]:
-                health[(row["src"], row["dst"])] = row
+    def _publishing(self) -> bool:
+        """Does anyone read status snapshots?"""
+        return self._status_path is not None \
+            or self._status_listener is not None
 
-    def _stream_sections(self, snapshot: dict) -> None:
-        """Attach the folded streaming state to a status snapshot (the
-        sections :mod:`repro.observability.serve` renders)."""
-        if not self._stream:
-            return
-        snapshot["telemetry"] = {
-            "counters": dict(sorted(
-                self._stream.get("counters", {}).items())),
-            "gauges": {key: _json_safe(value) for key, value
-                       in sorted(self._stream.get("gauges", {}).items())},
-        }
-        series = self._stream.get("series")
-        if series:
-            snapshot["series"] = {
-                sname: {"points": [[t, _json_safe(v)]
-                                   for t, v in row["points"]]}
-                for sname, row in sorted(series.items())}
-        health = self._stream.get("health")
-        if health:
-            # Live advisory scoring: no stall attribution mid-run (that
-            # needs the merged trace), so stall fractions read 0 and the
-            # score reflects queue depth and delay only.  The final
-            # report re-scores against the real attribution.
-            snapshot["health"] = finalize_health(
-                [dict(health[key]) for key in sorted(health)])
+    def _publish_due(self) -> bool:
+        """Is a status snapshot owed this sweep?"""
+        return self._publishing() and _time.monotonic() \
+            - self._status_published >= self._status_interval
 
-    def _publish_status(self, statuses: Dict[str, dict], until: float, *,
-                        phase: str = "running", force: bool = False) -> None:
-        """Surface the latest worker statuses for live introspection."""
-        self._last_statuses = statuses
-        if self.stream_telemetry:
-            self._fold_stream(statuses)
-        if self._status_path is None and self._status_listener is None:
-            return
-        now = _time.monotonic()
-        if not force and now - self._status_published < self._status_interval:
-            return
-        self._status_published = now
-        snapshot = status_snapshot(statuses, until=until, phase=phase)
-        if self.failure_policy == "migrate":
+    def _publish_status(self, statuses: Dict[str, dict],
+                        bundles: Dict[str, dict], until: float, *,
+                        phase: str = "running") -> None:
+        """Publish a snapshot of the worker ``statuses`` whose telemetry
+        is :meth:`report`'s fold over ``bundles``, one per node."""
+        self._status_published = _time.monotonic()
+        snapshot = status_snapshot(statuses, until=until, phase=phase,
+                                   report=self._fold("live", bundles))
+        if self.failure_policy == "recover":
             snapshot["epoch"] = self._run_epoch
             snapshot["placement"] = [dict(entry)
                                      for entry in self.placement_log]
             snapshot["migrations"] = [record.to_dict()
                                       for record in self.migrations]
-        self._stream_sections(snapshot)
         if self._status_listener is not None:
             self._status_listener(snapshot)
         if self._status_path is not None:
@@ -687,15 +580,9 @@ class MultiprocessCoSimulation:
         """One ``status?`` round trip to every worker, outside the
         supervision loop."""
         for name in sorted(procs):
-            self._send(pipes, name, "status?")
-        statuses = {name: self._expect(pipes, procs, name, "status",
-                                       deadline)
-                    for name in sorted(procs)}
-        if self.stream_telemetry:
-            # Workers already consumed these deltas replying; fold them
-            # or this window goes dark in the live view.
-            self._fold_stream(statuses)
-        return statuses
+            self._send(pipes, name, "status?", False)
+        return {name: self._expect(pipes, procs, name, "status", deadline)
+                for name in sorted(procs)}
 
     def _drain_wire(self, pipes, procs, deadline: float) -> None:
         """Wait until nothing is in flight anywhere: all queued batches
@@ -902,11 +789,11 @@ class MultiprocessCoSimulation:
         :func:`reached` at ``min(until, the instant the workers hold
         at)`` — then fire what is owed there, or return: the run is over.
 
-        Under ``failure_policy="migrate"`` this is the supervisor: every
+        Under ``failure_policy="recover"`` this is the supervisor: every
         status reply feeds the heartbeat detector, and a dead, silent or
         crashed worker is relocated (:meth:`_relocate`) instead of
         raising :class:`NodeFailure`."""
-        supervised = self.failure_policy == "migrate"
+        supervised = self.failure_policy == "recover"
         self._beat_all(sorted(procs))
         confirming = None
         global_now = 0.0    # as of the last sweep that heard from everyone
@@ -921,6 +808,7 @@ class MultiprocessCoSimulation:
                 raise SimulationError(
                     "multiprocess run did not quiesce within the timeout")
             statuses: Dict[str, dict] = {}
+            publish = self._publish_due()
             try:
                 for name in sorted(procs):
                     if not procs[name].is_alive():
@@ -931,7 +819,7 @@ class MultiprocessCoSimulation:
                         # a zero deadline it cannot race past a queued
                         # error into the generic "unresponsive" path.
                         self._expect(pipes, procs, name, "status", deadline)
-                    self._send(pipes, name, "status?")
+                    self._send(pipes, name, "status?", publish)
                 for name in sorted(procs):
                     probe_deadline = deadline if not supervised else min(
                         deadline, _time.monotonic() + self.heartbeat_timeout)
@@ -964,7 +852,12 @@ class MultiprocessCoSimulation:
                     for row in statuses[name]["subsystems"]]
             clocks = [row["time"] for row in rows]
             global_now = min(clocks, default=0.0)
-            self._publish_status(statuses, until, phase="running")
+            self._last_statuses = statuses
+            if publish:
+                self._publish_status(
+                    statuses, {name: st["telemetry"]
+                               for name, st in statuses.items()
+                               if "telemetry" in st}, until)
             if self._next_service() != self._shipped:
                 # A migration asked for mid-run: move the workers' hold
                 # to it (at once, if its instant has already passed).
@@ -987,8 +880,7 @@ class MultiprocessCoSimulation:
                 # migration requests on time even if every pipe stays
                 # silent.
                 backstop = 0.25
-                if self._status_path is not None \
-                        or self._status_listener is not None:
+                if self._publishing():
                     backstop = min(0.25, max(0.05,
                                              self._status_interval / 2))
                 _mpconn.wait([pipes[name] for name in sorted(procs)],
@@ -1019,11 +911,9 @@ class MultiprocessCoSimulation:
                 if not supervised:
                     raise NodeFailure(
                         f"node {due[0]!r} crashed at global time "
-                        f"{global_now:g} — the multiprocess executor cannot "
-                        "roll back; rerun under CoSimulation with "
-                        "failure_policy='recover' for crash recovery, or "
-                        "use failure_policy='migrate' here for supervised "
-                        "failover",
+                        f"{global_now:g} under failure_policy='raise'; "
+                        "'recover' restarts it from the last cut on a "
+                        "fresh worker",
                         node=due[0])
             # Supervised: a scheduled NodeCrash models the whole machine
             # dying — its worker is killed and the node fails over.
@@ -1047,10 +937,14 @@ class MultiprocessCoSimulation:
             raise SimulationError(
                 "no completed multiprocess run to report on — call run() "
                 "first")
+        return self._fold(title or "multiprocess co-simulation",
+                          self._bundles)
+
+    def _fold(self, title: str, bundles: Dict[str, dict]) -> RunReport:
+        """The coordinator's own bundle, ``bundles`` (one per node) and
+        those of workers a migration retired, folded into one report."""
         own = bundle(self.telemetry, migrations=self.migrations)
         if self.detector is not None:
             own["gauges"]["mp.suspicions"] = self.detector.suspicions
-        return fold(title or "multiprocess co-simulation",
-                    [own, *(self._bundles[name]
-                            for name in sorted(self._bundles))],
+        return fold(title, [own, *(bundles[name] for name in sorted(bundles))],
                     superseded=self._carryover)

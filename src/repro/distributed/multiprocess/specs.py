@@ -36,11 +36,9 @@ class _WorkerSpec:
     retry_policy: Optional[RetryPolicy] = None
     transport: str = "tcp"
     ring_capacity: int = DEFAULT_RING_CAPACITY
-    #: True under ``failure_policy="migrate"``: a vanished peer is the
+    #: True under ``failure_policy="recover"``: a vanished peer is the
     #: supervisor's problem, so transport failures wedge the worker
     #: (no progress, await restore) instead of killing it.
     supervised: bool = False
-    #: Whether ``status?`` replies carry streaming telemetry deltas.
-    stream: bool = False
     #: The system's ``(node a, node b, model)`` link latency models.
     links: Tuple[Tuple[str, str, LatencyModel], ...] = ()

@@ -119,8 +119,6 @@ class _Worker:
             self.telemetry.attach_series(TimeSeriesRecorder(**mirror.series))
         if mirror.health:
             attach_health(self.transport, self.telemetry)
-        #: Counter values already shipped in streaming deltas.
-        self._streamed: Dict[str, int] = {}
         self.system.load(
             SystemSpec({spec.node: list(spec.subsystems)},
                        list(spec.channels), list(spec.links)),
@@ -147,7 +145,10 @@ class _Worker:
         self.progress = False
 
     # ------------------------------------------------------------------
-    def _status(self) -> dict:
+    def _status(self, telemetry: bool) -> dict:
+        """What a ``status?`` probe answers; with ``telemetry``, the
+        :meth:`_report_bundle` so far, less its trace, rides along for
+        the coordinator's live fold."""
         with self.node.lock:
             rows = []
             for name, subsystem in sorted(self.node.subsystems.items()):
@@ -181,34 +182,9 @@ class _Worker:
                 "stale_drops": self.transport.stale_epoch_drops,
                 "wall": _time.time(),
             }
-            if self.spec.stream:
-                status["telemetry"] = self._stream_delta()
+            if telemetry:
+                status["telemetry"] = dict(self._report_bundle(), trace=[])
             return status
-
-    def _stream_delta(self) -> dict:
-        """Incremental telemetry riding a streaming ``status?`` reply, as
-        a partial :func:`~repro.observability.report.bundle`: counter
-        *deltas* since the last reply (payload proportional to activity,
-        not run length), absolute gauges, the unshipped tail of every
-        time-series, and the raw link-health rows.  Lossy by design — a
-        delta the coordinator drops as stale is simply absent from the
-        live view; the final report merges the workers' absolute
-        bundles, so accuracy is never at stake."""
-        snap = self.telemetry.registry.snapshot()
-        counters: Dict[str, int] = {}
-        for name, value in snap["counters"].items():
-            shipped = self._streamed.get(name, 0)
-            if value != shipped:
-                counters[name] = value - shipped
-                self._streamed[name] = value
-        series, health = self.telemetry.series, self.telemetry.health
-        return {
-            "node": self.node.name,
-            "counters": counters,
-            "gauges": snap["gauges"],
-            "series": series.take_delta() if series is not None else {},
-            "health": health.rows() if health is not None else [],
-        }
 
     def _report_bundle(self) -> dict:
         with self.node.lock:
@@ -354,7 +330,7 @@ class _Worker:
                     halted = True
                     conn.send(("restored", message[1]["epoch"]))
                 elif tag == "status?":
-                    conn.send(("status", self._status()))
+                    conn.send(("status", self._status(message[1])))
                 elif tag == "report?":
                     conn.send(("report", self._report_bundle()))
                 elif tag == "stop":

@@ -30,6 +30,24 @@ from .node import PiaNode
 from . import topology
 from .spec import SystemSpec
 
+#: What an executor does once a node is lost: restart it from the last
+#: cut, raise :class:`~repro.core.errors.NodeFailure`, or let the
+#: survivors finish without it.
+FAILURE_POLICIES = ("recover", "raise", "drop-node")
+
+
+def check_failure_policy(policy: str, accepted: Tuple[str, ...]) -> None:
+    """Refuse a ``policy`` the executor does not accept, saying which
+    executor accepts which (DESIGN.md §5)."""
+    if policy not in accepted:
+        raise ConfigurationError(
+            f"failure policy {policy!r} is not accepted here: CoSimulation "
+            f"takes any of {FAILURE_POLICIES}; MultiprocessCoSimulation "
+            "takes 'recover' or 'raise' ('drop-node' would have every "
+            "survivor process sever its channels to the lost node at one "
+            "instant, which only the cooperative round loop can do); "
+            "ThreadedCoSimulation always raises")
+
 
 def reached(instant: float, clocks: Iterable[float],
             next_events: Iterable[float], in_flight: Callable[[], bool],
@@ -281,10 +299,13 @@ class LiveSystem:
 
     def _due_crashes(self) -> Iterator[NodeCrash]:
         """Each scheduled crash the run has got to, in firing order;
-        the caller takes the node down before the next one is judged."""
+        the caller takes the node down before the next one is judged.
+        A crash stays pending — windows hold at its instant — until the
+        caller asks for the next one."""
         pending = self._pending_crashes
         while pending and self._reached(pending[0].at_time):
-            yield pending.pop(0)
+            yield pending[0]
+            pending.pop(0)
 
     def _mark_down(self, name: str) -> None:
         """Node ``name`` crashes: from here on its traffic is lost."""

@@ -22,7 +22,7 @@ import time as _time
 from typing import Optional
 
 from ..core.errors import LinkDown, NodeFailure, SimulationError
-from ..faults import FailureDetector, FaultPlan, RetryPolicy
+from ..faults import FaultPlan, RetryPolicy
 from ..observability import Telemetry, TraceKind
 from ..transport.latency import SAME_HOST, LatencyModel
 from ..transport.message import Message
@@ -58,16 +58,10 @@ class _NodeWorker(threading.Thread):
         self.dispatched = 0
         self.error: Optional[BaseException] = None
         self.idle = threading.Event()
-        #: Set by the coordinator when this node's scheduled crash fires.
-        self.down = threading.Event()
 
     def run(self) -> None:
-        detector = self.runner.detector
         try:
-            while not self.runner.stop_flag.is_set() \
-                    and not self.down.is_set():
-                if detector is not None:
-                    detector.beat(self.node.name, _time.monotonic())
+            while not self.runner.stop_flag.is_set():
                 # Cleared *before* the round, not after: while an event is
                 # mid-dispatch it is already popped from the queue, so a
                 # worker crunching a long event shows next_event_time inf
@@ -90,11 +84,11 @@ class ThreadedCoSimulation(LiveSystem):
     """Run each Pia node on its own thread (conservative channels only).
 
     With a ``fault_plan`` attached, message chaos is injected at the
-    transport boundary exactly as in :class:`CoSimulation`, and scheduled
-    node crashes stop that node's worker mid-run.  A heartbeat failure
-    detector (wall-clock seconds here) confirms the loss; the threaded
-    executor cannot roll back, so a confirmed loss always surfaces as a
-    typed :class:`~repro.core.errors.NodeFailure`.
+    transport boundary exactly as in :class:`CoSimulation`.  A lost node
+    is ``failure_policy="raise"``, the only one this executor has: it
+    cannot roll back, so a scheduled crash stops every worker at the
+    crash's virtual instant and surfaces as a typed
+    :class:`~repro.core.errors.NodeFailure`.
     """
 
     CHANNEL_PREFIX = "tch"
@@ -106,15 +100,11 @@ class ThreadedCoSimulation(LiveSystem):
                  telemetry: Optional[Telemetry] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  retry_policy: Optional[RetryPolicy] = None,
-                 heartbeat_timeout: float = 1.0,
                  batching: bool = False) -> None:
         super().__init__(transport=transport, default_model=default_model,
                          telemetry=telemetry, fault_plan=fault_plan,
                          retry_policy=retry_policy, batching=batching)
         self.stop_flag = threading.Event()
-        self.detector: Optional[FailureDetector] = None
-        if fault_plan is not None:
-            self.detector = FailureDetector(timeout=heartbeat_timeout)
 
     def _node_added(self, node: PiaNode) -> None:
         node.service_bound = self._next_crash
@@ -131,16 +121,11 @@ class ThreadedCoSimulation(LiveSystem):
         self.stop_flag.clear()
         workers = [_NodeWorker(self, self.nodes[name], until)
                    for name in sorted(self.nodes)]
-        by_name = {worker.node.name: worker for worker in workers}
         self._arm_crashes()
-        if self.detector is not None:
-            now = _time.monotonic()
-            for name in by_name:
-                self.detector.beat(name, now)
         for worker in workers:
             worker.start()
         deadline = _time.monotonic() + timeout
-        failed: Optional[str] = None
+        crash = None
         try:
             while _time.monotonic() < deadline:
                 if self.stop_flag.is_set():
@@ -153,21 +138,10 @@ class ThreadedCoSimulation(LiveSystem):
                     series.tick(self.global_time(), self.telemetry.registry)
                 # The workers are held at the crash's instant (their
                 # service bound), so it fires there — once nothing at or
-                # before it is left — not whenever this sweep looks.
-                for crash in self._due_crashes():
-                    # Stop the worker; its traffic is lost from here on.
-                    by_name[crash.node].down.set()
-                    self._mark_down(crash.node)
-                if self.detector is not None:
-                    suspects = self.detector.suspects(_time.monotonic())
-                    if suspects:
-                        failed = suspects[0]
-                        self.stop_flag.set()
-                        break
-                # Quiescence is an illusion while a node is down: its
-                # one-way peers finish without it.  Wait for the detector.
-                if not any(worker.down.is_set() for worker in workers) \
-                        and self._quiescent(workers, until):
+                # before it is left — not whenever this sweep looks.  It
+                # stays pending, so they hold there until they stop.
+                crash = next(self._due_crashes(), None)
+                if crash is not None or self._quiescent(workers, until):
                     break
                 _time.sleep(0.002)
             else:
@@ -183,11 +157,14 @@ class ThreadedCoSimulation(LiveSystem):
             self.stop_flag.set()
             for worker in workers:
                 worker.join(timeout=5.0)
-        if failed is not None:
+        if crash is not None:
+            self._mark_down(crash.node)
             raise NodeFailure(
-                f"node {failed!r} stopped heartbeating — the threaded "
-                "executor cannot roll back; rerun under CoSimulation with "
-                "failure_policy='recover' for crash recovery", node=failed)
+                f"node {crash.node!r} crashed at global time "
+                f"{self.global_time():g} — the threaded executor cannot "
+                "roll back; rerun under CoSimulation with "
+                "failure_policy='recover' for crash recovery",
+                node=crash.node)
         for worker in workers:
             if worker.error is not None:
                 if isinstance(worker.error, LinkDown):

@@ -1,10 +1,10 @@
-"""Live run introspection: a console view over status snapshots.
+"""Live run introspection: the status document and a console view over it.
 
 The multiprocess executor's supervision loop can publish a JSON
-:func:`~repro.distributed.multiprocess.status_snapshot` to a file
-(``run(..., status_path="status.json")``), atomically replaced every
-``status_interval`` seconds.  This module is the other half: it tails
-that file and renders a periodic per-node / per-subsystem table —
+:func:`status_snapshot` to a file (``run(..., status_path="status.json")``),
+atomically replaced every ``status_interval`` seconds.  This module
+builds that document and reads it back: it tails the file and renders
+a periodic per-node / per-subsystem table —
 local virtual time, next event, queue depth, safe-time horizon, stall
 state, which peer is pinning the horizon, and each worker's heartbeat
 age — until the snapshot's phase turns ``done``.
@@ -17,12 +17,66 @@ Run it next to a live simulation::
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time as _time
-from typing import List, Optional
+from typing import Dict, List, Optional
+
+
+def _json_safe(value):
+    """``inf`` has no JSON encoding; status snapshots use ``null``."""
+    return None if value == float("inf") else value
+
+
+def status_snapshot(statuses: Dict[str, dict], *,
+                    until: float = float("inf"),
+                    phase: str = "running", report=None) -> dict:
+    """Fold per-worker ``status?`` replies into one JSON-safe snapshot.
+
+    Per node the idle flag, control-loop round count, parked/pending
+    messages, wire counters and heartbeat age (seconds since the worker
+    stamped its reply), and per subsystem the local virtual time, next
+    event, event count, queue depth, safe-time horizon, stall state and
+    the peer currently pinning the horizon.  With ``report`` — the
+    :func:`~repro.observability.report.fold` of everyone's telemetry so
+    far — the ``telemetry`` (counters, gauges), ``series`` and
+    ``health`` sections :mod:`repro.observability.serve` exposes.
+    """
+    wall = _time.time()
+    nodes = {}
+    times = []
+    for name in sorted(statuses):
+        st = statuses[name]
+        rows = []
+        for row in st["subsystems"]:
+            times.append(row["time"])
+            rows.append(dict(row,
+                             next_event=_json_safe(row["next_event"]),
+                             horizon=_json_safe(row["horizon"])))
+        nodes[name] = {
+            "idle": st["idle"],
+            "rounds": st["rounds"],
+            "pending": st["pending"],
+            "wire_out": st["wire_out"],
+            "wire_in": st["wire_in"],
+            "epoch": st.get("epoch", 0),
+            "heartbeat_age": max(0.0, wall - st.get("wall", wall)),
+            "subsystems": rows,
+        }
+    snapshot = {"phase": phase, "wall": wall, "until": _json_safe(until),
+                "global_time": min(times, default=0.0), "nodes": nodes}
+    if report is not None:
+        snapshot["telemetry"] = {
+            "counters": dict(report.counters),
+            "gauges": {name: _json_safe(value)
+                       for name, value in report.gauges.items()},
+        }
+        snapshot["series"] = {
+            name: {"points": [[t, _json_safe(v)] for t, v in row["points"]]}
+            for name, row in report.timeseries.items()}
+        snapshot["health"] = report.link_health
+    return snapshot
 
 
 def _fmt(value, *, unit: str = "") -> str:
@@ -145,6 +199,7 @@ def follow_ndjson(path: str, *, interval: float = 1.0,
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    import argparse     # the CLI's alone: the executors import this module
     parser = argparse.ArgumentParser(
         prog="python -m repro.observability.live",
         description="Console view over a multiprocess run's status "

@@ -49,7 +49,7 @@ class RunReport:
     rollbacks: List[dict] = field(default_factory=list)
     #: One :class:`~repro.distributed.migration.MigrationRecord` dict per
     #: live migration or supervised failover (multiprocess runs under
-    #: ``failure_policy="migrate"``; empty otherwise).  ``wall_pause`` and
+    #: ``failure_policy="recover"``; empty otherwise).  ``wall_pause`` and
     #: ``snapshot_bytes`` are measurements, not simulation state.
     migrations: List[dict] = field(default_factory=list)
     #: Exact fault/retry counters from the fault injector, when one is

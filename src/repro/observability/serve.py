@@ -3,9 +3,9 @@
 The first brick of the session-server dashboard story (ROADMAP): a
 stdlib-only HTTP endpoint over the status snapshots a running
 :class:`~repro.distributed.multiprocess.MultiprocessCoSimulation`
-publishes (``run(..., status_path=...)``), including the streamed
-counters, time-series and link-health sections when the run has
-``stream_telemetry`` on.  Decoupled by design — the server reads the
+publishes (``run(..., status_path=...)``), including its counters,
+time-series and link-health sections — the fold of every worker's
+telemetry so far, as the final report folds it.  Decoupled by design — the server reads the
 snapshot *file*, so it can start before the run, survive it, and watch
 any number of sequential runs publishing to the same path.
 

@@ -15,10 +15,8 @@ pacing is OS-dependent) are measurements; like timers, they stay out of
 the deterministic report projection.
 
 Multiprocess runs keep one recorder per worker; :func:`~.report.fold`
-keeps each worker's series under a ``node/metric`` key and, when
-streaming is enabled, the coordinator folds incremental
-:meth:`~TimeSeriesRecorder.take_delta` shipments into the live status
-snapshots.
+keeps each worker's series under a ``node/metric`` key — in the final
+report and in every live status snapshot, which is the same fold.
 """
 
 from __future__ import annotations
@@ -45,10 +43,9 @@ class TimeSeries(Ring):
     def append(self, t: float, value: float) -> None:
         super().append((t, value))
 
-    def as_list(self, since: int = 0) -> List[list]:
-        """``[[t, value], ...]`` of the points :meth:`~.trace.Ring.tail`
-        answers for ``since`` (default: every point held)."""
-        return [[t, v] for t, v in self.tail(since)]
+    def as_list(self) -> List[list]:
+        """``[[t, value], ...]`` of every point held."""
+        return [[t, v] for t, v in self]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<TimeSeries {self.name} n={len(self)}>"
@@ -89,7 +86,6 @@ class TimeSeriesRecorder:
         self.samples = 0
         self._next_virtual = 0.0 if virtual_interval is not None else None
         self._next_wall: Optional[float] = None
-        self._shipped: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def _series(self, name: str) -> TimeSeries:
@@ -141,27 +137,9 @@ class TimeSeriesRecorder:
         return {name: {"points": self.series[name].as_list()}
                 for name in sorted(self.series)}
 
-    def take_delta(self) -> dict:
-        """Points appended since the previous call, marking them shipped.
-
-        The streaming path: workers call this at status-probe time and
-        ship only the fresh tail of each ring.  Points evicted between
-        shipments are simply lost from the stream — the final report
-        carries each worker's full (bounded) rings regardless.
-        """
-        out: Dict[str, List[list]] = {}
-        for name in sorted(self.series):
-            series = self.series[name]
-            fresh = series.as_list(self._shipped.get(name, 0))
-            if fresh:
-                out[name] = fresh
-                self._shipped[name] = series.appended
-        return out
-
     def clear(self) -> None:
         """Forget every point and re-arm both cadences."""
         self.series.clear()
-        self._shipped.clear()
         self.samples = 0
         self._next_virtual = (0.0 if self.virtual_interval is not None
                               else None)

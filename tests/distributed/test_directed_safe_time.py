@@ -254,7 +254,7 @@ class TestSilentEnd:
 #: under — executor and a policy that stops at the crash, so the crashed
 #: node's clock can be read — and the multiprocess deployment matrix.
 IN_PROCESS = [("cosim", dict(failure_policy="raise")),
-              ("threaded", dict(heartbeat_timeout=0.3))]
+              ("threaded", dict())]
 MP_MATRIX = [("tcp", True), ("tcp", False), ("shm", True), ("shm", False)]
 REPEATS = 5
 
@@ -333,7 +333,7 @@ class TestServiceInstants:
         crashed node has run everything up to the instant and nothing
         after it."""
         runner = build(streaming_pair_spec(200, 1.0), "threaded",
-                       heartbeat_timeout=0.3, fault_plan=FaultPlan(
+                       fault_plan=FaultPlan(
                            seed=0, crashes=(NodeCrash("n-cons", at_time=4.0),)))
         with pytest.raises(NodeFailure) as err:
             runner.run(timeout=60.0)
@@ -404,7 +404,7 @@ class TestServiceInstants:
         for __ in range(REPEATS):
             seen = Snapshots()
             crashed = build(star_spec(), "multiprocess", pool=pool,
-                            fault_plan=w0_crash(), failure_policy="migrate",
+                            fault_plan=w0_crash(), failure_policy="recover",
                             transport=transport, batching=batching)
             crashed.run(timeout=60.0, status_listener=seen,
                         status_interval=0.0)
@@ -416,7 +416,7 @@ class TestServiceInstants:
             assert rows(crashed.report()) == rows(reference.report())
 
             moved = build(star_spec(), "multiprocess", pool=pool,
-                          failure_policy="migrate", transport=transport,
+                          failure_policy="recover", transport=transport,
                           batching=batching)
             moved.migrate_at("n-w1", 2.0)
             moved.run(timeout=60.0)
@@ -430,8 +430,8 @@ class TestServiceInstants:
                              ids=["after-the-last-event", "beyond-until"])
     @pytest.mark.parametrize("executor,kwargs", [
         ("cosim", {}), ("threaded", {}), ("multiprocess", {}),
-        ("multiprocess", dict(failure_policy="migrate"))],
-        ids=["cosim", "threaded", "mp-raise", "mp-migrate"])
+        ("multiprocess", dict(failure_policy="recover"))],
+        ids=["cosim", "threaded", "mp-raise", "mp-recover"])
     def test_a_crash_the_run_never_gets_to_never_fires(
             self, pool, executor, kwargs, at_time, until):
         """No work left is not "got there": the run returns, unharmed."""
@@ -531,9 +531,9 @@ if __name__ == "__main__":
     with WorkerPool() as shared:
         for label, kwargs in [
                 ("multiprocess raise", dict(fault_plan=w0_crash())),
-                ("multiprocess migrate, crash",
-                 dict(fault_plan=w0_crash(), failure_policy="migrate")),
-                ("multiprocess migrate, migrate_at",
-                 dict(failure_policy="migrate"))]:
+                ("multiprocess recover, crash",
+                 dict(fault_plan=w0_crash(), failure_policy="recover")),
+                ("multiprocess recover, migrate_at",
+                 dict(failure_policy="recover"))]:
             print(f"{label:32}", [multiprocess(shared, **kwargs)
                                   for __ in range(REPEATS)])

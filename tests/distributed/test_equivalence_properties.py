@@ -4,8 +4,8 @@ The framework's core promise is that splitting a design across subsystems,
 nodes and synchronization modes is *transparent*: the simulated system
 behaves identically.  Hypothesis generates random pipeline/fan-out
 workloads and random partitions; every placement — single host,
-conservative split, optimistic split — must produce the identical
-observable trace.
+conservative split, optimistic split, conservative split on a thread
+per node — must produce the identical observable trace.
 """
 
 import pytest
@@ -21,7 +21,13 @@ from repro.core import (
     Send,
     Simulator,
 )
-from repro.distributed import ChannelMode, CoSimulation, Design, deploy
+from repro.distributed import (
+    ChannelMode,
+    CoSimulation,
+    Design,
+    ThreadedCoSimulation,
+    deploy,
+)
 
 # ---------------------------------------------------------------------------
 # workload generation
@@ -85,13 +91,19 @@ def build_design(values, stage_delays):
     return design
 
 
-def run_placement(values, stage_delays, assignment, mode):
+def run_placement(values, stage_delays, assignment, mode, *,
+                  threaded=False):
     design = build_design(values, stage_delays)
-    cosim = CoSimulation(
-        snapshot_interval=3.0 if mode is ChannelMode.OPTIMISTIC else None)
-    deploy(design, assignment, cosim, mode=mode)
+    if threaded:
+        cosim = ThreadedCoSimulation()
+    else:
+        cosim = CoSimulation(
+            snapshot_interval=3.0 if mode is ChannelMode.OPTIMISTIC
+            else None)
+    deployment = deploy(design, assignment, cosim, mode=mode)
     cosim.run()
-    return cosim.component("sink").trace
+    return deployment.subsystems[assignment["sink"]] \
+        .components["sink"].trace
 
 
 values_strategy = st.lists(st.integers(min_value=0, max_value=999),
@@ -125,6 +137,17 @@ class TestPlacementEquivalence:
                                   ChannelMode.CONSERVATIVE)
         split = run_placement(values, delays, assignment,
                               ChannelMode.CONSERVATIVE)
+        assert split == reference
+
+    @given(workload_and_partition())
+    @settings(max_examples=25, deadline=None)
+    def test_threaded_conservative_split_matches_single_host(self, case):
+        values, delays, assignment = case
+        single = {name: "solo" for name in assignment}
+        reference = run_placement(values, delays, single,
+                                  ChannelMode.CONSERVATIVE)
+        split = run_placement(values, delays, assignment,
+                              ChannelMode.CONSERVATIVE, threaded=True)
         assert split == reference
 
     @given(workload_and_partition())

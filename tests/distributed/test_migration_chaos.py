@@ -1,5 +1,5 @@
 """Migration and failover chaos: a scheduled crash under
-``failure_policy="migrate"`` and an explicit live migration must both
+``failure_policy="recover"`` and an explicit live migration must both
 finish with simulation state bit-identical to a fault-free same-seed
 run — across both transports, batching on and off.  Also unit-tests the
 portable-image plumbing those moves ride on."""
@@ -45,13 +45,13 @@ MATRIX = [("tcp", False), ("tcp", True), ("shm", False), ("shm", True)]
 
 def star(**kwargs):
     return compute_star_multiprocess(2, 6, words=50,
-                                     failure_policy="migrate", **kwargs)
+                                     failure_policy="recover", **kwargs)
 
 
 def long_star(**kwargs):
     """A star that takes long enough on the wall to be meddled with."""
     return compute_star_multiprocess(2, 30, words=2000,
-                                     failure_policy="migrate", **kwargs)
+                                     failure_policy="recover", **kwargs)
 
 
 class MidRun:
@@ -224,7 +224,7 @@ class TestLiveMigration:
         assert records == [{k: v for k, v in r.items() if k != "node"}
                            for r in decided]
 
-    def test_migrate_requires_migrate_policy(self):
+    def test_migrate_requires_recover_policy(self):
         plain = compute_star_multiprocess(2, 3, words=20)
         with pytest.raises(ConfigurationError):
             plain.migrate("n-w0")
@@ -233,6 +233,22 @@ class TestLiveMigration:
         cosim = star()
         with pytest.raises(ConfigurationError):
             cosim.migrate("n-missing")
+
+    @pytest.mark.parametrize("policy", ["migrate", "drop-node"])
+    def test_a_process_deployment_refuses_the_policy(self, policy):
+        """One vocabulary: the old multiprocess spelling is refused, not
+        mapped, and the error says which executor takes which policy."""
+        with pytest.raises(ConfigurationError,
+                           match="MultiprocessCoSimulation takes 'recover' "
+                                 "or 'raise'"):
+            MultiprocessCoSimulation(failure_policy=policy)
+
+    def test_one_policy_tuple_is_exported(self):
+        import repro.distributed as distributed
+        assert distributed.FAILURE_POLICIES == ("recover", "raise",
+                                                "drop-node")
+        assert not hasattr(distributed, "MP_FAILURE_POLICIES")
+        assert "MP_FAILURE_POLICIES" not in distributed.__all__
 
 
     def test_migrate_called_mid_run_is_lossless(self, pool):
@@ -344,7 +360,7 @@ class TestWorkerDeath:
         ref.run(timeout=120.0)
         plan = None if crash is None else FaultPlan(
             seed=3, crashes=[NodeCrash(crash, at_time=3.0)])
-        run = Saboteur(failure_policy="migrate", pool=pool, fault_plan=plan
+        run = Saboteur(failure_policy="recover", pool=pool, fault_plan=plan
                        ).load(compute_star_spec(2, 6, words=50))
         run.victim = victim
         if crash is None:

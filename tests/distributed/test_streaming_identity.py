@@ -1,12 +1,11 @@
 """Telemetry bit-identity: turning the continuous telemetry plane on —
-time-series sampling, per-link health and delta streaming — must leave a
-run's deterministic report projection byte for byte unchanged.
+time-series sampling, per-link health and live status snapshots — must
+leave a run's deterministic report projection byte for byte unchanged.
 
 Each case runs the same workload twice, dark and fully instrumented, and
 compares ``report.to_dict()`` (the default projection excludes the
-wall-clock-bearing sections: timings, health rows, series)."""
-
-import pytest
+wall-clock-bearing sections: timings, health rows, series).  What a
+multiprocess run shows live is the same fold as what it reports."""
 
 from repro.bench.workloads import (
     compute_star,
@@ -19,6 +18,7 @@ from repro.observability import (
     TimeSeriesRecorder,
     attach_health,
 )
+from repro.faults import FaultPlan, NodeCrash
 
 
 def telemetry_kwargs():
@@ -28,19 +28,29 @@ def telemetry_kwargs():
     telemetry.attach_series(TimeSeriesRecorder(virtual_interval=1.0,
                                                wall_interval=0.5))
     telemetry.health = LinkHealthMonitor()
-    return dict(telemetry=telemetry, stream_telemetry=True)
+    return dict(telemetry=telemetry)
+
+
+class Snapshots(list):
+    """A ``status_listener`` keeping every snapshot it is handed."""
+
+    def __call__(self, snapshot):
+        self.append(snapshot)
 
 
 class TestMultiprocess:
-    def _run(self, **kwargs):
+    def _run(self, listener=None, **kwargs):
         cosim = compute_star_multiprocess(2, 3, words=50, **kwargs)
-        cosim.run(until=100.0, timeout=60.0)
+        cosim.run(until=100.0, timeout=60.0, status_listener=listener,
+                  status_interval=0.0)
         return cosim.report()
 
     def test_streaming_run_matches_dark_run(self):
         dark = self._run()
-        lit = self._run(**telemetry_kwargs())
+        seen = Snapshots()
+        lit = self._run(seen, **telemetry_kwargs())
         assert lit.to_dict() == dark.to_dict()
+        assert "telemetry" in seen[-1]
         # ...and the instrumented run actually produced the sections.
         assert lit.link_health
         assert lit.timeseries
@@ -49,22 +59,54 @@ class TestMultiprocess:
 
     def test_streaming_run_matches_dark_run_on_shm(self):
         dark = self._run(transport="shm")
-        lit = self._run(transport="shm", **telemetry_kwargs())
+        lit = self._run(Snapshots(), transport="shm", **telemetry_kwargs())
         assert lit.to_dict() == dark.to_dict()
         assert lit.link_health
 
     def test_streaming_run_matches_dark_run_unbatched(self):
         dark = self._run(batching=False)
-        lit = self._run(batching=False, **telemetry_kwargs())
+        lit = self._run(Snapshots(), batching=False, **telemetry_kwargs())
         assert lit.to_dict() == dark.to_dict()
 
     def test_opt_in_projections_carry_the_new_sections(self):
-        lit = self._run(**telemetry_kwargs())
+        lit = self._run(Snapshots(), **telemetry_kwargs())
         document = lit.to_dict(include_health=True, include_series=True)
         assert document["link_health"] == lit.link_health
         assert document["timeseries"] == lit.timeseries
         # series keys are node-qualified after the merge
         assert all("/" in name for name in lit.timeseries)
+
+
+class TestLiveViewIsTheReport:
+    """A run that publishes status snapshots gets its telemetry sections
+    with no further option, and the parting ``done`` snapshot shows
+    what :meth:`report` reports — also after a node failed over."""
+
+    def _run(self, **kwargs):
+        seen = Snapshots()
+        cosim = compute_star_multiprocess(2, 3, words=50,
+                                          **telemetry_kwargs(), **kwargs)
+        cosim.run(timeout=60.0, status_listener=seen, status_interval=0.0)
+        assert seen and all(
+            {"telemetry", "series", "health"} <= set(snapshot)
+            for snapshot in seen)
+        assert seen[-1]["phase"] == "done"
+        return cosim, seen
+
+    def test_plain_run(self):
+        cosim, seen = self._run()
+        report = cosim.report()
+        assert seen[-1]["telemetry"]["counters"] == report.counters
+        assert seen[-1]["series"] == report.timeseries
+        assert seen[-1]["health"]
+
+    def test_failed_over_run(self):
+        cosim, seen = self._run(
+            failure_policy="recover",
+            fault_plan=FaultPlan(seed=3,
+                                 crashes=(NodeCrash("n-w0", at_time=1.0),)))
+        assert [m.kind for m in cosim.migrations] == ["failover"]
+        assert seen[-1]["telemetry"]["counters"] == cosim.report().counters
 
 
 class TestSingleProcessExecutors:

@@ -5,13 +5,14 @@ import json
 import threading
 import time
 
-from repro.distributed.multiprocess import status_snapshot
+from repro.observability import RunReport
 from repro.observability.live import (
     follow,
     follow_ndjson,
     main,
     read_snapshot,
     render_status,
+    status_snapshot,
 )
 
 WORKER_STATUS = {
@@ -51,6 +52,20 @@ class TestStatusSnapshot:
         snapshot = status_snapshot({}, phase="done")
         assert snapshot["phase"] == "done"
         assert snapshot["global_time"] == 0.0
+
+    def test_telemetry_sections_are_the_report_folded_so_far(self):
+        report = RunReport("live")
+        report.counters = {"safetime.served": 3}
+        report.gauges = {"horizon": float("inf")}
+        report.timeseries = {"n-w0/c": {"points": [[1.0, float("inf")]]}}
+        report.link_health = [{"src": "n-w0", "dst": "n-hub", "score": 1.0}]
+        snapshot = status_snapshot({"n-w0": WORKER_STATUS}, report=report)
+        json.dumps(snapshot)
+        assert snapshot["telemetry"] == {"counters": {"safetime.served": 3},
+                                         "gauges": {"horizon": None}}
+        assert snapshot["series"] == {"n-w0/c": {"points": [[1.0, None]]}}
+        assert snapshot["health"] == report.link_health
+        assert "telemetry" not in status_snapshot({"n-w0": WORKER_STATUS})
 
 
 class TestRenderStatus:

@@ -71,20 +71,7 @@ class TestRecorderCadences:
         assert recorder.to_dict()["keep.me"]["points"] == [[1.0, 3]]
 
 
-class TestDeltaAndClear:
-    def test_take_delta_ships_fresh_tail_once(self):
-        registry = registry_with(counters=[("c", 1)])
-        recorder = TimeSeriesRecorder(virtual_interval=1.0)
-        recorder.tick(0.0, registry)
-        registry.counter("c").inc()
-        recorder.tick(1.0, registry)
-        first = recorder.take_delta()
-        assert first == {"c": [[0.0, 1], [1.0, 2]]}
-        assert recorder.take_delta() == {}
-        registry.counter("c").inc()
-        recorder.tick(2.0, registry)
-        assert recorder.take_delta() == {"c": [[2.0, 3]]}
-
+class TestClear:
     def test_clear_rearms_the_virtual_cadence(self):
         registry = registry_with(counters=[("c", 1)])
         recorder = TimeSeriesRecorder(virtual_interval=1.0)

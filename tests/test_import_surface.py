@@ -35,6 +35,20 @@ def test_no_graph_library_at_runtime():
     assert json.loads(done.stdout) == []
 
 
+def test_no_command_line_or_http_server_at_runtime():
+    """The status document lives in ``repro.observability.live`` and the
+    multiprocess coordinator imports it; the module's console and the
+    HTTP endpoint are the CLI's, not the executors'."""
+    code = ("import json, sys\n"
+            "import repro.distributed, repro.observability\n"
+            "print(json.dumps([name for name in ('argparse', 'http.server')\n"
+            "                  if name in sys.modules]))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=_example_env(),
+                          timeout=60, capture_output=True, text=True,
+                          check=True)
+    assert json.loads(done.stdout) == []
+
+
 def test_numpy_only_when_an_image_is_made():
     """``repro.apps.jpeg`` builds its numpy tables on first use, so the
     WubbleU application — which every ledger workload module imports —

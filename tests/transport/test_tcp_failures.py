@@ -347,8 +347,7 @@ class TestThreadedNodeCrash:
             runner = ThreadedCoSimulation(
                 transport=transport,
                 fault_plan=FaultPlan(
-                    seed=0, crashes=(NodeCrash("nb", at_time=4.0),)),
-                heartbeat_timeout=0.5)
+                    seed=0, crashes=(NodeCrash("nb", at_time=4.0),)))
             _build_pipeline(runner, list(range(10)))
             with pytest.raises(NodeFailure) as err:
                 runner.run(timeout=60.0)
