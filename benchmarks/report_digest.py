@@ -7,7 +7,9 @@ whole trace, record by record in ``seq`` order, with only the wall-clock
 stamps dropped — then the ``run`` digest of the same report with its
 ``trace`` section removed, and the number of trace records.  A change that
 moves only what is recorded shows "the run is what it was" as equal
-``run`` digests beside different whole-report ones.  The models
+``run`` digests beside different whole-report ones.  Under each line, one
+indented line per ``to_dict`` section gives that section's own digest, so
+a diff between two trees names the sections that moved.  The models
 are the ledger's own (``benchmarks/ledger/workloads.py``, full size,
 read-only use), so the digests are the ones CHANGES.md and EXPERIMENTS.md
 quote.
@@ -39,13 +41,15 @@ def digest(document):
 
 
 def report_digest(report):
-    """``(digest, run digest, trace records)`` of one finished run's
-    report; the run digest leaves out the ``trace`` section."""
+    """``(digest, run digest, trace records, {section: digest})`` of one
+    finished run's report; the run digest leaves out the ``trace``
+    section."""
     document = report.to_dict(include_trace=True)
     records = len(document["trace"]["records"])
     whole = digest(document)
+    sections = {name: digest(part) for name, part in sorted(document.items())}
     del document["trace"]
-    return whole, digest(document), records
+    return whole, digest(document), records, sections
 
 
 def main(argv=None):
@@ -68,9 +72,12 @@ def main(argv=None):
             inputs = workload.prepare(seed, workload.sizes["full"])
             instance = workload.build(inputs, None)
             workload.run(instance)
-            whole, run, records = report_digest(instance.report())
+            whole, run, records, sections = report_digest(
+                instance.report())
             print(f"{name:22s} seed {seed:<3d} {whole}  run {run}  "
                   f"{records} records")
+            for section, value in sections.items():
+                print(f"  {section:18s} {value}")
 
 
 if __name__ == "__main__":

@@ -39,6 +39,10 @@ from .system import FAILURE_POLICIES, LiveSystem, check_failure_policy
 #: confirms its loss.
 HEARTBEAT_MISSES = 3
 
+#: Wall seconds without a status reply before the multiprocess
+#: supervisor's detector suspects a worker (``failure_policy="recover"``).
+HEARTBEAT_TIMEOUT = 5.0
+
 
 class CoSimulation(LiveSystem, RunLevels):
     """A complete distributed Pia system under deterministic execution."""

@@ -27,8 +27,8 @@ Three problems are specific to crossing a process boundary:
   global ``wire_out``/``wire_in`` sums balanced, and no progress between.
 * **Observability** — every worker runs its own
   :class:`~repro.observability.Telemetry`; at quiescence each serialises
-  its deterministic snapshot back to the coordinator, which merges them
-  (:mod:`repro.observability.merge`) into one
+  its deterministic snapshot back to the coordinator, which folds them
+  (:func:`repro.observability.report.fold`) into one
   :class:`~repro.observability.RunReport` with the same shape as a
   single-process report.
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
 import os
 import threading
 import time as _time
@@ -26,6 +25,7 @@ from ...observability.report import bundle, fold
 from ...transport.codec import VERSION as CODEC_VERSION
 from ...transport.shm import DEFAULT_RING_CAPACITY, create_ring_segment
 from .. import topology
+from ..executor import HEARTBEAT_TIMEOUT
 from ..migration import MigrationRecord, NodeArchive, resent_counts
 from ..snapshot import new_snapshot_id
 from ..system import check_failure_policy, reached
@@ -62,29 +62,19 @@ class MultiprocessCoSimulation:
                  fault_plan: Optional[FaultPlan] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  batching: bool = True,
-                 start_method: str = "spawn",
                  transport: str = "tcp",
                  ring_capacity: int = DEFAULT_RING_CAPACITY,
                  pool: Optional[WorkerPool] = None,
-                 failure_policy: str = "raise",
-                 heartbeat_timeout: float = 5.0) -> None:
-        if start_method not in multiprocessing.get_all_start_methods():
-            raise ConfigurationError(
-                f"start method {start_method!r} not available on this "
-                f"platform: {multiprocessing.get_all_start_methods()}")
+                 failure_policy: str = "raise") -> None:
         if transport not in ("tcp", "shm"):
             raise ConfigurationError(
                 f"unknown transport {transport!r}: expected 'tcp' (works "
                 "across machines) or 'shm' (same-host shared-memory rings)")
         check_failure_policy(failure_policy, ("recover", "raise"))
-        if heartbeat_timeout <= 0:
-            raise ConfigurationError(
-                f"heartbeat timeout must be positive: {heartbeat_timeout}")
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
         self.batching = batching
-        self.start_method = start_method
         self.transport = transport
         self.ring_capacity = ring_capacity
         self._pool = pool
@@ -103,7 +93,6 @@ class MultiprocessCoSimulation:
         self._last_statuses: Dict[str, dict] = {}
         # --- supervised failover / live migration state -----------------
         self.failure_policy = failure_policy
-        self.heartbeat_timeout = heartbeat_timeout
         #: Heartbeat detector for the last/current supervised run.
         self.detector: Optional[FailureDetector] = None
         #: Completed migrations/failovers of the last/current run.
@@ -193,7 +182,7 @@ class MultiprocessCoSimulation:
         if self._pool is not None:
             return self._pool
         if self._own_pool is None:
-            self._own_pool = WorkerPool(start_method=self.start_method)
+            self._own_pool = WorkerPool()
             # Tie the private pool's lifetime to this executor so dropped
             # instances do not strand warm processes.
             self._pool_finalizer = weakref.finalize(
@@ -319,7 +308,7 @@ class MultiprocessCoSimulation:
         self._restore_point = None
         self._run_epoch = 0
         self._carryover = []
-        self.detector = FailureDetector(timeout=self.heartbeat_timeout) \
+        self.detector = FailureDetector(timeout=HEARTBEAT_TIMEOUT) \
             if self.failure_policy == "recover" else None
         started_at = _time.perf_counter()
         pool = self._acquire_pool()
@@ -822,7 +811,7 @@ class MultiprocessCoSimulation:
                     self._send(pipes, name, "status?", publish)
                 for name in sorted(procs):
                     probe_deadline = deadline if not supervised else min(
-                        deadline, _time.monotonic() + self.heartbeat_timeout)
+                        deadline, _time.monotonic() + HEARTBEAT_TIMEOUT)
                     try:
                         statuses[name] = self._expect(
                             pipes, procs, name, "status", probe_deadline)

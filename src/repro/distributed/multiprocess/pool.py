@@ -10,6 +10,10 @@ from typing import List
 from ...core.errors import ConfigurationError
 from .worker import _pool_main
 
+#: How worker processes start: ``spawn`` exists on every platform and
+#: never forks a coordinator that holds threads and locks.
+START_METHOD = "spawn"
+
 
 class _PoolWorker:
     """Coordinator-side handle on one warm worker process."""
@@ -46,13 +50,8 @@ class WorkerPool:
     one pool across executors by passing it as the ``pool=`` argument.
     """
 
-    def __init__(self, *, start_method: str = "spawn") -> None:
-        if start_method not in multiprocessing.get_all_start_methods():
-            raise ConfigurationError(
-                f"start method {start_method!r} not available on this "
-                f"platform: {multiprocessing.get_all_start_methods()}")
-        self.start_method = start_method
-        self.ctx = multiprocessing.get_context(start_method)
+    def __init__(self) -> None:
+        self.ctx = multiprocessing.get_context(START_METHOD)
         self._idle: List[_PoolWorker] = []
         self._lock = threading.Lock()
         self._seq = itertools.count()

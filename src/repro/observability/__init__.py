@@ -27,7 +27,6 @@ from .export import (
 )
 from .flight import FlightRecorder, flight_path
 from .health import LinkHealthMonitor, attach_health, finalize_health
-from .merge import merge_counters
 from .metrics import (
     BoundCounter,
     Counter,
@@ -64,5 +63,4 @@ __all__ = [
     "span_origin",
     "chrome_trace", "stall_attribution", "validate_chrome_trace",
     "write_chrome_trace",
-    "merge_counters",
 ]

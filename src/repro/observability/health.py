@@ -180,6 +180,34 @@ class LinkHealthMonitor:
 # ----------------------------------------------------------------------
 # report-time folding
 # ----------------------------------------------------------------------
+def merge_health_rows(rows: List[dict]) -> List[dict]:
+    """Combine raw :meth:`LinkHealthMonitor.rows` of several monitors.
+
+    Every worker only measures the traffic it *sent*, so a directed link
+    normally appears in exactly one input row; on collision the additive
+    fields sum, EWMAs take a message-weighted average, and queue peaks
+    take the max.  Output is sorted by directed link.
+    """
+    merged: Dict[Tuple[str, str], dict] = {}
+    for row in rows:
+        key = (row["src"], row["dst"])
+        have = merged.get(key)
+        if have is None:
+            merged[key] = dict(row)
+            continue
+        ours, theirs = have["messages"], row["messages"]
+        total = ours + theirs
+        for ewma in ("ewma_delay", "queue_depth"):
+            if total:
+                have[ewma] = (have.get(ewma, 0.0) * ours
+                              + row.get(ewma, 0.0) * theirs) / total
+        for field in ("messages", "frames", "bytes", "delay", "rate"):
+            have[field] = have.get(field, 0) + row.get(field, 0)
+        have["queue_peak"] = max(have.get("queue_peak", 0),
+                                 row.get("queue_peak", 0))
+    return [merged[key] for key in sorted(merged)]
+
+
 def finalize_health(rows: List[dict], *,
                     stall_attribution: Optional[List[dict]] = None,
                     subsystems: Optional[List[dict]] = None) -> List[dict]:

@@ -151,11 +151,35 @@ class Histogram:
         return f"<Histogram {self.name} n={self.count} total={self.total:g}>"
 
 
+def merge_histograms(into: Dict[str, dict], add: Dict[str, dict]) -> None:
+    """Fold :meth:`Histogram.snapshot` dicts ``add`` into ``into``.
+
+    Count, total and per-bucket tallies sum; min/max combine; the mean is
+    recomputed from the merged mass.  A histogram new to ``into`` is
+    copied, so later merges never write through to ``add``.
+    """
+    for name, snap in add.items():
+        have = into.get(name)
+        if have is None:
+            into[name] = {**snap, "buckets": dict(snap["buckets"])}
+            continue
+        have["count"] += snap["count"]
+        have["total"] += snap["total"]
+        for bound, better in (("min", min), ("max", max)):
+            if snap[bound] is not None:
+                have[bound] = snap[bound] if have[bound] is None \
+                    else better(have[bound], snap[bound])
+        have["mean"] = have["total"] / have["count"] if have["count"] \
+            else None
+        for label, tally in snap["buckets"].items():
+            have["buckets"][label] = have["buckets"].get(label, 0) + tally
+
+
 def snapshot_quantile(snapshot: dict, q: float) -> Optional[float]:
     """Quantile estimate over a histogram *snapshot* dict.
 
     Works on live :meth:`Histogram.snapshot` output and on cross-process
-    snapshots merged by :func:`~.merge.merge_histograms` alike.  The
+    snapshots merged by :func:`merge_histograms` alike.  The
     estimate is the upper bound of the bucket holding the ``q``-th
     sample rank, clamped into the observed ``[min, max]`` — coarse
     (bucket-resolution) but a pure function of the deterministic bucket

@@ -16,17 +16,8 @@ from typing import Dict, Iterable, List, Optional
 
 from . import export as _export
 from . import metrics as _metrics
-from .health import finalize_health
-from .merge import (
-    merge_counters,
-    merge_gauges,
-    merge_health_rows,
-    merge_histograms,
-    merge_link_rows,
-    merge_timings,
-    merge_trace_records,
-    series_key,
-)
+from .health import finalize_health, merge_health_rows
+from .metrics import merge_histograms
 from .telemetry import NULL_TELEMETRY, Telemetry
 from .trace import record_dicts
 
@@ -38,6 +29,15 @@ class RunReport:
     title: str
     #: name, node, time, dispatched, stalls, checkpoints, safe_time_requests
     subsystems: List[dict] = field(default_factory=list)
+    #: name, subsystem, local_time, status (finished/blocked/idle), level
+    components: List[dict] = field(default_factory=list)
+    #: name, subsystem, posts
+    nets: List[dict] = field(default_factory=list)
+    #: name (``component.interface``), level, transfers, chunks, payload
+    interfaces: List[dict] = field(default_factory=list)
+    #: One row per channel end, named ``channel@subsystem``: mode,
+    #: forwarded, injected, safe_time (requests), stragglers
+    channels: List[dict] = field(default_factory=list)
     #: src, dst, model, messages, bytes, delay, frames
     links: List[dict] = field(default_factory=list)
     counters: dict = field(default_factory=dict)
@@ -91,6 +91,10 @@ class RunReport:
         data = {
             "title": self.title,
             "subsystems": self.subsystems,
+            "components": self.components,
+            "nets": self.nets,
+            "interfaces": self.interfaces,
+            "channels": self.channels,
             "links": self.links,
             "counters": self.counters,
             "gauges": self.gauges,
@@ -160,6 +164,21 @@ class RunReport:
                   str(row["dispatched"]), str(row["stalls"]),
                   str(row["checkpoints"]), str(row["safe_time_requests"])]
                  for row in self.subsystems])
+        section(["component", "subsystem", "local time", "status", "level"],
+                [[row["name"], row["subsystem"], f"{row['local_time']:g}",
+                  row["status"], row["level"]] for row in self.components])
+        section(["net", "subsystem", "posts"],
+                [[row["name"], row["subsystem"], str(row["posts"])]
+                 for row in self.nets])
+        section(["interface", "level", "transfers", "chunks", "payload"],
+                [[row["name"], row["level"], str(row["transfers"]),
+                  str(row["chunks"]), str(row["payload"])]
+                 for row in self.interfaces])
+        section(["channel end", "mode", "forwarded", "injected", "st-reqs",
+                 "stragglers"],
+                [[row["name"], row["mode"], str(row["forwarded"]),
+                  str(row["injected"]), str(row["safe_time"]),
+                  str(row["stragglers"])] for row in self.channels])
         section(["link", "model", "msgs", "frames", "bytes", "delay"],
                 [[f"{row['src']}->{row['dst']}", row["model"],
                   str(row["messages"]),
@@ -248,18 +267,57 @@ def _table(headers: List[str], rows: List[List[str]]) -> str:
 # ----------------------------------------------------------------------
 # assembly: process bundles in, one report out
 # ----------------------------------------------------------------------
-def _subsystem_row(subsystem) -> dict:
-    node = subsystem.node.name if subsystem.node is not None else "-"
-    return {
-        "name": subsystem.name,
-        "node": node,
-        "time": subsystem.now,
-        "dispatched": subsystem.scheduler.dispatched,
-        "stalls": subsystem.scheduler.stalls,
-        "checkpoints": len(subsystem.checkpoints),
-        "safe_time_requests": sum(ep.safe_time_requests
-                                  for ep in subsystem.channels.values()),
-    }
+#: The per-part row sections of a bundle and a report.
+PLACED_ROWS = ("subsystems", "components", "nets", "interfaces", "channels")
+
+
+def _placement_rows(subsystems) -> Dict[str, List[dict]]:
+    """The rows of every part the ``subsystems`` hold: one per subsystem,
+    component (channel ends' own components aside), net, interface and
+    channel end."""
+    rows: Dict[str, List[dict]] = {section: [] for section in PLACED_ROWS}
+    for subsystem in subsystems:
+        rows["subsystems"].append({
+            "name": subsystem.name,
+            "node": subsystem.node.name if subsystem.node is not None
+            else "-",
+            "time": subsystem.now,
+            "dispatched": subsystem.scheduler.dispatched,
+            "stalls": subsystem.scheduler.stalls,
+            "checkpoints": len(subsystem.checkpoints),
+            "safe_time_requests": sum(ep.safe_time_requests
+                                      for ep in subsystem.channels.values()),
+        })
+        for name, component in subsystem.components.items():
+            if name.startswith("__channel"):
+                continue
+            rows["components"].append({
+                "name": name,
+                "subsystem": subsystem.name,
+                "local_time": component.local_time,
+                "status": "finished" if component.finished else (
+                    "blocked" if component.is_blocked() else "idle"),
+                "level": component.runlevel,
+            })
+            rows["interfaces"].extend({
+                "name": iface.full_name,
+                "level": iface.level,
+                "transfers": iface.sent_transfers,
+                "chunks": iface.sent_chunks,
+                "payload": iface.sent_payload_bytes,
+            } for iface in component.interfaces.values())
+        rows["nets"].extend({"name": name, "subsystem": subsystem.name,
+                             "posts": net.posts}
+                            for name, net in subsystem.nets.items())
+        rows["channels"].extend({
+            "name": f"{channel_id}@{subsystem.name}",
+            "mode": endpoint.mode.value,
+            "forwarded": endpoint.forwarded,
+            "injected": endpoint.injected,
+            "safe_time": endpoint.safe_time_requests,
+            "stragglers": endpoint.stragglers,
+        } for channel_id, endpoint in subsystem.channels.items())
+    return rows
 
 
 def _link_rows(transport) -> List[dict]:
@@ -279,16 +337,16 @@ def bundle(telemetry: Telemetry, subsystems=(), *, node: Optional[str] = None,
 
     ``node`` names the node this process *is* (a multiprocess worker);
     ``None`` when the bundle is a whole in-process run, or the
-    coordinator's own.  :func:`fold` reads the *placement* keys —
-    ``subsystems``, ``links``, ``gauges``, ``series``, ``health`` — of
-    live bundles only; every other key is *activity*, which stays counted
+    coordinator's own.  :func:`fold` reads the *placement* keys — the
+    :data:`PLACED_ROWS`, ``links``, ``gauges``, ``series``, ``health`` —
+    of live bundles only; every other key is *activity*, which stays counted
     after the process has handed its node to another (DESIGN.md §5).
     """
     snapshot = telemetry.registry.snapshot()
     series, health = telemetry.series, telemetry.health
     return {
         "node": node,
-        "subsystems": [_subsystem_row(each) for each in subsystems],
+        **_placement_rows(subsystems),
         "links": _link_rows(transport),
         "gauges": snapshot["gauges"],
         "series": series.to_dict() if series is not None else {},
@@ -325,15 +383,20 @@ def fold(title: str, bundles: List[dict],
     """
     report = RunReport(title)
     streams: Dict[Optional[str], List[dict]] = {}
-    links: List[dict] = []
+    links: Dict[tuple, dict] = {}
     health: List[dict] = []
     for part in (*superseded, *bundles):
         node = part["node"]
-        merge_counters(report.counters, part["counters"])
+        for section in ("counters", "faults", "trace_counts"):
+            into = getattr(report, section)
+            for name, value in part[section].items():
+                into[name] = into.get(name, 0) + value
         merge_histograms(report.histograms, part["histograms"])
-        merge_counters(report.faults, part["faults"])
-        merge_counters(report.trace_counts, part["trace_counts"])
-        merge_timings(report.timings, part["timings"])
+        for name, row in part["timings"].items():
+            into = report.timings.setdefault(
+                name, {"total_seconds": 0.0, "count": 0})
+            into["total_seconds"] += row["total_seconds"]
+            into["count"] += row["count"]
         report.trace_dropped += part["trace_dropped"]
         if node is not None:
             report.trace_dropped_by_node[node] = part["trace_dropped"] \
@@ -345,14 +408,30 @@ def fold(title: str, bundles: List[dict],
         report.rollbacks.extend(part["rollbacks"])
         report.migrations.extend(part["migrations"])
     for part in bundles:
-        report.subsystems.extend(part["subsystems"])
-        links.extend(part["links"])
-        merge_gauges(report.gauges, part["gauges"])
+        for section in PLACED_ROWS:
+            getattr(report, section).extend(part[section])
+        # Every transport accounts only the traffic it *sent*, so summing
+        # a directed link's rows never double-counts.
+        for row in part["links"]:
+            into = links.get((row["src"], row["dst"]))
+            if into is None:
+                links[row["src"], row["dst"]] = dict(row)
+                continue
+            for key in ("messages", "bytes", "delay"):
+                into[key] += row[key]
+            into["frames"] = into.get("frames", 0) \
+                + row.get("frames", row["messages"])
+        # A gauge is a level, not a tally: the highest one stands.
+        for name, value in part["gauges"].items():
+            report.gauges[name] = max(report.gauges.get(name, value), value)
         health.extend(part["health"])
         for name, series in part["series"].items():
-            report.timeseries[series_key(part["node"], name)] = series
-    report.subsystems.sort(key=lambda row: row["name"])
-    report.links = merge_link_rows(links)
+            key = name if part["node"] is None else f"{part['node']}/{name}"
+            report.timeseries[key] = series
+    for section in PLACED_ROWS:
+        getattr(report, section).sort(
+            key=lambda row: (row.get("subsystem", ""), row["name"]))
+    report.links = [links[key] for key in sorted(links)]
     for section in ("counters", "gauges", "histograms", "faults", "timings",
                     "trace_counts", "timeseries"):
         setattr(report, section,
@@ -360,7 +439,15 @@ def fold(title: str, bundles: List[dict],
     if len(streams) == 1:
         report.trace_records, = streams.values()
     else:
-        report.trace_records = merge_trace_records(streams)
+        # Each record tagged with its node; (time, node, seq) keeps every
+        # node's own order (seq is per-telemetry monotone), and the
+        # coordinator's untagged records sort first at equal times.
+        report.trace_records = sorted(
+            (record if node is None or record.get("node") == node
+             else dict(record, node=node)
+             for node, records in streams.items() for record in records),
+            key=lambda r: (r.get("time", 0.0), r.get("node", ""),
+                           r.get("seq", 0)))
     report.stall_attribution = _export.stall_attribution(
         report.trace_records, nodes=_export.subject_nodes(report))
     if health:

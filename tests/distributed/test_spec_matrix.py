@@ -8,6 +8,7 @@ pays one round of ``spawn``."""
 import dataclasses
 import itertools
 import pickle
+import re
 import time
 
 import pytest
@@ -61,10 +62,13 @@ def pool():
 
 
 def behaviour(cosim):
-    """What distribution must not change: per-subsystem progress and the
-    signal traffic between nodes (a synchronous safe-time request is two
-    messages on top of that, and how many are needed is the executor's
-    business)."""
+    """What distribution must not change: per-subsystem progress, every
+    component's, net's and interface's row, what each channel end
+    forwarded, injected and took as stragglers, and the signal traffic
+    between nodes.  A channel end is named without its executor's id
+    prefix (``ch``/``tch``/``mch``); safe-time requests are left out, as
+    a synchronous request is two messages on top of the signals and how
+    many are needed is the executor's business."""
     if isinstance(cosim, CoSimulation):
         cosim.run()
     else:
@@ -73,6 +77,10 @@ def behaviour(cosim):
     requests = sum(row["safe_time_requests"] for row in report.subsystems)
     return (sorted((row["name"], row["time"], row["dispatched"])
                    for row in report.subsystems),
+            report.components, report.nets, report.interfaces,
+            [(re.sub(r"^[a-z]+", "", row["name"]), row["mode"],
+              row["forwarded"], row["injected"], row["stragglers"])
+             for row in report.channels],
             report.link_totals()["messages"] - 2 * requests)
 
 

@@ -11,6 +11,7 @@ from repro.observability import (
     Timer,
     snapshot_quantile,
 )
+from repro.observability.metrics import merge_histograms
 
 
 class TestCounter:
@@ -147,3 +148,37 @@ class TestHistogramQuantiles:
                 "buckets": {"<=2": 1, "<=4": 1, "<=16": 1, "<=32": 1}}
         assert snapshot_quantile(snap, 0.50) == 4.0
         assert snapshot_quantile(snap, 1.0) == 30.0
+
+
+class TestMergeHistograms:
+    def test_merges_mass_and_recomputes_mean(self):
+        into = {"h": {"count": 2, "total": 10.0, "min": 2.0, "max": 8.0,
+                      "mean": 5.0, "buckets": {"<=8": 2}}}
+        merge_histograms(into, {"h": {"count": 2, "total": 2.0, "min": 0.5,
+                                      "max": 1.5, "mean": 1.0,
+                                      "buckets": {"<=2": 2}}})
+        merged = into["h"]
+        assert merged["count"] == 4
+        assert merged["total"] == 12.0
+        assert merged["min"] == 0.5
+        assert merged["max"] == 8.0
+        assert merged["mean"] == 3.0
+        assert merged["buckets"] == {"<=8": 2, "<=2": 2}
+
+    def test_new_histogram_is_deep_copied(self):
+        source = {"h": {"count": 1, "total": 1.0, "min": 1.0, "max": 1.0,
+                        "mean": 1.0, "buckets": {"<=1": 1}}}
+        into = {}
+        merge_histograms(into, source)
+        into["h"]["buckets"]["<=1"] = 99
+        assert source["h"]["buckets"]["<=1"] == 1
+
+    def test_none_bounds_from_empty_histograms(self):
+        into = {"h": {"count": 0, "total": 0.0, "min": None, "max": None,
+                      "mean": None, "buckets": {}}}
+        merge_histograms(into, {"h": {"count": 1, "total": 3.0, "min": 3.0,
+                                      "max": 3.0, "mean": 3.0,
+                                      "buckets": {"<=4": 1}}})
+        assert into["h"]["min"] == 3.0
+        assert into["h"]["max"] == 3.0
+        assert into["h"]["mean"] == 3.0

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.apps import WubbleUConfig, build_local, build_split, run_page_load
 from repro.bench.workloads import compute_star
 
 from repro.core import (
@@ -23,6 +24,7 @@ from repro.core import (
     WaitUntil,
 )
 from repro.distributed import ChannelMode, CoSimulation
+from repro.transport import LAN
 from repro.observability import (
     NULL_TELEMETRY,
     RunReport,
@@ -235,8 +237,9 @@ class TestDisabledFastPath:
         assert not NULL_TELEMETRY.enabled
 
     def test_report_on_bare_object_rejected(self):
-        with pytest.raises(TypeError):
-            run_report(object())
+        for target in (object(), 42):
+            with pytest.raises(TypeError, match="subsystems mapping"):
+                run_report(target)
 
 
 class TestRender:
@@ -325,3 +328,174 @@ class TestBundleFold:
         assert all(rec["node"] == "n-hub" for rec in report.trace_records)
         keys = [(rec["time"], rec["seq"]) for rec in report.trace_records]
         assert keys == sorted(keys)
+
+
+class TestPlacementSections:
+    """Every part of the system in the report: components, nets,
+    interfaces and channel ends, for one subsystem or many."""
+
+    SMALL = dict(total_bytes=12_000, image_count=2, image_size=48)
+
+    def _demo(self, until=float("inf")):
+        sim = Simulator("demo")
+
+        def produce(comp):
+            for i in range(3):
+                yield Advance(1.0)
+                yield Send("out", i)
+
+        def consume(comp):
+            for __ in range(3):
+                yield Receive("in")
+
+        p = sim.add(FunctionComponent("p", produce, ports={"out": "out"}))
+        c = sim.add(FunctionComponent("c", consume, ports={"in": "in"}))
+        sim.wire("w", p.port("out"), c.port("in"))
+        sim.run(until=until)
+        sim.checkpoint()
+        return sim
+
+    def test_collects_everything(self):
+        report = self._demo().report()
+        assert report.title == "demo"
+        assert [row["name"] for row in report.components] == ["c", "p"]
+        assert report.subsystems[0]["checkpoints"] == 1
+        assert report.nets == [{"name": "w", "subsystem": "demo",
+                                "posts": 3}]
+        statuses = {row["name"]: row["status"] for row in report.components}
+        assert statuses == {"p": "finished", "c": "finished"}
+        assert report.channels == []
+        data = report.to_dict()
+        for section in ("components", "nets", "interfaces", "channels"):
+            assert data[section] == getattr(report, section)
+
+    def test_paused_run_shows_a_blocked_component(self):
+        # The producer runs ahead of system time to its end; the consumer
+        # is parked on its second receive.
+        report = self._demo(until=1.5).report()
+        assert [(row["name"], row["local_time"], row["status"])
+                for row in report.components] \
+            == [("c", 1.0, "blocked"), ("p", 3.0, "finished")]
+
+    def test_render_contains_tables(self):
+        text = self._demo().report().render()
+        assert "component  subsystem  local time  status    level" in text
+        assert "net  subsystem  posts" in text
+
+    def test_wubbleu_split_report(self):
+        cosim, __, ___ = build_split(
+            WubbleUConfig(level="packet", **self.SMALL), network=LAN)
+        run_page_load(cosim, location="remote", level="packet")
+        report = cosim.report(title="wubbleu")
+        names = {row["name"] for row in report.components}
+        assert {"UI", "Browser", "NetIf", "Origin"} <= names
+        assert not any(name.startswith("__channel") for name in names)
+        assert len(report.channels) == 2           # one endpoint per side
+        for row in report.channels:
+            assert row["mode"] == "conservative"
+            assert row["forwarded"] > 0 or row["injected"] > 0
+        interfaces = {row["name"]: row for row in report.interfaces}
+        assert interfaces["NetIf.bus"]["payload"] >= 12_000
+        assert "channel end" in report.render()
+
+    def test_local_wubbleu_has_no_channels(self):
+        cosim, __, ___ = build_local(
+            WubbleUConfig(level="packet", **self.SMALL))
+        run_page_load(cosim, location="local", level="packet")
+        assert cosim.report().channels == []
+
+
+def _part(node=None, **sections):
+    """An empty process bundle named ``node``, with ``sections`` set."""
+    return dict(bundle(Telemetry()), node=node, **sections)
+
+
+class TestFoldRules:
+    """The rule each section folds by, one bundle against another."""
+
+    def test_counters_faults_and_trace_counts_sum(self):
+        report = fold("t", [_part(counters={"a": 1}, faults={"drop": 2}),
+                            _part(counters={"a": 2, "b": 5},
+                                  faults={"drop": 1},
+                                  trace_counts={"dispatch": 4})])
+        assert report.counters == {"a": 3, "b": 5}
+        assert report.faults == {"drop": 3}
+        assert report.trace_counts == {"dispatch": 4}
+
+    def test_gauges_keep_maximum(self):
+        report = fold("t", [
+            _part(gauges={"rounds": 10.0, "depth": 3.0}),
+            _part(gauges={"rounds": 7.0, "depth": 9.0, "new": 1.0})])
+        assert report.gauges == {"rounds": 10.0, "depth": 9.0, "new": 1.0}
+
+    def test_timings_sum_totals_and_counts(self):
+        report = fold("t", [
+            _part(timings={"run": {"total_seconds": 1.0, "count": 2}}),
+            _part(timings={"run": {"total_seconds": 0.5, "count": 1},
+                           "idle": {"total_seconds": 3.0, "count": 4}})])
+        assert report.timings["run"] == {"total_seconds": 1.5, "count": 3}
+        assert report.timings["idle"] == {"total_seconds": 3.0, "count": 4}
+
+    def test_links_merge_by_directed_link_and_sort(self):
+        def row(src, dst, messages, frames):
+            return {"src": src, "dst": dst, "model": "same-host",
+                    "messages": messages, "bytes": 10 * messages,
+                    "delay": 0.1 * messages, "frames": frames}
+        report = fold("t", [_part(links=[row("b", "a", 1, 1),
+                                         row("a", "b", 2, 2)]),
+                            _part(links=[row("a", "b", 3, 1)])])
+        assert [(r["src"], r["dst"]) for r in report.links] == \
+            [("a", "b"), ("b", "a")]
+        ab = report.links[0]
+        assert (ab["messages"], ab["bytes"], ab["frames"]) == (5, 50, 3)
+        assert abs(ab["delay"] - 0.5) < 1e-12
+
+    def test_link_row_without_frames_counts_its_messages(self):
+        have = {"src": "a", "dst": "b", "model": "m", "messages": 2,
+                "bytes": 1, "delay": 0.0, "frames": 2}
+        legacy = {"src": "a", "dst": "b", "model": "m", "messages": 4,
+                  "bytes": 1, "delay": 0.0}
+        report = fold("t", [_part(links=[have]), _part(links=[legacy])])
+        assert report.links[0]["frames"] == 6
+
+    def test_health_rows_merge_then_score(self):
+        def row(src, dst, messages, ewma):
+            return {"src": src, "dst": dst, "messages": messages,
+                    "frames": messages, "bytes": 10, "delay": 0.0,
+                    "rate": 1.0, "ewma_delay": ewma, "queue_depth": 0.0,
+                    "queue_peak": messages}
+        report = fold("t", [_part(health=[row("b", "a", 1, 0.5),
+                                          row("a", "b", 1, 1.0)]),
+                            _part(health=[row("a", "b", 3, 2.0)])])
+        ab, ba = report.link_health
+        assert (ab["src"], ba["src"]) == ("a", "b")
+        assert (ab["messages"], ab["bytes"], ab["queue_peak"]) == (4, 20, 3)
+        assert ab["ewma_delay"] == pytest.approx(1.75)
+        assert "score" in ab and "recommendation" in ab
+
+    def _interleaved(self, **streams):
+        return fold("t", [_part()] + [_part(node, trace=records)
+                                      for node, records in streams.items()]
+                    ).trace_records
+
+    def test_interleaves_streams_in_time_node_seq_order(self):
+        merged = self._interleaved(
+            n2=[{"seq": 1, "kind": "dispatch", "time": 1.0, "subject": "b"},
+                {"seq": 2, "kind": "dispatch", "time": 3.0, "subject": "b"}],
+            n1=[{"seq": 1, "kind": "dispatch", "time": 2.0, "subject": "a"},
+                {"seq": 2, "kind": "dispatch", "time": 2.0, "subject": "a"}])
+        assert [(r["node"], r["time"], r["seq"]) for r in merged] == [
+            ("n2", 1.0, 1), ("n1", 2.0, 1), ("n1", 2.0, 2), ("n2", 3.0, 2)]
+
+    def test_tags_every_record_with_its_node(self):
+        merged = self._interleaved(n1=[{"seq": 1, "time": 0.0}])
+        assert merged[0]["node"] == "n1"
+
+    def test_same_time_orders_by_node_then_seq(self):
+        merged = self._interleaved(b=[{"seq": 1, "time": 5.0}],
+                                   a=[{"seq": 9, "time": 5.0}])
+        assert [r["node"] for r in merged] == ["a", "b"]
+
+    def test_preserves_existing_node_tag(self):
+        tagged = {"seq": 1, "time": 0.0, "node": "n1"}
+        assert self._interleaved(n1=[tagged]) == [tagged]
