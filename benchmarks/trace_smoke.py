@@ -17,6 +17,9 @@ fails on:
 Usage::
 
     PYTHONPATH=src python benchmarks/trace_smoke.py
+
+(CI runs it natively and again under ``PIA_PURE=1``, where every frame
+is decoded by the pure-Python reader.)
 """
 
 import json
@@ -31,6 +34,7 @@ from repro.bench.workloads import compute_star                # noqa: E402
 from repro.faults import FaultPlan, LinkFaults, RetryPolicy   # noqa: E402
 from repro.observability import (                             # noqa: E402
     causal_chains,
+    span_name,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -47,18 +51,20 @@ def check(name, report):
     chains = causal_chains(report.trace_records)
     sends = len(chains["sends"])
     receives = sum(len(v) for v in chains["receives"].values())
+    # Chain roots and hops are derived from the parent pointers.
+    roots = len(set(chains["trace_ids"].values()))
     print(f"{name}: {sends} sends, {receives} span-linked receives, "
-          f"max hop {chains['max_hop']}")
+          f"{roots} chains, max hop {chains['max_hop']}")
     if sends == 0:
         failures.append(f"{name}: no causally linked sends recorded")
     for record in chains["orphan_receives"]:
         failures.append(
             f"{name}: orphaned causal link — receive of span "
-            f"{record.get('span')!r} has no recorded send")
+            f"{span_name(record['span'])} has no recorded send")
     for record in chains["broken_parents"]:
         failures.append(
-            f"{name}: send {record.get('span')!r} names unknown parent "
-            f"{record.get('parent')!r}")
+            f"{name}: send {span_name(record['span'])} names unknown "
+            f"parent {span_name(record['parent'])}")
     for view in ("virtual", "wall"):
         with tempfile.NamedTemporaryFile("r", suffix=".json",
                                          delete=False) as fh:
@@ -111,9 +117,9 @@ def main():
                 f"suppressed duplicate at t={record.get('time')} on "
                 f"{record.get('subject')} carried no span — the copy "
                 "lost the original send's trace context")
-        elif span not in chains["sends"]:
+        elif span_name(span) not in chains["sends"]:
             failures.append(
-                f"suppressed duplicate names unknown span {span!r}")
+                f"suppressed duplicate names unknown span {span_name(span)}")
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

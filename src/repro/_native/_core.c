@@ -607,7 +607,7 @@ static PyMethodDef Event_methods[] = {
     {"at", (PyCFunction)Event_at, METH_O,
      "Return a copy of this event rescheduled to ``ts``."},
     {"with_cause", (PyCFunction)Event_with_cause, METH_O,
-     "Return a copy carrying ``cause`` as its trace context."},
+     "Return a copy carrying ``cause`` as its cause span."},
     {"__getstate__", (PyCFunction)Event_getstate, METH_NOARGS, NULL},
     {"__setstate__", (PyCFunction)Event_setstate, METH_O, NULL},
     {"__reduce__", (PyCFunction)Event_reduce, METH_NOARGS, NULL},

@@ -86,10 +86,9 @@ class Event:
         #: An opaque token a blocked component uses to recognise its
         #: wake-up.
         self.token = token
-        #: Causal trace context ``(trace_id, span, parent, hop)`` of the
-        #: message whose dispatch scheduled this event (``None`` for
-        #: local / untraced work) — stamped by the scheduler when tracing
-        #: is on.
+        #: Span ``(origin, epoch, ordinal)`` of the message whose
+        #: dispatch scheduled this event (``None`` for local / untraced
+        #: work) — stamped by the scheduler when tracing is on.
         self.cause = cause
 
     @property
@@ -113,7 +112,7 @@ class Event:
                      self.token, self.cause)
 
     def with_cause(self, cause: Optional[tuple]) -> "Event":
-        """Return a copy carrying ``cause`` as its trace context."""
+        """Return a copy carrying ``cause`` as its cause span."""
         return Event(self.ts, self.kind, self.target, self.payload,
                      self.token, cause)
 

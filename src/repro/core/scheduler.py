@@ -91,9 +91,9 @@ class Scheduler:
         """Enqueue ``event``; scheduling into the past is a causality error.
 
         With tracing on, an event scheduled while a caused event is being
-        dispatched inherits that dispatch's trace context, so causal
-        chains survive local event hops between message edges.  (A site
-        that already knows the context builds its event with it —
+        dispatched inherits that dispatch's cause span, so causal chains
+        survive local event hops between message edges.  (A site that
+        already knows the span builds its event with it —
         :meth:`~repro.distributed.channel.ChannelEndpoint.inject` — and
         pays no copy here.)
         """
@@ -125,8 +125,7 @@ class Scheduler:
             if head is not None and head.cause is not None:
                 # Link the stall to the chain of the event it is parked
                 # behind.
-                details["cause"] = head.cause[1]
-                details["hop"] = head.cause[3]
+                details["cause"] = head.cause
         elif not telemetry.flight.enabled:
             return      # dark: the stall is counted, nothing records it
         telemetry.note(TraceKind.STALL, time=self.now,
@@ -222,8 +221,7 @@ class Scheduler:
                         handlers[event.code](event)
                     else:
                         details = {"event": event.kind.label,
-                                   "cause": cause[1], "hop": cause[3],
-                                   "before": self.before}
+                                   "cause": cause, "before": self.before}
                         # Sends triggered by this dispatch mint child spans
                         # of its cause; cleared even on a straggler abort.
                         cell.value = cause

@@ -32,6 +32,7 @@ from ..core.net import Net
 from ..core.port import Port, PortDirection
 from ..core.timestamp import PRIORITY_SIGNAL, Timestamp
 from ..observability import BoundCounter
+from ..observability.spans import span_of
 from ..transport.message import Message, MessageKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,8 +53,9 @@ class StragglerError(SimulationError):
         super().__init__(message)
         self.channel_id = channel_id
         self.straggler_time = straggler_time
-        #: Trace context of the straggler message (rollback records link
-        #: to its causal chain), when tracing was on.
+        #: Span ``(origin, epoch, ordinal)`` of the straggler message
+        #: (rollback records link to its causal chain), when tracing was
+        #: on.
         self.cause = cause
 
 
@@ -384,7 +386,7 @@ class ChannelEndpoint:
                 f"optimistic channel {self.channel.channel_id}: straggler at "
                 f"{message.time:g} < subsystem time {now:g}",
                 channel_id=self.channel.channel_id,
-                straggler_time=message.time, cause=message.trace)
+                straggler_time=message.time, cause=span_of(message))
         self.inject(net, message.time, value)
 
     def inject(self, net: Net, time: float, value: Any) -> None:
@@ -398,7 +400,7 @@ class ChannelEndpoint:
             observer(net, time, value)
         scheduler = self.subsystem.scheduler
         schedule = scheduler.schedule
-        # Built with the trace context of the message being injected
+        # Built with the span of the message being injected
         # (set by PiaNode.dispatch), so schedule() has nothing to copy.
         telemetry = scheduler.telemetry
         cause = telemetry.cause_cell.value if telemetry.enabled else None

@@ -252,10 +252,12 @@ class _Worker:
         with self.node.lock:
             # Fence first: traffic minted in the discarded world must not
             # leak into the restored one.  ``set_epoch`` also rebases the
-            # logical wire counters to a balanced zero on every worker.
+            # logical wire counters to a balanced zero on every worker,
+            # and every span minted from here on is namespaced by the new
+            # epoch its message carries, so the minter's ordinal streams
+            # can restart at the restore point's without colliding.
             self.transport.set_epoch(epoch)
             self.transport.flush()
-            self.telemetry.spans.set_epoch(epoch)
             minter = payload.get("minter_ordinals")
             if minter:
                 self.telemetry.spans.load_ordinals(minter)

@@ -204,10 +204,10 @@ class PiaNode:
             telemetry = endpoint.subsystem.scheduler.telemetry
             traced = telemetry.enabled and message.trace is not None
             if traced:
-                # Events this signal injects inherit its trace context,
-                # linking the local dispatch chain to the remote send.
+                # Events this signal injects inherit its span, linking
+                # the local dispatch chain to the remote send.
                 cell = telemetry.cause_cell
-                cell.value = message.trace
+                cell.value = (message.src, message.epoch, message.trace[0])
             try:
                 for observer in self.signal_observers:
                     observer(message)

@@ -106,8 +106,7 @@ class RecoveryManager:
         if telemetry.enabled:
             telemetry.count("rollback.count")
             cause = getattr(straggler, "cause", None)
-            extra = {"cause": cause[1], "hop": cause[3]} \
-                if cause is not None else {}
+            extra = {"cause": cause} if cause is not None else {}
             telemetry.trace(TraceKind.ROLLBACK,
                             time=straggler.straggler_time, subject=receiver,
                             snapshot_id=snap.snapshot_id,

@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.errors import LinkDown
 from ..observability import NULL_TELEMETRY, TraceKind
+from ..observability.spans import span_of
 from .plan import (
     DELAY,
     DELIVER,
@@ -252,9 +253,8 @@ class FaultInjector:
             # The redundant copy carries the original send's trace
             # context; recording it here is what lets the causal layer
             # prove every duplicate shared the send's span.
-            trace = getattr(message, "trace", None)
-            extra = {} if trace is None else \
-                {"trace_id": trace[0], "span": trace[1]}
+            span = span_of(message)
+            extra = {} if span is None else {"span": span}
             self.telemetry.trace(
                 TraceKind.FAULT_INJECT, time=message.time,
                 subject=f"{message.src}->{message.dst}",

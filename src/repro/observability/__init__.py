@@ -43,8 +43,7 @@ from .spans import (
     SpanMinter,
     causal_chains,
     ensure_context,
-    span_details,
-    span_origin,
+    span_name,
 )
 from .telemetry import NULL_TELEMETRY, Telemetry
 from .trace import Ring, TraceBuffer, TraceKind, TraceRecord
@@ -59,8 +58,7 @@ __all__ = [
     "FlightRecorder", "flight_path",
     "LinkHealthMonitor", "attach_health", "finalize_health",
     "TimeSeries", "TimeSeriesRecorder",
-    "SpanMinter", "causal_chains", "ensure_context", "span_details",
-    "span_origin",
+    "SpanMinter", "causal_chains", "ensure_context", "span_name",
     "chrome_trace", "stall_attribution", "validate_chrome_trace",
     "write_chrome_trace",
 ]

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from .spans import span_origin
+from .spans import span_name
 from .trace import TraceKind, record_dicts
 
 #: Virtual/wall seconds are exported as Chrome-trace microseconds.
@@ -99,11 +99,12 @@ def stall_attribution(records, *, nodes: Optional[Dict[str, str]] = None
     nodes = nodes or {}
     dicts = record_dicts(records)
     #: Virtual stamp of each span's message (first send wins; retried and
-    #: duplicated copies share both the span and the stamp).
-    stamps: Dict[str, float] = {}
+    #: duplicated copies share both the span and the stamp).  Keyed by
+    #: ``tuple``: a JSON round-trip turns a span into a list.
+    stamps: Dict[tuple, float] = {}
     for rec in dicts:
         if rec.get("kind") == TraceKind.MSG_SEND and "span" in rec:
-            stamps.setdefault(rec["span"], rec.get("time", 0.0))
+            stamps.setdefault(tuple(rec["span"]), rec.get("time", 0.0))
     #: (subject, instant, before) -> remote origins
     groups: Dict[tuple, set] = {}
     rows: Dict[tuple, dict] = {}
@@ -114,10 +115,10 @@ def stall_attribution(records, *, nodes: Optional[Dict[str, str]] = None
         subject = rec.get("subject", "")
         time = rec.get("time", 0.0)
         origins = groups.setdefault((subject, time, rec["before"]), set())
-        stamp = stamps.get(span)
+        stamp = stamps.get(tuple(span))
         if stamp is not None and stamp != time:
             continue        # inherited cause: planned local follow-on work
-        origin = span_origin(span)
+        origin = span[0]
         own = nodes.get(subject)
         if own is not None and origin == own:
             continue
@@ -246,7 +247,8 @@ def chrome_trace(source, *, view: str = "virtual",
             span = rec.get("span")
             if span is not None:
                 flow = {"ph": "s" if kind == TraceKind.MSG_SEND else "f",
-                        "cat": "causal", "name": "msg", "id": span,
+                        "cat": "causal", "name": "msg",
+                        "id": span_name(span),
                         "pid": pid, "tid": tid, "ts": ts}
                 if flow["ph"] == "f":
                     flow["bp"] = "e"

@@ -1,29 +1,31 @@
-"""Causal trace context: spans minted per message, linked across nodes.
+"""Causal trace context: a span is a parent pointer.
 
 Every data-plane :class:`~repro.transport.message.Message` carries a
-compact trace context minted by the sending transport — a plain tuple
-``(trace_id, span, parent, hop)`` so it pickles as-is across process
-boundaries and batch frames:
+trace context minted by the sending transport — a plain pair
+``(ordinal, parent)`` that pickles as-is across process boundaries and
+batch frames:
 
-* ``trace_id`` — the root span of the causal chain (equal to ``span``
-  for a chain's first message),
-* ``span`` — this message's own identity, ``"<origin-node>:<ordinal>"``,
-* ``parent`` — the span of the message whose dispatch caused this send
-  (``None`` at a chain root),
-* ``hop`` — a Lamport-style hop counter: the number of message edges
-  from the chain root.
+* ``ordinal`` — the message's place in its origin node's send stream;
+  the message's *span* is ``(origin, epoch, ordinal)``, whose origin and
+  migration epoch are the message's own ``src`` and ``epoch``;
+* ``parent`` — the span of the message whose dispatch caused this send,
+  or ``None`` at a chain root.
 
-Span ordinals are per-origin-node counters.  A node's sends are driven
-by its own deterministic virtual execution, so for a given scenario and
-seed the minted ids are identical under the cooperative, threaded and
+Nothing else travels.  The chain root (trace id) and the hop count (the
+message edges from the root) are derived when the trace is read, by
+walking parents (:func:`causal_chains`), and a span is rendered as the
+string ``"origin:ordinal"`` (``"origin@eN:ordinal"`` once a failover
+bumps the epoch) only where a document needs one: Chrome flow ids and
+the keys of :func:`causal_chains`.
+
+Ordinals are per-origin-node counters.  A node's sends are driven by its
+own deterministic virtual execution, so for a given scenario and seed
+the minted spans are identical under the cooperative, threaded and
 multiprocess executors — which is what makes traces (and everything
 derived from them, e.g. stall attribution) comparable across deployment
-modes.
-
-Safe-time protocol messages (``SAFE_TIME_REQUEST``/``REPLY``/``GRANT``)
-are deliberately *not* minted: their emission rate is a property of the
-executor's wall-clock pacing, not of the simulation, and minting them
-would desynchronise the deterministic ordinal streams above.
+modes.  Safe-time protocol messages are never minted (see
+``MessageKind.untraced``): their emission rate is a property of the
+executor's wall-clock pacing, not of the simulation.
 """
 
 from __future__ import annotations
@@ -35,22 +37,14 @@ from .trace import TraceKind, record_dicts
 if TYPE_CHECKING:  # pragma: no cover
     from ..transport.message import Message
 
-#: Wire form of one trace context (see module docstring).
-TraceContext = Tuple[str, str, Optional[str], int]
-
-#: Message-kind *values* that never carry a trace context (see module
-#: docstring).  Kept as the enum values rather than the enum members so
-#: this module — which the whole observability package loads — never
-#: imports the transport package (the transports import observability).
-UNTRACED_KINDS = frozenset((
-    "safe-time-request",
-    "safe-time-reply",
-    "safe-time-grant",
-))
+#: One message's identity: ``(origin, epoch, ordinal)``.
+Span = Tuple[str, int, int]
+#: Wire form of one trace context: ``(ordinal, parent span or None)``.
+TraceContext = Tuple[int, Optional[Span]]
 
 
 class SpanMinter:
-    """Mints deterministic span ids, one ordinal stream per origin node.
+    """Mints deterministic ordinals, one stream per origin node.
 
     Not locked: a node's sends all happen on the thread (or process)
     executing that node, so each per-origin counter is only ever touched
@@ -59,29 +53,14 @@ class SpanMinter:
 
     def __init__(self) -> None:
         self._ordinals: Dict[str, int] = {}
-        #: Migration epoch.  Epoch 0 keeps the legacy ``origin:ordinal``
-        #: span format; after a failover bumps the epoch, spans are
-        #: namespaced ``origin@eN:ordinal`` so a restarted ordinal stream
-        #: can never collide with spans minted before the rollback.
-        self.epoch = 0
 
-    def mint(self, origin: str,
-             cause: Optional[TraceContext] = None) -> TraceContext:
-        """Mint the context for a message sent by ``origin``.
-
-        ``cause`` is the context of the message whose dispatch triggered
-        this send (``None`` for a spontaneous, chain-root send).
-        """
+    def mint(self, origin: str, cause: Optional[Span] = None) -> TraceContext:
+        """Mint the context for a message sent by ``origin``; ``cause``
+        is the span whose dispatch triggered the send (``None`` for a
+        spontaneous, chain-root send)."""
         ordinal = self._ordinals.get(origin, 0) + 1
         self._ordinals[origin] = ordinal
-        stem = origin if self.epoch == 0 else f"{origin}@e{self.epoch}"
-        span = f"{stem}:{ordinal}"
-        if cause is None:
-            return (span, span, None, 0)
-        return (cause[0], span, cause[1], cause[3] + 1)
-
-    def set_epoch(self, epoch: int) -> None:
-        self.epoch = epoch
+        return (ordinal, cause)
 
     def ordinals(self) -> Dict[str, int]:
         """Current per-origin counters (transferred on migration so the
@@ -93,7 +72,6 @@ class SpanMinter:
 
     def reset(self) -> None:
         self._ordinals.clear()
-        self.epoch = 0
 
 
 def ensure_context(telemetry, message: Message) -> Optional[TraceContext]:
@@ -103,70 +81,82 @@ def ensure_context(telemetry, message: Message) -> Optional[TraceContext]:
     duplicate or retry re-entering the transport) keeps it, so every copy
     of a message shares the original send's span.
     """
-    # ``kind.untraced`` is precomputed from UNTRACED_KINDS where the
-    # enum is defined (transport.message): reading one attribute beats
-    # the Python-level ``Enum.value`` descriptor plus a set probe on
-    # every send.
     if message.trace is None and not message.kind.untraced:
         message.trace = telemetry.spans.mint(message.src,
                                              telemetry.cause_cell.value)
     return message.trace
 
 
-def span_details(context: Optional[TraceContext]) -> dict:
-    """The detail kwargs a trace record carries for one context."""
-    if context is None:
-        return {}
-    return {"trace_id": context[0], "span": context[1],
-            "parent": context[2], "hop": context[3]}
+def span_of(message: Message) -> Optional[Span]:
+    """``message``'s span, or ``None`` when it carries no context."""
+    trace = message.trace
+    return None if trace is None else (message.src, message.epoch, trace[0])
 
 
-def span_origin(span: str) -> str:
-    """The node that minted ``span`` (the prefix of its id, minus any
-    post-failover ``@eN`` epoch namespace)."""
-    stem = span.rsplit(":", 1)[0]
-    return stem.rsplit("@e", 1)[0]
+def span_name(span) -> str:
+    """The display string of a span (a tuple, or the list a JSON
+    round-trip makes of it)."""
+    origin, epoch, ordinal = span
+    return f"{origin}@e{epoch}:{ordinal}" if epoch else f"{origin}:{ordinal}"
 
 
 def causal_chains(records) -> dict:
     """Link a trace's message records into causal chains.
 
     Accepts :class:`~.trace.TraceRecord` objects or their dicts and
-    returns::
+    returns, keyed by :func:`span_name`::
 
         {"sends":            {span: send-record},
          "receives":         {span: [recv-record, ...]},
          "orphan_receives":  [recv-record, ...],   # span never sent
          "broken_parents":   [send-record, ...],   # parent span unknown
+         "trace_ids":        {span: root span},
+         "hops":             {span: message edges from the root},
          "max_hop":          int}
 
-    An orphan receive means a message was drained whose send was never
-    recorded — on a complete trace that is a propagation bug (on a
-    truncated ring it just means the send was evicted).  Duplicated
-    deliveries are *not* orphans: every copy shares the original span,
-    so they land as extra entries under ``receives[span]``.
+    The root of a chain is its earliest recorded ancestor: a send whose
+    parent is ``None`` — or, on a truncated ring, was evicted.  An orphan
+    receive means a message was drained whose send was never recorded —
+    on a complete trace that is a propagation bug.  Duplicated deliveries
+    are *not* orphans: every copy shares the original span, so they land
+    as extra entries under ``receives[span]``.
     """
     sends: Dict[str, dict] = {}
+    parents: Dict[str, Optional[str]] = {}
     receives: Dict[str, List[dict]] = {}
     orphans: List[dict] = []
-    broken: List[dict] = []
-    max_hop = 0
     dicts = record_dicts(records)
     for rec in dicts:
         if rec.get("kind") == TraceKind.MSG_SEND and "span" in rec:
-            sends.setdefault(rec["span"], rec)
-            max_hop = max(max_hop, rec.get("hop", 0))
+            name = span_name(rec["span"])
+            if name not in sends:
+                sends[name] = rec
+                parent = rec.get("parent")
+                parents[name] = None if parent is None else span_name(parent)
     for rec in dicts:
-        if rec.get("kind") != TraceKind.MSG_RECV or "span" not in rec:
-            continue
-        span = rec["span"]
-        receives.setdefault(span, []).append(rec)
-        if span not in sends:
-            orphans.append(rec)
-    for rec in sends.values():
-        parent = rec.get("parent")
-        if parent is not None and parent not in sends:
-            broken.append(rec)
+        if rec.get("kind") == TraceKind.MSG_RECV and "span" in rec:
+            name = span_name(rec["span"])
+            receives.setdefault(name, []).append(rec)
+            if name not in sends:
+                orphans.append(rec)
+    broken = [sends[name] for name, parent in parents.items()
+              if parent is not None and parent not in sends]
+    trace_ids: Dict[str, str] = {}
+    hops: Dict[str, int] = {}
+    for span in sends:
+        path = []
+        while span not in hops:
+            parent = parents[span]
+            if parent in sends:
+                path.append(span)
+                span = parent
+            else:
+                trace_ids[span], hops[span] = span, 0
+        for child in reversed(path):
+            parent = parents[child]
+            trace_ids[child] = trace_ids[parent]
+            hops[child] = hops[parent] + 1
     return {"sends": sends, "receives": receives,
             "orphan_receives": orphans, "broken_parents": broken,
-            "max_hop": max_hop}
+            "trace_ids": trace_ids, "hops": hops,
+            "max_hop": max(hops.values(), default=0)}

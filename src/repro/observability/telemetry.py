@@ -47,7 +47,7 @@ _wall = _time.time
 
 
 class _CauseCell(threading.local):
-    """Per-thread ``value``: the trace context being dispatched.  The
+    """Per-thread ``value``: the span being dispatched.  The
     class default makes a thread that never wrote one read ``None``."""
 
     value = None
@@ -61,7 +61,7 @@ class Telemetry:
         self.enabled = enabled
         self.registry = MetricsRegistry()
         self.trace_buffer = TraceBuffer(trace_capacity)
-        #: Deterministic per-origin span ids for causal tracing.
+        #: Deterministic per-origin span ordinals for causal tracing.
         self.spans = SpanMinter()
         #: Always-on black box (see :mod:`.flight`): stays enabled even
         #: when the metrics/trace gate is off, so post-mortems do not
@@ -75,23 +75,14 @@ class Telemetry:
         #: Optional :class:`~.health.LinkHealthMonitor`, fed by the
         #: transport send/poll boundary when attached.
         self.health = None
-        #: The trace context currently being dispatched (``.value``),
-        #: thread-local: under the threaded executor several node threads
-        #: share one Telemetry, and each must see only its own dispatch's
-        #: cause.  Hot sites read and write ``cause_cell.value`` directly.
+        #: The span of the message being dispatched (``.value``, ``None``
+        #: outside one), thread-local: under the threaded executor several
+        #: node threads share one Telemetry, and each must see only its
+        #: own dispatch's cause.
         self.cause_cell = _CauseCell()
         #: Record ordinals (``itertools.count``: one atomic C call, unique
         #: under the threaded executor); :meth:`reset` replaces it.
         self.seq = itertools.count(1)
-
-    @property
-    def cause(self):
-        """Trace context of the in-flight dispatch (``None`` outside one)."""
-        return self.cause_cell.value
-
-    @cause.setter
-    def cause(self, context) -> None:
-        self.cause_cell.value = context
 
     # ------------------------------------------------------------------
     def enable(self) -> None:

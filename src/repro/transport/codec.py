@@ -14,7 +14,7 @@ Frame layout::
 
     offset  size  field
     0       1     MAGIC (0xD1)   — never a valid pickle leading byte
-    1       1     VERSION (1)    — mixed-version peers fail loudly
+    1       1     VERSION (2)    — mixed-version peers fail loudly
     2       1     frame type     — 0 = single message, 1 = batch frame
     3       ...   body
 
@@ -29,10 +29,10 @@ Message body::
     uvarint  epoch
     uvarint  msg_id
     uvarint  request_id         (iff flag 2)
-    strref   trace_id           (iff flag 4)
-    strref   span               (iff flag 4)
-    strref   parent             (iff flag 8)
-    uvarint  hop                (iff flag 4)
+    uvarint  span ordinal       (iff flag 4; origin, epoch: src, epoch)
+    uvarint  parent origin      (iff flag 8: length, UTF-8, not interned)
+    uvarint  parent epoch       (iff flag 8)
+    uvarint  parent ordinal     (iff flag 8)
     u8       payload tag, then the tag-specific payload body
 
 Batch body::
@@ -73,7 +73,7 @@ from .message import BatchFrame, Message, MessageKind
 #: (the PROTO opcode), so a pre-codec peer is detected immediately.
 MAGIC = 0xD1
 #: Bumped on any incompatible layout change; decoders reject mismatches.
-VERSION = 1
+VERSION = 2
 
 FRAME_MESSAGE = 0
 FRAME_BATCH = 1
@@ -260,7 +260,7 @@ def _put_message(out: bytearray, message: Message,
         flags |= 2
     if trace is not None:
         flags |= 4
-        if trace[2] is not None:
+        if trace[1] is not None:
             flags |= 8
     out.append(code)
     out.append(flags)
@@ -274,11 +274,17 @@ def _put_message(out: bytearray, message: Message,
     if request_id is not None:
         _put_uvarint(out, request_id)
     if trace is not None:
-        _put_str(out, trace[0], strings)
-        _put_str(out, trace[1], strings)
-        if trace[2] is not None:
-            _put_str(out, trace[2], strings)
-        _put_uvarint(out, trace[3])
+        _put_uvarint(out, trace[0])
+        parent = trace[1]
+        if parent is not None:
+            # Spelled, never interned: whether a name is already in the
+            # frame would make a message's size depend on *which* peer
+            # caused it, and at a merge point that is executor pacing.
+            origin = parent[0].encode("utf-8", "surrogatepass")
+            _put_uvarint(out, len(origin))
+            out += origin
+            _put_uvarint(out, parent[1])
+            _put_uvarint(out, parent[2])
     _put_payload(out, message, strings)
 
 
@@ -499,10 +505,15 @@ def _read_message(r) -> Message:
     request_id = r.uvarint() if flags & 2 else None
     trace: Optional[tuple] = None
     if flags & 4:
-        trace_id = r.strref()
-        span = r.strref()
-        parent = r.strref() if flags & 8 else None
-        trace = (trace_id, span, parent, r.uvarint())
+        ordinal = r.uvarint()
+        parent = None
+        if flags & 8:
+            try:
+                origin = str(r.take(r.count()), "utf-8", "surrogatepass")
+            except UnicodeDecodeError:
+                raise r.fail("undecodable parent origin") from None
+            parent = (origin, r.uvarint(), r.uvarint())
+        trace = (ordinal, parent)
     payload = _read_payload(r, kind)
     return Message(kind, src, dst, channel, time, payload,
                    request_id, msg_id, trace, epoch)

@@ -50,21 +50,18 @@ class MessageKind(enum.Enum):
     CONTROL = "control"
 
 
-# Dense per-member index: the codec carries ``kind.code`` as a single
-# header byte, and reading it back as an attribute skips the Python-level
-# ``Enum.__hash__`` a dict lookup would pay on every encoded message.
-# ``untraced`` is likewise precomputed here because the span minter sits
-# on the send hot path and ``Enum.value`` is a Python-level descriptor —
-# the observability package defines the *set* (it cannot import the
-# transports) and reads the flag back through the member.  ``label`` is
-# that value itself as a plain attribute, for the ``message_kind`` detail
-# of every send and receive record.
-from ..observability.spans import UNTRACED_KINDS as _UNTRACED_KINDS
-
+# Plain per-member attributes, read on every send: ``code`` is the codec's
+# one-byte kind (an attribute skips the ``Enum.__hash__`` of a dict
+# lookup), ``label`` the value (the ``message_kind`` record detail), and
+# ``untraced`` marks the safe-time kinds, never minted a trace context —
+# their rate is executor pacing, which would desynchronise the
+# deterministic span ordinals (:mod:`repro.observability.spans`).
 for _index, _kind in enumerate(MessageKind):
     _kind.code = _index
     _kind.label = _kind.value
-    _kind.untraced = _kind.label in _UNTRACED_KINDS
+    _kind.untraced = _kind in (MessageKind.SAFE_TIME_REQUEST,
+                               MessageKind.SAFE_TIME_REPLY,
+                               MessageKind.SAFE_TIME_GRANT)
 del _index, _kind
 
 
@@ -94,9 +91,11 @@ class Message:
     request_id: Optional[int] = None
     #: Per-transport send ordinal; 0 until the transport stamps it.
     msg_id: int = 0
-    #: Causal trace context ``(trace_id, span, parent, hop)`` minted by
-    #: the sending transport when telemetry is enabled (see
-    #: :mod:`repro.observability.spans`); ``None`` when tracing is off.
+    #: Causal trace context ``(ordinal, parent)`` minted by the sending
+    #: transport when telemetry is enabled: the message's place in its
+    #: ``src``'s send stream and the ``(origin, epoch, ordinal)`` span of
+    #: the message that caused it (see :mod:`repro.observability.spans`);
+    #: ``None`` when tracing is off, on safe-time traffic and on replies.
     trace: Optional[tuple] = None
     #: Migration epoch stamped by the sending transport.  Receivers drop
     #: frames from an older epoch: after a failover rolls the run back,
@@ -108,12 +107,13 @@ class Message:
               payload: Any = None) -> "Message":
         """Build the response message for a request.
 
-        The reply shares the request's trace context: a synchronous call
-        and its response are one causal span.
+        The reply carries no trace context: a synchronous call and its
+        response are one causal span, the request's, which the calling
+        transport files the reply's receive under.
         """
         return Message(kind=kind, src=self.dst, dst=self.src,
                        channel=self.channel, time=time, payload=payload,
-                       request_id=self.request_id, trace=self.trace)
+                       request_id=self.request_id)
 
 
 @dataclass(slots=True)

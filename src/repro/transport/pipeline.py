@@ -180,13 +180,16 @@ class Transport:
     def _in_flight(self, name: Optional[str]) -> int:
         return 0
 
-    def _trace(self, kind: str, message: Message, details: dict) -> None:
+    def _trace(self, kind: str, message: Message, details: dict,
+               request: Optional[Message] = None) -> None:
         """File one ``MSG_SEND``/``MSG_RECV`` record for ``message``:
-        ``details`` (``message_kind`` first) plus its span fields."""
-        context = message.trace
+        ``details`` (``message_kind`` first) plus its ``span`` and
+        ``parent`` — a call's reply is filed under its ``request``'s."""
+        spanned = message if request is None else request
+        context = spanned.trace
         if context is not None:
-            (details["trace_id"], details["span"], details["parent"],
-             details["hop"]) = context
+            details["span"] = (spanned.src, spanned.epoch, context[0])
+            details["parent"] = context[1]
         src, dst = message.src, message.dst
         try:
             subject = self._subjects[src][dst]
@@ -340,6 +343,7 @@ class Transport:
         """
         if message.msg_id == 0:
             message.msg_id = next(self._msg_ids)
+        message.epoch = self.epoch
         telemetry = self.telemetry
         if telemetry.enabled:
             ensure_context(telemetry, message)
@@ -369,7 +373,7 @@ class Transport:
         if telemetry.enabled:
             self._trace(_MSG_RECV, reply, {
                 "message_kind": reply.kind.label, "bytes": size,
-                "call": True})
+                "call": True}, message)
         return reply
 
     def poll(self, name: str, *, limit: Optional[int] = None) -> List[Message]:

@@ -101,8 +101,8 @@ class TestBatchedRingFaultFree:
     frames where the per-message protocol took hundreds.)"""
 
     @pytest.mark.parametrize("subsystems,messages,unbatched,batched", [
-        (3, 20, (48, 2620, 4), (7, 1546, 0)),
-        (4, 25, (87, 4979, 6), (10, 2949, 0)),
+        (3, 20, (48, 2347, 4), (7, 1273, 0)),
+        (4, 25, (87, 4333, 6), (10, 2303, 0)),
     ], ids=["chain-of-3", "chain-of-4"])
     def test_same_rows_fewer_frames_no_more_requests(
             self, subsystems, messages, unbatched, batched):

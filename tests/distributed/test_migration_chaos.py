@@ -36,8 +36,10 @@ from repro.observability import (
 )
 from repro.observability.export import trace_records
 from repro.observability.flight import ENV_DIR
-from repro.observability.spans import causal_chains
+from repro.observability.spans import causal_chains, span_name
 from repro.transport.message import Message, MessageKind
+
+from .test_trace_chaos import assert_derived_fields
 
 #: Full deployment matrix the bit-identity guarantee is claimed over.
 MATRIX = [("tcp", False), ("tcp", True), ("shm", False), ("shm", True)]
@@ -196,6 +198,12 @@ class TestLiveMigration:
         chains = causal_chains(report.trace_records)
         assert not chains["orphan_receives"], chains["orphan_receives"][:3]
         assert not chains["broken_parents"], chains["broken_parents"][:3]
+        # Spans minted after the move live in the new epoch's namespace,
+        # and the roots and hops derived across it agree with every
+        # parent pointer.
+        assert {record["span"][1] for record in chains["sends"].values()} \
+            == {0, report.migrations[0]["epoch"]} == {0, 1}
+        assert_derived_fields(chains)
         placements = {}
         for entry in moved.placement_log:
             placements.setdefault((entry["node"], entry["event"]),
@@ -502,13 +510,15 @@ class TestPortableImages:
         from repro.bench.workloads import compute_star
 
         def received_since_restore(report):
+            hops = causal_chains(report.trace_records)["hops"]
             sequences = {}
             for rec in sorted(report.trace_records, key=lambda r: r["seq"]):
                 if rec["kind"] == "checkpoint-restore":
                     sequences[rec["subject"]] = []
                 elif rec["kind"] == "dispatch":
                     sequences.setdefault(rec["subject"], []).append(
-                        (rec["time"], rec["event"], rec.get("hop")))
+                        (rec["time"], rec["event"],
+                         hops.get(span_name(rec["cause"]))))
             return sequences
 
         coop = compute_star(2, 6, words=50)

@@ -4,7 +4,8 @@ Same-seed runs — with drops, duplicates, delays, reorders and retries in
 play, batching on and off, under all three executors — must yield
 causally *consistent* chains: every span-linked ``MSG_RECV`` pairs with
 a recorded ``MSG_SEND``, every suppressed duplicate carries the original
-send's span, and parents resolve.  On the fault-free workload the
+send's span, parents resolve, and the chain roots and hops derived from
+them agree with every parent pointer.  On the fault-free workload the
 guarantee is stronger: span populations and the stall-attribution table
 are bit-identical across deployment modes.
 """
@@ -13,7 +14,7 @@ import pytest
 
 from repro.bench.workloads import compute_star, compute_star_multiprocess
 from repro.faults import FaultPlan, LinkFaults, RetryPolicy
-from repro.observability import Telemetry, causal_chains
+from repro.observability import Telemetry, causal_chains, span_name
 
 CHAOS = dict(seed=0, default=LinkFaults(drop=0.12, duplicate=0.15,
                                         delay=0.12, delay_ticks=2,
@@ -50,6 +51,24 @@ def run_star(executor, *, batching=False, chaos=True, rounds=6):
     return cosim.report()
 
 
+def assert_derived_fields(chains):
+    """Every derived hop is its parent's plus one and every root is its
+    own trace id (a chain's members share their root's)."""
+    sends, hops, trace_ids = \
+        chains["sends"], chains["hops"], chains["trace_ids"]
+    assert set(hops) == set(trace_ids) == set(sends)
+    for name, record in sends.items():
+        parent = record["parent"]
+        if parent is None:
+            assert (trace_ids[name], hops[name]) == (name, 0)
+        else:
+            parent = span_name(parent)
+            assert hops[name] == hops[parent] + 1
+            assert trace_ids[name] == trace_ids[parent]
+        assert sends[trace_ids[name]]["parent"] is None
+    assert chains["max_hop"] == max(hops.values())
+
+
 def assert_causally_consistent(report):
     chains = causal_chains(report.trace_records)
     assert chains["sends"], "no causally linked sends recorded"
@@ -57,6 +76,7 @@ def assert_causally_consistent(report):
         f"orphan receives: {chains['orphan_receives'][:3]}"
     assert chains["broken_parents"] == [], \
         f"broken parents: {chains['broken_parents'][:3]}"
+    assert_derived_fields(chains)
     return chains
 
 
@@ -82,7 +102,7 @@ class TestChainConsistency:
         assert report.faults.get("fault.duplicates", 0) > 0
         assert suppressed, "chaos injected duplicates but none suppressed"
         for record in suppressed:
-            assert record.get("span") in chains["sends"], record
+            assert span_name(record["span"]) in chains["sends"], record
 
     def test_clean_run_has_no_fault_records_but_links(self):
         report = run_star("cosim", chaos=False)

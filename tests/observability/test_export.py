@@ -13,32 +13,37 @@ from repro.observability import (
     write_chrome_trace,
 )
 from repro.observability.export import subject_nodes, trace_records
-from repro.observability.spans import span_origin
 from repro.observability.trace import TraceRecord
 
 NODES = {"hub": "n-hub", "w0": "n-w0"}
 
 
-def dispatch(subject, time, cause=None, hop=None, wall=0.0, before=None):
+def span(name):
+    """``"origin:ordinal"`` as the ``(origin, epoch, ordinal)`` a record
+    carries."""
+    origin, ordinal = name.rsplit(":", 1)
+    return (origin, 0, int(ordinal))
+
+
+def dispatch(subject, time, cause=None, wall=0.0, before=None):
     rec = {"kind": TraceKind.DISPATCH, "seq": 1, "time": time,
            "subject": subject, "wall": wall}
     if cause is not None:
-        rec["cause"] = cause
-        rec["hop"] = hop or 0
+        rec["cause"] = span(cause)
     if before is not None:
         rec["before"] = before
     return rec
 
 
-def send(subject, time, span, wall=0.0):
+def send(subject, time, name, wall=0.0):
     return {"kind": TraceKind.MSG_SEND, "seq": 2, "time": time,
-            "subject": subject, "span": span, "message_kind": "signal",
+            "subject": subject, "span": span(name), "message_kind": "signal",
             "wall": wall}
 
 
-def recv(subject, time, span, wall=0.0):
+def recv(subject, time, name, wall=0.0):
     return {"kind": TraceKind.MSG_RECV, "seq": 3, "time": time,
-            "subject": subject, "span": span, "message_kind": "signal",
+            "subject": subject, "span": span(name), "message_kind": "signal",
             "wall": wall}
 
 
@@ -94,6 +99,15 @@ class TestChromeTrace:
         pids = {e["ph"]: e["pid"] for e in flows}
         assert pids["s"] != pids["f"]
 
+    def test_flow_id_renders_the_span_and_its_epoch(self):
+        sent = dict(send("n-hub->n-w0", 1.0, "n-hub:1"),
+                    span=("n-hub", 2, 1))
+        got = dict(recv("n-hub->n-w0", 1.5, "n-hub:1"),
+                   span=["n-hub", 2, 1])      # as a JSON round-trip leaves it
+        doc = chrome_trace([sent, got])
+        assert [e["id"] for e in doc["traceEvents"] if e["ph"] in "sf"] \
+            == ["n-hub@e2:1", "n-hub@e2:1"]
+
     def test_stall_becomes_duration_slice_in_virtual_view(self):
         record = {"kind": TraceKind.STALL, "seq": 4, "time": 2.0,
                   "subject": "hub", "next_event": 5.0, "wall": 0.0}
@@ -108,7 +122,7 @@ class TestChromeTrace:
     def test_exported_document_validates(self):
         doc = chrome_trace([send("n-hub->n-w0", 1.0, "n-hub:1"),
                             recv("n-hub->n-w0", 1.5, "n-hub:1"),
-                            dispatch("w0", 1.5, cause="n-hub:1", hop=1)],
+                            dispatch("w0", 1.5, cause="n-hub:1")],
                            nodes=NODES)
         assert validate_chrome_trace(doc) == []
 
@@ -157,7 +171,7 @@ class TestValidate:
 class TestStallAttribution:
     def test_remote_caused_gap_charged_to_peer_origin(self):
         rows = stall_attribution([
-            dispatch("hub", 4.0, cause="n-w0:1", hop=1, before=1.0),
+            dispatch("hub", 4.0, cause="n-w0:1", before=1.0),
         ], nodes=NODES)
         assert rows == [{"subsystem": "hub", "node": "n-hub",
                          "peer_node": "n-w0", "waits": 1, "waited": 3.0,
@@ -166,15 +180,15 @@ class TestStallAttribution:
     def test_local_and_own_node_causes_not_charged(self):
         rows = stall_attribution([
             dispatch("hub", 1.0),                          # uncaused
-            dispatch("hub", 9.0, cause="n-hub:1", hop=1,   # own node
+            dispatch("hub", 9.0, cause="n-hub:1",   # own node
                      before=4.0),
         ], nodes=NODES)
         assert rows == []
 
     def test_critical_flag_marks_worst_peer_per_subsystem(self):
         rows = stall_attribution([
-            dispatch("hub", 1.0, cause="n-w0:1", hop=1, before=0.0),
-            dispatch("hub", 6.0, cause="n-w1:1", hop=1, before=1.0),
+            dispatch("hub", 1.0, cause="n-w0:1", before=0.0),
+            dispatch("hub", 6.0, cause="n-w1:1", before=1.0),
         ], nodes=NODES)
         by_peer = {row["peer_node"]: row for row in rows}
         assert by_peer["n-w1"]["critical"] is True
@@ -182,8 +196,8 @@ class TestStallAttribution:
 
     def test_same_instant_arrivals_share_blame_order_invariantly(self):
         forward = [
-            dispatch("hub", 4.0, cause="n-w1:1", hop=1, before=1.0),
-            dispatch("hub", 4.0, cause="n-w0:1", hop=1, before=1.0),
+            dispatch("hub", 4.0, cause="n-w1:1", before=1.0),
+            dispatch("hub", 4.0, cause="n-w0:1", before=1.0),
         ]
         swapped = forward[::-1]
         expected = [{"subsystem": "hub", "node": "n-hub",
@@ -200,22 +214,34 @@ class TestStallAttribution:
         # follow-on work the subsystem scheduled for itself, not a stall.
         rows = stall_attribution([
             send("n-w0->n-hub", 1.0, "n-w0:1"),
-            dispatch("hub", 1.0, cause="n-w0:1", hop=1, before=0.0),
-            dispatch("hub", 2.5, cause="n-w0:1", hop=1, before=1.0),
+            dispatch("hub", 1.0, cause="n-w0:1", before=0.0),
+            dispatch("hub", 2.5, cause="n-w0:1", before=1.0),
         ], nodes=NODES)
         assert rows == [{"subsystem": "hub", "node": "n-hub",
                          "peer_node": "n-w0", "waits": 1, "waited": 1.0,
                          "critical": True}]
 
+    def test_a_json_round_tripped_trail_attributes_the_same(self):
+        # A flight dump's lines hold each span as a list.
+        trail = [
+            send("n-w0->n-hub", 1.0, "n-w0:1"),
+            dispatch("hub", 1.0, cause="n-w0:1", before=0.0),
+            dispatch("hub", 2.5, cause="n-w0:1", before=1.0),
+            dispatch("hub", 4.0, cause="n-w1:1", before=2.5),
+        ]
+        assert stall_attribution(json.loads(json.dumps(trail)),
+                                 nodes=NODES) \
+            == stall_attribution(trail, nodes=NODES)
+
     def test_first_dispatch_gap_measured_from_time_zero(self):
         rows = stall_attribution(
-            [dispatch("hub", 2.0, cause="n-w0:1", hop=1, before=0.0)],
+            [dispatch("hub", 2.0, cause="n-w0:1", before=0.0)],
             nodes=NODES)
         assert rows[0]["waited"] == 2.0
 
     def test_unknown_subsystem_still_attributed(self):
         rows = stall_attribution(
-            [dispatch("mystery", 1.0, cause="n-w0:1", hop=1, before=0.0)],
+            [dispatch("mystery", 1.0, cause="n-w0:1", before=0.0)],
             nodes={})
         assert rows[0]["node"] == "-"
         assert rows[0]["peer_node"] == "n-w0"
@@ -250,11 +276,11 @@ def full_trail_attribution(records, nodes):
             group = None
         if group is None:
             group = groups[subject] = (time, set())
-        span = rec.get("cause")
-        if span is None or stamps.get(span, time) != time:
+        cause = rec.get("cause")
+        if cause is None or stamps.get(cause, time) != time:
             continue
-        if span_origin(span) != nodes.get(subject):
-            group[1].add(span_origin(span))
+        if cause[0] != nodes.get(subject):
+            group[1].add(cause[0])
     for subject, group in groups.items():
         charge(subject, *group)
     return charged
@@ -279,18 +305,18 @@ class TestCausedRecordsOnly:
 
     def test_uncaused_dispatches_between_caused_ones(self):
         assert self.attribute([
-            dispatch("hub", 1.0, cause="n-w0:1", hop=1, before=0.0),
+            dispatch("hub", 1.0, cause="n-w0:1", before=0.0),
             dispatch("hub", 2.0),
             dispatch("hub", 3.0),
-            dispatch("hub", 5.0, cause="n-w0:2", hop=1, before=3.0),
+            dispatch("hub", 5.0, cause="n-w0:2", before=3.0),
         ]) == {"n-w0": (2, 3.0)}
 
     def test_an_instant_whose_first_dispatch_is_uncaused(self):
         assert self.attribute([
             dispatch("hub", 1.0),
             dispatch("hub", 4.0),
-            dispatch("hub", 4.0, cause="n-w0:1", hop=1, before=1.0),
-            dispatch("hub", 4.0, cause="n-w1:1", hop=1, before=1.0),
+            dispatch("hub", 4.0, cause="n-w0:1", before=1.0),
+            dispatch("hub", 4.0, cause="n-w1:1", before=1.0),
         ]) == {"n-w0": (1, 3.0), "n-w1": (1, 3.0)}
 
     def test_a_rollback_that_revisits_an_instant(self):
@@ -298,13 +324,13 @@ class TestCausedRecordsOnly:
         # stays at 3.0, so the revisited 3.0 is a new group with no gap
         # and n-w1's first arrival there is not charged.
         assert self.attribute([
-            dispatch("hub", 1.0, cause="n-w0:1", hop=1, before=0.0),
+            dispatch("hub", 1.0, cause="n-w0:1", before=0.0),
             dispatch("hub", 2.0),
-            dispatch("hub", 3.0, cause="n-w0:2", hop=1, before=2.0),
-            dispatch("hub", 2.5, cause="n-w1:1", hop=1, before=3.0),
-            dispatch("hub", 3.0, cause="n-w1:2", hop=1, before=3.0),
+            dispatch("hub", 3.0, cause="n-w0:2", before=2.0),
+            dispatch("hub", 2.5, cause="n-w1:1", before=3.0),
+            dispatch("hub", 3.0, cause="n-w1:2", before=3.0),
             dispatch("hub", 4.0),
-            dispatch("hub", 6.0, cause="n-w1:3", hop=1, before=4.0),
+            dispatch("hub", 6.0, cause="n-w1:3", before=4.0),
         ]) == {"n-w0": (2, 2.0), "n-w1": (1, 2.0)}
 
 

@@ -55,17 +55,19 @@ def two_way_batched_pair():
 
 #: model -> (budget native, budget pure), in extra calls per dispatched
 #: event: 1.25x what the tree measured when they were last recorded
-#: (the local word floored at 0.25) — 0.05 / 12.57 / 23.89 native, 0.05 /
-#: 17.57 / 28.89 pure, once a dispatch filed a DISPATCH record only when
-#: it had a cause.  They read 4.05 / 14.57 / 25.89 and 4.05 / 19.57 /
-#: 30.89 before that (every record a tuple built by one C call, the
-#: in-process carrier no longer decoding its own encode); 7.05 / 20.10 /
-#: 31.89 and 8.05 / 29.10 / 37.89 before those; 17.0 / 45.9 / 80.5 and
-#: 18.0 / 55.4 / 87.0 before the lit path was first flattened.
+#: (the local word floored at 0.25) — 0.05 / 11.57 / 22.89 native, 0.05 /
+#: 12.07 / 23.39 pure, once a message's trace context became its ordinal
+#: and its parent's span.  They read 0.05 / 12.57 / 23.89 and 0.05 /
+#: 17.57 / 28.89 with the four-field context, once a dispatch filed a
+#: DISPATCH record only when it had a cause; 4.05 / 14.57 / 25.89 and
+#: 4.05 / 19.57 / 30.89 before that (every record a tuple built by one C
+#: call, the in-process carrier no longer decoding its own encode); 7.05 /
+#: 20.10 / 31.89 and 8.05 / 29.10 / 37.89 before those; 17.0 / 45.9 /
+#: 80.5 and 18.0 / 55.4 / 87.0 before the lit path was first flattened.
 BUDGETS = {
     local_word: (0.25, 0.25),
-    one_way_pair: (15.7, 22.0),
-    two_way_batched_pair: (29.9, 36.1),
+    one_way_pair: (14.5, 15.1),
+    two_way_batched_pair: (28.6, 29.2),
 }
 
 

@@ -1,14 +1,17 @@
 """Causal span minting, propagation invariants, and chain linking."""
 
+import json
+
 from repro.observability import (
     SpanMinter,
     Telemetry,
     TraceKind,
     causal_chains,
     ensure_context,
-    span_details,
-    span_origin,
+    span_name,
 )
+from repro.observability.spans import span_of
+from repro.transport import InMemoryTransport
 from repro.transport.message import Message, MessageKind
 
 
@@ -19,34 +22,33 @@ def msg(kind=MessageKind.SIGNAL, src="n1", dst="n2", **kwargs):
 
 class TestSpanMinter:
     def test_root_context_shape(self):
-        minter = SpanMinter()
-        trace_id, span, parent, hop = minter.mint("n1")
-        assert trace_id == span == "n1:1"
-        assert parent is None
-        assert hop == 0
+        assert SpanMinter().mint("n1") == (1, None)
 
-    def test_child_links_to_cause(self):
+    def test_child_points_at_its_cause(self):
         minter = SpanMinter()
-        root = minter.mint("n1")
-        child = minter.mint("n2", cause=root)
-        assert child == ("n1:1", "n2:1", "n1:1", 1)
+        minter.mint("n1")
+        assert minter.mint("n2", cause=("n1", 0, 1)) == (1, ("n1", 0, 1))
 
     def test_ordinal_streams_are_per_origin(self):
         minter = SpanMinter()
-        assert minter.mint("n1")[1] == "n1:1"
-        assert minter.mint("n2")[1] == "n2:1"
-        assert minter.mint("n1")[1] == "n1:2"
+        assert [minter.mint(n)[0] for n in ("n1", "n2", "n1")] == [1, 1, 2]
 
     def test_reset_restarts_ordinals(self):
         minter = SpanMinter()
         minter.mint("n1")
         minter.reset()
-        assert minter.mint("n1")[1] == "n1:1"
+        assert minter.mint("n1")[0] == 1
 
     def test_deterministic_across_instances(self):
         a, b = SpanMinter(), SpanMinter()
         seq = ["n1", "n1", "n2", "n1"]
         assert [a.mint(n) for n in seq] == [b.mint(n) for n in seq]
+
+    def test_ordinal_hand_off_continues_the_stream(self):
+        moved = SpanMinter()
+        moved.load_ordinals({"n1": 4})
+        assert moved.mint("n1") == (5, None)
+        assert moved.ordinals() == {"n1": 5}
 
 
 class TestEnsureContext:
@@ -60,44 +62,76 @@ class TestEnsureContext:
 
     def test_safe_time_kinds_never_minted(self):
         telemetry = Telemetry()
-        for kind in (MessageKind.SAFE_TIME_REQUEST,
-                     MessageKind.SAFE_TIME_REPLY,
-                     MessageKind.SAFE_TIME_GRANT):
+        untraced = {MessageKind.SAFE_TIME_REQUEST,
+                    MessageKind.SAFE_TIME_REPLY,
+                    MessageKind.SAFE_TIME_GRANT}
+        assert {kind for kind in MessageKind if kind.untraced} == untraced
+        for kind in untraced:
             assert ensure_context(telemetry, msg(kind=kind)) is None
 
     def test_child_of_current_cause(self):
         telemetry = Telemetry()
-        telemetry.cause = ("n9:1", "n9:1", None, 0)
+        telemetry.cause_cell.value = ("n9", 0, 1)
         context = ensure_context(telemetry, msg(src="n1"))
-        assert context == ("n9:1", "n1:1", "n9:1", 1)
+        assert context == (1, ("n9", 0, 1))
 
-    def test_reply_shares_request_context(self):
+    def test_reply_carries_no_context(self):
         telemetry = Telemetry()
         request = msg(kind=MessageKind.HW_CALL, request_id=5)
         ensure_context(telemetry, request)
         reply = request.reply(MessageKind.HW_REPLY, time=2.0)
-        assert reply.trace == request.trace
+        assert request.trace is not None
+        assert reply.trace is None
+
+    def test_call_reply_is_filed_under_the_request_span(self):
+        telemetry = Telemetry()
+        transport = InMemoryTransport()
+        transport.attach_telemetry(telemetry)
+        transport.register("n1")
+        transport.register("n2", call_handler=lambda m: m.reply(
+            MessageKind.HW_REPLY, payload="ok"))
+        transport.call(msg(kind=MessageKind.HW_CALL))
+        send, recv = (record.details for record in telemetry.trace_buffer)
+        assert send["span"] == recv["span"] == ("n1", 0, 1)
+        assert recv["message_kind"] == "hw-reply"
+        chains = causal_chains(telemetry.trace_buffer)
+        assert chains["orphan_receives"] == []
+        assert len(chains["receives"]["n1:1"]) == 1
 
 
 class TestHelpers:
-    def test_span_details_round_trip(self):
-        assert span_details(None) == {}
-        assert span_details(("t", "s", "p", 3)) == \
-            {"trace_id": "t", "span": "s", "parent": "p", "hop": 3}
+    def test_span_of_reads_origin_and_epoch_off_the_message(self):
+        assert span_of(msg(src="n-w0", epoch=2, trace=(7, None))) \
+            == ("n-w0", 2, 7)
+        assert span_of(msg()) is None
 
-    def test_span_origin_strips_ordinal(self):
-        assert span_origin("n-w0:12") == "n-w0"
-        assert span_origin("host:8:3") == "host:8"
+    def test_span_name_renders_the_epoch_namespace(self):
+        assert span_name(("n-w0", 0, 12)) == "n-w0:12"
+        assert span_name(("n-w0", 3, 12)) == "n-w0@e3:12"
+
+    def test_origin_is_a_field_not_a_prefix(self):
+        # An origin may itself contain colons; a JSON round-trip makes
+        # the span a list, which renders the same.
+        assert span_name(["host:8", 0, 3]) == "host:8:3"
+        assert span_name(json.loads(json.dumps(("host:8", 1, 3)))) \
+            == "host:8@e1:3"
+
+
+def sp(name):
+    """``"origin:ordinal"`` as the span tuple a record carries."""
+    origin, ordinal = name.rsplit(":", 1)
+    return (origin, 0, int(ordinal))
 
 
 class TestCausalChains:
-    def send(self, span, parent=None, hop=0):
+    def send(self, span, parent=None):
         return {"kind": TraceKind.MSG_SEND, "time": 1.0, "subject": "a->b",
-                "span": span, "parent": parent, "hop": hop}
+                "span": sp(span),
+                "parent": None if parent is None else sp(parent)}
 
     def recv(self, span):
         return {"kind": TraceKind.MSG_RECV, "time": 1.0, "subject": "a->b",
-                "span": span}
+                "span": sp(span)}
 
     def test_links_sends_to_receives(self):
         chains = causal_chains([self.send("n1:1"), self.recv("n1:1")])
@@ -116,14 +150,42 @@ class TestCausalChains:
         assert len(chains["receives"]["n1:1"]) == 2
         assert chains["orphan_receives"] == []
 
-    def test_broken_parent_detected_and_max_hop(self):
+    def test_broken_parent_detected_and_roots_its_own_chain(self):
         chains = causal_chains([
             self.send("n1:1"),
-            self.send("n2:1", parent="n1:1", hop=1),
-            self.send("n2:2", parent="missing:9", hop=4),
+            self.send("n2:1", parent="n1:1"),
+            self.send("n2:2", parent="missing:9"),
         ])
-        assert [r["span"] for r in chains["broken_parents"]] == ["n2:2"]
-        assert chains["max_hop"] == 4
+        assert [r["span"] for r in chains["broken_parents"]] \
+            == [("n2", 0, 2)]
+        assert chains["trace_ids"]["n2:2"] == "n2:2"
+        assert chains["hops"]["n2:2"] == 0
+        assert chains["max_hop"] == 1
+
+    def test_root_and_hop_derived_by_walking_parents(self):
+        # Children recorded before their parents still resolve.
+        chains = causal_chains([
+            self.send("n1:2", parent="n2:1"),
+            self.send("n2:1", parent="n1:1"),
+            self.send("n1:1"),
+            self.send("n3:1"),
+            self.send("n3:2", parent="n1:1"),
+        ])
+        assert chains["hops"] == {"n1:2": 2, "n2:1": 1, "n1:1": 0,
+                                  "n3:1": 0, "n3:2": 1}
+        assert chains["trace_ids"] == {"n1:2": "n1:1", "n2:1": "n1:1",
+                                       "n1:1": "n1:1", "n3:1": "n3:1",
+                                       "n3:2": "n1:1"}
+        assert chains["max_hop"] == 2
+
+    def test_json_round_trip_links_the_same(self):
+        records = [self.send("n1:1"), self.send("n2:1", parent="n1:1"),
+                   self.recv("n2:1")]
+        loaded = json.loads(json.dumps(records))
+        again, chains = causal_chains(loaded), causal_chains(records)
+        for key in ("trace_ids", "hops", "max_hop"):
+            assert again[key] == chains[key]
+        assert again["orphan_receives"] == again["broken_parents"] == []
 
     def test_untraced_records_ignored(self):
         chains = causal_chains([
@@ -132,3 +194,4 @@ class TestCausalChains:
         ])
         assert chains["sends"] == {}
         assert chains["orphan_receives"] == []
+        assert chains["max_hop"] == 0

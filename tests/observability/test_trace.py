@@ -280,8 +280,8 @@ class TestRecordShape:
         assert all(type(r) is TraceRecord for r in records)
 
 
-#: A trace context as a channel crossing stamps it on an event.
-CAUSE = ("n-peer:1", "n-peer:1", None, 1)
+#: A cause span as a channel crossing stamps it on an event.
+CAUSE = ("n-peer", 0, 1)
 
 
 def control_subsystem(steps):
@@ -318,8 +318,8 @@ class TestCausedDispatchRecords:
                                             (5.0, 3.0)]
         record = subsystem.telemetry.trace_buffer.records(
             TraceKind.DISPATCH)[0]
-        assert record.details == {"event": "control", "cause": "n-peer:1",
-                                  "hop": 1, "before": 1.0}
+        assert record.details == {"event": "control", "cause": CAUSE,
+                                  "before": 1.0}
         assert subsystem.telemetry.registry.snapshot()["counters"][
             "scheduler.dispatched"] == 6
 

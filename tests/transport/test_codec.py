@@ -79,14 +79,24 @@ class TestRoundTrip:
 
     def test_full_header_round_trips(self):
         message = _msg(time=123.456, epoch=3, msg_id=9001, request_id=77,
-                       trace=("alpha:1", "alpha:2", "alpha:1", 4))
+                       trace=(2, ("alpha:1", 3, 1)))
         again = decode(encode(message))
         assert again == message
-        assert again.trace == ("alpha:1", "alpha:2", "alpha:1", 4)
+        assert again.trace == (2, ("alpha:1", 3, 1))
 
     def test_chain_root_trace_has_no_parent(self):
-        message = _msg(trace=("alpha:1", "alpha:1", None, 0))
-        assert decode(encode(message)).trace == ("alpha:1", "alpha:1", None, 0)
+        message = _msg(trace=(1, None))
+        assert decode(encode(message)).trace == (1, None)
+
+    def test_trace_costs_its_ordinals_and_the_spelled_parent_origin(self):
+        plain = len(encode(_msg()))
+        assert len(encode(_msg(trace=(5, None)))) == plain + 1
+        # The parent's origin is spelled even when the frame already
+        # holds the name (here the destination), so a message costs the
+        # same whichever peer caused it.
+        assert len(encode(_msg(trace=(5, ("beta", 0, 9))))) \
+            == len(encode(_msg(trace=(5, ("gamm", 0, 9))))) \
+            == plain + 1 + 1 + 4 + 1 + 1
 
     def test_empty_strings_and_empty_containers(self):
         message = Message(MessageKind.CONTROL, src="", dst="", channel="",
@@ -232,7 +242,7 @@ class TestHostileInput:
     def _rich_frame(self):
         return encode(_msg(
             time=9.5, epoch=2, msg_id=17, request_id=5,
-            trace=("alpha:1", "alpha:2", "alpha:1", 3),
+            trace=(2, ("alpha:1", 3, 1)),
             payload=("sub", "net", ("x", [1, 2.5], {"k": b"v"}))))
 
     def test_every_truncation_raises_transport_error(self):
