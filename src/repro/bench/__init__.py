@@ -1,19 +1,10 @@
 """The experiment harness regenerating every table and figure."""
 
-from .harness import (
-    PAPER_TABLE1,
-    Table,
-    assert_factor,
-    assert_order,
-    format_bytes,
-    format_count,
-    format_seconds,
-    ratio,
-)
-from .workloads import ring_of_pairs, streaming_pair
+from .. import _attach
 
-__all__ = [
-    "PAPER_TABLE1", "Table", "assert_factor", "assert_order",
-    "format_bytes", "format_count", "format_seconds", "ratio",
-    "ring_of_pairs", "streaming_pair",
-]
+__getattr__, __dir__, __all__ = _attach(__name__, {
+    **dict.fromkeys(("PAPER_TABLE1", "Table", "assert_factor", "assert_order",
+                     "format_bytes", "format_count", "format_seconds", "ratio"),
+                    ".harness"),
+    **dict.fromkeys(("ring_of_pairs", "streaming_pair"), ".workloads"),
+})

@@ -8,7 +8,7 @@ spawned worker), so ``build(spec, executor)`` runs it under any executor;
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..core.component import FunctionComponent
 from ..core.process import Advance, Receive, Send, WaitUntil
@@ -16,8 +16,10 @@ from ..core.subsystem import Subsystem
 from ..distributed import SystemSpec, build
 from ..distributed.channel import ChannelMode
 from ..distributed.executor import CoSimulation
-from ..distributed.multiprocess import MultiprocessCoSimulation
 from ..transport.latency import SAME_HOST, LatencyModel
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..distributed.multiprocess import MultiprocessCoSimulation
 
 _HERE = "repro.bench.workloads:"
 

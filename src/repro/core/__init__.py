@@ -5,100 +5,44 @@ the subsystem scheduler with its two-level virtual time, checkpointing,
 synchronous-address machinery, and detail-level (run-level) switching.
 """
 
-from .checkpoint import (
-    CheckpointImage,
-    CheckpointStore,
-    IncrementalCheckpointStore,
-    capture,
-    reinstate,
-)
-from .component import (
-    DEFAULT_LEVEL,
-    Component,
-    ComponentSnapshot,
-    FunctionComponent,
-    ProcessComponent,
-    ReactiveComponent,
-)
-from .errors import (
-    CausalityError,
-    CheckpointError,
-    ConfigurationError,
-    ConsistencyViolation,
-    DeadlockError,
-    HardwareStubError,
-    LinkDown,
-    LoaderError,
-    NodeFailure,
-    NoSuchCheckpointError,
-    PiaError,
-    ProtocolError,
-    RemoteCallError,
-    RunLevelError,
-    SimulationError,
-    SwitchpointSyntaxError,
-    TopologyError,
-    TransportError,
-)
-from .events import Event, EventKind, EventQueue
-from .interface import Interface
-from .net import Net
-from .port import Port, PortDirection
-from .process import (
-    Advance,
-    Command,
-    Receive,
-    ReceiveTransfer,
-    SaveCheckpoint,
-    Send,
-    SwitchLevel,
-    Sync,
-    Transfer,
-    TryReceive,
-    WaitUntil,
-)
-from .runlevel import (
-    DetailSlider,
-    Switchpoint,
-    SwitchpointEnvironment,
-    SwitchpointManager,
-    parse_switchpoint,
-)
-from .runcontrol import RunControl
-from .runcontrol import load as load_run_control
-from .runcontrol import parse as parse_run_control
-from .scheduler import Scheduler
-from .simulator import Simulator
-from .subsystem import Subsystem
-from .sync import SyncPolicy, SyncTable
-from .timestamp import (
-    FOREVER,
-    PRIORITY_CONTROL,
-    PRIORITY_INTERRUPT,
-    PRIORITY_SIGNAL,
-    PRIORITY_WAKE,
-    ZERO,
-    Timestamp,
-    earliest,
-)
+from .. import _attach
 
-__all__ = [
-    "Advance", "CausalityError", "CheckpointError", "CheckpointImage",
-    "CheckpointStore", "Command", "Component", "ComponentSnapshot",
-    "ConfigurationError", "ConsistencyViolation", "DEFAULT_LEVEL",
-    "DeadlockError", "DetailSlider", "Event", "EventKind", "EventQueue",
-    "FOREVER", "FunctionComponent", "HardwareStubError",
-    "IncrementalCheckpointStore", "Interface", "LinkDown", "LoaderError",
-    "Net", "NodeFailure", "RemoteCallError",
-    "NoSuchCheckpointError", "PiaError", "Port", "PortDirection",
-    "PRIORITY_CONTROL", "PRIORITY_INTERRUPT", "PRIORITY_SIGNAL",
-    "PRIORITY_WAKE", "ProcessComponent", "ProtocolError",
-    "ReactiveComponent", "Receive", "ReceiveTransfer", "RunLevelError",
-    "SaveCheckpoint", "Scheduler", "Send", "SimulationError", "Simulator",
-    "Subsystem", "Switchpoint", "SwitchpointEnvironment",
-    "SwitchpointManager", "SwitchpointSyntaxError", "SwitchLevel", "Sync",
-    "SyncPolicy", "SyncTable", "Timestamp", "TopologyError", "Transfer", "TryReceive",
-    "TransportError", "WaitUntil", "ZERO", "capture", "earliest",
-    "RunControl", "load_run_control", "parse_run_control",
-    "parse_switchpoint", "reinstate",
-]
+__getattr__, __dir__, __all__ = _attach(__name__, {
+    **dict.fromkeys(("CheckpointImage", "CheckpointStore",
+                     "IncrementalCheckpointStore", "capture", "reinstate"),
+                    ".checkpoint"),
+    **dict.fromkeys(("DEFAULT_LEVEL", "Component", "ComponentSnapshot",
+                     "FunctionComponent", "ProcessComponent",
+                     "ReactiveComponent"),
+                    ".component"),
+    **dict.fromkeys(("CausalityError", "CheckpointError", "ConfigurationError",
+                     "ConsistencyViolation", "DeadlockError",
+                     "HardwareStubError", "LinkDown", "LoaderError",
+                     "NodeFailure", "NoSuchCheckpointError", "PiaError",
+                     "ProtocolError", "RemoteCallError", "RunLevelError",
+                     "SimulationError", "SwitchpointSyntaxError",
+                     "TopologyError", "TransportError"),
+                    ".errors"),
+    **dict.fromkeys(("Event", "EventKind", "EventQueue"), ".events"),
+    "Interface": ".interface",
+    "Net": ".net",
+    **dict.fromkeys(("Port", "PortDirection"), ".port"),
+    **dict.fromkeys(("Advance", "Command", "Receive", "ReceiveTransfer",
+                     "SaveCheckpoint", "Send", "SwitchLevel", "Sync",
+                     "Transfer", "TryReceive", "WaitUntil"),
+                    ".process"),
+    **dict.fromkeys(("DetailSlider", "Switchpoint", "SwitchpointEnvironment",
+                     "SwitchpointManager", "parse_switchpoint"),
+                    ".runlevel"),
+    "RunControl": ".runcontrol",
+    "load_run_control": ".runcontrol:load",
+    "parse_run_control": ".runcontrol:parse",
+    "Scheduler": ".scheduler",
+    "Simulator": ".simulator",
+    "Subsystem": ".subsystem",
+    **dict.fromkeys(("SyncPolicy", "SyncTable"), ".sync"),
+    **dict.fromkeys(("FOREVER", "PRIORITY_CONTROL", "PRIORITY_INTERRUPT",
+                     "PRIORITY_SIGNAL", "PRIORITY_WAKE", "ZERO", "Timestamp",
+                     "earliest"),
+                    ".timestamp"),
+})

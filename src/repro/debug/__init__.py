@@ -2,16 +2,11 @@
 single-host Simulator or a whole CoSimulation — breakpoints, watchpoints,
 single-stepping, time travel — and VCD waveform dumping."""
 
-from .debugger import (
-    Breakpoint,
-    BreakReason,
-    Debugger,
-    DebuggerError,
-    WatchRecord,
-)
-from .vcd import VcdError, VcdTracer
+from .. import _attach
 
-__all__ = [
-    "BreakReason", "Breakpoint", "Debugger", "DebuggerError", "VcdError",
-    "VcdTracer", "WatchRecord",
-]
+__getattr__, __dir__, __all__ = _attach(__name__, {
+    **dict.fromkeys(("Breakpoint", "BreakReason", "Debugger", "DebuggerError",
+                     "WatchRecord"),
+                    ".debugger"),
+    **dict.fromkeys(("VcdError", "VcdTracer"), ".vcd"),
+})

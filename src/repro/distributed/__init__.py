@@ -1,68 +1,66 @@
 """The geographically distributed layer (paper section 2.2)."""
 
-from .channel import (
-    Channel,
-    ChannelComponent,
-    ChannelEndpoint,
-    ChannelMode,
-    StragglerError,
-)
-from .conservative import (
-    UNBOUNDED,
-    SafeTimeClient,
-    SafeTimeService,
-    compute_grant,
-    local_floor,
-)
-from .executor import CoSimulation
-from .migration import (
-    MigrationRecord,
-    NodeArchive,
-    archive_node,
-    restore_node,
-)
-from .multiprocess import MultiprocessCoSimulation, WorkerPool
-from .node import PiaNode, Socket
-from .optimistic import RecoveryManager
-from .partition import Deployment, Design, NetSpec, deploy, suggest_partition
-from .snapshot import (
-    GlobalSnapshot,
-    SnapshotManager,
-    SnapshotRegistry,
-    SubsystemCut,
-    new_snapshot_id,
-)
-from .spec import (
-    ChannelSpec,
-    SubsystemSpec,
-    SystemSpec,
-    register_factory,
-    resolve_factory,
-)
-from .system import FAILURE_POLICIES, LiveSystem
-from .threaded import LockedSafeTimeService, ThreadedCoSimulation
-from .topology import communication_edges, offending_cycles, validate
+from __future__ import annotations
 
-__all__ = [
-    "Channel", "ChannelComponent", "ChannelEndpoint", "ChannelMode",
-    "ChannelSpec", "CoSimulation", "Deployment", "Design", "EXECUTORS",
-    "FAILURE_POLICIES", "GlobalSnapshot", "LiveSystem",
-    "LockedSafeTimeService", "MigrationRecord",
-    "MultiprocessCoSimulation", "NetSpec", "NodeArchive",
-    "PiaNode", "RecoveryManager", "SafeTimeClient",
-    "SafeTimeService",
-    "SnapshotManager", "SnapshotRegistry", "Socket", "StragglerError",
-    "SubsystemCut", "SubsystemSpec", "SystemSpec", "ThreadedCoSimulation",
-    "UNBOUNDED", "WorkerPool", "archive_node", "build",
-    "communication_edges", "compute_grant", "deploy", "local_floor",
-    "new_snapshot_id", "offending_cycles", "register_factory",
-    "resolve_factory", "restore_node", "suggest_partition", "validate",
-]
+import sys
+from collections.abc import Mapping
+
+from .. import _attach
+
+__getattr__, __dir__, __all__ = _attach(__name__, {
+    **dict.fromkeys(("Channel", "ChannelComponent", "ChannelEndpoint",
+                     "ChannelMode", "StragglerError"),
+                    ".channel"),
+    **dict.fromkeys(("UNBOUNDED", "SafeTimeClient", "SafeTimeService",
+                     "compute_grant", "local_floor"),
+                    ".conservative"),
+    "CoSimulation": ".executor",
+    **dict.fromkeys(("MigrationRecord", "NodeArchive", "archive_node",
+                     "restore_node"),
+                    ".migration"),
+    "MultiprocessCoSimulation": ".multiprocess.coordinator",
+    "WorkerPool": ".multiprocess.pool",
+    **dict.fromkeys(("PiaNode", "Socket"), ".node"),
+    "RecoveryManager": ".optimistic",
+    **dict.fromkeys(("Deployment", "Design", "NetSpec", "deploy",
+                     "suggest_partition"),
+                    ".partition"),
+    **dict.fromkeys(("GlobalSnapshot", "SnapshotManager", "SnapshotRegistry",
+                     "SubsystemCut", "new_snapshot_id"),
+                    ".snapshot"),
+    **dict.fromkeys(("ChannelSpec", "SubsystemSpec", "SystemSpec",
+                     "register_factory", "resolve_factory"),
+                    ".spec"),
+    **dict.fromkeys(("FAILURE_POLICIES", "LiveSystem"), ".system"),
+    **dict.fromkeys(("LockedSafeTimeService", "ThreadedCoSimulation"),
+                    ".threaded"),
+    **dict.fromkeys(("communication_edges", "offending_cycles", "validate"),
+                    ".topology"),
+})
+
+__all__ += ["EXECUTORS", "build"]
+
+
+class _Executors(Mapping):
+    """Executor name -> class, each imported when it is looked up: a
+    process that builds one executor loads only that one's modules."""
+
+    CLASSES = {"cosim": "CoSimulation", "threaded": "ThreadedCoSimulation",
+               "multiprocess": "MultiprocessCoSimulation"}
+
+    def __getitem__(self, name: str) -> type:
+        return getattr(sys.modules[__name__], self.CLASSES[name])
+
+    def __iter__(self):
+        return iter(self.CLASSES)
+
+    def __len__(self) -> int:
+        return len(self.CLASSES)
+
 
 #: Executor name -> class.  Here, not in ``spec.py``: this is the one
 #: module that sees all three executors, each of which imports the spec.
-EXECUTORS = {"cosim": CoSimulation, "threaded": ThreadedCoSimulation,
-             "multiprocess": MultiprocessCoSimulation}
+EXECUTORS = _Executors()
 
 
 def build(spec: SystemSpec, executor: str = "cosim", **executor_kwargs):

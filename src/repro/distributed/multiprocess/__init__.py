@@ -56,16 +56,12 @@ live source: the wire is drained and a fresh cut taken first, so nothing
 rolls back.
 """
 
-from ..spec import (
-    ChannelSpec,
-    SubsystemSpec,
-    register_factory,
-    resolve_factory,
-)
-from .coordinator import MultiprocessCoSimulation
-from .pool import WorkerPool
+from ... import _attach
 
-__all__ = [
-    "ChannelSpec", "MultiprocessCoSimulation", "SubsystemSpec",
-    "WorkerPool", "register_factory", "resolve_factory",
-]
+__getattr__, __dir__, __all__ = _attach(__name__, {
+    **dict.fromkeys(("ChannelSpec", "SubsystemSpec", "register_factory",
+                     "resolve_factory"),
+                    "..spec"),
+    "MultiprocessCoSimulation": ".coordinator",
+    "WorkerPool": ".pool",
+})

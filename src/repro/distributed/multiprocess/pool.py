@@ -8,7 +8,6 @@ import threading
 from typing import List
 
 from ...core.errors import ConfigurationError
-from .worker import _pool_main
 
 #: How worker processes start: ``spawn`` exists on every platform and
 #: never forks a coordinator that holds threads and locks.
@@ -19,6 +18,10 @@ class _PoolWorker:
     """Coordinator-side handle on one warm worker process."""
 
     def __init__(self, ctx, index: int) -> None:
+        # Only the spawned child runs the worker body; a process that
+        # merely holds a pool never loads it.
+        from .worker import _pool_main
+
         parent_conn, child_conn = ctx.Pipe()
         self.conn = parent_conn
         self.proc = ctx.Process(target=_pool_main, args=(child_conn,),

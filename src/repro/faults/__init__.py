@@ -15,28 +15,14 @@ Three layers (see each module's docstring):
   recover a crashed node from the last consistent global snapshot.
 """
 
-from .detector import FailureDetector
-from .injector import FaultInjector
-from .plan import (
-    DEFAULT_KINDS,
-    DELAY,
-    DELIVER,
-    DROP,
-    DUPLICATE,
-    FaultPlan,
-    LinkFaults,
-    LOST,
-    NO_FAULTS,
-    NodeCrash,
-    PARTITION,
-    Partition,
-    REORDER,
-)
-from .retry import NO_RETRY, RetryPolicy
+from .. import _attach
 
-__all__ = [
-    "DEFAULT_KINDS", "DELAY", "DELIVER", "DROP", "DUPLICATE",
-    "FailureDetector", "FaultInjector", "FaultPlan", "LOST", "LinkFaults",
-    "NO_FAULTS", "NO_RETRY", "NodeCrash", "PARTITION", "Partition",
-    "REORDER", "RetryPolicy",
-]
+__getattr__, __dir__, __all__ = _attach(__name__, {
+    "FailureDetector": ".detector",
+    "FaultInjector": ".injector",
+    **dict.fromkeys(("DEFAULT_KINDS", "DELAY", "DELIVER", "DROP", "DUPLICATE",
+                     "FaultPlan", "LinkFaults", "LOST", "NO_FAULTS",
+                     "NodeCrash", "PARTITION", "Partition", "REORDER"),
+                    ".plan"),
+    **dict.fromkeys(("NO_RETRY", "RetryPolicy"), ".retry"),
+})

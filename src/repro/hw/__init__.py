@@ -1,37 +1,20 @@
 """Hardware in the loop: stubs, the simulated Pamette, remote servers."""
 
-from .circuits import (
-    LFSR_TAPS,
-    adder_bitstream,
-    lfsr_bitstream,
-    lfsr_reference,
-    shift_register_bitstream,
-)
-from .component import HardwareComponent, HwCall, HwCallExecutor
-from .devices import (
-    REG_CONTROL,
-    REG_DATA,
-    REG_PERIOD,
-    REG_STATUS,
-    TimerDevice,
-    UartDevice,
-)
-from .pamette import (
-    LUT_WIDTH,
-    Bitstream,
-    Dff,
-    Lut,
-    SimulatedPamette,
-    counter_bitstream,
-)
-from .server import RemoteHardwareClient, RemoteHardwareServer
-from .stub import HardwareStub, InterruptRecord
+from .. import _attach
 
-__all__ = [
-    "Bitstream", "Dff", "HardwareComponent", "HardwareStub", "HwCall",
-    "HwCallExecutor", "InterruptRecord", "LUT_WIDTH", "Lut", "REG_CONTROL", "REG_DATA",
-    "REG_PERIOD", "REG_STATUS", "RemoteHardwareClient",
-    "RemoteHardwareServer", "SimulatedPamette", "TimerDevice", "UartDevice",
-    "LFSR_TAPS", "adder_bitstream", "counter_bitstream",
-    "lfsr_bitstream", "lfsr_reference", "shift_register_bitstream",
-]
+__getattr__, __dir__, __all__ = _attach(__name__, {
+    **dict.fromkeys(("LFSR_TAPS", "adder_bitstream", "lfsr_bitstream",
+                     "lfsr_reference", "shift_register_bitstream"),
+                    ".circuits"),
+    **dict.fromkeys(("HardwareComponent", "HwCall", "HwCallExecutor"),
+                    ".component"),
+    **dict.fromkeys(("REG_CONTROL", "REG_DATA", "REG_PERIOD", "REG_STATUS",
+                     "TimerDevice", "UartDevice"),
+                    ".devices"),
+    **dict.fromkeys(("LUT_WIDTH", "Bitstream", "Dff", "Lut",
+                     "SimulatedPamette", "counter_bitstream"),
+                    ".pamette"),
+    **dict.fromkeys(("RemoteHardwareClient", "RemoteHardwareServer"),
+                    ".server"),
+    **dict.fromkeys(("HardwareStub", "InterruptRecord"), ".stub"),
+})

@@ -1,5 +1,7 @@
 """Dynamic component (re)loading — Pia's class loader (paper section 3.2)."""
 
-from .class_loader import ComponentLoader
+from .. import _attach
 
-__all__ = ["ComponentLoader"]
+__getattr__, __dir__, __all__ = _attach(__name__, {
+    "ComponentLoader": ".class_loader",
+})

@@ -19,46 +19,25 @@ Zero dependencies, deterministic under the in-memory transport, and a
 one-attribute-read no-op path when disabled — cheap enough to leave on.
 """
 
-from .export import (
-    chrome_trace,
-    stall_attribution,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from .flight import FlightRecorder, flight_path
-from .health import LinkHealthMonitor, attach_health, finalize_health
-from .metrics import (
-    BoundCounter,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricsRegistry,
-    Timer,
-    snapshot_quantile,
-)
-from .report import RunReport, run_report
-from .timeseries import TimeSeries, TimeSeriesRecorder
-from .spans import (
-    SpanMinter,
-    causal_chains,
-    ensure_context,
-    span_name,
-)
-from .telemetry import NULL_TELEMETRY, Telemetry
-from .trace import Ring, TraceBuffer, TraceKind, TraceRecord
+from .. import _attach
 
-__all__ = [
-    "BoundCounter", "Counter", "Gauge", "Histogram", "MetricError",
-    "MetricsRegistry",
-    "Timer", "snapshot_quantile",
-    "NULL_TELEMETRY", "Telemetry",
-    "Ring", "TraceBuffer", "TraceKind", "TraceRecord",
-    "RunReport", "run_report",
-    "FlightRecorder", "flight_path",
-    "LinkHealthMonitor", "attach_health", "finalize_health",
-    "TimeSeries", "TimeSeriesRecorder",
-    "SpanMinter", "causal_chains", "ensure_context", "span_name",
-    "chrome_trace", "stall_attribution", "validate_chrome_trace",
-    "write_chrome_trace",
-]
+__getattr__, __dir__, __all__ = _attach(__name__, {
+    **dict.fromkeys(("chrome_trace", "stall_attribution",
+                     "validate_chrome_trace", "write_chrome_trace"),
+                    ".export"),
+    **dict.fromkeys(("FlightRecorder", "flight_path"), ".flight"),
+    **dict.fromkeys(("LinkHealthMonitor", "attach_health", "finalize_health"),
+                    ".health"),
+    **dict.fromkeys(("BoundCounter", "Counter", "Gauge", "Histogram",
+                     "MetricError", "MetricsRegistry", "Timer",
+                     "snapshot_quantile"),
+                    ".metrics"),
+    **dict.fromkeys(("RunReport", "run_report"), ".report"),
+    **dict.fromkeys(("TimeSeries", "TimeSeriesRecorder"), ".timeseries"),
+    **dict.fromkeys(("SpanMinter", "causal_chains", "ensure_context",
+                     "span_name"),
+                    ".spans"),
+    **dict.fromkeys(("NULL_TELEMETRY", "Telemetry"), ".telemetry"),
+    **dict.fromkeys(("Ring", "TraceBuffer", "TraceKind", "TraceRecord"),
+                    ".trace"),
+})

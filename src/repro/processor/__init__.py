@@ -1,31 +1,19 @@
 """The embedded-software substrate: processors, memory, interrupts, ISS."""
 
-from .assembler import AssemblyError, assemble, assemble_with_symbols
-from .interrupts import (
-    DATA_OFFSET,
-    FLAG_OFFSET,
-    LINE_STRIDE,
-    InterruptController,
-    InterruptLine,
-)
-from .isa import NUM_REGS, OPCODES, Instruction, IssComponent, IssError
-from .memory import Memory
-from .software import MemRead, MemWrite, SoftwareComponent
-from .timing import (
-    ARM7,
-    GENERIC,
-    I960,
-    PENTIUM_PRO_200,
-    PROFILES,
-    BasicBlockTimer,
-    ProcessorProfile,
-)
+from .. import _attach
 
-__all__ = [
-    "ARM7", "AssemblyError", "BasicBlockTimer", "DATA_OFFSET", "FLAG_OFFSET",
-    "GENERIC", "I960", "Instruction", "InterruptController", "InterruptLine",
-    "IssComponent", "IssError", "LINE_STRIDE", "MemRead", "MemWrite",
-    "Memory", "NUM_REGS", "OPCODES", "PENTIUM_PRO_200", "PROFILES",
-    "ProcessorProfile", "SoftwareComponent", "assemble",
-    "assemble_with_symbols",
-]
+__getattr__, __dir__, __all__ = _attach(__name__, {
+    **dict.fromkeys(("AssemblyError", "assemble", "assemble_with_symbols"),
+                    ".assembler"),
+    **dict.fromkeys(("DATA_OFFSET", "FLAG_OFFSET", "LINE_STRIDE",
+                     "InterruptController", "InterruptLine"),
+                    ".interrupts"),
+    **dict.fromkeys(("NUM_REGS", "OPCODES", "Instruction", "IssComponent",
+                     "IssError"),
+                    ".isa"),
+    "Memory": ".memory",
+    **dict.fromkeys(("MemRead", "MemWrite", "SoftwareComponent"), ".software"),
+    **dict.fromkeys(("ARM7", "GENERIC", "I960", "PENTIUM_PRO_200", "PROFILES",
+                     "BasicBlockTimer", "ProcessorProfile"),
+                    ".timing"),
+})

@@ -1,32 +1,21 @@
 """Communication protocols with multiple detail levels (paper section 2.1.3)."""
 
-from .assertions import ActionRule, AssertionCodec, assertion_level
-from .base import (
-    HEADER_BYTES,
-    INCOMPLETE,
-    Protocol,
-    ProtocolCodec,
-    WireValue,
-    reassemble_step,
-)
-from .bus import FixedWidthBusCodec, TransactionCodec, bus_protocol
-from .dma import DmaBlockCodec, DmaBurstCodec, dma_protocol
-from .i2c import (
-    FAST_MODE_HZ,
-    STANDARD_MODE_HZ,
-    I2CByteCodec,
-    I2CHardwareCodec,
-    i2c_protocol,
-)
-from .library import ProtocolLibrary, default_library, standard_library
-from .packetized import PacketCodec, packet_protocol
+from .. import _attach
 
-__all__ = [
-    "ActionRule", "AssertionCodec", "DmaBlockCodec", "DmaBurstCodec",
-    "FAST_MODE_HZ", "FixedWidthBusCodec", "HEADER_BYTES", "I2CByteCodec",
-    "I2CHardwareCodec", "INCOMPLETE", "PacketCodec", "Protocol",
-    "ProtocolCodec", "ProtocolLibrary", "STANDARD_MODE_HZ",
-    "TransactionCodec", "WireValue", "assertion_level", "bus_protocol",
-    "default_library", "dma_protocol", "i2c_protocol", "packet_protocol",
-    "reassemble_step", "standard_library",
-]
+__getattr__, __dir__, __all__ = _attach(__name__, {
+    **dict.fromkeys(("ActionRule", "AssertionCodec", "assertion_level"),
+                    ".assertions"),
+    **dict.fromkeys(("HEADER_BYTES", "INCOMPLETE", "Protocol", "ProtocolCodec",
+                     "WireValue", "reassemble_step"),
+                    ".base"),
+    **dict.fromkeys(("FixedWidthBusCodec", "TransactionCodec", "bus_protocol"),
+                    ".bus"),
+    **dict.fromkeys(("DmaBlockCodec", "DmaBurstCodec", "dma_protocol"),
+                    ".dma"),
+    **dict.fromkeys(("FAST_MODE_HZ", "STANDARD_MODE_HZ", "I2CByteCodec",
+                     "I2CHardwareCodec", "i2c_protocol"),
+                    ".i2c"),
+    **dict.fromkeys(("ProtocolLibrary", "default_library", "standard_library"),
+                    ".library"),
+    **dict.fromkeys(("PacketCodec", "packet_protocol"), ".packetized"),
+})

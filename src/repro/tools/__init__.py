@@ -1,5 +1,8 @@
 """Wrappers connecting external design tools to Pia (paper section 2)."""
 
-from .wrapper import ExternalToolComponent, ToolError, python_tool_argv
+from .. import _attach
 
-__all__ = ["ExternalToolComponent", "ToolError", "python_tool_argv"]
+__getattr__, __dir__, __all__ = _attach(__name__, {
+    **dict.fromkeys(("ExternalToolComponent", "ToolError", "python_tool_argv"),
+                    ".wrapper"),
+})

@@ -1,34 +1,17 @@
 """Inter-node transports: the reproduction's substitute for Java RMI."""
 
-from .accounting import LinkStats, NetworkAccounting
-from .batch import SendBatcher
-from .inmemory import InMemoryTransport
-from .latency import (
-    BROADBAND,
-    INTERNET,
-    LAN,
-    PRESETS,
-    SAME_HOST,
-    LatencyModel,
-    preset,
-)
-from .message import (
-    BatchFrame,
-    Message,
-    MessageKind,
-    decode,
-    decode_any,
-    encode,
-    encode_batch,
-    wire_size,
-)
-from .pipeline import Transport
-from .tcp import TcpTransport
+from .. import _attach
 
-__all__ = [
-    "BROADBAND", "BatchFrame", "INTERNET", "InMemoryTransport", "LAN",
-    "LatencyModel", "LinkStats", "Message", "MessageKind",
-    "NetworkAccounting", "PRESETS", "SAME_HOST", "SendBatcher",
-    "TcpTransport", "Transport", "decode", "decode_any", "encode",
-    "encode_batch", "preset", "wire_size",
-]
+__getattr__, __dir__, __all__ = _attach(__name__, {
+    **dict.fromkeys(("LinkStats", "NetworkAccounting"), ".accounting"),
+    "SendBatcher": ".batch",
+    "InMemoryTransport": ".inmemory",
+    **dict.fromkeys(("BROADBAND", "INTERNET", "LAN", "PRESETS", "SAME_HOST",
+                     "LatencyModel", "preset"),
+                    ".latency"),
+    **dict.fromkeys(("BatchFrame", "Message", "MessageKind", "decode",
+                     "decode_any", "encode", "encode_batch", "wire_size"),
+                    ".message"),
+    "Transport": ".pipeline",
+    "TcpTransport": ".tcp",
+})
