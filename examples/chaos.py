@@ -5,7 +5,8 @@ A producer on one node streams readings to a consumer on another while a
 seeded :class:`FaultPlan` drops, duplicates and delays the traffic — and
 then kills the consumer's node outright.  The resilience layer retries
 the drops, deduplicates at the poll boundary, releases the delays, and
-recovers the crashed node from the last Chandy-Lamport snapshot.  Because
+recovers the crashed node from the last Chandy-Lamport snapshot at the
+crash's virtual instant.  Because
 every fault decision is a pure function of the plan's seed, the run — and
 its fault counters — replay bit for bit.
 
@@ -25,6 +26,7 @@ except ModuleNotFoundError:
 from repro.core import Advance, FunctionComponent, Receive, Send
 from repro.distributed import CoSimulation
 from repro.faults import FaultPlan, LinkFaults, NodeCrash
+from repro.observability import TraceKind
 
 VALUES = list(range(16))
 
@@ -79,6 +81,11 @@ def main():
 
     report = cosim.report(title="chaos, seed 42")
     print(report.render())
+    # The node is lost at its crash instant and recovered there, so no
+    # traffic is ever sent into the down node.
+    assert [(r["subject"], r["time"]) for r in report.trace_records
+            if r["kind"] == TraceKind.NODE_CRASH] == [("boston", 9.0)]
+    assert "fault.messages_lost" not in report.faults
 
     # Replay: identical results *and* identical fault counters.
     again, __ = chaotic_run(seed=42)

@@ -24,7 +24,7 @@ from ..core.errors import (
 )
 from ..core.runlevel import RunLevels
 from ..core.subsystem import Subsystem
-from ..faults import FailureDetector, FaultPlan, RetryPolicy
+from ..faults import FaultPlan, RetryPolicy
 from ..observability import BoundCounter, Telemetry, TraceKind
 from ..transport.inmemory import InMemoryTransport
 from ..transport.latency import SAME_HOST, LatencyModel
@@ -34,14 +34,6 @@ from .node import PiaNode
 from .optimistic import RecoveryManager
 from .snapshot import SnapshotManager, SnapshotRegistry
 from .system import FAILURE_POLICIES, LiveSystem, check_failure_policy
-
-#: Rounds a node may miss its heartbeat before the failure detector
-#: confirms its loss.
-HEARTBEAT_MISSES = 3
-
-#: Wall seconds without a status reply before the multiprocess
-#: supervisor's detector suspects a worker (``failure_policy="recover"``).
-HEARTBEAT_TIMEOUT = 5.0
 
 
 class CoSimulation(LiveSystem, RunLevels):
@@ -72,13 +64,8 @@ class CoSimulation(LiveSystem, RunLevels):
         self._last_snapshot_time = 0.0
         # --- fault plane -------------------------------------------------
         self.failure_policy = failure_policy
-        self.detector: Optional[FailureDetector] = None
-        self._down_nodes: set = set()
+        #: Nodes ``drop-node`` cut out; their subsystems stand still.
         self._dead_nodes: set = set()
-        self._dead_subsystems: set = set()
-        if fault_plan is not None:
-            #: Heartbeat staleness, measured in run-loop rounds here.
-            self.detector = FailureDetector(timeout=float(HEARTBEAT_MISSES))
         #: Extra settle budget: a held (delayed) message is in flight even
         #: when a pump round moves nothing.
         self._settle_slack = 1 + (fault_plan.max_delay_ticks()
@@ -96,7 +83,6 @@ class CoSimulation(LiveSystem, RunLevels):
         #: loop over one survives a crash absorbed mid-sweep.
         self._node_order: Optional[List[PiaNode]] = None
         self._live_order: Optional[List[Subsystem]] = None
-        self._subsystem_order: Optional[List[Subsystem]] = None
         self._started = False
         #: Total rounds the run loop executed.
         self.rounds = 0
@@ -107,9 +93,9 @@ class CoSimulation(LiveSystem, RunLevels):
     # construction
     # ------------------------------------------------------------------
     def _membership_changed(self) -> None:
-        """A node or subsystem joined, went down, came back or was
-        dropped: the cached visit orders are stale."""
-        self._node_order = self._live_order = self._subsystem_order = None
+        """A node or subsystem joined or was dropped: the cached visit
+        orders are stale."""
+        self._node_order = self._live_order = None
 
     def _node_added(self, node: PiaNode) -> None:
         self._membership_changed()
@@ -144,8 +130,8 @@ class CoSimulation(LiveSystem, RunLevels):
         still)."""
         if self._live_order is None:
             self._live_order = [
-                ss for name, ss in sorted(self.subsystems.items())
-                if name not in self._dead_subsystems]
+                ss for __, ss in sorted(self.subsystems.items())
+                if ss.node.name not in self._dead_nodes]
         return self._live_order
 
     def finished(self) -> bool:
@@ -212,9 +198,8 @@ class CoSimulation(LiveSystem, RunLevels):
         self.recovery.rollback_to(snap)
 
     def _snapshot_due(self) -> float:
-        """When the next periodic snapshot is due (``inf``: not now —
-        marks to a down node are lost, so wait for recovery)."""
-        if self.snapshot_interval is None or self._down_nodes:
+        """When the next periodic snapshot is due (``inf``: never)."""
+        if self.snapshot_interval is None:
             return float("inf")
         return self._last_snapshot_time + self.snapshot_interval
 
@@ -246,7 +231,7 @@ class CoSimulation(LiveSystem, RunLevels):
                    for ch in self.channels.values())
 
     def _grants_for(self, src: str, dst: str) -> List[Message]:
-        if src in self._down_nodes or src in self._dead_nodes:
+        if src in self._dead_nodes:
             return []
         return super()._grants_for(src, dst)
 
@@ -279,9 +264,9 @@ class CoSimulation(LiveSystem, RunLevels):
         Returns True if anything moved (counts as round progress)."""
         transport = self.transport
         acted = transport.batcher.queued() and transport.flush_batches() > 0
-        down = self._down_nodes | self._dead_nodes
         for node in self._ordered_nodes():
-            for dst, grants in sorted(node.stalled_grants(down).items()):
+            for dst, grants in sorted(
+                    node.stalled_grants(self._dead_nodes).items()):
                 if transport.push_grants(node.name, dst, grants):
                     acted = True
                     self._pushed.inc(self.telemetry, len(grants))
@@ -320,16 +305,8 @@ class CoSimulation(LiveSystem, RunLevels):
         if self._node_order is None:
             self._node_order = [
                 self.nodes[name] for name in sorted(self.nodes)
-                if name not in self._down_nodes
-                and name not in self._dead_nodes]
+                if name not in self._dead_nodes]
         return self._node_order
-
-    def _ordered_subsystems(self) -> List[Subsystem]:
-        if self._subsystem_order is None:
-            self._subsystem_order = [
-                ss for ss in self._live_subsystems()
-                if ss.node is None or ss.node.name not in self._down_nodes]
-        return self._subsystem_order
 
     def _pump_all(self) -> int:
         """Route all in-flight messages; recover from stragglers.  Only
@@ -394,7 +371,7 @@ class CoSimulation(LiveSystem, RunLevels):
             if self.fault_injector is not None:
                 acted = self._fault_tick()
             progress = self._pump_all() > 0 or acted
-            for subsystem in self._ordered_subsystems():
+            for subsystem in self._live_subsystems():
                 self._pump_all()
                 try:
                     count = subsystem.node.advance(
@@ -418,10 +395,6 @@ class CoSimulation(LiveSystem, RunLevels):
                 series.tick(self.global_time(), self.telemetry.registry)
             if not progress:
                 idle_rounds += 1
-                if self._down_nodes:
-                    # Quiescence is an illusion while a node is down; keep
-                    # ticking so the failure detector can confirm the loss.
-                    continue
                 if self._reached(until, finish=True):
                     break
                 idle_budget = (len(self.subsystems) + 2) * self._settle_slack
@@ -442,60 +415,26 @@ class CoSimulation(LiveSystem, RunLevels):
         return dispatched
 
     # ------------------------------------------------------------------
-    # fault plane (crash, detect, recover/raise/drop)
+    # fault plane (a lost node: recover / raise / drop)
     # ------------------------------------------------------------------
     def _fault_tick(self) -> bool:
-        """One round of the fault machinery: heartbeats, scheduled
-        crashes, suspicion, and the configured failure response.
-        Returns True if anything happened (counts as round progress)."""
-        detector = self.detector
-        now_round = float(self.rounds)
-        for name in self.nodes:
-            if name not in self._down_nodes and name not in self._dead_nodes:
-                detector.beat(name, now_round)
+        """Lose each node whose scheduled crash the run has got to.
+        Returns True if one fired (counts as round progress)."""
         acted = False
         for crash in self._due_crashes():
-            self._crash_node(crash.node)
+            if crash.node not in self._dead_nodes:
+                self._lose_node(crash.node)
             acted = True
-        for node in detector.suspects(now_round):
-            if node in self._down_nodes:
-                self._handle_node_failure(node)
-                acted = True
         return acted
-
-    def _crash_node(self, name: str) -> None:
-        """Take ``name`` down: its traffic is lost until the failure
-        detector notices and the failure policy responds."""
-        if name in self._dead_nodes or name in self._down_nodes:
-            return
-        self._down_nodes.add(name)
-        self._membership_changed()
-        self._mark_down(name)
 
     def _absorb_link_down(self, down: LinkDown) -> None:
         """A send or call exhausted its retry budget.  If the destination
-        is a known, still-live node, presume it dead and let the failure
-        policy respond at the next fault tick; otherwise propagate."""
-        if self.fault_injector is None:
+        is a known node, presume it lost (the failure policy responds at
+        once); otherwise propagate."""
+        if self.fault_injector is None or down.dst not in self.nodes:
             raise down
-        dst = down.dst
-        if dst in self._down_nodes or dst in self._dead_nodes:
-            return    # already waiting on the failure detector
-        if dst in self.nodes:
-            self._crash_node(dst)
-            return
-        raise down
-
-    def _handle_node_failure(self, node: str) -> None:
-        if self.failure_policy == "raise":
-            raise NodeFailure(
-                f"node {node!r} failed at global time "
-                f"{self.global_time():g} and recovery is disabled",
-                node=node)
-        if self.failure_policy == "drop-node":
-            self._drop_node(node)
-        else:
-            self._recover_node(node)
+        if down.dst not in self._dead_nodes:
+            self._lose_node(down.dst)
 
     def _recover_node(self, node: str) -> None:
         """Restart ``node`` from the last consistent global snapshot."""
@@ -505,12 +444,9 @@ class CoSimulation(LiveSystem, RunLevels):
                 f"node {node!r} failed with no completed snapshot to "
                 "recover from — set snapshot_interval", node=node)
         snap = completed[-1]
-        self._down_nodes.discard(node)
-        self._membership_changed()
         self.fault_injector.mark_up(node)
         self.recovery.rollback_to(snap)
         self._last_snapshot_time = self.global_time()
-        self.detector.beat(node, float(self.rounds))
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.count("fault.node_recoveries")
@@ -521,13 +457,10 @@ class CoSimulation(LiveSystem, RunLevels):
     def _drop_node(self, name: str) -> None:
         """Graceful degradation: cut the failed node out of the system
         and let the survivors finish without it."""
-        self._down_nodes.discard(name)
         self._dead_nodes.add(name)
-        self.detector.forget(name)
         node = self.nodes[name]
         self._membership_changed()
         for ss_name, subsystem in sorted(node.subsystems.items()):
-            self._dead_subsystems.add(ss_name)
             for endpoint in subsystem.channels.values():
                 endpoint.sever()
                 endpoint.channel.other(ss_name).sever()
@@ -543,7 +476,7 @@ class CoSimulation(LiveSystem, RunLevels):
 
     def _report_deadlock(self, until: float) -> None:
         detail = []
-        for subsystem in self._ordered_subsystems():
+        for subsystem in self._live_subsystems():
             client = subsystem.node.clients[subsystem.name]
             detail.append(
                 f"{subsystem.name}: t={subsystem.now:g} "

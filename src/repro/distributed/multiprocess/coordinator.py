@@ -25,14 +25,18 @@ from ...observability.report import bundle, fold
 from ...transport.codec import VERSION as CODEC_VERSION
 from ...transport.shm import DEFAULT_RING_CAPACITY, create_ring_segment
 from .. import topology
-from ..executor import HEARTBEAT_TIMEOUT
 from ..migration import MigrationRecord, NodeArchive, resent_counts
 from ..snapshot import new_snapshot_id
-from ..system import check_failure_policy, reached
+from ..system import check_failure_policy, lost_node, reached
 from .pool import WorkerPool, _PoolWorker
 from ..spec import ChannelSpec, SubsystemSpec, SystemSpec
 from .specs import TelemetrySpec, _WorkerSpec
 from .worker import WorkerSystem
+
+#: Wall seconds without a status reply before the supervisor's detector
+#: suspects a worker (``failure_policy="recover"``).
+HEARTBEAT_TIMEOUT = 5.0
+
 
 class MultiprocessCoSimulation:
     """Run each Pia node in its own OS process (conservative channels).
@@ -617,15 +621,15 @@ class MultiprocessCoSimulation:
                 segment = create_ring_segment(self.ring_capacity)
                 self._segments[link] = segment
                 fresh[link] = segment.name
-        repeer = {name: ("127.0.0.1", self._ports[name])
-                  for name in sorted(moved_set)}
+        moved_peers = {name: ("127.0.0.1", self._ports[name])
+                       for name in sorted(moved_set)}
         for name in names:
             if name in moved_set:
                 continue
-            # ``repeer`` first: it retires the survivor's rings to the
+            # ``peers`` first: it retires the survivor's rings to the
             # moved nodes (shm) and closes cached connections, so the
             # fresh ring attach below cannot be clobbered.
-            self._send(pipes, name, "repeer", repeer)
+            self._send(pipes, name, "peers", moved_peers)
             touched = {link: ring for link, ring in fresh.items()
                        if name in link}
             if touched:
@@ -634,14 +638,15 @@ class MultiprocessCoSimulation:
             self._introduce(name, pipes)
 
     def _introduce(self, name: str, pipes) -> None:
-        """Tell worker ``name`` its shm rings and every peer's address."""
+        """Tell worker ``name`` every peer's address, then its shm rings
+        (in that order: learning a peer detaches its old rings)."""
+        peers = {peer: ("127.0.0.1", port)
+                 for peer, port in self._ports.items() if peer != name}
+        self._send(pipes, name, "peers", peers)
         if self.transport == "shm":
             mine = {link: seg.name for link, seg in self._segments.items()
                     if name in link}
             self._send(pipes, name, "rings", mine)
-        peers = {peer: ("127.0.0.1", port)
-                 for peer, port in self._ports.items() if peer != name}
-        self._send(pipes, name, "peers", peers)
 
     def _restore_all(self, pipes, procs,
                      deadline: float) -> Tuple[int, int]:
@@ -898,12 +903,7 @@ class MultiprocessCoSimulation:
                     self.telemetry.trace(TraceKind.NODE_CRASH,
                                          time=global_now, subject=node)
                 if not supervised:
-                    raise NodeFailure(
-                        f"node {due[0]!r} crashed at global time "
-                        f"{global_now:g} under failure_policy='raise'; "
-                        "'recover' restarts it from the last cut on a "
-                        "fresh worker",
-                        node=due[0])
+                    raise lost_node(due[0], global_now)
             # Supervised: a scheduled NodeCrash models the whole machine
             # dying — its worker is killed and the node fails over.
             self._relocate(due, pipes, procs, until, deadline, global_now,

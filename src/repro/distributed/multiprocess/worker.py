@@ -292,12 +292,9 @@ class _Worker:
             if message is not None:
                 tag = message[0]
                 if tag == "peers":
-                    for peer, (host, port) in sorted(message[1].items()):
-                        self.transport.set_peer(peer, port, host)
-                elif tag == "repeer":
-                    # Re-splice after a migration: drop the stale address,
-                    # cached connections and (shm) retired rings before
-                    # learning the node's new home.
+                    # A peer's (new) home: any stale address, cached
+                    # connections and (shm) rings towards it go first —
+                    # a no-op for a peer never met.
                     for peer, (host, port) in sorted(message[1].items()):
                         self.transport.forget_peer(peer)
                         self.transport.set_peer(peer, port, host)

@@ -17,7 +17,7 @@ import itertools
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
-from ..core.errors import ConfigurationError, SimulationError
+from ..core.errors import ConfigurationError, NodeFailure, SimulationError
 from ..core.subsystem import Subsystem
 from ..faults import FaultInjector, FaultPlan, NodeCrash, RetryPolicy
 from ..observability import RunReport, Telemetry, TraceKind, run_report
@@ -34,6 +34,15 @@ from .spec import SystemSpec
 #: cut, raise :class:`~repro.core.errors.NodeFailure`, or let the
 #: survivors finish without it.
 FAILURE_POLICIES = ("recover", "raise", "drop-node")
+
+
+def lost_node(node: str, global_time: float) -> NodeFailure:
+    """What a node lost under ``failure_policy="raise"`` raises — the one
+    text, in every executor."""
+    return NodeFailure(
+        f"node {node!r} was lost at global time {global_time:g} under "
+        "failure_policy='raise'; CoSimulation and MultiprocessCoSimulation "
+        "take 'recover' to restart it from the last cut", node=node)
 
 
 def check_failure_policy(policy: str, accepted: Tuple[str, ...]) -> None:
@@ -85,6 +94,9 @@ class LiveSystem:
     SERVICE = SafeTimeService
     #: Channel modes the executor can run (optimism needs rollback).
     MODES = tuple(ChannelMode)
+    #: What a lost node comes to (:data:`FAILURE_POLICIES`); only an
+    #: executor that can roll back or drop a node offers another.
+    failure_policy = "raise"
 
     def __init__(self, *, transport, default_model: LatencyModel,
                  telemetry: Optional[Telemetry],
@@ -307,14 +319,24 @@ class LiveSystem:
             yield pending[0]
             pending.pop(0)
 
-    def _mark_down(self, name: str) -> None:
-        """Node ``name`` crashes: from here on its traffic is lost."""
+    def _lose_node(self, name: str) -> None:
+        """Node ``name`` is lost — its scheduled crash fired, or a link
+        towards it gave up: from here on its traffic is lost, and the
+        failure policy responds at once, at this virtual instant
+        (``"recover"`` and ``"drop-node"`` are the cooperative
+        executor's ``_recover_node`` / ``_drop_node``)."""
         self.fault_injector.mark_down(name)
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.count("fault.node_crashes")
             telemetry.trace(TraceKind.NODE_CRASH, time=self.global_time(),
                             subject=name)
+        if self.failure_policy == "raise":
+            raise lost_node(name, self.global_time())
+        if self.failure_policy == "drop-node":
+            self._drop_node(name)
+        else:
+            self._recover_node(name)
 
     def _grants_for(self, src: str, dst: str) -> List[Message]:
         """The transport's piggyback provider: ask the source node."""

@@ -158,13 +158,7 @@ class ThreadedCoSimulation(LiveSystem):
             for worker in workers:
                 worker.join(timeout=5.0)
         if crash is not None:
-            self._mark_down(crash.node)
-            raise NodeFailure(
-                f"node {crash.node!r} crashed at global time "
-                f"{self.global_time():g} — the threaded executor cannot "
-                "roll back; rerun under CoSimulation with "
-                "failure_policy='recover' for crash recovery",
-                node=crash.node)
+            self._lose_node(crash.node)
         for worker in workers:
             if worker.error is not None:
                 if isinstance(worker.error, LinkDown):

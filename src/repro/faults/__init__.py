@@ -10,9 +10,9 @@ Three layers (see each module's docstring):
   **resilience layer**: a :class:`RetryPolicy` (exponential backoff,
   plan-seeded jitter) driven by the :class:`FaultInjector` that both
   transports consult at their send/poll boundary;
-* :mod:`repro.faults.detector` — heartbeat **failure detection**, which
-  the executors combine with the Chandy-Lamport snapshot registry to
-  recover a crashed node from the last consistent global snapshot.
+* :mod:`repro.faults.detector` — heartbeat **failure detection**, with
+  which the multiprocess supervisor confirms a dead or silent worker
+  before failing its node over from the last consistent global snapshot.
 """
 
 from .. import _attach

@@ -1,9 +1,11 @@
 """Heartbeat-based failure detection.
 
 A node is *suspected* once its most recent heartbeat is older than the
-timeout.  The clock is whatever the caller supplies: the cooperative
-executor beats once per run-loop round (deterministic), the threaded
-executor beats in wall-clock seconds from each node's worker thread.
+timeout.  The multiprocess supervisor is the one user: each worker's
+status reply is a beat in wall-clock seconds, and a worker silent for
+longer than the coordinator's ``HEARTBEAT_TIMEOUT`` fails over.  The
+in-process executors need no detector — they lose a node at the virtual
+instant its crash fires.
 """
 
 from __future__ import annotations

@@ -83,10 +83,7 @@ class _Inbound:
 class LinkHealthMonitor:
     """Per-directed-link estimators fed by the transport boundary."""
 
-    def __init__(self, *, alpha: float = EWMA_ALPHA) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1]: {alpha!r}")
-        self.alpha = alpha
+    def __init__(self) -> None:
         self.links: Dict[Tuple[str, str], LinkHealth] = {}
         self.inbound: Dict[str, _Inbound] = {}
 
@@ -108,12 +105,11 @@ class LinkHealthMonitor:
         link.messages += messages
         link.bytes += size
         link.delay_total += delay
-        alpha = self.alpha
         per_message = delay / messages if messages else delay
         if link.ewma_delay is None:
             link.ewma_delay = per_message
         else:
-            link.ewma_delay += alpha * (per_message - link.ewma_delay)
+            link.ewma_delay += EWMA_ALPHA * (per_message - link.ewma_delay)
         if wall is None:
             wall = _time.monotonic()
         if link._first_wall is None:
@@ -123,7 +119,7 @@ class LinkHealthMonitor:
             if link.ewma_gap is None:
                 link.ewma_gap = gap
             else:
-                link.ewma_gap += alpha * (gap - link.ewma_gap)
+                link.ewma_gap += EWMA_ALPHA * (gap - link.ewma_gap)
         link._last_wall = wall
 
     def on_poll(self, dst: str, drained: int) -> None:
@@ -135,7 +131,7 @@ class LinkHealthMonitor:
         row.drained += drained
         if drained > row.peak:
             row.peak = drained
-        row.ewma_depth += self.alpha * (drained - row.ewma_depth)
+        row.ewma_depth += EWMA_ALPHA * (drained - row.ewma_depth)
 
     # ------------------------------------------------------------------
     def rows(self) -> List[dict]:
@@ -263,17 +259,15 @@ def finalize_health(rows: List[dict], *,
     return out
 
 
-def attach_health(transport, telemetry=None, *,
-                  monitor: Optional[LinkHealthMonitor] = None
-                  ) -> LinkHealthMonitor:
-    """Attach a monitor to ``transport`` (and optionally ``telemetry``).
+def attach_health(transport, telemetry=None) -> LinkHealthMonitor:
+    """Attach a fresh monitor to ``transport`` (and optionally
+    ``telemetry``).
 
     Convenience for the common wiring: the transport's accounting layer
     starts feeding the monitor, and the telemetry (when given) exposes it
     to :func:`~.report.run_report`.  Returns the monitor.
     """
-    if monitor is None:
-        monitor = LinkHealthMonitor()
+    monitor = LinkHealthMonitor()
     transport.attach_health(monitor)
     if telemetry is not None:
         telemetry.health = monitor

@@ -19,6 +19,7 @@ from repro.core import (
 )
 from repro.distributed import CoSimulation
 from repro.faults import FaultPlan, LinkFaults, NodeCrash, Partition
+from repro.observability import TraceKind
 
 VALUES = list(range(12))
 
@@ -143,8 +144,8 @@ class TestNodeCrashRecovery:
         report = cosim.report()
         assert report.counter("fault.node_crashes") == 1
         assert report.counter("fault.node_recoveries") == 1
-        # some traffic towards the down node was genuinely lost
-        assert counts.get("fault.messages_lost", 0) >= 0
+        # recovered at the crash instant: nothing was sent into the void
+        assert "fault.messages_lost" not in counts
 
     def test_crash_with_recovery_disabled_raises_typed_failure(self):
         sink = []
@@ -195,7 +196,14 @@ class TestNodeCrashRecovery:
         assert len(got) < len(VALUES)
         report = cosim.report()
         assert report.counter("fault.nodes_dropped") == 1
-        assert "sa" in cosim._dead_subsystems
+        # the dropped node's subsystem stands still at the crash instant,
+        # cut off from its peer
+        assert [(r["subject"], r["time"]) for r in report.trace_records
+                if r["kind"] == TraceKind.NODE_DROP] == [("na", 5.0)]
+        producer = cosim.subsystem("sa")
+        assert producer.now == 5.0
+        assert all(endpoint.severed
+                   for endpoint in producer.channels.values())
 
     def test_crash_and_chaos_combined(self):
         """Message faults and a crash in one plan: still converges."""

@@ -371,14 +371,29 @@ class TestServiceInstants:
     @pytest.mark.parametrize("batching", [True, False])
     @pytest.mark.parametrize("executor,kwargs", IN_PROCESS)
     def test_in_process_crash_instant(self, executor, kwargs, batching):
+        """A lost node is lost at its instant, batched or not: no
+        survivor runs on while the executor makes up its mind."""
         for __ in range(REPEATS):
             run = build(star_spec(), executor, fault_plan=w0_crash(),
                         batching=batching, **kwargs)
-            with pytest.raises(NodeFailure) as err:
+            with pytest.raises(NodeFailure, match="global time 1.25 ") as err:
                 run.run()
             assert err.value.node == "n-w0"
             assert crashes_recorded(run.report()) == [("n-w0", 1.25)]
-            assert run.subsystems["w0"].now == 1.25
+            assert [run.subsystems[name].now
+                    for name in ("hub", "w0", "w1")] == [1.5, 1.25, 1.25]
+
+    @pytest.mark.parametrize("batching", [True, False])
+    def test_cooperative_recovery_at_the_instant(self, batching):
+        reference = build(star_spec(), batching=batching)
+        reference.run()
+        run = build(star_spec(), fault_plan=w0_crash(), batching=batching,
+                    failure_policy="recover")
+        run.run()
+        report = run.report()
+        assert crashes_recorded(report) == [("n-w0", 1.25)]
+        assert report.counter("fault.node_recoveries") == 1
+        assert rows(report) == rows(reference.report())
 
     @pytest.mark.parametrize("transport,batching", MP_MATRIX)
     def test_multiprocess_crash_raises_at_the_instant(self, pool, transport,

@@ -502,11 +502,14 @@ class TestPortableImages:
         assert sink == [(1.0, 9), (2.0, 8), (3.0, 7)]
         assert fired == ([2.5, 2.5] if unnamed == "control" else [])
 
-    def test_cooperative_rollback_and_failover_end_alike(self, pool):
-        """One way back to a cut: a cooperative ``rollback_to`` and a
-        multiprocess scheduled-crash failover, both from the cut at 0.0
-        and both interrupted at the same virtual instant, finish with the
-        same rows and every subsystem receives the same sequence."""
+    @pytest.mark.parametrize("batching", [True, False])
+    def test_cooperative_rollback_and_failover_end_alike(self, pool,
+                                                         batching):
+        """One way back to a cut: the same scheduled crash under
+        ``"recover"``, cooperative (batched or not) and multiprocess —
+        both lose the node at the same virtual instant and restart from
+        the cut at 0.0 — finishes with the same rows, and every subsystem
+        receives the same sequence."""
         from repro.bench.workloads import compute_star
 
         def received_since_restore(report):
@@ -521,22 +524,24 @@ class TestPortableImages:
                          hops.get(span_name(rec["cause"]))))
             return sequences
 
-        coop = compute_star(2, 6, words=50)
-        snap = coop.registry.snapshots[coop.snapshot()]
-        coop.run(until=2.0)
-        interrupted_at = coop.global_time()
-        coop.recovery.rollback_to(snap)
-        coop.run()
+        def w0_crash():
+            return FaultPlan(seed=3, crashes=[NodeCrash("n-w0", at_time=2.0)])
 
-        crash = star(pool=pool, fault_plan=FaultPlan(
-            seed=3, crashes=[NodeCrash("n-w0", at_time=2.0)]))
+        coop = compute_star(2, 6, words=50, batching=batching,
+                            fault_plan=w0_crash(), failure_policy="recover")
+        coop.run()
+        coop_report = coop.report()
+        [lost_at] = [rec["time"] for rec in coop_report.trace_records
+                     if rec["kind"] == TraceKind.NODE_CRASH]
+
+        crash = star(pool=pool, fault_plan=w0_crash())
         crash.run(timeout=120.0)
         report = crash.report()
 
-        assert report.migrations[0]["at_global_time"] == interrupted_at
-        assert progress_rows(report) == progress_rows(coop.report())
+        assert report.migrations[0]["at_global_time"] == lost_at == 1.25
+        assert progress_rows(report) == progress_rows(coop_report)
         assert received_since_restore(report) == \
-            received_since_restore(coop.report())
+            received_since_restore(coop_report)
         # Both routes write the restore down (the worker's did not).
         assert report.to_dict()["counters"]["checkpoint.restores"] == \
-            coop.report().to_dict()["counters"]["checkpoint.restores"] == 3
+            coop_report.to_dict()["counters"]["checkpoint.restores"] == 3

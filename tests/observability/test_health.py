@@ -15,13 +15,8 @@ from repro.observability.health import STALL_OPTIMISTIC_THRESHOLD
 
 
 class TestMonitor:
-    @pytest.mark.parametrize("alpha", [0.0, -0.2, 1.5])
-    def test_alpha_outside_unit_interval_rejected(self, alpha):
-        with pytest.raises(ValueError):
-            LinkHealthMonitor(alpha=alpha)
-
     def test_send_boundary_updates_ewma_and_rate(self):
-        monitor = LinkHealthMonitor(alpha=0.2)
+        monitor = LinkHealthMonitor()
         monitor.on_send("a", "b", 100, 4, 2.0, wall=10.0)
         monitor.on_send("a", "b", 50, 1, 1.0, wall=11.0)
         row, = monitor.rows()
@@ -42,7 +37,7 @@ class TestMonitor:
         assert row["rate"] == 0.0
 
     def test_poll_boundary_tracks_inbound_depth(self):
-        monitor = LinkHealthMonitor(alpha=0.2)
+        monitor = LinkHealthMonitor()
         monitor.on_send("a", "b", 10, 1, 0.5, wall=0.0)
         monitor.on_poll("b", 3)
         monitor.on_poll("b", 1)

@@ -133,6 +133,18 @@ def test_cooperative_stream_pair_loads_no_other_executor():
     assert _under(loaded, NOT_COOPERATIVE + ("repro.processor",)) == []
 
 
+def test_coordinator_loads_no_cooperative_executor():
+    """The multiprocess coordinator runs no cooperative round loop, so
+    importing it loads neither that executor nor its rollback: 57
+    ``repro`` modules besides the C core."""
+    [loaded] = _repro_modules(
+        "import repro.distributed.multiprocess.coordinator\nmark()\n")
+    assert _under(loaded, ("repro.distributed.executor",
+                           "repro.distributed.optimistic")) == []
+    assert len([name for name in loaded
+                if name != "repro._native._core"]) == 57
+
+
 @pytest.mark.parametrize("workload", sorted(FENCED))
 def test_run_and_report_load_nothing_after_bring_up(workload):
     """What a fenced workload runs is loaded while it is brought up, so
