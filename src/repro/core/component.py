@@ -34,7 +34,6 @@ from .fastcopy import smart_copy_dict, smart_copy_list
 from .port import Port, PortDirection
 from .process import (
     Advance,
-    BlockInfo,
     Command,
     Receive,
     ReceiveTransfer,
@@ -341,8 +340,9 @@ class ProcessComponent(Component):
     def __init__(self, name: str) -> None:
         super().__init__(name)
         self._gen: Optional[Iterator[Command]] = None
-        self._gen_started = False
-        self._block: Optional[BlockInfo] = None
+        #: Why the generator is paused: ``(kind, name)``, ``name`` the port
+        #: (``"receive"``), interface (``"transfer"``) or token (``"wake"``).
+        self._block: Optional[tuple[str, Any]] = None
         self._log: list[tuple[str, Any]] = []
         self._replay: Optional[Iterator[tuple[str, Any]]] = None
         self._seal_infra()
@@ -363,7 +363,6 @@ class ProcessComponent(Component):
     # -- scheduler entry points -------------------------------------------
     def start(self) -> None:
         self._gen = self.run()
-        self._gen_started = False
         self._engine(None)
 
     def is_blocked(self) -> bool:
@@ -372,8 +371,7 @@ class ProcessComponent(Component):
     def deliver(self, event: Event) -> None:
         time = event.time
         if event.kind is EventKind.WAKE:
-            if (self._block is not None and self._block.kind == "wake"
-                    and self._block.token == event.token):
+            if self._block == ("wake", event.token):
                 self._block = None
                 resumed = max(self.local_time, time)
                 self.local_time = resumed
@@ -388,12 +386,13 @@ class ProcessComponent(Component):
         block = self._block
         if block is None:
             return
-        if block.kind == "receive":
-            if block.port != port.name:
+        kind, name = block
+        if kind == "receive":
+            if name != port.name:
                 return
             iface = None
-        elif block.kind == "transfer":
-            iface = self.interfaces[block.interface]
+        elif kind == "transfer":
+            iface = self.interfaces[name]
             if iface.in_port is not port:
                 return
         else:
@@ -405,16 +404,14 @@ class ProcessComponent(Component):
 
     # -- the command engine -------------------------------------------------
     def _engine(self, resume_value: Any) -> None:
-        """Run the generator until it blocks or finishes."""
+        """Run the generator until it blocks or finishes (a fresh one is
+        first resumed with ``None``, which ``send`` takes as ``next``)."""
         assert self._gen is not None
+        send = self._gen.send
         value = resume_value
         while True:
             try:
-                if self._gen_started:
-                    cmd = self._gen.send(value)
-                else:
-                    self._gen_started = True
-                    cmd = next(self._gen)
+                cmd = send(value)
             except StopIteration:
                 self.finished = True
                 self._block = None
@@ -521,8 +518,7 @@ class ProcessComponent(Component):
             result = self._consume(port, iface, self._log)
             if result is not _BLOCKED:
                 return result
-        self._block = BlockInfo(kind, port=name) if kind == "receive" \
-            else BlockInfo(kind, interface=name)
+        self._block = (kind, name)
         return _BLOCKED
 
     def _do_try_receive(self, port_name: str) -> Any:
@@ -543,14 +539,13 @@ class ProcessComponent(Component):
             if entry is _REPLAY_END:
                 token = self._wake_seq
                 self._wake_seq += 1
-                self._block = BlockInfo("wake", token=token)
+                self._block = ("wake", token)
                 return _BLOCKED
             __, resumed = entry
             self._wake_seq += 1
             self.local_time = resumed
             return resumed
-        token = self._schedule_wake(at_time)
-        self._block = BlockInfo("wake", token=token)
+        self._block = ("wake", self._schedule_wake(at_time))
         return _BLOCKED
 
     def _apply_switch(self, cmd: SwitchLevel) -> None:
@@ -583,10 +578,13 @@ class ProcessComponent(Component):
         return snap
 
     def _block_descriptor(self) -> Optional[tuple]:
+        """The checkpoint image's ``(kind, port, interface, token)``."""
         if self._block is None:
             return None
-        return (self._block.kind, self._block.port,
-                self._block.interface, self._block.token)
+        kind, name = self._block
+        return (kind, name if kind == "receive" else None,
+                name if kind == "transfer" else None,
+                name if kind == "wake" else None)
 
     def restore(self, snap: ComponentSnapshot) -> None:
         log = smart_copy_list(snap.extra["log"])
@@ -599,13 +597,11 @@ class ProcessComponent(Component):
         self._log = log
         if snap.extra["started"]:
             self._gen = self.run()
-            self._gen_started = False
             self._replay = iter(log)
             self._engine(None)
             leftovers = list(self._replay)
         else:
             self._gen = None
-            self._gen_started = False
             leftovers = []
         self._replay = None
         if leftovers:

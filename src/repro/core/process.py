@@ -19,12 +19,14 @@ from typing import Any, Optional
 
 
 class Command:
-    """Base class for everything a process behaviour may ``yield``."""
+    """Base class for everything a process behaviour may ``yield``: plain
+    value records (slotted, equal by value, unhashable), read whole by the
+    engine before the generator resumes, so never frozen."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Advance(Command):
     """Advance the component's local virtual time by ``dt`` seconds.
 
@@ -35,7 +37,7 @@ class Advance(Command):
     dt: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Send(Command):
     """Drive ``value`` onto the net behind port ``port``.
 
@@ -48,7 +50,7 @@ class Send(Command):
     delay: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Receive(Command):
     """Block until a value is available on port ``port``.
 
@@ -59,7 +61,7 @@ class Receive(Command):
     port: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TryReceive(Command):
     """Non-blocking receive: resumes immediately with ``(time, value)`` if
     port ``port`` has a buffered value, else with ``None``.
@@ -71,7 +73,7 @@ class TryReceive(Command):
     port: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WaitUntil(Command):
     """Block until virtual time ``time``; resumes with the new local time.
 
@@ -81,7 +83,7 @@ class WaitUntil(Command):
     time: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Sync(Command):
     """Block until subsystem time catches up with this component's local time.
 
@@ -92,7 +94,7 @@ class Sync(Command):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Transfer(Command):
     """Perform one logical transfer of ``payload`` through ``interface``.
 
@@ -106,7 +108,7 @@ class Transfer(Command):
     payload: Any
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReceiveTransfer(Command):
     """Block until one complete logical transfer arrives on ``interface``.
 
@@ -118,7 +120,7 @@ class ReceiveTransfer(Command):
     interface: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SwitchLevel(Command):
     """Imperatively change a detail level from inside component source.
 
@@ -131,18 +133,8 @@ class SwitchLevel(Command):
     target: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SaveCheckpoint(Command):
     """Request a subsystem-wide checkpoint from inside a behaviour."""
 
     label: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class BlockInfo:
-    """Why a process component is currently paused (scheduler internal)."""
-
-    kind: str                       # "receive" | "wake" | "transfer"
-    port: Optional[str] = None      # for "receive"
-    interface: Optional[str] = None  # for "transfer"
-    token: Optional[int] = None     # for "wake"

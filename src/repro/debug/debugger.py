@@ -298,9 +298,10 @@ class Debugger:
     @staticmethod
     def _block_text(component) -> Optional[str]:
         if isinstance(component, ProcessComponent) and component.is_blocked():
-            block = component._block
-            detail = block.port or block.interface or f"token {block.token}"
-            return f"blocked: {block.kind} {detail}"
+            kind, name = component._block
+            if kind == "wake":
+                name = f"token {name}"
+            return f"blocked: {kind} {name}"
         return None
 
     def inspect(self, component: str) -> Dict[str, Any]:

@@ -101,8 +101,10 @@ class CoSimulation(LiveSystem, RunLevels):
         self._membership_changed()
         node.conservative_override = self._conservative_now
         node.service_bound = self._next_service
+        # A cut expects live subsystems only: a dropped node's never cut.
         manager = SnapshotManager(
-            node, self.registry, expected_subsystems=lambda: set(self.subsystems))
+            node, self.registry, expected_subsystems=lambda: {
+                ss.name for ss in self._live_subsystems()})
         manager.telemetry = self.telemetry
         self._managers[node.name] = manager
 

@@ -33,7 +33,7 @@ from ..core.process import Command, Send, TryReceive, WaitUntil
 from .stub import HardwareStub
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HwCall(Command):
     """Perform one stub operation; the result is replay-logged."""
 

@@ -22,7 +22,7 @@ from .memory import Memory
 from .timing import GENERIC, BasicBlockTimer, ProcessorProfile
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MemRead(Command):
     """Read ``width`` bytes at ``addr``; resumes with the integer value.
 
@@ -35,7 +35,7 @@ class MemRead(Command):
     width: int = 4
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MemWrite(Command):
     """Write ``value`` (``width`` bytes) at ``addr``; same sync semantics."""
 

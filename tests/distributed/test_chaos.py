@@ -9,6 +9,7 @@ raise a typed :class:`NodeFailure`, or drop the node — per policy.
 
 import pytest
 
+from repro.bench.workloads import compute_star_spec
 from repro.core import (
     Advance,
     ConfigurationError,
@@ -17,7 +18,7 @@ from repro.core import (
     Receive,
     Send,
 )
-from repro.distributed import CoSimulation
+from repro.distributed import CoSimulation, build as build_spec
 from repro.faults import FaultPlan, LinkFaults, NodeCrash, Partition
 from repro.observability import TraceKind
 
@@ -204,6 +205,30 @@ class TestNodeCrashRecovery:
         assert producer.now == 5.0
         assert all(endpoint.severed
                    for endpoint in producer.channels.values())
+
+    @pytest.mark.parametrize("batching", [True, False])
+    @pytest.mark.parametrize("interval", [0.5, 1.0, 2.0])
+    def test_drop_node_keeps_taking_periodic_snapshots(self, interval,
+                                                       batching):
+        """A periodic snapshot after a drop expects only the survivors:
+        it completes, and the run ends as it does without snapshots."""
+        def star(**kwargs):
+            cosim = build_spec(
+                compute_star_spec(2, 6, words=50), batching=batching,
+                fault_plan=FaultPlan(
+                    seed=3, crashes=(NodeCrash("n-w0", at_time=1.25),)),
+                failure_policy="drop-node", **kwargs)
+            cosim.run()
+            return cosim
+
+        def rows(cosim):
+            return sorted((row["name"], row["time"], row["dispatched"])
+                          for row in cosim.report().subsystems)
+
+        cosim = star(snapshot_interval=interval)
+        assert rows(cosim) == rows(star()) \
+            == [("hub", 3.0, 7), ("w0", 1.25, 2), ("w1", 2.75, 4)]
+        assert sorted(cosim.registry.completed()[-1].cuts) == ["hub", "w1"]
 
     def test_crash_and_chaos_combined(self):
         """Message faults and a crash in one plan: still converges."""
