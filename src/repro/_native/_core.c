@@ -7,9 +7,9 @@
  *  - ``Event`` / ``EventQueue`` from ``repro.core.events``: a C struct
  *    event (virtual time, priority and sequence number stored as native
  *    scalars, the ``Timestamp`` namedtuple materialised lazily on first
- *    ``.ts`` access) plus a binary min-heap queue with push/pop/peek/
- *    next_time/remove_if/snapshot/restore, monotone sequence stamping at
- *    push, and the ``CausalityError`` past-scheduling check.
+ *    ``.ts`` access) plus a binary min-heap queue with push/pop_ready/
+ *    peek/next_time/snapshot/restore, monotone sequence stamping at push,
+ *    and the ``CausalityError`` past-scheduling check.
  *
  *  - the codec primitives from ``repro.transport.codec``: LEB128 uvarint
  *    with a strict 64-bit cap, zigzag ints, the frame-scoped string
@@ -418,20 +418,6 @@ event_clone(EventObject *self)
 }
 
 static PyObject *
-Event_at(EventObject *self, PyObject *ts)
-{
-    EventObject *copy = event_clone(self);
-    if (copy == NULL)
-        return NULL;
-    Py_CLEAR(copy->ts_cache);
-    if (event_set_ts(copy, ts) < 0) {
-        Py_DECREF(copy);
-        return NULL;
-    }
-    return (PyObject *)copy;
-}
-
-static PyObject *
 Event_with_cause(EventObject *self, PyObject *cause)
 {
     EventObject *copy = event_clone(self);
@@ -604,8 +590,6 @@ Event_repr(EventObject *self)
 }
 
 static PyMethodDef Event_methods[] = {
-    {"at", (PyCFunction)Event_at, METH_O,
-     "Return a copy of this event rescheduled to ``ts``."},
     {"with_cause", (PyCFunction)Event_with_cause, METH_O,
      "Return a copy carrying ``cause`` as its cause span."},
     {"__getstate__", (PyCFunction)Event_getstate, METH_NOARGS, NULL},
@@ -649,8 +633,6 @@ typedef struct {
     Py_ssize_t size;
     Py_ssize_t capacity;
     long long next_seq;
-    int busy;             /* guards against re-entrant mutation from a
-                             remove_if predicate */
 } QueueObject;
 
 static PyTypeObject Queue_Type;
@@ -727,17 +709,6 @@ queue_reserve(QueueObject *self, Py_ssize_t wanted)
     return 0;
 }
 
-static int
-queue_check_busy(QueueObject *self)
-{
-    if (self->busy) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "EventQueue mutated while remove_if is iterating");
-        return -1;
-    }
-    return 0;
-}
-
 static PyObject *
 Queue_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
@@ -748,7 +719,6 @@ Queue_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->size = 0;
     self->capacity = 0;
     self->next_seq = 0;
-    self->busy = 0;
     return (PyObject *)self;
 }
 
@@ -852,8 +822,6 @@ Queue_push(QueueObject *self, PyObject *const *args, Py_ssize_t nargs,
         Py_XDECREF(past);
         return NULL;
     }
-    if (queue_check_busy(self) < 0)
-        return NULL;
     if (queue_reserve(self, self->size + 1) < 0)
         return NULL;
     /* stamp in place: fresh monotone sequence number, lazily
@@ -885,18 +853,6 @@ queue_pop_root(QueueObject *self)
 }
 
 static PyObject *
-Queue_pop(QueueObject *self, PyObject *ignored)
-{
-    if (self->size == 0) {
-        PyErr_SetString(PyExc_IndexError, "pop from an empty event queue");
-        return NULL;
-    }
-    if (queue_check_busy(self) < 0)
-        return NULL;
-    return queue_pop_root(self);
-}
-
-static PyObject *
 Queue_pop_ready(QueueObject *self, PyObject *bound_obj)
 {
     double bound = PyFloat_AsDouble(bound_obj);
@@ -904,8 +860,6 @@ Queue_pop_ready(QueueObject *self, PyObject *bound_obj)
         return NULL;
     if (self->size == 0 || self->heap[0].time > bound)
         Py_RETURN_NONE;
-    if (queue_check_busy(self) < 0)
-        return NULL;
     return queue_pop_root(self);
 }
 
@@ -925,43 +879,6 @@ Queue_next_time(QueueObject *self, PyObject *ignored)
     if (self->size == 0)
         return PyFloat_FromDouble(Py_HUGE_VAL);
     return PyFloat_FromDouble(self->heap[0].time);
-}
-
-static PyObject *
-Queue_remove_if(QueueObject *self, PyObject *predicate)
-{
-    if (queue_check_busy(self) < 0)
-        return NULL;
-    self->busy = 1;
-    Py_ssize_t kept = 0, removed = 0;
-    int failed = 0;
-    for (Py_ssize_t i = 0; i < self->size; i++) {
-        PyObject *event = self->heap[i].event;
-        int drop = 0;
-        if (!failed) {
-            PyObject *verdict = PyObject_CallOneArg(predicate, event);
-            if (verdict == NULL) {
-                failed = 1;       /* keep the rest; propagate after */
-            } else {
-                drop = PyObject_IsTrue(verdict);
-                Py_DECREF(verdict);
-                if (drop < 0)
-                    failed = 1, drop = 0;
-            }
-        }
-        if (drop) {
-            Py_DECREF(event);
-            removed += 1;
-        } else {
-            self->heap[kept++] = self->heap[i];
-        }
-    }
-    self->size = kept;
-    heap_heapify(self->heap, self->size);
-    self->busy = 0;
-    if (failed)
-        return NULL;
-    return PyLong_FromSsize_t(removed);
 }
 
 static int
@@ -1004,8 +921,6 @@ Queue_snapshot(QueueObject *self, PyObject *ignored)
 static PyObject *
 Queue_restore(QueueObject *self, PyObject *events)
 {
-    if (queue_check_busy(self) < 0)
-        return NULL;
     PyObject *sequence = PySequence_Fast(
         events, "restore() needs a sequence of events");
     if (sequence == NULL)
@@ -1042,17 +957,6 @@ Queue_restore(QueueObject *self, PyObject *events)
     Py_RETURN_NONE;
 }
 
-static PyObject *
-Queue_iter(QueueObject *self)
-{
-    PyObject *snapshot = Queue_snapshot(self, NULL);
-    if (snapshot == NULL)
-        return NULL;
-    PyObject *iterator = PyObject_GetIter(snapshot);
-    Py_DECREF(snapshot);
-    return iterator;
-}
-
 static PySequenceMethods Queue_as_sequence = {
     .sq_length = (lenfunc)Queue_len,
 };
@@ -1066,16 +970,12 @@ static PyMethodDef Queue_methods[] = {
      METH_FASTCALL | METH_KEYWORDS,
      "Insert an event, stamping a fresh sequence number in place; "
      "scheduling into the past of ``now`` raises CausalityError."},
-    {"pop", (PyCFunction)Queue_pop, METH_NOARGS,
-     "Remove and return the earliest event."},
     {"pop_ready", (PyCFunction)Queue_pop_ready, METH_O,
      "Pop the earliest event iff its time is <= bound, else None."},
     {"peek", (PyCFunction)Queue_peek, METH_NOARGS,
      "Earliest event without removing it, or None."},
     {"next_time", (PyCFunction)Queue_next_time, METH_NOARGS,
      "Virtual time of the earliest event, inf when empty."},
-    {"remove_if", (PyCFunction)Queue_remove_if, METH_O,
-     "Drop every queued event matching the predicate; return the count."},
     {"snapshot", (PyCFunction)Queue_snapshot, METH_NOARGS,
      "Pending events in delivery order (queue unchanged)."},
     {"restore", (PyCFunction)Queue_restore, METH_O,
@@ -1094,7 +994,6 @@ static PyTypeObject Queue_Type = {
     .tp_doc = "Deterministic priority queue of events (native).",
     .tp_traverse = (traverseproc)Queue_traverse,
     .tp_clear = (inquiry)Queue_clear_impl,
-    .tp_iter = (getiterfunc)Queue_iter,
     .tp_methods = Queue_methods,
     .tp_new = Queue_new,
 };

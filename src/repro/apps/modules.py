@@ -156,13 +156,9 @@ class Browser(ProcessComponent):
     DECODE_BLOCK_OPS = {"mul": 1024, "alu": 1100, "load": 160, "store": 80}
 
     def __init__(self, name: str = "Browser", *,
-                 profile: ProcessorProfile = ARM7,
-                 do_real_decode: bool = True) -> None:
+                 profile: ProcessorProfile = ARM7) -> None:
         super().__init__(name)
         self.timer = BasicBlockTimer(profile)
-        #: Actually run the JPEG decoder (real CPU work, like HotJava
-        #: really decoding); disable for pure event-count studies.
-        self.do_real_decode = do_real_decode
         self.pages_loaded = 0
         self.bytes_received = 0
         self.decoded_blocks = 0
@@ -192,8 +188,8 @@ class Browser(ProcessComponent):
                 yield self.timer.block(**{
                     op: count * header.blocks
                     for op, count in self.DECODE_BLOCK_OPS.items()})
-                if self.do_real_decode:
-                    jpeg.decode(blob)
+                # Really decode (real CPU work, like HotJava did).
+                jpeg.decode(blob)
                 images_decoded += 1
             yield self.timer.block(**document.layout_cost())
             self.pages_loaded += 1

@@ -84,8 +84,6 @@ class WubbleUConfig:
     wan_bandwidth: float = 1e6
     wan_latency: float = 20e-3
     origin_service_latency: float = 5e-3
-    #: Really run the JPEG decoder (real CPU work).
-    do_real_decode: bool = True
     #: Pages loaded in one browsing session (amortises fixed costs).
     page_loads: int = 1
     #: "model" = the behavioural CellularModem; "hardware" = the
@@ -125,7 +123,7 @@ def build_design(config: WubbleUConfig) -> Tuple[Design, PageContent]:
     design.add(HandwritingRecognizer("HWR", url=config.url,
                                      repeats=config.page_loads))
     design.add(UserInterface("UI", page_loads=config.page_loads))
-    design.add(Browser("Browser", do_real_decode=config.do_real_decode))
+    design.add(Browser("Browser"))
     design.add(ProtocolStack("Stack", bus_protocol=config.bus_protocol(),
                              level=config.level))
     if config.modem_backend == "model":

@@ -18,10 +18,9 @@ the fast backend without changing a line.
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
-from heapq import heappop, heappush
-from typing import Any, Callable, Iterator, Optional
+from heapq import heapify, heappop, heappush
+from typing import Any, Optional
 
 from .errors import CausalityError
 from .timestamp import Timestamp
@@ -106,11 +105,6 @@ class Event:
         """Queue sequence number of this event (``ts.seq``)."""
         return self.ts.seq
 
-    def at(self, ts: Timestamp) -> "Event":
-        """Return a copy of this event rescheduled to ``ts``."""
-        return Event(ts, self.kind, self.target, self.payload,
-                     self.token, self.cause)
-
     def with_cause(self, cause: Optional[tuple]) -> "Event":
         """Return a copy carrying ``cause`` as its cause span."""
         return Event(self.ts, self.kind, self.target, self.payload,
@@ -151,7 +145,14 @@ class Event:
 
 
 class EventQueue:
-    """A deterministic priority queue of :class:`Event` objects."""
+    """A deterministic priority queue of :class:`Event` objects.
+
+    Its surface is what the kernel asks of it: the scheduler pushes,
+    pops through :meth:`pop_ready` and reads :meth:`peek` /
+    :meth:`next_time`; a checkpoint takes :meth:`snapshot` and a restore
+    reinstates it with :meth:`restore`.  Queued events are never edited
+    in place.
+    """
 
     __slots__ = ("_heap", "_seq")
 
@@ -179,19 +180,13 @@ class EventQueue:
             )
         # Stamp in place rather than re-allocating a whole Event just to
         # change the sequence number: every push site constructs a fresh
-        # event (or deliberately hands ownership over, like ``at()``
-        # reschedules), so mutating ``ts`` here is unobservable — and it
-        # halves the allocations on the hottest call in the tree.
+        # event (or hands ownership over, like a ``with_cause`` copy), so
+        # mutating ``ts`` here is unobservable — and it halves the
+        # allocations on the hottest call in the tree.
         stamped = Timestamp(ts.time, ts.priority, next(self._seq))
         event.ts = stamped
         heappush(self._heap, (stamped, event))
         return event
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event."""
-        if not self._heap:
-            raise IndexError("pop from an empty event queue")
-        return heapq.heappop(self._heap)[1]
 
     def pop_ready(self, bound: float) -> Optional[Event]:
         """Remove and return the earliest event iff its time is ``<= bound``.
@@ -215,18 +210,6 @@ class EventQueue:
         """Virtual time of the earliest event, ``inf`` when empty."""
         return self._heap[0][0].time if self._heap else float("inf")
 
-    def remove_if(self, predicate: Callable[[Event], bool]) -> int:
-        """Drop every queued event matching ``predicate``; return the count.
-
-        Used by rollback recovery to cancel events scheduled after a
-        restored checkpoint.
-        """
-        kept = [entry for entry in self._heap if not predicate(entry[1])]
-        removed = len(self._heap) - len(kept)
-        heapq.heapify(kept)
-        self._heap = kept
-        return removed
-
     def snapshot(self) -> list[Event]:
         """Return the pending events in delivery order (queue unchanged)."""
         return [entry[1] for entry in sorted(self._heap)]
@@ -234,11 +217,8 @@ class EventQueue:
     def restore(self, events: list[Event]) -> None:
         """Replace the queue contents with ``events`` (stamps preserved)."""
         heap = [(event.ts, event) for event in events]
-        heapq.heapify(heap)
+        heapify(heap)
         self._heap = heap
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self.snapshot())
 
 
 #: The pure-python implementations, always importable under stable names

@@ -21,7 +21,7 @@ from .errors import ConfigurationError, RunLevelError
 from .fastcopy import smart_copy
 from .port import Port, PortDirection
 # No cycle either way round: protocols/* import only core.errors.
-from ..protocols.base import INCOMPLETE, Protocol, reassemble_step
+from ..protocols.base import Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
     from .component import Component
@@ -118,21 +118,6 @@ class Interface:
         self.sent_chunks += chunks
         self.sent_payload_bytes += codec.payload_size(payload)
         return total
-
-    # ------------------------------------------------------------------
-    # receiving
-    # ------------------------------------------------------------------
-    def absorb(self, time: float, wire: Any) -> Optional[Any]:
-        """Feed one incoming wire value; returns a payload when complete.
-
-        For callers outside the kernel: ``None`` also means "not yet"
-        here.  ``Component._consume`` tests ``INCOMPLETE`` instead.
-        """
-        payload = reassemble_step(self._partial, wire)
-        if payload is INCOMPLETE:
-            return None
-        self.received_transfers += 1
-        return payload
 
     # ------------------------------------------------------------------
     # checkpointing

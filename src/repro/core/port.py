@@ -89,10 +89,6 @@ class Port:
     def has_data(self) -> bool:
         return bool(self.buffer)
 
-    def pop_earliest(self) -> tuple[float, Any]:
-        """Consume the earliest buffered value as ``(time, value)``."""
-        return self.buffer.popleft()
-
     def drive(self, value: Any, at_time: float) -> None:
         """Place ``value`` on the attached net at virtual time ``at_time``."""
         self.driven_net().post(value, at_time, driver=self)

@@ -31,6 +31,7 @@ time.  The format is line-based with ``[section]`` headers::
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -87,12 +88,16 @@ class RunControl:
         return target.run()
 
 
+#: A line up to its comment: a ``#`` outside quotes starts one.
+_CODE_RE = re.compile(r"""((?:[^#"']|"[^"]*"|'[^']*')*)""")
+
+
 def parse(text: str) -> RunControl:
     """Parse run-control ``text``; raises on malformed lines."""
     control = RunControl()
     section: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _CODE_RE.match(raw).group(1).strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):

@@ -24,8 +24,9 @@ is written here as the one-liner::
 
 from __future__ import annotations
 
+import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from .errors import ConfigurationError, RunLevelError, SwitchpointSyntaxError
@@ -73,129 +74,64 @@ _OPS: dict[str, Callable[[Any, Any], bool]] = {
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / parser
+# parser: the condition is a Python expression, read by Python's parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    \s*(?:
-        (?P<arrow>->)
-      | (?P<op>>=|<=|==|!=|>|<)
-      | (?P<punct>[():,])
-      | (?P<number>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
-      | (?P<string>"[^"]*"|'[^']*')
-      | (?P<name>[A-Za-z_][\w.]*)
-      | (?P<word>\S)
-    )""", re.VERBOSE)
+_WHEN_RE = re.compile(r"^\s*when\s+")
+_ASSIGNMENT_RE = re.compile(r"([A-Za-z_][\w.]*)\s*->\s*([A-Za-z_][\w.]*)")
+_COMPARE_OPS = {ast.GtE: ">=", ast.LtE: "<=", ast.Gt: ">", ast.Lt: "<",
+                ast.Eq: "==", ast.NotEq: "!="}
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            break
-        pos = match.end()
-        kind = match.lastgroup
-        value = match.group(kind)
-        if kind == "word":
-            raise SwitchpointSyntaxError(
-                f"unexpected character {value!r} in switchpoint: {text!r}")
-        tokens.append((kind, value))
-    return tokens
+def _dotted(node: ast.expr) -> Optional[str]:
+    """``a.b.c`` as text, or ``None`` when ``node`` is not a dotted name."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], source: str) -> None:
-        self.tokens = tokens
-        self.pos = 0
-        self.source = source
+def _condition(node: ast.expr, source: str):
+    if isinstance(node, ast.BoolOp):
+        terms = tuple(_condition(value, source) for value in node.values)
+        return And(terms) if isinstance(node.op, ast.And) else Or(terms)
+    if isinstance(node, ast.Compare) and len(node.ops) == 1 \
+            and type(node.ops[0]) in _COMPARE_OPS:
+        return Comparison(_reference(node.left, source),
+                          _COMPARE_OPS[type(node.ops[0])],
+                          _literal(node.comparators[0], source))
+    raise SwitchpointSyntaxError(
+        f"expected a comparison but found {ast.unparse(node)!r} "
+        f"in {source!r}")
 
-    def peek(self) -> Optional[tuple[str, str]]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self) -> tuple[str, str]:
-        token = self.peek()
-        if token is None:
-            raise SwitchpointSyntaxError(
-                f"unexpected end of switchpoint: {self.source!r}")
-        self.pos += 1
-        return token
+def _reference(node: ast.expr, source: str) -> Union[LocalTimeRef, SignalRef]:
+    parts = (_dotted(node) or "").split(".")
+    if len(parts) == 2 and parts[1] == "localtime":
+        return LocalTimeRef(parts[0])
+    if len(parts) == 2 and parts[0] == "net":
+        return SignalRef(parts[1])
+    raise SwitchpointSyntaxError(
+        f"unknown reference {ast.unparse(node)!r}: expected "
+        f"Component.localtime or net.NetName, in {source!r}")
 
-    def expect(self, kind: str, value: Optional[str] = None) -> str:
-        token = self.next()
-        if token[0] != kind or (value is not None and token[1] != value):
-            raise SwitchpointSyntaxError(
-                f"expected {value or kind} but found {token[1]!r} "
-                f"in {self.source!r}")
-        return token[1]
 
-    # grammar ------------------------------------------------------------
-    def parse_or(self):
-        terms = [self.parse_and()]
-        while self.peek() == ("name", "or"):
-            self.next()
-            terms.append(self.parse_and())
-        return terms[0] if len(terms) == 1 else Or(tuple(terms))
-
-    def parse_and(self):
-        terms = [self.parse_atom()]
-        while self.peek() == ("name", "and"):
-            self.next()
-            terms.append(self.parse_atom())
-        return terms[0] if len(terms) == 1 else And(tuple(terms))
-
-    def parse_atom(self):
-        token = self.peek()
-        if token == ("punct", "("):
-            self.next()
-            inner = self.parse_or()
-            self.expect("punct", ")")
-            return inner
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Comparison:
-        name = self.expect("name")
-        ref = self._make_ref(name)
-        op = self.expect("op")
-        kind, raw = self.next()
-        if kind == "number":
-            value: Any = float(raw) if ("." in raw or "e" in raw.lower()) \
-                else int(raw)
-        elif kind == "string":
-            value = raw[1:-1]
-        elif kind == "name":
-            value = raw
-        else:
-            raise SwitchpointSyntaxError(
-                f"bad comparison value {raw!r} in {self.source!r}")
-        return Comparison(ref, op, value)
-
-    def _make_ref(self, dotted: str) -> Union[LocalTimeRef, SignalRef]:
-        parts = dotted.split(".")
-        if len(parts) == 2 and parts[1] == "localtime":
-            return LocalTimeRef(parts[0])
-        if len(parts) == 2 and parts[0] == "net":
-            return SignalRef(parts[1])
-        raise SwitchpointSyntaxError(
-            f"unknown reference {dotted!r}: expected Component.localtime "
-            f"or net.NetName, in {self.source!r}")
-
-    def parse_assignments(self) -> list[tuple[str, str]]:
-        assignments = [self.parse_assignment()]
-        while self.peek() == ("punct", ","):
-            self.next()
-            assignments.append(self.parse_assignment())
-        if self.peek() is not None:
-            raise SwitchpointSyntaxError(
-                f"trailing tokens after assignments in {self.source!r}")
-        return assignments
-
-    def parse_assignment(self) -> tuple[str, str]:
-        target = self.expect("name")
-        self.expect("arrow")
-        level = self.expect("name")
-        return target, level
+def _literal(node: ast.expr, source: str) -> Any:
+    """A number, a quoted string, ``True``/``False``/``None``, or a bare
+    (dotted) word, which reads as a string."""
+    word = _dotted(node)
+    if word is not None:
+        return word
+    try:
+        value = ast.literal_eval(node)
+        if type(value) in (int, float, str, bool, type(None)):
+            return value
+    except (ValueError, TypeError):
+        pass
+    raise SwitchpointSyntaxError(
+        f"bad comparison value {ast.unparse(node)!r} in {source!r}")
 
 
 @dataclass
@@ -216,15 +152,27 @@ class Switchpoint:
 def parse_switchpoint(text: str, *, once: bool = True) -> Switchpoint:
     """Parse ``"when <condition>: <target> -> <level>, ..."``.
 
-    The leading ``when`` keyword is optional.
+    The leading ``when`` keyword is optional.  The condition is split off
+    at the *last* colon (targets and levels never contain one), so a
+    quoted value may.
     """
-    tokens = _tokenize(text)
-    if tokens and tokens[0] == ("name", "when"):
-        tokens = tokens[1:]
-    parser = _Parser(tokens, text)
-    condition = parser.parse_or()
-    parser.expect("punct", ":")
-    assignments = parser.parse_assignments()
+    body = _WHEN_RE.sub("", text, count=1)
+    condition_text, colon, assignments_text = body.rpartition(":")
+    if not colon:
+        raise SwitchpointSyntaxError(f"missing ':' in switchpoint {text!r}")
+    try:
+        tree = ast.parse(condition_text.strip(), mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        raise SwitchpointSyntaxError(
+            f"bad switchpoint condition in {text!r}: {exc}") from None
+    condition = _condition(tree.body, text)
+    assignments = []
+    for part in map(str.strip, assignments_text.split(",")):
+        match = _ASSIGNMENT_RE.fullmatch(part)
+        if match is None:
+            raise SwitchpointSyntaxError(
+                f"expected 'Target -> level' but found {part!r} in {text!r}")
+        assignments.append(match.groups())
     return Switchpoint(condition, assignments, source=text, once=once)
 
 

@@ -93,12 +93,11 @@ class ChannelEndpoint:
     """
 
     __slots__ = ("channel", "subsystem", "peer_subsystem", "peer_node",
-                 "component", "_nets", "peer_grant", "granted",
-                 "pending_echoes", "forwarded", "injected",
-                 "injected_reported", "granted_reported", "passive_skips",
-                 "stragglers", "safe_time_requests", "peer_want", "severed",
-                 "peer_silent", "declared_silent", "silence_served",
-                 "_piggybacked")
+                 "component", "_nets", "peer_grant", "pending_echoes",
+                 "forwarded", "injected", "injected_reported",
+                 "granted_reported", "passive_skips", "stragglers",
+                 "safe_time_requests", "peer_want", "severed", "peer_silent",
+                 "declared_silent", "silence_served", "_piggybacked")
 
     def __init__(self, channel: "Channel", subsystem: "Subsystem",
                  peer_subsystem: str, peer_node: str) -> None:
@@ -119,8 +118,6 @@ class ChannelEndpoint:
         #: traffic *not caused by our own messages*; echoes of our sends
         #: are bounded by the echo ledger below.
         self.peer_grant = 0.0
-        #: Latest safe time we granted the peer (stats/debugging).
-        self.granted = 0.0
         #: Outstanding sends the peer has not yet confirmed consuming:
         #: (send ordinal, earliest possible echo arrival time).
         self.pending_echoes: "deque[tuple[int, float]]" = deque()
@@ -345,7 +342,6 @@ class ChannelEndpoint:
                          injected: int = 0) -> None:
         """Void all safe-time state (global rollback support)."""
         self.peer_grant = float("inf") if self.severed else 0.0
-        self.granted = 0.0
         self.peer_want = 0.0
         self.pending_echoes.clear()
         self.forwarded = forwarded

@@ -103,13 +103,10 @@ def compute_grant(subsystem: "Subsystem", requester: str,
         # lookahead read off the port directions.  The grant says so
         # (see ``ChannelEndpoint.note_reported``), and having said so is
         # binding: ``forward`` raises from here on.
-        grant = UNBOUNDED
-    else:
-        grant = local_floor(subsystem, excluding=requester,
-                            conservative_override=conservative_override) \
-            + endpoint.channel.delay
-    endpoint.granted = grant
-    return grant
+        return UNBOUNDED
+    return local_floor(subsystem, excluding=requester,
+                       conservative_override=conservative_override) \
+        + endpoint.channel.delay
 
 
 def _endpoint_towards(subsystem: "Subsystem", peer: str) -> ChannelEndpoint:

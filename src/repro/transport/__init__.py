@@ -9,9 +9,10 @@ __getattr__, __dir__, __all__ = _attach(__name__, {
     **dict.fromkeys(("BROADBAND", "INTERNET", "LAN", "PRESETS", "SAME_HOST",
                      "LatencyModel", "preset"),
                     ".latency"),
-    **dict.fromkeys(("BatchFrame", "Message", "MessageKind", "decode",
-                     "decode_any", "encode", "encode_batch", "wire_size"),
-                    ".message"),
+    **dict.fromkeys(("decode", "decode_any", "encode", "encode_batch",
+                     "wire_size"),
+                    ".codec"),
+    **dict.fromkeys(("BatchFrame", "Message", "MessageKind"), ".message"),
     "Transport": ".pipeline",
     "TcpTransport": ".tcp",
 })

@@ -6,11 +6,9 @@ request/response calls (the safe-time protocol) and serialisation.  These
 message types are the protocol-neutral representation every carrier
 (in-memory, TCP, shared memory) moves.
 
-Serialisation itself lives in :mod:`repro.transport.codec` (a compact
-binary format; see that module for the frame layout).  The ``encode`` /
-``decode`` / ``encode_batch`` / ``decode_any`` names are re-exported
-here for callers that predate the codec split — the transports import
-the codec directly.
+Serialisation lives in :mod:`repro.transport.codec` (a compact binary
+format; see that module for the frame layout), which imports the classes
+defined here.
 """
 
 from __future__ import annotations
@@ -134,42 +132,3 @@ class BatchFrame:
     def __len__(self) -> int:
         return len(self.messages) + len(self.grants)
 
-
-# --- serialisation façade -------------------------------------------------
-# The codec module imports the classes above, so it cannot be imported at
-# the top of this module; bind lazily on first use instead.  Hot callers
-# (the transports) import repro.transport.codec directly.
-
-_codec = None
-
-
-def _load_codec():
-    global _codec
-    from . import codec
-    _codec = codec
-    return codec
-
-
-def encode(message: Message) -> bytes:
-    """Serialise for the wire (and for byte accounting)."""
-    return (_codec or _load_codec()).encode(message)
-
-
-def decode(blob: bytes) -> Message:
-    return (_codec or _load_codec()).decode(blob)
-
-
-def wire_size(message: Message) -> int:
-    """Bytes this message occupies on the wire."""
-    return len((_codec or _load_codec()).encode(message))
-
-
-def encode_batch(frame: BatchFrame) -> bytes:
-    """Serialise a whole batch frame with a single codec pass."""
-    return (_codec or _load_codec()).encode_batch(frame)
-
-
-def decode_any(blob: bytes):
-    """Decode a wire frame: a single :class:`Message` or a
-    :class:`BatchFrame`."""
-    return (_codec or _load_codec()).decode_any(blob)

@@ -16,7 +16,7 @@ from repro.core import (
     Transfer,
     TryReceive,
 )
-from repro.protocols import bus_protocol, packet_protocol
+from repro.protocols import bus_protocol, packet_protocol, reassemble_step
 
 
 class Echo(ReactiveComponent):
@@ -229,10 +229,10 @@ class TestInterfaceRules:
         comp = FunctionComponent("c", lambda comp: iter(()))
         comp.add_interface(iface)
         assert not iface.mid_transfer()
-        iface.absorb(0.0, ("HDR", ("t", 1), "word", 2, "bytes"))
+        reassemble_step(iface._partial, ("HDR", ("t", 1), "word", 2, "bytes"))
         assert iface.mid_transfer()
-        iface.absorb(0.0, ("CHK", ("t", 1), 0, b"ab"))
-        result = iface.absorb(0.0, ("CHK", ("t", 1), 1, b"cd"))
+        reassemble_step(iface._partial, ("CHK", ("t", 1), 0, b"ab"))
+        result = reassemble_step(iface._partial, ("CHK", ("t", 1), 1, b"cd"))
         assert result == b"abcd"
         assert not iface.mid_transfer()
 
@@ -240,15 +240,15 @@ class TestInterfaceRules:
         iface = Interface("bus", packet_protocol(), in_port="i")
         comp = FunctionComponent("c", lambda comp: iter(()))
         comp.add_interface(iface)
-        iface.absorb(0.0, ("HDR", ("t", 9), "packet", 2, "bytes"))
+        reassemble_step(iface._partial, ("HDR", ("t", 9), "packet", 2, "bytes"))
         state = iface.snapshot_state()
-        iface.absorb(0.0, ("CHK", ("t", 9), 0, b"zz"))
+        reassemble_step(iface._partial, ("CHK", ("t", 9), 0, b"zz"))
         iface.set_level("word")
         iface.restore_state(state)
         assert iface.level == "packet"
         assert iface.mid_transfer()
-        iface.absorb(0.0, ("CHK", ("t", 9), 0, b"aa"))
-        assert iface.absorb(0.0, ("CHK", ("t", 9), 1, b"bb")) == b"aabb"
+        reassemble_step(iface._partial, ("CHK", ("t", 9), 0, b"aa"))
+        assert reassemble_step(iface._partial, ("CHK", ("t", 9), 1, b"bb")) == b"aabb"
 
 
 class TestTryReceive:

@@ -43,6 +43,14 @@ class TestParsing:
         control = parse("# nothing\n\n[run]\nuntil = 1.0  # trailing\n")
         assert control.until == 1.0
 
+    def test_hash_inside_quotes_is_not_a_comment(self):
+        control = parse('[switchpoints]\n'
+                        'when net.tag == "x#1": A -> b  # a comment\n'
+                        "when net.tag == 'y#2': A -> c\n")
+        assert [sp.condition.value for sp in control.switchpoints] == \
+            ["x#1", "y#2"]
+        assert control.switchpoints[0].assignments == [("A", "b")]
+
     @pytest.mark.parametrize("bad", [
         "until = 1.0",                       # content before section
         "[weird]\nx = 1",                    # unknown section

@@ -54,6 +54,25 @@ class TestParser:
         assert sp.condition.value == 1.5
         sp = parse_switchpoint('net.mode == "idle": A -> x')
         assert sp.condition.value == "idle"
+        sp = parse_switchpoint('when net.tag == "a:b": A -> x')
+        assert sp.condition == Comparison(SignalRef("tag"), "==", "a:b")
+        assert sp.assignments == [("A", "x")]
+
+    def test_true_false_none_are_constants(self):
+        """``True``/``False``/``None`` read as Python constants, so a
+        switchpoint on a net holding ``True`` fires; any other bare word
+        is still a string."""
+        sp = parse_switchpoint("net.flag == True: A -> x")
+        assert sp.condition.value is True
+        assert parse_switchpoint("net.flag == False: A -> x") \
+            .condition.value is False
+        assert parse_switchpoint("net.flag != None: A -> x") \
+            .condition.value is None
+        assert parse_switchpoint("net.flag == idle: A -> x") \
+            .condition.value == "idle"
+        env = SwitchpointEnvironment(local_time={}.__getitem__,
+                                     signal={"flag": True}.__getitem__)
+        assert sp.evaluate(env)
 
     @pytest.mark.parametrize("bad", [
         "A.localtime >= : A -> x",

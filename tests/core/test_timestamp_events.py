@@ -19,6 +19,9 @@ from repro.core import (
 )
 
 
+INF = float("inf")
+
+
 def _evt(time, priority=PRIORITY_SIGNAL, payload=None):
     return Event(Timestamp(time, priority), EventKind.CONTROL,
                  target=lambda e: None, payload=payload)
@@ -69,7 +72,7 @@ class TestEventQueue:
         q = EventQueue()
         for t in [5.0, 1.0, 3.0]:
             q.push(_evt(t))
-        assert [q.pop().ts.time for _ in range(3)] == [1.0, 3.0, 5.0]
+        assert [q.pop_ready(INF).ts.time for _ in range(3)] == [1.0, 3.0, 5.0]
 
     def test_equal_times_pop_in_priority_then_push_order(self):
         q = EventQueue()
@@ -77,7 +80,7 @@ class TestEventQueue:
         q.push(_evt(1.0, PRIORITY_SIGNAL, "sig-a"))
         q.push(_evt(1.0, PRIORITY_SIGNAL, "sig-b"))
         q.push(_evt(1.0, PRIORITY_CONTROL, "ctl"))
-        assert [q.pop().payload for _ in range(4)] == \
+        assert [q.pop_ready(INF).payload for _ in range(4)] == \
             ["ctl", "sig-a", "sig-b", "wake"]
 
     def test_push_into_past_raises(self):
@@ -98,24 +101,16 @@ class TestEventQueue:
         assert q.peek().payload == "x"
         assert len(q) == 1
 
-    def test_remove_if(self):
-        q = EventQueue()
-        for t in [1.0, 2.0, 3.0, 4.0]:
-            q.push(_evt(t))
-        removed = q.remove_if(lambda e: e.ts.time > 2.0)
-        assert removed == 2
-        assert [q.pop().ts.time for _ in range(2)] == [1.0, 2.0]
-
     def test_snapshot_restore_roundtrip(self):
         q = EventQueue()
         for t in [3.0, 1.0, 2.0]:
             q.push(_evt(t))
         snap = q.snapshot()
         assert [e.ts.time for e in snap] == [1.0, 2.0, 3.0]
-        q.pop()
-        q.pop()
+        q.pop_ready(INF)
+        q.pop_ready(INF)
         q.restore(snap)
-        assert [q.pop().ts.time for _ in range(3)] == [1.0, 2.0, 3.0]
+        assert [q.pop_ready(INF).ts.time for _ in range(3)] == [1.0, 2.0, 3.0]
 
     @given(st.lists(st.floats(min_value=0, max_value=100, allow_nan=False),
                     min_size=1, max_size=60))
@@ -123,11 +118,12 @@ class TestEventQueue:
         q = EventQueue()
         for t in times:
             q.push(_evt(t))
-        popped = [q.pop().ts.time for _ in range(len(times))]
+        popped = [q.pop_ready(INF).ts.time for _ in range(len(times))]
         assert popped == sorted(times)
 
-    def test_iteration_matches_snapshot(self):
+    def test_snapshot_is_delivery_order(self):
         q = EventQueue()
         for t in [9.0, 7.0]:
             q.push(_evt(t))
-        assert [e.ts.time for e in q] == [7.0, 9.0]
+        assert [e.ts.time for e in q.snapshot()] == [7.0, 9.0]
+        assert len(q) == 2

@@ -22,7 +22,8 @@ from repro.transport import (
     TcpTransport,
 )
 from repro.transport.batch import SendBatcher
-from repro.transport.message import BatchFrame, decode_any, encode, encode_batch
+from repro.transport.codec import decode_any, encode, encode_batch
+from repro.transport.message import BatchFrame
 
 from .test_transport import _msg, _poll_until
 
@@ -75,7 +76,6 @@ class TestBatchFrameWireFormat:
         assert len(again) == 4
 
     def test_decode_any_accepts_plain_messages(self):
-        from repro.transport import encode
         single = decode_any(encode(_msg(payload="x")))
         assert isinstance(single, Message)
         assert single.payload == "x"
