@@ -13,6 +13,10 @@ its fault counters — replay bit for bit.
 Run:  python examples/chaos.py
 """
 
+import json
+import os
+import tempfile
+
 # Self-contained fallback: allow running from a fresh checkout without
 # installing the package or exporting PYTHONPATH.
 try:
@@ -90,7 +94,15 @@ def main():
     # Replay: identical results *and* identical fault counters.
     again, __ = chaotic_run(seed=42)
     assert again.fault_injector.summary() == cosim.fault_injector.summary()
-    print("replay of seed 42: fault counters identical, bit for bit")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "chaos-42.json")
+        report.save_json(path)
+        with open(path, encoding="utf-8") as fh:
+            saved = json.load(fh)
+    replayed = json.loads(again.report(title="chaos, seed 42").to_json())
+    assert saved["faults"] == replayed["faults"]
+    print("replay of seed 42: fault counters identical, bit for bit, "
+          "in the run and in the saved report")
 
     different, __ = chaotic_run(seed=7)
     assert different.fault_injector.summary() != cosim.fault_injector.summary()

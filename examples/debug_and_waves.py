@@ -38,8 +38,10 @@ from repro.core import (
 from repro.debug import Debugger, VcdTracer
 
 
-def debug_simulation():
-    sim = Simulator("debug-demo")
+def sensor_logger(name):
+    """The quickstart-style pair: a sensor sampling every millisecond
+    into a logger, on one host."""
+    sim = Simulator(name)
 
     def sensor(comp):
         for index in range(16):
@@ -58,7 +60,11 @@ def debug_simulation():
     logger_c = sim.add(FunctionComponent("logger", logger,
                                          ports={"in": "in"}))
     net = sim.wire("adc", sensor_c.port("out"), logger_c.port("in"))
+    return sim, sensor_c, logger_c, net
 
+
+def debug_simulation():
+    sim, sensor_c, logger_c, net = sensor_logger("debug-demo")
     tracer = VcdTracer(timescale="1 us")
     tracer.trace_net(net, width=8)
     tracer.trace_local_time(sensor_c)
@@ -87,6 +93,33 @@ def debug_simulation():
     print("last trace lines:")
     for line in debugger.backtrace(4):
         print(f"  {line}")
+
+
+def breakpoints_and_stepping():
+    """Every kind of stop: local time (run-ahead), global and subsystem
+    time, a predicate, single steps; checkpoints taken on a cadence."""
+    sim, sensor_c, logger_c, __ = sensor_logger("stepping-demo")
+    sim.auto_checkpoint(4e-3)
+    debugger = Debugger(sim)
+    ahead = debugger.break_at_local_time("sensor", 5e-3)
+    reason = debugger.run()
+    print(f"\nstopped: {reason} — system time "
+          f"{sensor_c.system_time * 1e3:g} ms, sensor local time "
+          f"{sensor_c.local_time * 1e3:g} ms")
+    debugger.delete(ahead.bp_id)
+    debugger.break_at(8e-3)
+    debugger.break_at_subsystem_time(sim.subsystem.name, 10e-3)
+    debugger.break_when(lambda target: len(logger_c.seen) >= 12,
+                        description="12 samples logged")
+    for __ in range(3):
+        print(f"stopped: {debugger.run()}")
+    debugger.step(3)
+    print(f"stepped 3 events: t={sim.now * 1e3:g} ms, "
+          f"{len(logger_c.seen)} samples logged")
+    debugger.run()
+    print(f"ran to completion: {len(logger_c.seen)} samples, "
+          f"{len(sim.subsystem.checkpoints)} checkpoints every 4 ms")
+    print(f"rewound to the last one: t={debugger.rewind() * 1e3:g} ms")
 
 
 def debug_cosimulation():
@@ -120,6 +153,7 @@ def debug_cosimulation():
 
 def main():
     debug_simulation()
+    breakpoints_and_stepping()
     debug_cosimulation()
 
 

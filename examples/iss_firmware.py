@@ -8,6 +8,12 @@ memory, and emits the checksum every four samples — co-simulated against a
 behavioural sensor model, with per-instruction timing from the i960
 profile.
 
+A second firmware polls a memory-mapped mailbox that a device fills
+through an interrupt controller (paper section 2.1.1): the controller
+latches each interrupt's payload at its virtual time, and marking the
+mailbox addresses synchronous up front makes every load of them wait for
+simulated time to catch up, so the poll never reads a stale flag.
+
 Run:  python examples/iss_firmware.py
 """
 
@@ -21,8 +27,15 @@ except ModuleNotFoundError:
     sys.path.insert(0, os.path.join(
         os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
-from repro.core import Advance, FunctionComponent, Receive, Send, Simulator
-from repro.processor import I960, IssComponent, assemble
+from repro.core import (
+    Advance,
+    FunctionComponent,
+    Receive,
+    Send,
+    Simulator,
+    SyncPolicy,
+)
+from repro.processor import I960, InterruptController, IssComponent, assemble
 
 FIRMWARE = """
         .equ SUM   0x100
@@ -54,6 +67,26 @@ done:
 """
 
 SAMPLES = [0x11, 0x22, 0x33, 0x44, 0xA5, 0x5A, 0x0F, 0xF0, 0]
+
+#: Polls the ``uart`` line's mailbox (flag word, then data word), adds up
+#: two payloads, acknowledges each, and stores the total at 0x200.
+POLLER = """
+        .equ FLAG  0xF00
+        .equ DATA  0xF04
+        LDI  r5, 0
+        LDI  r6, 0
+poll:
+        LD   r1, FLAG(r0)
+        BEQ  r1, r0, poll
+        LD   r2, DATA(r0)
+        ADD  r6, r6, r2
+        ST   r0, FLAG(r0)        ; acknowledge
+        ADDI r5, r5, 1
+        LDI  r7, 2
+        BLT  r5, r7, poll
+        ST   r6, 0x200(r0)
+        HALT
+"""
 
 
 def main():
@@ -94,6 +127,38 @@ def main():
           f"(expected 0x{expected:x})")
     assert cpu.memory.read(0x100) == expected
     assert cpu.memory.read(0x104) == len(SAMPLES) - 1
+    mailboxes()
+
+
+def mailboxes():
+    sim = Simulator("mailbox-demo")
+    # yield_every bounds the busy-wait's run-ahead, the quantum a
+    # preemptive host would impose on a polling loop.
+    cpu = IssComponent("cpu", assemble(POLLER), profile=I960,
+                       sync_policy=SyncPolicy.STATIC, fuel=500_000,
+                       yield_every=2_000)
+    controller = InterruptController("pic", cpu.memory, base_addr=0xF00)
+    line = controller.add_line("uart")
+    controller.mark_mailboxes_synchronous()
+
+    def device(comp):
+        yield Advance(2e-3)
+        yield Send("out", 40)
+        yield Advance(3e-3)
+        yield Send("out", 2)
+
+    dev = FunctionComponent("uart-dev", device, ports={"out": "out"})
+    for component in (cpu, controller, dev):
+        sim.add(component)
+    sim.wire("irq", dev.port("out"), controller.port("uart"))
+    sim.run()
+    report = sim.report()
+    print(f"mailbox: line {line.name!r} flag at {line.flag_addr:#x}, data at "
+          f"{line.data_addr:#x}; {controller.delivered} interrupts "
+          f"delivered, firmware total {cpu.memory.read(0x200)} "
+          f"at {cpu.local_time * 1e3:.3f} ms "
+          f"({report.subsystems[0]['dispatched']} events)")
+    assert cpu.halted and cpu.memory.read(0x200) == 42
 
 
 if __name__ == "__main__":

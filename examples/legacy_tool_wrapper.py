@@ -8,7 +8,10 @@ vendor's golden-model simulator — that knows nothing about Pia: it reads
 JSON on stdin and writes JSON on stdout.  The wrapper runs it as a
 subprocess and splices it between two native components; the checker's
 compute time (its ``advance`` actions) lands in virtual time like any
-other component's.
+other component's.  The checker also answers the wrapper's optional
+``save``/``restore`` requests, so it takes part in checkpoint and
+rollback: the run is rewound to a checkpoint taken after two words and
+replayed, and the tool's own count of checked words rewinds with it.
 
 Run:  python examples/legacy_tool_wrapper.py
 """
@@ -52,6 +55,11 @@ CHECKER_TOOL = textwrap.dedent("""
             reply(op="send", port="out",
                   value={"word": word, "parity": parity, "n": checked})
             reply(op="yield")
+        elif msg["op"] == "save":
+            reply(op="state", state={"checked": checked})
+        elif msg["op"] == "restore":
+            checked = msg["state"]["checked"]
+            reply(op="ok")
         elif msg["op"] == "quit":
             break
 """)
@@ -65,7 +73,7 @@ def main():
 
         sim = Simulator("wrapped-tool-demo")
         checker = sim.add(ExternalToolComponent(
-            "checker", python_tool_argv(tool_path)))
+            "checker", python_tool_argv(tool_path), supports_state=True))
 
         def dut(comp):
             for word in (0b1011, 0b1111, 0b0001, 0b0110):
@@ -85,6 +93,13 @@ def main():
         sim.wire("result", checker.port("out"), sink.port("in"))
 
         try:
+            sim.run(until=2.5e-3)
+            cut = sim.checkpoint("two words checked")
+            sim.run()
+            first = list(sink.got)
+            sim.restore(cut)
+            print(f"rewound to t={sim.now * 1e3:g} ms: "
+                  f"{len(sink.got)} verdicts kept")
             sim.run()
         finally:
             checker.close()
@@ -94,6 +109,7 @@ def main():
             print(f"  t={time_ms} ms  word=0b{report['word']:04b} "
                   f"parity={report['parity']}")
         assert [r["parity"] for __, r in sink.got] == [1, 0, 1, 0]
+        assert sink.got == first and sink.got[-1][1]["n"] == 4
         print(f"checked {checker.deliveries} words through the wrapper")
 
 

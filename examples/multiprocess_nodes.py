@@ -18,12 +18,14 @@ Run:  python examples/multiprocess_nodes.py
       python examples/multiprocess_nodes.py --timeline star.json
       python examples/multiprocess_nodes.py --status status.json
           (and, in another terminal:
-           python -m repro.observability.live status.json)
+           python -m repro.observability.serve status.json --port 8000
+           curl http://127.0.0.1:8000/status.json)
 
 ``--timeline`` exports the multiprocess run's merged causal trace as a
 Chrome-trace/Perfetto JSON timeline (open it at https://ui.perfetto.dev);
-``--status`` makes the coordinator publish live status snapshots the
-``repro.observability.live`` console view can tail.
+``--status`` makes the coordinator publish live status snapshots that
+``repro.observability.serve`` serves as ``/status.json`` and
+``/metrics``.
 """
 
 # Self-contained fallback: allow running from a fresh checkout without
@@ -40,7 +42,11 @@ import argparse
 import time
 
 from repro.bench.workloads import compute_star, compute_star_multiprocess
-from repro.observability import validate_chrome_trace, write_chrome_trace
+from repro.observability import (
+    snapshot_quantile,
+    validate_chrome_trace,
+    write_chrome_trace,
+)
 
 WORKERS = 2
 ROUNDS = 4
@@ -62,7 +68,8 @@ def main(argv=None):
                         help="timeline timebase (default: virtual)")
     parser.add_argument("--status", metavar="PATH", default=None,
                         help="publish live status snapshots to PATH "
-                             "(tail with python -m repro.observability.live)")
+                             "(serve with python -m "
+                             "repro.observability.serve PATH)")
     args = parser.parse_args(argv)
 
     print(f"compute star: {WORKERS} worker nodes x {ROUNDS} rounds "
@@ -92,6 +99,11 @@ def main(argv=None):
     print(f"wire traffic: {frames} frames, "
           f"{sum(row['bytes'] for row in mp_report.links)} bytes "
           f"across {len(mp_report.links)} links")
+    batches = mp_report.histograms["transport.batch_size"]
+    print(f"messages per data frame: p50 "
+          f"{snapshot_quantile(batches, 0.5):g}, p99 "
+          f"{snapshot_quantile(batches, 0.99):g} over {batches['count']} "
+          f"frames")
 
     assert mp_events == events, \
         f"event counts diverged: {mp_events} != {events}"

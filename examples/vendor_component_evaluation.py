@@ -108,6 +108,22 @@ def main():
         print(f"loader stats: {loader.loads} loads, "
               f"{loader.cache_hits} cache hits")
 
+        # The same part on the loader's search path (the "classpath"),
+        # loaded twice from its cached namespace, then forgotten and
+        # loaded again from the source file.
+        local = ComponentLoader(search_paths=[vendor_site])
+        relative = "vendor_dsp.py:VendorDsp"
+        first, again = local.load(relative), local.load(relative)
+        local.invalidate(relative)
+        fresh = local.load(relative)
+        print(f"search path: rev {first.REVISION}, cached copy is the same "
+              f"class: {again is first}, after invalidate a fresh one: "
+              f"{fresh is not first} ({local.cache_hits} cache hit)")
+
+    # Not found through the custom channels: the ordinary import system.
+    builtin = loader.load("repro.apps.cellular:CellularModem")
+    print(f"built-in fallback: {builtin.__module__}.{builtin.__name__}")
+
 
 if __name__ == "__main__":
     main()

@@ -9,7 +9,7 @@ padded so that the total payload is *exactly* the requested byte budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from ..core.errors import SimulationError
 from . import jpeg
@@ -42,8 +42,6 @@ class PageContent:
         except KeyError:
             raise SimulationError(f"404: no resource {path!r}") from None
 
-    def paths(self) -> List[str]:
-        return ["/index.html"] + sorted(self.images)
 
 
 def build_page(*, total_bytes: int = DEFAULT_TOTAL_BYTES,

@@ -213,16 +213,6 @@ def info(blob: bytes) -> ImageInfo:
                      (width // BLOCK) * (height // BLOCK))
 
 
-def psnr(original: np.ndarray, decoded: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB (inf for identical images)."""
-    np = _tables()[0]
-    difference = original.astype(np.float64) - decoded.astype(np.float64)
-    mse = float(np.mean(difference * difference))
-    if mse == 0:
-        return float("inf")
-    return 10.0 * np.log10(255.0 * 255.0 / mse)
-
-
 def synthetic_image(width: int, height: int, *, seed: int = 0) -> np.ndarray:
     """A deterministic test card: gradients, checkers and some texture."""
     if width % BLOCK or height % BLOCK:

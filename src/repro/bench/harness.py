@@ -10,7 +10,6 @@ on a Python simulator (see DESIGN.md).
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -131,9 +130,3 @@ def assert_factor(values: Dict[str, float], small: str, big: str,
     assert values[big] >= at_least * values[small], (
         f"shape violation: {big} ({values[big]:g}) is not >= "
         f"{at_least}x {small} ({values[small]:g})")
-
-
-def ratio(values: Dict[str, float], numerator: str,
-          denominator: str) -> float:
-    den = values[denominator]
-    return math.inf if den == 0 else values[numerator] / den

@@ -42,7 +42,6 @@ __getattr__, __dir__, __all__ = _attach(__name__, {
     "Subsystem": ".subsystem",
     **dict.fromkeys(("SyncPolicy", "SyncTable"), ".sync"),
     **dict.fromkeys(("FOREVER", "PRIORITY_CONTROL", "PRIORITY_INTERRUPT",
-                     "PRIORITY_SIGNAL", "PRIORITY_WAKE", "ZERO", "Timestamp",
-                     "earliest"),
+                     "PRIORITY_SIGNAL", "PRIORITY_WAKE", "ZERO", "Timestamp"),
                     ".timestamp"),
 })

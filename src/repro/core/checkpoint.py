@@ -255,9 +255,6 @@ class CheckpointStore:
     def __len__(self) -> int:
         return len(self._order)
 
-    def ids(self) -> list[int]:
-        return list(self._order)
-
     def take(self, subsystem: "Subsystem", *, label: Optional[str] = None,
              checkpoint_id: Optional[int] = None) -> int:
         cid = checkpoint_id if checkpoint_id is not None else next(self._ids)

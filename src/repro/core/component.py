@@ -136,11 +136,6 @@ class Component:
     # time
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """This component's local virtual time (alias of ``local_time``)."""
-        return self.local_time
-
-    @property
     def system_time(self) -> float:
         """The owning subsystem's virtual time (paper: *system time*)."""
         if self.subsystem is None:

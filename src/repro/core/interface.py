@@ -81,10 +81,6 @@ class Interface:
                 f"level {level!r}")
         self.level = level
 
-    def mid_transfer(self) -> bool:
-        """True while an incoming transfer is partially reassembled."""
-        return bool(self._partial)
-
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------

@@ -51,11 +51,6 @@ class Net:
                 self.ports.append(port)
         return self
 
-    def disconnect(self, port: Port) -> None:
-        if port in self.ports:
-            self.ports.remove(port)
-            port.detach()
-
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------

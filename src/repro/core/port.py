@@ -71,9 +71,6 @@ class Port:
             )
         self.net = net
 
-    def detach(self) -> None:
-        self.net = None
-
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------
@@ -85,9 +82,6 @@ class Port:
             )
         self.buffer.append((time, value))
         self.delivered += 1
-
-    def has_data(self) -> bool:
-        return bool(self.buffer)
 
     def drive(self, value: Any, at_time: float) -> None:
         """Place ``value`` on the attached net at virtual time ``at_time``."""

@@ -24,9 +24,13 @@ time.  The format is line-based with ``[section]`` headers::
     [run]
     until = 2.0
 
-``apply`` configures any target exposing the shared facade surface
-(:class:`~repro.core.simulator.Simulator` or
-:class:`~repro.distributed.executor.CoSimulation`).
+``apply`` configures an in-process front end — a
+:class:`~repro.core.simulator.Simulator` or a cooperative
+:class:`~repro.distributed.executor.CoSimulation`, the two that carry
+run levels (:class:`~repro.core.runlevel.RunLevels`).  The concurrent
+executors (``ThreadedCoSimulation``, ``MultiprocessCoSimulation``) are
+refused with a :class:`~repro.core.errors.ConfigurationError`: run
+levels are in-process only.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigurationError
-from .runlevel import DetailSlider, Switchpoint, parse_switchpoint
+from .runlevel import (DetailSlider, RunLevels, Switchpoint,
+                       parse_switchpoint)
 
 _SECTIONS = ("runlevels", "switchpoints", "sliders", "checkpoints", "run")
 
@@ -56,14 +61,22 @@ class RunControl:
 
     # ------------------------------------------------------------------
     def apply(self, target) -> Dict[str, DetailSlider]:
-        """Configure ``target`` (Simulator or CoSimulation); returns the
-        created sliders by name.
+        """Configure ``target``, a Simulator or a cooperative
+        CoSimulation; returns the created sliders by name.  A concurrent
+        executor is refused: run levels are in-process only.
 
         Each application registers *fresh copies* of the switchpoints, so
         one parsed file can drive any number of runs without a fired
         switchpoint from an earlier run staying disarmed.
         """
         import dataclasses
+
+        if not isinstance(target, RunLevels):
+            raise ConfigurationError(
+                f"run control cannot configure a "
+                f"{type(target).__name__}: run levels, switchpoints and "
+                "sliders are in-process only (a Simulator or a "
+                "cooperative CoSimulation)")
 
         for name, level in self.runlevels.items():
             target.set_runlevel(name, level)
@@ -79,13 +92,6 @@ class RunControl:
             else:
                 target.snapshot_interval = self.checkpoint_interval
         return sliders
-
-    def run(self, target) -> int:
-        """Apply the configuration and run to the configured end time."""
-        self.apply(target)
-        if self.until is not None:
-            return target.run(until=self.until)
-        return target.run()
 
 
 #: A line up to its comment: a ``#`` outside quotes starts one.

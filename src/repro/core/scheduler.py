@@ -109,11 +109,6 @@ class Scheduler:
         return self.queue.next_time()
 
     # ------------------------------------------------------------------
-    def step(self) -> Optional[Event]:
-        """Dispatch the earliest event; returns it, or ``None`` when idle."""
-        event = self.queue.peek()
-        return event if self.run(max_events=1) else None
-
     def _record_stall(self, next_time: float, limit: float) -> None:
         """Account one horizon stall (the run loop's cold exit)."""
         self.stalls += 1
@@ -229,8 +224,7 @@ class Scheduler:
                             handlers[event.code](event)
                         finally:
                             cell.value = None
-                        # Telemetry.emit inlined (no frame); ``seq`` is
-                        # read per record, as Telemetry.reset() replaces it.
+                        # Telemetry.emit inlined (no frame).
                         if telemetry.enabled:
                             file(_new_record(_TraceRecord, (
                                 next(telemetry.seq), _DISPATCH, time, name,

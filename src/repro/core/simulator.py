@@ -57,9 +57,6 @@ class Simulator(RunLevels):
     def wire(self, name: str, *ports: Port, delay: float = 0.0) -> Net:
         return self.subsystem.wire(name, *ports, delay=delay)
 
-    def net(self, name: str) -> Net:
-        return self.subsystem.net(name)
-
     # ------------------------------------------------------------------
     # time & execution
     # ------------------------------------------------------------------
@@ -78,10 +75,6 @@ class Simulator(RunLevels):
         # their first receive), so conditions can already hold.
         self._poll_switchpoints()
         return self.subsystem.run(until, max_events=max_events)
-
-    def step(self) -> Optional[Event]:
-        self.subsystem.start()
-        return self.subsystem.scheduler.step()
 
     def run_with_recovery(self, until: float = float("inf"), *,
                           sync_tables: Iterable[SyncTable] = (),

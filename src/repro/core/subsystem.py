@@ -67,12 +67,6 @@ class Subsystem:
         self.components[component.name] = component
         return component
 
-    def remove(self, name: str) -> Component:
-        """Detach a component (used when migrating between subsystems)."""
-        component = self.components.pop(name)
-        component.subsystem = None
-        return component
-
     def add_net(self, net: Net) -> Net:
         if net.name in self.nets:
             raise ConfigurationError(f"{self.name}: duplicate net {net.name}")
@@ -124,10 +118,6 @@ class Subsystem:
 
     def next_event_time(self) -> float:
         return self.scheduler.next_event_time()
-
-    def idle(self) -> bool:
-        """No pending events (components may still be blocked on input)."""
-        return not self.scheduler.queue
 
     def _ordered_components(self) -> list[Component]:
         return [self.components[name] for name in sorted(self.components)]

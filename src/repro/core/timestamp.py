@@ -45,20 +45,9 @@ class Timestamp(NamedTuple):
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"t={self.time:g}/p{self.priority}/#{self.seq}"
 
-    def advanced(self, dt: float) -> "Timestamp":
-        """Return a copy shifted ``dt`` seconds into the future."""
-        if dt < 0:
-            raise ValueError(f"cannot advance by negative dt={dt}")
-        return self._replace(time=self.time + dt)
-
 
 #: The beginning of virtual time.
 ZERO = Timestamp(0.0, PRIORITY_CONTROL, 0)
 
 #: A timestamp later than any event the simulation can produce.
 FOREVER = Timestamp(math.inf, PRIORITY_WAKE, 2**62)
-
-
-def earliest(*stamps: Timestamp) -> Timestamp:
-    """Return the smallest of the given timestamps (``FOREVER`` if empty)."""
-    return min(stamps, default=FOREVER)

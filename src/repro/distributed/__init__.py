@@ -29,7 +29,7 @@ __getattr__, __dir__, __all__ = _attach(__name__, {
                      "SubsystemCut", "new_snapshot_id"),
                     ".snapshot"),
     **dict.fromkeys(("ChannelSpec", "SubsystemSpec", "SystemSpec",
-                     "register_factory", "resolve_factory"),
+                     "resolve_factory"),
                     ".spec"),
     **dict.fromkeys(("FAILURE_POLICIES", "LiveSystem"), ".system"),
     **dict.fromkeys(("LockedSafeTimeService", "ThreadedCoSimulation"),

@@ -188,9 +188,6 @@ class ChannelEndpoint:
         self._nets[net.name] = net
         return port
 
-    def taps(self) -> list:
-        return sorted(self._nets)
-
     def _foreign_ports(self):
         """Every port on a tapped net except this end's own hidden one —
         visible ports and other channels' hidden ports alike."""
@@ -254,14 +251,10 @@ class ChannelEndpoint:
             self.pending_echoes.append((self.forwarded,
                                         stamp + channel.delay))
 
-    def echo_floor(self) -> float:
-        """Earliest possible arrival of an unconfirmed echo."""
-        return self.pending_echoes[0][1] if self.pending_echoes \
-            else float("inf")
-
     def effective_horizon(self) -> float:
         """How far this endpoint lets its subsystem run: the peer's
-        grant, capped by :meth:`echo_floor`."""
+        grant, capped by the earliest possible arrival of an unconfirmed
+        echo."""
         grant = self.peer_grant
         echoes = self.pending_echoes
         if echoes and echoes[0][1] < grant:
@@ -442,14 +435,6 @@ class Channel:
         endpoint = ChannelEndpoint(self, subsystem, peer_subsystem, peer_node)
         self.endpoints[subsystem.name] = endpoint
         return endpoint
-
-    def endpoint(self, subsystem_name: str) -> ChannelEndpoint:
-        try:
-            return self.endpoints[subsystem_name]
-        except KeyError:
-            raise ConfigurationError(
-                f"channel {self.channel_id}: no endpoint at "
-                f"{subsystem_name!r}") from None
 
     def other(self, subsystem_name: str) -> ChannelEndpoint:
         for name, endpoint in self.endpoints.items():

@@ -136,10 +136,6 @@ class CoSimulation(LiveSystem, RunLevels):
                 if ss.node.name not in self._dead_nodes]
         return self._live_order
 
-    def finished(self) -> bool:
-        """No work left anywhere (the finish line with no ``until``)."""
-        return self._reached(float("inf"), finish=True)
-
     def stalls(self) -> int:
         return sum(ss.scheduler.stalls for ss in self.subsystems.values())
 

@@ -13,8 +13,7 @@ Three problems are specific to crossing a process boundary:
 
 * **Bootstrap** — live components cannot cross ``spawn``, so the system
   is described as picklable *specs*: subsystems are named factories
-  (dotted-path or :func:`register_factory` names) the worker resolves and
-  calls in its own process.
+  (dotted paths) the worker resolves and calls in its own process.
 * **Coordination** — a pipe-based control plane starts, probes, quiesces
   and stops the workers; a worker that dies (or a scheduled
   :class:`~repro.faults.NodeCrash`, fired at its virtual instant)
@@ -59,8 +58,7 @@ rolls back.
 from ... import _attach
 
 __getattr__, __dir__, __all__ = _attach(__name__, {
-    **dict.fromkeys(("ChannelSpec", "SubsystemSpec", "register_factory",
-                     "resolve_factory"),
+    **dict.fromkeys(("ChannelSpec", "SubsystemSpec", "resolve_factory"),
                     "..spec"),
     "MultiprocessCoSimulation": ".coordinator",
     "WorkerPool": ".pool",

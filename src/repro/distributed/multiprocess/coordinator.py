@@ -20,7 +20,6 @@ from ...core.errors import (
 )
 from ...faults import FailureDetector, FaultPlan, NodeCrash, RetryPolicy
 from ...observability import RunReport, Telemetry, TraceKind
-from ...observability.live import status_snapshot
 from ...observability.report import bundle, fold
 from ...transport.codec import VERSION as CODEC_VERSION
 from ...transport.shm import DEFAULT_RING_CAPACITY, create_ring_segment
@@ -29,7 +28,7 @@ from ..migration import MigrationRecord, NodeArchive, resent_counts
 from ..snapshot import new_snapshot_id
 from ..system import check_failure_policy, lost_node, reached
 from .pool import WorkerPool, _PoolWorker
-from ..spec import ChannelSpec, SubsystemSpec, SystemSpec
+from ..spec import SystemSpec
 from .specs import TelemetrySpec, _WorkerSpec
 from .worker import WorkerSystem
 
@@ -38,14 +37,69 @@ from .worker import WorkerSystem
 HEARTBEAT_TIMEOUT = 5.0
 
 
+def _json_safe(value):
+    """``inf`` has no JSON encoding; status snapshots use ``null``."""
+    return None if value == float("inf") else value
+
+
+def status_snapshot(statuses: Dict[str, dict], *,
+                    until: float = float("inf"),
+                    phase: str = "running", report=None) -> dict:
+    """Fold per-worker ``status?`` replies into one JSON-safe snapshot.
+
+    Per node the idle flag, control-loop round count, parked/pending
+    messages, wire counters and heartbeat age (seconds since the worker
+    stamped its reply), and per subsystem the local virtual time, next
+    event, event count, queue depth, safe-time horizon, stall state and
+    the peer currently pinning the horizon.  With ``report`` — the
+    :func:`~repro.observability.report.fold` of everyone's telemetry so
+    far — the ``telemetry`` (counters, gauges), ``series`` and
+    ``health`` sections :mod:`repro.observability.serve` exposes.
+    """
+    wall = _time.time()
+    nodes = {}
+    times = []
+    for name in sorted(statuses):
+        st = statuses[name]
+        rows = []
+        for row in st["subsystems"]:
+            times.append(row["time"])
+            rows.append(dict(row,
+                             next_event=_json_safe(row["next_event"]),
+                             horizon=_json_safe(row["horizon"])))
+        nodes[name] = {
+            "idle": st["idle"],
+            "rounds": st["rounds"],
+            "pending": st["pending"],
+            "wire_out": st["wire_out"],
+            "wire_in": st["wire_in"],
+            "epoch": st.get("epoch", 0),
+            "heartbeat_age": max(0.0, wall - st.get("wall", wall)),
+            "subsystems": rows,
+        }
+    snapshot = {"phase": phase, "wall": wall, "until": _json_safe(until),
+                "global_time": min(times, default=0.0), "nodes": nodes}
+    if report is not None:
+        snapshot["telemetry"] = {
+            "counters": dict(report.counters),
+            "gauges": {name: _json_safe(value)
+                       for name, value in report.gauges.items()},
+        }
+        snapshot["series"] = {
+            name: {"points": [[t, _json_safe(v)] for t, v in row["points"]]}
+            for name, row in report.timeseries.items()}
+        snapshot["health"] = report.link_health
+    return snapshot
+
+
 class MultiprocessCoSimulation:
     """Run each Pia node in its own OS process (conservative channels).
 
     The system is a :class:`~repro.distributed.spec.SystemSpec` — handed
-    over whole (:meth:`load`) or declared through this class's
-    ``add_node``/``add_subsystem``/``connect`` — because live components
-    cannot cross ``spawn``: subsystems are named factories resolved in
-    the worker process, channels are declared by subsystem and net names.
+    over whole (:meth:`load`) or declared on ``self.spec`` — because live
+    components cannot cross ``spawn``: subsystems are named factories
+    resolved in the worker process, channels are declared by subsystem
+    and net names.
     Batching and grant piggybacking are on by default — synchronous
     safe-time traffic is what process-parallel deployments can least
     afford.
@@ -128,22 +182,6 @@ class MultiprocessCoSimulation:
         self.spec = spec
         return self
 
-    def add_node(self, name: str) -> str:
-        return self.spec.add_node(name)
-
-    def add_subsystem(self, node: str, name: str, factory: str,
-                      *args, **kwargs) -> SubsystemSpec:
-        """Declare subsystem ``name`` on ``node``, built in the worker by
-        ``factory(name, *args, **kwargs)`` (see :func:`resolve_factory`).
-        Positional and keyword arguments must be picklable."""
-        return self.spec.add_subsystem(node, name, factory, *args, **kwargs)
-
-    def connect(self, a: str, b: str, *, delay: float = 0.0,
-                nets: Tuple[str, ...] = ()) -> ChannelSpec:
-        """Declare a conservative channel between subsystems ``a`` and
-        ``b`` carrying the named split nets."""
-        return self.spec.connect(a, b, delay=delay, nets=nets)
-
     def worker_spec(self, node: str) -> _WorkerSpec:
         """The picklable bootstrap spec worker ``node`` receives."""
         if node not in self.spec.nodes:
@@ -225,20 +263,17 @@ class MultiprocessCoSimulation:
     # ------------------------------------------------------------------
     # live migration requests
     # ------------------------------------------------------------------
-    def migrate(self, node: str) -> None:
-        """Request a live migration of ``node`` to a fresh pool worker.
+    def migrate_at(self, node: str, at_time: float) -> None:
+        """Request a live migration of ``node`` to a fresh pool worker
+        once the run has got to virtual ``at_time`` (deterministic
+        trigger point; at once, if asked mid-run for an instant already
+        passed — ``float("-inf")`` is "now").
 
         Thread-safe: callable from a ``status_listener`` (or any other
-        thread) while :meth:`run` is in flight.  The supervision loop
-        picks the request up on its next sweep — requires
+        thread) while :meth:`run` is in flight; the supervision loop
+        picks the request up on its next sweep.  Requires
         ``failure_policy="recover"``.
         """
-        self.migrate_at(node, float("-inf"))
-
-    def migrate_at(self, node: str, at_time: float) -> None:
-        """Request a migration of ``node`` once the run has got to
-        virtual ``at_time`` (deterministic trigger point; at once, if
-        asked mid-run for an instant already passed)."""
         if node not in self.spec.nodes:
             raise ConfigurationError(f"no node named {node!r}")
         if self.failure_policy != "recover":
@@ -286,10 +321,10 @@ class MultiprocessCoSimulation:
 
         ``status_path`` enables live introspection: the coordinator's
         supervision loop writes a JSON
-        :func:`~repro.observability.live.status_snapshot` there
-        (atomically, every ``status_interval`` seconds, plus a final
-        ``phase: "done"`` snapshot) which ``python -m
-        repro.observability.live <path>`` tails as a console view.
+        :func:`status_snapshot` there (atomically, every
+        ``status_interval`` seconds, plus a final ``phase: "done"``
+        snapshot) which ``python -m repro.observability.serve <path>``
+        serves as ``/status.json`` and ``/metrics``.
         ``status_listener`` receives the same snapshots in-process.  A
         snapshot's telemetry sections are the :meth:`report` of the run
         so far: the same fold over every worker's bundle, asked for only

@@ -95,10 +95,6 @@ class WorkerPool:
                 self.spawned += 1
         worker.kill()
 
-    def idle_count(self) -> int:
-        with self._lock:
-            return len(self._idle)
-
     def close(self) -> None:
         """Shut down idle workers; in-flight workers die on release."""
         with self._lock:

@@ -106,13 +106,6 @@ class PiaNode:
         self.sockets[name] = socket
         return socket
 
-    def socket(self, name: str) -> Socket:
-        try:
-            return self.sockets[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"{self.name}: no socket named {name!r}") from None
-
     # ------------------------------------------------------------------
     # subsystems
     # ------------------------------------------------------------------
@@ -156,12 +149,6 @@ class PiaNode:
         except KeyError:
             raise ConfigurationError(
                 f"{self.name}: no subsystem named {name!r}") from None
-
-    def endpoints(self) -> List["ChannelEndpoint"]:
-        found = []
-        for subsystem in self.subsystems.values():
-            found.extend(subsystem.channels.values())
-        return found
 
     def _endpoint_for(self, channel_id: str) -> "ChannelEndpoint":
         for subsystem in self.subsystems.values():

@@ -4,9 +4,9 @@
 A :class:`SystemSpec` is plain picklable data, so it is realised in this
 process (:meth:`~repro.distributed.system.LiveSystem.load`) or crosses
 ``spawn`` into a worker that realises its own node's slice.  Live
-components cannot be pickled: subsystems are named factories (dotted-path
-or :func:`register_factory` names) the hosting process resolves and
-calls, channels are declared by subsystem and net names.
+components cannot be pickled: subsystems are named factories (dotted
+paths) the hosting process resolves and calls, channels are declared by
+subsystem and net names.
 """
 
 from __future__ import annotations
@@ -20,36 +20,15 @@ from ..core.subsystem import Subsystem
 from ..transport.latency import LatencyModel
 from .channel import ChannelMode
 
-#: Factories registered by short name (an alternative to dotted paths).
-_FACTORIES: Dict[str, Callable[..., Subsystem]] = {}
-
-
-def register_factory(name: str, factory: Callable[..., Subsystem]) -> None:
-    """Register ``factory`` under ``name`` for use in subsystem specs.
-
-    Registration is per-process: a factory registered only in the
-    coordinator is invisible to spawned workers, so registry names are
-    mainly for tests and single-process tooling — specs that must cross
-    ``spawn`` should use importable dotted paths.
-    """
-    if not callable(factory):
-        raise ConfigurationError(f"factory {name!r} is not callable")
-    _FACTORIES[name] = factory
-
-
 def resolve_factory(ref: str) -> Callable[..., Subsystem]:
-    """Resolve a factory reference: a registered name, ``pkg.mod:attr``,
-    or ``pkg.mod.attr``.  (Design factories are named the same way.)"""
-    found = _FACTORIES.get(ref)
-    if found is not None:
-        return found
+    """Resolve a factory reference: ``pkg.mod:attr`` or ``pkg.mod.attr``.
+    (Design factories are named the same way.)"""
     try:
         target = pkgutil.resolve_name(ref)
     except (ValueError, ImportError, AttributeError) as exc:
         raise ConfigurationError(
             f"cannot resolve subsystem factory {ref!r} ({exc}): use a "
-            "registered name or a dotted path like "
-            "'package.module:callable'") from exc
+            "dotted path like 'package.module:callable'") from exc
     if not callable(target):
         raise ConfigurationError(f"factory {ref!r} resolved to a "
                                  f"non-callable {target!r}")

@@ -124,9 +124,6 @@ class Bitstream:
     def and_gate(self, out: str, a: str, b: str) -> None:
         self.add_lut(out, [a, b], 0b1000)
 
-    def or_gate(self, out: str, a: str, b: str) -> None:
-        self.add_lut(out, [a, b], 0b1110)
-
     def xor_gate(self, out: str, a: str, b: str) -> None:
         self.add_lut(out, [a, b], 0b0110)
 
@@ -259,11 +256,6 @@ class SimulatedPamette(HardwareStub):
         for i in range(width):
             self._values[f"{name}[{i}]"] = (value >> i) & 1
         self._settle()
-
-    # ------------------------------------------------------------------
-    def signal(self, name: str) -> int:
-        """Inspect any internal signal (test/debug convenience)."""
-        return self._values[name]
 
 
 def counter_bitstream(bits: int, *, irq_on_wrap: bool = False) -> Bitstream:

@@ -12,8 +12,8 @@ On top of the raw records sits the causal layer: every data-plane
 message carries a :mod:`span <repro.observability.spans>` context, so
 send/receive/dispatch records across nodes link into chains —
 exportable as a Chrome-trace/Perfetto timeline (:mod:`.export`),
-profiled into per-peer stall attribution, and observable live for
-multiprocess runs (:mod:`.live`).
+profiled into per-peer stall attribution, and served live for
+multiprocess runs (:mod:`.serve`).
 
 Zero dependencies, deterministic under the in-memory transport, and a
 one-attribute-read no-op path when disabled — cheap enough to leave on.

@@ -76,10 +76,6 @@ class FlightRecorder(TraceBuffer):
             self.append(TraceRecord(seq, kind, time, subject, details,
                                     _time.time()))
 
-    def clear(self) -> None:
-        super().clear()
-        self.dispatch_seq = 0
-
     # ------------------------------------------------------------------
     def dumps(self, *, tag: str = "run", reason: str = "") -> str:
         """The black box as JSONL: a header line, then one record dict

@@ -165,10 +165,6 @@ class LinkHealthMonitor:
             })
         return out
 
-    def reset(self) -> None:
-        self.links.clear()
-        self.inbound.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<LinkHealthMonitor links={len(self.links)}>"
 

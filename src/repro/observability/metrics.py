@@ -14,7 +14,6 @@ update costs one tick of a statistic, never a wrong simulation result.
 from __future__ import annotations
 
 import math as _math
-import time as _time
 from bisect import bisect_left
 from typing import Dict, Optional
 
@@ -48,26 +47,23 @@ class BoundCounter:
     :class:`Counter` is looked up by name once and held by the site's
     owner.  Indistinguishable from the by-name increment otherwise — the
     counter is created by the first increment, not before; a registry
-    that was reset (:attr:`MetricsRegistry.generation` moved) or swapped
-    with its telemetry is noticed at the next increment and counting
-    starts from zero there; a disabled telemetry counts nothing."""
+    swapped with its telemetry is noticed at the next increment and
+    counting starts from zero there; a disabled telemetry counts
+    nothing."""
 
-    __slots__ = ("name", "_counter", "_registry", "_generation")
+    __slots__ = ("name", "_counter", "_registry")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._counter: Optional[Counter] = None
         self._registry: Optional["MetricsRegistry"] = None
-        self._generation = 0
 
     def inc(self, telemetry, n: int = 1) -> None:
         if not telemetry.enabled:
             return
         registry = telemetry.registry
-        if registry is not self._registry or \
-                registry.generation != self._generation:
+        if registry is not self._registry:
             self._registry = registry
-            self._generation = registry.generation
             self._counter = registry.counter(self.name)
         self._counter.value += n
 
@@ -83,9 +79,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Gauge {self.name}={self.value}>"
@@ -136,16 +129,6 @@ class Histogram:
             "mean": (self.total / self.count) if self.count else None,
             "buckets": buckets,
         }
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Deterministic bucket-rank quantile estimate (see
-        :func:`snapshot_quantile`)."""
-        return snapshot_quantile(self.snapshot(), q)
-
-    def percentiles(self) -> dict:
-        """The report trio: ``{"p50": ..., "p95": ..., "p99": ...}``."""
-        return {"p50": self.quantile(0.50), "p95": self.quantile(0.95),
-                "p99": self.quantile(0.99)}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Histogram {self.name} n={self.count} total={self.total:g}>"
@@ -209,25 +192,15 @@ def snapshot_quantile(snapshot: dict, q: float) -> Optional[float]:
 
 
 class Timer:
-    """Accumulated wall-clock time over any number of timed blocks."""
+    """Accumulated wall-clock time, folded in from durations measured
+    elsewhere."""
 
-    __slots__ = ("name", "total", "count", "_started")
+    __slots__ = ("name", "total", "count")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.total = 0.0
         self.count = 0
-        self._started: Optional[float] = None
-
-    def __enter__(self) -> "Timer":
-        self._started = _time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        assert self._started is not None
-        self.total += _time.perf_counter() - self._started
-        self.count += 1
-        self._started = None
 
     def add(self, seconds: float, blocks: int = 1) -> None:
         """Fold in a duration measured elsewhere."""
@@ -246,10 +219,6 @@ class MetricsRegistry:
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.timers: Dict[str, Timer] = {}
-        #: Bumped by :meth:`reset`.  A per-frame site may keep the
-        #: :class:`Counter` objects it increments instead of looking them
-        #: up by name each time; it re-resolves them when this moves.
-        self.generation = 0
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -293,10 +262,3 @@ class MetricsRegistry:
         return {name: {"total_seconds": self.timers[name].total,
                        "count": self.timers[name].count}
                 for name in sorted(self.timers)}
-
-    def reset(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()
-        self.timers.clear()
-        self.generation += 1

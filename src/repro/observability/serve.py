@@ -1,13 +1,13 @@
 """HTTP exposition of live telemetry: JSON plus Prometheus text format.
 
-The first brick of the session-server dashboard story (ROADMAP): a
-stdlib-only HTTP endpoint over the status snapshots a running
+A stdlib-only HTTP endpoint over the status snapshots a running
 :class:`~repro.distributed.multiprocess.MultiprocessCoSimulation`
 publishes (``run(..., status_path=...)``), including its counters,
 time-series and link-health sections — the fold of every worker's
-telemetry so far, as the final report folds it.  Decoupled by design — the server reads the
-snapshot *file*, so it can start before the run, survive it, and watch
-any number of sequential runs publishing to the same path.
+telemetry so far, as the final report folds it.  Decoupled by design —
+the server reads the snapshot *file*, so it can start before the run,
+survive it, and watch any number of sequential runs publishing to the
+same path.
 
 Routes::
 
@@ -30,8 +30,6 @@ import json
 import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, List, Optional
-
-from .live import read_snapshot
 
 _LABEL_ESCAPES = str.maketrans({
     "\\": "\\\\", '"': '\\"', "\n": "\\n"})
@@ -215,6 +213,19 @@ def make_server(source: Callable[[], Optional[dict]], *,
                 host: str = "127.0.0.1", port: int = 0) -> TelemetryServer:
     """Bind a :class:`TelemetryServer` over ``source`` (port 0 = ephemeral)."""
     return TelemetryServer((host, port), source)
+
+
+def read_snapshot(path: str) -> Optional[dict]:
+    """Load the snapshot at ``path``; ``None`` when absent/incomplete.
+
+    The writer replaces the file atomically, so a partial read can only
+    mean the run has not published yet — both cases are "no data yet".
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError):
+        return None
 
 
 def serve_status_file(path: str, *, host: str = "127.0.0.1",

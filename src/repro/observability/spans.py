@@ -70,9 +70,6 @@ class SpanMinter:
     def load_ordinals(self, ordinals: Dict[str, int]) -> None:
         self._ordinals.update(ordinals)
 
-    def reset(self) -> None:
-        self._ordinals.clear()
-
 
 def ensure_context(telemetry, message: Message) -> Optional[TraceContext]:
     """Mint ``message``'s trace context at the transport send boundary.

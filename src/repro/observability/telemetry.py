@@ -23,9 +23,8 @@ message (dispatch, transport send/poll, link accounting) go one step
 further and skip the conveniences: they hand :meth:`Telemetry.emit` a
 ready details dict instead of keywords, read :attr:`Telemetry.cause_cell`
 as a plain attribute, and hold bound :class:`~.metrics.Counter` handles
-(re-resolved when :attr:`MetricsRegistry.generation
-<.metrics.MetricsRegistry.generation>` moves) instead of looking a name
-up per increment.  What gets recorded is the same either way.
+(re-resolved when the telemetry's registry is swapped) instead of
+looking a name up per increment.  What gets recorded is the same either way.
 """
 
 from __future__ import annotations
@@ -33,15 +32,13 @@ from __future__ import annotations
 import itertools
 import threading
 import time as _time
-from contextlib import nullcontext
 from typing import Optional
 
 from .flight import FlightRecorder
-from .metrics import MetricsRegistry, Timer
+from .metrics import MetricsRegistry
 from .spans import SpanMinter
 from .trace import TraceBuffer, TraceRecord
 
-_NULL_TIMER = nullcontext()
 _new_record = tuple.__new__
 _wall = _time.time
 
@@ -81,13 +78,10 @@ class Telemetry:
         #: own dispatch's cause.
         self.cause_cell = _CauseCell()
         #: Record ordinals (``itertools.count``: one atomic C call, unique
-        #: under the threaded executor); :meth:`reset` replaces it.
+        #: under the threaded executor).
         self.seq = itertools.count(1)
 
     # ------------------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
     def disable(self) -> None:
         self.enabled = False
 
@@ -106,18 +100,6 @@ class Telemetry:
         if not self.enabled:
             return
         self.registry.gauge(name).set(value)
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample in histogram ``name`` (no-op while disabled)."""
-        if not self.enabled:
-            return
-        self.registry.histogram(name).observe(value)
-
-    def timer(self, name: str):
-        """Context manager accumulating wall time under ``name``."""
-        if not self.enabled:
-            return _NULL_TIMER
-        return self.registry.timer(name)
 
     def emit(self, kind: str, time: float, subject: str,
              details: dict) -> Optional[TraceRecord]:
@@ -161,19 +143,6 @@ class Telemetry:
         self.series = recorder
         return recorder
 
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Forget everything recorded so far (the gate is untouched)."""
-        self.registry.reset()
-        self.trace_buffer.clear()
-        self.spans.reset()
-        self.flight.clear()
-        if self.series is not None:
-            self.series.clear()
-        if self.health is not None:
-            self.health.reset()
-        self.seq = itertools.count(1)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "enabled" if self.enabled else "disabled"
         return (f"<Telemetry {state} counters={len(self.registry.counters)} "
@@ -193,11 +162,6 @@ class _NullTelemetry(Telemetry):
         # Shared sink: its flight recorder must stay off too, so code
         # never attached to a real Telemetry pays one attribute read.
         self.flight.enabled = False
-
-    def enable(self) -> None:
-        raise RuntimeError(
-            "NULL_TELEMETRY is the shared disabled sink; attach a real "
-            "Telemetry() instance instead of enabling it")
 
 
 #: Default sink for objects not attached to any simulation's telemetry.

@@ -137,14 +137,6 @@ class TimeSeriesRecorder:
         return {name: {"points": self.series[name].as_list()}
                 for name in sorted(self.series)}
 
-    def clear(self) -> None:
-        """Forget every point and re-arm both cadences."""
-        self.series.clear()
-        self.samples = 0
-        self._next_virtual = (0.0 if self.virtual_interval is not None
-                              else None)
-        self._next_wall = None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<TimeSeriesRecorder series={len(self.series)} "
                 f"samples={self.samples}>")

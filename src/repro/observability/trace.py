@@ -134,7 +134,7 @@ class Ring:
     def __init__(self, capacity: int) -> None:
         self.capacity = check_capacity(capacity)
         #: The deque: a per-event site appends here and bumps
-        #: :attr:`appended` itself; :meth:`clear` empties it in place.
+        #: :attr:`appended` itself.
         self.items: deque = deque(maxlen=capacity)
         #: Items ever appended (evicted ones included).
         self.appended = 0
@@ -148,25 +148,11 @@ class Ring:
         """Items evicted by the ring bound."""
         return self.appended - len(self.items)
 
-    def tail(self, since: int = 0) -> list:
-        """The items appended after the first ``since`` that the ring
-        still holds — "new since a consumer last saw :attr:`appended`
-        equal ``since``"; whatever was evicted in between is lost."""
-        fresh = self.appended - since
-        if fresh <= 0:
-            return []
-        items = list(self.items)
-        return items[-fresh:] if fresh < len(items) else items
-
     def __len__(self) -> int:
         return len(self.items)
 
     def __iter__(self):
         return iter(self.items)
-
-    def clear(self) -> None:
-        self.items.clear()
-        self.appended = 0
 
 
 class TraceBuffer(Ring):
@@ -176,11 +162,6 @@ class TraceBuffer(Ring):
 
     def __init__(self, capacity: int = 4096) -> None:
         super().__init__(capacity)
-
-    def records(self, kind: Optional[str] = None) -> List[TraceRecord]:
-        if kind is None:
-            return list(self.items)
-        return [r for r in self.items if r.kind == kind]
 
     def counts_by_kind(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}

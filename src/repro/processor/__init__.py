@@ -3,8 +3,7 @@
 from .. import _attach
 
 __getattr__, __dir__, __all__ = _attach(__name__, {
-    **dict.fromkeys(("AssemblyError", "assemble", "assemble_with_symbols"),
-                    ".assembler"),
+    **dict.fromkeys(("AssemblyError", "assemble"), ".assembler"),
     **dict.fromkeys(("DATA_OFFSET", "FLAG_OFFSET", "LINE_STRIDE",
                      "InterruptController", "InterruptLine"),
                     ".interrupts"),

@@ -169,9 +169,3 @@ class _Pass:
 def assemble(source: str) -> List[Instruction]:
     """Assemble ``source`` into a program for :class:`IssComponent`."""
     return _Pass(source).resolve()
-
-
-def assemble_with_symbols(source: str):
-    """Assemble and also return (labels, constants) for debuggers."""
-    p = _Pass(source)
-    return p.resolve(), dict(p.labels), dict(p.constants)

@@ -215,6 +215,3 @@ class IssComponent(SoftwareComponent):
             self.regs[reg] = value & WORD_MASK
 
     # ------------------------------------------------------------------
-    def reg(self, index: int) -> int:
-        """Read a register (test/debug convenience)."""
-        return self.regs[index]

@@ -57,15 +57,6 @@ class Memory:
         self.data[addr:addr + width] = (value & ((1 << (8 * width)) - 1)) \
             .to_bytes(width, "little")
 
-    def load_bytes(self, addr: int, blob: bytes) -> None:
-        """Bulk initialisation (program images, DMA buffers)."""
-        self._check_range(addr, max(len(blob), 1))
-        self.data[addr:addr + len(blob)] = blob
-
-    def dump_bytes(self, addr: int, length: int) -> bytes:
-        self._check_range(addr, max(length, 1))
-        return bytes(self.data[addr:addr + length])
-
     # ------------------------------------------------------------------
     # sync semantics
     # ------------------------------------------------------------------

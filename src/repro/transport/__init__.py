@@ -6,11 +6,10 @@ __getattr__, __dir__, __all__ = _attach(__name__, {
     **dict.fromkeys(("LinkStats", "NetworkAccounting"), ".accounting"),
     "SendBatcher": ".batch",
     "InMemoryTransport": ".inmemory",
-    **dict.fromkeys(("BROADBAND", "INTERNET", "LAN", "PRESETS", "SAME_HOST",
-                     "LatencyModel", "preset"),
+    **dict.fromkeys(("BROADBAND", "INTERNET", "LAN", "SAME_HOST",
+                     "LatencyModel"),
                     ".latency"),
-    **dict.fromkeys(("decode", "decode_any", "encode", "encode_batch",
-                     "wire_size"),
+    **dict.fromkeys(("decode", "decode_any", "encode", "encode_batch"),
                     ".codec"),
     **dict.fromkeys(("BatchFrame", "Message", "MessageKind"), ".message"),
     "Transport": ".pipeline",

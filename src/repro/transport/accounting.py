@@ -71,11 +71,10 @@ class NetworkAccounting:
         self.health = None
         #: Bound registry metrics (see :meth:`_count`): per directed link
         #: the six counters a frame increments, plus the batch histogram,
-        #: valid for one registry at one generation.
+        #: valid for one registry.
         self._bound: Dict[Tuple[str, str], tuple] = {}
         self._batch_size = None
         self._bound_to = None
-        self._bound_generation = 0
 
     def set_model(self, src: str, dst: str, model: LatencyModel,
                   *, both_ways: bool = True) -> None:
@@ -97,16 +96,14 @@ class NetworkAccounting:
         """Feed one frame to the registry: the four global counters, the
         link's two, and — for a frame that carries data messages — the
         coalescing histogram.  The metric objects are looked up by name
-        once per link and held; a registry that was reset (or swapped by
-        attaching another telemetry) is noticed here, so counting starts
-        from zero exactly as a by-name increment would."""
+        once per link and held; a registry swapped by attaching another
+        telemetry is noticed here, so counting starts from zero exactly
+        as a by-name increment would."""
         registry = self.telemetry.registry
-        if registry is not self._bound_to or \
-                registry.generation != self._bound_generation:
+        if registry is not self._bound_to:
             self._bound.clear()
             self._batch_size = None
             self._bound_to = registry
-            self._bound_generation = registry.generation
         key = (src, dst)
         bound = self._bound.get(key)
         if bound is None:
@@ -175,9 +172,6 @@ class NetworkAccounting:
     @property
     def total_delay(self) -> float:
         return sum(s.delay for s in self.links.values())
-
-    def reset(self) -> None:
-        self.links.clear()
 
     def report(self) -> list:
         """Rows of (src, dst, model, messages, bytes, delay, frames)."""

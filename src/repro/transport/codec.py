@@ -323,9 +323,6 @@ def encode_batch(frame: BatchFrame) -> bytes:
     return bytes(out)
 
 
-def wire_size(message: Message) -> int:
-    """Bytes this message occupies on the wire."""
-    return len(encode(message))
 
 
 # ------------------------------------------------------------------------

@@ -61,15 +61,3 @@ INTERNET = LatencyModel("internet", latency=35e-3, bandwidth=128e3)
 
 #: A modern broadband WAN, for the ablation sweeps.
 BROADBAND = LatencyModel("broadband", latency=8e-3, bandwidth=12.5e6)
-
-PRESETS = {model.name: model for model in
-           (SAME_HOST, LAN, INTERNET, BROADBAND)}
-
-
-def preset(name: str) -> LatencyModel:
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown latency preset {name!r} "
-            f"(available: {sorted(PRESETS)})") from None

@@ -260,11 +260,6 @@ class SharedMemoryTransport(TcpTransport):
                 self._pump_threads[dst] = thread
                 thread.start()
 
-    def rings(self) -> Tuple[Tuple[str, str], ...]:
-        """Directed links with an outbound ring (introspection/tests)."""
-        with self._ring_lock:
-            return tuple(sorted(self._out_rings))
-
     def detach_node_rings(self, name: str) -> None:
         """Detach every ring on a link touching node ``name`` plus its
         spill bookkeeping (migration re-splice: the coordinator hands out

@@ -52,7 +52,7 @@ class TestContent:
 
     def test_resources_resolvable(self):
         page = build_page(**{**SMALL})
-        for path in page.paths():
+        for path in ["/index.html"] + sorted(page.images):
             assert page.resource(path)
         with pytest.raises(SimulationError):
             page.resource("/nothere")
@@ -244,9 +244,9 @@ class TestWordReactionCrossesAtItsStimulus:
         cosim.run()
 
         assert a.reply[1] == b"lmth.xedni/ TEG"
-        signals = [record for record in
-                   cosim.telemetry.trace_buffer.records(TraceKind.MSG_SEND)
-                   if record.details["message_kind"] == "signal"]
+        signals = [record for record in cosim.telemetry.trace_buffer
+                   if record.kind == TraceKind.MSG_SEND
+                   and record.details["message_kind"] == "signal"]
         stamps = {record.details["span"]: record.time for record in signals}
         back = [record for record in signals
                 if record.subject == "host-b->host-a"]

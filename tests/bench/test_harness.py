@@ -1,6 +1,5 @@
 """The benchmark harness itself: tables, formatting, shape assertions."""
 
-import math
 import os
 
 import pytest
@@ -13,7 +12,6 @@ from repro.bench import (
     format_bytes,
     format_count,
     format_seconds,
-    ratio,
     ring_of_pairs,
     streaming_pair,
 )
@@ -89,10 +87,6 @@ class TestShapeAssertions:
         assert_factor({"small": 1.0, "big": 10.0}, "small", "big", 5.0)
         with pytest.raises(AssertionError):
             assert_factor({"small": 1.0, "big": 3.0}, "small", "big", 5.0)
-
-    def test_ratio(self):
-        assert ratio({"a": 10.0, "b": 2.0}, "a", "b") == 5.0
-        assert ratio({"a": 1.0, "b": 0.0}, "a", "b") == math.inf
 
     def test_paper_values_present(self):
         assert PAPER_TABLE1["HotJava"] == 0.54

@@ -357,7 +357,7 @@ def test_receive_row(row, rx_ports):
                             interrupts=row.interrupts)
     sim.run()
     assert observed(rx, sim, seen) == expected(row)
-    assert not rx.interface("bus").mid_transfer()
+    assert not rx.interface("bus")._partial
 
 
 # ----------------------------------------------------------------------
@@ -445,7 +445,7 @@ def test_drive_row(row, tx_ports):
     sim.run()
     assert rx.got == [resumed]
     assert tx.local_time == local_time
-    wire = sim.net("na")
+    wire = sim.subsystem.net("na")
     assert (wire.posts, wire.value, wire.last_change) == net
     assert seen[-1] == ("na", wire.last_change, wire.value)
     assert len(seen) == wire.posts
@@ -499,7 +499,7 @@ def test_fan_out_reaches_every_listener_in_connect_order():
     late, early, rival = Tap("late"), Tap("early"), Tap("rival")
     for tap, direction in ((early, IN), (late, INOUT), (rival, OUT)):
         sim.add(tap)
-        sim.net("nb").connect(tap.add_port("b", direction))
+        sim.subsystem.net("nb").connect(tap.add_port("b", direction))
     sim.run()
     assert order == ["rx", "early", "late"]
 
@@ -517,7 +517,7 @@ def test_direction_assigned_after_wiring_takes_effect_on_the_next_post():
     at(sim, 2.5, lambda: setattr(port, "direction", OUT))
     sim.run()
     assert rx.got == [(2.0, 2)] and not rx.finished
-    assert port.delivered == 1 and sim.net("na").posts == 3
+    assert port.delivered == 1 and sim.subsystem.net("na").posts == 3
     assert port.direction is OUT
 
 
@@ -533,18 +533,18 @@ def test_direction_assigned_after_wiring_opens_and_closes_the_drive_side():
     assert rx.got == [(1.0, 1)]
 
 
-def test_port_connected_or_disconnected_between_posts():
+def test_port_connected_between_posts():
     sends = [WaitUntil(1.0), Send("b", 1), WaitUntil(2.0), Send("b", 2),
              WaitUntil(3.0), Send("b", 3)]
     sim, tx, rx, seen = rig(sends, Probe("rx"))
     late = sim.add(Probe("late"))
     heard = late.add_port("b", IN)
-    at(sim, 1.5, lambda: sim.net("nb").connect(heard))
-    at(sim, 2.5, lambda: sim.net("nb").disconnect(rx.port("b")))
+    at(sim, 1.5, lambda: sim.subsystem.net("nb").connect(heard))
     sim.run()
-    assert rx.calls == [("event", "b", 1.0, 1), ("event", "b", 2.0, 2)]
+    assert rx.calls == [("event", "b", 1.0, 1), ("event", "b", 2.0, 2),
+                        ("event", "b", 3.0, 3)]
     assert late.calls == [("event", "b", 2.0, 2), ("event", "b", 3.0, 3)]
-    assert rx.port("b").net is None and heard.net is sim.net("nb")
+    assert heard.net is sim.subsystem.net("nb")
 
 
 # ----------------------------------------------------------------------
@@ -558,7 +558,7 @@ def test_checkpoint_mid_reassembly_round_trips():
     sim.run(max_events=4)       # HDR CHK | HDR CHK, one chunk to come
     mid = {("tx", "bus", 1): {"level": "word", "expected": 2,
                               "mode": "bytes", "chunks": {0: b"cd"}}}
-    assert bus._partial == mid and bus.mid_transfer()
+    assert bus._partial == mid and bus._partial
     checkpoint = sim.checkpoint("mid")
     sim.run()
     end = observed(rx, sim, [])
@@ -592,7 +592,7 @@ def test_checkpoint_between_buffered_chunks_round_trips():
     assert rx.got == [5.0, (5.0, b"abcd")]
     sim.restore(checkpoint)
     assert list(rx.port("a").buffer) == buffered
-    assert not rx.interface("bus").mid_transfer() and rx._log == []
+    assert not rx.interface("bus")._partial and rx._log == []
     sim.run()
     assert rx.got == [5.0, (5.0, b"abcd")]
 

@@ -153,7 +153,7 @@ class TestWaitAndSync:
         def consume(comp):
             yield Advance(3.0)
             yield Sync()
-            order.append(("resumed", comp.port("in").has_data()))
+            order.append(("resumed", bool(comp.port("in").buffer)))
 
         sim, __, consumer = make_pair(produce, consume)
         sim.run()

@@ -224,18 +224,6 @@ class TestInterfaceRules:
         sim.run()
         assert got == [b"first", b"second"]
 
-    def test_mid_transfer_flag(self):
-        iface = Interface("bus", bus_protocol(), in_port="i")
-        comp = FunctionComponent("c", lambda comp: iter(()))
-        comp.add_interface(iface)
-        assert not iface.mid_transfer()
-        reassemble_step(iface._partial, ("HDR", ("t", 1), "word", 2, "bytes"))
-        assert iface.mid_transfer()
-        reassemble_step(iface._partial, ("CHK", ("t", 1), 0, b"ab"))
-        result = reassemble_step(iface._partial, ("CHK", ("t", 1), 1, b"cd"))
-        assert result == b"abcd"
-        assert not iface.mid_transfer()
-
     def test_snapshot_state_roundtrip(self):
         iface = Interface("bus", packet_protocol(), in_port="i")
         comp = FunctionComponent("c", lambda comp: iter(()))
@@ -246,7 +234,7 @@ class TestInterfaceRules:
         iface.set_level("word")
         iface.restore_state(state)
         assert iface.level == "packet"
-        assert iface.mid_transfer()
+        assert iface._partial
         reassemble_step(iface._partial, ("CHK", ("t", 9), 0, b"aa"))
         assert reassemble_step(iface._partial, ("CHK", ("t", 9), 1, b"bb")) == b"aabb"
 

@@ -1,10 +1,15 @@
 """Run-control files: parsing and application."""
 
+import os
+
 import pytest
 
 from repro.core import ConfigurationError, Interface, Simulator
 from repro.core.runcontrol import RunControl, load, parse
 from repro.protocols import packet_protocol
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                        "examples")
 
 SAMPLE = """
 # a run control file
@@ -125,9 +130,10 @@ class TestApplication:
     def test_run_respects_until(self):
         sim, tx, rx = build_link_system()
         control = parse("[run]\nuntil = 2.5\n")
-        control.run(sim)
+        control.apply(sim)
+        sim.run(until=control.until)
         assert sim.now <= 2.5
-        assert not sim.subsystem.idle()
+        assert sim.subsystem.scheduler.queue
 
     def test_apply_to_cosimulation(self):
         from repro.core import (Advance, FunctionComponent, Receive, Send)
@@ -155,7 +161,24 @@ class TestApplication:
         channel.split_net(ss_a.wire("w", p.port("out")),
                           ss_b.wire("w", c.port("in")))
         control = parse("[checkpoints]\ninterval = 1.5\n")
-        control.run(cosim)
+        control.apply(cosim)
+        cosim.run()
         assert c.got == [0, 1, 2]
         assert cosim.snapshot_interval == 1.5
         assert cosim.registry.completed()
+
+    @pytest.mark.parametrize("executor", ["ThreadedCoSimulation",
+                                          "MultiprocessCoSimulation"])
+    def test_concurrent_executor_is_refused_by_name(self, executor):
+        """Run levels are in-process only: a concurrent executor gets one
+        ConfigurationError naming it, not an AttributeError half-way
+        through the file."""
+        import repro.distributed
+        target = getattr(repro.distributed, executor)()
+        control = load(os.path.join(EXAMPLES, "wubbleu.runcontrol"))
+        with pytest.raises(ConfigurationError) as excinfo:
+            control.apply(target)
+        assert str(excinfo.value) == (
+            f"run control cannot configure a {executor}: run levels, "
+            "switchpoints and sliders are in-process only (a Simulator "
+            "or a cooperative CoSimulation)")

@@ -177,29 +177,17 @@ class TestRunContract:
 
 
 class TestStep:
-    def test_returns_the_dispatched_event_then_none(self):
-        subsystem, fired = _tagged_subsystem([2.0, 1.0])
-        scheduler = subsystem.scheduler
-        seen = []
-        scheduler.post_step_hooks.append(seen.append)
-        first, second = scheduler.step(), scheduler.step()
-        assert (first.time, second.time) == (1.0, 2.0)
-        assert fired == [1, 0]
-        assert seen == [first, second]
-        assert (scheduler.now, scheduler.dispatched) == (2.0, 2)
-        assert scheduler.step() is None
-        assert (scheduler.dispatched, scheduler.stalls) == (2, 0)
-
     def test_steps_tick_the_flight_recorder(self):
         telemetry = Telemetry()
         steps = 2 * STRIDE + 5
         subsystem, __ = _tagged_subsystem(
             [float(n) for n in range(steps)], telemetry)
         for __ in range(steps):
-            assert subsystem.scheduler.step() is not None
+            assert subsystem.scheduler.run(max_events=1) == 1
         flight = telemetry.flight
         assert flight.dispatch_seq == steps
-        assert [r.seq for r in flight.records(TraceKind.DISPATCH)] \
+        assert [r.seq for r in flight
+                if r.kind == TraceKind.DISPATCH] \
             == [STRIDE, 2 * STRIDE]
 
 

@@ -15,7 +15,6 @@ from repro.core import (
     EventKind,
     EventQueue,
     Timestamp,
-    earliest,
 )
 
 
@@ -37,24 +36,11 @@ class TestTimestamp:
     def test_seq_breaks_remaining_ties(self):
         assert Timestamp(1.0, 5, 1) < Timestamp(1.0, 5, 2)
 
-    def test_advanced(self):
-        ts = Timestamp(3.0, 1, 7).advanced(0.5)
-        assert ts == Timestamp(3.5, 1, 7)
-
-    def test_advanced_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Timestamp(3.0).advanced(-1.0)
-
     def test_zero_before_everything(self):
         assert ZERO <= Timestamp(0.0, PRIORITY_CONTROL, 0)
 
     def test_forever_after_everything(self):
         assert Timestamp(1e30, PRIORITY_WAKE, 10**9) < FOREVER
-
-    def test_earliest(self):
-        a, b = Timestamp(1.0), Timestamp(2.0)
-        assert earliest(b, a) is a
-        assert earliest() is FOREVER
 
     @given(st.lists(st.tuples(
         st.floats(min_value=0, max_value=1e6, allow_nan=False),

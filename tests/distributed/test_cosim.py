@@ -101,7 +101,7 @@ class TestConservativePipeline:
         sink = []
         cosim = build_two_subsystems([1, 2, 3], sink)
         cosim.run()
-        assert cosim.finished()
+        assert cosim._reached(float("inf"), finish=True)
         assert cosim.component("consumer").local_time == 3.0
         assert cosim.global_time() >= 3.0
 
@@ -313,4 +313,4 @@ class TestDeadlockDetection:
         cosim = build_two_subsystems([], sink)
         # producer sends nothing; consumer expects nothing
         cosim.run()
-        assert cosim.finished()
+        assert cosim._reached(float("inf"), finish=True)

@@ -56,12 +56,12 @@ class TestRunBounds:
         cosim, consumer = simple_pair()
         cosim.run(until=2.0)
         assert consumer.got == [0, 1]
-        assert not cosim.finished()
+        assert not cosim._reached(float("inf"), finish=True)
         cosim.run(until=3.5)
         assert consumer.got == [0, 1, 2]
         cosim.run()
         assert consumer.got == [0, 1, 2, 3, 4]
-        assert cosim.finished()
+        assert cosim._reached(float("inf"), finish=True)
 
     def test_max_rounds_limits_work(self):
         cosim, consumer = simple_pair()
@@ -143,7 +143,7 @@ class TestSharedBuilder:
         with pytest.raises(ConfigurationError, match="duplicate channel"):
             cosim.connect(ss_a, ss_c, channel_id="link")
         assert cosim.channels == {"link": first}
-        assert ss_a.channels == {"link": first.endpoint("sa")}
+        assert ss_a.channels == {"link": first.endpoints["sa"]}
 
     def test_self_channel(self, executor):
         cosim = executor()

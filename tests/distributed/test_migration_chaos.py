@@ -235,12 +235,12 @@ class TestLiveMigration:
     def test_migrate_requires_recover_policy(self):
         plain = compute_star_multiprocess(2, 3, words=20)
         with pytest.raises(ConfigurationError):
-            plain.migrate("n-w0")
+            plain.migrate_at("n-w0", float("-inf"))
 
     def test_migrate_unknown_node_rejected(self):
         cosim = star()
         with pytest.raises(ConfigurationError):
-            cosim.migrate("n-missing")
+            cosim.migrate_at("n-missing", float("-inf"))
 
     @pytest.mark.parametrize("policy", ["migrate", "drop-node"])
     def test_a_process_deployment_refuses_the_policy(self, policy):
@@ -260,14 +260,14 @@ class TestLiveMigration:
 
 
     def test_migrate_called_mid_run_is_lossless(self, pool):
-        """``migrate()`` from a status listener while the run is in
-        flight: every worker is held where it stands, the node moves,
-        nothing is lost."""
+        """``migrate_at(node, -inf)`` from a status listener while the run
+        is in flight: every worker is held where it stands, the node
+        moves, nothing is lost."""
         ref = long_star(pool=pool)
         ref.run(timeout=120.0)
         moved = long_star(pool=pool)
         moved.run(timeout=120.0, status_interval=0.0, status_listener=MidRun(
-            (3.0, lambda __: moved.migrate("n-w1"))))
+            (3.0, lambda __: moved.migrate_at("n-w1", float("-inf")))))
         assert [(m.kind, m.node, m.reason) for m in moved.migrations] \
             == [("migrate", "n-w1", "requested")]
         assert 3.0 <= moved.migrations[0].at_global_time < 30.0

@@ -1,6 +1,7 @@
 """Process-per-node deployment: bootstrap specs, control plane, merged
 reports, and same-seed chaos equivalence with the cooperative executor."""
 
+import json
 import pickle
 
 import pytest
@@ -19,8 +20,10 @@ from repro.distributed import (
     WorkerPool,
     build,
 )
-from repro.distributed.multiprocess import register_factory, resolve_factory
+from repro.distributed.multiprocess import resolve_factory
+from repro.distributed.multiprocess.coordinator import status_snapshot
 from repro.faults import FaultPlan, LinkFaults, NodeCrash, RetryPolicy
+from repro.observability import RunReport
 
 #: Rates chosen (with seed 0) to fire every fault kind at least once on
 #: the small star: drops, duplicates (and their suppression), delays,
@@ -120,10 +123,6 @@ class TestSpecs:
         assert by_colon is make_compute_hub
         assert by_dot is make_compute_hub
 
-    def test_registered_name_wins(self):
-        register_factory("test-hub", make_compute_hub)
-        assert resolve_factory("test-hub") is make_compute_hub
-
     @pytest.mark.parametrize("ref", ["", "nodots", "repro.nosuchmodule:x",
                                      "repro.bench.workloads:nosuchattr"])
     def test_bad_references_raise(self, ref):
@@ -148,29 +147,31 @@ class TestSpecs:
 
     def test_duplicate_names_rejected(self):
         cosim = MultiprocessCoSimulation()
-        cosim.add_node("n0")
-        cosim.add_subsystem("n0", "ss", "repro.bench.workloads:make_compute_hub")
+        cosim.spec.add_node("n0")
+        cosim.spec.add_subsystem("n0", "ss",
+                                 "repro.bench.workloads:make_compute_hub")
         with pytest.raises(ConfigurationError):
-            cosim.add_node("n0")
+            cosim.spec.add_node("n0")
         with pytest.raises(ConfigurationError):
-            cosim.add_subsystem("n0", "ss",
-                                "repro.bench.workloads:make_compute_hub")
+            cosim.spec.add_subsystem("n0", "ss",
+                                     "repro.bench.workloads:make_compute_hub")
         with pytest.raises(ConfigurationError):
-            cosim.add_subsystem("missing", "other",
-                                "repro.bench.workloads:make_compute_hub")
+            cosim.spec.add_subsystem("missing", "other",
+                                     "repro.bench.workloads:make_compute_hub")
         # A channel from a subsystem to itself could only fail inside the
         # worker, as a NodeFailure: refused at declaration.
         with pytest.raises(ConfigurationError, match="to itself"):
-            cosim.connect("ss", "ss")
+            cosim.spec.connect("ss", "ss")
 
     def test_cyclic_channel_graph_rejected_before_spawning(self):
         cosim = MultiprocessCoSimulation()
         for index in range(3):
-            cosim.add_node(f"n{index}")
-            cosim.add_subsystem(f"n{index}", f"ss{index}", "unused-factory")
-        cosim.connect("ss0", "ss1")
-        cosim.connect("ss1", "ss2")
-        cosim.connect("ss2", "ss0")
+            cosim.spec.add_node(f"n{index}")
+            cosim.spec.add_subsystem(f"n{index}", f"ss{index}",
+                                     "unused-factory")
+        cosim.spec.connect("ss0", "ss1")
+        cosim.spec.connect("ss1", "ss2")
+        cosim.spec.connect("ss2", "ss0")
         with pytest.raises(TopologyError, match="cycle"):
             cosim.run(until=1.0)
 
@@ -285,12 +286,14 @@ class TestChaos:
 
     def test_broken_factory_surfaces_as_node_failure(self):
         cosim = MultiprocessCoSimulation()
-        cosim.add_node("n0")
-        cosim.add_subsystem("n0", "ss0", "repro.bench.workloads:make_compute_hub",
-                            workers=1, rounds=1)
-        cosim.add_node("n1")
-        cosim.add_subsystem("n1", "ss1", "repro.bench.workloads:nosuchattr")
-        cosim.connect("ss0", "ss1")
+        cosim.spec.add_node("n0")
+        cosim.spec.add_subsystem("n0", "ss0",
+                                 "repro.bench.workloads:make_compute_hub",
+                                 workers=1, rounds=1)
+        cosim.spec.add_node("n1")
+        cosim.spec.add_subsystem("n1", "ss1",
+                                 "repro.bench.workloads:nosuchattr")
+        cosim.spec.connect("ss0", "ss1")
         with pytest.raises(NodeFailure) as excinfo:
             cosim.run(until=10.0, timeout=30.0)
         assert excinfo.value.node == "n1"
@@ -303,16 +306,16 @@ class TestChaos:
         exception text must reach the coordinator."""
         cosim = MultiprocessCoSimulation(
             retry_policy=RetryPolicy(**FAST_RETRY))
-        cosim.add_node("n-hub")
-        cosim.add_subsystem("n-hub", "hub",
-                            "repro.bench.workloads:make_compute_hub",
-                            workers=1, rounds=2)
-        cosim.add_node("n-w0")
-        cosim.add_subsystem(
+        cosim.spec.add_node("n-hub")
+        cosim.spec.add_subsystem("n-hub", "hub",
+                                 "repro.bench.workloads:make_compute_hub",
+                                 workers=1, rounds=2)
+        cosim.spec.add_node("n-w0")
+        cosim.spec.add_subsystem(
             "n-w0", "w0",
             "tests.distributed.test_multiprocess:make_exploding_worker",
             index=0, rounds=2, words=10)
-        cosim.connect("hub", "w0", delay=0.25, nets=("go0", "done0"))
+        cosim.spec.connect("hub", "w0", delay=0.25, nets=("go0", "done0"))
         with pytest.raises(NodeFailure) as excinfo:
             cosim.run(until=100.0, timeout=30.0)
         assert excinfo.value.node == "n-w0"
@@ -403,9 +406,9 @@ class TestWarmPool:
         pool = cosim._own_pool
         assert first == second
         assert pool.spawned == 3
-        assert pool.idle_count() == 3
+        assert len(pool._idle) == 3
         cosim.close()
-        assert pool.idle_count() == 0
+        assert len(pool._idle) == 0
 
     def test_shared_pool_across_executors(self):
         with WorkerPool() as pool:
@@ -413,7 +416,7 @@ class TestWarmPool:
                 cosim = compute_star_multiprocess(2, 3, words=20, pool=pool)
                 cosim.run(until=100.0, timeout=60.0)
             assert pool.spawned == 3
-            assert pool.idle_count() == 3
+            assert len(pool._idle) == 3
 
     def test_closed_pool_rejects_acquire(self):
         pool = WorkerPool()
@@ -434,5 +437,62 @@ class TestWarmPool:
             pool.release(first, healthy=False)
             pool.release(second)
             assert pool.spawned == 3
-            assert pool.idle_count() == 2
+            assert len(pool._idle) == 2
             assert all(worker.is_alive() for worker in pool.acquire(2))
+
+
+# ----------------------------------------------------------------------
+# the status document (the coordinator is its only producer)
+# ----------------------------------------------------------------------
+
+WORKER_STATUS = {
+    "node": "n-w0",
+    "idle": False,
+    "rounds": 12,
+    "pending": 1,
+    "wire_out": 5,
+    "wire_in": 4,
+    "wall": 0.0,
+    "subsystems": [{
+        "name": "w0", "time": 3.5, "next_event": 4.0, "dispatched": 7,
+        "stalls": 2, "queue_depth": 1, "horizon": float("inf"),
+        "stalled": False, "waiting_on": "hub@n-hub",
+    }],
+}
+
+
+class TestStatusSnapshot:
+    def test_json_safe_and_complete(self):
+        snapshot = status_snapshot({"n-w0": WORKER_STATUS}, until=10.0)
+        json.dumps(snapshot)    # must not choke on inf
+        node = snapshot["nodes"]["n-w0"]
+        row = node["subsystems"][0]
+        assert snapshot["phase"] == "running"
+        assert snapshot["until"] == 10.0
+        assert snapshot["global_time"] == 3.5
+        assert row["horizon"] is None           # inf -> null
+        assert row["waiting_on"] == "hub@n-hub"
+        assert node["heartbeat_age"] >= 0.0
+
+    def test_infinite_until_is_null(self):
+        snapshot = status_snapshot({"n-w0": WORKER_STATUS})
+        assert snapshot["until"] is None
+
+    def test_done_phase_carried_through(self):
+        snapshot = status_snapshot({}, phase="done")
+        assert snapshot["phase"] == "done"
+        assert snapshot["global_time"] == 0.0
+
+    def test_telemetry_sections_are_the_report_folded_so_far(self):
+        report = RunReport("live")
+        report.counters = {"safetime.served": 3}
+        report.gauges = {"horizon": float("inf")}
+        report.timeseries = {"n-w0/c": {"points": [[1.0, float("inf")]]}}
+        report.link_health = [{"src": "n-w0", "dst": "n-hub", "score": 1.0}]
+        snapshot = status_snapshot({"n-w0": WORKER_STATUS}, report=report)
+        json.dumps(snapshot)
+        assert snapshot["telemetry"] == {"counters": {"safetime.served": 3},
+                                         "gauges": {"horizon": None}}
+        assert snapshot["series"] == {"n-w0/c": {"points": [[1.0, None]]}}
+        assert snapshot["health"] == report.link_health
+        assert "telemetry" not in status_snapshot({"n-w0": WORKER_STATUS})

@@ -189,3 +189,35 @@ class TestRecoveryEscalation:
             manager.choose_snapshot(
                 StragglerError("s", channel_id="ch", straggler_time=5.0),
                 receiver="sb")
+
+    def test_a_cut_is_eligible_only_if_its_channel_state_can_be_replayed(
+            self):
+        """A message recorded as in-flight channel state is re-injected
+        after the restore, so it must belong to a subsystem here and be
+        stamped no earlier than that receiver's cut."""
+        from types import SimpleNamespace
+
+        from repro.distributed.optimistic import RecoveryManager
+        from repro.distributed.snapshot import (GlobalSnapshot,
+                                                SnapshotRegistry, SubsystemCut)
+        from repro.transport import InMemoryTransport, Message, MessageKind
+
+        endpoint = SimpleNamespace(node=SimpleNamespace(name="nb"))
+        manager = RecoveryManager(
+            {"sb": SimpleNamespace(channels={"ch": endpoint})},
+            InMemoryTransport(), SnapshotRegistry())
+
+        def snapshot(stamp, dst="nb"):
+            word = Message(kind=MessageKind.SIGNAL, src="na", dst=dst,
+                           channel="ch", time=stamp)
+            return GlobalSnapshot("s", cuts={
+                "sa": SubsystemCut("s", "sa", 1, 2.0),
+                "sb": SubsystemCut("s", "sb", 1, 3.0,
+                                   recorded={"ch": [word]})},
+                expected={"sa", "sb"})
+
+        straggler = StragglerError("late", channel_id="ch",
+                                   straggler_time=5.0)
+        assert manager.eligible(snapshot(4.0), straggler, "sb")
+        assert not manager.eligible(snapshot(2.5), straggler, "sb")
+        assert not manager.eligible(snapshot(4.0, dst="nx"), straggler, "sb")

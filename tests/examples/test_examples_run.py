@@ -40,6 +40,7 @@ FAST_EXAMPLES = [
     "real_sockets.py",
     "multiprocess_nodes.py",
     "migrate_node.py",
+    "protocol_library.py",
 ]
 
 

@@ -17,6 +17,7 @@ from repro.hw import (
     REG_STATUS,
     Bitstream,
     HardwareComponent,
+    HardwareStub,
     RemoteHardwareClient,
     RemoteHardwareServer,
     SimulatedPamette,
@@ -127,6 +128,41 @@ class TestDevices:
             uart.poke(REG_DATA, b)
         uart.run_for(100)
         assert [uart.peek(REG_DATA) for __ in range(3)] == [1, 2, 3]
+
+
+class TestStubContract:
+    def test_hardware_without_state_save_refuses_it(self):
+        """Hardware not designed with Pia in mind cannot be rewound: the
+        stub's default save/restore refuse by name."""
+        class PlainCounter(HardwareStub):
+            def read_time(self):
+                return 0
+
+            def set_time(self, ticks):
+                pass
+
+            def run_for(self, ticks):
+                return []
+
+            def stall(self):
+                pass
+
+            def resume(self):
+                pass
+
+            def peek(self, addr):
+                return 0
+
+            def poke(self, addr, value):
+                pass
+
+        stub = PlainCounter()
+        assert not stub.supports_state_save
+        with pytest.raises(HardwareStubError, match="PlainCounter cannot "
+                                                    "save state"):
+            stub.save_state()
+        with pytest.raises(HardwareStubError, match="cannot restore"):
+            stub.restore_state(None)
 
 
 class TestHardwareComponent:
@@ -276,3 +312,98 @@ class TestRemoteHardware:
         cosim, lab, desk, server = self._system()
         with pytest.raises(HardwareStubError):
             server.attach("timer0", TimerDevice())
+
+
+def _timer():
+    return TimerDevice(clock_hz=1e6, period=7), \
+        lambda hw: hw.poke(REG_CONTROL, 1), \
+        lambda hw: hw.peek(REG_STATUS)
+
+
+def _uart():
+    def send(hw):
+        for byte in b"Pi!":
+            hw.poke(REG_DATA, byte)
+    return UartDevice(divisor=1), send, lambda hw: hw.peek(REG_STATUS)
+
+
+def _pamette():
+    return SimulatedPamette(counter_bitstream(3, irq_on_wrap=True)), \
+        lambda hw: None, \
+        lambda hw: hw.peek(0x0)
+
+
+def _records(records):
+    return [(r.tick, r.line, r.payload) for r in records]
+
+
+def _free_run(hw, stimulus, observe):
+    stimulus(hw)
+    first = _records(hw.run_for(30))
+    second = _records(hw.run_for(25))
+    return [first, second, observe(hw), hw.read_time()]
+
+
+def _stall_and_resume(hw, stimulus, observe):
+    stimulus(hw)
+    before = _records(hw.run_for(10))
+    hw.stall()
+    stalled = _records(hw.run_for(20))
+    held = observe(hw)
+    hw.resume()
+    after = _records(hw.run_for(40))
+    assert stalled == []
+    return [before, held, after, observe(hw), hw.read_time()]
+
+
+def _save_and_restore(hw, stimulus, observe):
+    stimulus(hw)
+    hw.run_for(5)
+    state = hw.save_state()
+    first = _records(hw.run_for(40))
+    hw.restore_state(state)
+    replay = _records(hw.run_for(40))
+    assert replay == first
+    return [first, observe(hw), hw.read_time()]
+
+
+def _set_time(hw, stimulus, observe):
+    hw.set_time(100)
+    stimulus(hw)
+    return [_records(hw.run_for(30)), observe(hw), hw.read_time()]
+
+
+class TestRemoteParity:
+    """Paper section 2.3: a device behind a remote hardware server answers
+    every stub call exactly as the same device attached locally does."""
+
+    DEVICES = {"timer": _timer, "uart": _uart, "pamette": _pamette}
+    SCENARIOS = {"free-run": _free_run, "stall-resume": _stall_and_resume,
+                 "save-restore": _save_and_restore, "set-time": _set_time}
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("device", sorted(DEVICES))
+    def test_remote_transcript_equals_local(self, device, scenario):
+        from repro.distributed import CoSimulation
+        run = self.SCENARIOS[scenario]
+        local_hw, stimulus, observe = self.DEVICES[device]()
+        local = run(local_hw, stimulus, observe)
+
+        cosim = CoSimulation()
+        lab = cosim.add_node("lab")
+        desk = cosim.add_node("desk")
+        server = RemoteHardwareServer(lab)
+        served_hw, stimulus, observe = self.DEVICES[device]()
+        server.attach("dut", served_hw)
+        client = RemoteHardwareClient(desk, "lab", "dut")
+        assert client.remote_type == type(served_hw).__name__
+        assert client.supports_state_save
+        remote = run(client, stimulus, observe)
+
+        assert remote == local
+        assert any(isinstance(part, list) and part for part in local), \
+            "the scenario raised no interrupt"
+        assert served_hw.read_time() == local_hw.read_time()
+        assert server.calls_served == client.calls_made
+        assert cosim.transport.accounting.links[("desk", "lab")].messages \
+            >= client.calls_made

@@ -34,7 +34,7 @@ class TestRecorder:
     def test_note_round_trips(self):
         flight = FlightRecorder()
         flight.note(TraceKind.STALL, "engine", time=4.5, horizon=4.0)
-        record, = flight.records()
+        record, = list(flight)
         assert isinstance(record, TraceRecord)
         assert record.kind == TraceKind.STALL
         assert record.subject == "engine"
@@ -55,18 +55,8 @@ class TestRecorder:
             flight.note(TraceKind.DISPATCH, f"s{n}")
         assert flight.appended == 10
         assert flight.dropped == 6
-        assert [r.subject for r in flight.records()] \
+        assert [r.subject for r in flight] \
             == ["s6", "s7", "s8", "s9"]
-        assert [r.subject for r in flight.tail(8)] == ["s8", "s9"]
-
-    def test_clear_resets_everything(self):
-        flight = FlightRecorder()
-        flight.note(TraceKind.STALL)
-        flight.dispatch_seq = 1
-        flight.clear()
-        assert len(flight) == 0
-        assert flight.appended == 0
-        assert flight.dispatch_seq == 0
 
     @pytest.mark.parametrize("ring", [
         TraceBuffer, FlightRecorder,
@@ -90,7 +80,7 @@ class TestDump:
         assert header["flight"] == "worker"
         assert header["reason"] == "test"
         assert header["recorded"] == 1
-        record, = flight.records()
+        record, = list(flight)
         assert json.loads(lines[1]) == dict(record.to_dict(),
                                             wall=record.wall)
 
@@ -153,11 +143,12 @@ class TestSchedulerHook:
         self._run(telemetry)
         flight = telemetry.flight
         assert flight.dispatch_seq == 2 * STRIDE + 100
-        assert [r.seq for r in flight.records(TraceKind.DISPATCH)] \
+        assert [r.seq for r in flight
+                if r.kind == TraceKind.DISPATCH] \
             == [STRIDE, 2 * STRIDE]
         # The sampled dispatches live in the black box only: these
         # dispatches have no cause, so the full trace records none of them.
-        assert telemetry.trace_buffer.records() == []
+        assert list(telemetry.trace_buffer) == []
 
     def test_flight_stays_on_with_metrics_gate_disabled(self):
         telemetry = Telemetry()
@@ -171,10 +162,3 @@ class TestSchedulerHook:
         self._run(NULL_TELEMETRY)
         assert NULL_TELEMETRY.flight.dispatch_seq == before
         assert len(NULL_TELEMETRY.flight) == 0
-
-    def test_reset_clears_the_ring(self):
-        telemetry = Telemetry()
-        self._run(telemetry)
-        telemetry.reset()
-        assert len(telemetry.flight) == 0
-        assert telemetry.flight.dispatch_seq == 0

@@ -53,13 +53,6 @@ class TestMonitor:
         assert [(r["src"], r["dst"]) for r in monitor.rows()] \
             == [("a", "b"), ("b", "a")]
 
-    def test_reset_forgets_everything(self):
-        monitor = LinkHealthMonitor()
-        monitor.on_send("a", "b", 1, 1, 0.1, wall=0.0)
-        monitor.on_poll("b", 2)
-        monitor.reset()
-        assert monitor.rows() == []
-
 
 class TestFinalize:
     def _row(self, **overrides):
@@ -129,8 +122,6 @@ class TestAttachAndReport:
         monitor = attach_health(transport, telemetry)
         assert transport.monitor is monitor
         assert telemetry.health is monitor
-        telemetry.reset()
-        assert monitor.rows() == []
 
     def test_cosim_run_reports_scored_rows(self):
         cosim = streaming_pair(30, 1.0)

@@ -42,23 +42,14 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_and_add(self):
+    def test_set(self):
         g = Gauge("g")
         g.set(10.0)
-        g.add(-3.5)
+        g.set(6.5)
         assert g.value == 6.5
 
 
 class TestTimer:
-    def test_context_manager_accumulates(self):
-        t = Timer("t")
-        with t:
-            pass
-        with t:
-            pass
-        assert t.count == 2
-        assert t.total >= 0.0
-
     def test_add_external_measurement(self):
         t = Timer("t")
         t.add(1.5, blocks=3)
@@ -83,15 +74,6 @@ class TestRegistry:
         assert snap["counters"]["zz"] == 2
         assert snap["gauges"]["mid"] == 3.0
 
-    def test_reset_forgets_everything(self):
-        reg = MetricsRegistry()
-        reg.counter("x").inc(5)
-        reg.gauge("g").set(2.0)
-        reg.reset()
-        assert reg.snapshot() == {"counters": {}, "gauges": {},
-                                  "histograms": {}}
-        assert reg.counter("x").value == 0
-
     def test_timings_reported_separately_from_snapshot(self):
         reg = MetricsRegistry()
         reg.timer("run").add(0.25, blocks=2)
@@ -110,25 +92,18 @@ class TestHistogramQuantiles:
     def test_quantile_is_bucket_bound_clamped_to_observed_range(self):
         h = self._histogram([3, 3, 3, 10])
         # rank 2 of 4 lands in the <=4 bucket, clamped up to min=3
-        assert h.quantile(0.50) == 4.0
+        assert snapshot_quantile(h.snapshot(), 0.50) == 4.0
         # rank 4 lands in <=16, clamped down to max=10
-        assert h.quantile(0.99) == 10.0
+        assert snapshot_quantile(h.snapshot(), 0.99) == 10.0
 
     def test_extremes_return_min_and_max(self):
         h = self._histogram([1, 7, 900])
-        assert h.quantile(0.0) == 1.0
-        assert h.quantile(1.0) == 900.0
+        assert snapshot_quantile(h.snapshot(), 0.0) == 1.0
+        assert snapshot_quantile(h.snapshot(), 1.0) == 900.0
 
     def test_empty_histogram_has_no_quantiles(self):
         h = self._histogram([])
-        assert h.quantile(0.5) is None
-        assert h.percentiles() == {"p50": None, "p95": None, "p99": None}
-
-    def test_percentiles_trio(self):
-        h = self._histogram(range(1, 101))
-        trio = h.percentiles()
-        assert set(trio) == {"p50", "p95", "p99"}
-        assert trio["p50"] <= trio["p95"] <= trio["p99"]
+        assert snapshot_quantile(h.snapshot(), 0.5) is None
 
     def test_snapshot_quantile_rejects_out_of_range(self):
         h = self._histogram([1])
@@ -139,7 +114,7 @@ class TestHistogramQuantiles:
 
     def test_overflow_bucket_uses_the_observed_max(self):
         h = self._histogram([5000, 6000])
-        assert h.quantile(0.99) == 6000.0
+        assert snapshot_quantile(h.snapshot(), 0.99) == 6000.0
 
     def test_quantile_over_merged_style_snapshot(self):
         # snapshot_quantile works on plain dicts, like cross-process

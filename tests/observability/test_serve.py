@@ -8,6 +8,7 @@ import urllib.request
 from repro.observability.serve import (
     make_server,
     prometheus_text,
+    read_snapshot,
     serve_status_file,
 )
 
@@ -139,3 +140,11 @@ class TestServer:
         finally:
             server.shutdown()
             server.server_close()
+
+
+class TestReadSnapshot:
+    def test_read_snapshot_missing_or_torn_is_none(self, tmp_path):
+        assert read_snapshot(str(tmp_path / "missing.json")) is None
+        torn = tmp_path / "torn.json"
+        torn.write_text('{"phase": "runn')
+        assert read_snapshot(str(torn)) is None

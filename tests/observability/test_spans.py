@@ -33,12 +33,6 @@ class TestSpanMinter:
         minter = SpanMinter()
         assert [minter.mint(n)[0] for n in ("n1", "n2", "n1")] == [1, 1, 2]
 
-    def test_reset_restarts_ordinals(self):
-        minter = SpanMinter()
-        minter.mint("n1")
-        minter.reset()
-        assert minter.mint("n1")[0] == 1
-
     def test_deterministic_across_instances(self):
         a, b = SpanMinter(), SpanMinter()
         seq = ["n1", "n1", "n2", "n1"]

@@ -71,17 +71,6 @@ class TestRecorderCadences:
         assert recorder.to_dict()["keep.me"]["points"] == [[1.0, 3]]
 
 
-class TestClear:
-    def test_clear_rearms_the_virtual_cadence(self):
-        registry = registry_with(counters=[("c", 1)])
-        recorder = TimeSeriesRecorder(virtual_interval=1.0)
-        recorder.tick(0.0, registry)
-        recorder.clear()
-        assert recorder.series == {}
-        assert recorder.samples == 0
-        assert recorder.tick(0.0, registry) is True   # due again at t=0
-
-
 class TestCooperativeSampling:
     def test_cooperative_runs_sample_deterministically(self):
         dumps = []
@@ -105,13 +94,10 @@ class TestCooperativeSampling:
             == report.timeseries
         assert "time-series:" in report.render()
 
-    def test_attach_series_is_returned_and_reset_clears_it(self):
+    def test_attach_series_is_returned(self):
         telemetry = Telemetry()
         recorder = telemetry.attach_series(TimeSeriesRecorder())
         assert telemetry.series is recorder
-        recorder.sample(0.0, registry_with(counters=[("c", 1)]))
-        telemetry.reset()
-        assert recorder.series == {}
 
 
 class TestMultiprocessMirror:
@@ -127,7 +113,7 @@ class TestMultiprocessMirror:
             virtual_interval=2.0, wall_interval=0.5, capacity=8,
             names=["scheduler.stalls"]))
         cosim = MultiprocessCoSimulation(telemetry=telemetry)
-        cosim.add_node("n0")
+        cosim.spec.add_node("n0")
         mirror = cosim.worker_spec("n0").telemetry
         assert (mirror.trace_capacity, mirror.health) == (64, False)
         twin = TimeSeriesRecorder(**mirror.series)
@@ -136,6 +122,6 @@ class TestMultiprocessMirror:
         telemetry.health = LinkHealthMonitor()
         assert cosim.worker_spec("n0").telemetry.health is True
         plain = MultiprocessCoSimulation()
-        plain.add_node("n0")
+        plain.spec.add_node("n0")
         assert plain.worker_spec("n0").telemetry \
             == (Telemetry().trace_buffer.capacity, None, False)

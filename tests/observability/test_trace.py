@@ -5,6 +5,10 @@ import pytest
 from repro.observability import Telemetry, TraceBuffer, TraceKind, TraceRecord
 
 
+def of_kind(buffer, kind):
+    return [record for record in buffer if record.kind == kind]
+
+
 def _fill(buf, count, kind=TraceKind.DISPATCH):
     for i in range(count):
         buf.append(TraceRecord(i + 1, kind, float(i), "ss"))
@@ -21,30 +25,14 @@ class TestBoundedness:
     def test_keeps_the_most_recent_records(self):
         buf = TraceBuffer(capacity=4)
         _fill(buf, 10)
-        assert [r.time for r in buf.records()] == [6.0, 7.0, 8.0, 9.0]
+        assert [r.time for r in buf] == [6.0, 7.0, 8.0, 9.0]
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             TraceBuffer(capacity=0)
 
-    def test_clear_resets_the_append_tally(self):
-        buf = TraceBuffer(capacity=2)
-        _fill(buf, 5)
-        buf.clear()
-        assert len(buf) == 0
-        assert buf.appended == 0
-        assert buf.dropped == 0
-
 
 class TestFiltering:
-    def test_records_filtered_by_kind(self):
-        buf = TraceBuffer(capacity=16)
-        buf.append(TraceRecord(1, TraceKind.DISPATCH, 0.0, "ss"))
-        buf.append(TraceRecord(2, TraceKind.STALL, 1.0, "ss"))
-        buf.append(TraceRecord(3, TraceKind.DISPATCH, 2.0, "ss"))
-        assert len(buf.records(kind=TraceKind.DISPATCH)) == 2
-        assert len(buf.records(kind=TraceKind.STALL)) == 1
-
     def test_counts_by_kind_covers_retained_records(self):
         buf = TraceBuffer(capacity=16)
         _fill(buf, 3, kind=TraceKind.MSG_SEND)
@@ -86,7 +74,7 @@ class TestTelemetryTraceIntegration:
         telemetry = Telemetry(trace_capacity=8)
         telemetry.trace(TraceKind.CHECKPOINT_SAVE, time=1.0, subject="ss")
         telemetry.trace(TraceKind.CHECKPOINT_RESTORE, time=2.0, subject="ss")
-        seqs = [r.seq for r in telemetry.trace_buffer.records()]
+        seqs = [r.seq for r in telemetry.trace_buffer]
         assert seqs == [1, 2]
 
     def test_capacity_respected_through_telemetry(self):
@@ -100,7 +88,7 @@ class TestTelemetryTraceIntegration:
         telemetry = Telemetry()
         telemetry.trace(TraceKind.MSG_SEND, time=4.0, subject="a->b",
                         message_kind="event", bytes=42)
-        record = telemetry.trace_buffer.records()[0]
+        record = list(telemetry.trace_buffer)[0]
         assert record.details == {"message_kind": "event", "bytes": 42}
 
 
@@ -163,14 +151,14 @@ class TestRecordContract:
                          peer="other", desired=3.0)
         made = by_position.emit(TraceKind.GRANT, 2.0, "ss",
                                 {"peer": "other", "desired": 3.0})
-        assert by_position.trace_buffer.records() == [made]
-        assert by_keyword.trace_buffer.records() == [made]
+        assert list(by_position.trace_buffer) == [made]
+        assert list(by_keyword.trace_buffer) == [made]
         assert made.seq == 1 and made.wall > 0.0
 
     def test_emit_while_disabled_records_nothing_and_draws_no_seq(self):
         telemetry = Telemetry(enabled=False)
         assert telemetry.emit(TraceKind.GRANT, 0.0, "ss", {}) is None
-        telemetry.enable()
+        telemetry.enabled = True
         assert telemetry.emit(TraceKind.GRANT, 0.0, "ss", {}).seq == 1
 
     def test_every_core_field_name_is_usable_as_a_detail(self):
@@ -192,7 +180,7 @@ class TestRecordContract:
     def test_a_lit_note_draws_a_seq_and_a_black_box_only_one_gets_zero(self):
         telemetry = Telemetry()
         telemetry.note(TraceKind.STALL, time=1.0, subject="ss", horizon=2.0)
-        lit, = telemetry.trace_buffer.records()
+        lit, = list(telemetry.trace_buffer)
         assert lit.seq == 1
         assert list(telemetry.flight) == [lit]      # one record, two rings
         telemetry.disable()
@@ -201,9 +189,9 @@ class TestRecordContract:
         dark = list(telemetry.flight)[-1]
         assert (dark.seq, dark.time, dark.details) == (0, 3.0,
                                                        {"horizon": 4.0})
-        telemetry.enable()
+        telemetry.enabled = True
         telemetry.trace(TraceKind.DISPATCH)
-        assert telemetry.trace_buffer.records()[-1].seq == 2
+        assert list(telemetry.trace_buffer)[-1].seq == 2
 
     def test_hot_sites_build_the_same_record_with_one_c_call(self):
         fields = (3, TraceKind.MSG_SEND, 1.5, "a->b", {"bytes": 9}, 12.5)
@@ -255,30 +243,6 @@ class TestRecordShape:
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is TraceRecord and tuple(copy) == self.FIELDS
 
-    def test_reset_from_a_control_event_restarts_dispatch_seqs_at_one(self):
-        # Caused ticks: only a caused dispatch files a DISPATCH record.
-        from repro.core import Event, EventKind, Simulator
-        from repro.core.timestamp import PRIORITY_CONTROL, Timestamp
-
-        sim = Simulator()
-        scheduler = sim.subsystem.scheduler
-
-        def tick(event):
-            if event.time < 6.0:    # the cause is inherited down the chain
-                scheduler.schedule(Event(Timestamp(event.time + 1.0),
-                                         EventKind.CONTROL, tick))
-
-        scheduler.schedule(Event(Timestamp(1.0), EventKind.CONTROL, tick,
-                                 cause=CAUSE))
-        scheduler.schedule(Event(
-            Timestamp(3.5, PRIORITY_CONTROL), EventKind.CONTROL,
-            target=lambda event: sim.telemetry.reset(), cause=CAUSE))
-        sim.run()
-        records = sim.telemetry.trace_buffer.records(TraceKind.DISPATCH)
-        assert [(r.seq, r.time) for r in records] == [
-            (1, 3.5), (2, 4.0), (3, 5.0), (4, 6.0)]
-        assert all(type(r) is TraceRecord for r in records)
-
 
 #: A cause span as a channel crossing stamps it on an event.
 CAUSE = ("n-peer", 0, 1)
@@ -300,7 +264,7 @@ def control_subsystem(steps):
 
 def dispatch_rows(subsystem):
     return [(r.time, r.details["before"]) for r in
-            subsystem.telemetry.trace_buffer.records(TraceKind.DISPATCH)]
+            of_kind(subsystem.telemetry.trace_buffer, TraceKind.DISPATCH)]
 
 
 class TestCausedDispatchRecords:
@@ -316,8 +280,8 @@ class TestCausedDispatchRecords:
         assert subsystem.scheduler.run() == 6
         assert dispatch_rows(subsystem) == [(2.0, 1.0), (2.0, 1.0),
                                             (5.0, 3.0)]
-        record = subsystem.telemetry.trace_buffer.records(
-            TraceKind.DISPATCH)[0]
+        record = of_kind(subsystem.telemetry.trace_buffer,
+                         TraceKind.DISPATCH)[0]
         assert record.details == {"event": "control", "cause": CAUSE,
                                   "before": 1.0}
         assert subsystem.telemetry.registry.snapshot()["counters"][
@@ -336,13 +300,13 @@ class TestCausedDispatchRecords:
         for sim in (lit, dark):
             sim.add(FunctionComponent("ticker", ticker))
             sim.run()
-        assert lit.telemetry.trace_buffer.records(TraceKind.DISPATCH) == []
+        assert of_kind(lit.telemetry.trace_buffer, TraceKind.DISPATCH) == []
         dispatched = lit.subsystem.scheduler.dispatched
         assert dispatched == dark.subsystem.scheduler.dispatched > 2 * STRIDE
         assert lit.report().counter("scheduler.dispatched") == dispatched
         lit_samples, dark_samples = (
             [(r.seq, r.time) for r in
-             sim.telemetry.flight.records(TraceKind.DISPATCH)]
+             of_kind(sim.telemetry.flight, TraceKind.DISPATCH)]
             for sim in (lit, dark))
         assert lit_samples == dark_samples
         assert [seq for seq, __ in lit_samples] == [STRIDE, 2 * STRIDE]

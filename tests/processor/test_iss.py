@@ -10,7 +10,6 @@ from repro.processor import (
     IssComponent,
     IssError,
     assemble,
-    assemble_with_symbols,
 )
 
 
@@ -26,7 +25,7 @@ def run_program(source, *, setup=None, fuel=100_000, profile=GENERIC):
 
 class TestAssembler:
     def test_labels_and_comments(self):
-        program, labels, constants = assemble_with_symbols("""
+        program = assemble("""
         ; a loop
         .equ LIMIT 3
         start:  LDI r1, 0
@@ -35,8 +34,7 @@ class TestAssembler:
                 BNE r1, r2, loop   # back edge
                 HALT
         """)
-        assert labels == {"start": 0, "loop": 1}
-        assert constants == {"LIMIT": 3}
+        assert program[2].args == (2, 3)        # .equ LIMIT
         assert program[3].op == "BNE"
         assert program[3].args == (1, 2, 1)
 
@@ -74,14 +72,14 @@ class TestExecution:
             SUB r5, r4, r1
             HALT
         """)
-        assert cpu.reg(3) == 42
-        assert cpu.reg(4) == 100
-        assert cpu.reg(5) == 94
+        assert cpu.regs[3] == 42
+        assert cpu.regs[4] == 100
+        assert cpu.regs[5] == 94
 
     def test_r0_hardwired_zero(self):
         __, cpu = run_program("LDI r0, 99\nADD r1, r0, r0\nHALT\n")
-        assert cpu.reg(0) == 0
-        assert cpu.reg(1) == 0
+        assert cpu.regs[0] == 0
+        assert cpu.regs[1] == 0
 
     def test_signed_comparisons(self):
         __, cpu = run_program("""
@@ -91,8 +89,8 @@ class TestExecution:
             SLT r4, r2, r1
             HALT
         """)
-        assert cpu.reg(3) == 1
-        assert cpu.reg(4) == 0
+        assert cpu.regs[3] == 1
+        assert cpu.regs[4] == 0
 
     def test_loop_sums_memory(self):
         def setup(cpu):
@@ -113,7 +111,7 @@ class TestExecution:
             ST  r1, 0x200(r0)
             HALT
         """, setup=setup)
-        assert cpu.reg(1) == 55
+        assert cpu.regs[1] == 55
         assert cpu.memory.read(0x200) == 55
 
     def test_subroutine_call(self):
@@ -126,7 +124,7 @@ class TestExecution:
             ADD r1, r1, r1
             JR r15
         """)
-        assert cpu.reg(1) == 80
+        assert cpu.regs[1] == 80
 
     def test_byte_ops(self):
         __, cpu = run_program("""
@@ -135,7 +133,7 @@ class TestExecution:
             LDB r2, 0x50(r0)
             HALT
         """)
-        assert cpu.reg(2) == 0xFF
+        assert cpu.regs[2] == 0xFF
 
     def test_division_by_zero_traps(self):
         with pytest.raises(IssError):

@@ -97,4 +97,4 @@ class TestOptimisticRecovery:
         sim_o, cpu_o, __ = build(SyncPolicy.OPTIMISTIC)
         sim_o.run_with_recovery(sync_tables=[cpu_o.sync_table])
         assert cpu_o.memory.read(0x200) == cpu_s.memory.read(0x200)
-        assert cpu_o.reg(6) == cpu_s.reg(6)
+        assert cpu_o.regs[6] == cpu_s.regs[6]

@@ -78,7 +78,7 @@ done:
 class TestAlgorithms:
     def test_fibonacci(self):
         cpu = run(FIB)
-        assert cpu.reg(1) == 10946        # fib(21)
+        assert cpu.regs[1] == 10946        # fib(21)
 
     def test_bubble_sort(self):
         data = [42, 7, 99, 1, 56, 23, 88, 15]
@@ -93,13 +93,13 @@ class TestAlgorithms:
 
     def test_gcd(self):
         cpu = run("LDI r1, 252\nLDI r2, 105\n" + GCD)
-        assert cpu.reg(1) == 21
+        assert cpu.regs[1] == 21
 
     def test_profiles_change_time_not_results(self):
         fast = run(FIB, profile=GENERIC)
         slow = run(FIB, profile=ARM7)
         i960 = run(FIB, profile=I960)
-        assert fast.reg(1) == slow.reg(1) == i960.reg(1)
+        assert fast.regs[1] == slow.regs[1] == i960.regs[1]
         assert fast.instret == slow.instret == i960.instret
         # ARM7 at 25 MHz is slower per cycle than GENERIC at 1 MHz? No —
         # GENERIC is 1 MHz with 1-cycle ops; ARM7 is 25 MHz with multi-

@@ -73,11 +73,6 @@ class TestMemory:
         mem.write(0, 0x1FF, 1)
         assert mem.read(0, 1) == 0xFF
 
-    def test_bulk_load_dump(self):
-        mem = Memory(32)
-        mem.load_bytes(4, b"hello")
-        assert mem.dump_bytes(4, 5) == b"hello"
-
     def test_deepcopy_shares_table(self):
         import copy
         mem = Memory(16)

@@ -103,14 +103,16 @@ def test_no_graph_library_at_runtime():
 
 
 def test_no_command_line_or_http_server_at_runtime():
-    """The status document lives in ``repro.observability.live`` and the
-    multiprocess coordinator imports it (resolving
-    ``repro.distributed.MultiprocessCoSimulation`` loads the coordinator);
-    the module's console and the HTTP endpoint are the CLI's, not the
-    executors'."""
+    """The status document is built in the multiprocess coordinator, its
+    only producer (resolving ``repro.distributed.MultiprocessCoSimulation``
+    loads the coordinator); the HTTP endpoint over it and its command
+    line are ``repro.observability.serve``'s, not the executors'."""
     code = ("import json, sys\n"
             + _resolve_all("repro.distributed", "repro.observability") +
-            "assert 'repro.observability.live' in sys.modules\n"
+            "coordinator = sys.modules["
+            "'repro.distributed.multiprocess.coordinator']\n"
+            "assert callable(coordinator.status_snapshot)\n"
+            "assert 'repro.observability.serve' not in sys.modules\n"
             "print(json.dumps([name for name in ('argparse', 'http.server')\n"
             "                  if name in sys.modules]))\n")
     done = subprocess.run([sys.executable, "-c", code], env=_example_env(),
@@ -135,14 +137,14 @@ def test_cooperative_stream_pair_loads_no_other_executor():
 
 def test_coordinator_loads_no_cooperative_executor():
     """The multiprocess coordinator runs no cooperative round loop, so
-    importing it loads neither that executor nor its rollback: 57
+    importing it loads neither that executor nor its rollback: 56
     ``repro`` modules besides the C core."""
     [loaded] = _repro_modules(
         "import repro.distributed.multiprocess.coordinator\nmark()\n")
     assert _under(loaded, ("repro.distributed.executor",
                            "repro.distributed.optimistic")) == []
     assert len([name for name in loaded
-                if name != "repro._native._core"]) == 57
+                if name != "repro._native._core"]) == 56
 
 
 @pytest.mark.parametrize("workload", sorted(FENCED))

@@ -146,7 +146,7 @@ class Plane:
 
     def traces(self):
         return [(record.kind, record.subject, sorted(record.details))
-                for record in self.telemetry.trace_buffer.records()]
+                for record in self.telemetry.trace_buffer]
 
     def close(self):
         for host in self.hosts:

@@ -210,7 +210,7 @@ class TestSharedMemoryTransport:
         t_a.close()
         t_b.close()
         try:
-            assert t_a.rings() == ()
+            assert t_a._out_rings == {}
             assert not any(thread.is_alive()
                            for thread in t_b._pump_threads.values())
         finally:

@@ -110,6 +110,28 @@ class TestDeadPeers:
             assert err.value.dst == "b"
             assert err.value.attempts == FAST_RETRY.max_attempts
 
+    def test_retry_jitter_under_a_fault_plan_is_the_plans_draw(self):
+        """With a fault plane attached, a real-error retry draws its
+        backoff jitter from the plan (seeded per link and retry), so a
+        chaos run's retry timing is a function of its seed."""
+        from repro.faults import FaultInjector
+        injector = FaultInjector(FaultPlan(seed=5), retry_policy=FAST_RETRY)
+        draws = []
+        drawn = injector.backoff_uniform
+        injector.backoff_uniform = \
+            lambda *key: draws.append((key, drawn(*key))) or draws[-1][1]
+        with TcpTransport() as transport:
+            transport.attach_faults(injector)
+            transport.register("a")
+            transport.register("b", call_handler=lambda m: m.reply(
+                MessageKind.SAFE_TIME_REPLY, time=0.0))
+            transport._endpoints["b"].close()    # kill the listener only
+            with pytest.raises(LinkDown):
+                transport.call(_msg(kind=MessageKind.SAFE_TIME_REQUEST))
+        assert [key for key, __ in draws] == [("a", "b", 0)]
+        assert draws[0][1] == FaultPlan(seed=5).uniform("backoff", "a",
+                                                        "b", 0)
+
     def test_send_evicts_dead_cached_socket_and_reconnects(self):
         """A cached connection killed under us (NAT timeout, peer restart)
         must be evicted and transparently re-established."""
@@ -430,3 +452,26 @@ class TestForkSafety:
             transport.send(_msg(payload="parent"))
             got = _poll_until(transport, "b", 1)
             assert [m.payload for m in got] == ["parent"]
+
+
+class TestEpochFence:
+    def test_a_frame_from_before_a_failover_is_dropped_and_counted(self):
+        """A frame stamped with an older migration epoch than the
+        receiver's is a ghost from before a failover: dropped at ingest
+        and counted, never filed."""
+        telemetry = Telemetry()
+        with TcpTransport() as sender, TcpTransport() as receiver:
+            sender.register("a")
+            receiver.register("b")
+            receiver.attach_telemetry(telemetry)
+            sender.set_peer("b", receiver.local_port("b"))
+            receiver.set_epoch(1)
+            sender.send(_msg(payload="ghost"))
+            deadline = time.monotonic() + 5.0
+            while receiver.stale_epoch_drops == 0 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert receiver.stale_epoch_drops == 1
+            assert receiver.poll("b") == []
+        assert telemetry.registry.snapshot()["counters"][
+            "transport.stale_epoch_drops"] == 1
