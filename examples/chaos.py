@@ -91,7 +91,8 @@ def main():
             if r["kind"] == TraceKind.NODE_CRASH] == [("boston", 9.0)]
     assert "fault.messages_lost" not in report.faults
 
-    # Replay: identical results *and* identical fault counters.
+    # Replay: identical results, fault counters *and* report — snapshot
+    # ids included, which each run numbers from its own registry.
     again, __ = chaotic_run(seed=42)
     assert again.fault_injector.summary() == cosim.fault_injector.summary()
     with tempfile.TemporaryDirectory() as tmp:
@@ -100,9 +101,9 @@ def main():
         with open(path, encoding="utf-8") as fh:
             saved = json.load(fh)
     replayed = json.loads(again.report(title="chaos, seed 42").to_json())
-    assert saved["faults"] == replayed["faults"]
-    print("replay of seed 42: fault counters identical, bit for bit, "
-          "in the run and in the saved report")
+    assert saved == replayed
+    print("replay of seed 42: fault counters and the whole report "
+          "identical, bit for bit, in the run and in the saved report")
 
     different, __ = chaotic_run(seed=7)
     assert different.fault_injector.summary() != cosim.fault_injector.summary()

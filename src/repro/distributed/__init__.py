@@ -26,7 +26,7 @@ __getattr__, __dir__, __all__ = _attach(__name__, {
                      "suggest_partition"),
                     ".partition"),
     **dict.fromkeys(("GlobalSnapshot", "SnapshotManager", "SnapshotRegistry",
-                     "SubsystemCut", "new_snapshot_id"),
+                     "SubsystemCut"),
                     ".snapshot"),
     **dict.fromkeys(("ChannelSpec", "SubsystemSpec", "SystemSpec",
                      "resolve_factory"),

@@ -95,8 +95,8 @@ class ChannelEndpoint:
     __slots__ = ("channel", "subsystem", "peer_subsystem", "peer_node",
                  "component", "_nets", "peer_grant", "pending_echoes",
                  "forwarded", "injected", "injected_reported",
-                 "granted_reported", "passive_skips", "stragglers",
-                 "safe_time_requests", "peer_want", "severed", "peer_silent",
+                 "granted_reported", "stragglers",
+                 "safe_time_requests", "peer_want", "peer_silent",
                  "declared_silent", "silence_served", "_piggybacked")
 
     def __init__(self, channel: "Channel", subsystem: "Subsystem",
@@ -133,16 +133,12 @@ class ChannelEndpoint:
         #: (served, piggybacked or pushed).  A floor that rises above it
         #: is news the peer cannot learn any other way while idle.
         self.granted_reported = 0.0
-        #: Consecutive passively-skipped refreshes (liveness backstop).
-        self.passive_skips = 0
         self.stragglers = 0
         self.safe_time_requests = 0
         #: The peer requested a safe time we could not yet grant (batched
         #: fast path): once our floor passes this, a grant is pushed to it
         #: instead of waiting for its next request round trip.
         self.peer_want = 0.0
-        #: True once the peer is gone for good (``drop-node`` policy).
-        self.severed = False
         # --- directed safe time ---
         #: The peer said, on a grant, that its end cannot send.  Until it
         #: does, "unknown" means "sends": only this flag lifts the echo
@@ -221,8 +217,6 @@ class ChannelEndpoint:
     # ------------------------------------------------------------------
     def forward(self, net_name: str, time: float, value: Any) -> None:
         """Ship a local net change to the peer subsystem."""
-        if self.severed:
-            return
         channel = self.channel
         if self.declared_silent:
             raise SimulationError(
@@ -263,14 +257,9 @@ class ChannelEndpoint:
 
     def confirm_consumed(self, peer_injected: int) -> None:
         """Release echo entries the peer has confirmed consuming."""
-        released = False
         while self.pending_echoes and \
                 self.pending_echoes[0][0] <= peer_injected:
             self.pending_echoes.popleft()
-            released = True
-        if released:
-            # Passive confirmation is flowing; re-arm the skip budget.
-            self.passive_skips = 0
 
     def accept_grant(self, grant: float, counts: tuple) -> bool:
         """The acceptance rule for a grant, however it arrived (served
@@ -301,8 +290,6 @@ class ChannelEndpoint:
         grant's floor assumed.  The explicit request path remains the
         fallback, so this is a liveness optimisation, never a safety
         one."""
-        if self.severed:
-            return
         if self.accept_grant(grant, counts):
             self._piggybacked.inc(self.subsystem.scheduler.telemetry)
 
@@ -334,23 +321,13 @@ class ChannelEndpoint:
     def reset_sync_state(self, *, forwarded: int = 0,
                          injected: int = 0) -> None:
         """Void all safe-time state (global rollback support)."""
-        self.peer_grant = float("inf") if self.severed else 0.0
+        self.peer_grant = 0.0
         self.peer_want = 0.0
         self.pending_echoes.clear()
         self.forwarded = forwarded
         self.injected = injected
         self.injected_reported = injected
-        self.granted_reported = float("inf") if self.severed else 0.0
-        self.passive_skips = 0
-
-    def sever(self) -> None:
-        """Permanently disconnect: the peer is gone and must never block
-        (or receive traffic from) this side again."""
-        self.severed = True
-        self.peer_grant = float("inf")
-        self.peer_want = 0.0
-        self.granted_reported = float("inf")
-        self.pending_echoes.clear()
+        self.granted_reported = 0.0
 
     # ------------------------------------------------------------------
     # incoming
@@ -435,13 +412,6 @@ class Channel:
         endpoint = ChannelEndpoint(self, subsystem, peer_subsystem, peer_node)
         self.endpoints[subsystem.name] = endpoint
         return endpoint
-
-    def other(self, subsystem_name: str) -> ChannelEndpoint:
-        for name, endpoint in self.endpoints.items():
-            if name != subsystem_name:
-                return endpoint
-        raise ConfigurationError(
-            f"channel {self.channel_id} has no peer for {subsystem_name!r}")
 
     def split_net(self, net_a: Net, net_b: Net) -> None:
         """Register the two halves of a split net with the endpoints.

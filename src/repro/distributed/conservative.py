@@ -53,13 +53,6 @@ UNBOUNDED = float("inf")
 
 _CONSERVATIVE = ChannelMode.CONSERVATIVE
 
-#: Batched fast path: consecutive refreshes a client may skip for an
-#: endpoint whose grant already covers the desired time (only its own
-#: unconfirmed echo ledger restricts it) before falling back to an
-#: explicit request as a liveness backstop.  Kept small so the backstop
-#: fires well inside the executor's widened deadlock budget.
-PASSIVE_SKIP_LIMIT = 2
-
 
 def local_floor(subsystem: "Subsystem", *, excluding: Optional[str] = None,
                 conservative_override: bool = False) -> float:
@@ -240,7 +233,6 @@ class SafeTimeClient:
                 f"{self.subsystem.name} is not attached to a node")
         if not path:
             path = (self.subsystem.name,)
-        passive = node.transport.batching
         for endpoint in self._restricting_endpoints():
             if endpoint.peer_subsystem == exclude:
                 continue
@@ -248,18 +240,6 @@ class SafeTimeClient:
                 continue
             if endpoint.effective_horizon() >= desired:
                 continue
-            if passive and endpoint.peer_grant >= desired \
-                    and endpoint.passive_skips < PASSIVE_SKIP_LIMIT:
-                # The peer's grant already covers ``desired``; the only
-                # live restriction is our own unconfirmed echo ledger.  A
-                # request could only confirm consumption — and under
-                # batching the peer reports that passively (counts on
-                # piggybacked and pushed grants), so the round trip is
-                # skipped.  The skip budget keeps an explicit request as
-                # the liveness backstop.
-                endpoint.passive_skips += 1
-                continue
-            endpoint.passive_skips = 0
             endpoint.safe_time_requests += 1
             self.requests_sent += 1
             telemetry = self.subsystem.scheduler.telemetry
@@ -300,8 +280,6 @@ class SafeTimeClient:
         worst: Optional[ChannelEndpoint] = None
         worst_h = UNBOUNDED
         for endpoint in self._restricting_endpoints():
-            if endpoint.severed:
-                continue
             h = endpoint.effective_horizon()
             if worst is None or h < worst_h or (
                     h == worst_h

@@ -28,12 +28,11 @@ from ..faults import FaultPlan, RetryPolicy
 from ..observability import BoundCounter, Telemetry, TraceKind
 from ..transport.inmemory import InMemoryTransport
 from ..transport.latency import SAME_HOST, LatencyModel
-from ..transport.message import Message
 from .channel import ChannelMode, StragglerError
 from .node import PiaNode
 from .optimistic import RecoveryManager
 from .snapshot import SnapshotManager, SnapshotRegistry
-from .system import FAILURE_POLICIES, LiveSystem, check_failure_policy
+from .system import LiveSystem, check_failure_policy
 
 
 class CoSimulation(LiveSystem, RunLevels):
@@ -47,7 +46,7 @@ class CoSimulation(LiveSystem, RunLevels):
                  retry_policy: Optional[RetryPolicy] = None,
                  failure_policy: str = "recover",
                  batching: bool = False) -> None:
-        check_failure_policy(failure_policy, FAILURE_POLICIES)
+        check_failure_policy(failure_policy)
         super().__init__(transport=transport, default_model=default_model,
                          telemetry=telemetry, fault_plan=fault_plan,
                          retry_policy=retry_policy, batching=batching)
@@ -64,8 +63,6 @@ class CoSimulation(LiveSystem, RunLevels):
         self._last_snapshot_time = 0.0
         # --- fault plane -------------------------------------------------
         self.failure_policy = failure_policy
-        #: Nodes ``drop-node`` cut out; their subsystems stand still.
-        self._dead_nodes: set = set()
         #: Extra settle budget: a held (delayed) message is in flight even
         #: when a pump round moves nothing.
         self._settle_slack = 1 + (fault_plan.max_delay_ticks()
@@ -78,11 +75,10 @@ class CoSimulation(LiveSystem, RunLevels):
         #: subsystem name -> (desired, round of last request).
         self._refresh_throttle: Dict[str, tuple] = {}
         self._pushed = BoundCounter("safetime.pushed")
-        #: Visit orders, rebuilt only after membership changes
-        #: (:meth:`_membership_changed`); never mutated in place, so a
-        #: loop over one survives a crash absorbed mid-sweep.
+        #: Visit orders by name, rebuilt only after membership changes
+        #: (:meth:`_membership_changed`).
         self._node_order: Optional[List[PiaNode]] = None
-        self._live_order: Optional[List[Subsystem]] = None
+        self._subsystem_order: Optional[List[Subsystem]] = None
         self._started = False
         #: Total rounds the run loop executed.
         self.rounds = 0
@@ -93,18 +89,17 @@ class CoSimulation(LiveSystem, RunLevels):
     # construction
     # ------------------------------------------------------------------
     def _membership_changed(self) -> None:
-        """A node or subsystem joined or was dropped: the cached visit
-        orders are stale."""
-        self._node_order = self._live_order = None
+        """A node or subsystem joined: the cached visit orders are
+        stale."""
+        self._node_order = self._subsystem_order = None
 
     def _node_added(self, node: PiaNode) -> None:
         self._membership_changed()
         node.conservative_override = self._conservative_now
         node.service_bound = self._next_service
-        # A cut expects live subsystems only: a dropped node's never cut.
         manager = SnapshotManager(
-            node, self.registry, expected_subsystems=lambda: {
-                ss.name for ss in self._live_subsystems()})
+            node, self.registry,
+            expected_subsystems=lambda: set(self.subsystems))
         manager.telemetry = self.telemetry
         self._managers[node.name] = manager
 
@@ -126,15 +121,11 @@ class CoSimulation(LiveSystem, RunLevels):
         except KeyError:
             raise ConfigurationError(f"no subsystem named {name!r}") from None
 
-    def _live_subsystems(self) -> List[Subsystem]:
-        """Subsystems still part of the computation (``drop-node`` policy
-        permanently removes a failed node's subsystems, which then stand
-        still)."""
-        if self._live_order is None:
-            self._live_order = [
-                ss for __, ss in sorted(self.subsystems.items())
-                if ss.node.name not in self._dead_nodes]
-        return self._live_order
+    def _ordered_subsystems(self) -> List[Subsystem]:
+        if self._subsystem_order is None:
+            self._subsystem_order = [self.subsystems[name]
+                                     for name in sorted(self.subsystems)]
+        return self._subsystem_order
 
     def stalls(self) -> int:
         return sum(ss.scheduler.stalls for ss in self.subsystems.values())
@@ -150,7 +141,7 @@ class CoSimulation(LiveSystem, RunLevels):
         """Take one global Chandy-Lamport snapshot; returns its id."""
         self.start()
         if initiator is None:
-            initiator = self._live_subsystems()[0].name
+            initiator = self._ordered_subsystems()[0].name
         subsystem = self.subsystem(initiator)
         assert subsystem.node is not None
         # Settle all signal traffic first (recovering from any straggler),
@@ -228,11 +219,6 @@ class CoSimulation(LiveSystem, RunLevels):
         return any(ch.mode is ChannelMode.OPTIMISTIC
                    for ch in self.channels.values())
 
-    def _grants_for(self, src: str, dst: str) -> List[Message]:
-        if src in self._dead_nodes:
-            return []
-        return super()._grants_for(src, dst)
-
     def _should_refresh(self, name: str, desired: float) -> bool:
         """Throttle synchronous safe-time requests under batching.
 
@@ -263,8 +249,7 @@ class CoSimulation(LiveSystem, RunLevels):
         transport = self.transport
         acted = transport.batcher.queued() and transport.flush_batches() > 0
         for node in self._ordered_nodes():
-            for dst, grants in sorted(
-                    node.stalled_grants(self._dead_nodes).items()):
+            for dst, grants in sorted(node.stalled_grants().items()):
                 if transport.push_grants(node.name, dst, grants):
                     acted = True
                     self._pushed.inc(self.telemetry, len(grants))
@@ -301,9 +286,8 @@ class CoSimulation(LiveSystem, RunLevels):
 
     def _ordered_nodes(self) -> List[PiaNode]:
         if self._node_order is None:
-            self._node_order = [
-                self.nodes[name] for name in sorted(self.nodes)
-                if name not in self._dead_nodes]
+            self._node_order = [self.nodes[name]
+                                for name in sorted(self.nodes)]
         return self._node_order
 
     def _pump_all(self) -> int:
@@ -369,7 +353,7 @@ class CoSimulation(LiveSystem, RunLevels):
             if self.fault_injector is not None:
                 acted = self._fault_tick()
             progress = self._pump_all() > 0 or acted
-            for subsystem in self._live_subsystems():
+            for subsystem in self._ordered_subsystems():
                 self._pump_all()
                 try:
                     count = subsystem.node.advance(
@@ -413,15 +397,14 @@ class CoSimulation(LiveSystem, RunLevels):
         return dispatched
 
     # ------------------------------------------------------------------
-    # fault plane (a lost node: recover / raise / drop)
+    # fault plane (a lost node: recover / raise)
     # ------------------------------------------------------------------
     def _fault_tick(self) -> bool:
         """Lose each node whose scheduled crash the run has got to.
         Returns True if one fired (counts as round progress)."""
         acted = False
         for crash in self._due_crashes():
-            if crash.node not in self._dead_nodes:
-                self._lose_node(crash.node)
+            self._lose_node(crash.node)
             acted = True
         return acted
 
@@ -431,8 +414,7 @@ class CoSimulation(LiveSystem, RunLevels):
         once); otherwise propagate."""
         if self.fault_injector is None or down.dst not in self.nodes:
             raise down
-        if down.dst not in self._dead_nodes:
-            self._lose_node(down.dst)
+        self._lose_node(down.dst)
 
     def _recover_node(self, node: str) -> None:
         """Restart ``node`` from the last consistent global snapshot."""
@@ -452,29 +434,9 @@ class CoSimulation(LiveSystem, RunLevels):
                             subject=node, snapshot_id=snap.snapshot_id,
                             restored_time=snap.max_time())
 
-    def _drop_node(self, name: str) -> None:
-        """Graceful degradation: cut the failed node out of the system
-        and let the survivors finish without it."""
-        self._dead_nodes.add(name)
-        node = self.nodes[name]
-        self._membership_changed()
-        for ss_name, subsystem in sorted(node.subsystems.items()):
-            for endpoint in subsystem.channels.values():
-                endpoint.sever()
-                endpoint.channel.other(ss_name).sever()
-        self.transport.unregister(name)
-        # Stray sends towards the dead node stay "lost", never errors, so
-        # the node remains marked down; its parked deliveries are purged.
-        self.fault_injector.purge_node(name)
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.count("fault.nodes_dropped")
-            telemetry.trace(TraceKind.NODE_DROP, time=self.global_time(),
-                            subject=name)
-
     def _report_deadlock(self, until: float) -> None:
         detail = []
-        for subsystem in self._live_subsystems():
+        for subsystem in self._ordered_subsystems():
             client = subsystem.node.clients[subsystem.name]
             detail.append(
                 f"{subsystem.name}: t={subsystem.now:g} "

@@ -25,7 +25,6 @@ from ...transport.codec import VERSION as CODEC_VERSION
 from ...transport.shm import DEFAULT_RING_CAPACITY, create_ring_segment
 from .. import topology
 from ..migration import MigrationRecord, NodeArchive, resent_counts
-from ..snapshot import new_snapshot_id
 from ..system import check_failure_policy, lost_node, reached
 from .pool import WorkerPool, _PoolWorker
 from ..spec import SystemSpec
@@ -128,7 +127,7 @@ class MultiprocessCoSimulation:
             raise ConfigurationError(
                 f"unknown transport {transport!r}: expected 'tcp' (works "
                 "across machines) or 'shm' (same-host shared-memory rings)")
-        check_failure_policy(failure_policy, ("recover", "raise"))
+        check_failure_policy(failure_policy)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
@@ -169,6 +168,9 @@ class MultiprocessCoSimulation:
         self._carryover: List[dict] = []
         #: Tokens for coordination acks (see ``_expect``'s ``match``).
         self._ctl_seq = itertools.count(1)
+        #: Cut ids, numbered per executor (as a cooperative run's are per
+        #: registry): a second run in one process sends the same marks.
+        self._snapshot_ids = itertools.count(1)
         # Live per-run control-plane context (set by run(), mutated by
         # failover/migration while the run is in flight).
         self._ports: Dict[str, int] = {}
@@ -200,7 +202,6 @@ class MultiprocessCoSimulation:
             fault_plan=plan,
             retry_policy=self.retry_policy,
             transport=self.transport,
-            ring_capacity=self.ring_capacity,
             supervised=self.failure_policy == "recover",
             telemetry=TelemetrySpec(
                 telemetry.trace_buffer.capacity,
@@ -591,7 +592,7 @@ class MultiprocessCoSimulation:
         run's stable storage, so the restore point survives any worker.
         """
         names = sorted(self.spec.nodes)
-        snapshot_id = new_snapshot_id()
+        snapshot_id = f"snap-{next(self._snapshot_ids)}"
         for name in names:
             self._send(pipes, name, "cut", snapshot_id)
         archives: Dict[str, NodeArchive] = {}

@@ -9,7 +9,6 @@ from typing import NamedTuple, Optional, Tuple
 
 from ...faults import FaultPlan, RetryPolicy
 from ...transport.latency import LatencyModel
-from ...transport.shm import DEFAULT_RING_CAPACITY
 from ..spec import ChannelSpec, SubsystemSpec
 
 
@@ -35,7 +34,6 @@ class _WorkerSpec:
     fault_plan: Optional[FaultPlan] = None
     retry_policy: Optional[RetryPolicy] = None
     transport: str = "tcp"
-    ring_capacity: int = DEFAULT_RING_CAPACITY
     #: True under ``failure_policy="recover"``: a vanished peer is the
     #: supervisor's problem, so transport failures wedge the worker
     #: (no progress, await restore) instead of killing it.

@@ -104,11 +104,9 @@ class _Worker:
         self.inbox = inbox if inbox is not None else _ControlInbox()
         mirror = spec.telemetry
         self.telemetry = Telemetry(trace_capacity=mirror.trace_capacity)
-        if spec.transport == "shm":
-            self.transport = SharedMemoryTransport(
-                batching=spec.batching, ring_capacity=spec.ring_capacity)
-        else:
-            self.transport = TcpTransport(batching=spec.batching)
+        carrier = SharedMemoryTransport if spec.transport == "shm" \
+            else TcpTransport
+        self.transport = carrier(batching=spec.batching)
         self.transport.wakeup_hook = self.inbox.kick
         self.system = WorkerSystem(
             transport=self.transport, default_model=SAME_HOST,

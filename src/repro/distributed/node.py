@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Callable, Collection, Dict, List,
-                    Optional, Tuple)
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import ConfigurationError, TransportError
 from ..core.subsystem import Subsystem
@@ -288,11 +287,9 @@ class PiaNode:
     # ------------------------------------------------------------------
     @staticmethod
     def _granting_endpoints(endpoints, conservative: bool):
-        """The live ones among a subsystem's ``endpoints`` it currently
-        owes safe-time grants on, in the order given."""
+        """The ones among a subsystem's ``endpoints`` it currently owes
+        safe-time grants on, in the order given."""
         for endpoint in endpoints:
-            if endpoint.severed:
-                continue
             if endpoint.mode is not ChannelMode.CONSERVATIVE \
                     and not conservative:
                 continue
@@ -333,13 +330,11 @@ class PiaNode:
         finally:
             self.lock.release()
 
-    def stalled_grants(self, down: Collection[str] = ()
-                       ) -> Dict[str, List[Message]]:
+    def stalled_grants(self) -> Dict[str, List[Message]]:
         """Standalone grants, by destination node, for peers recorded as
         stalled whose want the local floor has now passed, or that are
         owed consumption counts.  Each one pushed is one frame replacing
         the two-frame request round trip the peer would otherwise issue.
-        Endpoints towards the nodes in ``down`` are skipped.
         """
         conservative = self.conservative_override()
         by_dst: Dict[str, List[Message]] = {}
@@ -354,13 +349,11 @@ class PiaNode:
                         and client.horizon() >= next_time)
             for endpoint in self._granting_endpoints(endpoints,
                                                      conservative):
-                if endpoint.peer_node in down:
-                    continue
                 want = endpoint.peer_want
                 # Unreported consumption must reach the peer so it can
-                # release its echo ledger (it skips requests under
-                # batching, counting on exactly this push) — unless it
-                # is known to have dropped the ledger for a silent end.
+                # release its echo ledger (its requests are throttled
+                # under batching, counting on exactly this push) — unless
+                # it is known to have dropped the ledger for a silent end.
                 stale = (endpoint.injected > endpoint.injected_reported
                          and not endpoint.silence_served)
                 if runnable and not want:

@@ -29,13 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.subsystem import Subsystem
     from .node import PiaNode
 
-_snapshot_ids = itertools.count(1)
-
-
-def new_snapshot_id() -> str:
-    return f"snap-{next(_snapshot_ids)}"
-
-
 @dataclass
 class SubsystemCut:
     """One subsystem's contribution to a global snapshot."""
@@ -86,6 +79,12 @@ class SnapshotRegistry:
 
     def __init__(self) -> None:
         self.snapshots: Dict[str, GlobalSnapshot] = {}
+        self._ids = itertools.count(1)
+
+    def new_id(self) -> str:
+        """A fresh snapshot id, numbered per registry — so two runs in
+        one process cut under the same ids, and send the same bytes."""
+        return f"snap-{next(self._ids)}"
 
     def ensure(self, snapshot_id: str, expected) -> GlobalSnapshot:
         snap = self.snapshots.get(snapshot_id)
@@ -125,7 +124,7 @@ class SnapshotManager:
         """Generate a checkpoint request at ``subsystem`` (paper: a
         subsystem "receives (or generates) a checkpoint request")."""
         if snapshot_id is None:
-            snapshot_id = new_snapshot_id()
+            snapshot_id = self.registry.new_id()
         self._local_cut(subsystem, snapshot_id)
         return snapshot_id
 
@@ -146,8 +145,6 @@ class SnapshotManager:
                             snapshot_id=snapshot_id,
                             checkpoint_id=checkpoint_id)
         for channel_id, endpoint in subsystem.channels.items():
-            if endpoint.severed:
-                continue    # the peer is gone; no marks can cross
             cut.recorded[channel_id] = []
             cut.pending.add(channel_id)
             self.marks_sent += 1

@@ -31,9 +31,8 @@ from . import topology
 from .spec import SystemSpec
 
 #: What an executor does once a node is lost: restart it from the last
-#: cut, raise :class:`~repro.core.errors.NodeFailure`, or let the
-#: survivors finish without it.
-FAILURE_POLICIES = ("recover", "raise", "drop-node")
+#: cut, or raise :class:`~repro.core.errors.NodeFailure`.
+FAILURE_POLICIES = ("recover", "raise")
 
 
 def lost_node(node: str, global_time: float) -> NodeFailure:
@@ -45,16 +44,14 @@ def lost_node(node: str, global_time: float) -> NodeFailure:
         "take 'recover' to restart it from the last cut", node=node)
 
 
-def check_failure_policy(policy: str, accepted: Tuple[str, ...]) -> None:
-    """Refuse a ``policy`` the executor does not accept, saying which
-    executor accepts which (DESIGN.md §5)."""
-    if policy not in accepted:
+def check_failure_policy(policy: str) -> None:
+    """Refuse a ``policy`` outside :data:`FAILURE_POLICIES` — the one
+    text, in both executors that take one (DESIGN.md §5)."""
+    if policy not in FAILURE_POLICIES:
         raise ConfigurationError(
-            f"failure policy {policy!r} is not accepted here: CoSimulation "
-            f"takes any of {FAILURE_POLICIES}; MultiprocessCoSimulation "
-            "takes 'recover' or 'raise' ('drop-node' would have every "
-            "survivor process sever its channels to the lost node at one "
-            "instant, which only the cooperative round loop can do); "
+            f"failure policy {policy!r} is not one of {FAILURE_POLICIES}: "
+            "CoSimulation and MultiprocessCoSimulation restart a lost node "
+            "from the last cut ('recover') or raise ('raise'); "
             "ThreadedCoSimulation always raises")
 
 
@@ -62,7 +59,7 @@ def reached(instant: float, clocks: Iterable[float],
             next_events: Iterable[float], in_flight: Callable[[], bool],
             *, finish: bool = False) -> bool:
     """Has the run got to virtual ``instant`` — is nothing at or before
-    it left anywhere?  The one answer, for every executor, over the live
+    it left anywhere?  The one answer, for every executor, over the
     subsystems' ``clocks``, their ``next_events`` (``inf``: none) and
     whether anything is ``in_flight()`` between them.
 
@@ -95,7 +92,7 @@ class LiveSystem:
     #: Channel modes the executor can run (optimism needs rollback).
     MODES = tuple(ChannelMode)
     #: What a lost node comes to (:data:`FAILURE_POLICIES`); only an
-    #: executor that can roll back or drop a node offers another.
+    #: executor that can roll back offers another.
     failure_policy = "raise"
 
     def __init__(self, *, transport, default_model: LatencyModel,
@@ -263,14 +260,9 @@ class LiveSystem:
         return edges
 
     # ------------------------------------------------------------------
-    def _live_subsystems(self) -> Iterable[Subsystem]:
-        """Subsystems still part of the computation (all of them, unless
-        the executor can drop a node)."""
-        return self.subsystems.values()
-
     def global_time(self) -> float:
-        """The paper's global notion: the slowest live subsystem's time."""
-        return min((ss.now for ss in self._live_subsystems()), default=0.0)
+        """The paper's global notion: the slowest subsystem's time."""
+        return min((ss.now for ss in self.subsystems.values()), default=0.0)
 
     def _in_flight(self) -> bool:
         """Is anything between two subsystems: queued, parked by the
@@ -279,15 +271,15 @@ class LiveSystem:
         return transport.pending() != 0 or not transport.wire_balanced()
 
     def _reached(self, instant: float, *, finish: bool = False) -> bool:
-        """:func:`reached`, fed from the live subsystems.  This is when
+        """:func:`reached`, fed from the subsystems.  This is when
         a service due at ``instant`` fires (see
         :attr:`PiaNode.service_bound`, which holds conservative windows
         back until it has) and, with ``finish``, when the run is over."""
         if instant == float("inf") and not finish:
             return False        # nothing due: the per-round common case
-        live = self._live_subsystems()
-        return reached(instant, (subsystem.now for subsystem in live),
-                       self._next_events(live), self._in_flight,
+        subsystems = self.subsystems.values()
+        return reached(instant, (ss.now for ss in subsystems),
+                       self._next_events(subsystems), self._in_flight,
                        finish=finish)
 
     @staticmethod
@@ -323,8 +315,7 @@ class LiveSystem:
         """Node ``name`` is lost — its scheduled crash fired, or a link
         towards it gave up: from here on its traffic is lost, and the
         failure policy responds at once, at this virtual instant
-        (``"recover"`` and ``"drop-node"`` are the cooperative
-        executor's ``_recover_node`` / ``_drop_node``)."""
+        (``"recover"`` is the cooperative executor's ``_recover_node``)."""
         self.fault_injector.mark_down(name)
         telemetry = self.telemetry
         if telemetry.enabled:
@@ -333,10 +324,7 @@ class LiveSystem:
                             subject=name)
         if self.failure_policy == "raise":
             raise lost_node(name, self.global_time())
-        if self.failure_policy == "drop-node":
-            self._drop_node(name)
-        else:
-            self._recover_node(name)
+        self._recover_node(name)
 
     def _grants_for(self, src: str, dst: str) -> List[Message]:
         """The transport's piggyback provider: ask the source node."""

@@ -281,21 +281,6 @@ class FaultInjector:
             return sum(len(v) for parked in (self._held, self._swaps)
                        for v in parked.values())
 
-    def purge_node(self, node: str) -> int:
-        """Discard everything parked for (or swapped towards) ``node`` —
-        it left the system for good."""
-        with self._lock:
-            purged = len(self._held.pop(node, ())) \
-                + len(self._swaps.pop(node, ()))
-            for dst in [d for d, parked in self._swaps.items()
-                        if node in parked]:
-                del self._swaps[dst][node]
-                if not self._swaps[dst]:
-                    del self._swaps[dst]
-                purged += 1
-            self._dup_ids.pop(node, None)
-            return purged
-
     def flush(self) -> int:
         """Drop everything parked (global rollback support)."""
         with self._lock:

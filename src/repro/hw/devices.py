@@ -96,8 +96,10 @@ class UartDevice(HardwareStub):
     """A byte pipe with transmission delay: poke DATA to send, interrupt
     ``rx`` signals a received byte ready in DATA.
 
-    ``loopback`` wires TX to RX after ``latency_ticks`` — enough to model
-    the far end for protocol bring-up.
+    ``loopback`` wires TX to RX — enough to model the far end for
+    protocol bring-up.  Bytes share one line: each arrives
+    :attr:`byte_ticks` after the one before it, or after its poke on an
+    idle line.
     """
 
     BITS_PER_BYTE = 10       # start + 8 data + stop
@@ -173,4 +175,8 @@ class UartDevice(HardwareStub):
         if addr != REG_DATA:
             raise HardwareStubError(f"uart: no writable register {addr:#x}")
         self.tx_count += 1
-        self._in_flight.append((self._tick + self.byte_ticks, value & 0xFF))
+        # One line: a byte starts once the one before it has gone out.
+        start = self._tick
+        if self._in_flight:
+            start = max(start, self._in_flight[-1][0])
+        self._in_flight.append((start + self.byte_ticks, value & 0xFF))

@@ -45,8 +45,6 @@ class TraceKind:
     NODE_CRASH = "node-crash"
     #: A failed node was restored from the last consistent snapshot.
     NODE_RECOVER = "node-recover"
-    #: A failed node was dropped from the run (graceful degradation).
-    NODE_DROP = "node-drop"
     #: A node moved to a fresh worker (live migration or failover).
     MIGRATION = "migration"
     #: An executor gave up on the run (deadlock, quiesce timeout).

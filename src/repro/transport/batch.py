@@ -87,7 +87,7 @@ class SendBatcher:
         return queue
 
     def clear(self, name: Optional[str] = None) -> int:
-        """Drop queued messages (rollback / node-removal support).
+        """Drop queued messages (rollback / migration re-splice).
 
         With ``name``, drops only queues touching that node; returns the
         number of messages dropped."""

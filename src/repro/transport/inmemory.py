@@ -58,11 +58,6 @@ class InMemoryTransport(Transport):
         if call_handler is not None:
             self._call_handlers[name] = call_handler
 
-    def unregister(self, name: str) -> None:
-        self._inboxes.pop(name, None)
-        self._call_handlers.pop(name, None)
-        self.batcher.clear(name)
-
     def nodes(self) -> list:
         return sorted(self._inboxes)
 

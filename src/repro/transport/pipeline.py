@@ -26,7 +26,7 @@ the release clock) or still in flight — and a sweep over nodes polls only
 those.
 
 A carrier subclass moves bytes and nothing else.  It keeps its own node
-table (``register``/``unregister``/``nodes``) and supplies:
+table (``register``/``nodes``) and supplies:
 
 ``_route(dst)``         None unknown / False served here / True remote
 ``_pack(message)``      ``(parcel, wire size)`` of one message
@@ -305,7 +305,7 @@ class Transport:
         telemetry = self.telemetry
         for (s, d), members in self.batcher.take(src=src, dst=dst):
             if self._route(d) is None:
-                continue    # destination unregistered after enqueue
+                continue    # destination forgotten after enqueue
             grants = provider(s, d) if provider is not None else []
             frame = BatchFrame(s, d, members, grants, epoch=self.epoch)
             parcel, size = self._pack_frame(frame)

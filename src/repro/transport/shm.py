@@ -214,10 +214,8 @@ class SharedMemoryTransport(TcpTransport):
     #: ordering marker has been consumed.
     SPILL_DEADLINE = 30.0
 
-    def __init__(self, *, ring_capacity: int = DEFAULT_RING_CAPACITY,
-                 **kwargs) -> None:
+    def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
-        self.ring_capacity = ring_capacity
         self._out_rings: Dict[Tuple[str, str], ShmRing] = {}
         self._in_rings: Dict[Tuple[str, str], ShmRing] = {}
         self._ring_lock = threading.Lock()

@@ -394,15 +394,6 @@ class TcpTransport(Transport):
             self._call_handlers[name] = call_handler
         return endpoint.port
 
-    def unregister(self, name: str) -> None:
-        """Tear down the node's endpoint and any cached links to it."""
-        endpoint = self._endpoints.pop(name, None)
-        if endpoint is not None:
-            endpoint.close()
-        self._call_handlers.pop(name, None)
-        self.batcher.clear(name)
-        self._close_links(name)
-
     def nodes(self) -> list:
         return sorted(self._endpoints)
 

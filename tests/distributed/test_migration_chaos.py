@@ -26,7 +26,8 @@ from repro.core.errors import (
     ConfigurationError,
     MigrationError,
 )
-from repro.distributed import MultiprocessCoSimulation, WorkerPool
+from repro.distributed import (
+    CoSimulation, MultiprocessCoSimulation, WorkerPool)
 from repro.distributed.migration import NodeArchive, resent_counts
 from repro.faults import FaultPlan, NodeCrash
 from repro.observability import (
@@ -244,17 +245,27 @@ class TestLiveMigration:
 
     @pytest.mark.parametrize("policy", ["migrate", "drop-node"])
     def test_a_process_deployment_refuses_the_policy(self, policy):
-        """One vocabulary: the old multiprocess spelling is refused, not
-        mapped, and the error says which executor takes which policy."""
-        with pytest.raises(ConfigurationError,
-                           match="MultiprocessCoSimulation takes 'recover' "
-                                 "or 'raise'"):
-            MultiprocessCoSimulation(failure_policy=policy)
+        """One vocabulary: the old multiprocess spelling and the old
+        cooperative-only drop are refused, not mapped, by both executors
+        that take a policy — with one text."""
+        for executor in (CoSimulation, MultiprocessCoSimulation):
+            with pytest.raises(ConfigurationError) as refused:
+                executor(failure_policy=policy)
+            assert str(refused.value) == (
+                f"failure policy {policy!r} is not one of ('recover', "
+                "'raise'): CoSimulation and MultiprocessCoSimulation "
+                "restart a lost node from the last cut ('recover') or "
+                "raise ('raise'); ThreadedCoSimulation always raises")
+
+    @pytest.mark.parametrize("policy", ["recover", "raise"])
+    def test_both_executors_take_each_policy(self, policy):
+        """The two policies left are the two both executors carry out."""
+        for executor in (CoSimulation, MultiprocessCoSimulation):
+            assert executor(failure_policy=policy).failure_policy == policy
 
     def test_one_policy_tuple_is_exported(self):
         import repro.distributed as distributed
-        assert distributed.FAILURE_POLICIES == ("recover", "raise",
-                                                "drop-node")
+        assert distributed.FAILURE_POLICIES == ("recover", "raise")
         assert not hasattr(distributed, "MP_FAILURE_POLICIES")
         assert "MP_FAILURE_POLICIES" not in distributed.__all__
 

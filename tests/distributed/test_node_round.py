@@ -4,12 +4,16 @@ steps and when to stop.  These tests drive ``PiaNode.step`` /
 
 import threading
 
+import pytest
+
 from repro.bench.workloads import (
     compute_star,
     compute_star_multiprocess,
     ring_of_pairs,
     streaming_pair,
+    streaming_pair_spec,
 )
+from repro.distributed import build
 from repro.transport.message import MessageKind
 
 
@@ -146,15 +150,23 @@ class TestGrantLedger:
         assert grant.time == 1.0
         assert endpoint.peer_want == 0.0
 
-    def test_nothing_for_severed_or_down_peers(self):
-        __, producer, endpoint = stalled_pair()
-        endpoint.peer_want = 0.5
-        assert producer.stalled_grants(down={"n-cons"}) == {}
-        assert endpoint.peer_want == 0.5
-        assert endpoint.granted_reported == 0.0
-        endpoint.sever()
-        assert producer.stalled_grants() == {}
-        assert producer.grants_for("n-cons") == []
+
+class TestBatchedRefresh:
+    @pytest.mark.parametrize("batching", [True, False])
+    def test_asks_when_only_its_echo_ledger_restricts(self, batching):
+        """A peer grant covering ``desired`` does not excuse an echo the
+        peer has not confirmed consuming: the first refresh asks, under
+        batching as without it (the executor alone throttles requests)."""
+        cosim = build(streaming_pair_spec(5, 1.0), batching=batching)
+        for node in cosim.nodes.values():
+            node.start()
+        producer = cosim.subsystem("z-producer")
+        endpoint = next(iter(producer.channels.values()))
+        endpoint.peer_grant = 10.0
+        endpoint.pending_echoes.append((1, 2.0))
+        client = producer.node.clients["z-producer"]
+        client.refresh(5.0)
+        assert client.requests_sent == 1 == endpoint.safe_time_requests
 
 
 class TestServedCounter:

@@ -6,7 +6,6 @@ from repro.distributed.snapshot import (
     GlobalSnapshot,
     SnapshotRegistry,
     SubsystemCut,
-    new_snapshot_id,
 )
 from repro.transport import Message, MessageKind
 
@@ -83,8 +82,12 @@ class TestRegistry:
         registry.drop("s")                 # idempotent
         assert registry.snapshots == {}
 
-    def test_ids_unique(self):
-        assert new_snapshot_id() != new_snapshot_id()
+    def test_ids_numbered_per_registry(self):
+        """Each registry counts its own cuts, so a second run in one
+        process sends the same mark payloads as the first."""
+        first, second = SnapshotRegistry(), SnapshotRegistry()
+        assert [first.new_id(), first.new_id()] == ["snap-1", "snap-2"]
+        assert second.new_id() == "snap-1"
 
 
 class TestOneWayBackToACut:

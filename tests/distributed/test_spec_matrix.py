@@ -6,7 +6,6 @@ The multiprocess cells share one warm ``WorkerPool`` so the whole matrix
 pays one round of ``spawn``."""
 
 import dataclasses
-import itertools
 import pickle
 import re
 import time
@@ -183,11 +182,9 @@ def by_hand(spec, **kwargs):
     return cosim
 
 
-def document(cosim, monkeypatch):
-    # Snapshot ids come from a process-wide counter: restart it so that
-    # two runs in one process compare record for record.
-    monkeypatch.setattr("repro.distributed.snapshot._snapshot_ids",
-                        itertools.count(1))
+def document(cosim):
+    # Snapshot ids are numbered per run, so two runs in one process
+    # compare record for record.
     cosim.run()
     return cosim.report().to_dict(include_trace=True)
 
@@ -213,11 +210,11 @@ DOCUMENT_CASES = {
 
 
 @pytest.mark.parametrize("case", DOCUMENT_CASES)
-def test_loaded_spec_reports_what_the_calls_report(case, monkeypatch):
+def test_loaded_spec_reports_what_the_calls_report(case):
     make, kwargs, wrapper = DOCUMENT_CASES[case]
-    loaded = document(build(make(), **kwargs), monkeypatch)
-    assert loaded == document(by_hand(make(), **kwargs), monkeypatch)
-    assert loaded == document(wrapper(), monkeypatch)
+    loaded = document(build(make(), **kwargs))
+    assert loaded == document(by_hand(make(), **kwargs))
+    assert loaded == document(wrapper())
 
 
 @pytest.mark.parametrize("workload", SPECS)
@@ -324,12 +321,12 @@ def deployed(design, assignment):
     return cosim
 
 
-def test_three_subsystem_deploy_matches_net_by_net_split(monkeypatch):
-    assert document(deployed(relay_design(), RELAY), monkeypatch) \
-        == document(net_by_net(relay_design(), RELAY), monkeypatch)
+def test_three_subsystem_deploy_matches_net_by_net_split():
+    assert document(deployed(relay_design(), RELAY)) \
+        == document(net_by_net(relay_design(), RELAY))
 
 
-def test_shared_half_net_is_tapped_in_channel_order(monkeypatch):
+def test_shared_half_net_is_tapped_in_channel_order():
     # The narrower guarantee: with ``aux`` creating the ``q`` channel
     # first, the root's ``bus`` half forwards to ``q`` before ``p`` where
     # the net-by-net realisation forwarded to ``p`` first.  Behaviour is
@@ -339,7 +336,7 @@ def test_shared_half_net_is_tapped_in_channel_order(monkeypatch):
     assert list(live.channels) == ["ch1-r-q", "ch2-r-p"]
     spec = spec_of("tests.distributed.test_spec_matrix:relay_design", True,
                    assignment=RELAY_EXTRA)
-    assert document(live, monkeypatch) == document(build(spec), monkeypatch)
+    assert document(live) == document(build(spec))
     old = net_by_net(relay_design(True), RELAY_EXTRA)
     assert behaviour(old) == behaviour(build(spec))
     assert old.component("d1").got == live.component("d1").got \

@@ -129,14 +129,6 @@ class TestHeldTraffic:
         assert injector.flush() == 2
         assert injector.held_pending() == 0
 
-    def test_purge_node(self):
-        injector = FaultInjector(FaultPlan(seed=0))
-        injector.hold("b", "x", 5)
-        injector.hold_swap("a", "b", "y")
-        injector.hold("c", "z", 5)
-        assert injector.purge_node("b") == 2
-        assert injector.held_pending() == 1
-
 
 class TestDuplicateSuppression:
     def test_exactly_once_semantics(self):

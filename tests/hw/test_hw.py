@@ -123,11 +123,26 @@ class TestDevices:
         assert uart.peek(REG_STATUS) == 0
 
     def test_uart_fifo_order(self):
+        """Bytes share one line: each lands a byte time after the one
+        before it, not all at once."""
         uart = UartDevice(divisor=1)
         for b in [1, 2, 3]:
             uart.poke(REG_DATA, b)
-        uart.run_for(100)
+        records = uart.run_for(100)
+        assert [(r.tick, r.payload) for r in records] == \
+            [(10, 1), (20, 2), (30, 3)]
         assert [uart.peek(REG_DATA) for __ in range(3)] == [1, 2, 3]
+
+    def test_uart_idle_line_sends_from_now(self):
+        """With nothing in flight a byte takes one byte time from the
+        poke, not from the last byte sent long before."""
+        uart = UartDevice(divisor=1)
+        uart.poke(REG_DATA, 7)
+        assert [(r.tick, r.payload) for r in uart.run_for(50)] == [(10, 7)]
+        uart.poke(REG_DATA, 8)
+        uart.poke(REG_DATA, 9)
+        assert [(r.tick, r.payload) for r in uart.run_for(50)] == \
+            [(60, 8), (70, 9)]
 
 
 class TestStubContract:

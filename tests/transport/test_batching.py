@@ -189,12 +189,6 @@ class TestInMemoryBatching:
         assert not t.push_grants("a", "b", [grant])      # batching off
         assert t.accounting.total_frames == 0
 
-    def test_unregister_drops_queued_batches(self):
-        t = self._transport()
-        t.send(_msg(payload=1))
-        t.unregister("b")
-        assert t.batcher.pending() == 0
-
 
 class TestCopyElision:
     def test_mutable_payloads_still_isolated(self):

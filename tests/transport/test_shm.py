@@ -126,9 +126,10 @@ class TestSpillEnvelope:
 
 class TestSharedMemoryTransport:
     def _pair(self, ring_capacity=DEFAULT_RING_CAPACITY):
-        """Two transports, an a->b ring between them, TCP both ways."""
-        t_a = SharedMemoryTransport(ring_capacity=ring_capacity)
-        t_b = SharedMemoryTransport(ring_capacity=ring_capacity)
+        """Two transports, an a->b ring between them, TCP both ways (the
+        ring's capacity is the segment's: the transports only attach)."""
+        t_a = SharedMemoryTransport()
+        t_b = SharedMemoryTransport()
         t_a.register("a")
         t_b.register("b")
         t_a.set_peer("b", t_b.local_port("b"))

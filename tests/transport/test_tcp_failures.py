@@ -80,13 +80,6 @@ class TestRegistration:
             with pytest.raises(TransportError):
                 transport.register("a")
 
-    def test_unregister_frees_the_name(self):
-        with TcpTransport() as transport:
-            transport.register("a")
-            transport.unregister("a")
-            transport.register("a")
-            assert transport.nodes() == ["a"]
-
     def test_send_to_unknown_destination(self):
         with TcpTransport(retry_policy=FAST_RETRY) as transport:
             transport.register("a")
