@@ -25,6 +25,13 @@ reproducible; the required *shape* is asserted:
 * remote packet passage stays within an interactive factor of the local
   simulation — the paper's point that detail reduction makes remote
   co-simulation usable.
+
+Both remote rows run over each channel mode.  The conservative column
+pays the safe-time protocol (section 2.2.2.1) on top of every word; the
+optimistic column (section 2.2.2.2) sends one message per word and is the
+paper's row.  The shape assertions above hold on the conservative column;
+the optimistic one must model the paper's 604 s within 1.5x and reach the
+same virtual completion.
 """
 
 import pytest
@@ -38,7 +45,16 @@ from repro.bench import (
     format_count,
     format_seconds,
 )
+from repro.distributed import ChannelMode
 from repro.transport import INTERNET
+
+#: The channel modes of the remote rows; local rows have no channel.
+MODES = (ChannelMode.CONSERVATIVE, ChannelMode.OPTIMISTIC)
+
+
+def _key(location, level, mode=ChannelMode.CONSERVATIVE):
+    key = f"{location} {level} passage"
+    return key if mode is ChannelMode.CONSERVATIVE else f"{key}, optimistic"
 
 
 def _run_all():
@@ -51,15 +67,18 @@ def _run_all():
     }
     for location, remote in (("local", False), ("remote", True)):
         for level in ("word", "packet"):
-            key = f"{location} {level} passage"
-            outcome = page_load(level, remote=remote, network=INTERNET,
-                                config=WubbleUConfig(level=level))
-            results[key] = {
-                "time": outcome.simulation_time,
-                "messages": outcome.messages,
-                "events": outcome.events,
-                "virtual": outcome.virtual_time,
-            }
+            for mode in MODES if remote else MODES[:1]:
+                outcome = page_load(level, remote=remote, network=INTERNET,
+                                    mode=mode,
+                                    config=WubbleUConfig(level=level))
+                results[_key(location, level, mode)] = {
+                    "time": outcome.simulation_time,
+                    "messages": outcome.messages,
+                    "events": outcome.events,
+                    "virtual": outcome.virtual_time,
+                    "bytes": outcome.bytes_loaded,
+                    "mode": mode.value if remote else "n/a",
+                }
     return results
 
 
@@ -71,22 +90,26 @@ def table1():
 def test_table1_report(table1):
     table = Table(
         "Table 1 — WubbleU page load (66 KB), measured vs paper",
-        ["Location", "Detail level", "simulation time", "paper",
+        ["Location", "Detail level", "channel", "simulation time", "paper",
          "inter-node msgs", "events"])
-    order = ["HotJava", "local word passage", "local packet passage",
-             "remote word passage", "remote packet passage"]
+    order = ["HotJava", "local word passage", "local packet passage"] + [
+        _key("remote", level, mode)
+        for level in ("word", "packet") for mode in MODES]
     for key in order:
         row = table1[key]
-        location, __, level = key.partition(" ")
+        location, __, level = key.partition(",")[0].partition(" ")
         table.add(location if level else "n/a",
                   level or "HotJava",
+                  row.get("mode", "n/a"),
                   format_seconds(row["time"]),
-                  format_seconds(PAPER_TABLE1.get(key)),
+                  format_seconds(PAPER_TABLE1.get(key.partition(",")[0])),
                   format_count(row["messages"]),
                   format_count(row["events"]))
     table.note("remote rows: measured CPU + modelled network wall time "
                "(internet preset: 35 ms latency, 128 kB/s)")
     table.note("paper local-word entry is unreadable in the surviving scan")
+    table.note("optimistic rows: no safe-time protocol, one message per "
+               "transfer — the paper's remote rows")
     table.show()
     table.save("table1_wubbleu")
 
@@ -144,6 +167,27 @@ def test_same_virtual_behaviour_everywhere(table1):
     word = table1["local word passage"]["virtual"]
     packet = table1["local packet passage"]["virtual"]
     assert abs(word - packet) / packet < 0.01
+
+
+def test_optimistic_remote_word_sends_a_message_per_word(table1):
+    """Without the safe-time protocol, a word crossing is one message."""
+    row = table1[_key("remote", "word", ChannelMode.OPTIMISTIC)]
+    words = row["bytes"] / WubbleUConfig().bus_word_width
+    assert row["messages"] <= 1.1 * words
+
+
+def test_optimistic_remote_word_models_the_papers_row(table1):
+    """The paper's 604 s within 1.5x (595.6 s of it is modelled network
+    time, so the host's CPU barely moves it)."""
+    paper = PAPER_TABLE1["remote word passage"]
+    time = table1[_key("remote", "word", ChannelMode.OPTIMISTIC)]["time"]
+    assert paper / 1.5 <= time <= paper * 1.5
+
+
+def test_same_virtual_completion_across_channel_modes(table1):
+    for level in ("word", "packet"):
+        assert {table1[_key("remote", level, mode)]["virtual"]
+                for mode in MODES} == {table1[_key("local", level)]["virtual"]}
 
 
 @pytest.fixture(scope="module")

@@ -6,8 +6,9 @@ Chandy-Lamport snapshots, and recovers from optimistic stragglers by
 coordinated rollback.  Being cooperative and single-threaded, it gives the
 same total control over execution order the paper obtains by tricking the
 JVM scheduler (section 3.1) — and makes every distributed experiment
-reproducible bit for bit.  The genuinely concurrent deployment lives in
-:mod:`repro.distributed.threaded`.
+reproducible bit for bit.  A round is each node's ``step`` in turn: the
+round the paper's deployment, one process per node
+(:mod:`repro.distributed.multiprocess`), runs concurrently.
 """
 
 from __future__ import annotations
@@ -75,10 +76,9 @@ class CoSimulation(LiveSystem, RunLevels):
         #: subsystem name -> (desired, round of last request).
         self._refresh_throttle: Dict[str, tuple] = {}
         self._pushed = BoundCounter("safetime.pushed")
-        #: Visit orders by name, rebuilt only after membership changes
+        #: Node visit order, rebuilt only after membership changes
         #: (:meth:`_membership_changed`).
         self._node_order: Optional[List[PiaNode]] = None
-        self._subsystem_order: Optional[List[Subsystem]] = None
         self._started = False
         #: Total rounds the run loop executed.
         self.rounds = 0
@@ -89,14 +89,15 @@ class CoSimulation(LiveSystem, RunLevels):
     # construction
     # ------------------------------------------------------------------
     def _membership_changed(self) -> None:
-        """A node or subsystem joined: the cached visit orders are
-        stale."""
-        self._node_order = self._subsystem_order = None
+        """A node or subsystem joined: the cached visit order is stale."""
+        self._node_order = None
 
     def _node_added(self, node: PiaNode) -> None:
         self._membership_changed()
         node.conservative_override = self._conservative_now
         node.service_bound = self._next_service
+        if self.transport.batching:
+            node.refresh_due = self._should_refresh
         manager = SnapshotManager(
             node, self.registry,
             expected_subsystems=lambda: set(self.subsystems))
@@ -121,12 +122,6 @@ class CoSimulation(LiveSystem, RunLevels):
         except KeyError:
             raise ConfigurationError(f"no subsystem named {name!r}") from None
 
-    def _ordered_subsystems(self) -> List[Subsystem]:
-        if self._subsystem_order is None:
-            self._subsystem_order = [self.subsystems[name]
-                                     for name in sorted(self.subsystems)]
-        return self._subsystem_order
-
     def stalls(self) -> int:
         return sum(ss.scheduler.stalls for ss in self.subsystems.values())
 
@@ -141,7 +136,7 @@ class CoSimulation(LiveSystem, RunLevels):
         """Take one global Chandy-Lamport snapshot; returns its id."""
         self.start()
         if initiator is None:
-            initiator = self._ordered_subsystems()[0].name
+            initiator = min(self.subsystems)
         subsystem = self.subsystem(initiator)
         assert subsystem.node is not None
         # Settle all signal traffic first (recovering from any straggler),
@@ -229,8 +224,6 @@ class CoSimulation(LiveSystem, RunLevels):
         ``_refresh_every`` rounds falls back to the explicit request —
         the liveness backstop.  Round counts are deterministic, so the
         throttle is too."""
-        if not self.transport.batching:
-            return True
         last = self._refresh_throttle.get(name)
         if last is None or last[0] != desired:
             self._refresh_throttle[name] = (desired, self.rounds)
@@ -240,14 +233,14 @@ class CoSimulation(LiveSystem, RunLevels):
         self._refresh_throttle[name] = (desired, self.rounds)
         return True
 
-    def _round_flush(self) -> bool:
-        """Round boundary under batching: ship every queued frame, then
-        push standalone grants to peers recorded as stalled whose want
-        the local floor has now passed.  Each push is one frame replacing
-        the two-frame request round trip the peer would otherwise issue.
-        Returns True if anything moved (counts as round progress)."""
+    def _push_stalled_grants(self) -> bool:
+        """Round boundary under batching: push standalone grants to peers
+        recorded as stalled whose want the local floor has now passed.
+        Each push is one frame replacing the two-frame request round trip
+        the peer would otherwise issue.  Returns True if one was pushed
+        (counts as round progress)."""
         transport = self.transport
-        acted = transport.batcher.queued() and transport.flush_batches() > 0
+        acted = False
         for node in self._ordered_nodes():
             for dst, grants in sorted(node.stalled_grants().items()):
                 if transport.push_grants(node.name, dst, grants):
@@ -285,9 +278,11 @@ class CoSimulation(LiveSystem, RunLevels):
                 and self.failure_policy == "recover")
 
     def _ordered_nodes(self) -> List[PiaNode]:
+        # By first subsystem: one subsystem per node visits them by name.
         if self._node_order is None:
-            self._node_order = [self.nodes[name]
-                                for name in sorted(self.nodes)]
+            self._node_order = sorted(
+                self.nodes.values(),
+                key=lambda node: min(node.subsystems, default=node.name))
         return self._node_order
 
     def _pump_all(self) -> int:
@@ -308,23 +303,13 @@ class CoSimulation(LiveSystem, RunLevels):
                     self._absorb_link_down(down)
                     pumped += 1
                 except StragglerError as straggler:
-                    receiver = self._straggler_receiver(straggler)
-                    self.recovery.recover(straggler, receiver)
-                    # The snapshot cadence restarts from the rewound time,
-                    # and the conservative window extends far enough for
-                    # the next snapshot to land inside it — otherwise a
-                    # sparse cadence lets the same race recur immediately.
-                    self._last_snapshot_time = self.global_time()
-                    self.recovery.conservative_until = max(
-                        self.recovery.conservative_until,
-                        straggler.straggler_time
-                        + (self.snapshot_interval or 0.0))
+                    self._recover_straggler(straggler)
                     pumped += 1
             total += pumped
             if pumped == 0:
                 return total
 
-    def _straggler_receiver(self, straggler: StragglerError) -> str:
+    def _recover_straggler(self, straggler: StragglerError) -> None:
         channel = self.channels.get(straggler.channel_id)
         if channel is None:
             raise ConfigurationError(
@@ -333,7 +318,15 @@ class CoSimulation(LiveSystem, RunLevels):
         # already advanced past the message time.
         later = max(channel.endpoints.values(),
                     key=lambda ep: ep.subsystem.scheduler.now)
-        return later.subsystem.name
+        self.recovery.recover(straggler, later.subsystem.name)
+        # The snapshot cadence restarts from the rewound time, and the
+        # conservative window extends far enough for the next snapshot to
+        # land inside it — otherwise a sparse cadence lets the same race
+        # recur immediately.
+        self._last_snapshot_time = self.global_time()
+        self.recovery.conservative_until = max(
+            self.recovery.conservative_until,
+            straggler.straggler_time + (self.snapshot_interval or 0.0))
 
     def run(self, until: float = float("inf"), *,
             max_rounds: Optional[int] = None) -> int:
@@ -353,21 +346,23 @@ class CoSimulation(LiveSystem, RunLevels):
             if self.fault_injector is not None:
                 acted = self._fault_tick()
             progress = self._pump_all() > 0 or acted
-            for subsystem in self._ordered_subsystems():
-                self._pump_all()
+            for node in self._ordered_nodes():
                 try:
-                    count = subsystem.node.advance(
-                        subsystem, until, throttle=self._should_refresh)
+                    moved, count = node.step(until)
                 except LinkDown as down:
                     self._absorb_link_down(down)
                     progress = True
                     continue
+                except StragglerError as straggler:
+                    self._recover_straggler(straggler)
+                    progress = True
+                    continue
+                progress = progress or moved
                 if count:
                     dispatched += count
-                    progress = True
                     self._poll_switchpoints()
             if self.transport.batching:
-                progress = self._round_flush() or progress
+                progress = self._push_stalled_grants() or progress
             self._maybe_periodic_snapshot()
             series = self.telemetry.series
             if series is not None:
@@ -436,7 +431,7 @@ class CoSimulation(LiveSystem, RunLevels):
 
     def _report_deadlock(self, until: float) -> None:
         detail = []
-        for subsystem in self._ordered_subsystems():
+        for __, subsystem in sorted(self.subsystems.items()):
             client = subsystem.node.clients[subsystem.name]
             detail.append(
                 f"{subsystem.name}: t={subsystem.now:g} "

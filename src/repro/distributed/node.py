@@ -13,9 +13,9 @@ a server, and inter-node communication is hidden from the user
 
 The node also owns its *round* — pump, refresh safe times, run each
 subsystem to its horizon, flush (section 2.2.2.1) — and the grant ledger
-that goes with it.  An executor only decides who calls :meth:`PiaNode.step`
-(or composes :meth:`PiaNode.advance` in an order of its own) and how
-global quiescence is detected.
+that goes with it.  Every executor runs that one round body: it only
+decides who calls :meth:`PiaNode.step` and how global quiescence is
+detected.
 """
 
 from __future__ import annotations
@@ -90,6 +90,10 @@ class PiaNode:
         #: fires the service once everything at or before the instant
         #: has run, then moves the bound on.
         self.service_bound: Callable[[], float] = lambda: float("inf")
+        #: ``refresh_due(subsystem, desired)``: ask now, or wait for a
+        #: pushed grant (the cooperative executor's batched throttle)?
+        self.refresh_due: Callable[[str, float], bool] = \
+            lambda name, desired: True
         #: Visit order of the round and the grant ledger — see
         #: :meth:`_visit_order`; dropped by :meth:`membership_changed`.
         self._order: Optional[List[tuple]] = None
@@ -220,14 +224,13 @@ class PiaNode:
         for subsystem in self.subsystems.values():
             subsystem.start()
 
-    def advance(self, subsystem: Subsystem, until: float = float("inf"), *,
-                throttle: Optional[Callable[[str, float], bool]] = None
+    def advance(self, subsystem: Subsystem, until: float = float("inf")
                 ) -> int:
         """Run ``subsystem`` as far as its safe-time horizon allows.
 
         A horizon short of the next event is refreshed first — unless
-        ``throttle(name, desired)`` says to wait for a piggybacked or
-        pushed grant instead.  A subsystem on conservative channels runs
+        :attr:`refresh_due` says to wait for a piggybacked or pushed
+        grant instead.  A subsystem on conservative channels runs
         one window: within the horizon, never across
         :attr:`service_bound`, at most :data:`WINDOW_EVENTS` events.
         (One with only optimistic channels, or none, runs ahead
@@ -246,7 +249,7 @@ class PiaNode:
             desired = min(next_time, until)
             # The refresh performs blocking network calls; it must happen
             # outside the lock or two nodes refreshing each other deadlock.
-            if throttle is None or throttle(subsystem.name, desired):
+            if self.refresh_due(subsystem.name, desired):
                 client.refresh(desired)
         with self.lock:
             if subsystem.next_event_time() <= client.horizon():
@@ -276,10 +279,10 @@ class PiaNode:
                 with self.lock:
                     self.pump()
             dispatched += self.advance(subsystem, until)
-        # Round boundary: ship everything this node queued (no-op unless
-        # the transport batches).  Outside the lock — the piggyback
-        # provider try-acquires it.
-        self.transport.flush_batches(src=self.name)
+        # Round boundary: ship everything this node queued.  Outside the
+        # lock — the piggyback provider try-acquires it.
+        if self.transport.batcher.queued():
+            self.transport.flush_batches(src=self.name)
         return progress or dispatched > 0, dispatched
 
     # ------------------------------------------------------------------

@@ -2,10 +2,12 @@
 steps and when to stop.  These tests drive ``PiaNode.step`` /
 ``grants_for`` / ``stalled_grants`` directly, without any executor loop."""
 
+import sys
 import threading
 
 import pytest
 
+from repro.apps.wubbleu import WubbleUConfig, build_split
 from repro.bench.workloads import (
     compute_star,
     compute_star_multiprocess,
@@ -14,6 +16,8 @@ from repro.bench.workloads import (
     streaming_pair_spec,
 )
 from repro.distributed import build
+from repro.distributed.node import PiaNode
+from repro.transport.latency import INTERNET
 from repro.transport.message import MessageKind
 
 
@@ -62,6 +66,43 @@ class TestExecutorIndependence:
         round_robin(stepped, until=3.0)
         assert [v for __, v in stepped.component("consumer").received] \
             == [0, 1, 2]
+
+
+def batched_split_wubbleu():
+    """The split WubbleU page at word level, batched, on a small page:
+    two nodes, a two-way link, grants piggybacked and pushed."""
+    return build_split(WubbleUConfig(
+        level="word", page_loads=1, total_bytes=800, image_count=1,
+        image_size=8), network=INTERNET, batching=True)[0]
+
+
+class TestCooperativeRoundIsNodeSteps:
+    """``CoSimulation.run`` is a loop over ``PiaNode.step``: every round
+    steps every node once, and ``advance`` has no caller but ``step``."""
+
+    @pytest.mark.parametrize("model", [
+        lambda: streaming_pair(40, 1.0, channel_delay=0.25),
+        batched_split_wubbleu,
+    ], ids=["stream_pair", "batched_split_wubbleu"])
+    def test_one_step_per_node_per_round(self, model, monkeypatch):
+        cosim = model()
+        steps, callers = [], set()
+        step, advance = PiaNode.step, PiaNode.advance
+
+        def counted_step(node, *args, **kwargs):
+            steps.append(node.name)
+            return step(node, *args, **kwargs)
+
+        def counted_advance(node, *args, **kwargs):
+            callers.add(sys._getframe(1).f_code)
+            return advance(node, *args, **kwargs)
+
+        monkeypatch.setattr(PiaNode, "step", counted_step)
+        monkeypatch.setattr(PiaNode, "advance", counted_advance)
+        assert cosim.run() > 0
+        assert len(steps) == cosim.rounds * len(cosim.nodes)
+        assert steps[:len(cosim.nodes)] * cosim.rounds == steps
+        assert callers == {step.__code__}
 
 
 def stalled_pair():
