@@ -56,12 +56,11 @@ class CoSimulation(LiveSystem, RunLevels):
                                         self.registry)
         self.recovery.telemetry = self.telemetry
         RunLevels.__init__(self)
-        self.recovery.on_rollback = self.switchpoints.load
+        self.recovery.on_rollback = self._rolled_back
         self._managers: Dict[str, SnapshotManager] = {}
         #: Take a Chandy-Lamport snapshot every this many virtual seconds
         #: (needed whenever optimistic channels are in use).
         self.snapshot_interval = snapshot_interval
-        self._last_snapshot_time = 0.0
         # --- fault plane -------------------------------------------------
         self.failure_policy = failure_policy
         #: Extra settle budget: a held (delayed) message is in flight even
@@ -95,7 +94,6 @@ class CoSimulation(LiveSystem, RunLevels):
     def _node_added(self, node: PiaNode) -> None:
         self._membership_changed()
         node.conservative_override = self._conservative_now
-        node.service_bound = self._next_service
         if self.transport.batching:
             node.refresh_due = self._should_refresh
         manager = SnapshotManager(
@@ -163,7 +161,7 @@ class CoSimulation(LiveSystem, RunLevels):
                 f"snapshot {snapshot_id} did not complete: marks pending on "
                 f"{[c.pending for c in snap.cuts.values()]}")
         self.switchpoints.save(snapshot_id)
-        self._last_snapshot_time = self.global_time()
+        self.schedule.rearm_cut(self.global_time(), self.snapshot_interval)
         return snapshot_id
 
     def restore(self, snapshot_id: Optional[str] = None) -> None:
@@ -181,34 +179,21 @@ class CoSimulation(LiveSystem, RunLevels):
                 "snapshot()")
         self.recovery.rollback_to(snap)
 
-    def _snapshot_due(self) -> float:
-        """When the next periodic snapshot is due (``inf``: never)."""
-        if self.snapshot_interval is None:
-            return float("inf")
-        return self._last_snapshot_time + self.snapshot_interval
+    def _rolled_back(self, snapshot_id: str) -> None:
+        """After every rollback (straggler, crash, :meth:`restore`) the
+        switchpoints rewind and the cut cadence restarts from there."""
+        self.switchpoints.load(snapshot_id)
+        self.schedule.rearm_cut(self.global_time(), self.snapshot_interval)
 
-    def _maybe_periodic_snapshot(self) -> None:
-        due = self._snapshot_due()
-        if self._reached(due):
-            # No clock there (the next events lie beyond the instant)?
-            # The cadence still moves on from it.
-            between_events = self.global_time() < due
+    def _take_due_cut(self) -> None:
+        """Round end: take the cut the run has got to, if any (one a
+        round); one between events still moves the cadence on from it."""
+        cut = next(self.schedule.take_due(self._reached, ("cut",)), None)
+        if cut is not None:
+            between_events = self.global_time() < cut.instant
             self.snapshot()
             if between_events:
-                self._last_snapshot_time = due
-
-    def _next_service(self) -> float:
-        """Every node's :attr:`~PiaNode.service_bound`: the earliest
-        instant a round-boundary service is owed — periodic snapshot or
-        scheduled crash.  Rounds are not lockstep (a one-way window can
-        span the whole run), so the services cannot count on a round
-        ending near their instant; windows stop at it and
-        :meth:`_reached` fires them there.  (The series recorder is not
-        one of them: attaching an observer must not change the run.)"""
-        bound = self._snapshot_due()
-        if self._pending_crashes:       # rare; asked on every advance
-            bound = min(bound, self._next_crash())
-        return bound
+                self.schedule.rearm_cut(cut.instant, self.snapshot_interval)
 
     def _has_optimism(self) -> bool:
         return any(ch.mode is ChannelMode.OPTIMISTIC
@@ -263,7 +248,8 @@ class CoSimulation(LiveSystem, RunLevels):
             return
         self._started = True
         self.validate_topology()
-        self._arm_crashes()
+        self.schedule.arm_crashes(self.fault_plan, self.nodes)
+        self.schedule.rearm_cut(0.0, self.snapshot_interval)
         for node in self._ordered_nodes():
             node.start()
         if self._has_optimism() or self._wants_crash_recovery():
@@ -319,11 +305,9 @@ class CoSimulation(LiveSystem, RunLevels):
         later = max(channel.endpoints.values(),
                     key=lambda ep: ep.subsystem.scheduler.now)
         self.recovery.recover(straggler, later.subsystem.name)
-        # The snapshot cadence restarts from the rewound time, and the
-        # conservative window extends far enough for the next snapshot to
-        # land inside it — otherwise a sparse cadence lets the same race
-        # recur immediately.
-        self._last_snapshot_time = self.global_time()
+        # The conservative window extends far enough for the next
+        # snapshot to land inside it — otherwise a sparse cadence lets the
+        # same race recur immediately.
         self.recovery.conservative_until = max(
             self.recovery.conservative_until,
             straggler.straggler_time + (self.snapshot_interval or 0.0))
@@ -363,7 +347,7 @@ class CoSimulation(LiveSystem, RunLevels):
                     self._poll_switchpoints()
             if self.transport.batching:
                 progress = self._push_stalled_grants() or progress
-            self._maybe_periodic_snapshot()
+            self._take_due_cut()
             series = self.telemetry.series
             if series is not None:
                 # Round boundary = the sampling point: virtual-cadence
@@ -395,11 +379,11 @@ class CoSimulation(LiveSystem, RunLevels):
     # fault plane (a lost node: recover / raise)
     # ------------------------------------------------------------------
     def _fault_tick(self) -> bool:
-        """Lose each node whose scheduled crash the run has got to.
-        Returns True if one fired (counts as round progress)."""
+        """Round start: lose each node whose scheduled crash the run has
+        got to.  Returns True if one fired (counts as round progress)."""
         acted = False
-        for crash in self._due_crashes():
-            self._lose_node(crash.node)
+        for crash in self.schedule.take_due(self._reached, ("crash",)):
+            self._lose_node(crash.target)
             acted = True
         return acted
 
@@ -421,7 +405,6 @@ class CoSimulation(LiveSystem, RunLevels):
         snap = completed[-1]
         self.fault_injector.mark_up(node)
         self.recovery.rollback_to(snap)
-        self._last_snapshot_time = self.global_time()
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.count("fault.node_recoveries")

@@ -7,7 +7,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import threading
 import time as _time
 import weakref
 from multiprocessing import connection as _mpconn
@@ -18,14 +17,15 @@ from ...core.errors import (
     NodeFailure,
     SimulationError,
 )
-from ...faults import FailureDetector, FaultPlan, NodeCrash, RetryPolicy
+from ...faults import FailureDetector, FaultPlan, RetryPolicy
 from ...observability import RunReport, Telemetry, TraceKind
 from ...observability.report import bundle, fold
 from ...transport.codec import VERSION as CODEC_VERSION
 from ...transport.shm import DEFAULT_RING_CAPACITY, create_ring_segment
 from .. import topology
 from ..migration import MigrationRecord, NodeArchive, resent_counts
-from ..system import check_failure_policy, lost_node, reached
+from ..system import (ServiceSchedule, check_failure_policy, file_crash,
+                      reached)
 from .pool import WorkerPool, _PoolWorker
 from ..spec import SystemSpec
 from .specs import TelemetrySpec, _WorkerSpec
@@ -156,10 +156,8 @@ class MultiprocessCoSimulation:
         self.migrations: List[MigrationRecord] = []
         #: Placement timeline: (wall, node, worker process name, event).
         self.placement_log: List[dict] = []
-        self._migrate_lock = threading.Lock()
-        self._migrate_requests: List[Tuple[str, float]] = []
-        #: Scheduled crashes not yet fired, in firing order.
-        self._pending_crashes: List[NodeCrash] = []
+        #: Scheduled crashes and requested migrations, by instant.
+        self.schedule = ServiceSchedule()
         #: The service instant the workers currently hold at.
         self._shipped = float("inf")
         self._archives: Dict[str, NodeArchive] = {}
@@ -280,34 +278,7 @@ class MultiprocessCoSimulation:
         if self.failure_policy != "recover":
             raise ConfigurationError(
                 "live migration requires failure_policy='recover'")
-        with self._migrate_lock:
-            self._migrate_requests.append((node, at_time))
-
-    def _next_service(self) -> float:
-        """The earliest virtual instant a service is owed — scheduled
-        crash or requested migration.  Shipped with every ``start``:
-        each worker's :attr:`~repro.distributed.node.PiaNode.service_bound`."""
-        with self._migrate_lock:
-            instants = [at_time for __, at_time in self._migrate_requests]
-        instants += [crash.at_time for crash in self._pending_crashes]
-        return min(instants, default=float("inf"))
-
-    def _take_due(self, instant: float) -> Tuple[List[str], str]:
-        """Pop what is owed at ``instant``: the nodes to relocate and
-        why.  Scheduled crashes go first; a migration owed at the same
-        instant waits for the rolled-back run to get there again."""
-        crashed = [crash.node for crash in self._pending_crashes
-                   if crash.at_time <= instant]
-        if crashed:
-            del self._pending_crashes[:len(crashed)]    # firing order
-            return crashed, "scheduled-crash"
-        with self._migrate_lock:
-            due = [node for node, at_time in self._migrate_requests
-                   if at_time <= instant]
-            self._migrate_requests = [
-                request for request in self._migrate_requests
-                if request[1] > instant]
-        return due, "requested"
+        self.schedule.add(at_time, "migrate", node)
 
     # ------------------------------------------------------------------
     # execution
@@ -334,9 +305,7 @@ class MultiprocessCoSimulation:
         if not self.spec.nodes:
             return 0
         self._check_topology()
-        self._pending_crashes = \
-            self.fault_plan.scheduled_crashes(self.spec.nodes) \
-            if self.fault_plan is not None else []
+        self.schedule.arm_crashes(self.fault_plan, self.spec.nodes)
         self._status_path = status_path
         self._status_interval = status_interval
         self._status_listener = status_listener
@@ -478,7 +447,7 @@ class MultiprocessCoSimulation:
 
     def _start(self, pipes, until: float) -> None:
         """(Re)start every worker, to hold at the next service instant."""
-        self._shipped = self._next_service()
+        self._shipped = self.schedule.next_instant()
         for name in sorted(self.spec.nodes):
             self._send(pipes, name, "start", until, self._shipped)
 
@@ -888,7 +857,7 @@ class MultiprocessCoSimulation:
                     statuses, {name: st["telemetry"]
                                for name, st in statuses.items()
                                if "telemetry" in st}, until)
-            if self._next_service() != self._shipped:
+            if self.schedule.next_instant() != self._shipped:
                 # A migration asked for mid-run: move the workers' hold
                 # to it (at once, if its instant has already passed).
                 self._start(pipes, until)
@@ -932,18 +901,20 @@ class MultiprocessCoSimulation:
             if instant > until or \
                     not reached(instant, clocks, next_events, lambda: adrift):
                 return      # finished: no instant left the run will get to
-            due, reason = self._take_due(instant)
-            if reason == "scheduled-crash":
-                for node in due:
-                    self.telemetry.count("fault.node_crashes")
-                    self.telemetry.trace(TraceKind.NODE_CRASH,
-                                         time=global_now, subject=node)
-                if not supervised:
-                    raise lost_node(due[0], global_now)
-            # Supervised: a scheduled NodeCrash models the whole machine
-            # dying — its worker is killed and the node fails over.
-            self._relocate(due, pipes, procs, until, deadline, global_now,
-                           reason=reason)
+            # Scheduled crashes go first; a migration owed at the same
+            # instant waits for the rolled-back run to get there again.
+            crashed = [crash.target for crash in self.schedule.take_due(
+                lambda at: at <= instant, ("crash",))]
+            for node in crashed:
+                # Supervised, a scheduled NodeCrash models the whole
+                # machine dying: its worker is killed and it fails over.
+                file_crash(self.telemetry, node, global_now,
+                           self.failure_policy)
+            moved = crashed or [move.target for move in self.schedule.take_due(
+                lambda at: at <= instant, ("migrate",))]
+            self._relocate(moved, pipes, procs, until, deadline, global_now,
+                           reason="scheduled-crash" if crashed
+                           else "requested")
 
     # ------------------------------------------------------------------
     # results

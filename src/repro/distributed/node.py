@@ -84,11 +84,9 @@ class PiaNode:
         #: granted on, like conservative ones.  Only an executor that can
         #: roll back replaces it (its post-recovery conservative window).
         self.conservative_override: Callable[[], bool] = lambda: False
-        #: The next virtual instant the executor owes a round-boundary
-        #: service (periodic snapshot, scheduled crash).  A
-        #: conservatively granted window never crosses it: the executor
-        #: fires the service once everything at or before the instant
-        #: has run, then moves the bound on.
+        #: The next virtual instant a service is owed at
+        #: (:meth:`~repro.distributed.system.ServiceSchedule.next_instant`):
+        #: no conservatively granted window crosses it.
         self.service_bound: Callable[[], float] = lambda: float("inf")
         #: ``refresh_due(subsystem, desired)``: ask now, or wait for a
         #: pushed grant (the cooperative executor's batched throttle)?

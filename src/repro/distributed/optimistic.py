@@ -51,7 +51,7 @@ class RecoveryManager:
         #: Completed rollbacks, as (straggler_time, snapshot_id, restored_time).
         self.rollbacks: List[tuple] = []
         #: Called with the restored snapshot's id after every rollback
-        #: (the executor uses it to rewind switchpoint state).
+        #: (the executor rewinds switchpoint state and the cut cadence).
         self.on_rollback = None
         #: Virtual time until which every channel must act conservatively.
         self.conservative_until = float("-inf")

@@ -13,13 +13,15 @@ objects, or in one go from a :class:`~repro.distributed.spec.SystemSpec`
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+import threading
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
 from ..core.errors import ConfigurationError, NodeFailure, SimulationError
 from ..core.subsystem import Subsystem
-from ..faults import FaultInjector, FaultPlan, NodeCrash, RetryPolicy
+from ..faults import FaultInjector, FaultPlan, RetryPolicy
 from ..observability import RunReport, Telemetry, TraceKind, run_report
 from ..transport.inmemory import InMemoryTransport
 from ..transport.latency import LatencyModel
@@ -35,13 +37,19 @@ from .spec import SystemSpec
 FAILURE_POLICIES = ("recover", "raise")
 
 
-def lost_node(node: str, global_time: float) -> NodeFailure:
-    """What a node lost under ``failure_policy="raise"`` raises — the one
-    text, in every executor."""
-    return NodeFailure(
-        f"node {node!r} was lost at global time {global_time:g} under "
-        "failure_policy='raise'; CoSimulation and MultiprocessCoSimulation "
-        "take 'recover' to restart it from the last cut", node=node)
+def file_crash(telemetry: Telemetry, node: str, global_time: float,
+               policy: str) -> None:
+    """File the loss of ``node`` at ``global_time`` — count, trace and,
+    under ``policy="raise"``, the one text every executor raises."""
+    if telemetry.enabled:
+        telemetry.count("fault.node_crashes")
+        telemetry.trace(TraceKind.NODE_CRASH, time=global_time, subject=node)
+    if policy == "raise":
+        raise NodeFailure(
+            f"node {node!r} was lost at global time {global_time:g} under "
+            "failure_policy='raise'; CoSimulation and "
+            "MultiprocessCoSimulation take 'recover' to restart it from the "
+            "last cut", node=node)
 
 
 def check_failure_policy(policy: str) -> None:
@@ -81,6 +89,76 @@ def reached(instant: float, clocks: Iterable[float],
     return earliest > instant
 
 
+class Service(NamedTuple):
+    """What (``kind``) is owed to which node (``target``) at ``instant``."""
+
+    instant: float
+    kind: str
+    target: Optional[str]
+
+
+class ServiceSchedule:
+    """What is owed at which virtual instant, in one list ordered by
+    instant (ties as filed): scheduled crashes (``"crash"``), periodic
+    cuts (``"cut"``) and requested migrations (``"migrate"``).
+    :meth:`next_instant` is every node's :attr:`PiaNode.service_bound`
+    (a multiprocess worker's comes with ``start``), so no conservative
+    window crosses an entry; each executor fires the kinds it honours
+    (:meth:`take_due`).  Writers lock — ``migrate_at`` files from
+    listener threads — and swap in a new list, so reads need no lock."""
+
+    def __init__(self) -> None:
+        self._entries: List[Service] = []
+        self._lock = threading.Lock()
+
+    def add(self, instant: float, kind: str,
+            target: Optional[str] = None) -> None:
+        """File ``kind`` owed to ``target`` at ``instant``."""
+        with self._lock:
+            entries = list(self._entries)
+            bisect.insort(entries, Service(instant, kind, target),
+                          key=lambda entry: entry.instant)
+            self._entries = entries
+
+    def _drop(self, keep: Callable[[Service], bool]) -> None:
+        with self._lock:
+            self._entries = [entry for entry in self._entries if keep(entry)]
+
+    def next_instant(self) -> float:
+        """The earliest instant anything is owed (``inf``: nothing)."""
+        entries = self._entries
+        return entries[0].instant if entries else float("inf")
+
+    def take_due(self, reached: Callable[[float], bool],
+                 kinds: Sequence[str]) -> Iterator[Service]:
+        """Each entry of ``kinds`` the run has ``reached``, in order.  It
+        leaves only when the caller asks for the next one: windows hold
+        at its instant while the caller acts on it."""
+        while True:
+            entry = next((entry for entry in self._entries
+                          if entry.kind in kinds), None)
+            if entry is None or not reached(entry.instant):
+                return
+            yield entry
+            self._drop(lambda other: other is not entry)
+
+    def arm_crashes(self, fault_plan: Optional[FaultPlan], nodes) -> None:
+        """File ``fault_plan``'s crashes in place of any still pending
+        (a node outside ``nodes`` is refused before anything runs)."""
+        crashes = fault_plan.scheduled_crashes(nodes) \
+            if fault_plan is not None else []
+        self._drop(lambda entry: entry.kind != "crash")
+        for crash in crashes:
+            self.add(crash.at_time, "crash", crash.node)
+
+    def rearm_cut(self, last: float, interval: Optional[float]) -> None:
+        """Replace the pending cut by one ``interval`` after ``last``
+        (none while ``interval`` is None)."""
+        self._drop(lambda entry: entry.kind != "cut")
+        if interval is not None:
+            self.add(last + interval, "cut")
+
+
 class LiveSystem:
     """Nodes, subsystems and channels as live objects, plus their wiring."""
 
@@ -117,8 +195,8 @@ class LiveSystem:
         self.channels: Dict[str, Channel] = {}
         self.fault_plan = fault_plan
         self.fault_injector: Optional[FaultInjector] = None
-        #: Scheduled crashes not yet fired, in firing order.
-        self._pending_crashes: List[NodeCrash] = []
+        #: What is owed when; every node's ``service_bound`` reads it.
+        self.schedule = ServiceSchedule()
         if fault_plan is not None:
             self.fault_injector = FaultInjector(
                 fault_plan, retry_policy=retry_policy,
@@ -141,6 +219,7 @@ class LiveSystem:
         if name in self.nodes:
             raise ConfigurationError(f"duplicate node {name!r}")
         node = PiaNode(name, self.transport)
+        node.service_bound = self.schedule.next_instant
         self.nodes[name] = node
         self.SERVICE(node)
         self._node_added(node)
@@ -275,8 +354,6 @@ class LiveSystem:
         a service due at ``instant`` fires (see
         :attr:`PiaNode.service_bound`, which holds conservative windows
         back until it has) and, with ``finish``, when the run is over."""
-        if instant == float("inf") and not finish:
-            return False        # nothing due: the per-round common case
         subsystems = self.subsystems.values()
         return reached(instant, (ss.now for ss in subsystems),
                        self._next_events(subsystems), self._in_flight,
@@ -288,42 +365,13 @@ class LiveSystem:
             with subsystem.node.lock:
                 yield subsystem.next_event_time()
 
-    def _arm_crashes(self) -> None:
-        """Put the plan's crashes in firing order (unknown node: refused)."""
-        if self.fault_plan is not None:
-            self._pending_crashes = self.fault_plan.scheduled_crashes(
-                self.nodes)
-
-    def _next_crash(self) -> float:
-        """Virtual instant of the earliest scheduled crash not yet
-        fired — a :attr:`PiaNode.service_bound`, so no window runs past
-        it before the executor has taken the node down."""
-        pending = self._pending_crashes
-        return pending[0].at_time if pending else float("inf")
-
-    def _due_crashes(self) -> Iterator[NodeCrash]:
-        """Each scheduled crash the run has got to, in firing order;
-        the caller takes the node down before the next one is judged.
-        A crash stays pending — windows hold at its instant — until the
-        caller asks for the next one."""
-        pending = self._pending_crashes
-        while pending and self._reached(pending[0].at_time):
-            yield pending[0]
-            pending.pop(0)
-
     def _lose_node(self, name: str) -> None:
-        """Node ``name`` is lost — its scheduled crash fired, or a link
-        towards it gave up: from here on its traffic is lost, and the
-        failure policy responds at once, at this virtual instant
-        (``"recover"`` is the cooperative executor's ``_recover_node``)."""
+        """Node ``name`` is lost — its crash fired, or a link towards it
+        gave up: its traffic is lost from here on, and the policy responds
+        at this instant (``"recover"``: ``CoSimulation._recover_node``)."""
         self.fault_injector.mark_down(name)
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.count("fault.node_crashes")
-            telemetry.trace(TraceKind.NODE_CRASH, time=self.global_time(),
-                            subject=name)
-        if self.failure_policy == "raise":
-            raise lost_node(name, self.global_time())
+        file_crash(self.telemetry, name, self.global_time(),
+                   self.failure_policy)
         self._recover_node(name)
 
     def _grants_for(self, src: str, dst: str) -> List[Message]:

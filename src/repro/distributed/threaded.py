@@ -106,9 +106,6 @@ class ThreadedCoSimulation(LiveSystem):
                          retry_policy=retry_policy, batching=batching)
         self.stop_flag = threading.Event()
 
-    def _node_added(self, node: PiaNode) -> None:
-        node.service_bound = self._next_crash
-
     # ------------------------------------------------------------------
     def run(self, until: float = float("inf"), *,
             timeout: float = 60.0) -> int:
@@ -121,7 +118,7 @@ class ThreadedCoSimulation(LiveSystem):
         self.stop_flag.clear()
         workers = [_NodeWorker(self, self.nodes[name], until)
                    for name in sorted(self.nodes)]
-        self._arm_crashes()
+        self.schedule.arm_crashes(self.fault_plan, self.nodes)
         for worker in workers:
             worker.start()
         deadline = _time.monotonic() + timeout
@@ -140,7 +137,8 @@ class ThreadedCoSimulation(LiveSystem):
                 # service bound), so it fires there — once nothing at or
                 # before it is left — not whenever this sweep looks.  It
                 # stays pending, so they hold there until they stop.
-                crash = next(self._due_crashes(), None)
+                crash = next(self.schedule.take_due(self._reached,
+                                                    ("crash",)), None)
                 if crash is not None or self._quiescent(workers, until):
                     break
                 _time.sleep(0.002)
@@ -158,7 +156,7 @@ class ThreadedCoSimulation(LiveSystem):
             for worker in workers:
                 worker.join(timeout=5.0)
         if crash is not None:
-            self._lose_node(crash.node)
+            self._lose_node(crash.target)
         for worker in workers:
             if worker.error is not None:
                 if isinstance(worker.error, LinkDown):

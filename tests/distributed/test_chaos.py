@@ -228,6 +228,23 @@ class TestNodeCrashRecovery:
         assert sorted(cosim.registry.completed()[-1].cuts) \
             == ["hub", "w0", "w1"]
 
+    def test_restore_keeps_the_cut_cadence(self):
+        """A manual restore() rewinds the periodic cadence as the two
+        recovery rollbacks do: the first cut after restoring the t=2 cut
+        falls at 3, not one interval after the last cut before it (7),
+        so a later crash does not rewind further than it must."""
+        cosim = build([], snapshot_interval=1.0)
+        cosim.run(until=6.0)
+        before = {snap.max_time(): snapshot_id for snapshot_id, snap
+                  in cosim.registry.snapshots.items()}
+        assert sorted(before) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        cosim.restore(before[2.0])
+        cosim.run()
+        assert [snap.max_time() for snapshot_id, snap
+                in cosim.registry.snapshots.items()
+                if snapshot_id not in before.values()] \
+            == [float(t) for t in range(3, 13)]
+
     def test_a_second_run_in_one_process_reports_alike(self):
         """Snapshot ids are numbered per run, so a mark's bytes — and the
         link rows and counters they feed — do not depend on how many
