@@ -15,6 +15,12 @@ from repro.bench.workloads import ring_of_pairs
 
 SIZES = [2, 4, 6, 8]
 
+#: The table's deterministic columns per chain length — marks sent,
+#: local images, recorded messages, storage bytes — the same on both
+#: backends and under any hash seed; only the wall time may move.
+PINNED = {2: (2, 2, 0, 15_891), 4: (6, 4, 0, 39_567),
+          6: (10, 6, 0, 63_057), 8: (14, 8, 0, 86_499)}
+
 
 def _run(subsystem_count):
     cosim = ring_of_pairs(subsystem_count, messages_each=6)
@@ -59,6 +65,14 @@ def test_ablation_report(ablation):
                "algorithm prescribes")
     table.show()
     table.save("ablation_snapshot")
+
+
+def test_deterministic_columns_are_pinned(ablation):
+    """A drift in what a cut stores fails here, not silently in a table
+    whose wall-time column keeps it out of the byte-compare."""
+    assert {count: (row["marks"], row["images"], row["recorded"],
+                    row["storage"])
+            for count, row in ablation.items()} == PINNED
 
 
 def test_two_marks_per_channel(ablation):

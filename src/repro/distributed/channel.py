@@ -30,7 +30,6 @@ from ..core.errors import ConfigurationError, SimulationError
 from ..core.events import Event, EventKind
 from ..core.net import Net
 from ..core.port import Port, PortDirection
-from ..core.timestamp import PRIORITY_SIGNAL, Timestamp
 from ..observability import BoundCounter
 from ..observability.spans import span_of
 from ..transport.message import Message, MessageKind
@@ -224,10 +223,10 @@ class ChannelEndpoint:
                 f"forwards {net_name!r} at {time:g} after declaring this "
                 "end silent — a driver was wired onto a tapped net after "
                 "the run started, and the peer no longer bounds its echoes")
-        node = self.node
+        node = self.subsystem.node
         stamp = time + channel.delay
         self.forwarded += 1
-        node.send_channel_message(Message(
+        node.transport.send(Message(
             kind=MessageKind.SIGNAL,
             src=node.name,
             dst=self.peer_node,
@@ -335,10 +334,12 @@ class ChannelEndpoint:
     def receive_signal(self, message: Message) -> None:
         """Inject a remote net change into the local scheduler."""
         __, net_name, value = message.payload
-        net = self._nets.get(net_name)
-        if net is None:
+        try:
+            net = self._nets[net_name]
+        except KeyError:
             raise ConfigurationError(
-                f"channel {self.channel.channel_id}: unknown net {net_name!r}")
+                f"channel {self.channel.channel_id}: unknown net "
+                f"{net_name!r}") from None
         now = self.subsystem.scheduler.now
         if message.time < now:
             self.stragglers += 1
@@ -370,15 +371,15 @@ class ChannelEndpoint:
         # (set by PiaNode.dispatch), so schedule() has nothing to copy.
         telemetry = scheduler.telemetry
         cause = telemetry.cause_cell.value if telemetry.enabled else None
-        hidden = self.component.ports.get(net.name)
-        ts = Timestamp(time, PRIORITY_SIGNAL)
+        hidden = self.component.ports[net.name]
         signal = EventKind.SIGNAL
         for port in net.ports:
             if port is hidden:
                 continue
             if not port.direction.can_receive and not port.hidden:
                 continue
-            schedule(Event(ts, signal, port, value, None, cause))
+            # A bare time is "at PRIORITY_SIGNAL", as in Net.post.
+            schedule(Event(time, signal, port, value, None, cause))
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -328,7 +328,7 @@ class CoSimulation(LiveSystem, RunLevels):
                 break
             acted = False
             if self.fault_injector is not None:
-                acted = self._fault_tick()
+                acted = self._fault_tick(until)
             progress = self._pump_all() > 0 or acted
             for node in self._ordered_nodes():
                 try:
@@ -378,11 +378,14 @@ class CoSimulation(LiveSystem, RunLevels):
     # ------------------------------------------------------------------
     # fault plane (a lost node: recover / raise)
     # ------------------------------------------------------------------
-    def _fault_tick(self) -> bool:
+    def _fault_tick(self, until: float) -> bool:
         """Round start: lose each node whose scheduled crash the run has
-        got to.  Returns True if one fired (counts as round progress)."""
+        got to — never one beyond ``until``, which a later run reaches.
+        Returns True if one fired (counts as round progress)."""
         acted = False
-        for crash in self.schedule.take_due(self._reached, ("crash",)):
+        for crash in self.schedule.take_due(
+                lambda instant: instant <= until and self._reached(instant),
+                ("crash",)):
             self._lose_node(crash.target)
             acted = True
         return acted

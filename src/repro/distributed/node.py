@@ -34,6 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .channel import ChannelEndpoint
     from .conservative import SafeTimeService
 
+_SIGNAL = MessageKind.SIGNAL
+_GRANT = MessageKind.SAFE_TIME_GRANT
+
 #: Most events one :meth:`PiaNode.advance` dispatches for a subsystem on
 #: conservative channels.  A source whose peers cannot send has an
 #: unbounded horizon; the cap makes it yield to its node's round (pump,
@@ -69,8 +72,9 @@ class PiaNode:
         self.handlers: Dict[MessageKind, Callable[[Message], None]] = {}
         #: synchronous call services by kind (safe time, hardware).
         self.call_services: Dict[MessageKind, Callable[[Message], Message]] = {}
-        #: observers of incoming SIGNAL traffic (Chandy-Lamport recording).
-        self.signal_observers: List[Callable[[Message], None]] = []
+        #: ``observer(endpoint, message)`` per incoming SIGNAL while a
+        #: Chandy-Lamport cut records channel state (none otherwise).
+        self.signal_observers: List[Callable[..., None]] = []
         #: Serialises the node's own round against safe-time calls served
         #: from transport receiver threads (uncontended when the executor
         #: is single-threaded).
@@ -92,9 +96,10 @@ class PiaNode:
         #: pushed grant (the cooperative executor's batched throttle)?
         self.refresh_due: Callable[[str, float], bool] = \
             lambda name, desired: True
-        #: Visit order of the round and the grant ledger — see
-        #: :meth:`_visit_order`; dropped by :meth:`membership_changed`.
+        #: Visit order and endpoint map — see :meth:`_visit_order`; both
+        #: dropped by :meth:`membership_changed`.
         self._order: Optional[List[tuple]] = None
+        self._endpoints: Dict[str, "ChannelEndpoint"] = {}
         transport.register(name, call_handler=self.handle_call)
 
     # ------------------------------------------------------------------
@@ -127,14 +132,16 @@ class PiaNode:
 
     def membership_changed(self) -> None:
         """A subsystem joined, or one of them gained a channel end: the
-        cached visit order is stale."""
+        cached visit order and endpoint map are stale."""
         self._order = None
+        self._endpoints = {}
 
     def _visit_order(self) -> List[tuple]:
         """``(subsystem, its safe-time client, its endpoints in
         channel-id order)`` in subsystem-name order: the one order the
         round and the grant ledger walk, sorted once per membership
-        rather than on every call."""
+        rather than on every call — with the channel id -> endpoint map
+        incoming messages are routed by (the first subsystem added wins)."""
         order = self._order
         if order is None:
             order = self._order = [
@@ -142,6 +149,10 @@ class PiaNode:
                  [subsystem.channels[channel_id]
                   for channel_id in sorted(subsystem.channels)])
                 for name, subsystem in sorted(self.subsystems.items())]
+            endpoints = self._endpoints = {}
+            for subsystem in self.subsystems.values():
+                for channel_id, endpoint in subsystem.channels.items():
+                    endpoints.setdefault(channel_id, endpoint)
         return order
 
     def subsystem(self, name: str) -> Subsystem:
@@ -152,19 +163,16 @@ class PiaNode:
                 f"{self.name}: no subsystem named {name!r}") from None
 
     def _endpoint_for(self, channel_id: str) -> "ChannelEndpoint":
-        for subsystem in self.subsystems.values():
-            endpoint = subsystem.channels.get(channel_id)
-            if endpoint is not None:
-                return endpoint
-        raise ConfigurationError(
-            f"{self.name}: no endpoint for channel {channel_id!r}")
+        self._visit_order()
+        endpoint = self._endpoints.get(channel_id)
+        if endpoint is None:
+            raise ConfigurationError(
+                f"{self.name}: no endpoint for channel {channel_id!r}")
+        return endpoint
 
     # ------------------------------------------------------------------
     # messaging
     # ------------------------------------------------------------------
-    def send_channel_message(self, message: Message) -> None:
-        self.transport.send(message)
-
     def pump(self, *, limit: Optional[int] = None) -> int:
         """Drain and dispatch incoming messages; returns how many."""
         messages = self.transport.poll(self.name, limit=limit)
@@ -173,22 +181,17 @@ class PiaNode:
         return len(messages)
 
     def dispatch(self, message: Message) -> None:
+        # Signals and grants first, by identity: the enum-keyed hook
+        # table (a snapshot layer's MARK) is for the rare kinds.
         kind = message.kind
-        handlers = self.handlers
-        # Extension hooks are rare (a snapshot layer registering MARK);
-        # skip the enum-keyed lookup entirely when none are installed so
-        # the signal fast path below stays identity checks only.
-        if handlers:
-            hook = handlers.get(kind)
-            if hook is not None:
-                hook(message)
+        if kind is _SIGNAL or kind is _GRANT:
+            try:
+                endpoint = self._endpoints[message.channel]
+            except KeyError:
+                endpoint = self._endpoint_for(message.channel)
+            if kind is _GRANT:
+                endpoint.apply_grant(message.time, message.payload)
                 return
-        if kind is MessageKind.SAFE_TIME_GRANT:
-            self._endpoint_for(message.channel).apply_grant(
-                message.time, message.payload)
-            return
-        if kind is MessageKind.SIGNAL:
-            endpoint = self._endpoint_for(message.channel)
             telemetry = endpoint.subsystem.scheduler.telemetry
             traced = telemetry.enabled and message.trace is not None
             if traced:
@@ -198,14 +201,17 @@ class PiaNode:
                 cell.value = (message.src, message.epoch, message.trace[0])
             try:
                 for observer in self.signal_observers:
-                    observer(message)
+                    observer(endpoint, message)
                 endpoint.receive_signal(message)
             finally:
                 if traced:
                     cell.value = None
             return
-        raise TransportError(
-            f"{self.name}: no handler for {message.kind} message")
+        hook = self.handlers.get(kind)
+        if hook is None:
+            raise TransportError(
+                f"{self.name}: no handler for {message.kind} message")
+        hook(message)
 
     def handle_call(self, message: Message) -> Message:
         """Synchronous service entry point (safe time, hardware calls)."""
@@ -250,11 +256,15 @@ class PiaNode:
             if self.refresh_due(subsystem.name, desired):
                 client.refresh(desired)
         with self.lock:
-            if subsystem.next_event_time() <= client.horizon():
-                # The horizon is re-read before every dispatch (sending on
-                # a channel shrinks it via the echo bound) unless there is
-                # no channel to shrink it.
-                horizon = client.horizon if subsystem.channels else UNBOUNDED
+            horizon = client.horizon()
+            if subsystem.next_event_time() <= horizon:
+                # Re-read before every dispatch — a send shrinks it via
+                # the echo ledger — unless nothing can: no channel, or an
+                # unbounded horizon whose every peer is silent (no ledger).
+                if horizon != UNBOUNDED or not all(
+                        endpoint.peer_silent
+                        for endpoint in subsystem.channels.values()):
+                    horizon = client.horizon
                 return subsystem.run(until, horizon=horizon,
                                      max_events=window)
         return 0

@@ -115,8 +115,9 @@ class SnapshotManager:
         self.marks_received = 0
         #: Telemetry sink (the owning CoSimulation attaches a live one).
         self.telemetry = NULL_TELEMETRY
+        #: This node's cuts with a channel still recording (oldest first).
+        self.open_cuts: List[SubsystemCut] = []
         node.handlers[MessageKind.MARK] = self.on_mark
-        node.signal_observers.append(self.observe_signal)
 
     # ------------------------------------------------------------------
     def initiate(self, subsystem: "Subsystem",
@@ -157,6 +158,8 @@ class SnapshotManager:
                 payload=snapshot_id,
             ))
         snap.cuts[subsystem.name] = cut
+        if cut.pending:
+            self._record(cut)
 
     # ------------------------------------------------------------------
     def on_mark(self, message: Message) -> None:
@@ -171,13 +174,35 @@ class SnapshotManager:
         snap = self.registry.ensure(snapshot_id, self.expected_subsystems())
         cut = snap.cuts[subsystem.name]
         # The mark closes this channel's recording window.
-        cut.pending.discard(message.channel)
+        if message.channel in cut.pending:
+            cut.pending.discard(message.channel)
+            if not cut.pending:
+                self._stop_recording(cut)
 
-    def observe_signal(self, message: Message) -> None:
-        """Record signals that are part of some open channel state."""
-        endpoint = self.node._endpoint_for(message.channel)
-        subsystem_name = endpoint.subsystem.name
-        for snap in self.registry.snapshots.values():
-            cut = snap.cuts.get(subsystem_name)
-            if cut is not None and message.channel in cut.pending:
-                cut.recorded[message.channel].append(message)
+    def _record(self, cut: SubsystemCut) -> None:
+        """Observe the node's signals until ``cut``'s last mark arrives."""
+        with self.node.lock:
+            if not self.open_cuts:
+                self.node.signal_observers.append(self.observe_signal)
+            self.open_cuts.append(cut)
+
+    def _stop_recording(self, cut: SubsystemCut) -> None:
+        with self.node.lock:
+            self.open_cuts = [other for other in self.open_cuts
+                              if other is not cut]
+            if not self.open_cuts:
+                self.node.signal_observers.remove(self.observe_signal)
+
+    def observe_signal(self, endpoint, message: Message) -> None:
+        """Record ``message``, arriving at ``endpoint``, in each open cut
+        of its subsystem still waiting for that channel's mark; a cut the
+        registry no longer holds (a rollback, a restore) leaves."""
+        channel = message.channel
+        name = endpoint.subsystem.name
+        snapshots = self.registry.snapshots
+        for cut in self.open_cuts:
+            snap = snapshots.get(cut.snapshot_id)
+            if snap is None or snap.cuts.get(cut.subsystem) is not cut:
+                self._stop_recording(cut)
+            elif cut.subsystem == name and channel in cut.pending:
+                cut.recorded[channel].append(message)

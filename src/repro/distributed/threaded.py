@@ -135,10 +135,12 @@ class ThreadedCoSimulation(LiveSystem):
                     series.tick(self.global_time(), self.telemetry.registry)
                 # The workers are held at the crash's instant (their
                 # service bound), so it fires there — once nothing at or
-                # before it is left — not whenever this sweep looks.  It
-                # stays pending, so they hold there until they stop.
-                crash = next(self.schedule.take_due(self._reached,
-                                                    ("crash",)), None)
+                # before it is left — not whenever this sweep looks, and
+                # never beyond ``until``.  It stays pending, so they hold
+                # there until they stop.
+                crash = next(self.schedule.take_due(
+                    lambda instant: instant <= until
+                    and self._reached(instant), ("crash",)), None)
                 if crash is not None or self._quiescent(workers, until):
                     break
                 _time.sleep(0.002)

@@ -34,8 +34,7 @@ __getattr__, __dir__, __all__ = _attach(__name__, {
                     ".metrics"),
     **dict.fromkeys(("RunReport", "run_report"), ".report"),
     **dict.fromkeys(("TimeSeries", "TimeSeriesRecorder"), ".timeseries"),
-    **dict.fromkeys(("SpanMinter", "causal_chains", "ensure_context",
-                     "span_name"),
+    **dict.fromkeys(("SpanMinter", "causal_chains", "span_name"),
                     ".spans"),
     **dict.fromkeys(("NULL_TELEMETRY", "Telemetry"), ".telemetry"),
     **dict.fromkeys(("Ring", "TraceBuffer", "TraceKind", "TraceRecord"),

@@ -13,9 +13,9 @@ Pay-for-use discipline: nothing runs unless a monitor is attached via
 two places every byte already crosses:
 
 * the **send boundary** — :meth:`~repro.transport.accounting.
-  NetworkAccounting.record` / ``record_frame``, which the in-memory,
-  TCP and shared-memory transports *and* the batched fast path all
-  funnel through (one hook covers every mode);
+  NetworkAccounting.charge`, which the in-memory, TCP and shared-memory
+  transports *and* the batched fast path all funnel through (one hook
+  covers every mode);
 * the **poll boundary** — each transport's ``poll()`` reports how many
   messages it drained for a node.
 

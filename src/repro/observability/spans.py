@@ -71,19 +71,6 @@ class SpanMinter:
         self._ordinals.update(ordinals)
 
 
-def ensure_context(telemetry, message: Message) -> Optional[TraceContext]:
-    """Mint ``message``'s trace context at the transport send boundary.
-
-    Idempotent: a message that already carries a context (a fault-plane
-    duplicate or retry re-entering the transport) keeps it, so every copy
-    of a message shares the original send's span.
-    """
-    if message.trace is None and not message.kind.untraced:
-        message.trace = telemetry.spans.mint(message.src,
-                                             telemetry.cause_cell.value)
-    return message.trace
-
-
 def span_of(message: Message) -> Optional[Span]:
     """``message``'s span, or ``None`` when it carries no context."""
     trace = message.trace

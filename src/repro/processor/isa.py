@@ -19,7 +19,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from ..core.errors import SimulationError
 from ..core.port import PortDirection
-from ..core.process import Advance, Command, Receive, Send, Sync
+from ..core.process import Command, Receive, Send, Sync
 from ..core.sync import SyncPolicy
 from .software import MemRead, MemWrite, SoftwareComponent
 from .timing import GENERIC, ProcessorProfile
@@ -120,9 +120,6 @@ class IssComponent(SoftwareComponent):
             yield from self._execute_instr(instr)
 
     # ------------------------------------------------------------------
-    def _charge(self, timing_class: str) -> Advance:
-        return self.timer.spin(self.profile.cycles_for(timing_class))
-
     def _execute_instr(self, instr: Instruction) -> Iterator[Command]:
         op = instr.op
         a = instr.args
@@ -181,7 +178,7 @@ class IssComponent(SoftwareComponent):
         else:  # pragma: no cover - assembler validates opcodes
             raise IssError(f"{self.name}: unknown opcode {op!r}")
 
-        yield self._charge(timing)
+        yield self.timer.spin(self.profile.cycles_for(timing))
         self.pc = next_pc
 
     def _alu(self, op: str, lhs: int, rhs: int, instr: Instruction) -> int:

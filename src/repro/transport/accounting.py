@@ -10,6 +10,7 @@ link time (see DESIGN.md, substitutions).
 
 from __future__ import annotations
 
+import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -31,26 +32,9 @@ class LinkStats:
     #: communication is serialised (conservative, like the paper's setup
     #: where the simulator blocks on channel traffic).
     delay: float = 0.0
-
-    def record(self, size: int) -> float:
-        d = self.model.delay(size, seq=self.messages)
-        self.messages += 1
-        self.frames += 1
-        self.bytes += size
-        self.delay += d
-        return d
-
-    def record_frame(self, size: int, messages: int) -> float:
-        """Charge one batch frame carrying ``messages`` logical messages.
-
-        The latency model is consulted once — per frame, not per message —
-        which is precisely the saving batching buys."""
-        d = self.model.delay(size, seq=self.frames)
-        self.messages += messages
-        self.frames += 1
-        self.bytes += size
-        self.delay += d
-        return d
+    #: The registry counters a frame here increments, and their registry.
+    counters: tuple = field(default=(), repr=False, compare=False)
+    registry: object = field(default=None, repr=False, compare=False)
 
 
 class NetworkAccounting:
@@ -60,21 +44,19 @@ class NetworkAccounting:
         self.default_model = default_model
         self._models: Dict[Tuple[str, str], LatencyModel] = {}
         self.links: Dict[Tuple[str, str], LinkStats] = {}
-        #: Telemetry sink; every recorded message also feeds the global
-        #: and per-link counters of the observability registry.
+        #: Telemetry sink; every charged frame also feeds the global and
+        #: per-link counters of the observability registry.
         self.telemetry = NULL_TELEMETRY
         #: Optional :class:`~repro.observability.health.LinkHealthMonitor`.
-        #: record()/record_frame() are the universal send boundary — every
-        #: transport and the batched path funnel through them — so one
+        #: :meth:`charge` is the universal send boundary — every
+        #: transport and the batched path funnel through it — so one
         #: hook here feeds the per-link estimators in every mode.  Pay
         #: for use: ``None`` costs one attribute read per frame.
         self.health = None
-        #: Bound registry metrics (see :meth:`_count`): per directed link
-        #: the six counters a frame increments, plus the batch histogram,
-        #: valid for one registry.
-        self._bound: Dict[Tuple[str, str], tuple] = {}
+        #: Really sleep a frame's modelled delay times this (0 = off).
+        self.pace = 0.0
+        #: ``(registry, its batch-size histogram)``, made on first use.
         self._batch_size = None
-        self._bound_to = None
 
     def set_model(self, src: str, dst: str, model: LatencyModel,
                   *, both_ways: bool = True) -> None:
@@ -85,75 +67,59 @@ class NetworkAccounting:
     def model_for(self, src: str, dst: str) -> LatencyModel:
         return self._models.get((src, dst), self.default_model)
 
-    def _stats(self, src: str, dst: str) -> LinkStats:
+    def charge(self, src: str, dst: str, size: int,
+               batch: Optional[int] = None) -> float:
+        """Charge one wire frame of ``size`` bytes to ``src``->``dst``;
+        returns its modelled delay.  ``batch`` is None for a lone message
+        (a frame of one, jitter ordinal: the link's message count), else
+        the data messages a batch frame coalesces (the model is consulted
+        once per frame, ordinal: the link's frame count; a grant-only
+        frame stays out of the batch histogram).  Lit, the frame feeds
+        the four global counters and the link's two, held per link and
+        re-resolved when another telemetry's registry is attached."""
         key = (src, dst)
         stats = self.links.get(key)
         if stats is None:
             stats = self.links[key] = LinkStats(self.model_for(src, dst))
-        return stats
-
-    def _count(self, src: str, dst: str, messages: int, size: int) -> None:
-        """Feed one frame to the registry: the four global counters, the
-        link's two, and — for a frame that carries data messages — the
-        coalescing histogram.  The metric objects are looked up by name
-        once per link and held; a registry swapped by attaching another
-        telemetry is noticed here, so counting starts from zero exactly
-        as a by-name increment would."""
-        registry = self.telemetry.registry
-        if registry is not self._bound_to:
-            self._bound.clear()
-            self._batch_size = None
-            self._bound_to = registry
-        key = (src, dst)
-        bound = self._bound.get(key)
-        if bound is None:
-            counter = registry.counter
-            bound = self._bound[key] = (
-                counter("transport.messages"),
-                counter("transport.bytes"),
-                counter("transport.frames_sent"),
-                counter("transport.bytes_on_wire"),
-                counter(f"link.{src}->{dst}.messages"),
-                counter(f"link.{src}->{dst}.bytes"))
-        all_messages, all_bytes, frames, on_wire, link_messages, link_bytes \
-            = bound
-        all_messages.value += messages
-        all_bytes.value += size
-        frames.value += 1
-        on_wire.value += size
-        link_messages.value += messages
-        link_bytes.value += size
-
-    def record(self, src: str, dst: str, size: int) -> float:
-        """Charge one message (its own wire frame); returns its delay."""
-        stats = self._stats(src, dst)
-        if self.telemetry.enabled:
-            self._count(src, dst, 1, size)
-        delay = stats.record(size)
-        health = self.health
-        if health is not None:
-            health.on_send(src, dst, size, 1, delay)
-        return delay
-
-    def record_frame(self, src: str, dst: str, size: int,
-                     messages: int) -> float:
-        """Charge one batch frame of ``messages`` coalesced messages."""
-        stats = self._stats(src, dst)
-        if self.telemetry.enabled:
-            self._count(src, dst, messages, size)
-            if messages:
-                # Grant-only push frames carry no data messages and would
-                # only dilute the coalescing histogram.
-                histogram = self._batch_size
-                if histogram is None:
-                    histogram = self._batch_size = \
-                        self.telemetry.registry.histogram(
-                            "transport.batch_size")
-                histogram.observe(messages)
-        delay = stats.record_frame(size, messages)
+        messages = 1 if batch is None else batch
+        delay = stats.model.delay(
+            size, seq=stats.messages if batch is None else stats.frames)
+        stats.messages += messages
+        stats.frames += 1
+        stats.bytes += size
+        stats.delay += delay
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            registry = telemetry.registry
+            if stats.registry is not registry:
+                counter = registry.counter
+                stats.registry = registry
+                stats.counters = (
+                    counter("transport.messages"),
+                    counter("transport.bytes"),
+                    counter("transport.frames_sent"),
+                    counter("transport.bytes_on_wire"),
+                    counter(f"link.{src}->{dst}.messages"),
+                    counter(f"link.{src}->{dst}.bytes"))
+            all_messages, all_bytes, frames, on_wire, link_messages, \
+                link_bytes = stats.counters
+            all_messages.value += messages
+            all_bytes.value += size
+            frames.value += 1
+            on_wire.value += size
+            link_messages.value += messages
+            link_bytes.value += size
+            if batch:
+                held = self._batch_size
+                if held is None or held[0] is not registry:
+                    held = self._batch_size = (
+                        registry, registry.histogram("transport.batch_size"))
+                held[1].observe(batch)
         health = self.health
         if health is not None:
             health.on_send(src, dst, size, messages, delay)
+        if self.pace > 0:
+            _time.sleep(delay * self.pace)
         return delay
 
     # ------------------------------------------------------------------

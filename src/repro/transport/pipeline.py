@@ -14,8 +14,9 @@ reuse them:
 3. roll the fault plane's fate (``lost`` ends here, silently);
 4. check the destination, once, before anything is charged or traced;
 5. batch (queue for the next flush) or pack (the carrier serialises);
-6. charge the link's accounting, pacing a real-time carrier;
-7. trace ``MSG_SEND``;
+6. charge the link's accounting (:meth:`NetworkAccounting.charge`, which
+   also paces a real-time carrier);
+7. file the ``MSG_SEND`` record;
 8. hand the parcel to the carrier;
 9. release what the fate owes: the duplicate copy, a swap-parked message.
 
@@ -54,7 +55,7 @@ from ..core.errors import TransportError
 from ..core.fastcopy import is_immutable
 from ..faults.retry import RetryPolicy
 from ..observability import NULL_TELEMETRY, BoundCounter, TraceKind
-from ..observability.spans import ensure_context
+from ..observability.trace import TraceRecord
 from .accounting import NetworkAccounting
 from .batch import SendBatcher
 from .latency import SAME_HOST, LatencyModel
@@ -65,6 +66,17 @@ CallHandler = Callable[[Message], Message]
 
 _MSG_SEND = TraceKind.MSG_SEND
 _MSG_RECV = TraceKind.MSG_RECV
+_new_record = tuple.__new__
+_wall = _time.time
+
+
+class _Subjects(dict):
+    """``(src, dst) -> "src->dst"``: the record subject of each directed
+    link, made the first time the link is looked up."""
+
+    def __missing__(self, link):
+        subject = self[link] = "%s->%s" % link
+        return subject
 
 
 def open_envelope(message: Message, tags):
@@ -117,9 +129,6 @@ class Transport:
     and the only ``send``/``poll``/``call``/flush bodies (see module
     docstring for the carrier hooks a subclass supplies)."""
 
-    #: Multiply modelled link delay by this and really sleep (0 = off);
-    #: only a carrier with real links exposes it.
-    delay_scale = 0.0
     #: Migration epoch: outgoing traffic is stamped with it, and a
     #: carrier that can receive late frames fences older ones at ingest.
     epoch = 0
@@ -147,9 +156,7 @@ class Transport:
         self.telemetry = NULL_TELEMETRY
         #: Fault plane (attach via :meth:`attach_faults`).
         self.fault_injector = None
-        #: ``src -> dst -> "src->dst"``: one record subject per directed
-        #: link, built on first use (see :meth:`_trace`).
-        self._subjects: Dict[str, Dict[str, str]] = {}
+        self._subjects = _Subjects()
         self._piggyback_sent = BoundCounter("safetime.piggyback_sent")
 
     def set_piggyback_provider(self, provider) -> None:
@@ -182,7 +189,8 @@ class Transport:
 
     def _trace(self, kind: str, message: Message, details: dict,
                request: Optional[Message] = None) -> None:
-        """File one ``MSG_SEND``/``MSG_RECV`` record for ``message``:
+        """File one ``MSG_SEND``/``MSG_RECV`` record for ``message`` on a
+        lit telemetry, itself (as ``Scheduler.run`` files ``DISPATCH``):
         ``details`` (``message_kind`` first) plus its ``span`` and
         ``parent`` — a call's reply is filed under its ``request``'s."""
         spanned = message if request is None else request
@@ -190,30 +198,17 @@ class Transport:
         if context is not None:
             details["span"] = (spanned.src, spanned.epoch, context[0])
             details["parent"] = context[1]
-        src, dst = message.src, message.dst
-        try:
-            subject = self._subjects[src][dst]
-        except KeyError:
-            subject = self._subjects.setdefault(src, {})[dst] = \
-                f"{src}->{dst}"
-        self.telemetry.emit(kind, message.time, subject, details)
+        telemetry = self.telemetry
+        ring = telemetry.trace_buffer
+        ring.items.append(_new_record(TraceRecord, (
+            next(telemetry.seq), kind, message.time,
+            self._subjects[message.src, message.dst], details, _wall())))
+        ring.appended += 1
 
     def wire_balanced(self) -> bool:
         """True when nothing is between a sender and an inbox; a carrier
         with no in-flight window is always balanced."""
         return True
-
-    def _charge(self, src: str, dst: str, size: int,
-                messages: Optional[int] = None) -> float:
-        """Charge one frame (``messages`` given: a batch frame of that
-        many) to its link; returns the modelled wire delay."""
-        if messages is None:
-            delay = self.accounting.record(src, dst, size)
-        else:
-            delay = self.accounting.record_frame(src, dst, size, messages)
-        if self.delay_scale > 0:
-            _time.sleep(delay * self.delay_scale)
-        return delay
 
     # ------------------------------------------------------------------
     # the pipeline
@@ -233,8 +228,12 @@ class Transport:
             message.msg_id = next(self._msg_ids)
         message.epoch = self.epoch
         telemetry = self.telemetry
-        if telemetry.enabled:
-            ensure_context(telemetry, message)
+        if telemetry.enabled and message.trace is None \
+                and not message.kind.untraced:
+            # The span, minted once: a fault-plane copy or retry
+            # re-entering the pipeline keeps the original send's.
+            message.trace = telemetry.spans.mint(
+                message.src, telemetry.cause_cell.value)
         injector = self.fault_injector
         fate, ticks = "deliver", 0
         if injector is not None:
@@ -270,14 +269,14 @@ class Transport:
                     self.batcher.extend(src, dst, late)
             return 0.0
         parcel, size = self._pack(message)
-        delay = self._charge(src, dst, size)
+        delay = self.accounting.charge(src, dst, size)
         if telemetry.enabled:
             self._trace(_MSG_SEND, message, {
                 "message_kind": message.kind.label, "bytes": size})
         if fate in ("deliver", "duplicate"):
             self._ship(src, dst, parcel, message.time, 1)
         if fate == "duplicate":
-            self._charge(src, dst, size)
+            self.accounting.charge(src, dst, size)
         if fate != "deliver":
             if remote:
                 self._ship(src, dst, self._pack(
@@ -309,7 +308,7 @@ class Transport:
             grants = provider(s, d) if provider is not None else []
             frame = BatchFrame(s, d, members, grants, epoch=self.epoch)
             parcel, size = self._pack_frame(frame)
-            self._charge(s, d, size, len(members))
+            self.accounting.charge(s, d, size, len(members))
             if grants:
                 self._piggyback_sent.inc(telemetry, len(grants))
             self._ship(s, d, parcel, members[-1].time, len(frame))
@@ -329,7 +328,7 @@ class Transport:
             return False
         frame = BatchFrame(src, dst, [], list(grants), epoch=self.epoch)
         parcel, size = self._pack_frame(frame)
-        self._charge(src, dst, size, 0)
+        self.accounting.charge(src, dst, size, 0)
         self._ship(src, dst, parcel, grants[-1].time, len(grants))
         return True
 
@@ -345,8 +344,10 @@ class Transport:
             message.msg_id = next(self._msg_ids)
         message.epoch = self.epoch
         telemetry = self.telemetry
-        if telemetry.enabled:
-            ensure_context(telemetry, message)
+        if telemetry.enabled and message.trace is None \
+                and not message.kind.untraced:
+            message.trace = telemetry.spans.mint(
+                message.src, telemetry.cause_cell.value)
         if self.fault_injector is not None:
             self.fault_injector.check_call(message)
         src, dst = message.src, message.dst
@@ -363,13 +364,13 @@ class Transport:
                 f"node {dst!r} accepts no calls "
                 f"(registered: {sorted(self._call_handlers)})")
         parcel, size = self._pack(message)
-        self._charge(src, dst, size)
+        self.accounting.charge(src, dst, size)
         if telemetry.enabled:
             self._trace(_MSG_SEND, message, {
                 "message_kind": message.kind.label, "bytes": size,
                 "call": True})
         reply, size = self._round_trip(message, parcel)
-        self._charge(dst, src, size)
+        self.accounting.charge(dst, src, size)
         if telemetry.enabled:
             self._trace(_MSG_RECV, reply, {
                 "message_kind": reply.kind.label, "bytes": size,

@@ -229,7 +229,7 @@ class TcpTransport(Transport):
                  retry_policy: Optional[RetryPolicy] = None,
                  batching: bool = False) -> None:
         super().__init__(default_model=default_model, batching=batching)
-        self.delay_scale = delay_scale
+        self.accounting.pace = delay_scale
         #: Governs reconnect attempts for dead sockets *and* retries of
         #: injected drops when a fault plane is attached.
         if retry_policy is not None:

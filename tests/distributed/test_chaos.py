@@ -9,7 +9,7 @@ or raise a typed :class:`NodeFailure` — per policy.
 
 import pytest
 
-from repro.bench.workloads import compute_star_spec
+from repro.bench.workloads import compute_star_spec, streaming_pair_spec
 from repro.core import (
     Advance,
     ConfigurationError,
@@ -227,6 +227,39 @@ class TestNodeCrashRecovery:
         assert cosim.report().counter("fault.node_recoveries") == 1
         assert sorted(cosim.registry.completed()[-1].cuts) \
             == ["hub", "w0", "w1"]
+
+    @pytest.mark.parametrize("policy", ["raise", "recover"])
+    def test_a_crash_beyond_until_waits_for_the_run_that_reaches_it(
+            self, policy):
+        """A run stopped at ``until`` never fires a crash scheduled after
+        it; the run that continues past the instant does."""
+        sink = []
+        cosim = build(sink, fault_plan=FaultPlan(
+            seed=0, crashes=(NodeCrash("nb", at_time=6.5),)),
+            failure_policy=policy)
+        cosim.run(until=6.0)
+        assert cosim.report().counter("fault.node_crashes") == 0
+        assert cosim.subsystem("sb").now == 6.0
+        if policy == "raise":
+            with pytest.raises(NodeFailure) as err:
+                cosim.run()
+            assert err.value.node == "nb"
+        else:
+            cosim.run()
+            assert sink == fault_free_reference()
+        assert [(r["subject"], r["time"])
+                for r in cosim.report().trace_records
+                if r["kind"] == TraceKind.NODE_CRASH] == [("nb", 6.0)]
+
+    def test_a_threaded_crash_beyond_until_waits_too(self):
+        spec = streaming_pair_spec(12, 1.0)
+        cosim = build_spec(spec, "threaded", fault_plan=FaultPlan(
+            seed=0, crashes=(NodeCrash("n-cons", at_time=6.5),)))
+        cosim.run(until=6.0)
+        assert cosim.report().counter("fault.node_crashes") == 0
+        with pytest.raises(NodeFailure) as err:
+            cosim.run()
+        assert err.value.node == "n-cons"
 
     def test_restore_keeps_the_cut_cadence(self):
         """A manual restore() rewinds the periodic cadence as the two

@@ -49,10 +49,14 @@ def one_way_pair():
 #: 465.4 / 6,190.7 native, 628.7 / 9,413.7 pure.  The parent of that
 #: change read 668.1 / 6,771.7 and 831.4 / 9,994.7: over the split
 #: WubbleU's budget on both backends, inside the one-way pair's (three
-#: rounds of event windows — there the sweep was never the cost).
+#: rounds of event windows — there the sweep was never the cost).  The
+#: one-way pair's row was re-set when a crossing message came to pay
+#: each layer once (one charge body, self-filed records, the endpoint
+#: map, no observer outside a cut): 3,588.0 native, 5,578.0 pure, from
+#: 4,526.7 and 6,416.7.
 BUDGETS = {
     remote_word: (582, 786),
-    one_way_pair: (7_738, 11_767),
+    one_way_pair: (4_485, 6_973),
 }
 
 

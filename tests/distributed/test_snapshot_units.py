@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.bench.workloads import streaming_pair
 from repro.distributed.snapshot import (
     GlobalSnapshot,
+    SnapshotManager,
     SnapshotRegistry,
     SubsystemCut,
 )
@@ -181,6 +183,73 @@ class TestOneWayBackToACut:
         assert calls == ["migration.py"]
         assert "transport.send" not in inspect.getsource(
             RecoveryManager.rollback_to)
+
+
+class TestObserverWindow:
+    """A node observes its incoming signals only while one of its cuts
+    records: from the local cut to the last mark that closes it."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Count every call of the Chandy-Lamport observer."""
+        calls = []
+        observe = SnapshotManager.observe_signal
+
+        def counting(self, endpoint, message):
+            calls.append(message)
+            return observe(self, endpoint, message)
+
+        monkeypatch.setattr(SnapshotManager, "observe_signal", counting)
+        return calls
+
+    @staticmethod
+    def _closed(cosim):
+        return all(not node.signal_observers and
+                   not cosim._managers[name].open_cuts
+                   for name, node in cosim.nodes.items())
+
+    def test_periodic_cuts_of_a_settled_stream_observe_nothing(
+            self, monkeypatch):
+        """Every periodic cut settles the traffic first, so all 600
+        signals arrive while no cut records — the parent observed each
+        one against every snapshot the registry held."""
+        calls = self._counting(monkeypatch)
+        cosim = streaming_pair(600, 1.0, snapshot_interval=10.0)
+        cosim.run()
+        snapshots = cosim.registry.snapshots.values()
+        assert len(snapshots) >= 50
+        assert all(snap.complete and not snap.recorded_messages()
+                   for snap in snapshots)
+        assert calls == [] and self._closed(cosim)
+
+    def test_cuts_mid_stream_record_the_parents_channel_state(
+            self, monkeypatch):
+        """Fifty consumer cuts, one after each round, while the producer's
+        words sit in the consumer's inbox: the channel state of each is
+        what the parent recorded (ten words after the first cut and after
+        every third one from the third on, nothing after the others), and
+        only the words a window recorded were observed."""
+        calls = self._counting(monkeypatch)
+        cosim = streaming_pair(600, 1.0, snapshot_interval=10.0)
+        manager = cosim._managers["n-cons"]
+        consumer = cosim.subsystem("a-consumer")
+        ours = []
+        while len(ours) < 50:
+            cosim.run(max_rounds=cosim.rounds + 1)
+            ours.append(manager.initiate(consumer))
+        cosim.run()
+        snapshots = cosim.registry.snapshots
+        recorded = [[message.time
+                     for message in snapshots[snap_id].recorded_messages()]
+                    for snap_id in ours]
+        expected = [[] for __ in ours]
+        for k, index in enumerate([0, *range(2, 50, 3)]):
+            expected[index] = [float(t) for t in range(10 * k + 1,
+                                                       10 * k + 11)]
+        assert recorded == expected
+        assert all(snap.complete for snap in snapshots.values())
+        assert len(calls) == sum(map(len, recorded)) == 170
+        assert self._closed(cosim)
 
 
 if __name__ == "__main__":

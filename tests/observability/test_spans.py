@@ -7,7 +7,6 @@ from repro.observability import (
     Telemetry,
     TraceKind,
     causal_chains,
-    ensure_context,
     span_name,
 )
 from repro.observability.spans import span_of
@@ -45,46 +44,65 @@ class TestSpanMinter:
         assert moved.ordinals() == {"n1": 5}
 
 
-class TestEnsureContext:
+def transport_pair(telemetry):
+    """Two registered nodes on one in-memory transport feeding
+    ``telemetry``; ``n2`` answers hardware calls."""
+    transport = InMemoryTransport()
+    transport.attach_telemetry(telemetry)
+    transport.register("n1")
+    transport.register("n2", call_handler=lambda m: m.reply(
+        MessageKind.HW_REPLY, payload="ok"))
+    return transport
+
+
+class TestMintAtSend:
+    """The send boundary mints a message's context, once."""
+
     def test_mints_once_and_is_idempotent(self):
-        telemetry = Telemetry()
+        transport = transport_pair(Telemetry())
         message = msg()
-        first = ensure_context(telemetry, message)
-        again = ensure_context(telemetry, message)
+        transport.send(message)
+        first = message.trace
+        transport.send(message)     # a retry re-entering the pipeline
         assert first is not None
-        assert again == first == message.trace
+        assert message.trace == first == (1, None)
 
     def test_safe_time_kinds_never_minted(self):
-        telemetry = Telemetry()
+        transport = transport_pair(Telemetry())
         untraced = {MessageKind.SAFE_TIME_REQUEST,
                     MessageKind.SAFE_TIME_REPLY,
                     MessageKind.SAFE_TIME_GRANT}
         assert {kind for kind in MessageKind if kind.untraced} == untraced
         for kind in untraced:
-            assert ensure_context(telemetry, msg(kind=kind)) is None
+            message = msg(kind=kind)
+            transport.send(message)
+            assert message.trace is None
 
     def test_child_of_current_cause(self):
         telemetry = Telemetry()
+        transport = transport_pair(telemetry)
         telemetry.cause_cell.value = ("n9", 0, 1)
-        context = ensure_context(telemetry, msg(src="n1"))
-        assert context == (1, ("n9", 0, 1))
+        message = msg(src="n1")
+        transport.send(message)
+        telemetry.cause_cell.value = None
+        assert message.trace == (1, ("n9", 0, 1))
+
+    def test_dark_telemetry_mints_nothing(self):
+        telemetry = Telemetry(enabled=False)
+        message = msg()
+        transport_pair(telemetry).send(message)
+        assert message.trace is None
+        assert telemetry.spans.ordinals() == {}
 
     def test_reply_carries_no_context(self):
-        telemetry = Telemetry()
         request = msg(kind=MessageKind.HW_CALL, request_id=5)
-        ensure_context(telemetry, request)
-        reply = request.reply(MessageKind.HW_REPLY, time=2.0)
+        reply = transport_pair(Telemetry()).call(request)
         assert request.trace is not None
         assert reply.trace is None
 
     def test_call_reply_is_filed_under_the_request_span(self):
         telemetry = Telemetry()
-        transport = InMemoryTransport()
-        transport.attach_telemetry(telemetry)
-        transport.register("n1")
-        transport.register("n2", call_handler=lambda m: m.reply(
-            MessageKind.HW_REPLY, payload="ok"))
-        transport.call(msg(kind=MessageKind.HW_CALL))
+        transport_pair(telemetry).call(msg(kind=MessageKind.HW_CALL))
         send, recv = (record.details for record in telemetry.trace_buffer)
         assert send["span"] == recv["span"] == ("n1", 0, 1)
         assert recv["message_kind"] == "hw-reply"

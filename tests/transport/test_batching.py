@@ -95,10 +95,10 @@ class TestFrameAccounting:
     def test_one_frame_many_messages_one_latency_charge(self):
         model = LatencyModel("m", latency=0.5)
         batched = NetworkAccounting(model)
-        batched.record_frame("a", "b", 1000, 8)
+        batched.charge("a", "b", 1000, 8)
         unbatched = NetworkAccounting(model)
         for __ in range(8):
-            unbatched.record("a", "b", 125)
+            unbatched.charge("a", "b", 125)
         assert batched.total_messages == unbatched.total_messages == 8
         assert batched.total_bytes == unbatched.total_bytes == 1000
         assert batched.total_frames == 1
@@ -110,7 +110,7 @@ class TestFrameAccounting:
         telemetry = Telemetry()
         acc = NetworkAccounting(LAN)
         acc.telemetry = telemetry
-        acc.record_frame("a", "b", 640, 4)
+        acc.charge("a", "b", 640, 4)
         counters = telemetry.registry.counters
         assert counters["transport.frames_sent"].value == 1
         assert counters["transport.messages"].value == 4
@@ -122,7 +122,7 @@ class TestFrameAccounting:
         telemetry = Telemetry()
         acc = NetworkAccounting(LAN)
         acc.telemetry = telemetry
-        acc.record_frame("a", "b", 128, 0)
+        acc.charge("a", "b", 128, 0)
         assert telemetry.registry.counters["transport.frames_sent"].value == 1
         assert "transport.batch_size" not in telemetry.registry.histograms
 

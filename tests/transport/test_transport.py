@@ -85,9 +85,9 @@ class TestAccounting:
     def test_records_and_totals(self):
         acc = NetworkAccounting(SAME_HOST)
         acc.set_model("a", "b", LAN)
-        acc.record("a", "b", 1000)
-        acc.record("a", "b", 1000)
-        acc.record("b", "c", 10)      # default model
+        acc.charge("a", "b", 1000)
+        acc.charge("a", "b", 1000)
+        acc.charge("b", "c", 10)      # default model
         assert acc.total_messages == 3
         assert acc.total_bytes == 2010
         assert acc.links[("a", "b")].model is LAN
@@ -95,14 +95,14 @@ class TestAccounting:
 
     def test_delay_accumulates(self):
         acc = NetworkAccounting(LatencyModel("m", latency=0.5))
-        acc.record("a", "b", 0)
-        acc.record("a", "b", 0)
+        acc.charge("a", "b", 0)
+        acc.charge("a", "b", 0)
         assert acc.total_delay == pytest.approx(1.0)
 
     def test_report_rows_sorted(self):
         acc = NetworkAccounting(SAME_HOST)
-        acc.record("b", "a", 1)
-        acc.record("a", "b", 1)
+        acc.charge("b", "a", 1)
+        acc.charge("a", "b", 1)
         rows = acc.report()
         assert [(r[0], r[1]) for r in rows] == [("a", "b"), ("b", "a")]
 
