@@ -51,7 +51,7 @@ class Scheduler:
 
     __slots__ = ("subsystem", "queue", "now", "reached", "before",
                  "dispatched", "stalls", "post_step_hooks", "telemetry",
-                 "_handlers", "_stall_counter")
+                 "_handlers", "_stall_counter", "_dispatched_counter")
 
     def __init__(self, subsystem: "Subsystem") -> None:
         self.subsystem = subsystem
@@ -75,6 +75,7 @@ class Scheduler:
         #: live one via Subsystem.attach_telemetry.
         self.telemetry = NULL_TELEMETRY
         self._stall_counter = BoundCounter("scheduler.stalls")
+        self._dispatched_counter = BoundCounter("scheduler.dispatched")
         #: Per-kind dispatch table, indexed by ``Event.code``: one
         #: tuple index replaces the old ``if``/``elif`` kind chain (and
         #: avoids hashing an enum member) on every event.
@@ -175,8 +176,8 @@ class Scheduler:
         # STRIDE-th dispatch: the loop only ticks a *local* counter and
         # masks it — written back once, in the finally, so a
         # CausalityError still leaves the count consistent.  A lit run's
-        # ``scheduler.dispatched`` counter is settled there too: one
-        # registry look-up per run call, not per event.
+        # ``scheduler.dispatched`` counter is settled there too, through
+        # the held counter: once per run call, not per event.
         flight = telemetry.flight
         flight_on = flight.enabled
         fseq = flight.dispatch_seq
@@ -243,7 +244,7 @@ class Scheduler:
             if flight_on:
                 flight.dispatch_seq = fseq
             if traced and count:
-                telemetry.count("scheduler.dispatched", count)
+                self._dispatched_counter.inc(telemetry, count)
         return count
 
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ __getattr__, __dir__, __all__ = _attach(__name__, {
                      "ChannelMode", "StragglerError"),
                     ".channel"),
     **dict.fromkeys(("UNBOUNDED", "SafeTimeClient", "SafeTimeService",
-                     "compute_grant", "local_floor"),
+                     "compute_grant"),
                     ".conservative"),
     "CoSimulation": ".executor",
     **dict.fromkeys(("MigrationRecord", "NodeArchive", "archive_node",

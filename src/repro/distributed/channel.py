@@ -36,7 +36,7 @@ from ..transport.message import Message, MessageKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.subsystem import Subsystem
-    from .node import PiaNode
+    from .conservative import SafeTimeClient
 
 
 class ChannelMode(enum.Enum):
@@ -96,7 +96,8 @@ class ChannelEndpoint:
                  "forwarded", "injected", "injected_reported",
                  "granted_reported", "stragglers",
                  "safe_time_requests", "peer_want", "peer_silent",
-                 "declared_silent", "silence_served", "_piggybacked")
+                 "declared_silent", "silence_served", "_piggybacked",
+                 "client", "siblings_moved", "kept_grant")
 
     def __init__(self, channel: "Channel", subsystem: "Subsystem",
                  peer_subsystem: str, peer_node: str) -> None:
@@ -107,6 +108,14 @@ class ChannelEndpoint:
         self.component = ChannelComponent(
             f"__channel_{channel.channel_id}_{subsystem.name}", self)
         subsystem.add(self.component)
+        #: The client keeping the subsystem's horizon (claims the end once
+        #: both are on a node): every change to this end's grant or echo
+        #: ledger ends in ``client.moved(self)``.
+        self.client: "Optional[SafeTimeClient]" = None
+        #: Moves of the sibling ends' horizons, which this end's grants
+        #: read (:func:`~repro.distributed.conservative.floor_grant`).
+        self.siblings_moved = 0
+        self.kept_grant: Optional[tuple] = None
         subsystem.channels[channel.channel_id] = self
         if subsystem.node is not None:
             subsystem.node.membership_changed()
@@ -160,14 +169,6 @@ class ChannelEndpoint:
     @property
     def mode(self) -> ChannelMode:
         return self.channel.mode
-
-    @property
-    def node(self) -> "PiaNode":
-        node = self.subsystem.node
-        if node is None:
-            raise ConfigurationError(
-                f"subsystem {self.subsystem.name} is not attached to a node")
-        return node
 
     # ------------------------------------------------------------------
     # wiring
@@ -243,6 +244,7 @@ class ChannelEndpoint:
         if not self.peer_silent:
             self.pending_echoes.append((self.forwarded,
                                         stamp + channel.delay))
+            self.client.moved(self)
 
     def effective_horizon(self) -> float:
         """How far this endpoint lets its subsystem run: the peer's
@@ -253,12 +255,6 @@ class ChannelEndpoint:
         if echoes and echoes[0][1] < grant:
             return echoes[0][1]
         return grant
-
-    def confirm_consumed(self, peer_injected: int) -> None:
-        """Release echo entries the peer has confirmed consuming."""
-        while self.pending_echoes and \
-                self.pending_echoes[0][0] <= peer_injected:
-            self.pending_echoes.popleft()
 
     def accept_grant(self, grant: float, counts: tuple) -> bool:
         """The acceptance rule for a grant, however it arrived (served
@@ -273,13 +269,17 @@ class ChannelEndpoint:
         refused one is simply dropped.  An accepted grant from a silent
         peer also ends the echo ledger: nothing can come back.
         """
-        self.confirm_consumed(counts[0])
+        echoes = self.pending_echoes
+        while echoes and echoes[0][0] <= counts[0]:
+            echoes.popleft()        # consumed: its echo is in the floor
         if self.injected < counts[1]:
+            self.client.moved(self)
             return False
         self.peer_grant = grant
         if len(counts) > 2:
             self.peer_silent = True
             self.pending_echoes.clear()
+        self.client.moved(self)
         return True
 
     def apply_grant(self, grant: float, counts: tuple) -> None:
@@ -312,7 +312,7 @@ class ChannelEndpoint:
             self.peer_want = 0.0
         return Message(
             kind=MessageKind.SAFE_TIME_GRANT,
-            src=self.node.name, dst=self.peer_node,
+            src=self.subsystem.node.name, dst=self.peer_node,
             channel=self.channel.channel_id, time=grant,
             payload=self.note_reported(grant),
         )
@@ -327,6 +327,7 @@ class ChannelEndpoint:
         self.injected = injected
         self.injected_reported = injected
         self.granted_reported = 0.0
+        self.client.moved(self)
 
     # ------------------------------------------------------------------
     # incoming

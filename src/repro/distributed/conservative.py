@@ -54,33 +54,20 @@ UNBOUNDED = float("inf")
 _CONSERVATIVE = ChannelMode.CONSERVATIVE
 
 
-def local_floor(subsystem: "Subsystem", *, excluding: Optional[str] = None,
-                conservative_override: bool = False) -> float:
-    """Lower bound on the stamp of anything ``subsystem`` will send next.
+def compute_grant(subsystem: "Subsystem", requester: str,
+                  *, conservative_override: bool = False) -> float:
+    """The safe time ``subsystem`` grants to peer subsystem ``requester``:
+    a lower bound on the stamp of anything it will send next, plus the
+    channel's delay.
 
     Every future send originates either from a pending local event, from a
     message arriving on an in-channel (bounded by that channel's effective
     horizon: the peer's grant capped by our own unconfirmed echoes), or as
     an echo of something the *requester* sent us — which the requester
-    itself bounds with its echo ledger, hence ``excluding`` removes that
-    restriction (the paper's deadlock-avoidance rule).
-    ``conservative_override`` makes optimistic channels count as
-    restrictions too (used while a recovery window forces conservatism).
-    """
-    floor = subsystem.next_event_time()
-    for endpoint in subsystem.channels.values():
-        if endpoint.peer_subsystem == excluding:
-            continue
-        if conservative_override or endpoint.channel.mode is _CONSERVATIVE:
-            limit = endpoint.effective_horizon()
-            if limit < floor:
-                floor = limit
-    return floor
-
-
-def compute_grant(subsystem: "Subsystem", requester: str,
-                  *, conservative_override: bool = False) -> float:
-    """The safe time ``subsystem`` grants to peer subsystem ``requester``.
+    itself bounds with its echo ledger, hence its channel is left out (the
+    paper's deadlock-avoidance rule).  ``conservative_override`` makes
+    optimistic channels count as restrictions too (used while a recovery
+    window forces conservatism).
 
     Grants are *not* monotone: they describe the subsystem's current
     floor, which legitimately drops when new work (e.g. an echo of the
@@ -97,9 +84,31 @@ def compute_grant(subsystem: "Subsystem", requester: str,
         # (see ``ChannelEndpoint.note_reported``), and having said so is
         # binding: ``forward`` raises from here on.
         return UNBOUNDED
-    return local_floor(subsystem, excluding=requester,
-                       conservative_override=conservative_override) \
-        + endpoint.channel.delay
+    floor = subsystem.scheduler.queue.next_time()
+    for other in subsystem.channels.values():
+        if other.peer_subsystem == requester:
+            continue
+        if conservative_override or other.channel.mode is _CONSERVATIVE:
+            limit = other.effective_horizon()
+            if limit < floor:
+                floor = limit
+    return floor + endpoint.channel.delay
+
+
+def floor_grant(endpoint: ChannelEndpoint, next_time: float,
+                conservative: bool) -> float:
+    """:func:`compute_grant` towards ``endpoint``'s peer, recomputed only
+    when an input moved: the next-event time (which the caller read),
+    the override, or a sibling end's horizon (``siblings_moved``)."""
+    moved = endpoint.siblings_moved
+    kept = endpoint.kept_grant
+    if kept is not None and kept[0] == moved and kept[1] == next_time \
+            and kept[2] == conservative:
+        return kept[3]
+    grant = compute_grant(endpoint.subsystem, endpoint.peer_subsystem,
+                          conservative_override=conservative)
+    endpoint.kept_grant = (moved, next_time, conservative, grant)
+    return grant
 
 
 def _endpoint_towards(subsystem: "Subsystem", peer: str) -> ChannelEndpoint:
@@ -171,7 +180,12 @@ class SafeTimeService:
 
 
 class SafeTimeClient:
-    """Per-subsystem client side: refresh horizons, compute run bounds."""
+    """Per-subsystem client side: refresh horizons, compute run bounds.
+
+    The horizon is read before every dispatched event, so it is kept as
+    a value: every site that can move an end's effective horizon ends in
+    :meth:`moved`, and :meth:`horizon` walks the ends only when the
+    count of such moves has changed since its last walk."""
 
     def __init__(self, subsystem: "Subsystem") -> None:
         self.subsystem = subsystem
@@ -184,30 +198,70 @@ class SafeTimeClient:
         self._request_ids = itertools.count(1)
         self._requests = BoundCounter("safetime.requests")
         self._accepted = BoundCounter("safetime.grants_accepted")
+        self.moves = 0
+        #: ``(moves, horizon)``: the horizon as of that count.
+        self._kept = (-1, UNBOUNDED)
+        self.endpoints: "list[ChannelEndpoint]" = []
+        #: The subsystem's one end, when it is conservative: its
+        #: effective horizon *is* the horizon.
+        self._sole: Optional[ChannelEndpoint] = None
+        #: Is this subsystem on a conservative channel at all, whatever
+        #: its horizon happens to be right now?  (By construction, not by
+        #: a passing recovery window: that one ends mid-run.)
+        self.restricted = False
+        self.channels_changed()
+
+    def channels_changed(self) -> None:
+        """A channel end joined: claim every end and re-read which ones
+        restrict."""
+        self.endpoints = list(self.subsystem.channels.values())
+        self.restricted = False
+        for endpoint in self.endpoints:
+            endpoint.client = self
+            if endpoint.channel.mode is _CONSERVATIVE:
+                self.restricted = True
+        self._sole = self.endpoints[0] if len(self.endpoints) == 1 \
+            and self.restricted else None
+        self.moves += 1
+
+    def moved(self, endpoint: ChannelEndpoint) -> None:
+        """``endpoint``'s effective horizon may have moved: keep the sole
+        end's new one at once, else leave the horizon and the sibling
+        ends' kept grants to be recomputed.  The count moves before
+        anything is read, so a racing walk can only store a value that a
+        later count marks stale."""
+        self.moves += 1
+        if endpoint is self._sole:
+            moves = self.moves
+            self._kept = (moves, endpoint.effective_horizon())
+            return
+        for sibling in self.endpoints:
+            if sibling is not endpoint:
+                sibling.siblings_moved += 1
 
     def _restricting_endpoints(self):
-        for endpoint in self.subsystem.channels.values():
+        for endpoint in self.endpoints:
             if endpoint.mode is ChannelMode.CONSERVATIVE \
                     or self.subsystem.node.conservative_override():
                 yield endpoint
 
-    def restricted(self) -> bool:
-        """Is this subsystem on a conservative channel at all, whatever
-        its horizon happens to be right now?  (By construction, not by
-        a passing recovery window: that one ends mid-run.)"""
-        for endpoint in self.subsystem.channels.values():
-            if endpoint.channel.mode is _CONSERVATIVE:
-                return True
-        return False
-
     def horizon(self) -> float:
         """How far this subsystem may currently run: the lowest
-        effective horizon among :meth:`_restricting_endpoints`.  Read
-        before every dispatched event, so it is that rule as a plain
-        loop, asking the node about a recovery window at most once."""
+        effective horizon among :meth:`_restricting_endpoints` — the
+        kept value, unless a horizon has moved since it was walked."""
+        kept = self._kept
+        if kept[0] == self.moves:
+            return kept[1]
+        return self._walk()
+
+    def _walk(self) -> float:
+        """The horizon walked afresh, asking the node about a recovery
+        window at most once; not kept if an optimistic end took part (the
+        window ends with virtual time, which moves no count)."""
+        moves = self.moves
         horizon = UNBOUNDED
         override = None
-        for endpoint in self.subsystem.channels.values():
+        for endpoint in self.endpoints:
             if endpoint.channel.mode is not _CONSERVATIVE:
                 if override is None:
                     override = self.subsystem.node.conservative_override()
@@ -216,6 +270,8 @@ class SafeTimeClient:
             limit = endpoint.effective_horizon()
             if limit < horizon:
                 horizon = limit
+        if override is None:
+            self._kept = (moves, horizon)
         return horizon
 
     def refresh(self, desired: float, *, exclude: Optional[str] = None,

@@ -35,6 +35,8 @@ from .optimistic import RecoveryManager
 from .snapshot import SnapshotManager, SnapshotRegistry
 from .system import LiveSystem, check_failure_policy
 
+_INF = float("inf")
+
 
 class CoSimulation(LiveSystem, RunLevels):
     """A complete distributed Pia system under deterministic execution."""
@@ -188,6 +190,8 @@ class CoSimulation(LiveSystem, RunLevels):
     def _take_due_cut(self) -> None:
         """Round end: take the cut the run has got to, if any (one a
         round); one between events still moves the cadence on from it."""
+        if self.schedule.next_instant() == _INF:
+            return      # nothing owed at all: no generator to build
         cut = next(self.schedule.take_due(self._reached, ("cut",)), None)
         if cut is not None:
             between_events = self.global_time() < cut.instant
@@ -344,7 +348,8 @@ class CoSimulation(LiveSystem, RunLevels):
                 progress = progress or moved
                 if count:
                     dispatched += count
-                    self._poll_switchpoints()
+                    if self.switchpoints.switchpoints:
+                        self._poll_switchpoints()
             if self.transport.batching:
                 progress = self._push_stalled_grants() or progress
             self._take_due_cut()

@@ -28,7 +28,7 @@ from ..core.errors import ConfigurationError, TransportError
 from ..core.subsystem import Subsystem
 from ..transport.message import Message, MessageKind
 from .channel import ChannelMode
-from .conservative import UNBOUNDED, SafeTimeClient, compute_grant
+from .conservative import SafeTimeClient, floor_grant
 
 if TYPE_CHECKING:  # pragma: no cover
     from .channel import ChannelEndpoint
@@ -36,6 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _SIGNAL = MessageKind.SIGNAL
 _GRANT = MessageKind.SAFE_TIME_GRANT
+_CONSERVATIVE = ChannelMode.CONSERVATIVE
+_INF = float("inf")
 
 #: Most events one :meth:`PiaNode.advance` dispatches for a subsystem on
 #: conservative channels.  A source whose peers cannot send has an
@@ -96,9 +98,8 @@ class PiaNode:
         #: pushed grant (the cooperative executor's batched throttle)?
         self.refresh_due: Callable[[str, float], bool] = \
             lambda name, desired: True
-        #: Visit order and endpoint map — see :meth:`_visit_order`; both
-        #: dropped by :meth:`membership_changed`.
-        self._order: Optional[List[tuple]] = None
+        #: Visit order and endpoint map — see :meth:`membership_changed`.
+        self._order: List[tuple] = []
         self._endpoints: Dict[str, "ChannelEndpoint"] = {}
         transport.register(name, call_handler=self.handle_call)
 
@@ -131,29 +132,25 @@ class PiaNode:
         return subsystem
 
     def membership_changed(self) -> None:
-        """A subsystem joined, or one of them gained a channel end: the
-        cached visit order and endpoint map are stale."""
-        self._order = None
-        self._endpoints = {}
-
-    def _visit_order(self) -> List[tuple]:
-        """``(subsystem, its safe-time client, its endpoints in
-        channel-id order)`` in subsystem-name order: the one order the
-        round and the grant ledger walk, sorted once per membership
-        rather than on every call — with the channel id -> endpoint map
-        incoming messages are routed by (the first subsystem added wins)."""
-        order = self._order
-        if order is None:
-            order = self._order = [
-                (subsystem, self.clients[name],
-                 [subsystem.channels[channel_id]
-                  for channel_id in sorted(subsystem.channels)])
-                for name, subsystem in sorted(self.subsystems.items())]
-            endpoints = self._endpoints = {}
-            for subsystem in self.subsystems.values():
-                for channel_id, endpoint in subsystem.channels.items():
-                    endpoints.setdefault(channel_id, endpoint)
-        return order
+        """A subsystem joined or gained a channel end: every client claims
+        its ends, and the one order the round and the grant ledger walk —
+        ``(subsystem, client, endpoints by channel id, the conservative
+        ones)`` by subsystem name — is sorted, with the channel id ->
+        endpoint map ``dispatch`` routes by (one end per node)."""
+        order: List[tuple] = []
+        routes: Dict[str, "ChannelEndpoint"] = {}
+        for name, subsystem in sorted(self.subsystems.items()):
+            client = self.clients[name]
+            client.channels_changed()
+            endpoints = [subsystem.channels[channel_id]
+                         for channel_id in sorted(subsystem.channels)]
+            order.append((subsystem, client, endpoints,
+                          [endpoint for endpoint in endpoints
+                           if endpoint.channel.mode is _CONSERVATIVE]))
+            for endpoint in endpoints:
+                routes[endpoint.channel.channel_id] = endpoint
+        self._order = order
+        self._endpoints = routes
 
     def subsystem(self, name: str) -> Subsystem:
         try:
@@ -163,7 +160,6 @@ class PiaNode:
                 f"{self.name}: no subsystem named {name!r}") from None
 
     def _endpoint_for(self, channel_id: str) -> "ChannelEndpoint":
-        self._visit_order()
         endpoint = self._endpoints.get(channel_id)
         if endpoint is None:
             raise ConfigurationError(
@@ -228,8 +224,7 @@ class PiaNode:
         for subsystem in self.subsystems.values():
             subsystem.start()
 
-    def advance(self, subsystem: Subsystem, until: float = float("inf")
-                ) -> int:
+    def advance(self, subsystem: Subsystem, until: float = _INF) -> int:
         """Run ``subsystem`` as far as its safe-time horizon allows.
 
         A horizon short of the next event is refreshed first — unless
@@ -238,74 +233,78 @@ class PiaNode:
         one window: within the horizon, never across
         :attr:`service_bound`, at most :data:`WINDOW_EVENTS` events.
         (One with only optimistic channels, or none, runs ahead
-        unclamped — that is what those are for.)  Returns the number of
-        events dispatched.
+        unclamped — that is what those are for.)  The next-event time
+        and the horizon are read once, and again only after a refresh.
+        Returns the number of events dispatched.
         """
         client = self.clients[subsystem.name]
         window = None
-        if client.restricted():
-            until = min(until, self.service_bound())
+        if client.restricted:
+            bound = self.service_bound()
+            if bound < until:
+                until = bound
             window = WINDOW_EVENTS
-        next_time = subsystem.next_event_time()
-        if next_time == float("inf") or next_time > until:
+        queue = subsystem.scheduler.queue
+        next_time = queue.next_time()
+        if next_time == _INF or next_time > until:
             return 0
-        if client.horizon() < next_time:
+        horizon = client.horizon()
+        if horizon < next_time:
             desired = min(next_time, until)
             # The refresh performs blocking network calls; it must happen
             # outside the lock or two nodes refreshing each other deadlock.
-            if self.refresh_due(subsystem.name, desired):
-                client.refresh(desired)
-        with self.lock:
+            if not self.refresh_due(subsystem.name, desired):
+                return 0
+            client.refresh(desired)
+            next_time = queue.next_time()
             horizon = client.horizon()
-            if subsystem.next_event_time() <= horizon:
-                # Re-read before every dispatch — a send shrinks it via
-                # the echo ledger — unless nothing can: no channel, or an
-                # unbounded horizon whose every peer is silent (no ledger).
-                if horizon != UNBOUNDED or not all(
-                        endpoint.peer_silent
-                        for endpoint in subsystem.channels.values()):
-                    horizon = client.horizon
-                return subsystem.run(until, horizon=horizon,
-                                     max_events=window)
-        return 0
+        if next_time > horizon:
+            return 0
+        with self.lock:
+            # Re-read before every dispatch — a send shrinks it via the
+            # echo ledger — unless nothing can: an unbounded horizon
+            # whose every peer is silent (no ledger), or no channel.
+            if horizon != _INF or not all(
+                    endpoint.peer_silent
+                    for endpoint in subsystem.channels.values()):
+                horizon = client.horizon
+            return subsystem.run(until, horizon=horizon, max_events=window)
 
-    def step(self, until: float = float("inf")) -> Tuple[bool, int]:
+    def step(self, until: float = _INF) -> Tuple[bool, int]:
         """One whole round of this node: pump, advance every subsystem
-        (pumping before each), ship what the round queued.
+        (pumping before each if anything can have arrived since the last
+        look), ship what the round queued.
 
         Returns ``(progress, dispatched)``: whether the opening pump or
         any subsystem moved, and how many events were dispatched.
         """
-        ready = self.transport.ready
+        transport = self.transport
+        ready = transport.ready
+        name = self.name
         progress = False
-        if ready(self.name):
+        # Whether a look at the inbox may now see something the last one
+        # did not: only a pump (a held delivery ticks, a dispatch can
+        # send) or an advance can make it so.
+        stale = ready(name)
+        if stale:
             with self.lock:
                 progress = self.pump() > 0
         dispatched = 0
-        for subsystem, __, __ in self._visit_order():
-            if ready(self.name):
+        for subsystem, __, __, __ in self._order:
+            if stale and ready(name):
                 with self.lock:
                     self.pump()
             dispatched += self.advance(subsystem, until)
+            stale = True
         # Round boundary: ship everything this node queued.  Outside the
         # lock — the piggyback provider try-acquires it.
-        if self.transport.batcher.queued():
-            self.transport.flush_batches(src=self.name)
+        if transport.batcher.queues:
+            transport.flush_batches(src=name)
         return progress or dispatched > 0, dispatched
 
     # ------------------------------------------------------------------
     # the grant ledger
     # ------------------------------------------------------------------
-    @staticmethod
-    def _granting_endpoints(endpoints, conservative: bool):
-        """The ones among a subsystem's ``endpoints`` it currently owes
-        safe-time grants on, in the order given."""
-        for endpoint in endpoints:
-            if endpoint.mode is not ChannelMode.CONSERVATIVE \
-                    and not conservative:
-                continue
-            yield endpoint
-
     def grants_for(self, dst: str) -> List[Message]:
         """Safe-time grants riding on a batch frame from here to ``dst``.
 
@@ -318,6 +317,9 @@ class PiaNode:
         safe-time round trip: O(peers) frames per round instead of
         O(messages + requests).
 
+        A subsystem grants on its conservative endpoints, and on every
+        endpoint while :attr:`conservative_override` holds.
+
         Flush points may sit inside or outside the node lock depending on
         who triggers them, so the lock is *try*-acquired: failing just
         means this frame carries no grants (the explicit safe-time call
@@ -329,14 +331,13 @@ class PiaNode:
         try:
             conservative = self.conservative_override()
             grants: List[Message] = []
-            for subsystem, __, endpoints in self._visit_order():
-                for endpoint in self._granting_endpoints(endpoints,
-                                                         conservative):
+            for subsystem, __, endpoints, guarded in self._order:
+                next_time = subsystem.scheduler.queue.next_time()
+                for endpoint in endpoints if conservative else guarded:
                     if endpoint.peer_node != dst:
                         continue
-                    grants.append(endpoint.grant_message(compute_grant(
-                        subsystem, endpoint.peer_subsystem,
-                        conservative_override=conservative)))
+                    grants.append(endpoint.grant_message(floor_grant(
+                        endpoint, next_time, conservative)))
             return grants
         finally:
             self.lock.release()
@@ -349,17 +350,15 @@ class PiaNode:
         """
         conservative = self.conservative_override()
         by_dst: Dict[str, List[Message]] = {}
-        for subsystem, client, endpoints in self._visit_order():
+        for subsystem, client, endpoints, guarded in self._order:
             # A subsystem that can still run will talk to its peers
             # through ordinary data frames (whose piggybacked grants
             # carry everything below for free); only one that cannot —
             # stalled below its next event, or idle — has news its
             # peers may never otherwise learn.
-            next_time = subsystem.next_event_time()
-            runnable = (next_time != float("inf")
-                        and client.horizon() >= next_time)
-            for endpoint in self._granting_endpoints(endpoints,
-                                                     conservative):
+            next_time = subsystem.scheduler.queue.next_time()
+            runnable = next_time != _INF and client.horizon() >= next_time
+            for endpoint in endpoints if conservative else guarded:
                 want = endpoint.peer_want
                 # Unreported consumption must reach the peer so it can
                 # release its echo ledger (its requests are throttled
@@ -372,8 +371,7 @@ class PiaNode:
                     # (or a later round's push, once stalled or idle)
                     # reports counts and grants for free.
                     continue
-                grant = compute_grant(subsystem, endpoint.peer_subsystem,
-                                      conservative_override=conservative)
+                grant = floor_grant(endpoint, next_time, conservative)
                 if want:
                     # The peer told us what it needs: push only once
                     # the floor passes it (or counts must flow).

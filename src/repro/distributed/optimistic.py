@@ -78,7 +78,8 @@ class RecoveryManager:
     def _receiver_of(self, message) -> Optional[str]:
         for name, subsystem in self.subsystems.items():
             endpoint = subsystem.channels.get(message.channel)
-            if endpoint is not None and endpoint.node.name == message.dst:
+            if endpoint is not None \
+                    and endpoint.subsystem.node.name == message.dst:
                 return name
         return None
 

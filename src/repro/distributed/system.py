@@ -289,6 +289,13 @@ class LiveSystem:
         if end_a[0] == end_b[0]:
             raise ConfigurationError(
                 f"cannot connect subsystem {end_a[0]!r} to itself")
+        if end_a[1] == end_b[1]:
+            # A node routes what arrives on a channel to its one end
+            # there, and a grant names no sender.
+            raise ConfigurationError(
+                f"cannot connect {end_a[0]!r} and {end_b[0]!r}: both are "
+                f"on one node ({end_a[1]!r}); a channel joins subsystems "
+                "on two nodes")
         if channel_id is None:
             channel_id = self._channel_id(next(self._channel_ids),
                                           end_a[0], end_b[0])

@@ -34,18 +34,19 @@ class SendBatcher:
     Stored by destination first — ``dst -> src -> queue`` — because the
     destination is what every flush point asks about: its poll ships the
     queues bound for it, and "is anything bound for this node" is one of
-    the four things that make a node worth visiting
+    the things that make a node worth visiting
     (:meth:`~repro.transport.pipeline.Transport.ready`).  No empty queue
-    or empty destination entry is ever kept, so a key *is* queued work.
+    or empty destination entry is ever kept, so a key *is* queued work,
+    read lock-free (a queue that appears right after is the next look's).
     """
 
     def __init__(self) -> None:
-        self._queues: Dict[str, Dict[str, List[Message]]] = {}
+        self.queues: Dict[str, Dict[str, List[Message]]] = {}
         self._lock = threading.Lock()
 
     def enqueue(self, src: str, dst: str, message: Message) -> None:
         with self._lock:
-            self._queues.setdefault(dst, {}).setdefault(src, []) \
+            self.queues.setdefault(dst, {}).setdefault(src, []) \
                 .append(message)
 
     def extend(self, src: str, dst: str, messages) -> None:
@@ -53,16 +54,11 @@ class SendBatcher:
             self.enqueue(src, dst, message)
 
     # ------------------------------------------------------------------
-    def queued(self, dst: Optional[str] = None) -> bool:
-        """Is anything queued for ``dst`` (or for anyone)?  A key lookup,
-        lock-free: a queue that appears right after is the next look's."""
-        return bool(self._queues) if dst is None else dst in self._queues
-
     def pending(self, name: Optional[str] = None) -> int:
         """Queued messages destined for ``name`` (or for anyone)."""
         with self._lock:
-            groups = self._queues.values() if name is None \
-                else (self._queues.get(name, {}),)
+            groups = self.queues.values() if name is None \
+                else (self.queues.get(name, {}),)
             return sum(len(queue) for by_src in groups
                        for queue in by_src.values())
 
@@ -71,19 +67,18 @@ class SendBatcher:
         """Remove and return matching queues, sorted by link key
         (deterministic flush order)."""
         with self._lock:
-            queues = self._queues
-            keys = sorted((s, d)
-                          for d in (queues if dst is None else (dst,))
-                          for s in queues.get(d, ())
-                          if src is None or s == src)
+            queues = self.queues
+            keys = [(s, d) for d in (queues if dst is None else (dst,))
+                    for s in queues.get(d, ()) if src is None or s == src]
+            keys.sort()
             return [(key, self._pop(*key)) for key in keys]
 
     def _pop(self, src: str, dst: str) -> List[Message]:
         # Callers hold self._lock.
-        by_src = self._queues[dst]
+        by_src = self.queues[dst]
         queue = by_src.pop(src)
         if not by_src:
-            del self._queues[dst]
+            del self.queues[dst]
         return queue
 
     def clear(self, name: Optional[str] = None) -> int:
@@ -92,7 +87,7 @@ class SendBatcher:
         With ``name``, drops only queues touching that node; returns the
         number of messages dropped."""
         with self._lock:
-            queues = self._queues
+            queues = self.queues
             keys = [(s, d) for d, by_src in queues.items() for s in by_src
                     if name is None or name == s or name == d]
             return sum(len(self._pop(*key)) for key in keys)

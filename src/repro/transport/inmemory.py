@@ -92,6 +92,7 @@ class InMemoryTransport(Transport):
             inbox.extend(parcel.grants)
         else:
             inbox.append(parcel)
+        self._arrived.add(dst)
 
     def _inbox(self, name: str):
         try:

@@ -35,7 +35,8 @@ table (``register``/``nodes``) and supplies:
 ``_open(parcel)``       the private ``Message`` copy a parcel delivers
 ``_ship(src, dst, parcel, time, count)``  move one parcel carrying
                         ``count`` logical deliveries
-``_inbox(name)``        ``(deque, lock or None)`` of a local node, or raise
+``_inbox(name)``        ``(deque, lock or None)`` of a local node, or raise;
+                        filing into it adds the node to ``_arrived``
 ``_round_trip(message, parcel)``  one request/reply exchange, returning
                         ``(reply, reply wire size)``
 ``_in_flight(name)``    optional: deliveries no inbox shows yet
@@ -66,6 +67,7 @@ CallHandler = Callable[[Message], Message]
 
 _MSG_SEND = TraceKind.MSG_SEND
 _MSG_RECV = TraceKind.MSG_RECV
+_GRANT = MessageKind.SAFE_TIME_GRANT
 _new_record = tuple.__new__
 _wall = _time.time
 
@@ -158,6 +160,8 @@ class Transport:
         self.fault_injector = None
         self._subjects = _Subjects()
         self._piggyback_sent = BoundCounter("safetime.piggyback_sent")
+        #: Local nodes whose inbox may hold deliveries (see :meth:`ready`).
+        self._arrived: set = set()
 
     def set_piggyback_provider(self, provider) -> None:
         """Install the executor's grant source for batch flushes."""
@@ -184,8 +188,9 @@ class Transport:
         """Configure the latency model between two nodes (both ways)."""
         self.accounting.set_model(a, b, model)
 
-    def _in_flight(self, name: Optional[str]) -> int:
-        return 0
+    #: A carrier that files in the sender's own call has no in-flight
+    #: window, hence no ``_in_flight``.
+    _in_flight = None
 
     def _trace(self, kind: str, message: Message, details: dict,
                request: Optional[Message] = None) -> None:
@@ -380,7 +385,7 @@ class Transport:
     def poll(self, name: str, *, limit: Optional[int] = None) -> List[Message]:
         """Drain (up to ``limit``) queued messages for node ``name``."""
         inbox, lock = self._inbox(name)
-        if self.batching and self.batcher.queued(name):
+        if self.batching and name in self.batcher.queues:
             # Poll is the flush point: every queue bound for this node
             # ships now, so delivery lands at the same pump points as the
             # unbatched per-message path.  (A carrier with receiver
@@ -401,6 +406,8 @@ class Transport:
                         injector.suppress_duplicate(name, message):
                     continue
                 drained.append(message)
+            if not inbox:
+                self._arrived.discard(name)
         finally:
             if lock is not None:
                 lock.release()
@@ -408,9 +415,12 @@ class Transport:
         if health is not None:
             health.on_poll(name, len(drained))
         if drained and self.telemetry.enabled:
+            # No record of a grant's receipt (nor of its send): it has no
+            # span, and link rows and ``safetime.piggybacked`` count it.
             for message in drained:
-                self._trace(_MSG_RECV, message,
-                            {"message_kind": message.kind.label})
+                if message.kind is not _GRANT:
+                    self._trace(_MSG_RECV, message,
+                                {"message_kind": message.kind.label})
         return drained
 
     def ready(self, name: str) -> bool:
@@ -420,23 +430,24 @@ class Transport:
         node, a delivery the fault plane holds for it (its polls are the
         release clock), or a frame its carrier still has in flight.
         Every sweep over nodes asks this first and visits only those it
-        names; the three keyed structures it reads drop their empty
-        entries, so nothing here can go stale."""
-        inbox, lock = self._inbox(name)
-        if inbox or self.batcher.queued(name):
+        names, so it reads kept state only: ``_arrived`` (filing adds,
+        the emptying poll drops) and the batcher's and fault plane's
+        tables, which keep no empty entry."""
+        if name in self._arrived or name in self.batcher.queues:
             return True
         injector = self.fault_injector
         if injector is not None and injector.holds(name):
             return True
-        # No inbox lock means delivery in the sender's own call: such a
-        # carrier has nothing in flight to ask about.
-        return lock is not None and self._in_flight(name) > 0
+        in_flight = self._in_flight
+        return in_flight is not None and in_flight(name) > 0
 
     def pending(self, name: Optional[str] = None) -> int:
         """Messages queued for ``name`` (or for every node): inboxes,
         unflushed batches, the fault plane's parked deliveries and
         whatever the carrier still holds in flight."""
-        held = self.batcher.pending(name) + self._in_flight(name)
+        held = self.batcher.pending(name)
+        if self._in_flight is not None:
+            held += self._in_flight(name)
         if self.fault_injector is not None:
             held += self.fault_injector.held_pending(name)
         names = self.nodes() if name is None else [name]
@@ -451,6 +462,7 @@ class Transport:
             with lock or nullcontext():
                 dropped += len(inbox)
                 inbox.clear()
+        self._arrived.clear()
         if self.fault_injector is not None:
             dropped += self.fault_injector.flush()
         return dropped

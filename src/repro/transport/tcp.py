@@ -149,6 +149,7 @@ class _NodeEndpoint:
                     grant.epoch = message.epoch
                 with self.lock:
                     self.inbox.extend(message.grants)
+                    transport._arrived.add(self.name)
                     with self.transport.wire_lock:
                         self.transport.wire_in += len(message.grants)
                 self.transport._wake()
@@ -181,6 +182,7 @@ class _NodeEndpoint:
                 if injector is None or file_fate(injector, FAULT_FATES[tag],
                                                  ticks, inner):
                     self.inbox.append(inner)
+                    transport._arrived.add(self.name)
                 # Counted only after the message is filed somewhere
                 # visible (inbox or injector queue): the quiescence
                 # balance check must never see wire_in caught up while a
@@ -189,6 +191,7 @@ class _NodeEndpoint:
                     transport.wire_in += 1
             else:
                 self.inbox.append(message)
+                transport._arrived.add(self.name)
                 with transport.wire_lock:
                     transport.wire_in += 1
                 if injector is not None:

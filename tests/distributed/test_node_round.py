@@ -180,7 +180,7 @@ class TestGrantLedger:
         assert consumer.stalled_grants() == {}
         # A runnable subsystem stays quiet (its data frames carry the
         # grants) unless a peer recorded a want the floor has now passed.
-        endpoint.peer_grant = float("inf")
+        assert endpoint.accept_grant(float("inf"), (0, 0))
         endpoint.granted_reported = 0.0
         assert producer.stalled_grants() == {}
         endpoint.peer_want = 2.0                        # floor 1.0 below it
@@ -203,8 +203,9 @@ class TestBatchedRefresh:
             node.start()
         producer = cosim.subsystem("z-producer")
         endpoint = next(iter(producer.channels.values()))
-        endpoint.peer_grant = 10.0
-        endpoint.pending_echoes.append((1, 2.0))
+        assert endpoint.accept_grant(10.0, (0, 0))
+        endpoint.forward("stream", 2.0, 0)      # its echo could be back at 2
+        assert endpoint.pending_echoes[0] == (1, 2.0)
         client = producer.node.clients["z-producer"]
         client.refresh(5.0)
         assert client.requests_sent == 1 == endpoint.safe_time_requests

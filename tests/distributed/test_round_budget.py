@@ -46,17 +46,16 @@ def one_way_pair():
 
 #: model -> (budget native, budget pure), in Python-visible calls per
 #: executor round: 1.25x what the tree measured when they were set —
-#: 465.4 / 6,190.7 native, 628.7 / 9,413.7 pure.  The parent of that
-#: change read 668.1 / 6,771.7 and 831.4 / 9,994.7: over the split
-#: WubbleU's budget on both backends, inside the one-way pair's (three
-#: rounds of event windows — there the sweep was never the cost).  The
-#: one-way pair's row was re-set when a crossing message came to pay
-#: each layer once (one charge body, self-filed records, the endpoint
-#: map, no observer outside a cut): 3,588.0 native, 5,578.0 pure, from
-#: 4,526.7 and 6,416.7.
+#: 294.4 / 3,509.0 native, 450.5 / 5,499.0 pure, once the round kept
+#: its answers (horizons, readiness, grant floors) as values updated
+#: where they change, instead of asking them again at every visit.
+#: Before that they read 392.6 / 3,588.0 native, 548.8 / 5,578.0 pure
+#: (one charge body, self-filed records, the endpoint map); 430.1 /
+#: 4,526.7 and 583.4 / 6,416.7 before those; and the work-driven round
+#: took the split WubbleU from 668.1 / 831.4 to 465.4 / 628.7.
 BUDGETS = {
-    remote_word: (582, 786),
-    one_way_pair: (4_485, 6_973),
+    remote_word: (368, 563),
+    one_way_pair: (4_386, 6_874),
 }
 
 

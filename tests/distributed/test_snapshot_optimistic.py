@@ -202,7 +202,8 @@ class TestRecoveryEscalation:
                                                 SnapshotRegistry, SubsystemCut)
         from repro.transport import InMemoryTransport, Message, MessageKind
 
-        endpoint = SimpleNamespace(node=SimpleNamespace(name="nb"))
+        endpoint = SimpleNamespace(
+            subsystem=SimpleNamespace(node=SimpleNamespace(name="nb")))
         manager = RecoveryManager(
             {"sb": SimpleNamespace(channels={"ch": endpoint})},
             InMemoryTransport(), SnapshotRegistry())

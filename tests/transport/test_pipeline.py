@@ -385,7 +385,7 @@ def test_flush_and_clear_leave_nobody_ready(plane):
 
     host = loaded()
     host.batcher.clear("b")                     # both queues touch b
-    assert not host.batcher.queued() and host.batcher.pending() == 0
+    assert not host.batcher.queues and host.batcher.pending() == 0
     assert not host.ready("a")                  # its swap was taken at #3
     assert host.ready("b")                      # ... b's delay is still held
     host.fault_injector.flush()
