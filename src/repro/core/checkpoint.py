@@ -323,6 +323,12 @@ class CheckpointStore:
     def storage_bytes(self) -> int:
         return sum(image.storage_bytes() for image in self._images.values())
 
+    def discard(self, checkpoint_id: int) -> None:
+        """Forget the newest image: one no restore point names any more
+        (a global cut that a rollback abandoned)."""
+        self._order.remove(checkpoint_id)
+        del self._images[checkpoint_id]
+
     def _prune(self) -> None:
         if self.keep_last is None:
             return
@@ -439,6 +445,12 @@ class IncrementalCheckpointStore(CheckpointStore):
 
     def storage_bytes(self) -> int:
         return sum(record.storage_bytes() for record in self._records.values())
+
+    def discard(self, checkpoint_id: int) -> None:
+        super().discard(checkpoint_id)
+        # The next image is whole or a diff as if this one was never taken.
+        full = self._records.pop(checkpoint_id).base_id is None
+        self._since_full = self.full_every - 1 if full else self._since_full - 1
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -133,31 +133,32 @@ class CoSimulation(LiveSystem, RunLevels):
     # snapshots
     # ------------------------------------------------------------------
     def snapshot(self, *, initiator: Optional[str] = None) -> str:
-        """Take one global Chandy-Lamport snapshot; returns its id."""
+        """Take one global Chandy-Lamport snapshot; returns its id.  The
+        marks record what the cut catches in flight.  A rollback while
+        they settle abandons the cut: its images leave the stores and it
+        is taken again, under its id, from the restored state."""
         self.start()
-        if initiator is None:
-            initiator = min(self.subsystems)
-        subsystem = self.subsystem(initiator)
-        assert subsystem.node is not None
-        # Settle all signal traffic first (recovering from any straggler),
-        # so the only messages moving during the snapshot are the marks.
-        self._pump_all()
-        snapshot_id = self._managers[subsystem.node.name].initiate(subsystem)
-        # Marks need only message pumping (no subsystem progress) to settle.
-        # With a fault plan attached a mark can be parked for a few poll
-        # ticks, so the settle budget widens and an idle pump round is not
-        # final while the injector still holds traffic.
+        subsystem = self.subsystem(initiator or min(self.subsystems))
+        manager = self._managers[subsystem.node.name]
         injector = self.fault_injector
-        ready = self.transport.ready
-        for __ in range((2 * len(self.subsystems) + 2) * self._settle_slack):
-            pumped = sum(node.pump() for node in self._ordered_nodes()
-                         if ready(node.name))
-            if self.registry.snapshots[snapshot_id].complete:
+        snapshot_id = None
+        while True:
+            snapshot_id = manager.initiate(subsystem, snapshot_id)
+            snap = self.registry.snapshots[snapshot_id]
+            # Marks need only message pumping (no subsystem progress) to
+            # settle.  With a fault plan attached a mark can be parked for
+            # a few poll ticks, so the settle budget widens and a settled
+            # sweep is not final while the injector still holds traffic.
+            for __ in range((2 * len(self.subsystems) + 2)
+                            * self._settle_slack):
+                self._pump_all()
+                if snap.complete or injector is None \
+                        or injector.held_pending() == 0:
+                    break
+            if self.registry.snapshots.get(snapshot_id) is snap:
                 break
-            if pumped == 0 and \
-                    (injector is None or injector.held_pending() == 0):
-                break
-        snap = self.registry.snapshots[snapshot_id]
+            for name, cut in snap.cuts.items():
+                self.subsystems[name].checkpoints.discard(cut.checkpoint_id)
         if not snap.complete:
             raise DeadlockError(
                 f"snapshot {snapshot_id} did not complete: marks pending on "
@@ -187,17 +188,20 @@ class CoSimulation(LiveSystem, RunLevels):
         self.switchpoints.load(snapshot_id)
         self.schedule.rearm_cut(self.global_time(), self.snapshot_interval)
 
-    def _take_due_cut(self) -> None:
+    def _take_due_cut(self) -> bool:
         """Round end: take the cut the run has got to, if any (one a
-        round); one between events still moves the cadence on from it."""
+        round); one between events still moves the cadence on from it.
+        Returns True if one was taken (counts as round progress: the
+        windows it held back may now move)."""
         if self.schedule.next_instant() == _INF:
-            return      # nothing owed at all: no generator to build
+            return False    # nothing owed at all: no generator to build
         cut = next(self.schedule.take_due(self._reached, ("cut",)), None)
         if cut is not None:
             between_events = self.global_time() < cut.instant
             self.snapshot()
             if between_events:
                 self.schedule.rearm_cut(cut.instant, self.snapshot_interval)
+        return cut is not None
 
     def _has_optimism(self) -> bool:
         return any(ch.mode is ChannelMode.OPTIMISTIC
@@ -352,7 +356,7 @@ class CoSimulation(LiveSystem, RunLevels):
                         self._poll_switchpoints()
             if self.transport.batching:
                 progress = self._push_stalled_grants() or progress
-            self._take_due_cut()
+            progress = self._take_due_cut() or progress
             series = self.telemetry.series
             if series is not None:
                 # Round boundary = the sampling point: virtual-cadence

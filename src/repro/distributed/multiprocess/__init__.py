@@ -51,8 +51,7 @@ is fenced at ingest), recorded in-flight messages are re-injected, and
 the run resumes — deterministically, because conservative execution from
 a consistent cut is a pure function of the virtual state.
 :meth:`MultiprocessCoSimulation.migrate` is the same procedure with a
-live source: the wire is drained and a fresh cut taken first, so nothing
-rolls back.
+live source: a fresh cut is taken first, so nothing rolls back.
 """
 
 from ... import _attach

@@ -349,7 +349,10 @@ class MultiprocessCoSimulation:
             # reply proves it knows its peers.  Without it a fast starter's
             # safe-time call can reach a worker that cannot yet route the
             # transitive refresh towards its own other peers.
-            self._poll_statuses(pipes, procs, deadline)
+            for name in names:
+                self._send(pipes, name, "status?", False)
+            for name in names:
+                self._expect(pipes, procs, name, "status", deadline)
             if self.failure_policy == "recover":
                 # Baseline restore point: a pre-start Chandy-Lamport cut,
                 # archived coordinator-side before any event dispatches.
@@ -564,45 +567,11 @@ class MultiprocessCoSimulation:
         snapshot_id = f"snap-{next(self._snapshot_ids)}"
         for name in names:
             self._send(pipes, name, "cut", snapshot_id)
-        archives: Dict[str, NodeArchive] = {}
-        for name in names:
-            archives[name] = self._expect(
-                pipes, procs, name, "cut-data", deadline,
-                match=lambda a: a.snapshot_id == snapshot_id)
-        self._archives = archives
+        self._archives = {name: self._expect(
+            pipes, procs, name, "cut-data", deadline,
+            match=lambda a: a.snapshot_id == snapshot_id) for name in names}
         self._restore_point = snapshot_id
         self.telemetry.count("migration.snapshots")
-
-    def _poll_statuses(self, pipes, procs, deadline: float
-                       ) -> Dict[str, dict]:
-        """One ``status?`` round trip to every worker, outside the
-        supervision loop."""
-        for name in sorted(procs):
-            self._send(pipes, name, "status?", False)
-        return {name: self._expect(pipes, procs, name, "status", deadline)
-                for name in sorted(procs)}
-
-    def _drain_wire(self, pipes, procs, deadline: float) -> None:
-        """Wait until nothing is in flight anywhere: all queued batches
-        flushed, inboxes pumped dry, fault-held deliveries released, and
-        the global wire counters balanced across two consecutive probes.
-        Workers must already be halted (their drain rounds keep pumping)."""
-        previous = None
-        while True:
-            if _time.monotonic() > deadline:
-                raise SimulationError(
-                    "migration drain did not reach wire quiescence "
-                    "within the timeout")
-            statuses = self._poll_statuses(pipes, procs, deadline)
-            wire_out = sum(st["wire_out"] for st in statuses.values())
-            wire_in = sum(st["wire_in"] for st in statuses.values())
-            pending = sum(st["pending"] for st in statuses.values())
-            balanced = pending == 0 and wire_out == wire_in
-            signature = (wire_out, wire_in)
-            if balanced and signature == previous:
-                return
-            previous = signature if balanced else None
-            _time.sleep(0.01)
 
     def _resplice(self, moved, pipes, procs) -> None:
         """Re-splice every channel endpoint that touches a moved node:
@@ -683,7 +652,7 @@ class MultiprocessCoSimulation:
         one relocation body, whatever the cause (DESIGN.md §5).
 
         A *live* source (``reason="requested"``) loses nothing: halt,
-        drain, cut, carry its report home, retire it cleanly.  A *dead*
+        cut, carry its report home, retire it cleanly.  A *dead*
         one is killed and the run rolls back to the last restore point.
         From the adoption on the two are one.  A worker dying at any
         step (a :class:`NodeFailure` naming it) joins the dead and the
@@ -725,11 +694,8 @@ class MultiprocessCoSimulation:
                     self._expect(pipes, procs, name, "halted", deadline,
                                  match=lambda t: t == token)
                 if live:
-                    # Nothing in flight may be dropped (or duplicated) by
-                    # the re-splice, so the cut happens on a provably
-                    # empty wire — and *advances* the restore point (a
-                    # later failover resumes from here, not from t=0).
-                    self._drain_wire(pipes, procs, deadline)
+                    # Fired from a settled sweep, the cut meets a balanced
+                    # wire, and *advances* the restore point.
                     self._take_snapshot(pipes, procs, deadline)
                 # Acquired *before* a live source is released: a released
                 # worker goes straight back into the idle set, and a

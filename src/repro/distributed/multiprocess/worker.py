@@ -216,19 +216,13 @@ class _Worker:
                                         snapshot_id)
         self._open_cuts.add(snapshot_id)
 
-    def _cut_complete(self, snapshot_id: str) -> bool:
-        snap = self.registry.snapshots.get(snapshot_id)
-        if snap is None:
-            return False
-        return all(name in snap.cuts and snap.cuts[name].complete
-                   for name in self.node.subsystems)
-
     def _announce_cuts(self) -> None:
         """Push the archive for every locally completed cut — the paper's
         'transmit the checkpoint to stable storage' step, so a restore
         point survives the death of the worker that produced it."""
         for snapshot_id in sorted(self._open_cuts):
-            if not self._cut_complete(snapshot_id):
+            snap = self.registry.snapshots.get(snapshot_id)
+            if snap is None or not snap.complete:
                 continue
             self._open_cuts.discard(snapshot_id)
             with self.node.lock:

@@ -131,10 +131,12 @@ class RecoveryManager:
         # 1. Everything in flight postdates the cut: drop it.
         dropped = self.transport.flush()
         self.telemetry.count("rollback.messages_dropped", dropped)
-        # 2. Later snapshots now describe abandoned futures.
+        # 2. Later snapshots now describe abandoned futures; one still
+        #    open lost its marks to the flush and can never complete.
         for other_id in list(self.registry.snapshots):
             other = self.registry.snapshots[other_id]
-            if other is not snap and other.max_time() > snap.max_time():
+            if other is not snap and (not other.complete
+                                      or other.max_time() > snap.max_time()):
                 self.registry.drop(other_id)
         # 3. Every node restores its images and re-injects its channel state.
         resent = resent_counts(local for cuts in per_node.values()

@@ -67,11 +67,8 @@ class GlobalSnapshot:
         return max((cut.time for cut in self.cuts.values()), default=0.0)
 
     def recorded_messages(self) -> List[Message]:
-        messages: List[Message] = []
-        for cut in self.cuts.values():
-            for recorded in cut.recorded.values():
-                messages.extend(recorded)
-        return messages
+        return [message for cut in self.cuts.values()
+                for recorded in cut.recorded.values() for message in recorded]
 
 
 class SnapshotRegistry:
@@ -124,15 +121,14 @@ class SnapshotManager:
                  snapshot_id: Optional[str] = None) -> str:
         """Generate a checkpoint request at ``subsystem`` (paper: a
         subsystem "receives (or generates) a checkpoint request")."""
-        if snapshot_id is None:
-            snapshot_id = self.registry.new_id()
-        self._local_cut(subsystem, snapshot_id)
-        return snapshot_id
+        return self._local_cut(
+            subsystem, snapshot_id or self.registry.new_id()).snapshot_id
 
-    def _local_cut(self, subsystem: "Subsystem", snapshot_id: str) -> None:
+    def _local_cut(self, subsystem: "Subsystem",
+                   snapshot_id: str) -> SubsystemCut:
         snap = self.registry.ensure(snapshot_id, self.expected_subsystems())
         if subsystem.name in snap.cuts:
-            return    # already performed for this identifier: ignore
+            return snap.cuts[subsystem.name]    # already performed: ignore
         checkpoint_id = subsystem.request_checkpoint(
             label=f"{snapshot_id}@{subsystem.name}")
         cut = SubsystemCut(snapshot_id, subsystem.name, checkpoint_id,
@@ -160,6 +156,7 @@ class SnapshotManager:
         snap.cuts[subsystem.name] = cut
         if cut.pending:
             self._record(cut)
+        return cut
 
     # ------------------------------------------------------------------
     def on_mark(self, message: Message) -> None:
@@ -170,9 +167,7 @@ class SnapshotManager:
         subsystem = endpoint.subsystem
         # First mark (or request) for this identifier: checkpoint now,
         # before receiving anything else on this channel.
-        self._local_cut(subsystem, snapshot_id)
-        snap = self.registry.ensure(snapshot_id, self.expected_subsystems())
-        cut = snap.cuts[subsystem.name]
+        cut = self._local_cut(subsystem, snapshot_id)
         # The mark closes this channel's recording window.
         if message.channel in cut.pending:
             cut.pending.discard(message.channel)

@@ -281,6 +281,41 @@ class TestAutoCheckpointAndStores:
         with pytest.raises(CheckpointError):
             IncrementalCheckpointStore(keep_last=3)
 
+    @pytest.mark.parametrize("dropped", [4.0, 6.0], ids=["diff", "whole"])
+    @pytest.mark.parametrize("incremental", [False, True],
+                             ids=["full", "incremental"])
+    def test_a_discarded_image_is_as_if_never_taken(self, incremental,
+                                                    dropped):
+        """``discard`` forgets the newest image (a cut a rollback
+        abandoned): the store then holds, sizes and restores what a
+        store that never took it does — under ``full_every=2`` the image
+        at 4 is a diff and the one at 6 whole, and the next one is a diff
+        or whole as if the discarded one had never been taken."""
+        from repro.core import CheckpointStore
+
+        def run_with(discard):
+            store = IncrementalCheckpointStore(full_every=2) \
+                if incremental else CheckpointStore()
+            sim = Simulator(checkpoint_store=store)
+            ticker = sim.add(Ticker("ticker"))
+            acc = sim.add(Accumulator("acc"))
+            sim.wire("n", ticker.port("out"), acc.port("in"))
+            kept = []
+            for t in (2.0, 4.0, 6.0, 8.0):
+                sim.run(until=t)
+                if t != dropped:
+                    kept.append(sim.checkpoint())
+                elif discard:
+                    store.discard(sim.checkpoint())
+            sim.run()
+            restored = []
+            for cid in kept:
+                sim.restore(cid)
+                restored.append((sim.now, list(acc.seen)))
+            return len(store), store.storage_bytes(), restored
+
+        assert run_with(discard=True) == run_with(discard=False)
+
 
 class TestOneImage:
     """The image a store holds is the image that travels (ISSUE 24): queued

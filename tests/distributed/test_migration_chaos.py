@@ -11,7 +11,11 @@ import signal
 
 import pytest
 
-from repro.bench.workloads import compute_star_multiprocess, compute_star_spec
+from repro.bench.workloads import (
+    compute_star_multiprocess,
+    compute_star_spec,
+    streaming_pair_spec,
+)
 from repro.core import (
     Advance,
     PortDirection,
@@ -27,7 +31,7 @@ from repro.core.errors import (
     MigrationError,
 )
 from repro.distributed import (
-    CoSimulation, MultiprocessCoSimulation, WorkerPool)
+    CoSimulation, MultiprocessCoSimulation, WorkerPool, build)
 from repro.distributed.migration import NodeArchive, resent_counts
 from repro.faults import FaultPlan, NodeCrash
 from repro.observability import (
@@ -232,6 +236,34 @@ class TestLiveMigration:
         assert header["reason"] == "migrate"
         assert records == [{k: v for k, v in r.items() if k != "node"}
                            for r in decided]
+
+    def test_a_live_move_mid_stream_loses_and_doubles_nothing(self, pool):
+        """A consumer moved half-way through a 1,000-word stream: every
+        word arrives once (the same dispatch counts and net posts as the
+        unmoved run, every component finished).  A live move fires only
+        from a settled sweep — every worker idle, the wire counters
+        balanced on two probes — so its cut catches nothing in flight
+        and the restore replays nothing."""
+        def run(move):
+            cosim = build(streaming_pair_spec(1_000, 1.0), "multiprocess",
+                          pool=pool, failure_policy="recover")
+            if move:
+                cosim.migrate_at("n-cons", 500.0)
+            cosim.run(timeout=90.0)
+            report = cosim.report()
+            return report, (progress_rows(report), report.components,
+                            report.nets, report.interfaces)
+
+        __, unmoved = run(move=False)
+        report, moved = run(move=True)
+        assert moved == unmoved
+        assert [row["posts"] for row in unmoved[2]] == [1_000, 1_000]
+        assert {row["status"] for row in unmoved[1]} == {"finished"}
+        (record,) = report.migrations
+        assert (record["kind"], record["node"], record["at_global_time"]) \
+            == ("migrate", "n-cons", 500.0)
+        assert record["replayed_messages"] == 0
+        assert report.counter("migration.replayed_messages") == 0
 
     def test_migrate_requires_recover_policy(self):
         plain = compute_star_multiprocess(2, 3, words=20)

@@ -176,6 +176,29 @@ class TestOptimisticChannels:
         first_straggler = cosim.recovery.rollbacks[0][0]
         assert cosim.recovery.conservative_until >= first_straggler
 
+    def test_a_straggler_while_the_marks_settle_retakes_the_cut(self):
+        """The second cut opens with the first word in flight; its marks
+        pump that word into the consumer, which has run past it.  The
+        rollback abandons the open cut — one local image taken, one mark
+        sent and flushed — and the cut is taken again, under its id, from
+        the restored state.  It completes, and the stores keep exactly
+        the images of the snapshots the registry holds."""
+        cosim, sink = self._run_optimistic([1, 2, 3])
+        report = cosim.report()
+        snapshots = cosim.registry.snapshots
+        assert list(snapshots) == ["snap-1", "snap-2", "snap-3", "snap-4"]
+        assert all(snap.complete for snap in snapshots.values())
+        assert cosim.recovery.rollbacks == [(1.0, "snap-1", 0.0)]
+        assert report.counter("snapshot.cuts") == 2 * len(snapshots) + 1
+        assert report.counter("rollback.messages_dropped") == 1
+        for name, subsystem in cosim.subsystems.items():
+            assert len(subsystem.checkpoints) == len(snapshots)
+            assert sorted(subsystem.checkpoints.image(snap.cuts[name]
+                                                      .checkpoint_id).label
+                          for snap in snapshots.values()) == \
+                sorted(f"{snapshot_id}@{name}" for snapshot_id in snapshots)
+        assert sink == [(1.0, 1), (2.0, 2), (3.0, 3)]
+
 
 class TestRecoveryEscalation:
     def test_unrecoverable_without_snapshots_raises(self):

@@ -210,9 +210,11 @@ class TestObserverWindow:
 
     def test_periodic_cuts_of_a_settled_stream_observe_nothing(
             self, monkeypatch):
-        """Every periodic cut settles the traffic first, so all 600
-        signals arrive while no cut records — the parent observed each
-        one against every snapshot the registry held."""
+        """A conservative pair's windows stop at each cut instant, so
+        every word sent before it has been taken by the round end the cut
+        fires at: all 600 signals arrive while no cut records — the
+        parent observed each one against every snapshot the registry
+        held."""
         calls = self._counting(monkeypatch)
         cosim = streaming_pair(600, 1.0, snapshot_interval=10.0)
         cosim.run()
