@@ -47,10 +47,13 @@ class ChannelMode(enum.Enum):
 class StragglerError(SimulationError):
     """An optimistic channel delivered a message into the local past."""
 
-    def __init__(self, message: str, *, channel_id: str,
+    def __init__(self, message: str, *, channel_id: str, receiver: str,
                  straggler_time: float, cause: Optional[tuple] = None) -> None:
         super().__init__(message)
         self.channel_id = channel_id
+        #: The subsystem whose end received the straggler (it had already
+        #: run past the message time).
+        self.receiver = receiver
         self.straggler_time = straggler_time
         #: Span ``(origin, epoch, ordinal)`` of the straggler message
         #: (rollback records link to its causal chain), when tracing was
@@ -78,9 +81,18 @@ class ChannelComponent(Component):
         self.local_time = max(self.local_time, time)
         self.endpoint.forward(port.name, time, event.payload)
 
-    # Channel components save/restore with the subsystem like any other
-    # component; the endpoint's safe-time bookkeeping is reset separately
-    # by the recovery manager on a global rollback.
+    # The end's message ledgers are committed history, like the
+    # scheduler's dispatch count: they travel in the image.  Its
+    # safe-time protocol state is not; ``restore_node`` voids it.
+    def snapshot(self):
+        snap = super().snapshot()
+        snap.extra["ledger"] = (self.endpoint.forwarded,
+                                self.endpoint.injected)
+        return snap
+
+    def restore(self, snap) -> None:
+        super().restore(snap)
+        self.endpoint.forwarded, self.endpoint.injected = snap.extra["ledger"]
 
 
 class ChannelEndpoint:
@@ -317,15 +329,13 @@ class ChannelEndpoint:
             payload=self.note_reported(grant),
         )
 
-    def reset_sync_state(self, *, forwarded: int = 0,
-                         injected: int = 0) -> None:
-        """Void all safe-time state (global rollback support)."""
+    def reset_sync_state(self) -> None:
+        """Void all safe-time state (global rollback support); the
+        message ledgers came back with the image."""
         self.peer_grant = 0.0
         self.peer_want = 0.0
         self.pending_echoes.clear()
-        self.forwarded = forwarded
-        self.injected = injected
-        self.injected_reported = injected
+        self.injected_reported = self.injected
         self.granted_reported = 0.0
         self.client.moved(self)
 
@@ -354,6 +364,7 @@ class ChannelEndpoint:
                 f"optimistic channel {self.channel.channel_id}: straggler at "
                 f"{message.time:g} < subsystem time {now:g}",
                 channel_id=self.channel.channel_id,
+                receiver=self.subsystem.name,
                 straggler_time=message.time, cause=span_of(message))
         self.inject(net, message.time, value)
 

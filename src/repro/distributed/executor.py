@@ -304,15 +304,7 @@ class CoSimulation(LiveSystem, RunLevels):
                 return total
 
     def _recover_straggler(self, straggler: StragglerError) -> None:
-        channel = self.channels.get(straggler.channel_id)
-        if channel is None:
-            raise ConfigurationError(
-                f"straggler on unknown channel {straggler.channel_id!r}")
-        # The straggler was raised by the endpoint whose subsystem had
-        # already advanced past the message time.
-        later = max(channel.endpoints.values(),
-                    key=lambda ep: ep.subsystem.scheduler.now)
-        self.recovery.recover(straggler, later.subsystem.name)
+        self.recovery.recover(straggler)
         # The conservative window extends far enough for the next
         # snapshot to land inside it — otherwise a sparse cadence lets the
         # same race recur immediately.

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..core.checkpoint import CheckpointImage, reinstate
 from ..core.errors import MigrationError
@@ -96,26 +96,8 @@ def archive_node(node, registry, snapshot_id: str,
     return archive
 
 
-def resent_counts(cuts: Iterable[LocalCut]) -> Dict[Tuple[str, str], int]:
-    """``(channel_id, dst_node) -> count`` of recorded in-flight messages
-    over every cut of a restore point.
-
-    The counts pre-seed every endpoint's ``forwarded`` ledger on restore:
-    the sender's counter must equal the number of copies the receiver
-    will re-inject, so the first post-restore safe-time exchange balances.
-    """
-    counts: Dict[Tuple[str, str], int] = {}
-    for __, recorded in cuts:
-        for channel_id, messages in recorded.items():
-            for message in messages:
-                key = (channel_id, message.dst)
-                counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def restore_node(node, cuts: Dict[str, LocalCut],
-                 resent: Dict[Tuple[str, str], int]) -> int:
-    """Put ``node`` back at its ``cuts`` and re-align its ledgers.
+def restore_node(node, cuts: Dict[str, LocalCut]) -> int:
+    """Put ``node`` back at its ``cuts``.
 
     The caller has already made the wire empty of the discarded world
     (a flush; across processes, an epoch fence first).  Returns the number
@@ -132,17 +114,13 @@ def restore_node(node, cuts: Dict[str, LocalCut],
                 f"{node.name}: restore payload references unknown "
                 f"subsystem {name!r}", node=node.name) from None
         reinstate(subsystem, image)
-        # All safe-time state is void after a global rewind.  The message
-        # counters restart aligned with the re-injected channel states:
-        # this endpoint's sends being re-injected at the peer count as
-        # already forwarded; its own receive counter returns to zero and
-        # climbs as the peer's recorded messages re-arrive.
-        for channel_id, endpoint in subsystem.channels.items():
-            endpoint.reset_sync_state(
-                forwarded=resent.get((channel_id, endpoint.peer_node), 0),
-                injected=0)
-    # Re-inject after *every* local ledger is reset: a recorded message's
-    # dispatch bumps its channel's ``injected`` count.
+        # The image brought each end's message ledgers back to the cut;
+        # the safe-time state built on the discarded run is void.
+        for endpoint in subsystem.channels.values():
+            endpoint.reset_sync_state()
+    # Re-inject after *every* local image is back: a recorded message's
+    # dispatch bumps its channel's ``injected`` count (the sender's cut
+    # already counts it as forwarded).
     replayed = 0
     for __, recorded in cuts.values():
         for messages in recorded.values():

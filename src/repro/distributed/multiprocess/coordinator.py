@@ -23,7 +23,7 @@ from ...observability.report import bundle, fold
 from ...transport.codec import VERSION as CODEC_VERSION
 from ...transport.shm import DEFAULT_RING_CAPACITY, create_ring_segment
 from .. import topology
-from ..migration import MigrationRecord, NodeArchive, resent_counts
+from ..migration import MigrationRecord, NodeArchive
 from ..system import (ServiceSchedule, check_failure_policy, file_crash,
                       reached)
 from .pool import WorkerPool, _PoolWorker
@@ -628,23 +628,23 @@ class MultiprocessCoSimulation:
         new migration epoch.  Returns (archived bytes, replayed count)."""
         names = sorted(self.spec.nodes)
         self._run_epoch += 1
-        resent = resent_counts(cut for archive in self._archives.values()
-                               for cut in archive.cuts.values())
-        snapshot_bytes = 0
+        snapshot_bytes = replayed = 0
         for name in names:
             archive = self._archives[name]
             snapshot_bytes += archive.storage_bytes()
+            replayed += sum(len(messages) for __, recorded
+                            in archive.cuts.values()
+                            for messages in recorded.values())
             self._send(pipes, name, "restore", {
                 "epoch": self._run_epoch,
                 "cuts": archive.cuts,
-                "resent": resent,
                 "minter_ordinals": archive.minter_ordinals,
             })
         epoch = self._run_epoch
         for name in names:
             self._expect(pipes, procs, name, "restored", deadline,
                          match=lambda e: e == epoch)
-        return snapshot_bytes, sum(resent.values())
+        return snapshot_bytes, replayed
 
     def _relocate(self, nodes, pipes, procs, until: float, deadline: float,
                   global_now: float, *, reason: str) -> None:

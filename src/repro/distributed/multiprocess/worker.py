@@ -256,8 +256,7 @@ class _Worker:
             # In-progress cuts recorded state of the discarded world.
             self.registry.snapshots.clear()
             self._open_cuts.clear()
-            replayed = restore_node(self.node, payload["cuts"],
-                                    payload["resent"])
+            replayed = restore_node(self.node, payload["cuts"])
             # run()'s contribution counter mirrors the restored schedulers
             # so merged dispatch totals match an uninterrupted run.
             self.dispatched = sum(ss.scheduler.dispatched

@@ -27,12 +27,12 @@ snapshot.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
-from ..core.errors import CheckpointError, SimulationError
+from ..core.errors import CheckpointError
 from ..observability import NULL_TELEMETRY, TraceKind
 from .channel import StragglerError
-from .migration import LocalCut, resent_counts, restore_node
+from .migration import LocalCut, restore_node
 from .snapshot import GlobalSnapshot, SnapshotRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,57 +59,47 @@ class RecoveryManager:
         self.telemetry = NULL_TELEMETRY
 
     # ------------------------------------------------------------------
-    def eligible(self, snap: GlobalSnapshot, straggler: StragglerError,
-                 receiver: str) -> bool:
+    def eligible(self, snap: GlobalSnapshot,
+                 straggler: StragglerError) -> bool:
         """Can restoring ``snap`` recover from ``straggler``?"""
         if not snap.complete:
             return False
-        cut = snap.cuts.get(receiver)
+        cut = snap.cuts.get(straggler.receiver)
         if cut is None or cut.time > straggler.straggler_time:
             return False
-        for message in snap.recorded_messages():
-            target = self._receiver_of(message)
-            if target is None:
-                return False
-            if message.time < snap.time_of(target):
-                return False
-        return True
+        # A recorded message is re-injected at the cut it is filed in.
+        return all(message.time >= filed.time
+                   for filed in snap.cuts.values()
+                   for messages in filed.recorded.values()
+                   for message in messages)
 
-    def _receiver_of(self, message) -> Optional[str]:
-        for name, subsystem in self.subsystems.items():
-            endpoint = subsystem.channels.get(message.channel)
-            if endpoint is not None \
-                    and endpoint.subsystem.node.name == message.dst:
-                return name
-        return None
-
-    def choose_snapshot(self, straggler: StragglerError,
-                        receiver: str) -> GlobalSnapshot:
+    def choose_snapshot(self, straggler: StragglerError) -> GlobalSnapshot:
         candidates = [snap for snap in self.registry.completed()
-                      if self.eligible(snap, straggler, receiver)]
+                      if self.eligible(snap, straggler)]
         if not candidates:
             raise CheckpointError(
                 f"no completed snapshot can recover the straggler at "
-                f"{straggler.straggler_time:g} received by {receiver!r} — "
-                "take snapshots more often (snapshot_interval)")
+                f"{straggler.straggler_time:g} received by "
+                f"{straggler.receiver!r} — take snapshots more often "
+                "(snapshot_interval)")
         return candidates[-1]       # the latest eligible one
 
     # ------------------------------------------------------------------
-    def recover(self, straggler: StragglerError, receiver: str) -> GlobalSnapshot:
-        """Pick a snapshot, roll the whole system back to it, re-arm."""
-        snap = self.choose_snapshot(straggler, receiver)
+    def recover(self, straggler: StragglerError) -> GlobalSnapshot:
+        """Pick a snapshot and roll the whole system back to it (the
+        executor sets the conservative window that follows)."""
+        snap = self.choose_snapshot(straggler)
         self.rollback_to(snap)
-        self.conservative_until = max(self.conservative_until,
-                                      straggler.straggler_time)
         self.rollbacks.append((straggler.straggler_time, snap.snapshot_id,
                                snap.max_time()))
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.count("rollback.count")
-            cause = getattr(straggler, "cause", None)
+            cause = straggler.cause
             extra = {"cause": cause} if cause is not None else {}
             telemetry.trace(TraceKind.ROLLBACK,
-                            time=straggler.straggler_time, subject=receiver,
+                            time=straggler.straggler_time,
+                            subject=straggler.receiver,
                             snapshot_id=snap.snapshot_id,
                             restored_time=snap.max_time(), **extra)
         return snap
@@ -139,10 +129,8 @@ class RecoveryManager:
                                       or other.max_time() > snap.max_time()):
                 self.registry.drop(other_id)
         # 3. Every node restores its images and re-injects its channel state.
-        resent = resent_counts(local for cuts in per_node.values()
-                               for local in cuts.values())
         for node, cuts in per_node.items():
-            restore_node(node, cuts, resent)
+            restore_node(node, cuts)
         if self.on_rollback is not None:
             self.on_rollback(snap.snapshot_id)
 

@@ -60,9 +60,6 @@ class GlobalSnapshot:
         return (set(self.cuts) == self.expected
                 and all(cut.complete for cut in self.cuts.values()))
 
-    def time_of(self, subsystem: str) -> float:
-        return self.cuts[subsystem].time
-
     def max_time(self) -> float:
         return max((cut.time for cut in self.cuts.values()), default=0.0)
 

@@ -29,13 +29,15 @@ def pair(mode, interval, count, two_way):
 
 def rows(cosim):
     """What a restore must give back: per-subsystem progress, every
-    component's, net's and interface's row, and what the consumer got.
-    Channel ledgers and link totals are left out: a restore restarts the
-    one and the abandoned run's traffic stays in the other."""
+    component's, net's and interface's row, each channel end's message
+    ledgers, and what the consumer got.  Link totals are left out: the
+    abandoned run's traffic crossed the wire and stays counted there."""
     report = cosim.report()
     return (sorted((row["name"], row["time"], row["dispatched"])
                    for row in report.subsystems),
             report.components, report.nets, report.interfaces,
+            [(row["name"], row["forwarded"], row["injected"])
+             for row in report.channels],
             cosim.component("consumer").received)
 
 

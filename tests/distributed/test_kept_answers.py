@@ -22,7 +22,8 @@ from repro.distributed.node import PiaNode
 from repro.distributed.spec import resolve_factory
 from repro.faults import FaultPlan, LinkFaults, NodeCrash
 
-from .test_snapshot_optimistic import TestOptimisticChannels
+from . import test_snapshot_optimistic
+from .test_snapshot_optimistic import run_optimistic
 from .test_spec_matrix import SPECS
 
 _CONSERVATIVE = ChannelMode.CONSERVATIVE
@@ -129,8 +130,18 @@ def test_a_batched_chaos_star_that_crashes_and_recovers(oracle):
 
 
 def test_an_optimistic_rollback(oracle):
-    cosim, __ = TestOptimisticChannels()._run_optimistic([1, 2, 3])
+    cosim, __ = run_optimistic([1, 2, 3])
     assert cosim.recovery.rollbacks
+
+
+class TestOptimisticChannels(test_snapshot_optimistic.TestOptimisticChannels):
+    """The optimistic-channel tests again, every node an ``OracleNode``:
+    the kept answers hold across stragglers, rollbacks and retaken
+    cuts."""
+
+    @pytest.fixture(autouse=True)
+    def _checked(self, oracle):
+        yield
 
 
 def test_restore_and_run_on(oracle):

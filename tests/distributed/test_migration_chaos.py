@@ -24,7 +24,7 @@ from repro.core import (
     Send,
     Simulator,
 )
-from repro.core.checkpoint import CheckpointImage, capture, reinstate
+from repro.core.checkpoint import capture, reinstate
 from repro.core.errors import (
     CheckpointError,
     ConfigurationError,
@@ -32,7 +32,7 @@ from repro.core.errors import (
 )
 from repro.distributed import (
     CoSimulation, MultiprocessCoSimulation, WorkerPool, build)
-from repro.distributed.migration import NodeArchive, resent_counts
+from repro.distributed.migration import NodeArchive
 from repro.faults import FaultPlan, NodeCrash
 from repro.observability import (
     TraceKind,
@@ -42,7 +42,6 @@ from repro.observability import (
 from repro.observability.export import trace_records
 from repro.observability.flight import ENV_DIR
 from repro.observability.spans import causal_chains, span_name
-from repro.transport.message import Message, MessageKind
 
 from .test_trace_chaos import assert_derived_fields
 
@@ -239,11 +238,11 @@ class TestLiveMigration:
 
     def test_a_live_move_mid_stream_loses_and_doubles_nothing(self, pool):
         """A consumer moved half-way through a 1,000-word stream: every
-        word arrives once (the same dispatch counts and net posts as the
-        unmoved run, every component finished).  A live move fires only
-        from a settled sweep — every worker idle, the wire counters
-        balanced on two probes — so its cut catches nothing in flight
-        and the restore replays nothing."""
+        word arrives once (the same dispatch counts, net posts and channel
+        ledgers as the unmoved run, every component finished).  A live
+        move fires only from a settled sweep — every worker idle, the
+        wire counters balanced on two probes — so its cut catches nothing
+        in flight and the restore replays nothing."""
         def run(move):
             cosim = build(streaming_pair_spec(1_000, 1.0), "multiprocess",
                           pool=pool, failure_policy="recover")
@@ -252,12 +251,15 @@ class TestLiveMigration:
             cosim.run(timeout=90.0)
             report = cosim.report()
             return report, (progress_rows(report), report.components,
-                            report.nets, report.interfaces)
+                            report.nets, report.interfaces,
+                            [(row["name"], row["forwarded"], row["injected"])
+                             for row in report.channels])
 
         __, unmoved = run(move=False)
         report, moved = run(move=True)
         assert moved == unmoved
         assert [row["posts"] for row in unmoved[2]] == [1_000, 1_000]
+        assert [row[1:] for row in unmoved[4]] == [(0, 1_000), (1_000, 0)]
         assert {row["status"] for row in unmoved[1]} == {"finished"}
         (record,) = report.migrations
         assert (record["kind"], record["node"], record["at_global_time"]) \
@@ -486,29 +488,6 @@ class TestPortableImages:
         image.subsystem = "someone-else"
         with pytest.raises(CheckpointError, match="someone-else"):
             reinstate(sim.subsystem, image)
-
-    def test_resent_counts_key_by_channel_and_destination(self):
-        """Recorded in-flight messages pre-seed the ``forwarded`` ledger
-        of the endpoint that will re-deliver them: counts must be keyed
-        by (channel, destination node)."""
-        def signal(channel, dst):
-            return Message(kind=MessageKind.SIGNAL, src="n-a", dst=dst,
-                           channel=channel, time=1.0, payload="x")
-
-        def image(name):
-            return CheckpointImage(checkpoint_id=1, label=None, time=1.0,
-                                   subsystem=name)
-
-        archives = [
-            NodeArchive(node="n-b", snapshot_id="s", cuts={
-                "a": (image("a"), {"ch-1": [signal("ch-1", "n-b"),
-                                            signal("ch-1", "n-b")]})}),
-            NodeArchive(node="n-c", snapshot_id="s", cuts={
-                "b": (image("b"), {"ch-2": [signal("ch-2", "n-c")]})}),
-        ]
-        cuts = [cut for archive in archives for cut in archive.cuts.values()]
-        assert resent_counts(cuts) == {("ch-1", "n-b"): 2,
-                                       ("ch-2", "n-c"): 1}
 
     @pytest.mark.parametrize("unnamed", ["control", "orphan-port"])
     def test_an_unnamed_target_restores_here_and_refuses_to_travel(

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.bench.workloads import streaming_pair
 from repro.core import Advance, CheckpointError, FunctionComponent, Receive, Send
 from repro.distributed import ChannelMode, CoSimulation, StragglerError
+from repro.observability import TraceKind
 
 
 def producer(values, period=1.0):
@@ -115,48 +117,51 @@ class TestChandyLamport:
         assert len(ids) == 3
 
 
+def run_optimistic(values, *, snapshot_interval=1.0):
+    """``values`` streamed over an optimistic channel to a consumer whose
+    private busy-work runs its subsystem far ahead of the producer — the
+    straggler trigger."""
+    sink = []
+
+    def busy(comp):
+        for __ in range(50):
+            yield Advance(1.0)
+            yield Send("tick", comp.local_time)
+
+    def tock(comp):
+        while True:
+            yield Receive("in")
+
+    busy_c = FunctionComponent("busy", busy, ports={"tick": "out"})
+    tock_c = FunctionComponent("tock", tock, ports={"in": "in"})
+    cosim = two_subsystem_system(
+        values, sink, mode=ChannelMode.OPTIMISTIC,
+        snapshot_interval=snapshot_interval,
+        producer_name="zz-producer", consumer_name="aa-consumer")
+    ss_b = cosim.subsystem("aa-consumer")
+    ss_b.add(busy_c)
+    ss_b.add(tock_c)
+    ss_b.wire("busyline", busy_c.port("tick"), tock_c.port("in"))
+    cosim.run()
+    return cosim, sink
+
+
 class TestOptimisticChannels:
-    def _run_optimistic(self, values, *, snapshot_interval=1.0):
-        sink = []
-        # The consumer has private busy-work letting its subsystem run far
-        # ahead of the producer — the straggler trigger.
-        def busy(comp):
-            for __ in range(50):
-                yield Advance(1.0)
-                yield Send("tick", comp.local_time)
-
-        def tock(comp):
-            while True:
-                yield Receive("in")
-
-        busy_c = FunctionComponent("busy", busy, ports={"tick": "out"})
-        tock_c = FunctionComponent("tock", tock, ports={"in": "in"})
-        cosim = two_subsystem_system(
-            values, sink, mode=ChannelMode.OPTIMISTIC,
-            snapshot_interval=snapshot_interval,
-            producer_name="zz-producer", consumer_name="aa-consumer")
-        ss_b = cosim.subsystem("aa-consumer")
-        ss_b.add(busy_c)
-        ss_b.add(tock_c)
-        ss_b.wire("busyline", busy_c.port("tick"), tock_c.port("in"))
-        cosim.run()
-        return cosim, sink
-
     def test_results_match_conservative_reference(self):
         values = [10, 20, 30, 40, 50]
         reference_sink = []
         reference = two_subsystem_system(values, reference_sink)
         reference.run()
-        cosim, sink = self._run_optimistic(values)
+        cosim, sink = run_optimistic(values)
         assert sink == reference_sink
 
     def test_rollbacks_happened(self):
-        cosim, sink = self._run_optimistic([1, 2, 3])
+        cosim, sink = run_optimistic([1, 2, 3])
         assert cosim.recovery.rollbacks, \
             "the consumer ran 50s ahead; stragglers were inevitable"
 
     def test_initial_snapshot_taken_automatically(self):
-        cosim, sink = self._run_optimistic([1])
+        cosim, sink = run_optimistic([1])
         assert cosim.registry.snapshots
 
     def test_no_rollbacks_when_consumer_cannot_run_ahead(self):
@@ -172,7 +177,7 @@ class TestOptimisticChannels:
         assert not cosim.recovery.rollbacks
 
     def test_conservative_window_set_after_rollback(self):
-        cosim, sink = self._run_optimistic([1, 2, 3])
+        cosim, sink = run_optimistic([1, 2, 3])
         first_straggler = cosim.recovery.rollbacks[0][0]
         assert cosim.recovery.conservative_until >= first_straggler
 
@@ -183,7 +188,7 @@ class TestOptimisticChannels:
         sent and flushed — and the cut is taken again, under its id, from
         the restored state.  It completes, and the stores keep exactly
         the images of the snapshots the registry holds."""
-        cosim, sink = self._run_optimistic([1, 2, 3])
+        cosim, sink = run_optimistic([1, 2, 3])
         report = cosim.report()
         snapshots = cosim.registry.snapshots
         assert list(snapshots) == ["snap-1", "snap-2", "snap-3", "snap-4"]
@@ -200,6 +205,29 @@ class TestOptimisticChannels:
         assert sink == [(1.0, 1), (2.0, 2), (3.0, 3)]
 
 
+    def test_a_straggler_is_filed_under_the_end_that_received_it(self):
+        """The producer streams its eight words in one step, past the
+        consumer's three seconds of busy-work: when the consumer receives
+        the first word as a straggler, the producer's clock is the larger
+        one.  The rollback is filed under the consumer, which raised it."""
+        cosim = streaming_pair(8, 1.0, mode=ChannelMode.OPTIMISTIC,
+                               consumer_work=3.0, snapshot_interval=1.0)
+        clocks = []
+        recover = cosim.recovery.recover
+
+        def noting_clocks(*args):
+            clocks.append({name: subsystem.scheduler.now
+                           for name, subsystem in cosim.subsystems.items()})
+            return recover(*args)
+
+        cosim.recovery.recover = noting_clocks
+        cosim.run()
+        assert clocks[0]["z-producer"] > clocks[0]["a-consumer"]
+        (record,) = [record for record in cosim.report().trace_records
+                     if record["kind"] == TraceKind.ROLLBACK]
+        assert (record["subject"], record["time"]) == ("a-consumer", 1.0)
+
+
 class TestRecoveryEscalation:
     def test_unrecoverable_without_snapshots_raises(self):
         from repro.distributed.channel import StragglerError
@@ -210,29 +238,23 @@ class TestRecoveryEscalation:
         manager = RecoveryManager({}, InMemoryTransport(), SnapshotRegistry())
         with pytest.raises(CheckpointError):
             manager.choose_snapshot(
-                StragglerError("s", channel_id="ch", straggler_time=5.0),
-                receiver="sb")
+                StragglerError("s", channel_id="ch", receiver="sb",
+                               straggler_time=5.0))
 
     def test_a_cut_is_eligible_only_if_its_channel_state_can_be_replayed(
             self):
         """A message recorded as in-flight channel state is re-injected
-        after the restore, so it must belong to a subsystem here and be
-        stamped no earlier than that receiver's cut."""
-        from types import SimpleNamespace
-
+        after the restore at the cut it is filed in, so it must be stamped
+        no earlier than that cut."""
         from repro.distributed.optimistic import RecoveryManager
         from repro.distributed.snapshot import (GlobalSnapshot,
                                                 SnapshotRegistry, SubsystemCut)
         from repro.transport import InMemoryTransport, Message, MessageKind
 
-        endpoint = SimpleNamespace(
-            subsystem=SimpleNamespace(node=SimpleNamespace(name="nb")))
-        manager = RecoveryManager(
-            {"sb": SimpleNamespace(channels={"ch": endpoint})},
-            InMemoryTransport(), SnapshotRegistry())
+        manager = RecoveryManager({}, InMemoryTransport(), SnapshotRegistry())
 
-        def snapshot(stamp, dst="nb"):
-            word = Message(kind=MessageKind.SIGNAL, src="na", dst=dst,
+        def snapshot(stamp):
+            word = Message(kind=MessageKind.SIGNAL, src="na", dst="nb",
                            channel="ch", time=stamp)
             return GlobalSnapshot("s", cuts={
                 "sa": SubsystemCut("s", "sa", 1, 2.0),
@@ -240,8 +262,7 @@ class TestRecoveryEscalation:
                                    recorded={"ch": [word]})},
                 expected={"sa", "sb"})
 
-        straggler = StragglerError("late", channel_id="ch",
+        straggler = StragglerError("late", channel_id="ch", receiver="sb",
                                    straggler_time=5.0)
-        assert manager.eligible(snapshot(4.0), straggler, "sb")
-        assert not manager.eligible(snapshot(2.5), straggler, "sb")
-        assert not manager.eligible(snapshot(4.0, dst="nx"), straggler, "sb")
+        assert manager.eligible(snapshot(4.0), straggler)
+        assert not manager.eligible(snapshot(2.5), straggler)

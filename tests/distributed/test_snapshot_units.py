@@ -46,7 +46,6 @@ class TestGlobalSnapshot:
         snap = GlobalSnapshot("s", expected={"a", "b"})
         snap.cuts["a"] = _cut("s", "a", 1.0)
         snap.cuts["b"] = _cut("s", "b", 4.0)
-        assert snap.time_of("a") == 1.0
         assert snap.max_time() == 4.0
 
     def test_recorded_messages_flatten(self):

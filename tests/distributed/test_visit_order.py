@@ -58,11 +58,14 @@ def test_a_shuffled_round_ends_where_the_name_order_run_ends(workload,
 
 
 def crash_rows(cosim):
-    """Final rows and where the recovery rewound to."""
+    """Final rows — each subsystem's progress, each channel end's message
+    ledgers — and where the recovery rewound to."""
     cosim.run()
     report = cosim.report()
     return (sorted((row["name"], row["time"], row["dispatched"])
                    for row in report.subsystems),
+            [(row["name"], row["forwarded"], row["injected"])
+             for row in report.channels],
             [record["restored_time"] for record in report.trace_records
              if record["kind"] == TraceKind.NODE_RECOVER])
 
@@ -74,17 +77,21 @@ def crash_rows(cosim):
 def test_crash_recovery_rewinds_alike_in_any_order(interval, restored,
                                                    batching):
     """``n-w0`` is lost at 1.25; with cuts every 1.25 the cut owed at the
-    crash's own instant is taken before the crash fires."""
-    def star(seed=None):
+    crash's own instant is taken before the crash fires.  The recovered
+    run ends with the uncrashed star's channel rows: the ledgers come
+    back with the images."""
+    def star(seed=None, crashes=(NodeCrash("n-w0", at_time=1.25),)):
         spec = compute_star_spec(2, 6, words=50)
         kwargs = dict(batching=batching, snapshot_interval=interval,
-                      failure_policy="recover", fault_plan=FaultPlan(
-                          seed=3, crashes=(NodeCrash("n-w0", at_time=1.25),)))
+                      failure_policy="recover",
+                      fault_plan=FaultPlan(seed=3, crashes=crashes))
         return build(spec, **kwargs) if seed is None \
             else shuffled(spec, seed, **kwargs)
 
     expected = crash_rows(star())
-    assert expected == ([("hub", 9.0, 24), ("w0", 8.75, 12),
-                         ("w1", 8.75, 12)], [restored])
+    rows, channels, rewound = expected
+    assert (rows, rewound) == ([("hub", 9.0, 24), ("w0", 8.75, 12),
+                                ("w1", 8.75, 12)], [restored])
+    assert channels == crash_rows(star(crashes=()))[1]
     for seed in range(10):
         assert crash_rows(star(seed)) == expected, seed
