@@ -22,7 +22,9 @@ traced path a branch of its own, so a telemetry-off run touches no
 telemetry state per event.  Even lit, a dispatch files a ``DISPATCH``
 record only when it has a cause (its chain began at a channel crossing):
 that, and the instant the subsystem had reached before it, is all stall
-attribution reads; every other dispatch is counted, not recorded.
+attribution reads; every other dispatch is counted, not recorded.  The
+record is filed as its facts (:mod:`repro.observability.trace`), built
+into a record only when the trace is read.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ import time as _time
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..observability import NULL_TELEMETRY, BoundCounter, TraceKind
-from ..observability import TraceRecord as _TraceRecord
 from ..observability.flight import STRIDE_MASK as _FLIGHT_MASK
 from .errors import CausalityError, SimulationError
 from .events import Event, EventKind, EventQueue
 
 _DISPATCH = TraceKind.DISPATCH
-_new_record = tuple.__new__
+_STALL = TraceKind.STALL
 _wall = _time.time
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -111,21 +112,30 @@ class Scheduler:
 
     # ------------------------------------------------------------------
     def _record_stall(self, next_time: float, limit: float) -> None:
-        """Account one horizon stall (the run loop's cold exit)."""
+        """Account one horizon stall (the run loop's cold exit): a
+        notable event (:meth:`~repro.observability.Telemetry.note`'s two
+        rings and ordinal rule), filed as its facts."""
         self.stalls += 1
         telemetry = self.telemetry
-        details = {"horizon": limit, "next_event": next_time}
+        flight = telemetry.flight
         if telemetry.enabled:
             self._stall_counter.inc(telemetry)
+            seq = next(telemetry.seq)
+            # Link the stall to the chain of the event it is parked behind.
             head = self.queue.peek()
-            if head is not None and head.cause is not None:
-                # Link the stall to the chain of the event it is parked
-                # behind.
-                details["cause"] = head.cause
-        elif not telemetry.flight.enabled:
+            cause = None if head is None else head.cause
+        elif flight.enabled:
+            seq, cause = 0, None    # the black box alone draws no ordinal
+        else:
             return      # dark: the stall is counted, nothing records it
-        telemetry.note(TraceKind.STALL, time=self.now,
-                       subject=self.subsystem.name, **details)
+        record = (seq, _STALL, self.now, self.subsystem.name, limit,
+                  next_time, cause, _wall())
+        if seq:
+            ring = telemetry.trace_buffer
+            ring.items.append(record)
+            ring.appended += 1
+        if flight.enabled:
+            flight.append(record)
 
     def run(self, until: float = float("inf"), *,
             horizon=float("inf"),
@@ -216,8 +226,7 @@ class Scheduler:
                     if cause is None:
                         handlers[event.code](event)
                     else:
-                        details = {"event": event.kind.label,
-                                   "cause": cause, "before": self.before}
+                        before = self.before
                         # Sends triggered by this dispatch mint child spans
                         # of its cause; cleared even on a straggler abort.
                         cell.value = cause
@@ -225,11 +234,11 @@ class Scheduler:
                             handlers[event.code](event)
                         finally:
                             cell.value = None
-                        # Telemetry.emit inlined (no frame).
+                        # Filed as its facts, after the dispatch's own
+                        # records (no frame, nothing built).
                         if telemetry.enabled:
-                            file(_new_record(_TraceRecord, (
-                                next(telemetry.seq), _DISPATCH, time, name,
-                                details, _wall())))
+                            file((next(telemetry.seq), _DISPATCH, time, name,
+                                  event.kind, cause, before, _wall()))
                             ring.appended += 1
                     self.dispatched += 1
                 count += 1

@@ -31,7 +31,7 @@ from ..core.events import Event, EventKind
 from ..core.net import Net
 from ..core.port import Port, PortDirection
 from ..observability import BoundCounter
-from ..observability.spans import span_of
+from ..observability.spans import Span, span_of
 from ..transport.message import Message, MessageKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -351,7 +351,8 @@ class ChannelEndpoint:
             raise ConfigurationError(
                 f"channel {self.channel.channel_id}: unknown net "
                 f"{net_name!r}") from None
-        now = self.subsystem.scheduler.now
+        scheduler = self.subsystem.scheduler
+        now = scheduler.now
         if message.time < now:
             self.stragglers += 1
             if self.mode is ChannelMode.CONSERVATIVE:
@@ -366,23 +367,25 @@ class ChannelEndpoint:
                 channel_id=self.channel.channel_id,
                 receiver=self.subsystem.name,
                 straggler_time=message.time, cause=span_of(message))
-        self.inject(net, message.time, value)
+        # Lit, the events it injects carry its span, linking the local
+        # dispatch chain to the remote send.
+        context = message.trace
+        self.inject(net, message.time, value,
+                    None if context is None or not scheduler.telemetry.enabled
+                    else (message.src, message.epoch, context[0]))
 
-    def inject(self, net: Net, time: float, value: Any) -> None:
+    def inject(self, net: Net, time: float, value: Any,
+               cause: Optional[Span]) -> None:
         """Schedule a remote value on the local half-net (hidden port
-        excluded, so the value does not bounce straight back)."""
+        excluded, so the value does not bounce straight back), as events
+        caused by the span ``cause`` (None: by whatever schedules them)."""
         self.injected += 1
         net.posts += 1
         net.value = value
         net.last_change = time
         for observer in net.observers:
             observer(net, time, value)
-        scheduler = self.subsystem.scheduler
-        schedule = scheduler.schedule
-        # Built with the span of the message being injected
-        # (set by PiaNode.dispatch), so schedule() has nothing to copy.
-        telemetry = scheduler.telemetry
-        cause = telemetry.cause_cell.value if telemetry.enabled else None
+        schedule = self.subsystem.scheduler.schedule
         hidden = self.component.ports[net.name]
         signal = EventKind.SIGNAL
         for port in net.ports:

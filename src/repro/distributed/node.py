@@ -188,20 +188,9 @@ class PiaNode:
             if kind is _GRANT:
                 endpoint.apply_grant(message.time, message.payload)
                 return
-            telemetry = endpoint.subsystem.scheduler.telemetry
-            traced = telemetry.enabled and message.trace is not None
-            if traced:
-                # Events this signal injects inherit its span, linking
-                # the local dispatch chain to the remote send.
-                cell = telemetry.cause_cell
-                cell.value = (message.src, message.epoch, message.trace[0])
-            try:
-                for observer in self.signal_observers:
-                    observer(endpoint, message)
-                endpoint.receive_signal(message)
-            finally:
-                if traced:
-                    cell.value = None
+            for observer in self.signal_observers:
+                observer(endpoint, message)
+            endpoint.receive_signal(message)
             return
         hook = self.handlers.get(kind)
         if hook is None:

@@ -19,12 +19,14 @@ real telemetry hold the shared :data:`NULL_TELEMETRY`, whose ``enabled``
 is permanently ``False`` — one attribute read per hot-path visit.
 
 A lit run is the everyday run, so the sites it visits per event and per
-message (dispatch, transport send/poll, link accounting) go one step
-further and skip the conveniences: they hand :meth:`Telemetry.emit` a
-ready details dict instead of keywords, read :attr:`Telemetry.cause_cell`
-as a plain attribute, and hold bound :class:`~.metrics.Counter` handles
-(re-resolved when the telemetry's registry is swapped) instead of
-looking a name up per increment.  What gets recorded is the same either way.
+message (dispatch, stall, transport send/call/poll, link accounting) go
+one step further and skip the conveniences: they file their record into
+:attr:`Telemetry.trace_buffer` themselves, as a flat tuple of its facts
+that is built into a :class:`~.trace.TraceRecord` only when read (see
+:mod:`.trace`), read :attr:`Telemetry.cause_cell` as a plain attribute,
+and hold bound :class:`~.metrics.Counter` handles (re-resolved when the
+telemetry's registry is swapped) instead of looking a name up per
+increment.  What a reader gets is the same either way.
 """
 
 from __future__ import annotations
@@ -72,10 +74,11 @@ class Telemetry:
         #: Optional :class:`~.health.LinkHealthMonitor`, fed by the
         #: transport send/poll boundary when attached.
         self.health = None
-        #: The span of the message being dispatched (``.value``, ``None``
-        #: outside one), thread-local: under the threaded executor several
-        #: node threads share one Telemetry, and each must see only its
-        #: own dispatch's cause.
+        #: The span of the caused event being dispatched (``.value``,
+        #: ``None`` outside one) — what a send it makes is minted a child
+        #: of — thread-local: under the threaded executor several node
+        #: threads share one Telemetry, and each must see only its own
+        #: dispatch's cause.
         self.cause_cell = _CauseCell()
         #: Record ordinals (``itertools.count``: one atomic C call, unique
         #: under the threaded executor).
@@ -108,7 +111,7 @@ class Telemetry:
         :meth:`trace` for per-event sites — and the only form that can
         carry a detail named ``kind``, ``time`` or ``subject`` (emitted
         as ``detail.<key>`` by :meth:`TraceRecord.to_dict`).  Files the
-        record itself, like the run loop for ``DISPATCH``: no frame."""
+        record itself: no frame."""
         if self.enabled:
             record = _new_record(TraceRecord, (next(self.seq), kind, time,
                                                subject, details, _wall()))
@@ -125,7 +128,7 @@ class Telemetry:
 
     def note(self, kind: str, *, time: float = 0.0, subject: str = "",
              **details) -> None:
-        """Record one *notable* event — a stall, a migration, a failover:
+        """Record one *notable* event — a migration, a failover, an abort:
         one :class:`TraceRecord`, filed in the trace buffer when the gate
         is on and in the flight ring when the black box is on.  Only a
         record entering the trace buffer draws a ``seq`` (else 0): what

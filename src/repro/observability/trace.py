@@ -7,6 +7,13 @@ The buffer is a :class:`Ring` — old records are dropped, never the run —
 so tracing is safe to leave on for arbitrarily long simulations.  The
 same ring (the only one in the package) is what the flight recorder and
 every time-series sit on.
+
+A lit run files some records per event or per message: a caused
+``DISPATCH``, a ``STALL``, and ``MSG_SEND``/``MSG_RECV``.  Those are filed
+as their *facts* — a flat tuple of scalars, never the message, event or
+payload they describe — and become a :class:`TraceRecord` (or a record
+dict) only when read, through the one materialiser below, keyed by kind.
+What a reader sees is exactly the record the filing site used to build.
 """
 
 from __future__ import annotations
@@ -59,13 +66,12 @@ class TraceRecord(tuple):
     """One structured observation: the six-tuple ``(seq, kind, time,
     subject, details, wall)`` with read-only named fields.
 
-    A tuple because a lit run files one per caused dispatch and per
-    message, and
-    the two sites that do (:meth:`~.telemetry.Telemetry.emit` and the
-    scheduler's run loop) build it with one C call,
-    ``tuple.__new__(TraceRecord, fields)``, where any ``__init__`` would
-    be a Python frame per record.  The constructor below is for every
-    other site.  ``wall`` is the wall clock at record time —
+    A tuple because :meth:`~.telemetry.Telemetry.emit` builds it with
+    one C call, ``tuple.__new__(TraceRecord, fields)``, where any
+    ``__init__`` would be a Python frame per record (the per-event kinds
+    are not built at all until read: see :class:`TraceBuffer`).  The
+    constructor below is for every other site.  ``wall`` is the wall
+    clock at record time —
     nondeterministic, so excluded from equality and :meth:`to_dict` (the
     wall-clock timeline view reads it straight off the record).  Defining
     ``__eq__`` drops tuple's hash: a record holds a dict, so it has none.
@@ -153,27 +159,119 @@ class Ring:
         return iter(self.items)
 
 
+# ----------------------------------------------------------------------
+# per-event kinds, filed as their facts
+# ----------------------------------------------------------------------
+#
+# Each layout starts ``(seq, kind, time, ...)`` and ends with ``wall``;
+# what lies between is the kind's:
+#
+# ``DISPATCH``  ``(..., subject, event kind, cause span, before, wall)``
+# ``STALL``     ``(..., subject, horizon, next event, cause span or None,
+#               wall)``
+# ``MSG_SEND`` / ``MSG_RECV``  ``(..., src, dst, message kind, span origin,
+#               epoch, trace context or None, bytes or None, flag, wall)``
+#               — ``flag`` is the detail set True (``"batched"``,
+#               ``"call"``) or None; a call's reply is filed under its
+#               request's span, hence an origin of its own.
+#
+# Only scalars, spans and trace contexts (tuples of scalars) ride in a
+# facts tuple, so a record keeps nothing of the run alive, and a field a
+# later stage may restamp (the epoch) is copied, not referenced.
+
+
+class _Subjects(dict):
+    """``(src, dst) -> "src->dst"``: a message record's subject, made the
+    first time the link is read."""
+
+    def __missing__(self, link):
+        subject = self[link] = "%s->%s" % link
+        return subject
+
+
+_subjects = _Subjects()
+
+
+def _message(facts) -> dict:
+    (seq, kind, time, src, dst, message_kind, origin, epoch, context, size,
+     flag, wall) = facts
+    record = {"seq": seq, "kind": kind, "time": time,
+              "subject": _subjects[src, dst],
+              "message_kind": message_kind.label}
+    if size is not None:
+        record["bytes"] = size
+    if flag is not None:
+        record[flag] = True
+    if context is not None:
+        record["span"] = (origin, epoch, context[0])
+        record["parent"] = context[1]
+    record["wall"] = wall
+    return record
+
+
+def _dispatch(facts) -> dict:
+    seq, kind, time, subject, event_kind, cause, before, wall = facts
+    return {"seq": seq, "kind": kind, "time": time, "subject": subject,
+            "event": event_kind.label, "cause": cause, "before": before,
+            "wall": wall}
+
+
+def _stall(facts) -> dict:
+    seq, kind, time, subject, horizon, next_event, cause, wall = facts
+    record = {"seq": seq, "kind": kind, "time": time, "subject": subject,
+              "horizon": horizon, "next_event": next_event}
+    if cause is not None:
+        record["cause"] = cause
+    record["wall"] = wall
+    return record
+
+
+#: kind -> ``facts -> record dict`` (:func:`record_dicts`' shape, whose
+#: detail keys never shadow a core field): the one materialiser.
+_FACTS = {TraceKind.DISPATCH: _dispatch, TraceKind.STALL: _stall,
+          TraceKind.MSG_SEND: _message, TraceKind.MSG_RECV: _message}
+
+
 class TraceBuffer(Ring):
-    """A ring of :class:`TraceRecord`; bounded, never blocking."""
+    """A ring of trace records, bounded, never blocking."""
 
     __slots__ = ()
 
     def __init__(self, capacity: int = 4096) -> None:
         super().__init__(capacity)
 
+    def __iter__(self):
+        """The held records as :class:`TraceRecord` objects, oldest
+        first: a record filed as itself as is, a facts tuple (a plain
+        ``tuple``) built into the record its filing site describes."""
+        for item in self.items:
+            if item.__class__ is tuple:
+                details = _FACTS[item[1]](item)
+                del details["seq"], details["kind"], details["time"]
+                subject = details.pop("subject")
+                item = tuple.__new__(TraceRecord, (
+                    item[0], item[1], item[2], subject, details,
+                    details.pop("wall")))
+            yield item
+
     def counts_by_kind(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for record in self.items:
-            counts[record.kind] = counts.get(record.kind, 0) + 1
+            kind = record[1]    # a record's and a facts tuple's alike
+            counts[kind] = counts.get(kind, 0) + 1
         return dict(sorted(counts.items()))
 
 
 def record_dicts(records) -> List[dict]:
-    """The one normaliser: ``records`` (:class:`TraceRecord` objects or
-    already-flattened dicts) as the record dicts every reader takes —
-    :meth:`TraceRecord.to_dict` plus the ``wall`` stamp.  Report bundles,
-    flight dumps, the timeline export and the causal linker all speak
-    this shape."""
-    return [record if isinstance(record, dict)
-            else dict(record.to_dict(), wall=record.wall)
-            for record in records]
+    """The one normaliser: ``records`` (a :class:`TraceBuffer`, or
+    :class:`TraceRecord` objects or already-flattened dicts) as the
+    record dicts every reader takes — :meth:`TraceRecord.to_dict` plus
+    the ``wall`` stamp; a facts tuple is flattened straight from its
+    facts.  Report bundles, flight dumps, the timeline export and the
+    causal linker all speak this shape."""
+    items = records.items if isinstance(records, TraceBuffer) else records
+    facts = _FACTS
+    return [facts[item[1]](item) if item.__class__ is tuple
+            else item if isinstance(item, dict)
+            else dict(item.to_dict(), wall=item.wall)
+            for item in items]

@@ -16,7 +16,7 @@ reuse them:
 5. batch (queue for the next flush) or pack (the carrier serialises);
 6. charge the link's accounting (:meth:`NetworkAccounting.charge`, which
    also paces a real-time carrier);
-7. file the ``MSG_SEND`` record;
+7. file the ``MSG_SEND`` record (as its facts: nothing is built until read);
 8. hand the parcel to the carrier;
 9. release what the fate owes: the duplicate copy, a swap-parked message.
 
@@ -56,7 +56,6 @@ from ..core.errors import TransportError
 from ..core.fastcopy import is_immutable
 from ..faults.retry import RetryPolicy
 from ..observability import NULL_TELEMETRY, BoundCounter, TraceKind
-from ..observability.trace import TraceRecord
 from .accounting import NetworkAccounting
 from .batch import SendBatcher
 from .latency import SAME_HOST, LatencyModel
@@ -68,17 +67,7 @@ CallHandler = Callable[[Message], Message]
 _MSG_SEND = TraceKind.MSG_SEND
 _MSG_RECV = TraceKind.MSG_RECV
 _GRANT = MessageKind.SAFE_TIME_GRANT
-_new_record = tuple.__new__
 _wall = _time.time
-
-
-class _Subjects(dict):
-    """``(src, dst) -> "src->dst"``: the record subject of each directed
-    link, made the first time the link is looked up."""
-
-    def __missing__(self, link):
-        subject = self[link] = "%s->%s" % link
-        return subject
 
 
 def open_envelope(message: Message, tags):
@@ -158,7 +147,6 @@ class Transport:
         self.telemetry = NULL_TELEMETRY
         #: Fault plane (attach via :meth:`attach_faults`).
         self.fault_injector = None
-        self._subjects = _Subjects()
         self._piggyback_sent = BoundCounter("safetime.piggyback_sent")
         #: Local nodes whose inbox may hold deliveries (see :meth:`ready`).
         self._arrived: set = set()
@@ -192,22 +180,19 @@ class Transport:
     #: window, hence no ``_in_flight``.
     _in_flight = None
 
-    def _trace(self, kind: str, message: Message, details: dict,
-               request: Optional[Message] = None) -> None:
-        """File one ``MSG_SEND``/``MSG_RECV`` record for ``message`` on a
-        lit telemetry, itself (as ``Scheduler.run`` files ``DISPATCH``):
-        ``details`` (``message_kind`` first) plus its ``span`` and
-        ``parent`` — a call's reply is filed under its ``request``'s."""
-        spanned = message if request is None else request
-        context = spanned.trace
-        if context is not None:
-            details["span"] = (spanned.src, spanned.epoch, context[0])
-            details["parent"] = context[1]
+    def _file(self, kind: str, message: Message, size: Optional[int],
+              flag: Optional[str], spanned: Message) -> None:
+        """File one ``MSG_SEND``/``MSG_RECV`` record of ``message`` on a
+        lit telemetry, as its facts (:mod:`repro.observability.trace`):
+        its wire ``size`` (None: not charged here), the detail ``flag``
+        set (``"batched"``, ``"call"`` or None) and the span of
+        ``spanned`` — the message itself, or a call reply's request."""
         telemetry = self.telemetry
         ring = telemetry.trace_buffer
-        ring.items.append(_new_record(TraceRecord, (
-            next(telemetry.seq), kind, message.time,
-            self._subjects[message.src, message.dst], details, _wall())))
+        ring.items.append((
+            next(telemetry.seq), kind, message.time, message.src,
+            message.dst, message.kind, spanned.src, spanned.epoch,
+            spanned.trace, size, flag, _wall()))
         ring.appended += 1
 
     def wire_balanced(self) -> bool:
@@ -258,8 +243,7 @@ class Transport:
             member = message if is_immutable(message.payload) \
                 else self._open(self._pack(message)[0])
             if telemetry.enabled:
-                self._trace(_MSG_SEND, message, {
-                    "message_kind": message.kind.label, "batched": True})
+                self._file(_MSG_SEND, message, None, "batched", message)
             self.batcher.enqueue(src, dst, member)
             if fate == "duplicate":
                 # The redundant copy rides right behind the original.
@@ -276,8 +260,7 @@ class Transport:
         parcel, size = self._pack(message)
         delay = self.accounting.charge(src, dst, size)
         if telemetry.enabled:
-            self._trace(_MSG_SEND, message, {
-                "message_kind": message.kind.label, "bytes": size})
+            self._file(_MSG_SEND, message, size, None, message)
         if fate in ("deliver", "duplicate"):
             self._ship(src, dst, parcel, message.time, 1)
         if fate == "duplicate":
@@ -371,15 +354,11 @@ class Transport:
         parcel, size = self._pack(message)
         self.accounting.charge(src, dst, size)
         if telemetry.enabled:
-            self._trace(_MSG_SEND, message, {
-                "message_kind": message.kind.label, "bytes": size,
-                "call": True})
+            self._file(_MSG_SEND, message, size, "call", message)
         reply, size = self._round_trip(message, parcel)
         self.accounting.charge(dst, src, size)
         if telemetry.enabled:
-            self._trace(_MSG_RECV, reply, {
-                "message_kind": reply.kind.label, "bytes": size,
-                "call": True}, message)
+            self._file(_MSG_RECV, reply, size, "call", message)
         return reply
 
     def poll(self, name: str, *, limit: Optional[int] = None) -> List[Message]:
@@ -419,8 +398,7 @@ class Transport:
             # span, and link rows and ``safetime.piggybacked`` count it.
             for message in drained:
                 if message.kind is not _GRANT:
-                    self._trace(_MSG_RECV, message,
-                                {"message_kind": message.kind.label})
+                    self._file(_MSG_RECV, message, None, None, message)
         return drained
 
     def ready(self, name: str) -> bool:

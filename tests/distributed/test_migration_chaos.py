@@ -319,10 +319,15 @@ class TestLiveMigration:
         assert progress_rows(moved.report()) == progress_rows(ref.report())
 
     def test_a_request_for_an_earlier_instant_arrives_mid_run(self, pool):
-        """The workers already hold at 20.0 when a migration is asked
-        for at 10.0, and later one for 5.0 — long passed.  The first
-        happens at its instant (where it would have, asked before the
-        run), the second at once."""
+        """A migration asked for at 10.0 mid-run, and later one for 5.0 —
+        long passed.  The first happens at its instant (where it would
+        have, asked before the run), the second at once.
+
+        Each request must reach the run before it passes the instant the
+        assertions need, whatever the host's load: a ``"gate"`` entry
+        (a kind no executor serves) holds the workers — at 2.75 for the
+        gate at 3.0, at 14.75 for the one at 16.0 — until the listener
+        has filed the request and lifted it."""
         ahead = long_star(pool=pool)
         ahead.migrate_at("n-w1", 10.0)
         ahead.migrate_at("n-w0", 20.0)
@@ -332,9 +337,20 @@ class TestLiveMigration:
 
         late = long_star(pool=pool)
         late.migrate_at("n-w0", 20.0)
+        for gate in (3.0, 16.0):
+            late.schedule.add(gate, "gate")
+
+        def request(node, at_time, gate):
+            def act(__):
+                late.migrate_at(node, at_time)
+                for __ in late.schedule.take_due(lambda at: at <= gate,
+                                                 ("gate",)):
+                    pass    # a gate taken leaves the schedule
+            return act
+
         late.run(timeout=120.0, status_interval=0.0, status_listener=MidRun(
-            (2.0, lambda __: late.migrate_at("n-w1", 10.0)),
-            (14.0, lambda __: late.migrate_at("n-w1", 5.0))))
+            (2.0, request("n-w1", 10.0, 3.0)),
+            (14.0, request("n-w1", 5.0, 16.0))))
         moves = [(m.node, m.at_global_time) for m in late.migrations]
         assert [node for node, __ in moves] == ["n-w1", "n-w1", "n-w0"]
         assert moves[0] == ("n-w1", at_10) and moves[2] == ("n-w0", at_20)

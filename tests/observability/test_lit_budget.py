@@ -55,10 +55,15 @@ def two_way_batched_pair():
 
 #: model -> (budget native, budget pure), in extra calls per dispatched
 #: event: 1.25x what the tree measured when they were last recorded
-#: (the local word floored at 0.25).  The two-way batched pair reads
+#: (the local word floored at 0.25).  The one-way pair reads 7.46 native
+#: and 7.96 pure, the two-way batched pair 11.30 and 11.80, since the
+#: per-event records are filed as their facts and a received signal's
+#: span goes to ``inject`` as an argument (the cause cell is no longer
+#: written around it); 8.99 / 9.49 and 12.31 / 12.81 before, budgeted at
+#: 11.2 / 11.9 and 15.4 / 16.0.  The two-way batched pair read
 #: 12.31 native and 12.81 pure since a grant's receipt files no record
 #: and the round reads the answers it keeps; 18.36 and 18.86 before.
-#: The one-way pair reads 8.99 native and 9.49 pure since the send
+#: The one-way pair read 8.99 native and 9.49 pure since the send
 #: pipeline files its own message records and mints a span in one call,
 #: and link counters ride on the link's row; 11.57 and 12.07 before.
 #: The local word's row was set at 0.05 native and pure (the two-way
@@ -72,8 +77,8 @@ def two_way_batched_pair():
 #: 80.5 and 18.0 / 55.4 / 87.0 before the lit path was first flattened.
 BUDGETS = {
     local_word: (0.25, 0.25),
-    one_way_pair: (11.2, 11.9),
-    two_way_batched_pair: (15.4, 16.0),
+    one_way_pair: (9.3, 10.0),
+    two_way_batched_pair: (14.1, 14.8),
 }
 
 

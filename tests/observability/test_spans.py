@@ -111,6 +111,86 @@ class TestMintAtSend:
         assert len(chains["receives"]["n1:1"]) == 1
 
 
+class TestInjectCarriesTheSpan:
+    """A received signal's span goes straight to ``inject`` as an
+    argument: its injected events carry it when the receiver is lit, and
+    ``None`` when it is dark; the cause cell is never written on the
+    way, so it reads ``None`` all through ``PiaNode.dispatch``."""
+
+    def run_pair(self, monkeypatch, *, lit=True, dark_at_receive=False):
+        """``(span of each received signal, causes of the events its
+        inject scheduled, cause-cell reads inside dispatch)``."""
+        from repro.bench.workloads import streaming_pair
+        from repro.core.scheduler import Scheduler
+        from repro.distributed.channel import ChannelEndpoint
+        from repro.distributed.node import PiaNode
+
+        cosim = streaming_pair(5, 1.0)
+        telemetry = cosim.telemetry
+        if not lit:
+            telemetry.disable()
+        cell = telemetry.cause_cell
+        spans, injected, cells = [], [], []
+        schedule, inject = Scheduler.schedule, ChannelEndpoint.inject
+        dispatch = PiaNode.dispatch
+
+        def observing_dispatch(self, message):
+            cells.append(cell.value)
+            dispatch(self, message)
+            cells.append(cell.value)
+
+        def observe(endpoint, message):
+            cells.append(cell.value)
+            spans.append(span_of(message))
+            if dark_at_receive:
+                telemetry.disable()
+
+        current = []    # causes scheduled by the inject under way
+
+        def observing_inject(self, net, time, value, cause):
+            cells.append(cell.value)
+            current.append([])
+            try:
+                inject(self, net, time, value, cause)
+            finally:
+                injected.append(current.pop())
+            cells.append(cell.value)
+
+        def observing_schedule(self, event):
+            if current:
+                current[-1].append(event.cause)
+            return schedule(self, event)
+
+        monkeypatch.setattr(PiaNode, "dispatch", observing_dispatch)
+        monkeypatch.setattr(ChannelEndpoint, "inject", observing_inject)
+        monkeypatch.setattr(Scheduler, "schedule", observing_schedule)
+        for node in cosim.nodes.values():
+            node.signal_observers.append(observe)
+        cosim.run()
+        return spans, injected, cells
+
+    def test_lit_injected_events_carry_the_message_span(self, monkeypatch):
+        spans, injected, cells = self.run_pair(monkeypatch)
+        assert len(spans) == len(injected) == 5
+        assert all(span is not None for span in spans)
+        assert [set(causes) for causes in injected] \
+            == [{span} for span in spans]
+        assert cells and set(cells) == {None}
+
+    def test_dark_injected_events_carry_none(self, monkeypatch):
+        spans, injected, cells = self.run_pair(monkeypatch, lit=False)
+        assert spans == [None] * 5
+        assert [set(causes) for causes in injected] == [{None}] * 5
+        assert set(cells) == {None}
+
+    def test_a_traced_message_injected_dark_carries_none(self, monkeypatch):
+        spans, injected, cells = self.run_pair(monkeypatch,
+                                               dark_at_receive=True)
+        assert spans[0] is not None
+        assert [set(causes) for causes in injected] == [{None}] * 5
+        assert set(cells) == {None}
+
+
 class TestHelpers:
     def test_span_of_reads_origin_and_epoch_off_the_message(self):
         assert span_of(msg(src="n-w0", epoch=2, trace=(7, None))) \
